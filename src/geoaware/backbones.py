@@ -48,14 +48,6 @@ class GeoStubConfig:
             raise ConfigError("geometric stub needs at least 2 layers")
         return np.arange(m) / (m - 1)
 
-    def to_dict(self):
-        return {
-            "num_layers": self.num_layers,
-            "feature_dim": self.feature_dim,
-            "num_keypoints": self.num_keypoints,
-            "lift_seed": self.lift_seed,
-        }
-
 
 @dataclass
 class FeaturePyramid:
@@ -137,10 +129,6 @@ class GeoBackbone:
         alphas = self._alphas[:, None, None]                    # [M, 1, 1]
         mixed = (1.0 - alphas) * views[:, :, None] + alphas * worlds[:, None, None]
         return np.einsum("bvmnr,mrd->bvmnd", mixed, self.lifts)
-
-
-def geo_features(scene, camera, cfg: GeoStubConfig | None = None, view_index=0):
-    return GeoBackbone(cfg).features(scene, camera, view_index)
 
 
 # -- layer selection ---------------------------------------------------------

@@ -12,15 +12,16 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from geoaware.backbones import GeoStubConfig, select_layer_indices
+from geoaware.backbones import GeoStubConfig
 from geoaware.deskworld.camera import sample_viewpoints, seen_cameras
 from geoaware.deskworld.world import Action, SimConfig, make_tasks, reset, step, success
 from geoaware.errors import CameraError, ConfigMismatchError, ConfigError
-from geoaware.policy import Policy, PolicyConfig
+from geoaware.persist import write_atomic
+from geoaware.policy import Policy, PolicyConfig, vision_slot_count
 from geoaware.training import TrainConfig, bc_train, save_checkpoint
 
 REPORT_SCHEMA_VERSION = 1
@@ -162,28 +163,28 @@ class AblationReport:
         return {"schema_version": REPORT_SCHEMA_VERSION, "ablation": self.rows}
 
 
-def ablate_layers(dataset, train_cfg: TrainConfig, policy_cfg=None, rollouts_per_task=10, eval_seeds=(0,), sim: SimConfig | None = None, modes=None, checkpoint_dir=None) -> AblationReport:
+def ablate_layers(dataset, train_cfg: TrainConfig, policy_cfg=None, rollouts_per_task=10, eval_seeds=(0,), sim: SimConfig | None = None, geo: GeoStubConfig | None = None, modes=None, checkpoint_dir=None) -> AblationReport:
     """Train one geo policy per layer-selection mode (shared seeds, shared
-    data) and evaluate each on the seen cameras and the medium novel band.
+    data, shared ``geo`` stub) and evaluate each on seen and medium novel views.
 
     ``modes`` overrides the default (mode, count) triple; ``checkpoint_dir``
     (when given) receives one ``ablate-<mode>.ckpt`` per trained policy."""
     if train_cfg.backbone_kind != "geo":
         raise ConfigError("layer ablation only applies to the geo backbone")
     sim = sim or SimConfig()
-    base = policy_cfg.to_dict() if policy_cfg is not None else PolicyConfig().to_dict()
+    base = policy_cfg if policy_cfg is not None else PolicyConfig()
     rows = []
     for mode, count in (tuple(modes) if modes is not None else ABLATION_MODES):
-        cfg_dict = dict(base, select_mode=mode, select_count=count or base["select_count"])
-        pcfg = PolicyConfig.from_dict(cfg_dict)
-        policy = Policy(pcfg, tuple(dataset.instructions()), seed=train_cfg.seed)
+        pcfg = replace(base, select_mode=mode, select_count=count or base.select_count)
+        policy = Policy(pcfg, tuple(dataset.instructions()), seed=train_cfg.seed, geo=geo)
         policy, _ = bc_train(dataset, train_cfg, policy=policy)
         if checkpoint_dir is not None:
             save_checkpoint(policy, os.path.join(checkpoint_dir, f"ablate-{mode}.ckpt"), step=train_cfg.steps, train=train_cfg, sim=sim)
-        label = f"{mode}({len_selected(pcfg)})" if mode != "all" else "all"
+        selected = vision_slot_count(pcfg, policy.geo)
+        label = f"{mode}({selected})" if mode != "all" else "all"
         row = {
             "mode": mode,
-            "selected": len_selected(pcfg),
+            "selected": selected,
             "label": label,
             "default": mode == "even",
             "seen": evaluate(
@@ -195,10 +196,6 @@ def ablate_layers(dataset, train_cfg: TrainConfig, policy_cfg=None, rollouts_per
         }
         rows.append(row)
     return AblationReport(rows=rows)
-
-
-def len_selected(pcfg):
-    return len(select_layer_indices(GeoStubConfig().num_layers, pcfg.select_mode, pcfg.select_count))
 
 
 # -- serialization -----------------------------------------------------------
@@ -299,6 +296,5 @@ def emit_report(report, fmt, path):
     if fmt not in renderers:
         raise ConfigError(f"unknown report format {fmt!r} (expected json | markdown | csv)")
     text = renderers[fmt](report)
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(text)
+    write_atomic(path, text)
     return text

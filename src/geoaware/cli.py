@@ -20,11 +20,12 @@ import time
 from dataclasses import replace
 
 from geoaware.bench import REPORT_SCHEMA_VERSION, ablate_layers, emit_report, evaluate, render_csv, render_json, render_markdown
-from geoaware.config import RunConfig, load_config
+from geoaware.config import RunConfig, read_config
 from geoaware.deskworld.dataset import generate_dataset, load_dataset, save_dataset
 from geoaware.deskworld.world import make_tasks
 from geoaware.errors import ConfigError, ConfigMismatchError, GeoAwareError, NumericAbort, SchemaError
 from geoaware.gradsuite import SUITE_TOLERANCE, run_gradcheck_suite, suite_passed
+from geoaware.persist import from_dict, write_atomic
 from geoaware.policy import Policy
 from geoaware.training import bc_train, load_checkpoint, save_checkpoint
 
@@ -40,10 +41,8 @@ def _load_run_config(path):
     """(RunConfig, raw dict) for ``path``; defaults and {} when no file given."""
     if path is None:
         return RunConfig(), {}
-    cfg = load_config(path)
-    with open(path, "r", encoding="utf-8") as f:
-        raw = json.load(f)
-    return cfg, raw
+    raw = read_config(path)
+    return from_dict(RunConfig, raw, "top-level").validate(), raw
 
 
 def _env_seed():
@@ -93,13 +92,7 @@ def cmd_gen_data(args):
     episodes_per_task = args.episodes_per_task if args.episodes_per_task is not None else 50
     tasks = make_tasks()
     dataset = generate_dataset(tasks, episodes_per_task, seed, sim=run_cfg.sim)
-    tmp = f"{args.out}.tmp"
-    try:
-        save_dataset(dataset, tmp)
-        os.replace(tmp, args.out)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    save_dataset(dataset, args.out)
     print(f"wrote {len(dataset.episodes)} episodes to {args.out}")
     for task in tasks:
         n = sum(1 for ep in dataset.episodes if ep.task_id == task.task_id)
@@ -121,7 +114,6 @@ def cmd_train(args):
     train_cfg = replace(run_cfg.train, **overrides).validate()
     dataset = load_dataset(args.data)
     policy_cfg = replace(run_cfg.policy, head_kind=train_cfg.head_kind, backbone_kind=train_cfg.backbone_kind)
-    policy_cfg.validate(geo=run_cfg.geo)
     policy = Policy(policy_cfg, tuple(dataset.instructions()), seed=train_cfg.seed, geo=run_cfg.geo)
     policy, losses = bc_train(dataset, train_cfg, policy=policy)
     save_checkpoint(policy, args.out, step=train_cfg.steps, train=train_cfg, sim=run_cfg.sim)
@@ -158,7 +150,7 @@ def cmd_ablate(args):
     dataset = load_dataset(args.data)
     os.makedirs(args.out_dir, exist_ok=True)
     report = ablate_layers(
-        dataset, train_cfg, policy_cfg=run_cfg.policy, sim=run_cfg.sim,
+        dataset, train_cfg, policy_cfg=run_cfg.policy, sim=run_cfg.sim, geo=run_cfg.geo,
         modes=modes, checkpoint_dir=args.out_dir,
     )
     emit_report(report, "json", os.path.join(args.out_dir, "ablation.json"))
@@ -191,7 +183,7 @@ def cmd_report(args):
     try:
         with open(args.infile, "r", encoding="utf-8") as f:
             payload = json.load(f)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"report file {args.infile} is not valid JSON: {exc}")
     if not isinstance(payload, dict) or payload.get("schema_version") != REPORT_SCHEMA_VERSION:
         raise SchemaError(
@@ -201,10 +193,12 @@ def cmd_report(args):
     if not any(key in payload for key in ("tasks", "ablation", "comparison")):
         raise SchemaError("report JSON has none of the known sections (tasks, ablation, comparison)")
     renderers = {"md": render_markdown, "csv": render_csv, "json": render_json}
-    text = renderers[args.format](payload)
+    try:
+        text = renderers[args.format](payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"report JSON lacks or mistypes a field the schema requires: {exc!r}")
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
+        write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

@@ -10,33 +10,22 @@ Layout::
       "sim":    { ... SimConfig fields ... }
     }
 
-Every field has a default, unknown keys are rejected at any level, and
-``save`` -> ``load`` round-trips losslessly.
+Every field has a default, unknown keys and mistyped values are rejected at
+any level (see ``persist.from_dict``), and ``save`` -> ``load`` round-trips
+losslessly.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from geoaware.backbones import GeoStubConfig
 from geoaware.deskworld.world import SimConfig
 from geoaware.errors import ConfigError
+from geoaware.persist import from_dict, write_atomic
 from geoaware.policy import PolicyConfig
 from geoaware.training import TrainConfig
-
-_SECTIONS = {"policy": PolicyConfig, "train": TrainConfig, "geo": GeoStubConfig, "sim": SimConfig}
-
-
-def _load_section(cls, data, section):
-    if not isinstance(data, dict):
-        raise ConfigError(f"config section {section!r} must be an object, got {type(data).__name__}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
-    return cls(**data)
 
 
 @dataclass
@@ -47,45 +36,26 @@ class RunConfig:
     geo: GeoStubConfig = field(default_factory=GeoStubConfig)
     sim: SimConfig = field(default_factory=SimConfig)
 
-    def to_dict(self):
-        return {
-            "seed": self.seed,
-            "policy": self.policy.to_dict(),
-            "train": self.train.to_dict(),
-            "geo": self.geo.to_dict(),
-            "sim": self.sim.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        if not isinstance(d, dict):
-            raise ConfigError(f"run config must be an object, got {type(d).__name__}")
-        unknown = set(d) - ({"seed"} | set(_SECTIONS))
-        if unknown:
-            raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
-        kwargs = {"seed": int(d.get("seed", 0))}
-        for name, section_cls in _SECTIONS.items():
-            kwargs[name] = _load_section(section_cls, d.get(name, {}), name)
-        return cls(**kwargs)
-
     def validate(self):
         self.policy.validate(geo=self.geo)
         self.train.validate()
         return self
 
 
-def load_config(path) -> RunConfig:
+def read_config(path) -> dict:
+    """The raw JSON document at ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-    return RunConfig.from_dict(data).validate()
+
+
+def load_config(path) -> RunConfig:
+    return from_dict(RunConfig, read_config(path), "top-level").validate()
 
 
 def save_config(cfg: RunConfig, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n")

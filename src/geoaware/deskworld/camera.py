@@ -137,7 +137,7 @@ def _splat_disc(img, uv, depth, world_radius, color, focal):
     patch += alpha * np.asarray(color, dtype=np.float32)
 
 
-def render_image(scene: SceneState, pose: CameraPose, sim: SimConfig | None = None):
+def render_image(scene: SceneState, pose: CameraPose):
     """Render the scene as colored discs; returns float32 [H, W, 3] in [0, 1].
 
     Goal regions paint first, objects far-to-near, end-effector last.  Disc

@@ -17,6 +17,7 @@ import numpy as np
 from geoaware.errors import FormatError, GenerationError
 from geoaware.deskworld.camera import CameraPose, seen_cameras
 from geoaware.deskworld.world import Action, SceneState, SimConfig, TaskSpec, expert_action, reset, step, success
+from geoaware.persist import write_atomic
 
 FORMAT_VERSION = 1
 
@@ -196,29 +197,30 @@ def save_dataset(dataset: DemoDataset, path):
     }
     lines = [dumps_exact(header)]
     lines.extend(dumps_exact(ep.to_dict()) for ep in dataset.episodes)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines))
-        f.write("\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_dataset(path) -> DemoDataset:
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "rb") as f:
         lines = [ln for ln in f.read().splitlines() if ln]
     if not lines:
         raise FormatError(f"dataset file {path} is empty")
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
+    except ValueError as e:         # invalid UTF-8 or invalid JSON
         raise FormatError(f"dataset header is not valid JSON: {e}") from e
+    if not isinstance(header, dict):
+        raise FormatError(f"dataset header must be an object, got {type(header).__name__}")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported dataset format_version {version!r} (expected {FORMAT_VERSION})")
     try:
+        seed = int(header["seed"])
         tasks = [TaskSpec.from_dict(t) for t in header["tasks"]]
         cameras = [CameraPose.from_dict(c) for c in header["seen_cameras"]]
         episodes = [Episode.from_dict(json.loads(ln)) for ln in lines[1:]]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, IndexError, TypeError, ValueError) as e:
         raise FormatError(f"malformed dataset file {path}: {e}") from e
     if header.get("episodes") != len(episodes):
         raise FormatError(f"dataset {path} truncated: header lists {header.get('episodes')} episodes, found {len(episodes)}")
-    return DemoDataset(tasks=tasks, cameras=cameras, seed=int(header["seed"]), episodes=episodes)
+    return DemoDataset(tasks=tasks, cameras=cameras, seed=seed, episodes=episodes)

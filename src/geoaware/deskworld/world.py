@@ -38,16 +38,6 @@ class SimConfig:
     focal: float = 30.0             # pixels
     camera_radius: float = 1.0      # seen/novel cameras live on this sphere
 
-    def to_dict(self):
-        return {
-            "max_step": self.max_step,
-            "grasp_radius": self.grasp_radius,
-            "max_episode_steps": self.max_episode_steps,
-            "image_size": self.image_size,
-            "focal": self.focal,
-            "camera_radius": self.camera_radius,
-        }
-
 
 @dataclass
 class ObjectState:

@@ -1,0 +1,57 @@
+"""Strict reading of config sections and atomic file writes.
+
+Config sections are dataclasses whose fields all have defaults.  They are
+written with ``dataclasses.asdict`` and read back with ``from_dict``, the one
+decoder shared by run configs and checkpoint headers.
+"""
+
+import dataclasses
+import os
+
+from geoaware.errors import ConfigError
+
+
+def from_dict(cls, data, section, error=ConfigError):
+    """Build the dataclass ``cls`` from a JSON object.
+
+    Missing keys keep their defaults.  A non-object, an unknown key, or a value
+    whose type differs from the field's default raises ``error``: an int
+    passes for a float, but a bool never passes for a number nor a number for
+    a bool, and values are never coerced.  A field whose default is itself a
+    dataclass is read recursively as the section named after the field.
+    """
+    if not isinstance(data, dict):
+        raise error(f"config section {section!r} must be an object, got {type(data).__name__}")
+    defaults = cls()
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise error(f"unknown keys in config section {section!r}: {sorted(unknown)}")
+    kwargs = {}
+    for name, value in data.items():
+        default = getattr(defaults, name)
+        if dataclasses.is_dataclass(default):
+            value = from_dict(type(default), value, name, error)
+        elif type(value) is not type(default) and not (type(value) is int and type(default) is float):
+            raise error(
+                f"config section {section!r}: {name} must be {type(default).__name__}, got {type(value).__name__}"
+            )
+        kwargs[name] = value
+    return cls(**kwargs)
+
+
+def write_atomic(path, data):
+    """Replace ``path`` with ``data`` (str, written as UTF-8, or bytes).
+
+    The data goes to a temporary file beside ``path`` that is then renamed
+    over it, so readers see the old file or the new one, never a torn one.  On
+    failure the temporary file is removed and a previous file stays intact.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    mode, encoding = ("w", "utf-8") if isinstance(data, str) else ("wb", None)
+    try:
+        with open(tmp, mode, encoding=encoding) as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)

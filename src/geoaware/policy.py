@@ -11,7 +11,7 @@ reproduces initialization bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,16 +88,6 @@ class PolicyConfig:
             # mode=all ignores the count; the others must fit the pyramid
             select_layer_indices(geo.num_layers, self.select_mode, self.select_count)
         return self
-
-    def to_dict(self):
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d):
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown policy config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 def vision_slot_count(cfg: PolicyConfig, geo: GeoStubConfig):
@@ -176,9 +166,6 @@ def init_policy_params(store, cfg: PolicyConfig, vocab, seed, geo: GeoStubConfig
         linear("vq.cls", h, cfg.vq_codes)
         linear("vq.offset.1", h + cfg.vq_dim, h)
         linear("vq.offset.2", h, cfg.act_dim)
-
-
-VQ_CODEBOOK_PARAMS = ("vq.enc.1", "vq.enc.2", "vq.dec.1", "vq.dec.2", "vq.codes")
 
 
 def codebook_param_names(store):

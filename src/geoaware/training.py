@@ -12,7 +12,7 @@ import io
 import json
 import logging
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from geoaware.backbones import GeoStubConfig, pixel_pooled, select_layer_indices
 from geoaware.deskworld.world import SimConfig
 from geoaware.errors import ConfigError, ConfigMismatchError, FormatError, NumericAbort, NumericError
 from geoaware.numerics import Tensor, adamw_step, init_adamw, no_grad
+from geoaware.persist import from_dict, write_atomic
 from geoaware.policy import (
     Policy,
     PolicyConfig,
@@ -54,16 +55,6 @@ class TrainConfig:
         if self.vq_pretrain_steps < 1:
             raise ConfigError("vq_pretrain_steps must be positive")
         return self
-
-    def to_dict(self):
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d):
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 @dataclass
@@ -316,12 +307,12 @@ def save_checkpoint(policy: Policy, path, step=0, train: TrainConfig | None = No
     little-endian; round-trips are bitwise for float32 policies (the training
     precision)."""
     snapshot = {
-        "policy": policy.cfg.to_dict(),
-        "geo": policy.geo.to_dict(),
+        "policy": asdict(policy.cfg),
+        "geo": asdict(policy.geo),
         "vocab": list(policy.vocab),
         "codebook_trained": bool(policy.codebook_trained),
-        "train": train.to_dict() if train is not None else None,
-        "sim": sim.to_dict() if sim is not None else None,
+        "train": asdict(train) if train is not None else None,
+        "sim": asdict(sim) if sim is not None else None,
     }
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
@@ -345,8 +336,7 @@ def save_checkpoint(policy: Policy, path, step=0, train: TrainConfig | None = No
         buf.write(struct.pack("<H", len(encoded)))
         buf.write(encoded)
     buf.write(struct.pack("<I", step))
-    with open(path, "wb") as out:
-        out.write(buf.getvalue())
+    write_atomic(path, buf.getvalue())
 
 
 @dataclass
@@ -355,6 +345,29 @@ class CheckpointBundle:
     step: int
     train: TrainConfig | None
     sim: SimConfig | None
+
+
+_HEADER_KEYS = {"policy", "geo", "vocab", "codebook_trained", "train", "sim"}
+
+
+def _parse_header(snapshot):
+    """(policy, geo, vocab, codebook_trained, train, sim) from a checkpoint's
+    JSON header; ``train`` and ``sim`` may be null."""
+    if not isinstance(snapshot, dict) or set(snapshot) != _HEADER_KEYS:
+        found = sorted(snapshot) if isinstance(snapshot, dict) else type(snapshot).__name__
+        raise FormatError(f"checkpoint header needs exactly the keys {sorted(_HEADER_KEYS)}, got {found}")
+    vocab = snapshot["vocab"]
+    if not isinstance(vocab, list) or not all(isinstance(word, str) for word in vocab):
+        raise FormatError("checkpoint vocab must be a list of strings")
+    if not isinstance(snapshot["codebook_trained"], bool):
+        raise FormatError("checkpoint codebook_trained must be a bool")
+    policy = from_dict(PolicyConfig, snapshot["policy"], "policy", FormatError)
+    geo = from_dict(GeoStubConfig, snapshot["geo"], "geo", FormatError)
+    train, sim = (
+        None if snapshot[name] is None else from_dict(cls, snapshot[name], name, FormatError)
+        for name, cls in (("train", TrainConfig), ("sim", SimConfig))
+    )
+    return policy, geo, tuple(vocab), snapshot["codebook_trained"], train, sim
 
 
 def load_checkpoint(path, expect_policy: PolicyConfig | None = None) -> CheckpointBundle:
@@ -372,13 +385,12 @@ def load_checkpoint(path, expect_policy: PolicyConfig | None = None) -> Checkpoi
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"unreadable checkpoint config: {exc}") from exc
 
-        pcfg = PolicyConfig.from_dict(snapshot["policy"])
-        if expect_policy is not None and expect_policy.to_dict() != snapshot["policy"]:
+        pcfg, geo, vocab, codebook_trained, train, sim = _parse_header(snapshot)
+        if expect_policy is not None and expect_policy != pcfg:
             raise ConfigMismatchError(
                 "checkpoint policy config does not match the requested config"
             )
-        geo = GeoStubConfig(**snapshot["geo"])
-        policy = Policy(pcfg, tuple(snapshot["vocab"]), seed=0, geo=geo, dtype=np.float32)
+        policy = Policy(pcfg, vocab, seed=0, geo=geo, dtype=np.float32)
 
         (count,) = struct.unpack("<I", _read_exact(f, 4, "tensor count"))
         if count != len(policy.params):
@@ -386,8 +398,9 @@ def load_checkpoint(path, expect_policy: PolicyConfig | None = None) -> Checkpoi
                 f"checkpoint stores {count} tensors, config implies {len(policy.params)}"
             )
         for _ in range(count):
+            # a corrupt name decodes with U+FFFD and then matches no parameter
             (name_len,) = struct.unpack("<H", _read_exact(f, 2, "tensor name length"))
-            name = _read_exact(f, name_len, "tensor name").decode("utf-8")
+            name = _read_exact(f, name_len, "tensor name").decode("utf-8", "replace")
             if name not in policy.params:
                 raise ConfigMismatchError(f"checkpoint tensor {name!r} not implied by config")
             (rank,) = struct.unpack("<B", _read_exact(f, 1, "tensor rank"))
@@ -405,13 +418,11 @@ def load_checkpoint(path, expect_policy: PolicyConfig | None = None) -> Checkpoi
         frozen = []
         for _ in range(n_frozen):
             (name_len,) = struct.unpack("<H", _read_exact(f, 2, "frozen name length"))
-            frozen.append(_read_exact(f, name_len, "frozen name").decode("utf-8"))
+            frozen.append(_read_exact(f, name_len, "frozen name").decode("utf-8", "replace"))
         policy.params.set_frozen(frozen)
         (step,) = struct.unpack("<I", _read_exact(f, 4, "step"))
         if f.read(1):
             raise FormatError("trailing data after checkpoint payload")
 
-    policy.codebook_trained = bool(snapshot["codebook_trained"])
-    train = TrainConfig.from_dict(snapshot["train"]) if snapshot.get("train") else None
-    sim = SimConfig(**snapshot["sim"]) if snapshot.get("sim") else None
+    policy.codebook_trained = codebook_trained
     return CheckpointBundle(policy=policy, step=step, train=train, sim=sim)

@@ -99,8 +99,8 @@ def test_degenerate_cameras_rejected():
 def test_render_values_and_determinism():
     scene = reset(make_tasks()[0], 0, SIM)
     cam = seen_cameras(SIM)[1]
-    img1 = render_image(scene, cam, SIM)
-    img2 = render_image(scene, cam, SIM)
+    img1 = render_image(scene, cam)
+    img2 = render_image(scene, cam)
     assert img1.dtype == np.float32
     assert img1.shape == (SIM.image_size, SIM.image_size, 3)
     assert img1.min() >= 0.0 and img1.max() <= 1.0
@@ -110,7 +110,7 @@ def test_render_values_and_determinism():
 def test_render_golden_hashes():
     scene = reset(make_tasks()[0], 0, SIM)
     for cam, expected in zip(seen_cameras(SIM), GOLDEN_RENDER_HASHES):
-        img = render_image(scene, cam, SIM)
+        img = render_image(scene, cam)
         assert hashlib.sha256(np.ascontiguousarray(img).tobytes()).hexdigest() == expected
 
 
@@ -119,7 +119,7 @@ def test_render_disc_appears_at_projected_center():
     cam = seen_cameras(SIM)[0]  # top-down
     obj = scene.objects[0]
     uv, _ = project_points(cam, obj.pos)
-    img = render_image(scene, cam, SIM)
+    img = render_image(scene, cam)
     px = img[int(round(uv[0, 1])), int(round(uv[0, 0]))]
     assert px[0] > 0.5 and px[1] < 0.3  # red-dominant at the red block's pixel
 
@@ -127,7 +127,7 @@ def test_render_disc_appears_at_projected_center():
 def test_render_culls_behind_camera():
     scene = reset(make_tasks()[0], 0, SIM)
     low_cam = make_pose([0.0, 0.0, -1.0], look_at=(0.0, 0.0, -2.0), up=(0.0, 1.0, 0.0))
-    img = render_image(scene, low_cam, SIM)
+    img = render_image(scene, low_cam)
     # everything sits above the camera plane, behind its view: background only
     assert np.allclose(img, img[0, 0], atol=1e-6)
 

@@ -175,6 +175,19 @@ def test_report_schema_mismatch_exits_4(workdir, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("drop", ["model", "category", "default"])
+def test_report_missing_field_exits_4(workdir, drop, capsys):
+    rep = {"schema_version": 1, "model": "m", "category": "seen", "average_rate": 50.0,
+           "tasks": [{"id": "t0", "successes": 1, "rollouts": 2, "rate": 50.0}]}
+    row = {"mode": "all", "label": "all", "default": False, "seen": rep, "novel_medium": rep}
+    payload = {"schema_version": 1, "ablation": [row]} if drop == "default" else rep
+    del (row if drop == "default" else rep)[drop]
+    path = workdir / f"no-{drop}.json"
+    path.write_text(json.dumps(payload))
+    assert main(["report", "--in", str(path), "--format", "md"]) == 4
+    assert drop in capsys.readouterr().err
+
+
 def test_report_invalid_json_exits_1(workdir, capsys):
     broken = workdir / "broken.json"
     broken.write_text("{nope")
@@ -200,6 +213,23 @@ def test_ablate_writes_checkpoints_and_reports(workdir, dataset_path, capsys):
     md = (out_dir / "ablation.md").read_text()
     assert "even(4) (default)" in md
     assert load_checkpoint(out_dir / "ablate-even.ckpt").policy.cfg.select_mode == "even"
+
+
+def test_ablate_honours_geo_section(workdir, dataset_path, capsys):
+    cfg = workdir / "ablate-geo.json"
+    cfg.write_text(json.dumps({
+        "train": {"steps": 5, "eval_every": 0},
+        "sim": {"max_episode_steps": 4},
+        "geo": {"num_layers": 6},
+    }))
+    out_dir = workdir / "ablation-geo"
+    code = main(["ablate", "--config", str(cfg), "--data", str(dataset_path),
+                 "--modes", "all,even2", "--out-dir", str(out_dir)])
+    capsys.readouterr()
+    assert code == 0
+    assert load_checkpoint(out_dir / "ablate-all.ckpt").policy.geo.num_layers == 6
+    report = json.loads((out_dir / "ablation.json").read_text())
+    assert [(row["mode"], row["selected"]) for row in report["ablation"]] == [("all", 6), ("even", 2)]
 
 
 def test_ablate_bad_mode_exits_1(workdir, dataset_path, capsys):

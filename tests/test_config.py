@@ -1,15 +1,17 @@
 """Run-config structure, defaults, rejection of unknown keys, round-trip."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
 from geoaware.config import RunConfig, load_config, save_config
 from geoaware.errors import ConfigError
+from geoaware.persist import from_dict
 
 
 def test_defaults_everywhere():
-    cfg = RunConfig.from_dict({})
+    cfg = from_dict(RunConfig, {}, "top-level")
     assert cfg.seed == 0
     assert cfg.policy.repr_dim == 64
     assert cfg.train.steps == 5000
@@ -18,7 +20,7 @@ def test_defaults_everywhere():
 
 
 def test_partial_section_overrides():
-    cfg = RunConfig.from_dict({"seed": 3, "train": {"steps": 10}, "sim": {"grasp_radius": 0.05}})
+    cfg = from_dict(RunConfig, {"seed": 3, "train": {"steps": 10}, "sim": {"grasp_radius": 0.05}}, "top-level")
     assert cfg.seed == 3
     assert cfg.train.steps == 10
     assert cfg.train.batch_size == 64          # untouched default
@@ -27,25 +29,25 @@ def test_partial_section_overrides():
 
 def test_unknown_top_level_key_rejected():
     with pytest.raises(ConfigError, match="top-level"):
-        RunConfig.from_dict({"seeed": 1})
+        from_dict(RunConfig, {"seeed": 1}, "top-level")
 
 
 def test_unknown_section_key_rejected():
     with pytest.raises(ConfigError, match="policy"):
-        RunConfig.from_dict({"policy": {"reprdim": 32}})
+        from_dict(RunConfig, {"policy": {"reprdim": 32}}, "top-level")
 
 
 def test_section_must_be_object():
     with pytest.raises(ConfigError):
-        RunConfig.from_dict({"train": 7})
+        from_dict(RunConfig, {"train": 7}, "top-level")
 
 
 def test_round_trip_lossless(tmp_path):
-    cfg = RunConfig.from_dict({"seed": 11, "policy": {"chunk_len": 2}, "geo": {"lift_seed": 9}})
+    cfg = from_dict(RunConfig, {"seed": 11, "policy": {"chunk_len": 2}, "geo": {"lift_seed": 9}}, "top-level")
     path = tmp_path / "run.json"
     save_config(cfg, path)
     again = load_config(path)
-    assert again.to_dict() == cfg.to_dict()
+    assert asdict(again) == asdict(cfg)
     # file is plain namespaced JSON
     raw = json.loads(path.read_text())
     assert set(raw) == {"seed", "policy", "train", "geo", "sim"}

@@ -1,0 +1,292 @@
+"""Malformed-input fuzzing of every loader: checkpoints, run configs, demo
+datasets and reports.
+
+Each loader gets a valid file, then seeded corruptions of it: truncation at
+several offsets, a flipped bit in its JSON header, a dropped key, an extra key
+and a value of the wrong type.  A corrupted file must either load or raise a
+``GeoAwareError``; when it does not load, the CLI command that reads it must
+exit 1, 3 or 4 rather than print a traceback.
+"""
+
+import json
+import struct
+
+import numpy as np
+import pytest
+
+from geoaware.bench import AblationReport, EvalReport, emit_report
+from geoaware.cli import main
+from geoaware.config import RunConfig, load_config, save_config
+from geoaware.backbones import GeoStubConfig
+from geoaware.deskworld.dataset import generate_dataset, load_dataset, save_dataset
+from geoaware.deskworld.world import SimConfig, make_tasks
+from geoaware.errors import ConfigError, FormatError, GeoAwareError
+from geoaware.policy import Policy, PolicyConfig
+from geoaware.training import TrainConfig, load_checkpoint, save_checkpoint
+
+SEED = 20240917
+PICKS = 2           # keys per document for each key mutation
+FLIPS = 3
+TRUNCATIONS = 4
+MUTATIONS = ("truncate", "flip", "drop", "extra", "retype")
+
+
+class Checkpoint:
+    """Binary checkpoint: magic, version, a length-prefixed JSON header, tensors."""
+
+    def __init__(self, raw):
+        (length,) = struct.unpack("<I", raw[8:12])
+        self.prefix, self.body = raw[:8], raw[12 + length:]
+        self.header_span = (12, 12 + length)
+        self.docs = [json.loads(raw[12:12 + length])]
+
+    def encode(self, docs):
+        header = json.dumps(docs[0], sort_keys=True).encode("utf-8")
+        return self.prefix + struct.pack("<I", len(header)) + header + self.body
+
+
+class JsonDoc:
+    """One JSON document per file (run configs, reports)."""
+
+    def __init__(self, raw):
+        self.docs = [json.loads(raw)]
+        self.header_span = (0, len(raw))
+
+    def encode(self, docs):
+        return json.dumps(docs[0]).encode("utf-8")
+
+
+class JsonLines:
+    """Dataset: a JSON header line, then one JSON line per episode."""
+
+    def __init__(self, raw):
+        self.docs = [json.loads(line) for line in raw.splitlines()]
+        self.header_span = (0, raw.index(b"\n"))
+
+    def encode(self, docs):
+        return "".join(json.dumps(doc) + "\n" for doc in docs).encode("utf-8")
+
+
+def _write_checkpoint(path):
+    cfg = PolicyConfig(repr_dim=8, conv_dim=4, hidden_dim=8, lang_embed_dim=4, trunk_layers=1, trunk_heads=2,
+                       head_kind="vqbet", vq_codes=4, vq_dim=2, vq_hidden=4)
+    geo = GeoStubConfig(num_layers=4, feature_dim=4)
+    policy = Policy(cfg, ("push it", "pull it"), seed=1, geo=geo)
+    save_checkpoint(policy, path, step=3, train=TrainConfig(steps=3), sim=SimConfig(grasp_radius=0.04))
+
+
+def _write_config(path):
+    save_config(RunConfig(seed=2, train=TrainConfig(steps=10), sim=SimConfig(max_episode_steps=50)), path)
+
+
+def _write_dataset(path):
+    save_dataset(generate_dataset(make_tasks()[:1], 1, seed=0), path)
+
+
+def _eval_report():
+    return EvalReport(model="geo-mlp", category="seen", tasks=[{"id": "t0", "successes": 1, "rollouts": 2, "rate": 50.0}],
+                      average_rate=50.0, mean_episode_length=7.5, seeds=[0])
+
+
+def _write_eval_report(path):
+    emit_report(_eval_report(), "json", path)
+
+
+def _write_ablation_report(path):
+    row = {"mode": "even", "selected": 4, "label": "even(4)", "default": True,
+           "seen": _eval_report().to_dict(), "novel_medium": _eval_report().to_dict()}
+    emit_report(AblationReport(rows=[row]), "json", path)
+
+
+def _report_commands(path, tmp):
+    return [["report", "--in", str(path), "--format", fmt] for fmt in ("md", "csv")]
+
+
+# name -> (writer, file format, loader, CLI commands reading the file).  Reports
+# have no loader apart from the ``report`` command, so only the CLI runs.
+LOADERS = {
+    "checkpoint": (_write_checkpoint, Checkpoint, load_checkpoint,
+                   lambda path, tmp: [["eval", "--ckpt", str(path), "--rollouts", "1"]]),
+    "config": (_write_config, JsonDoc, load_config,
+               lambda path, tmp: [["gen-data", "--config", str(path), "--out", str(tmp / "d.jsonl"),
+                                   "--episodes-per-task", "1"]]),
+    "dataset": (_write_dataset, JsonLines, load_dataset,
+                lambda path, tmp: [["train", "--data", str(path), "--out", str(tmp / "p.ckpt"), "--steps", "1"]]),
+    "eval-report": (_write_eval_report, JsonDoc, None, _report_commands),
+    "ablation-report": (_write_ablation_report, JsonDoc, None, _report_commands),
+}
+
+
+def _key_paths(value, path=()):
+    """(path to a dict, key) for every key of every nested object."""
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield path, key
+            yield from _key_paths(child, path + (key,))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from _key_paths(child, path + (i,))
+
+
+def _dict_paths(value, path=()):
+    if isinstance(value, dict):
+        yield path
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from _dict_paths(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _wrong_type(value):
+    if isinstance(value, bool):
+        return "yes"
+    if isinstance(value, (int, float)):
+        return str(value)
+    if isinstance(value, str):
+        return 7
+    if isinstance(value, list):
+        return {"a": 1}
+    if isinstance(value, dict):
+        return [1]
+    return "null"
+
+
+def _corruptions(raw, fmt, mutation, rng):
+    """(description, bytes) for one mutation kind, drawn from ``rng``."""
+    if mutation == "truncate":
+        offsets = {0, 1, len(raw) - 1} | {int(x) for x in rng.integers(2, len(raw) - 1, TRUNCATIONS - 3)}
+        return [(f"truncated to {n} bytes", raw[:n]) for n in sorted(offsets)]
+    if mutation == "flip":
+        lo, hi = fmt.header_span
+        out = []
+        for _ in range(FLIPS):
+            pos, bit = int(rng.integers(lo, hi)), int(rng.integers(0, 8))
+            flipped = bytearray(raw)
+            flipped[pos] ^= 1 << bit
+            out.append((f"bit {bit} of byte {pos} flipped", bytes(flipped)))
+        return out
+    out = []
+    for index, doc in enumerate(fmt.docs):
+        candidates = list(_dict_paths(doc)) if mutation == "extra" else list(_key_paths(doc))
+        for pick in rng.choice(len(candidates), size=min(PICKS, len(candidates)), replace=False):
+            docs = json.loads(json.dumps(fmt.docs))
+            if mutation == "extra":
+                path = candidates[pick]
+                _at(docs[index], path)["bogus"] = 1
+                what = f"extra key at {list(path)}"
+            else:
+                path, key = candidates[pick]
+                parent = _at(docs[index], path)
+                if mutation == "drop":
+                    del parent[key]
+                    what = f"dropped {list(path) + [key]}"
+                else:
+                    parent[key] = _wrong_type(parent[key])
+                    what = f"retyped {list(path) + [key]} to {parent[key]!r}"
+            out.append((f"document {index}: {what}", fmt.encode(docs)))
+    return out
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_corrupt_input_loads_or_raises_typed_error(name, mutation, tmp_path, capsys):
+    write, fmt_cls, load, commands = LOADERS[name]
+    good = tmp_path / "good"
+    write(good)
+    raw = good.read_bytes()
+    rng = np.random.default_rng([SEED, sorted(LOADERS).index(name), MUTATIONS.index(mutation)])
+    cases = _corruptions(raw, fmt_cls(raw), mutation, rng)
+    assert cases
+    for what, data in cases:
+        path = tmp_path / "bad"
+        path.write_bytes(data)
+        if load is None:
+            for argv in commands(path, tmp_path):
+                assert main(argv) in (0, 1, 4), what
+            continue
+        try:
+            load(path)
+        except GeoAwareError:
+            for argv in commands(path, tmp_path):
+                assert main(argv) in (1, 3, 4), what
+    capsys.readouterr()
+
+
+def _checkpoint_header_edit(tmp_path, edit):
+    path = tmp_path / "tiny.ckpt"
+    _write_checkpoint(path)
+    fmt = Checkpoint(path.read_bytes())
+    edit(fmt.docs[0])
+    path.write_bytes(fmt.encode(fmt.docs))
+    return path
+
+
+def _drop(key):
+    return lambda header: header.pop(key)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _drop("policy"),
+        _drop("geo"),
+        _drop("vocab"),
+        _drop("codebook_trained"),
+        lambda header: header["geo"].update(bogus=1),
+        lambda header: header["sim"].update(bogus=1),
+        lambda header: header.update(vocab="push it"),
+        lambda header: header.update(codebook_trained=1),
+        lambda header: header.update(train=[]),
+        lambda header: header.update(policy=None),
+        lambda header: header.update(extra=1),
+    ],
+    ids=["no-policy", "no-geo", "no-vocab", "no-codebook-trained", "geo-extra", "sim-extra", "vocab-str",
+         "codebook-trained-int", "train-list", "policy-null", "header-extra"],
+)
+def test_malformed_checkpoint_header_raises_format_error(tmp_path, edit, capsys):
+    path = _checkpoint_header_edit(tmp_path, edit)
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+    assert main(["eval", "--ckpt", str(path)]) == 1
+    capsys.readouterr()
+
+
+def test_checkpoint_without_train_and_sim_loads(tmp_path):
+    path = _checkpoint_header_edit(tmp_path, lambda header: header.update(train=None, sim=None))
+    bundle = load_checkpoint(path)
+    assert bundle.train is None and bundle.sim is None
+    assert bundle.policy.geo.num_layers == 4
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"seed": "x"}, {"seed": True}, {"train": {"steps": "10"}}, {"policy": {"hidden_dim": "64"}},
+     {"sim": {"focal": None}}],
+    ids=["seed-str", "seed-bool", "train-steps-str", "policy-hidden-dim-str", "sim-focal-null"],
+)
+def test_mistyped_run_config_raises_config_error(tmp_path, doc, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError):
+        load_config(path)
+    assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "d.jsonl")]) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda header: [], lambda header: dict(header, seed="x"), lambda header: {k: v for k, v in header.items() if k != "seed"}],
+    ids=["header-list", "seed-str", "no-seed"],
+)
+def test_malformed_dataset_header_raises_format_error(tmp_path, edit):
+    path = tmp_path / "demos.jsonl"
+    _write_dataset(path)
+    fmt = JsonLines(path.read_bytes())
+    path.write_bytes(fmt.encode([edit(fmt.docs[0])] + fmt.docs[1:]))
+    with pytest.raises(FormatError):
+        load_dataset(path)

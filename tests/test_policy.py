@@ -1,5 +1,7 @@
 """Policy network contracts: encoders, causal trunk, action heads."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from geoaware.deskworld.camera import sample_viewpoints, seen_cameras
 from geoaware.deskworld.world import SimConfig, make_tasks, reset
 from geoaware.errors import ConfigError, ShapeError, StateError, VocabularyError
 from geoaware.numerics import Tensor, cross_entropy, grad_check, matmul, mse_loss
+from geoaware.persist import from_dict
 from geoaware.policy import (
     Policy,
     PolicyConfig,
@@ -72,8 +75,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         PolicyConfig(select_count=13).validate(GeoStubConfig())
     with pytest.raises(ConfigError):
-        PolicyConfig.from_dict({"repr_dim": 64, "banana": 1})
-    roundtrip = PolicyConfig.from_dict(PolicyConfig().to_dict())
+        from_dict(PolicyConfig, {"repr_dim": 64, "banana": 1}, "policy")
+    roundtrip = from_dict(PolicyConfig, asdict(PolicyConfig()), "policy")
     assert roundtrip == PolicyConfig()
 
 
