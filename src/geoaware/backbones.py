@@ -9,6 +9,10 @@ rising linearly from 0 at the first layer to 1 at the last, then lifts the
 mix through a frozen per-layer random linear map.  Deep layers are therefore
 exactly view-invariant while early layers are camera-dependent, which is the
 property the policy's projection head is meant to exploit.
+
+A ``GeoBackbone`` is built for the layers the policy selects and computes
+only those: ``pyramid_batch`` featurizes a whole batch of scenes under V
+cameras at once into [B, V, L_selected, N, D].
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from geoaware.errors import ConfigError, ShapeError
-from geoaware.deskworld.camera import CameraPose, project_points
-from geoaware.deskworld.world import SceneState
+from geoaware.deskworld.camera import project_points
 from geoaware.numerics import Tensor, conv2d, matmul, relu
 from geoaware.numerics.tensor import broadcast_to, reshape
 
@@ -49,84 +52,69 @@ class GeoStubConfig:
         return np.arange(m) / (m - 1)
 
 
-@dataclass
-class FeaturePyramid:
-    """Per-layer token features [num_keypoints, feature_dim] for one view."""
-
-    layers: list
-    view_index: int
-
-
 class GeoBackbone:
-    """Frozen featurizer; its lift matrices are regenerated from the seed and
-    never stored in checkpoints."""
+    """Frozen featurizer for a fixed set of selected layers (1-based picks);
+    only those layers' lifts and mixing weights exist.  The lifts are
+    regenerated from the seed (layer l's from ``[lift_seed, l - 1]``, so a
+    layer is the same whatever else is picked) and never stored in
+    checkpoints."""
 
-    def __init__(self, cfg: GeoStubConfig | None = None):
-        self.cfg = cfg or GeoStubConfig()
-        m, d = self.cfg.num_layers, self.cfg.feature_dim
-        lifts = np.empty((m, RAW_WIDTH, d))
-        for l in range(m):
-            rng = np.random.default_rng([self.cfg.lift_seed, l])
-            lifts[l] = rng.standard_normal((RAW_WIDTH, d)) / np.sqrt(RAW_WIDTH)
-        self.lifts = lifts
-        self._alphas = self.cfg.alphas()
+    def __init__(self, cfg: GeoStubConfig, layers):
+        self.cfg = cfg
+        self.layers = list(layers)
+        self.alphas = cfg.alphas()[np.array(self.layers) - 1]
+        self.lifts = np.stack([
+            np.random.default_rng([cfg.lift_seed, l - 1]).standard_normal((RAW_WIDTH, cfg.feature_dim))
+            / np.sqrt(RAW_WIDTH)
+            for l in self.layers
+        ])
 
-    def _keypoints(self, scene: SceneState):
-        """(positions [K, 3], attribute indices [K]) for one scene."""
-        positions = [scene.ee_pos]
-        attrs = [ATTRIBUTES.index("ee")]
-        for o in scene.objects:
-            positions.append(o.pos)
-            attrs.append(ATTRIBUTES.index(o.color))
-        for g in scene.goal_regions:
-            positions.append(g.center)
-            attrs.append(ATTRIBUTES.index(g.color))
-        for f in FIDUCIALS:
-            positions.append(f)
-            attrs.append(ATTRIBUTES.index("fiducial"))
-        if len(positions) > self.cfg.num_keypoints:
-            raise ShapeError(
-                f"scene has {len(positions)} keypoints but the stub is configured for {self.cfg.num_keypoints}"
-            )
-        return np.array(positions), np.array(attrs)
+    def raw_tokens(self, scenes, cameras):
+        """(view tokens [B, V, N, RAW_WIDTH], world tokens [B, N, RAW_WIDTH]).
 
-    def raw_tokens(self, scene: SceneState, camera: CameraPose):
-        """(view tokens [N, RAW_WIDTH], world tokens [N, RAW_WIDTH]), zero-padded."""
-        n = self.cfg.num_keypoints
-        positions, attrs = self._keypoints(scene)
-        k = len(positions)
-        view = np.zeros((n, RAW_WIDTH))
-        world = np.zeros((n, RAW_WIDTH))
+        Each scene's keypoints are the end effector, its objects, its goal
+        regions and the table fiducials, in that order; rows past them are zero.
+        """
+        b, n = len(scenes), self.cfg.num_keypoints
+        positions = np.zeros((b, n, 3))
+        attrs = np.zeros((b, n), dtype=int)
+        valid = np.zeros((b, n), dtype=bool)
+        for i, scene in enumerate(scenes):
+            keypoints = [
+                (scene.ee_pos, "ee"),
+                *((o.pos, o.color) for o in scene.objects),
+                *((g.center, g.color) for g in scene.goal_regions),
+                *((f, "fiducial") for f in FIDUCIALS),
+            ]
+            k = len(keypoints)
+            if k > n:
+                raise ShapeError(f"scene has {k} keypoints but the stub is configured for {n}")
+            positions[i, :k] = [p for p, _ in keypoints]
+            attrs[i, :k] = [ATTRIBUTES.index(c) for _, c in keypoints]
+            valid[i, :k] = True
+        points = positions[valid]                               # [K_total, 3], scene-major
 
-        uv, depth = project_points(camera, positions, min_depth=DEPTH_CLAMP)
-        size = float(camera.image_size)
-        view[:k, 0] = uv[:, 0] / size
-        view[:k, 1] = uv[:, 1] / size
-        view[:k, 2] = np.maximum(depth, DEPTH_CLAMP)
-        view[:k, -1] = (depth > DEPTH_CLAMP).astype(float)
+        world = np.zeros((b, n, RAW_WIDTH))
+        world[valid, 0:3] = points
+        world[valid, 3 + attrs[valid]] = 1.0
+        world[valid, -1] = 1.0
 
-        world[:k, 0:3] = positions
-        world[np.arange(k), 3 + attrs] = 1.0
-        world[:k, -1] = 1.0
-        return view, world
-
-    def features(self, scene: SceneState, camera: CameraPose, view_index=0) -> FeaturePyramid:
-        """The full frozen pyramid for one scene under one camera."""
-        stack = self.pyramid_batch([scene], [camera])[0, 0]
-        return FeaturePyramid(layers=[stack[l] for l in range(self.cfg.num_layers)], view_index=view_index)
+        views = np.zeros((b, len(cameras), n, RAW_WIDTH))
+        for j, cam in enumerate(cameras):
+            uv, depth = project_points(cam, points, min_depth=DEPTH_CLAMP)
+            size = float(cam.image_size)
+            view = views[:, j]
+            view[valid, 0] = uv[:, 0] / size
+            view[valid, 1] = uv[:, 1] / size
+            view[valid, 2] = np.maximum(depth, DEPTH_CLAMP)
+            view[valid, -1] = (depth > DEPTH_CLAMP).astype(float)
+        return views, world
 
     def pyramid_batch(self, scenes, cameras):
-        """Pyramids for all scene/camera combinations: [B, V, M, N, D] float64."""
-        b, v = len(scenes), len(cameras)
-        n = self.cfg.num_keypoints
-        views = np.zeros((b, v, n, RAW_WIDTH))
-        worlds = np.zeros((b, n, RAW_WIDTH))
-        for i, scene in enumerate(scenes):
-            for j, cam in enumerate(cameras):
-                view, world = self.raw_tokens(scene, cam)
-                views[i, j] = view
-                worlds[i] = world
-        alphas = self._alphas[:, None, None]                    # [M, 1, 1]
+        """Selected layers for all scene/camera combinations:
+        [B, V, L_selected, N, D] float64, in pick order."""
+        views, worlds = self.raw_tokens(scenes, cameras)
+        alphas = self.alphas[:, None, None]                     # [L, 1, 1]
         mixed = (1.0 - alphas) * views[:, :, None] + alphas * worlds[:, None, None]
         return np.einsum("bvmnr,mrd->bvmnd", mixed, self.lifts)
 
@@ -159,11 +147,6 @@ def select_layer_indices(num_layers, mode, count):
             raise ConfigError(f"cannot spread {count} selections over {m} layers")
         return picks
     raise ConfigError(f"unknown layer selection mode {mode!r} (expected even | all | last)")
-
-
-def select_layers(pyramid: FeaturePyramid, mode, count):
-    idx = select_layer_indices(len(pyramid.layers), mode, count)
-    return [pyramid.layers[i - 1] for i in idx]
 
 
 # -- pixel baseline ----------------------------------------------------------

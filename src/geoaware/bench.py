@@ -19,9 +19,9 @@ import numpy as np
 from geoaware.backbones import GeoStubConfig
 from geoaware.deskworld.camera import sample_viewpoints, seen_cameras
 from geoaware.deskworld.world import Action, SimConfig, make_tasks, reset, step, success
-from geoaware.errors import CameraError, ConfigMismatchError, ConfigError
+from geoaware.errors import CameraError, ConfigMismatchError, ConfigError, NumericError
 from geoaware.persist import write_atomic
-from geoaware.policy import Policy, PolicyConfig, vision_slot_count
+from geoaware.policy import Policy, PolicyConfig
 from geoaware.training import TrainConfig, bc_train, save_checkpoint
 
 REPORT_SCHEMA_VERSION = 1
@@ -61,13 +61,17 @@ class EvalReport:
 def rollout(policy, task, cameras, seed, sim: SimConfig | None = None, max_steps=None) -> RolloutResult:
     """Run the policy closed-loop from a seeded reset until success or the
     step cap.  A non-finite action marks the rollout failed instead of
-    raising; the gripper command is thresholded by sign inside the world."""
+    raising, also when the forward pass itself goes non-finite; the gripper
+    command is thresholded by sign inside the world."""
     sim = sim or SimConfig()
     cap = max_steps or sim.max_episode_steps
     scene = reset(task, seed=seed, sim=sim)
     for t in range(cap):
-        vec = np.asarray(policy.action(scene, task.instruction, cameras), dtype=float)
-        if vec.shape != (7,) or not np.all(np.isfinite(vec)):
+        try:
+            vec = np.asarray(policy.action(scene, task.instruction, cameras), dtype=float)
+        except NumericError:
+            vec = None
+        if vec is None or vec.shape != (7,) or not np.all(np.isfinite(vec)):
             return RolloutResult(task.task_id, seed, False, t, failure="non-finite or malformed action")
         scene = step(scene, Action(d_pos=vec[:3], d_rot=vec[3:6], gripper_cmd=float(vec[6])), sim)
         if success(scene, task):
@@ -180,7 +184,7 @@ def ablate_layers(dataset, train_cfg: TrainConfig, policy_cfg=None, rollouts_per
         policy, _ = bc_train(dataset, train_cfg, policy=policy)
         if checkpoint_dir is not None:
             save_checkpoint(policy, os.path.join(checkpoint_dir, f"ablate-{mode}.ckpt"), step=train_cfg.steps, train=train_cfg, sim=sim)
-        selected = vision_slot_count(pcfg, policy.geo)
+        selected = len(policy.backbone.layers)
         label = f"{mode}({selected})" if mode != "all" else "all"
         row = {
             "mode": mode,

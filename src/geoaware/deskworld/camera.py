@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from geoaware.errors import CameraError
+from geoaware.persist import read_int
 from geoaware.deskworld.world import (
     BACKGROUND_COLOR,
     EE_COLOR,
@@ -71,7 +72,7 @@ class CameraPose:
             up=np.array(d["up"], dtype=float),
             focal=float(d["focal"]),
             principal_point=np.array(d["principal_point"], dtype=float),
-            image_size=int(d["image_size"]),
+            image_size=read_int(d["image_size"], "camera image_size"),
         )
 
     def same_pose(self, other, tol=1e-9):

@@ -17,7 +17,7 @@ import numpy as np
 from geoaware.errors import FormatError, GenerationError
 from geoaware.deskworld.camera import CameraPose, seen_cameras
 from geoaware.deskworld.world import Action, SceneState, SimConfig, TaskSpec, expert_action, reset, step, success
-from geoaware.persist import write_atomic
+from geoaware.persist import read_int, write_atomic
 
 FORMAT_VERSION = 1
 
@@ -110,7 +110,7 @@ class Episode:
         return cls(
             task_id=d["task_id"],
             instruction=d["instruction"],
-            seed=int(d["seed"]),
+            seed=read_int(d["seed"], "episode seed"),
             steps=[EpisodeStep.from_dict(s) for s in d["steps"]],
         )
 
@@ -121,12 +121,6 @@ class DemoDataset:
     cameras: list[CameraPose]
     seed: int
     episodes: list[Episode]
-
-    def task_for(self, task_id) -> TaskSpec:
-        for t in self.tasks:
-            if t.task_id == task_id:
-                return t
-        raise FormatError(f"dataset has no task {task_id!r}")
 
     def instructions(self):
         """Sorted closed vocabulary over the dataset's tasks."""
@@ -215,7 +209,7 @@ def load_dataset(path) -> DemoDataset:
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported dataset format_version {version!r} (expected {FORMAT_VERSION})")
     try:
-        seed = int(header["seed"])
+        seed = read_int(header["seed"], "dataset seed")
         tasks = [TaskSpec.from_dict(t) for t in header["tasks"]]
         cameras = [CameraPose.from_dict(c) for c in header["seen_cameras"]]
         episodes = [Episode.from_dict(json.loads(ln)) for ln in lines[1:]]

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from geoaware.errors import GenerationError, InputError, TaskError
+from geoaware.persist import read_int
 
 # Palette shared by the renderer and the geometric feature stub.  Object and
 # region colors come from a closed set; the end-effector color is reserved.
@@ -174,7 +175,7 @@ class TaskSpec:
     @classmethod
     def from_dict(cls, d):
         return cls(
-            index=int(d["index"]),
+            index=read_int(d["index"], "task index"),
             task_id=d["task_id"],
             instruction=d["instruction"],
             objects=tuple((o[0], o[1]) for o in d["objects"]),

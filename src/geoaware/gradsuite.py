@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from geoaware.backbones import GeoStubConfig, init_pixel_params, pixel_features
+from geoaware.backbones import GeoBackbone, GeoStubConfig, init_pixel_params, pixel_features
 from geoaware.numerics.gradcheck import grad_check
 from geoaware.numerics.nnops import (
     adaptive_avg_pool1d,
@@ -202,7 +202,7 @@ def _tiny_policy(head_kind="mlp"):
     )
     geo = GeoStubConfig(num_layers=3, feature_dim=4, num_keypoints=5)
     store = ParamStore()
-    init_policy_params(store, cfg, _VOCAB, seed=5, geo=geo, dtype=np.float64)
+    init_policy_params(store, cfg, _VOCAB, seed=5, backbone=GeoBackbone(geo, [1, 2, 3]), dtype=np.float64)
     return cfg, geo, store
 
 
@@ -322,7 +322,7 @@ def _check_end_to_end(step):
     def f(leaves):
         for name, leaf in zip(names, leaves):
             store.replace(name, leaf)
-        out = policy_forward(vision, instructions, Tensor(proprio), store, cfg, _VOCAB, geo=geo)
+        out = policy_forward(vision, instructions, Tensor(proprio), store, cfg, _VOCAB)
         return mse_loss(out, Tensor(target))
 
     inputs = [store[n].values.copy() for n in names]

@@ -104,9 +104,6 @@ class Tensor:
         out._backward = None
         return out
 
-    def zero_grad_(self):
-        self.grad = None
-
     def _accumulate(self, g):
         if self.grad is None:
             self.grad = np.zeros_like(self.values)

@@ -2,13 +2,14 @@
 
 Config sections are dataclasses whose fields all have defaults.  They are
 written with ``dataclasses.asdict`` and read back with ``from_dict``, the one
-decoder shared by run configs and checkpoint headers.
+decoder shared by run configs and checkpoint headers.  ``read_int`` applies
+the same no-coercion rule to the integer fields of dataset files.
 """
 
 import dataclasses
 import os
 
-from geoaware.errors import ConfigError
+from geoaware.errors import ConfigError, FormatError
 
 
 def from_dict(cls, data, section, error=ConfigError):
@@ -37,6 +38,13 @@ def from_dict(cls, data, section, error=ConfigError):
             )
         kwargs[name] = value
     return cls(**kwargs)
+
+
+def read_int(value, name):
+    """``value`` if it is an int; a float, string or bool raises ``FormatError``."""
+    if type(value) is not int:
+        raise FormatError(f"{name} must be int, got {type(value).__name__}")
+    return value
 
 
 def write_atomic(path, data):

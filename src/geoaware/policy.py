@@ -90,10 +90,6 @@ class PolicyConfig:
         return self
 
 
-def vision_slot_count(cfg: PolicyConfig, geo: GeoStubConfig):
-    return len(select_layer_indices(geo.num_layers, cfg.select_mode, cfg.select_count))
-
-
 def language_table(vocab, lang_embed_dim, dtype=np.float64):
     """Frozen per-instruction embeddings; a stand-in for a pretrained sentence
     encoder, so the table depends only on the vocabulary, never on the policy seed."""
@@ -101,12 +97,13 @@ def language_table(vocab, lang_embed_dim, dtype=np.float64):
     return rng.standard_normal((len(vocab), lang_embed_dim)).astype(dtype)
 
 
-def init_policy_params(store, cfg: PolicyConfig, vocab, seed, geo: GeoStubConfig | None = None, dtype=np.float32):
+def init_policy_params(store, cfg: PolicyConfig, vocab, seed, backbone: GeoBackbone | None = None, dtype=np.float32):
     """Register every parameter in a fixed creation order.
 
     Order: vision projection (or pixel encoder), language table + MLP,
     proprio MLP, action/positional tokens, adapter (when widths differ),
-    trunk blocks, head.  The language table is frozen at creation.
+    trunk blocks, head.  The language table is frozen at creation.  The geo
+    projection gets one conv per layer ``backbone`` selects.
     """
     if not vocab:
         raise ConfigError("vocabulary must not be empty")
@@ -122,11 +119,10 @@ def init_policy_params(store, cfg: PolicyConfig, vocab, seed, geo: GeoStubConfig
 
     d, h = cfg.repr_dim, cfg.hidden_dim
     if cfg.backbone_kind == "geo":
-        geo = geo or GeoStubConfig()
-        slots = vision_slot_count(cfg, geo)
+        slots, width = len(backbone.layers), backbone.cfg.feature_dim
         for i in range(slots):
-            store.add(f"vision.conv{i}.w", uniform((cfg.conv_dim, geo.feature_dim, 3), geo.feature_dim * 3))
-            store.add(f"vision.conv{i}.b", uniform((cfg.conv_dim,), geo.feature_dim * 3))
+            store.add(f"vision.conv{i}.w", uniform((cfg.conv_dim, width, 3), width * 3))
+            store.add(f"vision.conv{i}.b", uniform((cfg.conv_dim,), width * 3))
         linear("vision.mlp.1", slots * cfg.conv_dim, d)
         linear("vision.mlp.2", d, d)
     else:
@@ -182,43 +178,34 @@ def _mlp2(x, store, p1, p2):
 
 
 def pooled_vision(selected_layers, store):
-    """Conv/relu/pool stage of the vision projection.
+    """Conv/relu/pool stage of the vision projection: [batch, L * conv_dim].
 
-    Each layer [tokens, channels] gets its own conv over the token axis
-    (kernel 3, padded), relu, then pooling to a single vector; the L vectors
-    are concatenated.  Returns (features [batch, L * conv_dim], single) where
-    ``single`` marks an unbatched input.
+    Each of the L layers [batch, tokens, channels] gets its own conv over the
+    token axis (kernel 3, padded), relu, then pooling to a single vector; the
+    L vectors are concatenated.
     """
-    n_slots = sum(1 for n in store.names() if n.startswith("vision.conv") and n.endswith(".w"))
-    if len(selected_layers) != n_slots:
-        raise ShapeError(f"expected {n_slots} selected layers, got {len(selected_layers)}")
+    conv_dim = store["vision.conv0.w"].shape[0]
+    width = store["vision.mlp.1.w"].shape[0]
+    if len(selected_layers) * conv_dim != width:
+        raise ShapeError(f"expected {width // conv_dim} selected layers, got {len(selected_layers)}")
     pooled = []
-    single = None
     for i, layer in enumerate(selected_layers):
         t = as_tensor(layer)
-        if single is None:
-            single = t.ndim == 2
-        if t.ndim == 2:
-            t = reshape(t, (1,) + t.shape)
-        elif t.ndim != 3:
-            raise ShapeError(f"pyramid layer must be rank 2 or 3, got {t.ndim}")
+        if t.ndim != 3:
+            raise ShapeError(f"pyramid layer must be [batch, tokens, channels], got rank {t.ndim}")
         t = transpose(t, (0, 2, 1))                         # channels-first for the conv
         t = relu(conv1d(t, store[f"vision.conv{i}.w"], store[f"vision.conv{i}.b"], padding=1))
         t = adaptive_avg_pool1d(t, 1)
         pooled.append(reshape(t, (t.shape[0], t.shape[1])))
-    return concat(pooled, axis=1), single
+    return concat(pooled, axis=1)
 
 
 def project_vision(selected_layers, store, cfg: PolicyConfig):
-    """Fuse L selected pyramid layers into one embedding.
-
-    The conv/relu/pool stage (``pooled_vision``) runs per layer; the pooled
-    vectors are then mixed by a 2-layer MLP.  Batched inputs
-    [batch, tokens, channels] are accepted and produce [batch, repr_dim].
+    """Fuse L selected pyramid layers [batch, tokens, channels] into one
+    [batch, repr_dim] embedding: the conv/relu/pool stage
+    (``pooled_vision``) per layer, then a 2-layer MLP over the pooled vectors.
     """
-    pooled, single = pooled_vision(selected_layers, store)
-    z = _mlp2(pooled, store, "vision.mlp.1", "vision.mlp.2")
-    return reshape(z, (z.shape[1],)) if single else z
+    return _mlp2(pooled_vision(selected_layers, store), store, "vision.mlp.1", "vision.mlp.2")
 
 
 def encode_language(instructions, store, vocab):
@@ -413,12 +400,13 @@ def vqbet_train_loss(h_action, expert_actions, store, cfg: PolicyConfig, codeboo
 # -- composition -------------------------------------------------------------
 
 
-def policy_forward(vision, instructions, proprio, store, cfg: PolicyConfig, vocab, geo: GeoStubConfig | None = None, codebook_trained=False, return_trunk=False):
+def policy_forward(vision, instructions, proprio, store, cfg: PolicyConfig, vocab, codebook_trained=False, return_trunk=False):
     """Full pass from featurized observations to an action chunk.
 
-    ``vision`` is [batch, views, layers, tokens, channels] for the geo
-    backbone (the frozen pyramid) or [batch, views, 3, H, W] images for the
-    pixel baseline.  Returns [batch, chunk_len, 7], or (chunk, h_action).
+    ``vision`` is [batch, views, L_selected, tokens, channels] for the geo
+    backbone (the selected layers of the frozen pyramid, every one of which
+    is used) or [batch, views, 3, H, W] images for the pixel baseline.
+    Returns [batch, chunk_len, 7], or (chunk, h_action).
     """
     vision = np.asarray(vision)
     if vision.ndim != 5 or vision.shape[1] != cfg.views:
@@ -427,10 +415,8 @@ def policy_forward(vision, instructions, proprio, store, cfg: PolicyConfig, voca
     if z_lang.ndim == 1:
         raise ShapeError("policy_forward wants a sequence of instructions, one per batch row")
     if cfg.backbone_kind == "geo":
-        geo = geo or GeoStubConfig()
-        picks = select_layer_indices(geo.num_layers, cfg.select_mode, cfg.select_count)
         z_vis = [
-            project_vision([Tensor(vision[:, v, l - 1]) for l in picks], store, cfg)
+            project_vision([Tensor(vision[:, v, l]) for l in range(vision.shape[2])], store, cfg)
             for v in range(cfg.views)
         ]
     else:
@@ -450,18 +436,23 @@ class Policy:
     points.  ``dtype`` fixes the parameter and compute precision."""
 
     def __init__(self, cfg: PolicyConfig, vocab, seed=0, geo: GeoStubConfig | None = None, dtype=np.float32):
-        self.cfg = cfg.validate(geo)
+        self.cfg = cfg.validate()
         self.geo = geo or GeoStubConfig()
         self.vocab = tuple(vocab)
         self.dtype = np.dtype(dtype)
         self.seed = seed
+        self.backbone = None
+        if cfg.backbone_kind == "geo":
+            picks = select_layer_indices(self.geo.num_layers, cfg.select_mode, cfg.select_count)
+            self.backbone = GeoBackbone(self.geo, picks)
         self.params = ParamStore()
-        init_policy_params(self.params, cfg, self.vocab, seed, self.geo, dtype=self.dtype)
-        self.backbone = GeoBackbone(self.geo) if cfg.backbone_kind == "geo" else None
+        init_policy_params(self.params, cfg, self.vocab, seed, self.backbone, dtype=self.dtype)
         self.codebook_trained = cfg.head_kind == "mlp"
 
     def featurize(self, scenes, cameras):
-        """Observation tensor for a batch of scenes under V cameras."""
+        """Observation tensor for a batch of scenes under V cameras: the
+        selected pyramid layers [B, V, L_selected, N, D] or images
+        [B, V, 3, H, W]."""
         if len(cameras) != self.cfg.views:
             raise ShapeError(f"policy expects {self.cfg.views} cameras, got {len(cameras)}")
         if self.backbone is not None:
@@ -479,7 +470,6 @@ class Policy:
             self.params,
             self.cfg,
             self.vocab,
-            geo=self.geo,
             codebook_trained=self.codebook_trained,
             return_trunk=return_trunk,
         )

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from geoaware.backbones import GeoStubConfig, pixel_pooled, select_layer_indices
+from geoaware.backbones import GeoStubConfig, pixel_pooled
 from geoaware.deskworld.world import SimConfig
 from geoaware.errors import ConfigError, ConfigMismatchError, FormatError, NumericAbort, NumericError
 from geoaware.numerics import Tensor, adamw_step, init_adamw, no_grad
@@ -191,12 +191,9 @@ def calibrate_input_stats(policy: Policy, dataset, cameras=None, rng=None, sampl
             batch = make_batch(dataset, idx, policy, cameras, cache)
             vision = np.asarray(batch.vision)
             if policy.cfg.backbone_kind == "geo":
-                layers = select_layer_indices(
-                    policy.geo.num_layers, policy.cfg.select_mode, policy.cfg.select_count
-                )
                 for v in range(policy.cfg.views):
-                    pooled, _ = pooled_vision([Tensor(vision[:, v, l - 1]) for l in layers], store)
-                    feats.append(pooled.values)
+                    layers = [Tensor(vision[:, v, l]) for l in range(vision.shape[2])]
+                    feats.append(pooled_vision(layers, store).values)
             else:
                 z_lang = encode_language(batch.instructions, store, policy.vocab)
                 for v in range(policy.cfg.views):

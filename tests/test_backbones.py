@@ -12,7 +12,6 @@ from geoaware.backbones import (
     init_pixel_params,
     pixel_features,
     select_layer_indices,
-    select_layers,
 )
 from geoaware.deskworld.camera import sample_viewpoints, seen_cameras
 from geoaware.deskworld.world import SimConfig, make_tasks, reset, step
@@ -21,6 +20,7 @@ from geoaware.numerics import ParamStore, Tensor, grad_check
 
 
 def _scenes_and_cameras(n_scenes=4, n_cameras=4):
+    # tasks t0, t1, t3 have 8 keypoints and t2 has 9, so any 3+ scenes mix both
     sim = SimConfig()
     tasks = make_tasks()
     scenes = [reset(tasks[i % len(tasks)], seed=i, sim=sim) for i in range(n_scenes)]
@@ -29,8 +29,18 @@ def _scenes_and_cameras(n_scenes=4, n_cameras=4):
     return scenes, cams[:n_cameras]
 
 
+def _full(geo=None):
+    """A backbone that lifts every layer of the pyramid."""
+    geo = geo or GeoStubConfig()
+    return GeoBackbone(geo, range(1, geo.num_layers + 1))
+
+
+def _keypoint_count(scene):
+    return 1 + len(scene.objects) + len(scene.goal_regions) + 4
+
+
 def test_last_layer_is_view_invariant():
-    backbone = GeoBackbone()
+    backbone = _full()
     scenes, cams = _scenes_and_cameras(n_scenes=6, n_cameras=6)
     stack = backbone.pyramid_batch(scenes, cams)        # [B, V, M, N, D]
     last = stack[:, :, -1]
@@ -39,7 +49,7 @@ def test_last_layer_is_view_invariant():
 
 
 def test_first_layer_depends_on_view():
-    backbone = GeoBackbone()
+    backbone = _full()
     scenes, cams = _scenes_and_cameras(n_scenes=4, n_cameras=4)
     stack = backbone.pyramid_batch(scenes, cams)
     first = stack[:, :, 0]
@@ -55,75 +65,93 @@ def test_mixing_weights_are_linear_ramp():
 
 
 def test_intermediate_layer_is_convex_mix():
-    # Token at layer l must equal the lift of (1-a)*view + a*world exactly.
-    backbone = GeoBackbone()
-    scenes, cams = _scenes_and_cameras(n_scenes=1, n_cameras=1)
-    view, world = backbone.raw_tokens(scenes[0], cams[0])
-    stack = backbone.pyramid_batch(scenes, cams)[0, 0]
-    for l in (0, 5, 11):
-        a = l / 11.0
-        expected = ((1 - a) * view + a * world) @ backbone.lifts[l]
-        assert np.allclose(stack[l], expected, atol=1e-12)
+    # Token at layer l must equal the lift of (1-a)*view + a*world exactly,
+    # for every scene and camera of the batch.
+    backbone = _full()
+    scenes, cams = _scenes_and_cameras(n_scenes=3, n_cameras=3)
+    views, worlds = backbone.raw_tokens(scenes, cams)
+    stack = backbone.pyramid_batch(scenes, cams)
+    for b in range(len(scenes)):
+        for v in range(len(cams)):
+            for l in (0, 5, 11):
+                a = l / 11.0
+                expected = ((1 - a) * views[b, v] + a * worlds[b]) @ backbone.lifts[l]
+                assert np.allclose(stack[b, v, l], expected, atol=1e-12)
 
 
 def test_raw_token_layout():
-    backbone = GeoBackbone()
+    backbone = _full()
     sim = SimConfig()
-    task = make_tasks()[0]
-    scene = reset(task, seed=3, sim=sim)
-    view, world = backbone.raw_tokens(scene, seen_cameras(sim)[0])
-    n_real = 1 + len(scene.objects) + len(scene.goal_regions) + 4
-    assert view.shape == world.shape == (16, RAW_WIDTH)
-    # world rows: position then one-hot then presence flag
-    assert np.allclose(world[0, 0:3], scene.ee_pos)
-    assert world[0, 3 + ATTRIBUTES.index("ee")] == 1.0
-    assert world[1, 3 + ATTRIBUTES.index(scene.objects[0].color)] == 1.0
-    assert np.all(world[:n_real, -1] == 1.0)
-    assert np.all(world[n_real:] == 0.0)
-    assert np.all(view[n_real:] == 0.0)
-    # view rows carry normalized pixels and positive depth for a seen camera
-    assert np.all(view[:n_real, 2] >= DEPTH_CLAMP)
-    assert np.all(view[:n_real, -1] == 1.0)
+    tasks = make_tasks()
+    scenes = [reset(tasks[0], seed=3, sim=sim), reset(tasks[2], seed=3, sim=sim)]
+    views, worlds = backbone.raw_tokens(scenes, seen_cameras(sim))
+    assert views.shape == (2, 2, 16, RAW_WIDTH)
+    assert worlds.shape == (2, 16, RAW_WIDTH)
+    assert [_keypoint_count(s) for s in scenes] == [8, 9]
+    for scene, view_pair, world in zip(scenes, views, worlds):
+        n_real = _keypoint_count(scene)
+        # world rows: position then one-hot then presence flag
+        assert np.allclose(world[0, 0:3], scene.ee_pos)
+        assert world[0, 3 + ATTRIBUTES.index("ee")] == 1.0
+        assert world[1, 3 + ATTRIBUTES.index(scene.objects[0].color)] == 1.0
+        assert world[n_real - 1, 3 + ATTRIBUTES.index("fiducial")] == 1.0
+        assert np.all(world[:n_real, -1] == 1.0)
+        assert np.all(world[n_real:] == 0.0)
+        for view in view_pair:
+            assert np.all(view[n_real:] == 0.0)
+            # view rows carry normalized pixels and positive depth for a seen camera
+            assert np.all(view[:n_real, 2] >= DEPTH_CLAMP)
+            assert np.all(view[:n_real, -1] == 1.0)
 
 
-def test_features_match_batch_path():
-    backbone = GeoBackbone()
-    scenes, cams = _scenes_and_cameras(n_scenes=2, n_cameras=2)
-    stack = backbone.pyramid_batch(scenes, cams)
-    single = backbone.features(scenes[1], cams[1])
-    assert len(single.layers) == 12
-    for l in range(12):
-        assert np.array_equal(single.layers[l], stack[1, 1, l])
+@pytest.mark.parametrize("mode", ["even", "last", "all"])
+def test_selected_layers_match_full_pyramid(mode):
+    # Lifting only the picked layers, for a whole batch at once, gives the
+    # full pyramid's rows for those layers bit for bit, and each batch row
+    # equals the scene featurized alone.
+    geo = GeoStubConfig()
+    picks = select_layer_indices(geo.num_layers, mode, 4)
+    scenes, cams = _scenes_and_cameras(n_scenes=6, n_cameras=4)
+    assert {_keypoint_count(s) for s in scenes} == {8, 9}
+    picked = GeoBackbone(geo, picks).pyramid_batch(scenes, cams)
+    full = _full(geo).pyramid_batch(scenes, cams)
+    assert picked.shape == (6, 4, len(picks), geo.num_keypoints, geo.feature_dim)
+    assert np.array_equal(picked, full[:, :, np.array(picks) - 1])
+    for b, scene in enumerate(scenes):
+        assert np.array_equal(GeoBackbone(geo, picks).pyramid_batch([scene], cams)[0], picked[b])
 
 
 def test_lifts_are_deterministic():
-    a, b = GeoBackbone(), GeoBackbone()
+    a, b = _full(), _full()
     assert np.array_equal(a.lifts, b.lifts)
-    c = GeoBackbone(GeoStubConfig(lift_seed=8))
+    c = _full(GeoStubConfig(lift_seed=8))
     assert not np.array_equal(a.lifts, c.lifts)
+    # a layer's lift does not depend on which other layers are picked
+    assert np.array_equal(GeoBackbone(GeoStubConfig(), [3, 7]).lifts, a.lifts[[2, 6]])
 
 
 def test_world_tokens_track_object_motion():
-    backbone = GeoBackbone()
+    backbone = _full()
     sim = SimConfig()
     task = make_tasks()[0]
     scene = reset(task, seed=0, sim=sim)
     cam = seen_cameras(sim)[0]
-    before = backbone.raw_tokens(scene, cam)[1]
     from geoaware.deskworld.world import Action
 
     after_scene = step(scene, Action(d_pos=np.array([0.05, 0.0, 0.0]), d_rot=np.zeros(3), gripper_cmd=1.0), sim)
-    after = backbone.raw_tokens(after_scene, cam)[1]
+    before, after = backbone.raw_tokens([scene, after_scene], [cam])[1]
     assert after[0, 0] == pytest.approx(before[0, 0] + 0.05)
     assert np.array_equal(before[1:], after[1:])        # objects did not move
 
 
 def test_too_many_keypoints_rejected():
-    backbone = GeoBackbone(GeoStubConfig(num_keypoints=4))
+    backbone = _full(GeoStubConfig(num_keypoints=4))
     sim = SimConfig()
     scene = reset(make_tasks()[0], seed=0, sim=sim)
     with pytest.raises(ShapeError):
-        backbone.raw_tokens(scene, seen_cameras(sim)[0])
+        backbone.raw_tokens([scene], seen_cameras(sim))
+    with pytest.raises(ShapeError):
+        backbone.pyramid_batch([scene], seen_cameras(sim))
 
 
 # -- layer selection ---------------------------------------------------------
@@ -160,13 +188,13 @@ def test_selection_errors():
 
 
 def test_select_layers_returns_requested_slices():
-    backbone = GeoBackbone()
+    geo = GeoStubConfig()
     scenes, cams = _scenes_and_cameras(n_scenes=1, n_cameras=1)
-    pyr = backbone.features(scenes[0], cams[0])
-    picked = select_layers(pyr, "even", 4)
-    assert len(picked) == 4
-    assert np.array_equal(picked[0], pyr.layers[1])
-    assert np.array_equal(picked[3], pyr.layers[8])
+    picked = GeoBackbone(geo, select_layer_indices(12, "even", 4)).pyramid_batch(scenes, cams)
+    full = _full(geo).pyramid_batch(scenes, cams)
+    assert picked.shape[2] == 4
+    assert np.array_equal(picked[:, :, 0], full[:, :, 1])
+    assert np.array_equal(picked[:, :, 3], full[:, :, 8])
 
 
 # -- pixel encoder -----------------------------------------------------------

@@ -72,6 +72,18 @@ def test_rollout_flags_non_finite_action():
     assert result.steps == 0
 
 
+def test_evaluate_fails_rollouts_of_a_non_finite_policy():
+    # a real policy whose forward pass overflows fails each rollout at its
+    # first step instead of raising out of evaluate
+    policy = Policy(PolicyConfig(), tuple(t.instruction for t in TASKS), seed=0)
+    policy.params["head.2.w"].values[0, 0] = np.inf
+    report = evaluate(policy, "seen", rollouts_per_task=1, seeds=(0,), sim=SIM)
+    assert report.average_rate == 0.0
+    assert report.mean_episode_length == 0.0
+    result = rollout(policy, TASKS[0], seen_cameras(SIM), seed=0, sim=SIM)
+    assert (result.succeeded, result.steps, result.failure) == (False, 0, "non-finite or malformed action")
+
+
 def test_rollout_caps_at_episode_limit():
     result = rollout(ConstantPolicy(np.zeros(7)), TASKS[0], seen_cameras(SIM), seed=0, sim=SIM)
     assert not result.succeeded

@@ -18,8 +18,9 @@ def small_dataset(seed=0, episodes_per_task=3):
 
 def test_episode_ends_in_success_state():
     ds = small_dataset()
+    tasks = {t.task_id: t for t in ds.tasks}
     for ep in ds.episodes:
-        task = ds.task_for(ep.task_id)
+        task = tasks[ep.task_id]
         assert success(ep.steps[-1].scene, task)
         assert len(ep.steps) <= SIM.max_episode_steps + 1
 

@@ -290,3 +290,24 @@ def test_malformed_dataset_header_raises_format_error(tmp_path, edit):
     path.write_bytes(fmt.encode([edit(fmt.docs[0])] + fmt.docs[1:]))
     with pytest.raises(FormatError):
         load_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda docs: docs[0].update(seed=3.7),
+     lambda docs: docs[1].update(seed=True),
+     lambda docs: docs[0]["seen_cameras"][0].update(image_size="32"),
+     lambda docs: docs[0]["tasks"][0].update(index=0.0)],
+    ids=["header-seed-float", "episode-seed-bool", "camera-image-size-str", "task-index-float"],
+)
+def test_mistyped_dataset_int_raises_format_error(tmp_path, edit, capsys):
+    # integer fields are never coerced: 3.7 must not load as seed 3
+    path = tmp_path / "demos.jsonl"
+    _write_dataset(path)
+    fmt = JsonLines(path.read_bytes())
+    edit(fmt.docs)
+    path.write_bytes(fmt.encode(fmt.docs))
+    with pytest.raises(FormatError):
+        load_dataset(path)
+    assert main(["train", "--data", str(path), "--out", str(tmp_path / "p.ckpt"), "--steps", "1"]) == 1
+    capsys.readouterr()

@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from geoaware.backbones import GeoStubConfig
+from geoaware.backbones import GeoBackbone, GeoStubConfig
 from geoaware.deskworld.camera import sample_viewpoints, seen_cameras
 from geoaware.deskworld.world import SimConfig, make_tasks, reset
 from geoaware.errors import ConfigError, ShapeError, StateError, VocabularyError
@@ -108,19 +108,19 @@ def test_project_vision_output_shapes():
     rng = np.random.default_rng(0)
     for mode, count, slots in (("last", 1, 1), ("even", 2, 2), ("all", 3, 3)):
         pol = tiny_policy(select_mode=mode, select_count=count)
-        layers = [rng.standard_normal((5, 4)) for _ in range(slots)]
+        layers = [rng.standard_normal((1, 5, 4)) for _ in range(slots)]
         out = project_vision(layers, pol.params, pol.cfg)
-        assert out.shape == (8,)
-        batched = project_vision([np.stack([l, l]) for l in layers], pol.params, pol.cfg)
+        assert out.shape == (1, 8)
+        batched = project_vision([np.concatenate([l, l]) for l in layers], pol.params, pol.cfg)
         assert batched.shape == (2, 8)
-        assert np.allclose(batched.values[0], out.values)
+        assert np.allclose(batched.values[0], out.values[0])
 
 
 def test_project_vision_zero_input_is_view_independent():
     pol = tiny_policy()
-    zero = [np.zeros((5, 4))] * 3
+    zero = [np.zeros((1, 5, 4))] * 3
     a = project_vision(zero, pol.params, pol.cfg)
-    b = project_vision([np.zeros((5, 4))] * 3, pol.params, pol.cfg)
+    b = project_vision([np.zeros((1, 5, 4))] * 3, pol.params, pol.cfg)
     assert np.array_equal(a.values, b.values)
     assert np.all(np.isfinite(a.values))
 
@@ -128,7 +128,9 @@ def test_project_vision_zero_input_is_view_independent():
 def test_project_vision_wrong_layer_count():
     pol = tiny_policy()
     with pytest.raises(ShapeError):
-        project_vision([np.zeros((5, 4))] * 2, pol.params, pol.cfg)
+        project_vision([np.zeros((1, 5, 4))] * 2, pol.params, pol.cfg)
+    with pytest.raises(ShapeError):
+        project_vision([np.zeros((5, 4))] * 3, pol.params, pol.cfg)      # unbatched layers
 
 
 def test_project_vision_gradients():
@@ -406,21 +408,21 @@ def test_policy_forward_shapes_and_purity():
     assert np.array_equal(out.values, again.values)
 
 
-def test_policy_forward_uses_only_selected_layers():
+def test_featurize_returns_only_selected_layers():
     geo = GeoStubConfig()
-    pol = Policy(
-        PolicyConfig(select_mode="even", select_count=4), VOCAB, seed=0, geo=geo, dtype=np.float64
-    )
-    rng = np.random.default_rng(13)
-    vision = rng.standard_normal((1, 2, geo.num_layers, geo.num_keypoints, geo.feature_dim))
-    proprio = rng.standard_normal((1, 7))
-    base = pol.forward(vision, [VOCAB[0]], proprio).values
-    skipped = vision.copy()
-    skipped[:, :, 0] += 5.0                     # layer 1 is not in {2,4,7,9}
-    assert np.array_equal(pol.forward(skipped, [VOCAB[0]], proprio).values, base)
-    used = vision.copy()
-    used[:, :, 1] += 5.0                        # layer 2 is selected
-    assert np.abs(pol.forward(used, [VOCAB[0]], proprio).values - base).max() > 1e-8
+    pol = Policy(PolicyConfig(select_mode="even", select_count=4), VOCAB, seed=0, geo=geo)
+    sim = SimConfig()
+    scenes = [reset(task, seed=13, sim=sim) for task in make_tasks()]
+    cams = list(seen_cameras(sim))
+    vision = pol.featurize(scenes, cams)
+    full = GeoBackbone(geo, range(1, geo.num_layers + 1)).pyramid_batch(scenes, cams)
+    assert vision.dtype == np.float32
+    assert vision.shape == (4, 2, 4, geo.num_keypoints, geo.feature_dim)
+    assert np.array_equal(vision, full[:, :, [1, 3, 6, 8]].astype(np.float32))     # layers {2,4,7,9}
+    proprio = np.stack([s.proprio() for s in scenes])
+    assert pol.forward(vision, [VOCAB[0]] * 4, proprio).shape == (4, 1, 7)
+    with pytest.raises(ShapeError):
+        pol.forward(full.astype(np.float32), [VOCAB[0]] * 4, proprio)
 
 
 def test_policy_end_to_end_gradients():
@@ -436,9 +438,7 @@ def test_policy_end_to_end_gradients():
         for n, leaf in zip(checked, leaves):
             pol.params._entries[n] = leaf
         try:
-            out = policy_forward(
-                vision, [VOCAB[1]], proprio, pol.params, pol.cfg, pol.vocab, geo=pol.geo
-            )
+            out = policy_forward(vision, [VOCAB[1]], proprio, pol.params, pol.cfg, pol.vocab)
             return mse_loss(out, Tensor(target))
         finally:
             for n, t in zip(checked, saved):

@@ -124,7 +124,6 @@ def test_training_is_deterministic(demos):
 def _vision_mlp_input_stats(pol, demos):
     """Mean and std per dimension of the calibrated first-layer preactivations
     over every dataset step and view."""
-    from geoaware.backbones import select_layer_indices
     from geoaware.numerics import no_grad
     from geoaware.policy import pooled_vision
 
@@ -132,11 +131,8 @@ def _vision_mlp_input_stats(pol, demos):
     with no_grad():
         batch = make_batch(demos, demos.sample_index(), pol, demos.cameras)
         vision = np.asarray(batch.vision)
-        picks = select_layer_indices(pol.geo.num_layers, pol.cfg.select_mode, pol.cfg.select_count)
         for v in range(pol.cfg.views):
-            pooled, _ = pooled_vision(
-                [vision[:, v, l - 1] for l in picks], pol.params
-            )
+            pooled = pooled_vision([vision[:, v, l] for l in range(vision.shape[2])], pol.params)
             preacts.append(
                 pooled.values @ pol.params["vision.mlp.1.w"].values
                 + pol.params["vision.mlp.1.b"].values
