@@ -11,19 +11,19 @@ Layout::
     }
 
 Every field has a default, unknown keys and mistyped values are rejected at
-any level (see ``persist.from_dict``), and ``save`` -> ``load`` round-trips
-losslessly.
+any level (see ``persist.from_dict``), and a config written with
+``dataclasses.asdict`` reads back losslessly.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from geoaware.backbones import GeoStubConfig
 from geoaware.deskworld.world import SimConfig
 from geoaware.errors import ConfigError
-from geoaware.persist import from_dict, write_atomic
+from geoaware.persist import from_dict
 from geoaware.policy import PolicyConfig
 from geoaware.training import TrainConfig
 
@@ -55,7 +55,3 @@ def read_config(path) -> dict:
 
 def load_config(path) -> RunConfig:
     return from_dict(RunConfig, read_config(path), "top-level").validate()
-
-
-def save_config(cfg: RunConfig, path):
-    write_atomic(path, json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from geoaware.errors import CameraError
-from geoaware.persist import read_int
+from geoaware.persist import read_float, read_floats, read_int
 from geoaware.deskworld.world import (
     BACKGROUND_COLOR,
     EE_COLOR,
@@ -67,11 +67,11 @@ class CameraPose:
     @classmethod
     def from_dict(cls, d):
         return cls(
-            position=np.array(d["position"], dtype=float),
-            look_at=np.array(d["look_at"], dtype=float),
-            up=np.array(d["up"], dtype=float),
-            focal=float(d["focal"]),
-            principal_point=np.array(d["principal_point"], dtype=float),
+            position=np.array(read_floats(d["position"], "camera position"), dtype=float),
+            look_at=np.array(read_floats(d["look_at"], "camera look_at"), dtype=float),
+            up=np.array(read_floats(d["up"], "camera up"), dtype=float),
+            focal=read_float(d["focal"], "camera focal"),
+            principal_point=np.array(read_floats(d["principal_point"], "camera principal_point"), dtype=float),
             image_size=read_int(d["image_size"], "camera image_size"),
         )
 

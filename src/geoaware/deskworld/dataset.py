@@ -17,7 +17,7 @@ import numpy as np
 from geoaware.errors import FormatError, GenerationError
 from geoaware.deskworld.camera import CameraPose, seen_cameras
 from geoaware.deskworld.world import Action, SceneState, SimConfig, TaskSpec, expert_action, reset, step, success
-from geoaware.persist import read_int, write_atomic
+from geoaware.persist import read_floats, read_int, write_atomic
 
 FORMAT_VERSION = 1
 
@@ -85,8 +85,8 @@ class EpisodeStep:
     def from_dict(cls, d):
         return cls(
             scene=SceneState.from_dict(d["scene"]),
-            proprio=np.array(d["proprio"], dtype=float),
-            action=np.array(d["action"], dtype=float),
+            proprio=np.array(read_floats(d["proprio"], "step proprio"), dtype=float),
+            action=np.array(read_floats(d["action"], "step action"), dtype=float),
         )
 
 
@@ -158,24 +158,6 @@ def generate_dataset(tasks, episodes_per_task, seed, sim: SimConfig | None = Non
             episode_seed = seed * 1_000_003 + e
             episodes.append(run_expert_episode(task, episode_seed, sim))
     return DemoDataset(tasks=list(tasks), cameras=seen_cameras(sim), seed=seed, episodes=episodes)
-
-
-def replay_deviation(episode: Episode, sim: SimConfig | None = None) -> float:
-    """Max numeric deviation when replaying stored actions from the first scene."""
-    sim = sim or SimConfig()
-    worst = 0.0
-    scene = episode.steps[0].scene
-    for i in range(len(episode.steps) - 1):
-        scene = step(scene, Action.from_vector(episode.steps[i].action), sim)
-        stored = episode.steps[i + 1].scene
-        worst = max(worst, float(np.abs(scene.ee_pos - stored.ee_pos).max()))
-        worst = max(worst, float(np.abs(scene.ee_rot - stored.ee_rot).max()))
-        worst = max(worst, abs(scene.gripper - stored.gripper))
-        for a, b in zip(scene.objects, stored.objects):
-            worst = max(worst, float(np.abs(a.pos - b.pos).max()))
-        if scene.held_object != stored.held_object:
-            return float("inf")
-    return worst
 
 
 # -- file IO -----------------------------------------------------------------

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from geoaware.errors import GenerationError, InputError, TaskError
-from geoaware.persist import read_int
+from geoaware.persist import read_float, read_floats, read_int
 
 # Palette shared by the renderer and the geometric feature stub.  Object and
 # region colors come from a closed set; the end-effector color is reserved.
@@ -116,13 +116,19 @@ class SceneState:
     @classmethod
     def from_dict(cls, d):
         return cls(
-            ee_pos=np.array(d["ee_pos"], dtype=float),
-            ee_rot=np.array(d["ee_rot"], dtype=float),
-            gripper=float(d["gripper"]),
+            ee_pos=np.array(read_floats(d["ee_pos"], "scene ee_pos"), dtype=float),
+            ee_rot=np.array(read_floats(d["ee_rot"], "scene ee_rot"), dtype=float),
+            gripper=read_float(d["gripper"], "scene gripper"),
             held_object=d["held_object"],
-            objects=[ObjectState(o["object_id"], o["color"], np.array(o["pos"], dtype=float)) for o in d["objects"]],
+            objects=[
+                ObjectState(o["object_id"], o["color"], np.array(read_floats(o["pos"], "object pos"), dtype=float))
+                for o in d["objects"]
+            ],
             goal_regions=[
-                GoalRegion(g["region_id"], g["color"], np.array(g["center"], dtype=float), float(g["radius"]))
+                GoalRegion(
+                    g["region_id"], g["color"],
+                    np.array(read_floats(g["center"], "goal center"), dtype=float), read_float(g["radius"], "goal radius"),
+                )
                 for g in d["goal_regions"]
             ],
         )
@@ -179,7 +185,7 @@ class TaskSpec:
             task_id=d["task_id"],
             instruction=d["instruction"],
             objects=tuple((o[0], o[1]) for o in d["objects"]),
-            regions=tuple((r[0], r[1], float(r[2])) for r in d["regions"]),
+            regions=tuple((r[0], r[1], read_float(r[2], "task region radius")) for r in d["regions"]),
             goals=tuple((g[0], g[1]) for g in d["goals"]),
         )
 

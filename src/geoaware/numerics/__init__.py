@@ -20,8 +20,7 @@ from geoaware.numerics.tensor import (
     transpose,
 )
 from geoaware.numerics.nnops import (
-    adaptive_avg_pool1d,
-    conv1d,
+    conv1d_relu_pool,
     conv2d,
     cross_entropy,
     embedding_lookup,
@@ -50,9 +49,8 @@ __all__ = [
     "relu",
     "softmax",
     "layer_norm",
-    "conv1d",
+    "conv1d_relu_pool",
     "conv2d",
-    "adaptive_avg_pool1d",
     "embedding_lookup",
     "mse_loss",
     "cross_entropy",

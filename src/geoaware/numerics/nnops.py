@@ -1,7 +1,10 @@
 """Neural-network operations on top of the tensor tape.
 
 Each op has a fused backward closure; all of them are exercised against
-central finite differences by the gradient-check suite.
+central finite differences by the gradient-check suite.  Ops are as coarse as
+their callers allow, since every op pays Python overhead: the geometric
+vision projection's per-layer conv, relu and token pooling are one op,
+``conv1d_relu_pool``, over all selected layers at once.
 """
 
 from __future__ import annotations
@@ -80,69 +83,87 @@ def layer_norm(x, gamma, beta, eps=1e-6):
 # -- convolutions ------------------------------------------------------------
 
 
-def _conv1d_cols(x_vals, k, stride, padding):
-    """im2col for [B, C, N] input: returns [B, N_out, C * k] patches."""
-    b, c, n = x_vals.shape
-    n_out = (n + 2 * padding - k) // stride + 1
-    if n_out <= 0:
-        raise ShapeError(f"conv1d output extent would be {n_out} (N={n}, k={k}, stride={stride}, padding={padding})")
-    if padding:
-        x_vals = np.pad(x_vals, ((0, 0), (0, 0), (padding, padding)))
-    windows = np.lib.stride_tricks.sliding_window_view(x_vals, k, axis=2)[:, :, ::stride, :]
-    return windows.transpose(0, 2, 1, 3).reshape(b, n_out, c * k), n_out
-
-
-def _conv1d_input_grad(gcols, in_shape, k, stride, padding):
-    """Scatter column gradients [B, N_out, C, k] back to the input [B, C, N]."""
-    b, c, n = in_shape
-    n_out = gcols.shape[1]
-    gx = np.zeros((b, c, n + 2 * padding), dtype=gcols.dtype)
-    g = gcols.transpose(0, 2, 1, 3)  # [B, C, N_out, k]
+def _token_taps(x, k):
+    """im2col over the token axis with "same" zero padding: [..., N, C] ->
+    [..., N, C, k], where tap t of token n reads token n + t - k // 2."""
+    n = x.shape[-2]
+    cols = np.zeros(x.shape + (k,), dtype=x.dtype)
     for t in range(k):
-        gx[:, :, t : t + stride * n_out : stride] += g[:, :, :, t]
-    return gx[:, :, padding : padding + n] if padding else gx
+        d = t - k // 2
+        lo, hi = max(0, -d), min(n, n - d)
+        cols[..., lo:hi, :, t] = x[..., lo + d : hi + d, :]
+    return cols
 
 
-def conv1d(x, kernels, bias, stride=1, padding=0):
-    """1-D cross-correlation (no kernel flip).
+def _token_taps_grad(gcols):
+    """Adjoint of ``_token_taps``: scatter [..., N, C, k] tap gradients back
+    onto the [..., N, C] input."""
+    n, k = gcols.shape[-3], gcols.shape[-1]
+    gx = np.zeros(gcols.shape[:-1], dtype=gcols.dtype)
+    for t in range(k):
+        d = t - k // 2
+        lo, hi = max(0, -d), min(n, n - d)
+        gx[..., lo + d : hi + d, :] += gcols[..., lo:hi, :, t]
+    return gx
 
-    ``x`` is [C_in, N] or [B, C_in, N]; ``kernels`` is [C_out, C_in, k];
-    ``bias`` is [C_out].  Output length is floor((N + 2p - k) / stride) + 1.
+
+def conv1d_relu_pool(layers, kernels, biases):
+    """Per-layer conv over tokens, relu, then the mean over tokens: [B, L * C_out].
+
+    ``layers`` are L channels-last tensors [B, N, C_in]; ``kernels`` the L
+    matching [C_out, C_in, k] kernels (k odd) and ``biases`` the L [C_out]
+    biases.  Layer l's conv is a stride-1 cross-correlation (no kernel flip)
+    with ``k // 2`` zeros padded on both ends of the token axis, so the
+    output keeps N tokens.  The L layers run as one batched matmul, and the
+    output is layer-major: columns [l * C_out, (l + 1) * C_out) are layer l.
     """
-    x, kernels, bias = as_tensor(x), as_tensor(kernels), as_tensor(bias)
-    squeeze = x.ndim == 2
-    x_vals = x.values[None] if squeeze else x.values
-    if x_vals.ndim != 3:
-        raise ShapeError(f"conv1d input must be rank 2 or 3, got {x.shape}")
-    if kernels.ndim != 3 or kernels.shape[1] != x_vals.shape[1]:
-        raise ShapeError(f"conv1d kernels {kernels.shape} do not match input channels {x_vals.shape[1]}")
-    c_out, c_in, k = kernels.shape
-    if bias.shape != (c_out,):
-        raise ShapeError(f"conv1d bias must have shape ({c_out},)")
+    layers = [as_tensor(t) for t in layers]
+    kernels = [as_tensor(t) for t in kernels]
+    biases = [as_tensor(t) for t in biases]
+    if not layers or not len(layers) == len(kernels) == len(biases):
+        raise ShapeError(
+            f"need one kernel and one bias per layer, got {len(layers)} layers, "
+            f"{len(kernels)} kernels and {len(biases)} biases"
+        )
+    shape = layers[0].shape
+    if len(shape) != 3 or any(t.shape != shape for t in layers):
+        raise ShapeError(f"layers must be [batch, tokens, channels], all of one shape, got {[t.shape for t in layers]}")
+    kshape = kernels[0].shape
+    if len(kshape) != 3 or kshape[1] != shape[2] or kshape[2] % 2 == 0 or any(t.shape != kshape for t in kernels):
+        raise ShapeError(f"kernels must be [C_out, {shape[2]}, odd k], all of one shape, got {[t.shape for t in kernels]}")
+    if any(t.shape != (kshape[0],) for t in biases):
+        raise ShapeError(f"biases must all have shape ({kshape[0]},)")
+    b, n, c_in = shape
+    c_out, _, k = kshape
+    n_layers = len(layers)
 
-    cols, n_out = _conv1d_cols(x_vals, k, stride, padding)
-    w2 = kernels.values.reshape(c_out, c_in * k)
-    out = cols @ w2.T + bias.values  # [B, N_out, C_out]
-    out_vals = out.transpose(0, 2, 1)
-    if squeeze:
-        out_vals = out_vals[0]
+    cols = _token_taps(np.stack([t.values for t in layers]), k).reshape(n_layers, b * n, c_in * k)
+    w = np.stack([t.values for t in kernels]).reshape(n_layers, c_out, c_in * k)
+    act = cols @ w.transpose(0, 2, 1) + np.stack([t.values for t in biases])[:, None, :]
+    np.maximum(act, 0.0, out=act)                                   # relu in place: [L, B*N, C_out]
+    pooled = act.reshape(n_layers, b, n, c_out).mean(axis=2)        # [L, B, C_out]
+    out_vals = pooled.transpose(1, 0, 2).reshape(b, n_layers * c_out)
 
     def build():
+        active = act > 0.0                                          # where the preactivation was positive
+
         def backward(g):
-            gt = (g[None] if squeeze else g).transpose(0, 2, 1)  # [B, N_out, C_out]
-            if kernels.requires_grad or kernels._backward is not None:
-                gw = np.tensordot(gt, cols, axes=([0, 1], [0, 1]))  # [C_out, C_in*k]
-                kernels._accumulate(gw.reshape(c_out, c_in, k))
-            if bias.requires_grad or bias._backward is not None:
-                bias._accumulate(gt.sum(axis=(0, 1)))
-            if x.requires_grad or x._backward is not None:
-                gcols = (gt @ w2).reshape(gt.shape[0], n_out, c_in, k)
-                gx = _conv1d_input_grad(gcols, x_vals.shape, k, stride, padding)
-                x._accumulate(gx[0] if squeeze else gx)
+            gp = g.reshape(b, n_layers, c_out).transpose(1, 0, 2)[:, :, None, :] * (1.0 / n)
+            gpre = (active.reshape(n_layers, b, n, c_out) * gp).reshape(n_layers, b * n, c_out)
+            grads = [
+                (kernels, (gpre.transpose(0, 2, 1) @ cols).reshape(n_layers, c_out, c_in, k)),
+                (biases, gpre.sum(axis=1)),
+            ]
+            if any(t.requires_grad or t._backward is not None for t in layers):
+                grads.append((layers, _token_taps_grad((gpre @ w).reshape(n_layers, b, n, c_in, k))))
+            for tensors, grad in grads:
+                for t, g_t in zip(tensors, grad):
+                    if t.requires_grad or t._backward is not None:
+                        t._accumulate(g_t)
 
         return backward
 
-    return make_result(out_vals, (x, kernels, bias), build, "conv1d")
+    return make_result(out_vals, (*layers, *kernels, *biases), build, "conv1d_relu_pool")
 
 
 def conv2d(x, kernels, bias, stride=1, padding=0):
@@ -190,42 +211,6 @@ def conv2d(x, kernels, bias, stride=1, padding=0):
         return backward
 
     return make_result(out_vals, (x, kernels, bias), build, "conv2d")
-
-
-# -- pooling -----------------------------------------------------------------
-
-
-def pool_bins(n, out_len):
-    """Bin edges for adaptive pooling: bin i spans [floor(i*N/out), floor((i+1)*N/out))."""
-    edges = [(i * n) // out_len for i in range(out_len + 1)]
-    spans = list(zip(edges[:-1], edges[1:]))
-    if any(hi <= lo for lo, hi in spans):
-        raise ShapeError(f"adaptive_avg_pool1d with out_len={out_len} > N={n} produces empty bins")
-    return spans
-
-
-def adaptive_avg_pool1d(x, out_len):
-    """Mean-pool the last axis of [C, N] or [B, C, N] into ``out_len`` bins."""
-    x = as_tensor(x)
-    if out_len < 1:
-        raise ShapeError(f"out_len must be >= 1, got {out_len}")
-    n = x.shape[-1]
-    spans = pool_bins(n, out_len)
-    if out_len == 1:
-        out_vals = x.values.mean(axis=-1, keepdims=True)
-    else:
-        out_vals = np.stack([x.values[..., lo:hi].mean(axis=-1) for lo, hi in spans], axis=-1)
-
-    def build():
-        def backward(g):
-            gx = np.zeros_like(x.values)
-            for i, (lo, hi) in enumerate(spans):
-                gx[..., lo:hi] += g[..., i : i + 1] / (hi - lo)
-            x._accumulate(gx)
-
-        return backward
-
-    return make_result(out_vals, (x,), build, "adaptive_avg_pool1d")
 
 
 # -- lookup ------------------------------------------------------------------

@@ -62,9 +62,6 @@ class ParamStore:
     def frozen_names(self):
         return set(self._frozen)
 
-    def is_frozen(self, name):
-        return name in self._frozen
-
     def trainable_names(self):
         return [n for n in self._entries if n not in self._frozen]
 
@@ -79,10 +76,6 @@ class ParamStore:
             t.requires_grad = n not in names
             if n in names:
                 t.grad = None
-
-    def zero_grads(self):
-        for t in self._entries.values():
-            t.grad = None
 
     def hash_of(self, names=None):
         """SHA-256 over the raw bytes of the given entries (default: all), in name order."""

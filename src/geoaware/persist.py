@@ -2,8 +2,9 @@
 
 Config sections are dataclasses whose fields all have defaults.  They are
 written with ``dataclasses.asdict`` and read back with ``from_dict``, the one
-decoder shared by run configs and checkpoint headers.  ``read_int`` applies
-the same no-coercion rule to the integer fields of dataset files.
+decoder shared by run configs and checkpoint headers.  ``read_int``,
+``read_float`` and ``read_floats`` apply the same no-coercion rule to the
+numeric fields of dataset files.
 """
 
 import dataclasses
@@ -45,6 +46,25 @@ def read_int(value, name):
     if type(value) is not int:
         raise FormatError(f"{name} must be int, got {type(value).__name__}")
     return value
+
+
+def read_float(value, name):
+    """``value`` as a float if it is an int or a float; a string, bool or
+    anything else raises ``FormatError``."""
+    if type(value) is not float and type(value) is not int:
+        raise FormatError(f"{name} must be a number, got {type(value).__name__}")
+    return float(value)
+
+
+def read_floats(values, name):
+    """``values`` if it is a list of numbers, each as ``read_float`` accepts
+    it; anything else raises ``FormatError``."""
+    if type(values) is not list:
+        raise FormatError(f"{name} must be a list of numbers, got {type(values).__name__}")
+    for v in values:
+        if type(v) is not float and type(v) is not int:
+            raise FormatError(f"{name} entries must be numbers, got {type(v).__name__}")
+    return values
 
 
 def write_atomic(path, data):

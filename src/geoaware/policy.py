@@ -27,8 +27,7 @@ from geoaware.errors import ConfigError, ShapeError, StateError, VocabularyError
 from geoaware.numerics import (
     ParamStore,
     Tensor,
-    adaptive_avg_pool1d,
-    conv1d,
+    conv1d_relu_pool,
     cross_entropy,
     embedding_lookup,
     layer_norm,
@@ -180,30 +179,27 @@ def _mlp2(x, store, p1, p2):
 def pooled_vision(selected_layers, store):
     """Conv/relu/pool stage of the vision projection: [batch, L * conv_dim].
 
-    Each of the L layers [batch, tokens, channels] gets its own conv over the
-    token axis (kernel 3, padded), relu, then pooling to a single vector; the
-    L vectors are concatenated.
+    Layer i of the L layers [batch, tokens, channels] gets its own conv over
+    the token axis (``vision.conv{i}``, kernel 3, padded to keep the tokens),
+    relu, then the mean over tokens; the L pooled vectors are concatenated in
+    layer order.  All of it is the one fused op ``conv1d_relu_pool``.  A batch
+    row is one (scene, view) pair, so callers fold the views into the batch.
     """
     conv_dim = store["vision.conv0.w"].shape[0]
     width = store["vision.mlp.1.w"].shape[0]
     if len(selected_layers) * conv_dim != width:
         raise ShapeError(f"expected {width // conv_dim} selected layers, got {len(selected_layers)}")
-    pooled = []
-    for i, layer in enumerate(selected_layers):
-        t = as_tensor(layer)
-        if t.ndim != 3:
-            raise ShapeError(f"pyramid layer must be [batch, tokens, channels], got rank {t.ndim}")
-        t = transpose(t, (0, 2, 1))                         # channels-first for the conv
-        t = relu(conv1d(t, store[f"vision.conv{i}.w"], store[f"vision.conv{i}.b"], padding=1))
-        t = adaptive_avg_pool1d(t, 1)
-        pooled.append(reshape(t, (t.shape[0], t.shape[1])))
-    return concat(pooled, axis=1)
+    return conv1d_relu_pool(
+        selected_layers,
+        [store[f"vision.conv{i}.w"] for i in range(len(selected_layers))],
+        [store[f"vision.conv{i}.b"] for i in range(len(selected_layers))],
+    )
 
 
 def project_vision(selected_layers, store, cfg: PolicyConfig):
     """Fuse L selected pyramid layers [batch, tokens, channels] into one
-    [batch, repr_dim] embedding: the conv/relu/pool stage
-    (``pooled_vision``) per layer, then a 2-layer MLP over the pooled vectors.
+    [batch, repr_dim] embedding per row: the conv/relu/pool stage
+    (``pooled_vision``), then a 2-layer MLP over the pooled vectors.
     """
     return _mlp2(pooled_vision(selected_layers, store), store, "vision.mlp.1", "vision.mlp.2")
 
@@ -254,15 +250,15 @@ class TokenSequence:
             )
 
 
-def build_token_sequence(z_vis_views, z_lang, z_proprio, store, cfg: PolicyConfig):
-    """Order the trunk input: each view's vision token, language, proprio, and
-    the learnable action token last."""
-    if len(z_vis_views) != cfg.views:
-        raise ShapeError(f"expected {cfg.views} vision embeddings, got {len(z_vis_views)}")
-    b = z_lang.shape[0]
-    parts = [reshape(z, (b, 1, cfg.repr_dim)) for z in (*z_vis_views, z_lang, z_proprio)]
-    action = reshape(store["token.action"], (1, 1, cfg.repr_dim))
-    parts.append(broadcast_to(action, (b, 1, cfg.repr_dim)))
+def build_token_sequence(z_vis, z_lang, z_proprio, store, cfg: PolicyConfig):
+    """Order the trunk input: the V vision tokens ``z_vis`` [batch, views,
+    repr_dim] in view order, then language and proprio ([batch, repr_dim]
+    each), and the learnable action token last."""
+    b, d = z_lang.shape[0], cfg.repr_dim
+    if z_vis.shape != (b, cfg.views, d):
+        raise ShapeError(f"vision tokens must be {(b, cfg.views, d)}, got {z_vis.shape}")
+    action = broadcast_to(reshape(store["token.action"], (1, 1, d)), (b, 1, d))
+    parts = [z_vis, reshape(z_lang, (b, 1, d)), reshape(z_proprio, (b, 1, d)), action]
     return TokenSequence(tokens=concat(parts, axis=1), positions=store["token.pos"])
 
 
@@ -275,7 +271,7 @@ def causal_mask(length, dtype=np.float64):
     return Tensor(mask)
 
 
-def _attention(x, store, prefix, cfg):
+def _attention(x, store, prefix, cfg, mask):
     b, s, h = x.shape
     heads = cfg.trunk_heads
     dh = h // heads
@@ -284,7 +280,7 @@ def _attention(x, store, prefix, cfg):
         p = matmul(x, store[f"{prefix}.attn.{name}.w"]) + store[f"{prefix}.attn.{name}.b"]
         parts[name] = transpose(reshape(p, (b, s, heads, dh)), (0, 2, 1, 3))
     scores = matmul(parts["q"], transpose(parts["k"], (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
-    scores = scores + causal_mask(s, dtype=x.values.dtype)
+    scores = scores + mask
     att = softmax(scores, axis=-1)
     out = transpose(matmul(att, parts["v"]), (0, 2, 1, 3))
     out = reshape(out, (b, s, h))
@@ -299,10 +295,11 @@ def trunk_forward(seq: TokenSequence, store, cfg: PolicyConfig, return_all=False
     x = seq.tokens + seq.positions
     if cfg.repr_dim != cfg.hidden_dim:
         x = matmul(x, store["adapter.w"]) + store["adapter.b"]
+    mask = causal_mask(x.shape[1], dtype=x.values.dtype)
     for blk in range(cfg.trunk_layers):
         p = f"trunk{blk}"
         normed = layer_norm(x, store[f"{p}.ln1.g"], store[f"{p}.ln1.b"])
-        x = x + _attention(normed, store, p, cfg)
+        x = x + _attention(normed, store, p, cfg, mask)
         normed = layer_norm(x, store[f"{p}.ln2.g"], store[f"{p}.ln2.b"])
         x = x + _mlp2(normed, store, f"{p}.ff.1", f"{p}.ff.2")
     if return_all:
@@ -405,8 +402,11 @@ def policy_forward(vision, instructions, proprio, store, cfg: PolicyConfig, voca
 
     ``vision`` is [batch, views, L_selected, tokens, channels] for the geo
     backbone (the selected layers of the frozen pyramid, every one of which
-    is used) or [batch, views, 3, H, W] images for the pixel baseline.
-    Returns [batch, chunk_len, 7], or (chunk, h_action).
+    is used) or [batch, views, 3, H, W] images for the pixel baseline.  The
+    views are folded into the batch (row b * views + v is scene b under view
+    v), so the vision encoder runs once per pass; the pixel encoder's
+    language conditioning is repeated per view to match.  Returns
+    [batch, chunk_len, 7], or (chunk, h_action).
     """
     vision = np.asarray(vision)
     if vision.ndim != 5 or vision.shape[1] != cfg.views:
@@ -414,13 +414,14 @@ def policy_forward(vision, instructions, proprio, store, cfg: PolicyConfig, voca
     z_lang = encode_language(instructions, store, vocab)
     if z_lang.ndim == 1:
         raise ShapeError("policy_forward wants a sequence of instructions, one per batch row")
+    b, d = vision.shape[0], cfg.repr_dim
+    folded = vision.reshape((b * cfg.views,) + vision.shape[2:])
     if cfg.backbone_kind == "geo":
-        z_vis = [
-            project_vision([Tensor(vision[:, v, l]) for l in range(vision.shape[2])], store, cfg)
-            for v in range(cfg.views)
-        ]
+        z_vis = project_vision([Tensor(folded[:, l]) for l in range(folded.shape[1])], store, cfg)
     else:
-        z_vis = [pixel_features(Tensor(vision[:, v]), z_lang, store) for v in range(cfg.views)]
+        z_lang_views = reshape(broadcast_to(reshape(z_lang, (b, 1, d)), (b, cfg.views, d)), (b * cfg.views, d))
+        z_vis = pixel_features(Tensor(folded), z_lang_views, store)
+    z_vis = reshape(z_vis, (b, cfg.views, d))
     z_prop = encode_proprio(proprio, store)
     seq = build_token_sequence(z_vis, z_lang, z_prop, store, cfg)
     h_action = trunk_forward(seq, store, cfg)

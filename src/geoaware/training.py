@@ -136,6 +136,7 @@ def _abort_guard(step_no, store, fn):
 
 CALIBRATION_SAMPLES = 1024      # probe batch behind calibrate_input_stats
 CALIBRATION_SEED_SALT = 631     # decorrelates the probe draw from batch sampling
+CALIBRATION_CHUNK = 128         # probe samples per encoder call; views fold in, so 256 rows
 
 
 def _fold_layer(store, features, w_name, b_name):
@@ -186,18 +187,16 @@ def calibrate_input_stats(policy: Policy, dataset, cameras=None, rng=None, sampl
     store = policy.params
     feats = []
     with no_grad():
-        for lo in range(0, samples, 256):
-            idx = [pairs[i] for i in picks[lo:lo + 256]]
+        for lo in range(0, samples, CALIBRATION_CHUNK):
+            idx = [pairs[i] for i in picks[lo:lo + CALIBRATION_CHUNK]]
             batch = make_batch(dataset, idx, policy, cameras, cache)
             vision = np.asarray(batch.vision)
+            folded = vision.reshape((-1,) + vision.shape[2:])        # row b * views + v, as in policy_forward
             if policy.cfg.backbone_kind == "geo":
-                for v in range(policy.cfg.views):
-                    layers = [Tensor(vision[:, v, l]) for l in range(vision.shape[2])]
-                    feats.append(pooled_vision(layers, store).values)
+                feats.append(pooled_vision([Tensor(folded[:, l]) for l in range(folded.shape[1])], store).values)
             else:
-                z_lang = encode_language(batch.instructions, store, policy.vocab)
-                for v in range(policy.cfg.views):
-                    feats.append(pixel_pooled(Tensor(vision[:, v]), z_lang, store).values)
+                z_lang = encode_language(batch.instructions, store, policy.vocab).values
+                feats.append(pixel_pooled(Tensor(folded), np.repeat(z_lang, policy.cfg.views, axis=0), store).values)
     features = np.concatenate(feats).astype(np.float64)
     if policy.cfg.backbone_kind == "geo":
         hidden = _fold_layer(store, features, "vision.mlp.1.w", "vision.mlp.1.b")

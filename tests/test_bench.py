@@ -110,6 +110,12 @@ def test_evaluate_counts_and_schema():
     assert all(set(r) == {"id", "successes", "rollouts", "rate"} for r in payload["tasks"])
 
 
+@pytest.mark.parametrize("rollouts, seeds", [(0, (0,)), (-1, (0,)), (2, ())])
+def test_evaluate_rejects_empty_evaluations(rollouts, seeds):
+    with pytest.raises(ConfigError):
+        evaluate(ExpertPolicy(), "seen", rollouts_per_task=rollouts, seeds=seeds, sim=SIM)
+
+
 def test_evaluate_is_deterministic():
     a = evaluate(ExpertPolicy(), "novel_medium", rollouts_per_task=2, seeds=(3,), sim=SIM)
     b = evaluate(ExpertPolicy(), "novel_medium", rollouts_per_task=2, seeds=(3,), sim=SIM)

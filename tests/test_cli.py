@@ -138,6 +138,14 @@ def test_eval_prints_rate_and_writes_report(workdir, checkpoint_path, capsys):
     assert all(row["rollouts"] == 2 for row in report["tasks"])
 
 
+@pytest.mark.parametrize("rollouts", ["0", "-2"])
+def test_eval_without_rollouts_exits_1(workdir, checkpoint_path, rollouts, capsys):
+    code = main(["eval", "--ckpt", str(checkpoint_path), "--rollouts", rollouts])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "rollouts_per_task" in err
+
+
 def test_eval_missing_checkpoint_exits_3(workdir, capsys):
     code = main(["eval", "--ckpt", str(workdir / "absent.ckpt")])
     err = capsys.readouterr().err

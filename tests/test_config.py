@@ -5,7 +5,7 @@ from dataclasses import asdict
 
 import pytest
 
-from geoaware.config import RunConfig, load_config, save_config
+from geoaware.config import RunConfig, load_config
 from geoaware.errors import ConfigError
 from geoaware.persist import from_dict
 
@@ -45,7 +45,7 @@ def test_section_must_be_object():
 def test_round_trip_lossless(tmp_path):
     cfg = from_dict(RunConfig, {"seed": 11, "policy": {"chunk_len": 2}, "geo": {"lift_seed": 9}}, "top-level")
     path = tmp_path / "run.json"
-    save_config(cfg, path)
+    path.write_text(json.dumps(asdict(cfg)))
     again = load_config(path)
     assert asdict(again) == asdict(cfg)
     # file is plain namespaced JSON

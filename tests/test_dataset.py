@@ -6,10 +6,28 @@ import numpy as np
 import pytest
 
 from geoaware.deskworld import SimConfig, generate_dataset, load_dataset, make_tasks, save_dataset, success
-from geoaware.deskworld.dataset import dumps_exact, replay_deviation, run_expert_episode
+from geoaware.deskworld.dataset import dumps_exact, run_expert_episode
+from geoaware.deskworld.world import Action, step
 from geoaware.errors import FormatError, GenerationError
 
 SIM = SimConfig()
+
+
+def replay_deviation(episode, sim):
+    """Max numeric deviation when replaying stored actions from the first scene."""
+    worst = 0.0
+    scene = episode.steps[0].scene
+    for i in range(len(episode.steps) - 1):
+        scene = step(scene, Action.from_vector(episode.steps[i].action), sim)
+        stored = episode.steps[i + 1].scene
+        worst = max(worst, float(np.abs(scene.ee_pos - stored.ee_pos).max()))
+        worst = max(worst, float(np.abs(scene.ee_rot - stored.ee_rot).max()))
+        worst = max(worst, abs(scene.gripper - stored.gripper))
+        for a, b in zip(scene.objects, stored.objects):
+            worst = max(worst, float(np.abs(a.pos - b.pos).max()))
+        if scene.held_object != stored.held_object:
+            return float("inf")
+    return worst
 
 
 def small_dataset(seed=0, episodes_per_task=3):

@@ -8,7 +8,7 @@ from geoaware.gradsuite import SUITE_TOLERANCE, run_gradcheck_suite, suite_passe
 
 EXPECTED_COMPONENTS = {
     "add_sub_mul", "matmul", "reshape_transpose_slice_concat", "relu",
-    "softmax", "layer_norm", "conv1d", "conv2d", "adaptive_avg_pool1d",
+    "softmax", "layer_norm", "conv1d_relu_pool", "conv2d",
     "embedding_lookup", "mse_loss", "cross_entropy", "project_vision",
     "pixel_features", "trunk", "mlp_head", "vqbet_head", "end_to_end",
 }
@@ -28,13 +28,14 @@ def test_suite_passes_within_budget():
 
 
 def test_broken_conv1d_backward_is_named(monkeypatch):
-    original = nnops._conv1d_input_grad
+    # skews the input gradient of conv1d_relu_pool's conv taps
+    original = nnops._token_taps_grad
 
-    def skewed(gcols, in_shape, k, stride, padding):
-        return original(gcols, in_shape, k, stride, padding) * 1.01
+    def skewed(gcols):
+        return original(gcols) * 1.01
 
-    monkeypatch.setattr(nnops, "_conv1d_input_grad", skewed)
+    monkeypatch.setattr(nnops, "_token_taps_grad", skewed)
     records = run_gradcheck_suite()
     assert not suite_passed(records)
     failed = {r["component"] for r in records if not r["passed"]}
-    assert "conv1d" in failed
+    assert "conv1d_relu_pool" in failed

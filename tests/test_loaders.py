@@ -10,13 +10,14 @@ exit 1, 3 or 4 rather than print a traceback.
 
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from geoaware.bench import AblationReport, EvalReport, emit_report
 from geoaware.cli import main
-from geoaware.config import RunConfig, load_config, save_config
+from geoaware.config import RunConfig, load_config
 from geoaware.backbones import GeoStubConfig
 from geoaware.deskworld.dataset import generate_dataset, load_dataset, save_dataset
 from geoaware.deskworld.world import SimConfig, make_tasks
@@ -76,7 +77,8 @@ def _write_checkpoint(path):
 
 
 def _write_config(path):
-    save_config(RunConfig(seed=2, train=TrainConfig(steps=10), sim=SimConfig(max_episode_steps=50)), path)
+    cfg = RunConfig(seed=2, train=TrainConfig(steps=10), sim=SimConfig(max_episode_steps=50))
+    path.write_text(json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n")
 
 
 def _write_dataset(path):
@@ -311,3 +313,40 @@ def test_mistyped_dataset_int_raises_format_error(tmp_path, edit, capsys):
         load_dataset(path)
     assert main(["train", "--data", str(path), "--out", str(tmp_path / "p.ckpt"), "--steps", "1"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda docs: docs[0]["seen_cameras"][0].update(focal="48.5"),
+     lambda docs: docs[1]["steps"][0]["scene"].update(gripper="1"),
+     lambda docs: docs[1]["steps"][0]["scene"]["goal_regions"][0].update(radius=True),
+     lambda docs: docs[0]["tasks"][0]["regions"][0].__setitem__(2, "0.06"),
+     lambda docs: docs[0]["seen_cameras"][1]["position"].__setitem__(0, "0.5"),
+     lambda docs: docs[1]["steps"][1]["scene"]["objects"][0]["pos"].__setitem__(2, False),
+     lambda docs: docs[1]["steps"][0].update(action=0.0)],
+    ids=["camera-focal-str", "scene-gripper-str", "goal-radius-bool", "task-radius-str",
+         "camera-position-entry-str", "object-pos-entry-bool", "step-action-scalar"],
+)
+def test_mistyped_dataset_float_raises_format_error(tmp_path, edit, capsys):
+    # float fields accept ints and floats only: "48.5" must not load as 48.5
+    path = tmp_path / "demos.jsonl"
+    _write_dataset(path)
+    fmt = JsonLines(path.read_bytes())
+    edit(fmt.docs)
+    path.write_bytes(fmt.encode(fmt.docs))
+    with pytest.raises(FormatError):
+        load_dataset(path)
+    assert main(["train", "--data", str(path), "--out", str(tmp_path / "p.ckpt"), "--steps", "1"]) == 1
+    capsys.readouterr()
+
+
+def test_dataset_float_fields_accept_ints(tmp_path):
+    path = tmp_path / "demos.jsonl"
+    _write_dataset(path)
+    fmt = JsonLines(path.read_bytes())
+    fmt.docs[0]["seen_cameras"][0]["focal"] = 48
+    fmt.docs[1]["steps"][0]["scene"]["gripper"] = 1
+    path.write_bytes(fmt.encode(fmt.docs))
+    loaded = load_dataset(path)
+    assert loaded.cameras[0].focal == 48.0 and type(loaded.cameras[0].focal) is float
+    assert loaded.episodes[0].steps[0].scene.gripper == 1.0

@@ -8,8 +8,7 @@ import pytest
 from geoaware.errors import InputError, ShapeError
 from geoaware.numerics import (
     Tensor,
-    adaptive_avg_pool1d,
-    conv1d,
+    conv1d_relu_pool,
     conv2d,
     cross_entropy,
     embedding_lookup,
@@ -20,7 +19,6 @@ from geoaware.numerics import (
     softmax,
     tensor_sum,
 )
-from geoaware.numerics.nnops import pool_bins
 
 TOL = 1e-4
 
@@ -65,63 +63,124 @@ def test_activation_grads_match_fd(seed):
     assert grad_check(lambda ts: tensor_sum(layer_norm(ts[0], ts[1], ts[2]) * ts[3]), [x, g, b, w]) <= TOL
 
 
-# -- conv1d ------------------------------------------------------------------
+# -- conv1d_relu_pool ---------------------------------------------------------
+
+
+def reference_conv1d_relu_pool(layers, kernels, biases):
+    """The op from its definition, one output entry at a time: a padded
+    stride-1 cross-correlation over tokens, relu, mean over tokens, layers
+    concatenated in order."""
+    out = []
+    for x, w, bias in zip(layers, kernels, biases):
+        b, n, c_in = x.shape
+        c_out, _, k = w.shape
+        pooled = np.zeros((b, c_out), dtype=np.float64)
+        for row in range(b):
+            for o in range(c_out):
+                for tok in range(n):
+                    acc = float(bias[o])
+                    for t in range(k):
+                        src = tok + t - k // 2
+                        if 0 <= src < n:
+                            acc += float(np.dot(w[o, :, t].astype(np.float64), x[row, src].astype(np.float64)))
+                    pooled[row, o] += max(acc, 0.0) / n
+        out.append(pooled)
+    return np.concatenate(out, axis=1)
+
+
+def random_conv_inputs(rng, n_layers, b, n, c_in, c_out, k, dtype=np.float64):
+    layers = [rng.standard_normal((b, n, c_in)).astype(dtype) for _ in range(n_layers)]
+    kernels = [(rng.standard_normal((c_out, c_in, k)) * 0.5).astype(dtype) for _ in range(n_layers)]
+    biases = [(rng.standard_normal(c_out) * 0.1).astype(dtype) for _ in range(n_layers)]
+    return layers, kernels, biases
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1, 1, 1), (3, 2, 5, 4, 3, 3), (2, 3, 16, 6, 5, 5), (4, 2, 2, 3, 4, 3)])
+def test_conv1d_relu_pool_matches_reference(shape, dtype, tol):
+    layers, kernels, biases = random_conv_inputs(np.random.default_rng(sum(shape)), *shape, dtype=dtype)
+    out = conv1d_relu_pool(layers, kernels, biases)
+    assert out.dtype == dtype
+    ref = reference_conv1d_relu_pool(layers, kernels, biases)
+    assert out.shape == ref.shape == (shape[1], shape[0] * shape[4])
+    assert np.abs(out.values - ref).max() <= tol
 
 
 def test_conv1d_identity_kernel():
-    x = np.arange(1.0, 6.0).reshape(1, 5)
-    out = conv1d(Tensor(x), Tensor(np.ones((1, 1, 1))), Tensor(np.zeros(1)))
-    assert np.array_equal(out.values, x)
+    # centre tap 1 on positive tokens: the output is the mean token
+    x = np.arange(1.0, 11.0).reshape(1, 5, 2)
+    kernel = np.zeros((2, 2, 3))
+    kernel[[0, 1], [0, 1], 1] = 1.0
+    out = conv1d_relu_pool([x], [kernel], [np.zeros(2)])
+    assert np.array_equal(out.values, x.mean(axis=1))
 
 
 def test_conv1d_hand_value_cross_correlation():
-    # [1,2,3] * kernel [1,1], stride 1, no padding: windows [1,2],[2,3] -> [3,5]
-    out = conv1d(Tensor([[1.0, 2.0, 3.0]]), Tensor([[[1.0, 1.0]]]), Tensor([0.0]))
-    assert np.array_equal(out.values, [[3.0, 5.0]])
+    # tokens [1, 2, 3], kernel [1, 1, 1], zero padded: [0+1+2, 1+2+3, 2+3+0] = [3, 6, 5] -> mean 14/3;
+    # the second layer's bias -4 leaves relu([-1, 2, 1]) = [0, 2, 1] -> mean 1
+    x = np.array([[[1.0], [2.0], [3.0]]])
+    out = conv1d_relu_pool([x, x], [np.ones((1, 1, 3))] * 2, [np.zeros(1), np.array([-4.0])])
+    assert np.allclose(out.values, [[14.0 / 3.0, 1.0]], rtol=1e-15, atol=0)
 
 
 def test_conv1d_no_kernel_flip():
-    # Asymmetric kernel distinguishes correlation from convolution.
-    out = conv1d(Tensor([[1.0, 0.0, 0.0]]), Tensor([[[1.0, 2.0]]]), Tensor([0.0]))
-    # window [1,0] . [1,2] = 1, window [0,0] . [1,2] = 0
-    assert np.array_equal(out.values, [[1.0, 0.0]])
+    # Asymmetric kernel [1, 2, 3] distinguishes correlation from convolution.
+    # Token 0 hot: out = [2, 1, 0] (flipped would be [2, 3, 0]); token 2 hot: out = [0, 3, 2].
+    kernel = np.array([[[1.0, 2.0, 3.0]]])
+    first = conv1d_relu_pool([np.array([[[1.0], [0.0], [0.0]]])], [kernel], [np.zeros(1)])
+    last = conv1d_relu_pool([np.array([[[0.0], [0.0], [1.0]]])], [kernel], [np.zeros(1)])
+    assert np.array_equal(first.values * 3.0, [[3.0]])
+    assert np.array_equal(last.values * 3.0, [[5.0]])
 
 
 def test_conv1d_output_length():
-    x = Tensor(np.ones((2, 10)))
-    out = conv1d(x, Tensor(np.ones((3, 2, 3))), Tensor(np.zeros(3)), stride=2, padding=1)
-    assert out.values.shape == (3, (10 + 2 - 3) // 2 + 1)
+    # "same" padding: output is [B, L * C_out] whatever the token count, layer-major
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 7):
+        layers, kernels, biases = random_conv_inputs(rng, 3, 2, n, 4, 5, 3)
+        out = conv1d_relu_pool(layers, kernels, biases)
+        assert out.shape == (2, 15)
+        alone = conv1d_relu_pool(layers[1:2], kernels[1:2], biases[1:2])
+        assert np.array_equal(out.values[:, 5:10], alone.values)
 
 
-def test_conv1d_empty_output_rejected():
-    with pytest.raises(ShapeError):
-        conv1d(Tensor(np.ones((1, 2))), Tensor(np.ones((1, 1, 5))), Tensor(np.zeros(1)))
+def test_conv1d_relu_pool_shape_errors():
+    x, w, b = np.ones((2, 5, 3)), np.ones((4, 3, 3)), np.zeros(4)
+    bad = [
+        ([x, x], [w], [b, b]),                              # fewer kernels than layers
+        ([], [], []),                                       # no layers
+        ([np.ones((5, 3))], [w], [b]),                      # unbatched layer
+        ([x, np.ones((2, 6, 3))], [w, w], [b, b]),          # layers of different shapes
+        ([x], [np.ones((4, 2, 3))], [b]),                   # kernel channels != layer channels
+        ([x], [np.ones((4, 3, 2))], [b]),                   # even kernel has no centre tap
+        ([x], [w], [np.zeros(3)]),                          # bias width != kernel outputs
+    ]
+    for layers, kernels, biases in bad:
+        with pytest.raises(ShapeError):
+            conv1d_relu_pool(layers, kernels, biases)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_conv1d_grad_matches_fd(seed):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((3, 8))
-    w = rng.standard_normal((2, 3, 3))
-    b = rng.standard_normal(2)
-    probe = rng.standard_normal((2, 4))
+    layers, kernels, biases = random_conv_inputs(rng, 2, 2, 6, 3, 4, 3)
+    probe = rng.standard_normal((2, 8))
+    leaves = layers + kernels + biases
 
     def f(ts):
-        return tensor_sum(conv1d(ts[0], ts[1], ts[2], stride=2, padding=1) * ts[3])
+        return tensor_sum(conv1d_relu_pool(ts[0:2], ts[2:4], ts[4:6]) * Tensor(probe))
 
-    assert grad_check(f, [x, w, b, probe]) <= TOL
+    assert grad_check(f, leaves) <= TOL
 
 
 def test_conv1d_batched_grad_matches_fd():
     rng = np.random.default_rng(11)
-    x = rng.standard_normal((2, 3, 6))
-    w = rng.standard_normal((4, 3, 3))
-    b = rng.standard_normal(4)
+    layers, kernels, biases = random_conv_inputs(rng, 3, 4, 5, 2, 3, 5)
 
     def f(ts):
-        return tensor_sum(conv1d(ts[0], ts[1], ts[2], padding=1))
+        return tensor_sum(conv1d_relu_pool(ts[0:3], ts[3:6], ts[6:9]))
 
-    assert grad_check(f, [x, w, b]) <= TOL
+    assert grad_check(f, layers + kernels + biases) <= TOL
 
 
 # -- conv2d ------------------------------------------------------------------
@@ -146,45 +205,37 @@ def test_conv2d_grad_matches_fd(seed):
     assert grad_check(f, [x, w, b]) <= TOL
 
 
-# -- adaptive pooling --------------------------------------------------------
+# -- token pooling (conv1d_relu_pool) ------------------------------------------
 
 
 def test_pool_identity_when_out_equals_n():
-    x = np.arange(12.0).reshape(3, 4)
-    out = adaptive_avg_pool1d(Tensor(x), 4)
-    assert np.array_equal(out.values, x)
+    # one token: pooling leaves that token's (relu'd) conv output unchanged
+    x = np.array([[[2.0, -3.0, 5.0]]])
+    kernel = np.zeros((3, 3, 3))
+    kernel[[0, 1, 2], [0, 1, 2], 1] = 1.0
+    out = conv1d_relu_pool([x], [kernel], [np.zeros(3)])
+    assert np.array_equal(out.values, [[2.0, 0.0, 5.0]])
 
 
 def test_pool_full_mean():
-    out = adaptive_avg_pool1d(Tensor([[2.0, 4.0, 6.0]]), 1)
+    x = np.array([[[2.0], [4.0], [6.0]]])
+    out = conv1d_relu_pool([x], [np.array([[[0.0, 1.0, 0.0]]])], [np.zeros(1)])
     assert np.array_equal(out.values, [[4.0]])
-
-
-def test_pool_bin_edges_formula():
-    # Oracle: enumerate edges floor(i*N/out) for N=7, out_len=3.
-    expected = [((i * 7) // 3, ((i + 1) * 7) // 3) for i in range(3)]
-    assert pool_bins(7, 3) == expected == [(0, 2), (2, 4), (4, 7)]
-    x = np.arange(7.0).reshape(1, 7)
-    out = adaptive_avg_pool1d(Tensor(x), 3)
-    manual = [x[0, lo:hi].mean() for lo, hi in expected]
-    assert np.allclose(out.values, [manual])
-
-
-def test_pool_more_bins_than_elements_rejected():
-    with pytest.raises(ShapeError):
-        adaptive_avg_pool1d(Tensor(np.ones((1, 3))), 5)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_pool_grad_matches_fd(seed):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((2, 3, 7))
-    probe = rng.standard_normal((2, 3, 3))
+    # single-token and long-token layers: the pooled gradient spreads 1/N over
+    # the tokens that pass the relu
+    rng = np.random.default_rng(100 + seed)
+    n = (1, 9)[seed % 2]
+    layers, kernels, biases = random_conv_inputs(rng, 1, 3, n, 2, 4, 3)
+    probe = rng.standard_normal((3, 4))
 
     def f(ts):
-        return tensor_sum(adaptive_avg_pool1d(ts[0], 3) * ts[1])
+        return tensor_sum(conv1d_relu_pool(ts[0:1], ts[1:2], ts[2:3]) * Tensor(probe))
 
-    assert grad_check(f, [x, probe]) <= TOL
+    assert grad_check(f, layers + kernels + biases) <= TOL
 
 
 # -- embedding ---------------------------------------------------------------

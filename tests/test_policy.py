@@ -62,6 +62,11 @@ def rand_vision(rng, cfg, geo=TINY_GEO, batch=2):
     return rng.standard_normal((batch, cfg.views, geo.num_layers, geo.num_keypoints, geo.feature_dim))
 
 
+def clear_grads(store):
+    for _, t in store.items():
+        t.grad = None
+
+
 # -- config ------------------------------------------------------------------
 
 
@@ -97,7 +102,7 @@ def test_init_is_deterministic_per_seed():
 
 def test_language_table_is_frozen_and_seed_independent():
     a, b = tiny_policy(seed=0), tiny_policy(seed=99)
-    assert a.params.is_frozen("lang.table")
+    assert "lang.table" in a.params.frozen_names()
     assert np.array_equal(a.params["lang.table"].values, b.params["lang.table"].values)
 
 
@@ -183,7 +188,7 @@ def test_encode_proprio_contracts():
 
 def _token_sequence(pol, rng, batch=2):
     cfg = pol.cfg
-    z_vis = [Tensor(rng.standard_normal((batch, cfg.repr_dim))) for _ in range(cfg.views)]
+    z_vis = Tensor(np.stack([rng.standard_normal((batch, cfg.repr_dim)) for _ in range(cfg.views)], axis=1))
     z_lang = Tensor(rng.standard_normal((batch, cfg.repr_dim)))
     z_prop = Tensor(rng.standard_normal((batch, cfg.repr_dim)))
     return build_token_sequence(z_vis, z_lang, z_prop, pol.params, cfg)
@@ -194,6 +199,9 @@ def test_token_sequence_layout():
     seq = _token_sequence(pol, np.random.default_rng(0))
     assert seq.tokens.shape == (2, 5, 8)
     assert np.array_equal(seq.tokens.values[:, -1], np.tile(pol.params["token.action"].values, (2, 1)))
+    z = Tensor(np.zeros((2, 8)))
+    with pytest.raises(ShapeError):
+        build_token_sequence(Tensor(np.zeros((2, 3, 8))), z, z, pol.params, pol.cfg)     # three views, two expected
     with pytest.raises(ShapeError):
         TokenSequence(tokens=Tensor(np.zeros((2, 5, 8))), positions=Tensor(np.zeros((4, 8))))
 
@@ -303,7 +311,7 @@ def test_straight_through_gradient_contract():
 
     # identity-quantizer reference: a leaf sitting at the quantizer output
     ref_leaf = Tensor(picked.values.copy(), requires_grad=True)
-    pol.params.zero_grads()
+    clear_grads(pol.params)
     mse_loss(vq_decode(ref_leaf, pol.params), target).backward()
     assert np.abs(st_grad - ref_leaf.grad).max() <= 1e-9
 
@@ -350,7 +358,7 @@ def test_vq_gradient_routing():
     assert pol.params["vq.codes"].grad is not None
     assert all(pol.params[n].grad is None for n in enc_names)
 
-    pol.params.zero_grads()
+    clear_grads(pol.params)
     z_e = vq_encode(actions, pol.params)
     _, picked = vq_quantize(z_e, pol.params["vq.codes"])
     mse_loss(z_e, picked.detach()).backward()     # commitment term
@@ -408,6 +416,29 @@ def test_policy_forward_shapes_and_purity():
     assert np.array_equal(out.values, again.values)
 
 
+def test_folded_views_match_separate_calls():
+    # float32 policies: folding views into the batch changes only rounding
+    rng = np.random.default_rng(24)
+    pol = Policy(tiny_cfg(), VOCAB, seed=25, geo=TINY_GEO)
+    vision = rand_vision(rng, pol.cfg, batch=3).astype(np.float32)
+    folded = vision.reshape((6,) + vision.shape[2:])
+    z = project_vision([folded[:, l] for l in range(3)], pol.params, pol.cfg).values
+    for row in range(6):
+        b, v = divmod(row, pol.cfg.views)
+        alone = project_vision([vision[b : b + 1, v, l] for l in range(3)], pol.params, pol.cfg).values
+        np.testing.assert_allclose(z[row], alone[0], rtol=1e-5, atol=1e-6)
+
+    pixel = Policy(PolicyConfig(backbone_kind="pixel"), VOCAB, seed=26)
+    images = rng.uniform(0.0, 1.0, (3, 2, 3, 16, 16)).astype(np.float32)
+    for pol, vision in ((pol, vision), (pixel, images)):
+        instructions = [VOCAB[2], VOCAB[0], VOCAB[1]]
+        proprio = rng.standard_normal((3, 7)).astype(np.float32)
+        batched = pol.forward(vision, instructions, proprio).values
+        for b in range(3):
+            alone = pol.forward(vision[b : b + 1], instructions[b : b + 1], proprio[b : b + 1]).values
+            np.testing.assert_allclose(batched[b], alone[0], rtol=1e-5, atol=1e-6)
+
+
 def test_featurize_returns_only_selected_layers():
     geo = GeoStubConfig()
     pol = Policy(PolicyConfig(select_mode="even", select_count=4), VOCAB, seed=0, geo=geo)
@@ -453,17 +484,15 @@ def test_policy_vision_input_gradients():
     picks = [1, 2, 3]
 
     def f(leaves):
-        z_vis = [
-            project_vision([leaves[v * 3 + (l - 1)] for l in picks], pol.params, pol.cfg)
-            for v in range(2)
-        ]
+        # one leaf per selected layer, views folded into the batch: row b * 2 + v
+        z_vis = project_vision([leaves[l - 1] for l in picks], pol.params, pol.cfg).reshape(2, 2, 8)
         z_lang = encode_language([VOCAB[0], VOCAB[1]], pol.params, pol.vocab)
-        z_prop = encode_proprio(leaves[6], pol.params)
+        z_prop = encode_proprio(leaves[3], pol.params)
         seq = build_token_sequence(z_vis, z_lang, z_prop, pol.params, pol.cfg)
         h = trunk_forward(seq, pol.params, pol.cfg)
         return (mlp_head(h, pol.params, pol.cfg) * 0.5).mean()
 
-    leaves = [rng.standard_normal((2, 5, 4)) for _ in range(6)] + [rng.standard_normal((2, 7))]
+    leaves = [rng.standard_normal((4, 5, 4)) for _ in range(3)] + [rng.standard_normal((2, 7))]
     assert grad_check(f, leaves) <= 1e-4
 
 
@@ -507,7 +536,7 @@ def test_no_dead_parameters_vqbet_geo():
         grad = pol.params[name].grad
         assert grad is not None and np.any(grad != 0.0), f"dead codebook parameter {name}"
 
-    pol.params.zero_grads()
+    clear_grads(pol.params)
     pol.codebook_trained = True
     vision = rand_vision(rng, pol.cfg)
     out, h = pol.forward(vision, [VOCAB[0], VOCAB[1]], rng.standard_normal((2, 7)), return_trunk=True)
