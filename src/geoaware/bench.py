@@ -90,14 +90,15 @@ def evaluate(policy, category, rollouts_per_task=10, seeds=(0,), sim: SimConfig 
 
     Each (seed, task, repeat) triple gets its own reset and, for novel
     categories, its own camera pair; rates are percents over all rollouts.
-    At least one rollout per task and one seed are required.
+    At least one task, one rollout per task and one seed are required.
     """
     sim = sim or SimConfig()
     tasks = list(tasks) if tasks is not None else make_tasks()
     seeds = list(seeds)
-    if rollouts_per_task < 1 or not seeds:
+    if not tasks or rollouts_per_task < 1 or not seeds:
         raise ConfigError(
-            f"evaluation needs rollouts_per_task >= 1 and at least one seed, got {rollouts_per_task} and {seeds}"
+            "evaluation needs at least one task, rollouts_per_task >= 1 and at least one seed, "
+            f"got {len(tasks)} tasks, {rollouts_per_task} and {seeds}"
         )
     training_cams = seen_cameras(sim)
     rows = []

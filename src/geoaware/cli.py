@@ -5,8 +5,8 @@ Every subcommand is bit-reproducible given identical flags and seed.  Flag
 values take precedence over config-file values, which take precedence over the
 GEOAWARE_SEED environment variable, which takes precedence over built-in
 defaults.  Exit codes: 0 success, 1 usage or input problem, 2 numeric abort
-(non-finite loss or a failed gradient check), 3 checkpoint missing or config
-mismatch, 4 report schema mismatch.
+(non-finite loss or gradient, or a failed gradient check), 3 checkpoint
+missing or config mismatch, 4 report schema mismatch.
 """
 
 from __future__ import annotations

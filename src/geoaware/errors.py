@@ -10,7 +10,9 @@ class ShapeError(GeoAwareError):
 
 
 class NumericError(GeoAwareError):
-    """A computation produced non-finite values."""
+    """Non-finite values where finiteness is checked: a ``Tensor`` built from
+    outside data, a training loss before ``backward``, or a gradient in
+    ``adamw_step``.  Ops themselves do not check their results."""
 
 
 class StateError(GeoAwareError):
@@ -54,10 +56,11 @@ class SchemaError(GeoAwareError):
 
 
 class NumericAbort(GeoAwareError):
-    """Training aborted because the loss became non-finite."""
+    """Training aborted because a loss or a gradient became non-finite;
+    ``cause`` is the message of the ``NumericError`` that stopped it."""
 
-    def __init__(self, step, param_norms):
+    def __init__(self, step, param_norms, cause="non-finite loss"):
         self.step = step
         self.param_norms = dict(param_norms)
         summary = ", ".join(f"{k}={v:.3e}" for k, v in list(param_norms.items())[:6])
-        super().__init__(f"non-finite loss at step {step} (param norms: {summary}, ...)")
+        super().__init__(f"{cause} at step {step} (param norms: {summary}, ...)")

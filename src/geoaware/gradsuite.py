@@ -13,6 +13,7 @@ import numpy as np
 from geoaware.backbones import GeoBackbone, GeoStubConfig, init_pixel_params, pixel_features
 from geoaware.numerics.gradcheck import grad_check
 from geoaware.numerics.nnops import (
+    attention_block,
     conv1d_relu_pool,
     conv2d,
     cross_entropy,
@@ -20,13 +21,13 @@ from geoaware.numerics.nnops import (
     layer_norm,
     mse_loss,
     relu,
-    softmax,
 )
 from geoaware.numerics.params import ParamStore
 from geoaware.numerics.tensor import Tensor, concat
 from geoaware.policy import (
     PolicyConfig,
     build_token_sequence,
+    causal_mask,
     init_policy_params,
     mlp_head,
     policy_forward,
@@ -95,17 +96,6 @@ def _check_relu(step):
     return grad_check(f, [a], step=step)
 
 
-def _check_softmax(step):
-    rng = np.random.default_rng(105)
-    a = rng.normal(size=(2, 6))
-    w = rng.normal(size=(2, 6))
-
-    def f(leaves):
-        return (softmax(leaves[0], axis=-1) * Tensor(w)).sum()
-
-    return grad_check(f, [a], step=step)
-
-
 def _check_layer_norm(step):
     rng = np.random.default_rng(106)
     x = rng.normal(size=(2, 3, 6))
@@ -118,6 +108,21 @@ def _check_layer_norm(step):
         return (layer_norm(h, g, b) * Tensor(w)).sum()
 
     return grad_check(f, [x, gamma, beta], step=step)
+
+
+def _check_attention_block(step):
+    # all 9 inputs are leaves; the causal mask zeroes every future key
+    rng = np.random.default_rng(109)
+    b, s, h, heads = 2, 4, 6, 2
+    x = rng.normal(size=(b, s, h))
+    params = [rng.normal(size=shape) * 0.5 for _ in range(4) for shape in ((h, h), (h,))]
+    mask = causal_mask(s)
+    w = rng.normal(size=(b, s, h))
+
+    def f(leaves):
+        return (attention_block(*leaves, heads, mask) * Tensor(w)).sum()
+
+    return grad_check(f, [x] + params, step=step)
 
 
 def _check_conv1d_relu_pool(step):
@@ -323,8 +328,8 @@ _CHECKS = [
     ("matmul", _check_matmul),
     ("reshape_transpose_slice_concat", _check_shape_ops),
     ("relu", _check_relu),
-    ("softmax", _check_softmax),
     ("layer_norm", _check_layer_norm),
+    ("attention_block", _check_attention_block),
     ("conv1d_relu_pool", _check_conv1d_relu_pool),
     ("conv2d", _check_conv2d),
     ("embedding_lookup", _check_embedding),

@@ -20,6 +20,7 @@ from geoaware.numerics.tensor import (
     transpose,
 )
 from geoaware.numerics.nnops import (
+    attention_block,
     conv1d_relu_pool,
     conv2d,
     cross_entropy,
@@ -27,7 +28,6 @@ from geoaware.numerics.nnops import (
     layer_norm,
     mse_loss,
     relu,
-    softmax,
 )
 from geoaware.numerics.params import ParamStore
 from geoaware.numerics.optim import AdamWState, adamw_step, init_adamw
@@ -47,8 +47,8 @@ __all__ = [
     "mean",
     "no_grad",
     "relu",
-    "softmax",
     "layer_norm",
+    "attention_block",
     "conv1d_relu_pool",
     "conv2d",
     "embedding_lookup",

@@ -4,10 +4,15 @@ Each op has a fused backward closure; all of them are exercised against
 central finite differences by the gradient-check suite.  Ops are as coarse as
 their callers allow, since every op pays Python overhead: the geometric
 vision projection's per-layer conv, relu and token pooling are one op,
-``conv1d_relu_pool``, over all selected layers at once.
+``conv1d_relu_pool``, over all selected layers at once, and a trunk block's
+whole self-attention (q/k/v projections, masked softmax, context and output
+projection) is one op, ``attention_block``.  Ops do not check their results
+for NaN or Inf; see the ``tensor`` module for where finiteness is checked.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -29,24 +34,7 @@ def relu(a):
 
         return backward
 
-    return make_result(out_vals, (a,), build, "relu")
-
-
-def softmax(a, axis=-1):
-    """Numerically stable softmax along ``axis``; rows sum to 1."""
-    a = as_tensor(a)
-    shifted = a.values - a.values.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    out_vals = exp / exp.sum(axis=axis, keepdims=True)
-
-    def build():
-        def backward(g):
-            inner = (g * out_vals).sum(axis=axis, keepdims=True)
-            a._accumulate(out_vals * (g - inner))
-
-        return backward
-
-    return make_result(out_vals, (a,), build, "softmax")
+    return make_result(out_vals, (a,), build)
 
 
 def layer_norm(x, gamma, beta, eps=1e-6):
@@ -77,7 +65,77 @@ def layer_norm(x, gamma, beta, eps=1e-6):
 
         return backward
 
-    return make_result(out_vals, (x, gamma, beta), build, "layer_norm")
+    return make_result(out_vals, (x, gamma, beta), build)
+
+
+# -- attention ---------------------------------------------------------------
+
+
+def _softmax_grad(out, g):
+    """Input gradient of a last-axis softmax from its output ``out`` and output gradient ``g``."""
+    return out * (g - (g * out).sum(axis=-1, keepdims=True))
+
+
+def attention_block(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, mask):
+    """Multi-head self-attention with its output projection: [B, S, H] -> [B, S, H].
+
+    q, k and v are ``x @ w + b`` for their [H, H] weights and [H] biases,
+    computed as one matmul over the concatenated weights and split into
+    ``heads`` heads of width H / heads.  Scores are q k^T / sqrt(H / heads)
+    plus ``mask``, a plain [S, S] additive array (not differentiated), then
+    a numerically stable softmax over keys; the heads' contexts are
+    concatenated and projected by ``wo``, ``bo``.  Computes in ``x``'s dtype:
+    the mask is cast to it and the scale is a Python float, so float32
+    inputs never promote.
+    """
+    x, wq, bq, wk, bk, wv, bv, wo, bo = (as_tensor(t) for t in (x, wq, bq, wk, bk, wv, bv, wo, bo))
+    if x.ndim != 3:
+        raise ShapeError(f"attention input must be [batch, length, width], got {x.shape}")
+    b, s, h = x.shape
+    if heads < 1 or h % heads:
+        raise ShapeError(f"width {h} does not split into {heads} heads")
+    if any(w.shape != (h, h) for w in (wq, wk, wv, wo)) or any(t.shape != (h,) for t in (bq, bk, bv, bo)):
+        raise ShapeError(f"attention weights must be ({h}, {h}) and biases ({h},)")
+    mask = np.asarray(mask, dtype=x.values.dtype)
+    if mask.shape != (s, s):
+        raise ShapeError(f"attention mask must be ({s}, {s}), got {mask.shape}")
+    dh = h // heads
+    scale = 1.0 / math.sqrt(dh)
+
+    w_qkv = np.concatenate([wq.values, wk.values, wv.values], axis=1)        # [H, 3H]
+    qkv = x.values @ w_qkv + np.concatenate([bq.values, bk.values, bv.values])
+    q, k, v = qkv.reshape(b, s, 3, heads, dh).transpose(2, 0, 3, 1, 4)     # 3 x [B, heads, S, dh]
+    scores = (q @ k.transpose(0, 1, 3, 2)) * scale
+    scores += mask
+    att = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    att /= att.sum(axis=-1, keepdims=True)
+    ctx = (att @ v).transpose(0, 2, 1, 3).reshape(b, s, h)
+    out_vals = ctx @ wo.values + bo.values
+
+    def build():
+        def backward(g):
+            g2 = g.reshape(b * s, h)
+            gctx = (g @ wo.values.T).reshape(b, s, heads, dh).transpose(0, 2, 1, 3)
+            gatt = gctx @ v.transpose(0, 1, 3, 2)
+            gscores = _softmax_grad(att, gatt) * scale
+            gqkv = np.stack([gscores @ k, gscores.transpose(0, 1, 3, 2) @ q, att.transpose(0, 1, 3, 2) @ gctx])
+            gqkv = gqkv.transpose(1, 3, 0, 2, 4).reshape(b * s, 3 * h)        # [B*S, 3H], columns q | k | v
+            gw = x.values.reshape(b * s, h).T @ gqkv
+            gb = gqkv.sum(axis=0)
+            grads = [
+                (wq, gw[:, :h]), (wk, gw[:, h:2 * h]), (wv, gw[:, 2 * h:]),
+                (bq, gb[:h]), (bk, gb[h:2 * h]), (bv, gb[2 * h:]),
+                (wo, ctx.reshape(b * s, h).T @ g2), (bo, g2.sum(axis=0)),
+            ]
+            if x.requires_grad or x._backward is not None:
+                grads.append((x, (gqkv @ w_qkv.T).reshape(b, s, h)))
+            for t, g_t in grads:
+                if t.requires_grad or t._backward is not None:
+                    t._accumulate(g_t)
+
+        return backward
+
+    return make_result(out_vals, (x, wq, bq, wk, bk, wv, bv, wo, bo), build)
 
 
 # -- convolutions ------------------------------------------------------------
@@ -163,7 +221,7 @@ def conv1d_relu_pool(layers, kernels, biases):
 
         return backward
 
-    return make_result(out_vals, (*layers, *kernels, *biases), build, "conv1d_relu_pool")
+    return make_result(out_vals, (*layers, *kernels, *biases), build)
 
 
 def conv2d(x, kernels, bias, stride=1, padding=0):
@@ -210,7 +268,7 @@ def conv2d(x, kernels, bias, stride=1, padding=0):
 
         return backward
 
-    return make_result(out_vals, (x, kernels, bias), build, "conv2d")
+    return make_result(out_vals, (x, kernels, bias), build)
 
 
 # -- lookup ------------------------------------------------------------------
@@ -234,7 +292,7 @@ def embedding_lookup(table, indices):
 
         return backward
 
-    return make_result(out_vals, (table,), build, "embedding_lookup")
+    return make_result(out_vals, (table,), build)
 
 
 # -- losses ------------------------------------------------------------------
@@ -259,7 +317,7 @@ def mse_loss(pred, target):
 
         return backward
 
-    return make_result(out_vals, (pred, target), build, "mse_loss")
+    return make_result(out_vals, (pred, target), build)
 
 
 def cross_entropy(logits, labels):
@@ -292,4 +350,4 @@ def cross_entropy(logits, labels):
 
         return backward
 
-    return make_result(out_vals, (logits,), build, "cross_entropy")
+    return make_result(out_vals, (logits,), build)

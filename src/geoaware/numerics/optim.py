@@ -9,7 +9,9 @@ Update per parameter p with gradient g:
 
 Decay multiplies the raw parameter, not the gradient, so a zero-gradient step
 shrinks p by exactly (1 - lr * weight_decay).  Frozen entries are skipped
-bitwise; gradients of updated entries are cleared after the step.
+bitwise; gradients of updated entries are cleared after the step.  A step
+whose gradients are missing or not all finite raises before it changes any
+parameter, moment or the step count.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from geoaware.errors import StateError
+from geoaware.errors import NumericError, StateError
 from geoaware.numerics.params import ParamStore
 
 
@@ -44,11 +46,15 @@ def init_adamw(params: ParamStore, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, we
 
 
 def adamw_step(params: ParamStore, state: AdamWState):
-    """Apply one update to every trainable entry; raises if any grad is missing."""
+    """Apply one update to every trainable entry; raises ``StateError`` if any
+    grad is missing and ``NumericError`` if any is not finite."""
     trainable = params.trainable_names()
     for name in trainable:
-        if params[name].grad is None:
+        grad = params[name].grad
+        if grad is None:
             raise StateError(f"trainable parameter {name!r} has no accumulated gradient")
+        if not np.all(np.isfinite(grad)):
+            raise NumericError(f"gradient of {name!r} is not finite")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t

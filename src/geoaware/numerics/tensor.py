@@ -6,6 +6,12 @@ shape.  Operations record a backward closure and their parent tensors; calling
 and accumulates gradients into every tensor with ``requires_grad=True``.
 Gradients add across uses and across backward calls; callers zero them
 explicitly (the optimizer clears them after each step).
+
+Ops do not check their results for NaN or Inf, since a check on every op
+costs more than many of the ops themselves.  Finiteness is checked where the
+contract can be observed: a ``Tensor`` built from outside data, each
+training step's loss before ``backward``, every gradient in ``adamw_step``
+before it changes anything, and each rollout action.
 """
 
 from __future__ import annotations
@@ -18,9 +24,6 @@ from geoaware.errors import NumericError, ShapeError
 
 # When False, ops skip tape construction entirely (fast path for rollouts).
 _GRAD_ENABLED = True
-# Every op asserts its result is finite; NaN/Inf surfaces as NumericError
-# instead of propagating silently.
-_FINITE_CHECKS = True
 
 
 @contextlib.contextmanager
@@ -33,11 +36,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
-
-
-def _check_finite(values, op_name):
-    if _FINITE_CHECKS and not np.all(np.isfinite(values)):
-        raise NumericError(f"{op_name} produced non-finite values")
 
 
 def _as_float_array(values):
@@ -58,7 +56,8 @@ class Tensor:
         arr = _as_float_array(values)
         if any(d <= 0 for d in arr.shape):
             raise ShapeError(f"tensor extents must be positive, got shape {arr.shape}")
-        _check_finite(arr, "tensor")
+        if not np.all(np.isfinite(arr)):
+            raise NumericError("tensor values must be finite")
         self.values = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
@@ -198,14 +197,13 @@ def _toposort(root):
     return order
 
 
-def make_result(values, parents, backward_builder, op_name):
+def make_result(values, parents, backward_builder):
     """Construct an op result, wiring the tape only when gradients are needed.
 
     ``backward_builder`` is called lazily (only under grad mode with at least
     one tracked parent) and must return a closure ``f(g)`` that accumulates
     into the parents.
     """
-    _check_finite(values, op_name)
     out = Tensor.__new__(Tensor)
     out.values = values
     out.grad = None
@@ -247,7 +245,7 @@ def add(a, b):
 
         return backward
 
-    return make_result(out_vals, (a, b), build, "add")
+    return make_result(out_vals, (a, b), build)
 
 
 def sub(a, b):
@@ -263,7 +261,7 @@ def sub(a, b):
 
         return backward
 
-    return make_result(out_vals, (a, b), build, "sub")
+    return make_result(out_vals, (a, b), build)
 
 
 def mul(a, b):
@@ -283,7 +281,7 @@ def mul(a, b):
 
         return backward
 
-    return make_result(out_vals, (a, b), build, "mul")
+    return make_result(out_vals, (a, b), build)
 
 
 def _scale(a, c):
@@ -295,7 +293,7 @@ def _scale(a, c):
 
         return backward
 
-    return make_result(out_vals, (a,), build, "scale")
+    return make_result(out_vals, (a,), build)
 
 
 def matmul(a, b):
@@ -322,7 +320,7 @@ def matmul(a, b):
 
         return backward
 
-    return make_result(out_vals, (a, b), build, "matmul")
+    return make_result(out_vals, (a, b), build)
 
 
 # -- shape manipulation ------------------------------------------------------
@@ -338,7 +336,7 @@ def reshape(a, shape):
 
         return backward
 
-    return make_result(out_vals, (a,), build, "reshape")
+    return make_result(out_vals, (a,), build)
 
 
 def transpose(a, axes=None):
@@ -352,7 +350,7 @@ def transpose(a, axes=None):
 
         return backward
 
-    return make_result(out_vals, (a,), build, "transpose")
+    return make_result(out_vals, (a,), build)
 
 
 def tensor_slice(a, key):
@@ -373,7 +371,7 @@ def tensor_slice(a, key):
 
         return backward
 
-    return make_result(out_vals, (a,), build, "slice")
+    return make_result(out_vals, (a,), build)
 
 
 def concat(tensors, axis=0):
@@ -394,7 +392,7 @@ def concat(tensors, axis=0):
 
         return backward
 
-    return make_result(out_vals, tuple(tensors), build, "concat")
+    return make_result(out_vals, tuple(tensors), build)
 
 
 def broadcast_to(a, shape):
@@ -407,7 +405,7 @@ def broadcast_to(a, shape):
 
         return backward
 
-    return make_result(out_vals, (a,), build, "broadcast_to")
+    return make_result(out_vals, (a,), build)
 
 
 # -- reductions --------------------------------------------------------------
@@ -431,7 +429,7 @@ def tensor_sum(a, axis=None, keepdims=False):
 
         return backward
 
-    return make_result(out_vals, (a,), build, "sum")
+    return make_result(out_vals, (a,), build)
 
 
 def mean(a, axis=None, keepdims=False):

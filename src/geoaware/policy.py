@@ -27,6 +27,7 @@ from geoaware.errors import ConfigError, ShapeError, StateError, VocabularyError
 from geoaware.numerics import (
     ParamStore,
     Tensor,
+    attention_block,
     conv1d_relu_pool,
     cross_entropy,
     embedding_lookup,
@@ -35,9 +36,8 @@ from geoaware.numerics import (
     mse_loss,
     no_grad,
     relu,
-    softmax,
 )
-from geoaware.numerics.tensor import as_tensor, broadcast_to, concat, reshape, transpose
+from geoaware.numerics.tensor import as_tensor, broadcast_to, concat, reshape
 
 ACTION_WIDTH = 7                # ee translation 3 + rotation 3 + gripper
 ATTENTION_MASK_FILL = -1e30     # additive mask; exp underflows to exactly 0
@@ -263,28 +263,18 @@ def build_token_sequence(z_vis, z_lang, z_proprio, store, cfg: PolicyConfig):
 
 
 def causal_mask(length, dtype=np.float64):
-    """Additive attention mask: 0 on and below the diagonal, a huge negative
-    above.  exp of the fill underflows to exactly zero, so future positions
-    contribute nothing, making causality exact rather than approximate."""
+    """Additive attention mask, a plain [length, length] array: 0 on and below
+    the diagonal, a huge negative above.  exp of the fill underflows to
+    exactly zero, so future positions contribute nothing, making causality
+    exact rather than approximate."""
     mask = np.zeros((length, length), dtype=dtype)
     mask[np.triu_indices(length, k=1)] = ATTENTION_MASK_FILL
-    return Tensor(mask)
+    return mask
 
 
 def _attention(x, store, prefix, cfg, mask):
-    b, s, h = x.shape
-    heads = cfg.trunk_heads
-    dh = h // heads
-    parts = {}
-    for name in ("q", "k", "v"):
-        p = matmul(x, store[f"{prefix}.attn.{name}.w"]) + store[f"{prefix}.attn.{name}.b"]
-        parts[name] = transpose(reshape(p, (b, s, heads, dh)), (0, 2, 1, 3))
-    scores = matmul(parts["q"], transpose(parts["k"], (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
-    scores = scores + mask
-    att = softmax(scores, axis=-1)
-    out = transpose(matmul(att, parts["v"]), (0, 2, 1, 3))
-    out = reshape(out, (b, s, h))
-    return matmul(out, store[f"{prefix}.attn.o.w"]) + store[f"{prefix}.attn.o.b"]
+    params = [store[f"{prefix}.attn.{name}.{part}"] for name in ("q", "k", "v", "o") for part in ("w", "b")]
+    return attention_block(x, *params, cfg.trunk_heads, mask)
 
 
 def trunk_forward(seq: TokenSequence, store, cfg: PolicyConfig, return_all=False):
@@ -477,8 +467,10 @@ class Policy:
 
     def action(self, scene, instruction, cameras):
         """First action of the predicted chunk for one scene, as a plain
-        7-vector (used by closed-loop rollouts)."""
-        with no_grad():
+        7-vector (used by closed-loop rollouts).  Floating-point warnings are
+        silenced: a non-finite forward pass shows up as a non-finite action,
+        which the caller checks."""
+        with no_grad(), np.errstate(all="ignore"):
             vision = self.featurize([scene], list(cameras))
             chunk = self.forward(vision, [instruction], scene.proprio()[None].astype(self.dtype))
         return np.asarray(chunk.values[0, 0], dtype=np.float64)

@@ -129,7 +129,18 @@ def _abort_guard(step_no, store, fn):
     try:
         return fn()
     except NumericError as exc:
-        raise NumericAbort(step_no, store.norms()) from exc
+        raise NumericAbort(step_no, store.norms(), str(exc)) from exc
+
+
+def _descend(loss, store, opt):
+    """One AdamW step on ``loss``; returns its value.  The loss is checked
+    before ``backward`` and every gradient by ``adamw_step``, so a
+    non-finite value raises ``NumericError`` before any parameter moves."""
+    if not np.all(np.isfinite(loss.values)):
+        raise NumericError("non-finite loss")
+    loss.backward()
+    adamw_step(store, opt)
+    return loss.item()
 
 
 # -- input-statistics initialization ----------------------------------------
@@ -211,9 +222,12 @@ def bc_train(dataset, cfg: TrainConfig, policy: Policy | None = None, geo: GeoSt
 
     Optimization starts from input-calibrated feature MLP weights (see
     ``calibrate_input_stats``).  ``losses`` holds one scalar per optimization
-    step, VQ pretraining included.  A non-finite loss aborts with the failing
-    step and parameter norms.  Fixed seed and config give bit-identical
-    results.
+    step, VQ pretraining included.  Finiteness is checked once per step in
+    both phases: the loss before ``backward`` and every gradient in
+    ``adamw_step``, so intermediate NaN/Inf surface there.  A non-finite
+    loss or gradient raises ``NumericAbort`` with the failing step and the
+    parameter norms, before that step changes any parameter.  Fixed seed and
+    config give bit-identical results.
     """
     cfg.validate()
     if not dataset.episodes:
@@ -248,9 +262,7 @@ def bc_train(dataset, cfg: TrainConfig, policy: Policy | None = None, geo: GeoSt
                 targets, mask = _chunk_targets(dataset, draw(), policy.cfg.chunk_len, policy.dtype)
                 flat = (targets * mask[:, :, None]).reshape(len(targets), -1)
                 loss, _ = vqvae_loss(Tensor(flat), store, policy.cfg)
-                loss.backward()
-                adamw_step(store, opt)
-                return loss.item()
+                return _descend(loss, store, opt)
 
             losses.append(_abort_guard(step_no, store, vq_step))
             if cfg.eval_every and (step_no + 1) % cfg.eval_every == 0:
@@ -271,9 +283,7 @@ def bc_train(dataset, cfg: TrainConfig, policy: Policy | None = None, geo: GeoSt
                 loss, _ = vqbet_train_loss(
                     h_action, Tensor(_masked_flat_targets(batch)), store, policy.cfg, True
                 )
-            loss.backward()
-            adamw_step(store, opt)
-            return loss.item()
+            return _descend(loss, store, opt)
 
         losses.append(_abort_guard(step_no, store, bc_step))
         if cfg.eval_every and (step_no + 1) % cfg.eval_every == 0:

@@ -72,6 +72,7 @@ def test_rollout_flags_non_finite_action():
     assert result.steps == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_evaluate_fails_rollouts_of_a_non_finite_policy():
     # a real policy whose forward pass overflows fails each rollout at its
     # first step instead of raising out of evaluate
@@ -110,10 +111,14 @@ def test_evaluate_counts_and_schema():
     assert all(set(r) == {"id", "successes", "rollouts", "rate"} for r in payload["tasks"])
 
 
-@pytest.mark.parametrize("rollouts, seeds", [(0, (0,)), (-1, (0,)), (2, ())])
-def test_evaluate_rejects_empty_evaluations(rollouts, seeds):
+@pytest.mark.parametrize(
+    "rollouts, seeds, tasks",
+    [(0, (0,), None), (-1, (0,), None), (2, (), None), (2, (0,), [])],
+    ids=["0-seeds0", "-1-seeds1", "2-seeds2", "no-tasks"],
+)
+def test_evaluate_rejects_empty_evaluations(rollouts, seeds, tasks):
     with pytest.raises(ConfigError):
-        evaluate(ExpertPolicy(), "seen", rollouts_per_task=rollouts, seeds=seeds, sim=SIM)
+        evaluate(ExpertPolicy(), "seen", rollouts_per_task=rollouts, seeds=seeds, sim=SIM, tasks=tasks)
 
 
 def test_evaluate_is_deterministic():

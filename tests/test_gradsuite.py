@@ -8,7 +8,7 @@ from geoaware.gradsuite import SUITE_TOLERANCE, run_gradcheck_suite, suite_passe
 
 EXPECTED_COMPONENTS = {
     "add_sub_mul", "matmul", "reshape_transpose_slice_concat", "relu",
-    "softmax", "layer_norm", "conv1d_relu_pool", "conv2d",
+    "layer_norm", "attention_block", "conv1d_relu_pool", "conv2d",
     "embedding_lookup", "mse_loss", "cross_entropy", "project_vision",
     "pixel_features", "trunk", "mlp_head", "vqbet_head", "end_to_end",
 }
@@ -39,3 +39,17 @@ def test_broken_conv1d_backward_is_named(monkeypatch):
     assert not suite_passed(records)
     failed = {r["component"] for r in records if not r["passed"]}
     assert "conv1d_relu_pool" in failed
+
+
+def test_broken_attention_backward_is_named(monkeypatch):
+    # skews the softmax term of attention_block's backward
+    original = nnops._softmax_grad
+
+    def skewed(out, g):
+        return original(out, g) * 1.01
+
+    monkeypatch.setattr(nnops, "_softmax_grad", skewed)
+    records = run_gradcheck_suite()
+    assert not suite_passed(records)
+    failed = {r["component"] for r in records if not r["passed"]}
+    assert "attention_block" in failed

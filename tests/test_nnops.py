@@ -8,6 +8,7 @@ import pytest
 from geoaware.errors import InputError, ShapeError
 from geoaware.numerics import (
     Tensor,
+    attention_block,
     conv1d_relu_pool,
     conv2d,
     cross_entropy,
@@ -16,31 +17,19 @@ from geoaware.numerics import (
     layer_norm,
     mse_loss,
     relu,
-    softmax,
     tensor_sum,
 )
+from geoaware.policy import causal_mask
 
 TOL = 1e-4
 
 
-# -- relu / softmax / layer_norm ---------------------------------------------
+# -- relu / layer_norm --------------------------------------------------------
 
 
 def test_relu_values():
     out = relu(Tensor([-1.0, 0.0, 2.5]))
     assert np.array_equal(out.values, [0.0, 0.0, 2.5])
-
-
-def test_softmax_rows_sum_to_one():
-    rng = np.random.default_rng(0)
-    out = softmax(Tensor(rng.standard_normal((6, 9)) * 10.0))
-    assert np.allclose(out.values.sum(axis=1), 1.0, atol=1e-6)
-    assert (out.values >= 0.0).all()
-
-
-def test_softmax_empty_axis_rejected():
-    with pytest.raises(ShapeError):
-        softmax(Tensor(np.ones((2, 0))))
 
 
 def test_layer_norm_standardizes():
@@ -59,8 +48,77 @@ def test_activation_grads_match_fd(seed):
     w = rng.standard_normal((4, 7))
 
     assert grad_check(lambda ts: tensor_sum(relu(ts[0]) * ts[1]), [x, w]) <= TOL
-    assert grad_check(lambda ts: tensor_sum(softmax(ts[0]) * ts[1]), [x, w]) <= TOL
     assert grad_check(lambda ts: tensor_sum(layer_norm(ts[0], ts[1], ts[2]) * ts[3]), [x, g, b, w]) <= TOL
+
+
+# -- attention_block ----------------------------------------------------------
+
+
+def reference_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, mask):
+    """Self-attention from its definition, one row, head and query at a time."""
+    b, s, h = x.shape
+    dh = h // heads
+    x, mask = x.astype(np.float64), mask.astype(np.float64)
+    out = np.zeros((b, s, h))
+    for row in range(b):
+        q, k, v = (x[row] @ w + bias for w, bias in ((wq, bq), (wk, bk), (wv, bv)))
+        ctx = np.zeros((s, h))
+        for head in range(heads):
+            cols = slice(head * dh, (head + 1) * dh)
+            for i in range(s):
+                scores = np.array([q[i, cols] @ k[j, cols] / math.sqrt(dh) + mask[i, j] for j in range(s)])
+                weights = np.exp(scores - scores.max())
+                ctx[i, cols] = sum(wt * v[j, cols] for j, wt in enumerate(weights / weights.sum()))
+        out[row] = ctx @ wo + bo
+    return out
+
+
+def random_attention_inputs(rng, b, s, h, dtype=np.float64):
+    params = [rng.standard_normal(shape) * 0.5 for _ in range(4) for shape in ((h, h), (h,))]
+    return [a.astype(dtype) for a in [rng.standard_normal((b, s, h))] + params]
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("shape", [(1, 5, 8, 4), (3, 4, 6, 2), (2, 1, 4, 1), (2, 3, 6, 6)])
+@pytest.mark.parametrize("causal", [True, False])
+def test_attention_block_matches_reference(shape, dtype, tol, causal):
+    b, s, h, heads = shape
+    inputs = random_attention_inputs(np.random.default_rng(sum(shape)), b, s, h, dtype)
+    mask = causal_mask(s) if causal else np.zeros((s, s))
+    out = attention_block(*inputs, heads, mask)
+    assert out.dtype == dtype
+    ref = reference_attention(*inputs, heads, mask)
+    assert out.shape == ref.shape == (b, s, h)
+    assert np.abs(out.values - ref).max() <= tol
+
+
+def test_attention_block_shape_errors():
+    x, w, bias, mask = np.ones((2, 3, 4)), np.ones((4, 4)), np.zeros(4), np.zeros((3, 3))
+    good = [x, w, bias, w, bias, w, bias, w, bias]
+    bad = [
+        (good, 3, mask),                                    # width 4 does not split into 3 heads
+        (good, 0, mask),                                    # no heads
+        (good, 2, np.zeros((3, 4))),                        # mask does not match the length
+        ([np.ones((3, 4))] + good[1:], 2, mask),            # unbatched input
+        (good[:7] + [np.ones((4, 5)), bias], 2, mask),      # output projection not square
+        (good[:2] + [np.zeros(5)] + good[3:], 2, mask),     # wrong bias width
+    ]
+    for inputs, heads, m in bad:
+        with pytest.raises(ShapeError):
+            attention_block(*inputs, heads, m)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_attention_block_grad_matches_fd(seed):
+    # batch 1, as in closed-loop rollouts, with an unmasked (all-zero) mask
+    rng = np.random.default_rng(seed)
+    inputs = random_attention_inputs(rng, 1, 3, 4)
+    probe = rng.standard_normal((1, 3, 4))
+
+    def f(ts):
+        return tensor_sum(attention_block(*ts, 2, np.zeros((3, 3))) * Tensor(probe))
+
+    assert grad_check(f, inputs) <= TOL
 
 
 # -- conv1d_relu_pool ---------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from geoaware.errors import StateError
+from geoaware.errors import NumericError, StateError
 from geoaware.numerics import ParamStore, Tensor, adamw_step, grad_check, init_adamw, tensor_sum
 
 
@@ -44,6 +44,30 @@ def test_missing_grad_raises():
     state = init_adamw(store)
     with pytest.raises(StateError):
         adamw_step(store, state)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_grad_raises_before_any_change(bad):
+    store = make_store([1.0, -2.0])
+    store.add("z", np.array([0.5]))
+    state = init_adamw(store, lr=0.1)
+    store["w"].grad = np.array([0.3, -0.1])
+    store["z"].grad = np.array([0.2])
+    adamw_step(store, state)                       # non-zero moments to protect
+    store["w"].grad = np.array([0.4, 0.1])         # "w" is updated first: finite
+    store["z"].grad = np.array([bad])
+
+    def snapshot():
+        return (
+            {n: store[n].values.tobytes() for n in store.names()},
+            {n: (state.m[n].tobytes(), state.v[n].tobytes()) for n in store.names()},
+            state.step_count,
+        )
+
+    before = snapshot()
+    with pytest.raises(NumericError, match="'z'"):
+        adamw_step(store, state)
+    assert snapshot() == before
 
 
 def test_grads_cleared_after_step():

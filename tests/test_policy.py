@@ -439,6 +439,30 @@ def test_folded_views_match_separate_calls():
             np.testing.assert_allclose(batched[b], alone[0], rtol=1e-5, atol=1e-6)
 
 
+@pytest.mark.parametrize("backbone, head", [("geo", "mlp"), ("pixel", "vqbet")])
+def test_float32_policy_stays_float32(backbone, head):
+    # a float64 scalar or mask anywhere in the pass would silently promote
+    sim = SimConfig()
+    pol = Policy(PolicyConfig(backbone_kind=backbone, head_kind=head), VOCAB, seed=27)
+    pol.codebook_trained = True
+    scenes = [reset(task, seed=28, sim=sim) for task in make_tasks()[:3]]
+    vision = pol.featurize(scenes, list(seen_cameras(sim)))
+    proprio = np.stack([s.proprio() for s in scenes])
+    chunk, h_action = pol.forward(vision, list(VOCAB), proprio, return_trunk=True)
+    assert (vision.dtype, chunk.dtype, h_action.dtype) == (np.float32,) * 3
+    targets = Tensor(np.random.default_rng(29).standard_normal((3, 7)).astype(np.float32))
+    if head == "mlp":
+        loss = mse_loss(chunk, targets.reshape(3, 1, 7))
+    else:
+        loss = vqbet_train_loss(h_action, targets, pol.params, pol.cfg, True)[0]
+        loss = loss + vqvae_loss(targets, pol.params, pol.cfg)[0]
+    assert loss.dtype == np.float32
+    loss.backward()
+    grads = {name: t.grad.dtype for name, t in pol.params.items() if t.grad is not None}
+    assert {"trunk0.attn.q.w", "trunk1.attn.o.b", "token.pos"} <= set(grads)
+    assert set(grads.values()) == {np.dtype(np.float32)}
+
+
 def test_featurize_returns_only_selected_layers():
     geo = GeoStubConfig()
     pol = Policy(PolicyConfig(select_mode="even", select_count=4), VOCAB, seed=0, geo=geo)

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+import geoaware.training as training
 from geoaware.backbones import GeoStubConfig
 from geoaware.deskworld.dataset import generate_dataset
 from geoaware.deskworld.world import SimConfig, make_tasks
 from geoaware.errors import ConfigError, ConfigMismatchError, FormatError, NumericAbort
+from geoaware.numerics import adamw_step
 from geoaware.policy import Policy, PolicyConfig, codebook_param_names
 from geoaware.training import (
     CALIBRATION_SEED_SALT,
@@ -217,6 +219,37 @@ def test_numeric_abort_reports_step_and_norms(demos):
         bc_train(demos, small_train(), policy=pol)
     assert info.value.step == 0
     assert "head.1.w" in info.value.param_norms
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_vq_loss_aborts(demos):
+    pol = small_policy(demos, head_kind="vqbet", vq_codes=8, vq_dim=4)
+    pol.params["vq.enc.1.w"].values[:] = 1e30   # the reconstruction loss overflows
+    codebook = codebook_param_names(pol.params)
+    before = pol.params.hash_of(codebook)
+    with pytest.raises(NumericAbort) as info:
+        bc_train(demos, small_train(head_kind="vqbet", vq_pretrain_steps=5), policy=pol)
+    assert info.value.step == 0
+    assert "non-finite loss" in str(info.value)
+    assert pol.params.hash_of(codebook) == before
+
+
+def test_non_finite_gradient_aborts_with_its_step(demos, monkeypatch):
+    pol = small_policy(demos)
+    seen = {}
+
+    def faulty(store, opt):
+        if opt.step_count == 3:
+            store["head.2.b"].grad[0] = np.inf
+            seen["params"] = store.hash_of()
+        return adamw_step(store, opt)
+
+    monkeypatch.setattr(training, "adamw_step", faulty)
+    with pytest.raises(NumericAbort) as info:
+        bc_train(demos, small_train(), policy=pol)
+    assert info.value.step == 3
+    assert "'head.2.b'" in str(info.value)
+    assert pol.params.hash_of() == seen["params"]
 
 
 def test_vqbet_two_phase_schedule(demos):
