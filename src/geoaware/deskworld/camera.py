@@ -5,6 +5,11 @@ Cameras use a right-handed look-at frame.  With camera-frame coordinates
 
     u = focal * X / Z + c_x,     v = focal * Y / Z + c_y.
 
+The renderer is batched: ``render_image(scenes, cameras)`` paints every
+scene under every camera in one call, projecting all disc centres of the
+batch once per camera, and composites each paint slot over a small window
+of every frame at once.  One scene under one camera is the batch of one.
+
 The two fixed "seen" cameras (top-down and oblique side) are the training
 views; novel evaluation cameras are sampled on the same sphere at a bounded
 angular offset from their nearest seen camera.
@@ -24,13 +29,13 @@ from geoaware.deskworld.world import (
     EE_COLOR,
     OBJECT_COLORS,
     REGION_COLORS,
-    SceneState,
     SimConfig,
 )
 
 MIN_RENDER_DEPTH = 1e-3     # points at or behind this camera depth are culled
 EE_RENDER_RADIUS = 0.02     # meters
 OBJECT_RENDER_RADIUS = 0.03
+_PAD_GROUP = 3              # paint group of the padding slots in a batch render
 
 # Angular-offset bands (degrees) between a novel camera and its nearest seen
 # camera; the offset is the great-circle angle on the camera sphere.
@@ -119,50 +124,83 @@ def project_points(pose: CameraPose, points, min_depth=MIN_RENDER_DEPTH):
     return np.stack([u, v], axis=1), z
 
 
-def _splat_disc(img, uv, depth, world_radius, color, focal):
-    """Alpha-composite an antialiased filled disc onto the image."""
-    h, w, _ = img.shape
-    radius_px = focal * world_radius / depth
-    u, v = uv
-    lo_x = max(int(math.floor(u - radius_px - 1)), 0)
-    hi_x = min(int(math.ceil(u + radius_px + 1)) + 1, w)
-    lo_y = max(int(math.floor(v - radius_px - 1)), 0)
-    hi_y = min(int(math.ceil(v + radius_px + 1)) + 1, h)
-    if lo_x >= hi_x or lo_y >= hi_y:
-        return
-    ys, xs = np.mgrid[lo_y:hi_y, lo_x:hi_x]
-    dist = np.hypot(xs - u, ys - v)
-    alpha = np.clip(radius_px + 0.5 - dist, 0.0, 1.0).astype(np.float32)[..., None]
-    patch = img[lo_y:hi_y, lo_x:hi_x]
-    patch *= 1.0 - alpha
-    patch += alpha * np.asarray(color, dtype=np.float32)
+def _paint_slots(scenes):
+    """Every scene's discs as one row of paint slots in group order (0 goal
+    regions, 1 objects, 2 end effector), rows padded to the longest one.
 
-
-def render_image(scene: SceneState, pose: CameraPose):
-    """Render the scene as colored discs; returns float32 [H, W, 3] in [0, 1].
-
-    Goal regions paint first, objects far-to-near, end-effector last.  Disc
-    pixel radius is focal * world_radius / depth; behind-camera points cull.
+    Returns centres [B, K, 3], world radii [B, K], colours [B, K, 3] float32
+    and groups [B, K], which are ``_PAD_GROUP`` on padding.
     """
-    h = w = pose.image_size
-    img = np.empty((h, w, 3), dtype=np.float32)
-    img[:] = np.asarray(BACKGROUND_COLOR, dtype=np.float32)
+    rows = [
+        [(g.center, g.radius, REGION_COLORS[g.color], 0) for g in s.goal_regions]
+        + [(o.pos, OBJECT_RENDER_RADIUS, OBJECT_COLORS[o.color], 1) for o in s.objects]
+        + [(s.ee_pos, EE_RENDER_RADIUS, EE_COLOR, 2)]
+        for s in scenes
+    ]
+    b, k = len(rows), max(map(len, rows))
+    centres, radii = np.zeros((b, k, 3)), np.zeros((b, k))
+    colors, groups = np.zeros((b, k, 3), dtype=np.float32), np.full((b, k), _PAD_GROUP)
+    discs = [(i, j, *disc) for i, row in enumerate(rows) for j, disc in enumerate(row)]
+    i, j, centre, radius, color, group = zip(*discs)
+    centres[i, j], radii[i, j], colors[i, j], groups[i, j] = centre, radius, color, group
+    return centres, radii, colors, groups
 
-    regions = [(g.center, g.radius, REGION_COLORS[g.color]) for g in scene.goal_regions]
-    objects = [(o.pos, OBJECT_RENDER_RADIUS, OBJECT_COLORS[o.color]) for o in scene.objects]
-    ee = [(scene.ee_pos, EE_RENDER_RADIUS, EE_COLOR)]
 
-    for group in (regions, objects, ee):
-        if not group:
+def render_image(scenes, cameras):
+    """Render every scene under every camera as colored discs: float32
+    [B, V, H, W, 3] in [0, 1].  All cameras must share one ``image_size``.
+
+    In each frame goal regions paint first, objects far-to-near, the
+    end-effector last.  Disc pixel radius is focal * world_radius / depth;
+    behind-camera discs (depth <= MIN_RENDER_DEPTH) cull.  A disc composites
+    over its frame with alpha = clip(radius_px + 0.5 - dist, 0, 1), dist being
+    a pixel's distance to the projected centre.  The frames are a view of one
+    channel-planar buffer, so the channel axis is the slowest in memory.
+    """
+    sizes = {cam.image_size for cam in cameras}
+    if len(sizes) != 1:
+        raise CameraError(f"cameras of one render must share one image_size, got {sorted(sizes)}")
+    (size,) = sizes
+    centres, radii, colors, groups = _paint_slots(scenes)
+    b, k = radii.shape
+    views = len(cameras)
+
+    # [B, V, K] projections; padding, like a culled disc, never paints
+    uv, depth = np.empty((b, views, k, 2)), np.empty((b, views, k))
+    for j, cam in enumerate(cameras):
+        points, z = project_points(cam, centres.reshape(-1, 3))
+        uv[:, j], depth[:, j] = points.reshape(b, k, 2), z.reshape(b, k)
+    groups = np.broadcast_to(groups[:, None], depth.shape)
+    live = (groups != _PAD_GROUP) & (depth > MIN_RENDER_DEPTH)
+    focal = np.array([cam.focal for cam in cameras], dtype=float)[None, :, None]
+    radius_px = focal * radii[:, None] / np.where(live, depth, 1.0)
+
+    # paint order in every frame: by group, then far to near (ties keep slot order)
+    order = np.lexsort((-depth, groups), axis=-1).reshape(b * views, k)
+    radius_px, live = (np.take_along_axis(a.reshape(b * views, k), order, axis=1) for a in (radius_px, live))
+    uv = np.take_along_axis(uv.reshape(b * views, k, 2), order[..., None], axis=1)
+    colors = np.take_along_axis(np.repeat(colors, views, axis=0), order[..., None], axis=1)
+
+    # channel planes [3, frame * H * W]; each slot composites over one window per frame
+    img = np.empty((3, b * views * size * size), dtype=np.float32)
+    img[:] = np.asarray(BACKGROUND_COLOR, dtype=np.float32)[:, None]
+    for slot in range(k):
+        rows = np.flatnonzero(live[:, slot])
+        centre, r = uv[rows, slot], radius_px[rows, slot]
+        # the disc's (x, y) box, clipped to the image; alpha is exactly 0 outside it
+        lo = np.clip(np.floor(centre - r[:, None] - 1), 0, size).astype(int)
+        hi = np.clip(np.ceil(centre + r[:, None] + 1) + 1, 0, size).astype(int)
+        span = int(np.max(hi - lo, initial=0))
+        if span == 0:
             continue
-        centers = np.array([g[0] for g in group])
-        uv, depth = project_points(pose, centers)
-        order = np.argsort(-depth)  # far to near within the group
-        for i in order:
-            if depth[i] <= MIN_RENDER_DEPTH:
-                continue  # behind the camera
-            _splat_disc(img, uv[i], depth[i], group[i][1], group[i][2], pose.focal)
-    return np.clip(img, 0.0, 1.0)
+        # a span x span window per frame covers its box; past the box, x * (1 - 0) + 0 * c == x
+        xs, ys = (np.minimum(lo[:, axis], size - span)[:, None] + np.arange(span) for axis in (0, 1))
+        dist = np.hypot(xs[:, None, :] - centre[:, 0, None, None], ys[:, :, None] - centre[:, 1, None, None])
+        alpha = np.clip(r[:, None, None] + 0.5 - dist, 0.0, 1.0).astype(np.float32).reshape(len(rows), -1)
+        pixels = ((rows[:, None, None] * size + ys[:, :, None]) * size + xs[:, None, :]).reshape(len(rows), -1)
+        img[:, pixels] = img[:, pixels] * (1.0 - alpha) + alpha * colors[rows, slot].T[:, :, None]
+    # a convex blend of palette colours stays in [0, 1]
+    return img.reshape(3, b, views, size, size).transpose(1, 2, 3, 4, 0)
 
 
 # -- camera placement --------------------------------------------------------

@@ -4,13 +4,18 @@ Config sections are dataclasses whose fields all have defaults.  They are
 written with ``dataclasses.asdict`` and read back with ``from_dict``, the one
 decoder shared by run configs and checkpoint headers.  ``read_int``,
 ``read_float`` and ``read_floats`` apply the same no-coercion rule to the
-numeric fields of dataset files.
+numeric fields of dataset files, and also reject non-finite numbers there.
 """
 
 import dataclasses
 import os
+import sys
 
 from geoaware.errors import ConfigError, FormatError
+
+# NaN, +-inf and ints beyond the float range all fail -_FLOAT_MAX <= x <= _FLOAT_MAX,
+# which compares an int exactly instead of converting it (a per-value cost of loading)
+_FLOAT_MAX = sys.float_info.max
 
 
 def from_dict(cls, data, section, error=ConfigError):
@@ -49,10 +54,13 @@ def read_int(value, name):
 
 
 def read_float(value, name):
-    """``value`` as a float if it is an int or a float; a string, bool or
-    anything else raises ``FormatError``."""
+    """``value`` as a float if it is a finite int or float; a string, bool,
+    NaN, infinity, an int beyond the float range or anything else raises
+    ``FormatError``.  Every such field is a physical quantity."""
     if type(value) is not float and type(value) is not int:
         raise FormatError(f"{name} must be a number, got {type(value).__name__}")
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        raise FormatError(f"{name} must be finite, got {value!r}")
     return float(value)
 
 
@@ -64,6 +72,8 @@ def read_floats(values, name):
     for v in values:
         if type(v) is not float and type(v) is not int:
             raise FormatError(f"{name} entries must be numbers, got {type(v).__name__}")
+        if not -_FLOAT_MAX <= v <= _FLOAT_MAX:
+            raise FormatError(f"{name} entries must be finite, got {v!r}")
     return values
 
 

@@ -443,15 +443,13 @@ class Policy:
     def featurize(self, scenes, cameras):
         """Observation tensor for a batch of scenes under V cameras: the
         selected pyramid layers [B, V, L_selected, N, D] or images
-        [B, V, 3, H, W]."""
+        [B, V, 3, H, W].  Either backbone featurizes the whole batch in one
+        call; the pixel one needs cameras that share one ``image_size``."""
         if len(cameras) != self.cfg.views:
             raise ShapeError(f"policy expects {self.cfg.views} cameras, got {len(cameras)}")
         if self.backbone is not None:
             return self.backbone.pyramid_batch(scenes, cameras).astype(self.dtype)
-        frames = np.stack(
-            [[render_image(scene, cam).transpose(2, 0, 1) for cam in cameras] for scene in scenes]
-        )
-        return frames.astype(self.dtype)
+        return np.ascontiguousarray(render_image(scenes, cameras).transpose(0, 1, 4, 2, 3), dtype=self.dtype)
 
     def forward(self, vision, instructions, proprio, return_trunk=False):
         return policy_forward(

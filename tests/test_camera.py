@@ -17,7 +17,8 @@ from geoaware.deskworld import (
     sample_viewpoints,
     seen_cameras,
 )
-from geoaware.deskworld.camera import CATEGORY_BANDS
+from geoaware.deskworld.camera import CATEGORY_BANDS, EE_RENDER_RADIUS, MIN_RENDER_DEPTH, OBJECT_RENDER_RADIUS
+from geoaware.deskworld.world import BACKGROUND_COLOR, EE_COLOR, OBJECT_COLORS, REGION_COLORS
 from geoaware.errors import CameraError
 
 SIM = SimConfig()
@@ -96,21 +97,120 @@ def test_degenerate_cameras_rejected():
 # -- rendering ---------------------------------------------------------------
 
 
+def reference_frame(scene, pose):
+    """One frame painted disc by disc from the renderer's documented
+    definition: goal regions, then objects far to near, then the end effector;
+    each disc not behind the camera composites over the whole image with
+    alpha = clip(radius_px + 0.5 - dist, 0, 1)."""
+    h = w = pose.image_size
+    img = np.empty((h, w, 3), dtype=np.float32)
+    img[:] = np.asarray(BACKGROUND_COLOR, dtype=np.float32)
+    ys, xs = np.mgrid[0:h, 0:w]
+    groups = (
+        [(g.center, g.radius, REGION_COLORS[g.color]) for g in scene.goal_regions],
+        [(o.pos, OBJECT_RENDER_RADIUS, OBJECT_COLORS[o.color]) for o in scene.objects],
+        [(scene.ee_pos, EE_RENDER_RADIUS, EE_COLOR)],
+    )
+    for group in groups:
+        uv, depth = project_points(pose, np.array([centre for centre, _, _ in group]))
+        for i in np.argsort(-depth, kind="stable"):
+            if depth[i] <= MIN_RENDER_DEPTH:
+                continue
+            radius_px = pose.focal * group[i][1] / depth[i]
+            dist = np.hypot(xs - uv[i, 0], ys - uv[i, 1])
+            alpha = np.clip(radius_px + 0.5 - dist, 0.0, 1.0).astype(np.float32)[..., None]
+            img = img * (1.0 - alpha) + alpha * np.asarray(group[i][2], dtype=np.float32)
+    return img
+
+
+def four_task_scenes():
+    """One reset per task (t2 has two goal regions, the others one), plus a
+    moved copy of each, so disc counts and depth orders differ between rows."""
+    scenes = [reset(task, seed, SIM) for seed, task in enumerate(make_tasks())]
+    rng = np.random.default_rng(17)
+    for scene in list(scenes):
+        moved = scene.copy()
+        moved.ee_pos = moved.ee_pos + rng.normal(0.0, 0.15, 3)
+        for obj in moved.objects:
+            obj.pos = obj.pos + rng.normal(0.0, 0.1, 3)
+        scenes.append(moved)
+    return scenes
+
+
+def border_scene():
+    """Task t0 with its first object projecting half a pixel inside the right
+    edge of the top-down camera, so its disc is clipped by the image border."""
+    cam = seen_cameras(SIM)[0]
+    right, _, forward = camera_axes(cam)
+    scene = reset(make_tasks()[0], 0, SIM)
+    depth = 0.9
+    offset = (cam.image_size - 0.5 - cam.principal_point[0]) * depth / cam.focal
+    scene.objects[0].pos = cam.position + depth * forward + offset * right
+    return scene
+
+
+def behind_camera():
+    """Below the table, facing away from it: every disc is behind it."""
+    return make_pose([0.0, 0.0, -1.0], look_at=(0.0, 0.0, -2.0), up=(0.0, 1.0, 0.0))
+
+
+def near_camera():
+    """6 cm above the goal region of task t0 (reset seed 0), whose disc is
+    then wider than the whole image."""
+    centre = reset(make_tasks()[0], 0, SIM).goal_regions[0].center
+    return make_pose(centre + [0.0, 0.0, 0.06], look_at=centre, up=(0.0, 1.0, 0.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "cameras",
+    [
+        pytest.param(lambda: seen_cameras(SIM), id="seen"),
+        pytest.param(lambda: sample_viewpoints("novel_medium", 2, seed=4, sim=SIM), id="novel-medium"),
+        pytest.param(lambda: sample_viewpoints("novel_large", 2, seed=4, sim=SIM), id="novel-large"),
+        pytest.param(lambda: [behind_camera(), seen_cameras(SIM)[1]], id="behind-camera"),
+        pytest.param(lambda: [near_camera(), seen_cameras(SIM)[0]], id="near-camera"),
+    ],
+)
+def test_render_matches_per_frame_reference(cameras):
+    cams = cameras()
+    scenes = four_task_scenes() + [border_scene()]
+    frames = render_image(scenes, cams)
+    assert frames.shape == (len(scenes), 2, SIM.image_size, SIM.image_size, 3)
+    for b, scene in enumerate(scenes):
+        for v, cam in enumerate(cams):
+            assert np.array_equal(frames[b, v], reference_frame(scene, cam)), (b, v)
+
+
+def test_render_near_camera_disc_covers_image():
+    img = render_image([reset(make_tasks()[0], 0, SIM)], [near_camera()])[0, 0]
+    assert np.all(img != np.asarray(BACKGROUND_COLOR, dtype=np.float32))
+
+
+def test_render_border_disc_is_clipped():
+    cam = seen_cameras(SIM)[0]
+    img = render_image([border_scene()], [cam])[0, 0]
+    uv, _ = project_points(cam, border_scene().objects[0].pos)
+    assert cam.image_size - 1 < uv[0, 0] < cam.image_size
+    row = img[int(round(uv[0, 1]))]
+    assert row[-1, 0] > 0.5 and row[-1, 1] < 0.3  # red reaches the last column
+
+
 def test_render_values_and_determinism():
     scene = reset(make_tasks()[0], 0, SIM)
     cam = seen_cameras(SIM)[1]
-    img1 = render_image(scene, cam)
-    img2 = render_image(scene, cam)
+    img1 = render_image([scene], [cam])
+    img2 = render_image([scene], [cam])
     assert img1.dtype == np.float32
-    assert img1.shape == (SIM.image_size, SIM.image_size, 3)
+    assert img1.shape == (1, 1, SIM.image_size, SIM.image_size, 3)
     assert img1.min() >= 0.0 and img1.max() <= 1.0
     assert np.array_equal(img1, img2)
 
 
 def test_render_golden_hashes():
     scene = reset(make_tasks()[0], 0, SIM)
-    for cam, expected in zip(seen_cameras(SIM), GOLDEN_RENDER_HASHES):
-        img = render_image(scene, cam)
+    cams = seen_cameras(SIM)
+    for img, expected in zip(render_image([scene], cams)[0], GOLDEN_RENDER_HASHES):
         assert hashlib.sha256(np.ascontiguousarray(img).tobytes()).hexdigest() == expected
 
 
@@ -119,17 +219,22 @@ def test_render_disc_appears_at_projected_center():
     cam = seen_cameras(SIM)[0]  # top-down
     obj = scene.objects[0]
     uv, _ = project_points(cam, obj.pos)
-    img = render_image(scene, cam)
+    img = render_image([scene], [cam])[0, 0]
     px = img[int(round(uv[0, 1])), int(round(uv[0, 0]))]
     assert px[0] > 0.5 and px[1] < 0.3  # red-dominant at the red block's pixel
 
 
 def test_render_culls_behind_camera():
     scene = reset(make_tasks()[0], 0, SIM)
-    low_cam = make_pose([0.0, 0.0, -1.0], look_at=(0.0, 0.0, -2.0), up=(0.0, 1.0, 0.0))
-    img = render_image(scene, low_cam)
+    img = render_image([scene], [behind_camera()])[0, 0]
     # everything sits above the camera plane, behind its view: background only
     assert np.allclose(img, img[0, 0], atol=1e-6)
+
+
+def test_render_rejects_mixed_image_sizes():
+    scene = reset(make_tasks()[0], 0, SIM)
+    with pytest.raises(CameraError, match="image_size"):
+        render_image([scene], [make_pose([0.0, -1.0, 0.5], size=32), make_pose([0.0, -1.0, 0.5], size=24)])
 
 
 # -- viewpoints --------------------------------------------------------------

@@ -112,6 +112,20 @@ def test_train_vqbet_head_flag(workdir, dataset_path, tiny_config, capsys):
     assert bundle.policy.codebook_trained
 
 
+def test_train_pixel_on_mixed_camera_sizes_exits_1(workdir, dataset_path, capsys):
+    # geo trains on such a dataset; the pixel renderer needs one image size
+    path = workdir / "mixed.jsonl"
+    lines = dataset_path.read_text().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    header["seen_cameras"][1]["image_size"] = 24
+    path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+    code = main(["train", "--data", str(path), "--out", str(workdir / "mixed.ckpt"), "--backbone", "pixel",
+                 "--steps", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "image_size" in err and "Traceback" not in err
+
+
 def test_train_numeric_abort_exits_2(workdir, dataset_path, capsys):
     cfg = workdir / "explode.json"
     cfg.write_text(json.dumps({"train": {"steps": 50, "lr": 1e10, "eval_every": 0}}))

@@ -340,6 +340,29 @@ def test_mistyped_dataset_float_raises_format_error(tmp_path, edit, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [lambda docs: docs[1]["steps"][0]["scene"]["ee_pos"].__setitem__(0, float("nan")),
+     lambda docs: docs[0]["seen_cameras"][0].update(focal=float("inf")),
+     lambda docs: docs[1]["steps"][0]["action"].__setitem__(3, float("-inf")),
+     lambda docs: docs[0]["seen_cameras"][1].update(focal=10 ** 400)],
+    ids=["scene-ee-pos-nan", "camera-focal-inf", "step-action-neg-inf", "camera-focal-huge-int"],
+)
+def test_non_finite_dataset_float_raises_format_error(tmp_path, edit, capsys):
+    # json reads NaN, Infinity and -Infinity; no physical quantity is one
+    path = tmp_path / "demos.jsonl"
+    _write_dataset(path)
+    fmt = JsonLines(path.read_bytes())
+    edit(fmt.docs)
+    path.write_bytes(fmt.encode(fmt.docs))
+    with pytest.raises(FormatError, match="finite"):
+        load_dataset(path)
+    for backbone in ("geo", "pixel"):
+        assert main(["train", "--data", str(path), "--out", str(tmp_path / "p.ckpt"), "--steps", "1",
+                     "--backbone", backbone]) == 1
+    capsys.readouterr()
+
+
 def test_dataset_float_fields_accept_ints(tmp_path):
     path = tmp_path / "demos.jsonl"
     _write_dataset(path)

@@ -1,14 +1,16 @@
 """Policy network contracts: encoders, causal trunk, action heads."""
 
-from dataclasses import asdict
+import hashlib
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from geoaware.backbones import GeoBackbone, GeoStubConfig
 from geoaware.deskworld.camera import sample_viewpoints, seen_cameras
+from geoaware.deskworld.dataset import generate_dataset
 from geoaware.deskworld.world import SimConfig, make_tasks, reset
-from geoaware.errors import ConfigError, ShapeError, StateError, VocabularyError
+from geoaware.errors import CameraError, ConfigError, ShapeError, StateError, VocabularyError
 from geoaware.numerics import Tensor, cross_entropy, grad_check, matmul, mse_loss
 from geoaware.persist import from_dict
 from geoaware.policy import (
@@ -607,3 +609,41 @@ def test_policy_camera_count_mismatch():
     pol = Policy(PolicyConfig(), tuple(t.instruction for t in tasks), seed=2)
     with pytest.raises(ShapeError):
         pol.featurize([scene], seen_cameras(sim)[:1])
+
+
+# Recorded from the per-frame renderer this batched one replaced: pixel
+# featurize of 3 seeded steps from each task's demo (dataset seed 7) under the
+# seen pair and a novel_medium pair (seed 7).
+GOLDEN_PIXEL_FEATURIZE = {
+    "seen": "2cc87ca188bd27df27b416175592dd4cc76b913b7e8de7bd6f330e4901a701cb",
+    "novel_medium": "39863a559e39facfc25954d5a354955af09e2ff38cfe774dd1bca4b0fa269fc4",
+}
+
+
+@pytest.mark.parametrize("category", sorted(GOLDEN_PIXEL_FEATURIZE))
+def test_pixel_featurize_golden_hash_and_rows(category):
+    sim = SimConfig()
+    tasks = make_tasks()
+    data = generate_dataset(tasks, 1, seed=7, sim=sim)
+    rng = np.random.default_rng(7)
+    scenes = [ep.steps[i].scene for ep in data.episodes for i in rng.choice(len(ep.steps), size=3, replace=False)]
+    cameras = sample_viewpoints(category, 2, seed=7, sim=sim)
+    pol = Policy(PolicyConfig(backbone_kind="pixel"), tuple(t.instruction for t in tasks), seed=0)
+    frames = pol.featurize(scenes, cameras)
+    assert frames.shape == (12, 2, 3, sim.image_size, sim.image_size) and frames.dtype == np.float32
+    assert hashlib.sha256(np.ascontiguousarray(frames).tobytes()).hexdigest() == GOLDEN_PIXEL_FEATURIZE[category]
+    for row, scene in zip(frames, scenes):
+        assert np.array_equal(row, pol.featurize([scene], cameras)[0])
+
+
+def test_pixel_featurize_rejects_mixed_image_sizes():
+    sim = SimConfig()
+    tasks = make_tasks()
+    scene = reset(tasks[0], seed=0, sim=sim)
+    top, side = seen_cameras(sim)
+    cameras = [top, replace(side, image_size=24)]
+    pol = Policy(PolicyConfig(backbone_kind="pixel"), tuple(t.instruction for t in tasks), seed=2)
+    with pytest.raises(CameraError):
+        pol.featurize([scene], cameras)
+    with pytest.raises(CameraError):
+        pol.action(scene, tasks[0].instruction, cameras)
