@@ -79,12 +79,6 @@ def rollout(policy, task, cameras, seed, sim: SimConfig | None = None, max_steps
     return RolloutResult(task.task_id, seed, False, cap)
 
 
-def _rollout_cameras(category, seed, sim):
-    if category == "seen":
-        return seen_cameras(sim)
-    return sample_viewpoints(category, 2, seed=seed, sim=sim)
-
-
 def evaluate(policy, category, rollouts_per_task=10, seeds=(0,), sim: SimConfig | None = None, tasks=None, model="policy") -> EvalReport:
     """Success rates per task and overall for one viewpoint category.
 
@@ -109,7 +103,7 @@ def evaluate(policy, category, rollouts_per_task=10, seeds=(0,), sim: SimConfig 
         for seed in seeds:
             for r in range(rollouts_per_task):
                 rollout_seed = 1_000_000 * seed + 997 * ti + r
-                cams = _rollout_cameras(category, rollout_seed, sim)
+                cams = sample_viewpoints(category, 2, seed=rollout_seed, sim=sim)
                 if category != "seen":
                     for cam in cams:
                         if any(cam.same_pose(tc) for tc in training_cams):

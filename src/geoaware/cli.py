@@ -103,17 +103,17 @@ def cmd_gen_data(args):
 def cmd_train(args):
     run_cfg, raw = _load_run_config(args.config)
     train_raw = raw.get("train", {})
-    overrides = {}
+    kinds = {}                  # --head/--backbone set the policy and train sections alike
     if args.head is not None:
-        overrides["head_kind"] = args.head
+        kinds["head_kind"] = args.head
     if args.backbone is not None:
-        overrides["backbone_kind"] = args.backbone
+        kinds["backbone_kind"] = args.backbone
+    overrides = dict(kinds, seed=_resolve_seed(args.seed, "seed" in train_raw, run_cfg.train.seed))
     if args.steps is not None:
         overrides["steps"] = args.steps
-    overrides["seed"] = _resolve_seed(args.seed, "seed" in train_raw, run_cfg.train.seed)
     train_cfg = replace(run_cfg.train, **overrides).validate()
     dataset = load_dataset(args.data)
-    policy_cfg = replace(run_cfg.policy, head_kind=train_cfg.head_kind, backbone_kind=train_cfg.backbone_kind)
+    policy_cfg = replace(run_cfg.policy, **kinds)
     policy = Policy(policy_cfg, tuple(dataset.instructions()), seed=train_cfg.seed, geo=run_cfg.geo)
     policy, losses = bc_train(dataset, train_cfg, policy=policy)
     save_checkpoint(policy, args.out, step=train_cfg.steps, train=train_cfg, sim=run_cfg.sim)

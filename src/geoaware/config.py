@@ -39,6 +39,14 @@ class RunConfig:
     def validate(self):
         self.policy.validate(geo=self.geo)
         self.train.validate()
+        for kind in ("head_kind", "backbone_kind"):
+            if getattr(self.policy, kind) != getattr(self.train, kind):
+                raise ConfigError(
+                    f"policy.{kind} {getattr(self.policy, kind)!r} disagrees with train.{kind} "
+                    f"{getattr(self.train, kind)!r}; set both"
+                )
+        if self.sim.image_size < 1:
+            raise ConfigError(f"sim.image_size must be positive, got {self.sim.image_size}")
         return self
 
 

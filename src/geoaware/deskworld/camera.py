@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geoaware.errors import CameraError
+from geoaware.errors import CameraError, FormatError
 from geoaware.persist import read_float, read_floats, read_int
 from geoaware.deskworld.world import (
     BACKGROUND_COLOR,
@@ -71,13 +71,16 @@ class CameraPose:
 
     @classmethod
     def from_dict(cls, d):
+        image_size = read_int(d["image_size"], "camera image_size")
+        if image_size < 1:
+            raise FormatError(f"camera image_size must be positive, got {image_size}")
         return cls(
             position=np.array(read_floats(d["position"], "camera position"), dtype=float),
             look_at=np.array(read_floats(d["look_at"], "camera look_at"), dtype=float),
             up=np.array(read_floats(d["up"], "camera up"), dtype=float),
             focal=read_float(d["focal"], "camera focal"),
             principal_point=np.array(read_floats(d["principal_point"], "camera principal_point"), dtype=float),
-            image_size=read_int(d["image_size"], "camera image_size"),
+            image_size=image_size,
         )
 
     def same_pose(self, other, tol=1e-9):

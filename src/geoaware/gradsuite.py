@@ -249,8 +249,8 @@ def _check_trunk(step):
         for name, leaf in zip(names, leaves[: len(names)]):
             store.replace(name, leaf)
         z_vis, z_lang, z_prop = leaves[len(names):]
-        seq = build_token_sequence(z_vis, z_lang, z_prop, store, cfg)
-        return (trunk_forward(seq, store, cfg) * Tensor(w)).sum()
+        x = build_token_sequence(z_vis, z_lang, z_prop, store, cfg)
+        return (trunk_forward(x, store, cfg)[:, -1] * Tensor(w)).sum()
 
     inputs = [store[n].values.copy() for n in names] + zs
     return grad_check(f, inputs, step=step)
@@ -316,8 +316,8 @@ def _check_end_to_end(step):
     def f(leaves):
         for name, leaf in zip(names, leaves):
             store.replace(name, leaf)
-        out = policy_forward(vision, instructions, Tensor(proprio), store, cfg, _VOCAB)
-        return mse_loss(out, Tensor(target))
+        h_action = policy_forward(vision, instructions, Tensor(proprio), store, cfg, _VOCAB)
+        return mse_loss(mlp_head(h_action, store, cfg), Tensor(target))
 
     inputs = [store[n].values.copy() for n in names]
     return grad_check(f, inputs, step=step)

@@ -4,6 +4,12 @@ decoder-only trunk with a learnable action token, and two interchangeable
 action heads (direct MLP regression, or discrete code classification with a
 continuous offset on top of a learned action codebook).
 
+Every function here takes a batch: instructions are a sequence, states and
+embeddings carry a leading batch axis, and one scene is a batch of one.
+``policy_forward`` ends at the trunk's action-token embedding ``h_action``;
+the head runs only where an action chunk is used (``Policy.head``), so the
+VQ-BeT training objective reads ``h_action`` without decoding a chunk.
+
 All parameters live in one ParamStore under dotted names; the creation order
 inside ``init_policy_params`` is fixed so a single seeded generator
 reproduces initialization bit-for-bit.
@@ -205,61 +211,56 @@ def project_vision(selected_layers, store, cfg: PolicyConfig):
 
 
 def encode_language(instructions, store, vocab):
-    """Embed instructions from the closed vocabulary: frozen table row, then a
-    trainable 2-layer MLP.  A single string yields [repr_dim]; a sequence
-    yields [batch, repr_dim]."""
-    single = isinstance(instructions, str)
-    batch = [instructions] if single else list(instructions)
+    """Embed a sequence of instructions from the closed vocabulary: frozen
+    table row, then a trainable 2-layer MLP.  Returns [batch, repr_dim]."""
     indices = []
-    for text in batch:
+    for text in instructions:
         try:
             indices.append(vocab.index(text))
         except ValueError:
             raise VocabularyError(f"instruction not in vocabulary: {text!r}") from None
     rows = embedding_lookup(store["lang.table"], np.array(indices))
-    z = _mlp2(rows, store, "lang.mlp.1", "lang.mlp.2")
-    return reshape(z, (z.shape[1],)) if single else z
+    return _mlp2(rows, store, "lang.mlp.1", "lang.mlp.2")
 
 
 def encode_proprio(state, store):
-    """Embed the 7-dim end-effector state ([7] or [batch, 7])."""
+    """Embed the end-effector states [batch, 7] into [batch, repr_dim]."""
     t = as_tensor(state)
     if t.shape[-1] != ACTION_WIDTH:
         raise ShapeError(f"proprio state must have width {ACTION_WIDTH}, got {t.shape[-1]}")
-    single = t.ndim == 1
-    if single:
-        t = reshape(t, (1, ACTION_WIDTH))
-    z = _mlp2(t, store, "proprio.1", "proprio.2")
-    return reshape(z, (z.shape[1],)) if single else z
+    return _mlp2(t, store, "proprio.1", "proprio.2")
+
+
+def fold_views(vision, z_lang, cfg: PolicyConfig):
+    """The vision encoder's arguments for ``vision`` [batch, views, ...], with
+    the views folded into the batch: row b * views + v is scene b under view
+    v, so the encoder runs once per pass.  The geo projection gets its L
+    selected layers [batch * views, tokens, channels]; the pixel encoder gets
+    the images [batch * views, 3, H, W] and the language embedding ``z_lang``
+    [batch, d] repeated per view, which conditions it (geo ignores
+    ``z_lang``)."""
+    vision = np.asarray(vision)
+    folded = vision.reshape((vision.shape[0] * cfg.views,) + vision.shape[2:])
+    if cfg.backbone_kind == "geo":
+        return ([Tensor(folded[:, l]) for l in range(folded.shape[1])],)
+    b, d = z_lang.shape
+    return Tensor(folded), reshape(broadcast_to(reshape(z_lang, (b, 1, d)), (b, cfg.views, d)), (b * cfg.views, d))
 
 
 # -- trunk -------------------------------------------------------------------
 
 
-@dataclass
-class TokenSequence:
-    tokens: Tensor              # [batch, length, repr_dim]
-    positions: Tensor           # [length, repr_dim]
-
-    def __post_init__(self):
-        if self.tokens.ndim != 3 or self.positions.ndim != 2:
-            raise ShapeError("token sequence wants [batch, length, width] tokens and [length, width] positions")
-        if self.tokens.shape[1:] != self.positions.shape:
-            raise ShapeError(
-                f"positions {self.positions.shape} do not match tokens {self.tokens.shape}"
-            )
-
-
 def build_token_sequence(z_vis, z_lang, z_proprio, store, cfg: PolicyConfig):
-    """Order the trunk input: the V vision tokens ``z_vis`` [batch, views,
-    repr_dim] in view order, then language and proprio ([batch, repr_dim]
-    each), and the learnable action token last."""
+    """The trunk input [batch, length, repr_dim]: the V vision tokens
+    ``z_vis`` [batch, views, repr_dim] in view order, then language and
+    proprio ([batch, repr_dim] each), and the learnable action token last,
+    with the learned positions ``token.pos`` added."""
     b, d = z_lang.shape[0], cfg.repr_dim
     if z_vis.shape != (b, cfg.views, d):
         raise ShapeError(f"vision tokens must be {(b, cfg.views, d)}, got {z_vis.shape}")
     action = broadcast_to(reshape(store["token.action"], (1, 1, d)), (b, 1, d))
     parts = [z_vis, reshape(z_lang, (b, 1, d)), reshape(z_proprio, (b, 1, d)), action]
-    return TokenSequence(tokens=concat(parts, axis=1), positions=store["token.pos"])
+    return concat(parts, axis=1) + store["token.pos"]
 
 
 def causal_mask(length, dtype=np.float64):
@@ -277,12 +278,11 @@ def _attention(x, store, prefix, cfg, mask):
     return attention_block(x, *params, cfg.trunk_heads, mask)
 
 
-def trunk_forward(seq: TokenSequence, store, cfg: PolicyConfig, return_all=False):
-    """Pre-norm causal transformer; returns the action token's output embedding
-    (the last position), or the full [batch, length, hidden] when asked."""
-    if cfg.hidden_dim % cfg.trunk_heads:
-        raise ConfigError("hidden_dim must be divisible by trunk_heads")
-    x = seq.tokens + seq.positions
+def trunk_forward(x, store, cfg: PolicyConfig):
+    """Pre-norm causal transformer over the token sequence ``x`` [batch,
+    length, repr_dim] (positions already added); returns every position's
+    output [batch, length, hidden].  The action token's embedding is the last
+    position, ``[:, -1]``."""
     if cfg.repr_dim != cfg.hidden_dim:
         x = matmul(x, store["adapter.w"]) + store["adapter.b"]
     mask = causal_mask(x.shape[1], dtype=x.values.dtype)
@@ -292,21 +292,17 @@ def trunk_forward(seq: TokenSequence, store, cfg: PolicyConfig, return_all=False
         x = x + _attention(normed, store, p, cfg, mask)
         normed = layer_norm(x, store[f"{p}.ln2.g"], store[f"{p}.ln2.b"])
         x = x + _mlp2(normed, store, f"{p}.ff.1", f"{p}.ff.2")
-    if return_all:
-        return x
-    return x[:, -1, :]
+    return x
 
 
 # -- heads -------------------------------------------------------------------
 
 
 def mlp_head(h_action, store, cfg: PolicyConfig):
-    """Directly regress the action chunk: [batch, chunk_len, 7]."""
-    single = h_action.ndim == 1
-    h = reshape(h_action, (1, h_action.shape[0])) if single else h_action
-    out = _mlp2(h, store, "head.1", "head.2")
-    shape = (cfg.chunk_len, ACTION_WIDTH) if single else (h.shape[0], cfg.chunk_len, ACTION_WIDTH)
-    return reshape(out, shape)
+    """Directly regress the action chunk from h_action [batch, hidden]:
+    [batch, chunk_len, 7]."""
+    out = _mlp2(h_action, store, "head.1", "head.2")
+    return reshape(out, (h_action.shape[0], cfg.chunk_len, ACTION_WIDTH))
 
 
 def vq_encode(actions, store):
@@ -320,20 +316,15 @@ def vq_decode(codes, store):
 def vq_quantize(z_e, codes):
     """Nearest code by Euclidean distance; ties go to the smallest index.
 
-    Returns (indices [batch] int array, code vectors [batch, vq_dim] Tensor).
-    The index search happens outside the tape; the returned vectors carry
-    gradients to the codebook only.
+    ``z_e`` is [batch, vq_dim].  Returns (indices [batch] int array, code
+    vectors [batch, vq_dim] Tensor).  The index search happens outside the
+    tape; the returned vectors carry gradients to the codebook only.
     """
     codes = as_tensor(codes)
     z = z_e.values if isinstance(z_e, Tensor) else np.asarray(z_e)
-    single = z.ndim == 1
-    z2 = z[None] if single else z
-    deltas = z2[:, None, :] - codes.values[None, :, :]
+    deltas = z[:, None, :] - codes.values[None, :, :]
     indices = np.argmin(np.einsum("bkd,bkd->bk", deltas, deltas), axis=1)
-    picked = embedding_lookup(codes, indices)
-    if single:
-        return int(indices[0]), reshape(picked, (picked.shape[1],))
-    return indices, picked
+    return indices, embedding_lookup(codes, indices)
 
 
 def vqvae_loss(actions, store, cfg: PolicyConfig):
@@ -352,18 +343,15 @@ def vqvae_loss(actions, store, cfg: PolicyConfig):
 
 
 def vqbet_head(h_action, store, cfg: PolicyConfig, codebook_trained):
-    """Inference path: classify a code from h_action, decode it, and add the
-    regressed continuous offset."""
+    """Inference path: classify a code from h_action [batch, hidden], decode
+    it, and add the regressed continuous offset: [batch, chunk_len, 7]."""
     if not codebook_trained:
         raise StateError("action codebook has not been trained (run the pretraining phase first)")
-    single = h_action.ndim == 1
-    h = reshape(h_action, (1, h_action.shape[0])) if single else h_action
-    logits = matmul(h, store["vq.cls.w"]) + store["vq.cls.b"]
+    logits = matmul(h_action, store["vq.cls.w"]) + store["vq.cls.b"]
     picked = embedding_lookup(store["vq.codes"], np.argmax(logits.values, axis=1))
-    offset = _mlp2(concat([h, picked], axis=1), store, "vq.offset.1", "vq.offset.2")
+    offset = _mlp2(concat([h_action, picked], axis=1), store, "vq.offset.1", "vq.offset.2")
     out = vq_decode(picked, store) + offset
-    shape = (cfg.chunk_len, ACTION_WIDTH) if single else (h.shape[0], cfg.chunk_len, ACTION_WIDTH)
-    return reshape(out, shape)
+    return reshape(out, (h_action.shape[0], cfg.chunk_len, ACTION_WIDTH))
 
 
 def vqbet_train_loss(h_action, expert_actions, store, cfg: PolicyConfig, codebook_trained):
@@ -387,39 +375,26 @@ def vqbet_train_loss(h_action, expert_actions, store, cfg: PolicyConfig, codeboo
 # -- composition -------------------------------------------------------------
 
 
-def policy_forward(vision, instructions, proprio, store, cfg: PolicyConfig, vocab, codebook_trained=False, return_trunk=False):
-    """Full pass from featurized observations to an action chunk.
+def policy_forward(vision, instructions, proprio, store, cfg: PolicyConfig, vocab):
+    """Batched pass from featurized observations to the trunk's action-token
+    embedding h_action [batch, hidden]; a head turns it into actions.
 
     ``vision`` is [batch, views, L_selected, tokens, channels] for the geo
     backbone (the selected layers of the frozen pyramid, every one of which
-    is used) or [batch, views, 3, H, W] images for the pixel baseline.  The
-    views are folded into the batch (row b * views + v is scene b under view
-    v), so the vision encoder runs once per pass; the pixel encoder's
-    language conditioning is repeated per view to match.  Returns
-    [batch, chunk_len, 7], or (chunk, h_action).
+    is used) or [batch, views, 3, H, W] images for the pixel baseline;
+    ``instructions`` holds one instruction per batch row and ``proprio`` is
+    [batch, 7].  The views are folded into the batch (``fold_views``), so the
+    vision encoder runs once per pass.
     """
     vision = np.asarray(vision)
     if vision.ndim != 5 or vision.shape[1] != cfg.views:
         raise ShapeError(f"vision input must be [batch, {cfg.views}, ...] with rank 5, got {vision.shape}")
     z_lang = encode_language(instructions, store, vocab)
-    if z_lang.ndim == 1:
-        raise ShapeError("policy_forward wants a sequence of instructions, one per batch row")
-    b, d = vision.shape[0], cfg.repr_dim
-    folded = vision.reshape((b * cfg.views,) + vision.shape[2:])
-    if cfg.backbone_kind == "geo":
-        z_vis = project_vision([Tensor(folded[:, l]) for l in range(folded.shape[1])], store, cfg)
-    else:
-        z_lang_views = reshape(broadcast_to(reshape(z_lang, (b, 1, d)), (b, cfg.views, d)), (b * cfg.views, d))
-        z_vis = pixel_features(Tensor(folded), z_lang_views, store)
-    z_vis = reshape(z_vis, (b, cfg.views, d))
-    z_prop = encode_proprio(proprio, store)
-    seq = build_token_sequence(z_vis, z_lang, z_prop, store, cfg)
-    h_action = trunk_forward(seq, store, cfg)
-    if cfg.head_kind == "mlp":
-        chunk = mlp_head(h_action, store, cfg)
-    else:
-        chunk = vqbet_head(h_action, store, cfg, codebook_trained)
-    return (chunk, h_action) if return_trunk else chunk
+    inputs = fold_views(vision, z_lang, cfg)
+    z_vis = project_vision(*inputs, store, cfg) if cfg.backbone_kind == "geo" else pixel_features(*inputs, store)
+    z_vis = reshape(z_vis, (vision.shape[0], cfg.views, cfg.repr_dim))
+    x = build_token_sequence(z_vis, z_lang, encode_proprio(proprio, store), store, cfg)
+    return trunk_forward(x, store, cfg)[:, -1]
 
 
 class Policy:
@@ -451,17 +426,18 @@ class Policy:
             return self.backbone.pyramid_batch(scenes, cameras).astype(self.dtype)
         return np.ascontiguousarray(render_image(scenes, cameras).transpose(0, 1, 4, 2, 3), dtype=self.dtype)
 
-    def forward(self, vision, instructions, proprio, return_trunk=False):
+    def forward(self, vision, instructions, proprio):
+        """h_action [batch, hidden] for a featurized batch (``policy_forward``)."""
         return policy_forward(
-            vision,
-            instructions,
-            np.asarray(proprio, dtype=self.dtype),
-            self.params,
-            self.cfg,
-            self.vocab,
-            codebook_trained=self.codebook_trained,
-            return_trunk=return_trunk,
+            vision, instructions, np.asarray(proprio, dtype=self.dtype), self.params, self.cfg, self.vocab
         )
+
+    def head(self, h_action):
+        """The action chunk [batch, chunk_len, 7] from h_action, through the
+        configured head."""
+        if self.cfg.head_kind == "mlp":
+            return mlp_head(h_action, self.params, self.cfg)
+        return vqbet_head(h_action, self.params, self.cfg, self.codebook_trained)
 
     def action(self, scene, instruction, cameras):
         """First action of the predicted chunk for one scene, as a plain
@@ -470,5 +446,5 @@ class Policy:
         which the caller checks."""
         with no_grad(), np.errstate(all="ignore"):
             vision = self.featurize([scene], list(cameras))
-            chunk = self.forward(vision, [instruction], scene.proprio()[None].astype(self.dtype))
+            chunk = self.head(self.forward(vision, [instruction], scene.proprio()[None].astype(self.dtype)))
         return np.asarray(chunk.values[0, 0], dtype=np.float64)

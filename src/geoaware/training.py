@@ -26,6 +26,7 @@ from geoaware.policy import (
     PolicyConfig,
     codebook_param_names,
     encode_language,
+    fold_views,
     pooled_vision,
     vqbet_train_loss,
     vqvae_loss,
@@ -196,20 +197,17 @@ def calibrate_input_stats(policy: Policy, dataset, cameras=None, rng=None, sampl
     pairs = dataset.sample_index()
     picks = rng.integers(0, len(pairs), size=samples)
     store = policy.params
+    geo = policy.cfg.backbone_kind == "geo"
     feats = []
     with no_grad():
         for lo in range(0, samples, CALIBRATION_CHUNK):
             idx = [pairs[i] for i in picks[lo:lo + CALIBRATION_CHUNK]]
             batch = make_batch(dataset, idx, policy, cameras, cache)
-            vision = np.asarray(batch.vision)
-            folded = vision.reshape((-1,) + vision.shape[2:])        # row b * views + v, as in policy_forward
-            if policy.cfg.backbone_kind == "geo":
-                feats.append(pooled_vision([Tensor(folded[:, l]) for l in range(folded.shape[1])], store).values)
-            else:
-                z_lang = encode_language(batch.instructions, store, policy.vocab).values
-                feats.append(pixel_pooled(Tensor(folded), np.repeat(z_lang, policy.cfg.views, axis=0), store).values)
+            z_lang = None if geo else encode_language(batch.instructions, store, policy.vocab)
+            inputs = fold_views(batch.vision, z_lang, policy.cfg)
+            feats.append((pooled_vision(*inputs, store) if geo else pixel_pooled(*inputs, store)).values)
     features = np.concatenate(feats).astype(np.float64)
-    if policy.cfg.backbone_kind == "geo":
+    if geo:
         hidden = _fold_layer(store, features, "vision.mlp.1.w", "vision.mlp.1.b")
         _fold_layer(store, hidden, "vision.mlp.2.w", "vision.mlp.2.b")
     else:
@@ -273,16 +271,11 @@ def bc_train(dataset, cfg: TrainConfig, policy: Policy | None = None, geo: GeoSt
     for step_no in range(cfg.steps):
         def bc_step():
             batch = make_batch(dataset, draw(), policy, cameras, cache)
+            h_action = policy.forward(batch.vision, batch.instructions, batch.proprio)
             if policy.cfg.head_kind == "mlp":
-                pred = policy.forward(batch.vision, batch.instructions, batch.proprio)
-                loss = masked_chunk_mse(pred, batch)
+                loss = masked_chunk_mse(policy.head(h_action), batch)
             else:
-                _, h_action = policy.forward(
-                    batch.vision, batch.instructions, batch.proprio, return_trunk=True
-                )
-                loss, _ = vqbet_train_loss(
-                    h_action, Tensor(_masked_flat_targets(batch)), store, policy.cfg, True
-                )
+                loss, _ = vqbet_train_loss(h_action, Tensor(_masked_flat_targets(batch)), store, policy.cfg, True)
             return _descend(loss, store, opt)
 
         losses.append(_abort_guard(step_no, store, bc_step))

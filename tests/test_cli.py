@@ -77,6 +77,17 @@ def test_gen_data_expert_failure_leaves_no_file(workdir, capsys):
     assert not (workdir / "never.jsonl.tmp").exists()
 
 
+def test_gen_data_rejects_non_positive_image_size(workdir, capsys):
+    cfg = workdir / "no-pixels.json"
+    cfg.write_text(json.dumps({"sim": {"image_size": 0}}))
+    out = workdir / "no-pixels.jsonl"
+    code = main(["gen-data", "--config", str(cfg), "--out", str(out), "--episodes-per-task", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "image_size" in err
+    assert not out.exists()
+
+
 def test_seed_precedence(workdir, monkeypatch, capsys):
     a, b, c, d = (workdir / name for name in ("sa.jsonl", "sb.jsonl", "sc.jsonl", "sd.jsonl"))
     assert main(["gen-data", "--out", str(a), "--episodes-per-task", "1", "--seed", "9"]) == 0
@@ -110,6 +121,29 @@ def test_train_vqbet_head_flag(workdir, dataset_path, tiny_config, capsys):
     bundle = load_checkpoint(out)
     assert bundle.policy.cfg.head_kind == "vqbet"
     assert bundle.policy.codebook_trained
+
+
+def test_train_honours_policy_section(workdir, dataset_path, capsys):
+    # the policy and train sections must agree on the kinds; --head and --backbone set both
+    cfg = workdir / "policy-only.json"
+    cfg.write_text(json.dumps({"policy": {"head_kind": "vqbet", "backbone_kind": "pixel"}}))
+    out = workdir / "kinds.ckpt"
+    code = main(["train", "--config", str(cfg), "--data", str(dataset_path), "--out", str(out), "--steps", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "policy.head_kind" in err and "train.head_kind" in err
+    assert not out.exists()
+
+    both = workdir / "both-vqbet.json"
+    train = {"steps": 2, "vq_pretrain_steps": 2, "eval_every": 0, "head_kind": "vqbet"}
+    both.write_text(json.dumps({"policy": {"head_kind": "vqbet", "chunk_len": 2}, "train": train}))
+    assert main(["train", "--config", str(both), "--data", str(dataset_path), "--out", str(out)]) == 0
+    bundle = load_checkpoint(out)
+    assert (bundle.policy.cfg.head_kind, bundle.policy.cfg.chunk_len, bundle.train.head_kind) == ("vqbet", 2, "vqbet")
+    assert main(["train", "--config", str(both), "--data", str(dataset_path), "--out", str(out), "--head", "mlp"]) == 0
+    bundle = load_checkpoint(out)
+    assert (bundle.policy.cfg.head_kind, bundle.policy.cfg.chunk_len, bundle.train.head_kind) == ("mlp", 2, "mlp")
+    capsys.readouterr()
 
 
 def test_train_pixel_on_mixed_camera_sizes_exits_1(workdir, dataset_path, capsys):

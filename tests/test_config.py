@@ -65,6 +65,18 @@ def test_load_invalid_json(tmp_path):
         load_config(p)
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [({"policy": {"head_kind": "vqbet"}}, "head_kind"),
+     ({"train": {"backbone_kind": "pixel"}}, "backbone_kind"),
+     ({"sim": {"image_size": 0}}, "image_size")],
+    ids=["head-kinds-disagree", "backbone-kinds-disagree", "image-size-zero"],
+)
+def test_validate_rejects_inconsistent_sections(doc, field):
+    with pytest.raises(ConfigError, match=field):
+        from_dict(RunConfig, doc, "top-level").validate()
+
+
 def test_load_validates(tmp_path):
     p = tmp_path / "bad_cfg.json"
     p.write_text(json.dumps({"policy": {"hidden_dim": 65}}))   # not divisible by heads

@@ -363,6 +363,23 @@ def test_non_finite_dataset_float_raises_format_error(tmp_path, edit, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("size", [0, -32])
+def test_non_positive_camera_image_size_raises_format_error(tmp_path, size, capsys):
+    # an empty image is no camera: it must not load and then fail deep in training
+    path = tmp_path / "demos.jsonl"
+    _write_dataset(path)
+    fmt = JsonLines(path.read_bytes())
+    for camera in fmt.docs[0]["seen_cameras"]:
+        camera["image_size"] = size
+    path.write_bytes(fmt.encode(fmt.docs))
+    with pytest.raises(FormatError, match="image_size"):
+        load_dataset(path)
+    for backbone in ("geo", "pixel"):
+        assert main(["train", "--data", str(path), "--out", str(tmp_path / "p.ckpt"), "--steps", "1",
+                     "--backbone", backbone]) == 1
+    capsys.readouterr()
+
+
 def test_dataset_float_fields_accept_ints(tmp_path):
     path = tmp_path / "demos.jsonl"
     _write_dataset(path)

@@ -16,11 +16,11 @@ from geoaware.persist import from_dict
 from geoaware.policy import (
     Policy,
     PolicyConfig,
-    TokenSequence,
     build_token_sequence,
     codebook_param_names,
     encode_language,
     encode_proprio,
+    fold_views,
     mlp_head,
     policy_forward,
     project_vision,
@@ -154,30 +154,34 @@ def test_project_vision_gradients():
 
 def test_encode_language_contracts():
     pol = tiny_policy()
-    a = encode_language(VOCAB[0], pol.params, pol.vocab)
-    b = encode_language(VOCAB[1], pol.params, pol.vocab)
-    again = encode_language(VOCAB[0], pol.params, pol.vocab)
-    assert a.shape == (8,)
+    a = encode_language([VOCAB[0]], pol.params, pol.vocab)
+    b = encode_language([VOCAB[1]], pol.params, pol.vocab)
+    again = encode_language([VOCAB[0]], pol.params, pol.vocab)
+    assert a.shape == (1, 8)
     assert np.array_equal(a.values, again.values)
     assert np.abs(a.values - b.values).max() > 1e-8
     batch = encode_language([VOCAB[0], VOCAB[1]], pol.params, pol.vocab)
     assert batch.shape == (2, 8)
-    # batched matmul may differ from single-row by an ulp
-    assert np.allclose(batch.values[0], a.values, rtol=1e-12, atol=0)
+    # a larger batch's matmul may differ from a batch of one by an ulp
+    assert np.allclose(batch.values[0], a.values[0], rtol=1e-12, atol=0)
     with pytest.raises(VocabularyError):
-        encode_language("fold the laundry", pol.params, pol.vocab)
+        encode_language(["fold the laundry"], pol.params, pol.vocab)
+    with pytest.raises(VocabularyError):
+        encode_language(VOCAB[0], pol.params, pol.vocab)        # a bare string is not a batch
 
 
 def test_encode_proprio_contracts():
     pol = tiny_policy()
     state = np.arange(7.0)
-    out = encode_proprio(state, pol.params)
-    assert out.shape == (8,)
+    out = encode_proprio(state[None], pol.params)
+    assert out.shape == (1, 8)
     batch = encode_proprio(np.stack([state, state + 1]), pol.params)
     assert batch.shape == (2, 8)
-    assert np.allclose(batch.values[0], out.values, rtol=1e-12, atol=0)
+    assert np.allclose(batch.values[0], out.values[0], rtol=1e-12, atol=0)
     with pytest.raises(ShapeError):
-        encode_proprio(np.zeros(6), pol.params)
+        encode_proprio(np.zeros((1, 6)), pol.params)
+    with pytest.raises(ShapeError):
+        encode_proprio(state, pol.params)                       # unbatched
 
     def f(leaves):
         return (encode_proprio(leaves[0], pol.params) * 2.0).mean()
@@ -199,26 +203,23 @@ def _token_sequence(pol, rng, batch=2):
 def test_token_sequence_layout():
     pol = tiny_policy()
     seq = _token_sequence(pol, np.random.default_rng(0))
-    assert seq.tokens.shape == (2, 5, 8)
-    assert np.array_equal(seq.tokens.values[:, -1], np.tile(pol.params["token.action"].values, (2, 1)))
+    assert seq.shape == (2, 5, 8)
+    action = pol.params["token.action"].values + pol.params["token.pos"].values[-1]
+    assert np.array_equal(seq.values[:, -1], np.tile(action, (2, 1)))
     z = Tensor(np.zeros((2, 8)))
     with pytest.raises(ShapeError):
         build_token_sequence(Tensor(np.zeros((2, 3, 8))), z, z, pol.params, pol.cfg)     # three views, two expected
-    with pytest.raises(ShapeError):
-        TokenSequence(tokens=Tensor(np.zeros((2, 5, 8))), positions=Tensor(np.zeros((4, 8))))
 
 
 def test_trunk_causality_is_exact():
     pol = tiny_policy(seed=7)
     rng = np.random.default_rng(3)
     seq = _token_sequence(pol, rng, batch=1)
-    base = trunk_forward(seq, pol.params, pol.cfg, return_all=True).values.copy()
+    base = trunk_forward(seq, pol.params, pol.cfg).values.copy()
     for j in range(1, 5):
-        bumped = seq.tokens.values.copy()
+        bumped = seq.values.copy()
         bumped[:, j] += 17.0
-        out = trunk_forward(
-            TokenSequence(Tensor(bumped), seq.positions), pol.params, pol.cfg, return_all=True
-        ).values
+        out = trunk_forward(Tensor(bumped), pol.params, pol.cfg).values
         assert np.array_equal(out[:, :j], base[:, :j])
         assert np.abs(out[:, j:] - base[:, j:]).max() > 1e-6
 
@@ -226,10 +227,9 @@ def test_trunk_causality_is_exact():
 def test_trunk_single_token_sequence():
     pol = tiny_policy()
     tokens = Tensor(np.random.default_rng(4).standard_normal((2, 1, 8)))
-    seq = TokenSequence(tokens, positions=Tensor(np.zeros((1, 8))))
-    out = trunk_forward(seq, pol.params, pol.cfg)
-    again = trunk_forward(seq, pol.params, pol.cfg)
-    assert out.shape == (2, 8)
+    out = trunk_forward(tokens, pol.params, pol.cfg)
+    again = trunk_forward(tokens, pol.params, pol.cfg)
+    assert out.shape == (2, 1, 8)
     assert np.all(np.isfinite(out.values))
     assert np.array_equal(out.values, again.values)
 
@@ -243,8 +243,7 @@ def test_trunk_gradients():
         saved = pol.params["trunk0.attn.q.w"]
         pol.params._entries["trunk0.attn.q.w"] = qw
         try:
-            seq = TokenSequence(tokens, positions=pol.params["token.pos"])
-            out = trunk_forward(seq, pol.params, pol.cfg)
+            out = trunk_forward(tokens + pol.params["token.pos"], pol.params, pol.cfg)[:, -1]
         finally:
             pol.params._entries["trunk0.attn.q.w"] = saved
         return (out * out).mean()
@@ -256,8 +255,6 @@ def test_trunk_gradients():
 def test_mlp_head_shapes_and_gradients():
     pol = tiny_policy()
     rng = np.random.default_rng(6)
-    single = mlp_head(Tensor(rng.standard_normal(8)), pol.params, pol.cfg)
-    assert single.shape == (1, 7)
     batch = mlp_head(Tensor(rng.standard_normal((3, 8))), pol.params, pol.cfg)
     assert batch.shape == (3, 1, 7)
 
@@ -290,15 +287,15 @@ def test_vq_quantize_exact_hit_and_tie():
     codes[4] = [-1.0, 0.0, 0.0]
     codes[2] = [9.0, 9.0, 9.0]
     codes[5] = [9.0, 9.0, 9.0]
-    idx, picked = vq_quantize(Tensor(np.array([0.5, 0.5, 0.0])), Tensor(codes))
-    assert idx == 3
-    assert np.array_equal(picked.values, codes[3])
+    idx, picked = vq_quantize(Tensor(np.array([[0.5, 0.5, 0.0]])), Tensor(codes))
+    assert idx.tolist() == [3]
+    assert np.array_equal(picked.values, codes[3:4])
     # codes 1 and 4 are exactly equidistant from the origin probe: pick 1
     codes_tie = np.full((6, 3), 50.0)
     codes_tie[1] = [1.0, 0.0, 0.0]
     codes_tie[4] = [-1.0, 0.0, 0.0]
-    t_idx, _ = vq_quantize(Tensor(np.zeros(3)), Tensor(codes_tie))
-    assert t_idx == 1
+    t_idx, _ = vq_quantize(Tensor(np.zeros((1, 3))), Tensor(codes_tie))
+    assert t_idx.tolist() == [1]
 
 
 def test_straight_through_gradient_contract():
@@ -377,8 +374,6 @@ def test_vqbet_head_requires_trained_codebook():
         vqbet_train_loss(h, Tensor(np.zeros((2, 7))), pol.params, pol.cfg, codebook_trained=False)
     out = vqbet_head(h, pol.params, pol.cfg, codebook_trained=True)
     assert out.shape == (2, 1, 7)
-    single = vqbet_head(Tensor(np.zeros(8)), pol.params, pol.cfg, codebook_trained=True)
-    assert single.shape == (1, 7)
 
 
 def test_vqbet_train_loss_reduces_to_ce_on_perfect_decode():
@@ -412,9 +407,11 @@ def test_policy_forward_shapes_and_purity():
     vision = rand_vision(rng, pol.cfg)
     instructions = [VOCAB[0], VOCAB[2]]
     proprio = rng.standard_normal((2, 7))
-    out = pol.forward(vision, instructions, proprio)
+    h_action = pol.forward(vision, instructions, proprio)
+    assert h_action.shape == (2, 8)
+    out = pol.head(h_action)
     assert out.shape == (2, 1, 7)
-    again = pol.forward(vision, instructions, proprio)
+    again = pol.head(pol.forward(vision, instructions, proprio))
     assert np.array_equal(out.values, again.values)
 
 
@@ -423,8 +420,7 @@ def test_folded_views_match_separate_calls():
     rng = np.random.default_rng(24)
     pol = Policy(tiny_cfg(), VOCAB, seed=25, geo=TINY_GEO)
     vision = rand_vision(rng, pol.cfg, batch=3).astype(np.float32)
-    folded = vision.reshape((6,) + vision.shape[2:])
-    z = project_vision([folded[:, l] for l in range(3)], pol.params, pol.cfg).values
+    z = project_vision(*fold_views(vision, None, pol.cfg), pol.params, pol.cfg).values
     for row in range(6):
         b, v = divmod(row, pol.cfg.views)
         alone = project_vision([vision[b : b + 1, v, l] for l in range(3)], pol.params, pol.cfg).values
@@ -435,9 +431,9 @@ def test_folded_views_match_separate_calls():
     for pol, vision in ((pol, vision), (pixel, images)):
         instructions = [VOCAB[2], VOCAB[0], VOCAB[1]]
         proprio = rng.standard_normal((3, 7)).astype(np.float32)
-        batched = pol.forward(vision, instructions, proprio).values
+        batched = pol.head(pol.forward(vision, instructions, proprio)).values
         for b in range(3):
-            alone = pol.forward(vision[b : b + 1], instructions[b : b + 1], proprio[b : b + 1]).values
+            alone = pol.head(pol.forward(vision[b : b + 1], instructions[b : b + 1], proprio[b : b + 1])).values
             np.testing.assert_allclose(batched[b], alone[0], rtol=1e-5, atol=1e-6)
 
 
@@ -450,8 +446,9 @@ def test_float32_policy_stays_float32(backbone, head):
     scenes = [reset(task, seed=28, sim=sim) for task in make_tasks()[:3]]
     vision = pol.featurize(scenes, list(seen_cameras(sim)))
     proprio = np.stack([s.proprio() for s in scenes])
-    chunk, h_action = pol.forward(vision, list(VOCAB), proprio, return_trunk=True)
-    assert (vision.dtype, chunk.dtype, h_action.dtype) == (np.float32,) * 3
+    h_action = pol.forward(vision, list(VOCAB), proprio)
+    chunk = pol.head(h_action)
+    assert (vision.dtype, h_action.dtype, chunk.dtype) == (np.float32,) * 3
     targets = Tensor(np.random.default_rng(29).standard_normal((3, 7)).astype(np.float32))
     if head == "mlp":
         loss = mse_loss(chunk, targets.reshape(3, 1, 7))
@@ -477,7 +474,7 @@ def test_featurize_returns_only_selected_layers():
     assert vision.shape == (4, 2, 4, geo.num_keypoints, geo.feature_dim)
     assert np.array_equal(vision, full[:, :, [1, 3, 6, 8]].astype(np.float32))     # layers {2,4,7,9}
     proprio = np.stack([s.proprio() for s in scenes])
-    assert pol.forward(vision, [VOCAB[0]] * 4, proprio).shape == (4, 1, 7)
+    assert pol.head(pol.forward(vision, [VOCAB[0]] * 4, proprio)).shape == (4, 1, 7)
     with pytest.raises(ShapeError):
         pol.forward(full.astype(np.float32), [VOCAB[0]] * 4, proprio)
 
@@ -495,8 +492,8 @@ def test_policy_end_to_end_gradients():
         for n, leaf in zip(checked, leaves):
             pol.params._entries[n] = leaf
         try:
-            out = policy_forward(vision, [VOCAB[1]], proprio, pol.params, pol.cfg, pol.vocab)
-            return mse_loss(out, Tensor(target))
+            h_action = policy_forward(vision, [VOCAB[1]], proprio, pol.params, pol.cfg, pol.vocab)
+            return mse_loss(mlp_head(h_action, pol.params, pol.cfg), Tensor(target))
         finally:
             for n, t in zip(checked, saved):
                 pol.params._entries[n] = t
@@ -515,7 +512,7 @@ def test_policy_vision_input_gradients():
         z_lang = encode_language([VOCAB[0], VOCAB[1]], pol.params, pol.vocab)
         z_prop = encode_proprio(leaves[3], pol.params)
         seq = build_token_sequence(z_vis, z_lang, z_prop, pol.params, pol.cfg)
-        h = trunk_forward(seq, pol.params, pol.cfg)
+        h = trunk_forward(seq, pol.params, pol.cfg)[:, -1]
         return (mlp_head(h, pol.params, pol.cfg) * 0.5).mean()
 
     leaves = [rng.standard_normal((4, 5, 4)) for _ in range(3)] + [rng.standard_normal((2, 7))]
@@ -543,7 +540,7 @@ def test_no_dead_parameters_mlp_geo():
     pol = tiny_policy(seed=18)
     rng = np.random.default_rng(19)
     vision = rand_vision(rng, pol.cfg)
-    out = pol.forward(vision, [VOCAB[0], VOCAB[1]], rng.standard_normal((2, 7)))
+    out = pol.head(pol.forward(vision, [VOCAB[0], VOCAB[1]], rng.standard_normal((2, 7))))
     mse_loss(out, Tensor(rng.standard_normal((2, 1, 7)))).backward()
     for name in pol.params.trainable_names():
         grad = pol.params[name].grad
@@ -565,7 +562,7 @@ def test_no_dead_parameters_vqbet_geo():
     clear_grads(pol.params)
     pol.codebook_trained = True
     vision = rand_vision(rng, pol.cfg)
-    out, h = pol.forward(vision, [VOCAB[0], VOCAB[1]], rng.standard_normal((2, 7)), return_trunk=True)
+    h = pol.forward(vision, [VOCAB[0], VOCAB[1]], rng.standard_normal((2, 7)))
     loss, _ = vqbet_train_loss(h, Tensor(rng.standard_normal((2, 7))), pol.params, pol.cfg, True)
     loss.backward()
     for name in pol.params.trainable_names():
@@ -583,7 +580,7 @@ def test_no_dead_parameters_pixel():
     rng = np.random.default_rng(23)
     vision = rng.uniform(0.0, 1.0, (4, 2, 3, 16, 16))
     instructions = [VOCAB[i % 3] for i in range(4)]
-    out = pol.forward(vision, instructions, rng.standard_normal((4, 7)))
+    out = pol.head(pol.forward(vision, instructions, rng.standard_normal((4, 7))))
     mse_loss(out, Tensor(rng.standard_normal((4, 1, 7)))).backward()
     for name in pol.params.trainable_names():
         grad = pol.params[name].grad

@@ -127,13 +127,11 @@ def _vision_mlp_input_stats(pol, demos):
     """Mean and std per dimension of the calibrated first-layer preactivations
     over every dataset step and view."""
     from geoaware.numerics import no_grad
-    from geoaware.policy import pooled_vision
+    from geoaware.policy import fold_views, pooled_vision
 
     with no_grad():
         batch = make_batch(demos, demos.sample_index(), pol, demos.cameras)
-        vision = np.asarray(batch.vision)
-        folded = vision.reshape((-1,) + vision.shape[2:])
-        pooled = pooled_vision([folded[:, l] for l in range(folded.shape[1])], pol.params)
+        pooled = pooled_vision(*fold_views(batch.vision, None, pol.cfg), pol.params)
         stacked = pooled.values @ pol.params["vision.mlp.1.w"].values + pol.params["vision.mlp.1.b"].values
     return stacked.mean(axis=0), stacked.std(axis=0)
 
@@ -181,7 +179,7 @@ def test_calibration_covers_pixel_head(demos):
     calibrate_input_stats(pol, demos, demos.cameras, rng=np.random.default_rng(3), samples=32)
     assert not np.array_equal(pol.params["pixel.head.w1"].values, w_before)
     batch = make_batch(demos, demos.sample_index()[:4], pol, demos.cameras)
-    out = pol.forward(batch.vision, batch.instructions, batch.proprio)
+    out = pol.head(pol.forward(batch.vision, batch.instructions, batch.proprio))
     assert np.all(np.isfinite(out.values))
 
 
@@ -273,6 +271,21 @@ def test_vqbet_codebook_actually_trains(demos):
     # after training, codebook params are frozen; the head is not
     assert "vq.codes" in pol.params.frozen_names()
     assert "vq.cls.w" not in pol.params.frozen_names()
+
+
+def test_vqbet_training_never_decodes_a_chunk(demos, monkeypatch):
+    # the VQ-BeT objective reads h_action; the inference head only serves rollouts
+    import geoaware.policy
+
+    calls = []
+    head = geoaware.policy.vqbet_head
+    monkeypatch.setattr(geoaware.policy, "vqbet_head", lambda *args: calls.append(args) or head(*args))
+    pol = small_policy(demos, head_kind="vqbet", vq_codes=8, vq_dim=4)
+    pol, _ = bc_train(demos, small_train(steps=3, head_kind="vqbet", vq_pretrain_steps=2), policy=pol)
+    assert calls == []
+    episode = demos.episodes[0]
+    pol.action(episode.steps[0].scene, episode.instruction, demos.cameras)
+    assert len(calls) == 1
 
 
 def test_overfit_smoke_single_episode(demos):
