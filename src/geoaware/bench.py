@@ -73,7 +73,7 @@ def rollout(policy, task, cameras, seed, sim: SimConfig | None = None, max_steps
             vec = None
         if vec is None or vec.shape != (7,) or not np.all(np.isfinite(vec)):
             return RolloutResult(task.task_id, seed, False, t, failure="non-finite or malformed action")
-        scene = step(scene, Action(d_pos=vec[:3], d_rot=vec[3:6], gripper_cmd=float(vec[6])), sim)
+        scene = step(scene, Action.from_vector(vec), sim)
         if success(scene, task):
             return RolloutResult(task.task_id, seed, True, t + 1)
     return RolloutResult(task.task_id, seed, False, cap)

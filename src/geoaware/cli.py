@@ -145,7 +145,7 @@ def cmd_ablate(args):
     run_cfg, raw = _load_run_config(args.config)
     train_raw = raw.get("train", {})
     seed = _resolve_seed(None, "seed" in train_raw, run_cfg.train.seed)
-    train_cfg = replace(run_cfg.train, seed=seed, backbone_kind="geo").validate()
+    train_cfg = replace(run_cfg.train, seed=seed).validate()
     modes = _parse_modes(args.modes)
     dataset = load_dataset(args.data)
     os.makedirs(args.out_dir, exist_ok=True)

@@ -18,7 +18,6 @@ from geoaware.deskworld.world import (
     reset,
     step,
     success,
-    task_by_id,
 )
 from geoaware.deskworld.camera import (
     CameraPose,
@@ -45,7 +44,6 @@ __all__ = [
     "SimConfig",
     "TaskSpec",
     "make_tasks",
-    "task_by_id",
     "reset",
     "step",
     "expert_action",

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geoaware.errors import CameraError, FormatError
-from geoaware.persist import read_float, read_floats, read_int
+from geoaware.errors import CameraError
 from geoaware.deskworld.world import (
     BACKGROUND_COLOR,
     EE_COLOR,
@@ -59,36 +58,18 @@ class CameraPose:
     principal_point: np.ndarray
     image_size: int
 
-    def to_dict(self):
-        return {
-            "position": self.position.tolist(),
-            "look_at": self.look_at.tolist(),
-            "up": self.up.tolist(),
-            "focal": self.focal,
-            "principal_point": self.principal_point.tolist(),
-            "image_size": self.image_size,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        image_size = read_int(d["image_size"], "camera image_size")
-        if image_size < 1:
-            raise FormatError(f"camera image_size must be positive, got {image_size}")
-        return cls(
-            position=np.array(read_floats(d["position"], "camera position"), dtype=float),
-            look_at=np.array(read_floats(d["look_at"], "camera look_at"), dtype=float),
-            up=np.array(read_floats(d["up"], "camera up"), dtype=float),
-            focal=read_float(d["focal"], "camera focal"),
-            principal_point=np.array(read_floats(d["principal_point"], "camera principal_point"), dtype=float),
-            image_size=image_size,
-        )
-
     def same_pose(self, other, tol=1e-9):
         return (
             np.allclose(self.position, other.position, atol=tol)
             and np.allclose(self.look_at, other.look_at, atol=tol)
             and np.allclose(self.up, other.up, atol=tol)
         )
+
+
+def _cross(a, b):
+    """``np.cross`` of two 3-vectors, bit for bit, without its per-call setup."""
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def camera_axes(pose: CameraPose):
@@ -98,12 +79,12 @@ def camera_axes(pose: CameraPose):
     if norm < 1e-9:
         raise CameraError("camera position coincides with its look-at point")
     forward = forward / norm
-    right = np.cross(forward, pose.up)
+    right = _cross(forward, pose.up)
     rnorm = np.linalg.norm(right)
     if rnorm < 1e-9:
         raise CameraError("camera up vector is parallel to the viewing direction")
     right = right / rnorm
-    down = np.cross(forward, right)  # completes the right-handed (right, down, forward) triad
+    down = _cross(forward, right)  # completes the right-handed (right, down, forward) triad
     return right, down, forward
 
 

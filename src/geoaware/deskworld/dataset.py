@@ -1,71 +1,32 @@
 """Expert demonstration datasets serialized as JSON lines.
 
-Line 0 is a header (format version, task specs, seen cameras, seed); each
-following line is one episode.  Floats are written with 17 significant
-digits, which round-trips IEEE doubles exactly, so replaying stored actions
-through the dynamics reproduces stored scenes bit-for-bit.  Observations
+This module is the one owner of the file format.  Line 0 is a header (format
+version, task specs, seen cameras, seed); each following line is one episode.
+A dataclass is written as an object of its fields in field order and an array
+as a list.  Floats are written as Python's shortest ``repr`` that round-trips
+the double exactly, so replaying stored actions through the dynamics
+reproduces stored scenes bit-for-bit.  The readers are strict: a number of
+the wrong type, a vector of the wrong length, an unknown colour or a held
+object that is not in its scene raises ``FormatError``.  Observations
 (renders, features) are never stored; they are derived at batch time.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
 from geoaware.errors import FormatError, GenerationError
 from geoaware.deskworld.camera import CameraPose, seen_cameras
-from geoaware.deskworld.world import Action, SceneState, SimConfig, TaskSpec, expert_action, reset, step, success
-from geoaware.persist import read_floats, read_int, write_atomic
+from geoaware.deskworld.world import (
+    OBJECT_COLORS, REGION_COLORS, Action, GoalRegion, ObjectState, SceneState, SimConfig, TaskSpec,
+    expert_action, reset, step, success,
+)
+from geoaware.persist import read_float, read_floats, read_int, write_atomic
 
 FORMAT_VERSION = 1
-
-
-# -- exact JSON writing ------------------------------------------------------
-
-
-def _write_json(obj, out):
-    """Append a deterministic JSON encoding of ``obj`` with .17g floats."""
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format(float(obj), ".17g"))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(k)))
-            out.append(":")
-            _write_json(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(",")
-            _write_json(v, out)
-        out.append("]")
-    else:
-        raise FormatError(f"cannot serialize {type(obj).__name__}")
-
-
-def dumps_exact(obj):
-    out = []
-    _write_json(obj, out)
-    return "".join(out)
-
-
-# -- episodes ----------------------------------------------------------------
 
 
 @dataclass
@@ -74,21 +35,6 @@ class EpisodeStep:
     proprio: np.ndarray
     action: np.ndarray
 
-    def to_dict(self):
-        return {
-            "scene": self.scene.to_dict(),
-            "proprio": self.proprio.tolist(),
-            "action": self.action.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            scene=SceneState.from_dict(d["scene"]),
-            proprio=np.array(read_floats(d["proprio"], "step proprio"), dtype=float),
-            action=np.array(read_floats(d["action"], "step action"), dtype=float),
-        )
-
 
 @dataclass
 class Episode:
@@ -96,23 +42,6 @@ class Episode:
     instruction: str
     seed: int
     steps: list[EpisodeStep]
-
-    def to_dict(self):
-        return {
-            "task_id": self.task_id,
-            "instruction": self.instruction,
-            "seed": self.seed,
-            "steps": [s.to_dict() for s in self.steps],
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            task_id=d["task_id"],
-            instruction=d["instruction"],
-            seed=read_int(d["seed"], "episode seed"),
-            steps=[EpisodeStep.from_dict(s) for s in d["steps"]],
-        )
 
 
 @dataclass
@@ -160,20 +89,119 @@ def generate_dataset(tasks, episodes_per_task, seed, sim: SimConfig | None = Non
     return DemoDataset(tasks=list(tasks), cameras=seen_cameras(sim), seed=seed, episodes=episodes)
 
 
-# -- file IO -----------------------------------------------------------------
+# -- writing -----------------------------------------------------------------
+
+
+def _encode(obj):
+    """``json.dumps`` hook: an array as its list, a dataclass as an object of
+    its fields in field order; anything else raises ``FormatError``."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    raise FormatError(f"cannot serialize {type(obj).__name__}")
 
 
 def save_dataset(dataset: DemoDataset, path):
     header = {
         "format_version": FORMAT_VERSION,
-        "tasks": [t.to_dict() for t in dataset.tasks],
-        "seen_cameras": [c.to_dict() for c in dataset.cameras],
+        "tasks": dataset.tasks,
+        "seen_cameras": dataset.cameras,
         "seed": dataset.seed,
         "episodes": len(dataset.episodes),
     }
-    lines = [dumps_exact(header)]
-    lines.extend(dumps_exact(ep.to_dict()) for ep in dataset.episodes)
+    lines = [
+        json.dumps(doc, default=_encode, allow_nan=False, separators=(",", ":"))
+        for doc in [header, *dataset.episodes]
+    ]
     write_atomic(path, "\n".join(lines) + "\n")
+
+
+# -- reading -----------------------------------------------------------------
+
+
+def _vector(values, size, name):
+    """``values`` as a float array if it is a list of ``size`` numbers, each
+    as ``read_floats`` accepts it; anything else raises ``FormatError``."""
+    if len(read_floats(values, name)) != size:
+        raise FormatError(f"{name} must have {size} entries, got {len(values)}")
+    return np.array(values, dtype=float)
+
+
+def _color(value, palette, name):
+    """``value`` if it names a colour of ``palette``, which the renderer and
+    the geometric features look up; anything else raises ``FormatError``."""
+    if value not in palette:
+        raise FormatError(f"{name} must be one of {sorted(palette)}, got {value!r}")
+    return value
+
+
+def _read_scene(d):
+    objects = [
+        ObjectState(o["object_id"], _color(o["color"], OBJECT_COLORS, "object color"), _vector(o["pos"], 3, "object pos"))
+        for o in d["objects"]
+    ]
+    held = d["held_object"]
+    if held is not None and held not in [o.object_id for o in objects]:
+        raise FormatError(f"scene holds {held!r}, which is not one of its objects")
+    return SceneState(
+        ee_pos=_vector(d["ee_pos"], 3, "scene ee_pos"),
+        ee_rot=_vector(d["ee_rot"], 3, "scene ee_rot"),
+        gripper=read_float(d["gripper"], "scene gripper"),
+        objects=objects,
+        goal_regions=[
+            GoalRegion(
+                g["region_id"], _color(g["color"], REGION_COLORS, "region color"),
+                _vector(g["center"], 3, "goal center"), read_float(g["radius"], "goal radius"),
+            )
+            for g in d["goal_regions"]
+        ],
+        held_object=held,
+    )
+
+
+def _read_task(d):
+    return TaskSpec(
+        index=read_int(d["index"], "task index"),
+        task_id=d["task_id"],
+        instruction=d["instruction"],
+        objects=tuple((o[0], _color(o[1], OBJECT_COLORS, "task object color")) for o in d["objects"]),
+        regions=tuple(
+            (r[0], _color(r[1], REGION_COLORS, "task region color"), read_float(r[2], "task region radius"))
+            for r in d["regions"]
+        ),
+        goals=tuple((g[0], g[1]) for g in d["goals"]),
+    )
+
+
+def _read_camera(d):
+    image_size = read_int(d["image_size"], "camera image_size")
+    if image_size < 1:
+        raise FormatError(f"camera image_size must be positive, got {image_size}")
+    return CameraPose(
+        position=_vector(d["position"], 3, "camera position"),
+        look_at=_vector(d["look_at"], 3, "camera look_at"),
+        up=_vector(d["up"], 3, "camera up"),
+        focal=read_float(d["focal"], "camera focal"),
+        principal_point=_vector(d["principal_point"], 2, "camera principal_point"),
+        image_size=image_size,
+    )
+
+
+def _read_episode(d):
+    return Episode(
+        task_id=d["task_id"],
+        instruction=d["instruction"],
+        seed=read_int(d["seed"], "episode seed"),
+        steps=[
+            EpisodeStep(
+                scene=_read_scene(s["scene"]),
+                proprio=_vector(s["proprio"], 7, "step proprio"),
+                action=_vector(s["action"], 7, "step action"),
+            )
+            for s in d["steps"]
+        ],
+    )
 
 
 def load_dataset(path) -> DemoDataset:
@@ -192,9 +220,9 @@ def load_dataset(path) -> DemoDataset:
         raise FormatError(f"unsupported dataset format_version {version!r} (expected {FORMAT_VERSION})")
     try:
         seed = read_int(header["seed"], "dataset seed")
-        tasks = [TaskSpec.from_dict(t) for t in header["tasks"]]
-        cameras = [CameraPose.from_dict(c) for c in header["seen_cameras"]]
-        episodes = [Episode.from_dict(json.loads(ln)) for ln in lines[1:]]
+        tasks = [_read_task(t) for t in header["tasks"]]
+        cameras = [_read_camera(c) for c in header["seen_cameras"]]
+        episodes = [_read_episode(json.loads(ln)) for ln in lines[1:]]
     except (KeyError, IndexError, TypeError, ValueError) as e:
         raise FormatError(f"malformed dataset file {path}: {e}") from e
     if header.get("episodes") != len(episodes):

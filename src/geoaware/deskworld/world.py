@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from geoaware.errors import GenerationError, InputError, TaskError
-from geoaware.persist import read_float, read_floats, read_int
 
 # Palette shared by the renderer and the geometric feature stub.  Object and
 # region colors come from a closed set; the end-effector color is reserved.
@@ -98,41 +97,6 @@ class SceneState:
         """7-vector fed to the policy: ee position, ee rotation, gripper."""
         return np.concatenate([self.ee_pos, self.ee_rot, [self.gripper]])
 
-    def to_dict(self):
-        return {
-            "ee_pos": self.ee_pos.tolist(),
-            "ee_rot": self.ee_rot.tolist(),
-            "gripper": self.gripper,
-            "held_object": self.held_object,
-            "objects": [
-                {"object_id": o.object_id, "color": o.color, "pos": o.pos.tolist()} for o in self.objects
-            ],
-            "goal_regions": [
-                {"region_id": g.region_id, "color": g.color, "center": g.center.tolist(), "radius": g.radius}
-                for g in self.goal_regions
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            ee_pos=np.array(read_floats(d["ee_pos"], "scene ee_pos"), dtype=float),
-            ee_rot=np.array(read_floats(d["ee_rot"], "scene ee_rot"), dtype=float),
-            gripper=read_float(d["gripper"], "scene gripper"),
-            held_object=d["held_object"],
-            objects=[
-                ObjectState(o["object_id"], o["color"], np.array(read_floats(o["pos"], "object pos"), dtype=float))
-                for o in d["objects"]
-            ],
-            goal_regions=[
-                GoalRegion(
-                    g["region_id"], g["color"],
-                    np.array(read_floats(g["center"], "goal center"), dtype=float), read_float(g["radius"], "goal radius"),
-                )
-                for g in d["goal_regions"]
-            ],
-        )
-
 
 @dataclass
 class Action:
@@ -168,27 +132,6 @@ class TaskSpec:
     regions: tuple                  # ((region_id, color, radius), ...)
     goals: tuple                    # ((object_id, region_id), ...) in execution order
 
-    def to_dict(self):
-        return {
-            "index": self.index,
-            "task_id": self.task_id,
-            "instruction": self.instruction,
-            "objects": [list(o) for o in self.objects],
-            "regions": [list(r) for r in self.regions],
-            "goals": [list(g) for g in self.goals],
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            index=read_int(d["index"], "task index"),
-            task_id=d["task_id"],
-            instruction=d["instruction"],
-            objects=tuple((o[0], o[1]) for o in d["objects"]),
-            regions=tuple((r[0], r[1], read_float(r[2], "task region radius")) for r in d["regions"]),
-            goals=tuple((g[0], g[1]) for g in d["goals"]),
-        )
-
 
 def make_tasks():
     """The fixed task set; instructions form the closed policy vocabulary."""
@@ -208,13 +151,6 @@ def make_tasks():
             (("red_block", "green_zone"), ("blue_block", "green_zone")),
         ),
     ]
-
-
-def task_by_id(task_id, tasks=None):
-    for t in tasks if tasks is not None else make_tasks():
-        if t.task_id == task_id:
-            return t
-    raise TaskError(f"unknown task id {task_id!r}")
 
 
 def reset(task: TaskSpec, seed: int, sim: SimConfig | None = None) -> SceneState:

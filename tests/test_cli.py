@@ -271,6 +271,14 @@ def test_ablate_writes_checkpoints_and_reports(workdir, dataset_path, capsys):
     assert load_checkpoint(out_dir / "ablate-even.ckpt").policy.cfg.select_mode == "even"
 
 
+def test_ablate_rejects_a_pixel_config(workdir, dataset_path, capsys):
+    cfg = workdir / "ablate-pixel.json"
+    cfg.write_text(json.dumps({"policy": {"backbone_kind": "pixel"}, "train": {"backbone_kind": "pixel"}}))
+    code = main(["ablate", "--config", str(cfg), "--data", str(dataset_path), "--out-dir", str(workdir / "abl")])
+    assert code == 1
+    assert "layer ablation only applies to the geo backbone" in capsys.readouterr().err
+
+
 def test_ablate_honours_geo_section(workdir, dataset_path, capsys):
     cfg = workdir / "ablate-geo.json"
     cfg.write_text(json.dumps({

@@ -1,12 +1,14 @@
 """Dataset generation, serialization exactness, and replay fidelity."""
 
+import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from geoaware.deskworld import SimConfig, generate_dataset, load_dataset, make_tasks, save_dataset, success
-from geoaware.deskworld.dataset import dumps_exact, run_expert_episode
+from geoaware.deskworld.dataset import run_expert_episode
 from geoaware.deskworld.world import Action, step
 from geoaware.errors import FormatError, GenerationError
 
@@ -28,6 +30,36 @@ def replay_deviation(episode, sim):
         if scene.held_object != stored.held_object:
             return float("inf")
     return worst
+
+
+def assert_same_bits(a, b):
+    """Equal structure and types, with every float and array equal bit for bit."""
+    assert type(a) is type(b)
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_same_bits(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same_bits(x, y)
+    elif isinstance(a, float):
+        assert struct.pack("<d", a) == struct.pack("<d", b)
+    else:
+        assert a == b
+
+
+def dumps_17g(doc):
+    """JSON text with every float written to 17 significant digits, as dataset
+    files were written before floats became their shortest ``repr``."""
+    if isinstance(doc, float):
+        return format(doc, ".17g")
+    if isinstance(doc, dict):
+        return "{" + ",".join(f"{json.dumps(k)}:{dumps_17g(v)}" for k, v in doc.items()) + "}"
+    if isinstance(doc, list):
+        return "[" + ",".join(dumps_17g(v) for v in doc) + "]"
+    return json.dumps(doc)
 
 
 def small_dataset(seed=0, episodes_per_task=3):
@@ -64,11 +96,19 @@ def test_replay_survives_serialization_roundtrip(tmp_path):
     loaded = load_dataset(path)
     for ep in loaded.episodes:
         assert replay_deviation(ep, SIM) <= 1e-9
-    # exact float round-trip: scenes match the in-memory originals bitwise
-    for a, b in zip(ds.episodes, loaded.episodes):
-        for sa, sb in zip(a.steps, b.steps):
-            assert np.array_equal(sa.action, sb.action)
-            assert np.array_equal(sa.scene.ee_pos, sb.scene.ee_pos)
+    # exact float round-trip: the whole dataset matches the in-memory original bitwise
+    assert_same_bits(ds, loaded)
+
+
+def test_file_with_17_digit_floats_loads_to_the_same_bits(tmp_path):
+    ds = small_dataset(seed=7, episodes_per_task=1)
+    path = tmp_path / "demos.jsonl"
+    save_dataset(ds, path)
+    old = tmp_path / "old.jsonl"
+    old.write_text("".join(dumps_17g(json.loads(line)) + "\n" for line in path.read_text().splitlines()))
+    assert old.read_bytes() != path.read_bytes()
+    assert_same_bits(load_dataset(old), load_dataset(path))
+    assert_same_bits(load_dataset(old), ds)
 
 
 def test_same_seed_byte_identical(tmp_path):
@@ -126,13 +166,14 @@ def test_expert_failure_raises_not_drops():
         generate_dataset(make_tasks(), 1, 0, tight)
 
 
-def test_exact_float_formatting():
-    # 17 significant digits round-trip IEEE doubles exactly
-    values = [0.1, 1.0 / 3.0, 1e-17, 123456.789012345678, -2.5e-8]
-    text = dumps_exact(values)
-    back = json.loads(text)
-    for orig, rec in zip(values, back):
-        assert orig == rec
+def test_exact_float_formatting(tmp_path):
+    # every double round-trips through the file bit for bit, signed zero included
+    values = [0.1, 1.0 / 3.0, 1e-17, 123456.789012345678, -2.5e-8, -0.0, 5e-324]
+    ds = small_dataset(episodes_per_task=1)
+    ds.episodes[0].steps[0].action = np.array(values)
+    path = tmp_path / "demos.jsonl"
+    save_dataset(ds, path)
+    assert load_dataset(path).episodes[0].steps[0].action.tobytes() == np.array(values).tobytes()
 
 
 def test_sample_index_covers_all_steps():

@@ -340,6 +340,45 @@ def test_mistyped_dataset_float_raises_format_error(tmp_path, edit, capsys):
     capsys.readouterr()
 
 
+def _scene(docs):
+    return docs[1]["steps"][0]["scene"]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda docs: _scene(docs)["objects"][0].update(color="purple"),
+     lambda docs: _scene(docs)["goal_regions"][0].update(color="red"),
+     lambda docs: docs[0]["tasks"][0]["objects"][0].__setitem__(1, "purple"),
+     lambda docs: docs[0]["tasks"][0]["regions"][0].__setitem__(1, "blue"),
+     lambda docs: docs[1]["steps"][0].update(action=docs[1]["steps"][0]["action"][:3]),
+     lambda docs: docs[1]["steps"][0]["proprio"].append(0.0),
+     lambda docs: _scene(docs)["ee_pos"].pop(),
+     lambda docs: _scene(docs)["ee_rot"].append(0.0),
+     lambda docs: _scene(docs)["objects"][1]["pos"].pop(),
+     lambda docs: _scene(docs)["goal_regions"][0]["center"].append(0.0),
+     lambda docs: docs[0]["seen_cameras"][0]["up"].pop(),
+     lambda docs: docs[0]["seen_cameras"][1]["principal_point"].append(16.0),
+     lambda docs: _scene(docs).update(held_object="ghost")],
+    ids=["object-color-purple", "region-color-red", "task-object-color-purple", "task-region-color-blue",
+         "step-action-3-entries", "step-proprio-8-entries", "scene-ee-pos-2-entries", "scene-ee-rot-4-entries",
+         "object-pos-2-entries", "goal-center-4-entries", "camera-up-2-entries", "camera-principal-point-3-entries",
+         "held-object-ghost"],
+)
+def test_dataset_value_that_breaks_training_raises_format_error(tmp_path, edit, capsys):
+    # each loaded on its own and then crashed training or trained on a scene that cannot exist
+    path = tmp_path / "demos.jsonl"
+    _write_dataset(path)
+    fmt = JsonLines(path.read_bytes())
+    edit(fmt.docs)
+    path.write_bytes(fmt.encode(fmt.docs))
+    with pytest.raises(FormatError):
+        load_dataset(path)
+    for backbone in ("geo", "pixel"):
+        assert main(["train", "--data", str(path), "--out", str(tmp_path / "p.ckpt"), "--steps", "1",
+                     "--backbone", backbone]) == 1
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "edit",
     [lambda docs: docs[1]["steps"][0]["scene"]["ee_pos"].__setitem__(0, float("nan")),

@@ -11,10 +11,9 @@ from geoaware.deskworld import (
     reset,
     step,
     success,
-    task_by_id,
 )
 from geoaware.deskworld.world import MIN_SEPARATION, WORKSPACE_HALF
-from geoaware.errors import InputError, TaskError
+from geoaware.errors import InputError
 
 SIM = SimConfig()
 
@@ -27,12 +26,7 @@ def test_task_set_is_closed_and_distinct():
     ids = [t.task_id for t in tasks]
     assert len(set(ids)) == len(ids)
     # calling twice yields identical specs
-    assert [t.to_dict() for t in make_tasks()] == [t.to_dict() for t in tasks]
-
-
-def test_unknown_task_id():
-    with pytest.raises(TaskError):
-        task_by_id("t99")
+    assert make_tasks() == tasks
 
 
 def test_reset_deterministic_and_separated():
