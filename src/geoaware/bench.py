@@ -58,15 +58,14 @@ class EvalReport:
         }
 
 
-def rollout(policy, task, cameras, seed, sim: SimConfig | None = None, max_steps=None) -> RolloutResult:
+def rollout(policy, task, cameras, seed, sim: SimConfig | None = None) -> RolloutResult:
     """Run the policy closed-loop from a seeded reset until success or the
     step cap.  A non-finite action marks the rollout failed instead of
     raising, also when the forward pass itself goes non-finite; the gripper
     command is thresholded by sign inside the world."""
     sim = sim or SimConfig()
-    cap = max_steps or sim.max_episode_steps
     scene = reset(task, seed=seed, sim=sim)
-    for t in range(cap):
+    for t in range(sim.max_episode_steps):
         try:
             vec = np.asarray(policy.action(scene, task.instruction, cameras), dtype=float)
         except NumericError:
@@ -76,7 +75,7 @@ def rollout(policy, task, cameras, seed, sim: SimConfig | None = None, max_steps
         scene = step(scene, Action.from_vector(vec), sim)
         if success(scene, task):
             return RolloutResult(task.task_id, seed, True, t + 1)
-    return RolloutResult(task.task_id, seed, False, cap)
+    return RolloutResult(task.task_id, seed, False, sim.max_episode_steps)
 
 
 def evaluate(policy, category, rollouts_per_task=10, seeds=(0,), sim: SimConfig | None = None, tasks=None, model="policy") -> EvalReport:

@@ -185,11 +185,9 @@ def cmd_report(args):
             payload = json.load(f)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"report file {args.infile} is not valid JSON: {exc}")
-    if not isinstance(payload, dict) or payload.get("schema_version") != REPORT_SCHEMA_VERSION:
-        raise SchemaError(
-            f"report schema_version {payload.get('schema_version') if isinstance(payload, dict) else payload!r} "
-            f"is not supported (expected {REPORT_SCHEMA_VERSION})"
-        )
+    version = payload.get("schema_version") if isinstance(payload, dict) else payload
+    if not isinstance(payload, dict) or type(version) is not int or version != REPORT_SCHEMA_VERSION:
+        raise SchemaError(f"report schema_version {version!r} is not supported (expected {REPORT_SCHEMA_VERSION})")
     if not any(key in payload for key in ("tasks", "ablation", "comparison")):
         raise SchemaError("report JSON has none of the known sections (tasks, ablation, comparison)")
     renderers = {"md": render_markdown, "csv": render_csv, "json": render_json}

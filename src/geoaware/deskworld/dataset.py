@@ -6,9 +6,10 @@ A dataclass is written as an object of its fields in field order and an array
 as a list.  Floats are written as Python's shortest ``repr`` that round-trips
 the double exactly, so replaying stored actions through the dynamics
 reproduces stored scenes bit-for-bit.  The readers are strict: a number of
-the wrong type, a vector of the wrong length, an unknown colour or a held
-object that is not in its scene raises ``FormatError``.  Observations
-(renders, features) are never stored; they are derived at batch time.
+the wrong type, an id or instruction that is not a string, a vector of the
+wrong length, an unknown colour or a held object that is not in its scene
+raises ``FormatError``.  Observations (renders, features) are never stored;
+they are derived at batch time.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from geoaware.deskworld.world import (
     OBJECT_COLORS, REGION_COLORS, Action, GoalRegion, ObjectState, SceneState, SimConfig, TaskSpec,
     expert_action, reset, step, success,
 )
-from geoaware.persist import read_float, read_floats, read_int, write_atomic
+from geoaware.persist import read_float, read_floats, read_int, read_str, write_atomic
 
 FORMAT_VERSION = 1
 
@@ -138,7 +139,10 @@ def _color(value, palette, name):
 
 def _read_scene(d):
     objects = [
-        ObjectState(o["object_id"], _color(o["color"], OBJECT_COLORS, "object color"), _vector(o["pos"], 3, "object pos"))
+        ObjectState(
+            read_str(o["object_id"], "object id"), _color(o["color"], OBJECT_COLORS, "object color"),
+            _vector(o["pos"], 3, "object pos"),
+        )
         for o in d["objects"]
     ]
     held = d["held_object"]
@@ -151,7 +155,7 @@ def _read_scene(d):
         objects=objects,
         goal_regions=[
             GoalRegion(
-                g["region_id"], _color(g["color"], REGION_COLORS, "region color"),
+                read_str(g["region_id"], "region id"), _color(g["color"], REGION_COLORS, "region color"),
                 _vector(g["center"], 3, "goal center"), read_float(g["radius"], "goal radius"),
             )
             for g in d["goal_regions"]
@@ -163,14 +167,19 @@ def _read_scene(d):
 def _read_task(d):
     return TaskSpec(
         index=read_int(d["index"], "task index"),
-        task_id=d["task_id"],
-        instruction=d["instruction"],
-        objects=tuple((o[0], _color(o[1], OBJECT_COLORS, "task object color")) for o in d["objects"]),
+        task_id=read_str(d["task_id"], "task id"),
+        instruction=read_str(d["instruction"], "task instruction"),
+        objects=tuple(
+            (read_str(o[0], "task object id"), _color(o[1], OBJECT_COLORS, "task object color")) for o in d["objects"]
+        ),
         regions=tuple(
-            (r[0], _color(r[1], REGION_COLORS, "task region color"), read_float(r[2], "task region radius"))
+            (
+                read_str(r[0], "task region id"), _color(r[1], REGION_COLORS, "task region color"),
+                read_float(r[2], "task region radius"),
+            )
             for r in d["regions"]
         ),
-        goals=tuple((g[0], g[1]) for g in d["goals"]),
+        goals=tuple((read_str(g[0], "task goal object id"), read_str(g[1], "task goal region id")) for g in d["goals"]),
     )
 
 
@@ -190,8 +199,8 @@ def _read_camera(d):
 
 def _read_episode(d):
     return Episode(
-        task_id=d["task_id"],
-        instruction=d["instruction"],
+        task_id=read_str(d["task_id"], "episode task id"),
+        instruction=read_str(d["instruction"], "episode instruction"),
         seed=read_int(d["seed"], "episode seed"),
         steps=[
             EpisodeStep(

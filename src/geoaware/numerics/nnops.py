@@ -1,13 +1,17 @@
 """Neural-network operations on top of the tensor tape.
 
-Each op has a fused backward closure; all of them are exercised against
-central finite differences by the gradient-check suite.  Ops are as coarse as
-their callers allow, since every op pays Python overhead: the geometric
-vision projection's per-layer conv, relu and token pooling are one op,
-``conv1d_relu_pool``, over all selected layers at once, and a trunk block's
-whole self-attention (q/k/v projections, masked softmax, context and output
-projection) is one op, ``attention_block``.  Ops do not check their results
-for NaN or Inf; see the ``tensor`` module for where finiteness is checked.
+Each op follows the ``tensor`` module's one-closure contract: it computes its
+forward values, defines one fused ``backward(g)`` closure and hands both to
+``make_result``, which keeps the closure only when the result needs a
+gradient; work that only the gradient needs runs inside ``backward``.  Every
+backward is checked against central finite differences by the gradient-check
+suite.  Ops are as coarse as their callers allow, since every op pays Python
+overhead: the geometric vision projection's per-layer conv, relu and token
+pooling are one op, ``conv1d_relu_pool``, over all selected layers at once,
+and a trunk block's whole self-attention (q/k/v projections, masked softmax,
+context and output projection) is one op, ``attention_block``.  Ops do not
+check their results for NaN or Inf; see the ``tensor`` module for where
+finiteness is checked.
 """
 
 from __future__ import annotations
@@ -26,15 +30,10 @@ def relu(a):
     a = as_tensor(a)
     out_vals = np.maximum(a.values, 0.0)
 
-    def build():
-        mask = a.values > 0.0
+    def backward(g):
+        a._accumulate(g * (a.values > 0.0))
 
-        def backward(g):
-            a._accumulate(g * mask)
-
-        return backward
-
-    return make_result(out_vals, (a,), build)
+    return make_result(out_vals, (a,), backward)
 
 
 def layer_norm(x, gamma, beta, eps=1e-6):
@@ -50,22 +49,19 @@ def layer_norm(x, gamma, beta, eps=1e-6):
     xhat = xc * inv
     out_vals = xhat * gamma.values + beta.values
 
-    def build():
-        def backward(g):
-            if x.requires_grad or x._backward is not None:
-                dxhat = g * gamma.values
-                term1 = dxhat.mean(axis=-1, keepdims=True)
-                term2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-                x._accumulate(inv * (dxhat - term1 - xhat * term2))
-            lead = tuple(range(g.ndim - 1))
-            if gamma.requires_grad or gamma._backward is not None:
-                gamma._accumulate((g * xhat).sum(axis=lead))
-            if beta.requires_grad or beta._backward is not None:
-                beta._accumulate(g.sum(axis=lead))
+    def backward(g):
+        if x.requires_grad:
+            dxhat = g * gamma.values
+            term1 = dxhat.mean(axis=-1, keepdims=True)
+            term2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            x._accumulate(inv * (dxhat - term1 - xhat * term2))
+        lead = tuple(range(g.ndim - 1))
+        if gamma.requires_grad:
+            gamma._accumulate((g * xhat).sum(axis=lead))
+        if beta.requires_grad:
+            beta._accumulate(g.sum(axis=lead))
 
-        return backward
-
-    return make_result(out_vals, (x, gamma, beta), build)
+    return make_result(out_vals, (x, gamma, beta), backward)
 
 
 # -- attention ---------------------------------------------------------------
@@ -112,30 +108,27 @@ def attention_block(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, mask):
     ctx = (att @ v).transpose(0, 2, 1, 3).reshape(b, s, h)
     out_vals = ctx @ wo.values + bo.values
 
-    def build():
-        def backward(g):
-            g2 = g.reshape(b * s, h)
-            gctx = (g @ wo.values.T).reshape(b, s, heads, dh).transpose(0, 2, 1, 3)
-            gatt = gctx @ v.transpose(0, 1, 3, 2)
-            gscores = _softmax_grad(att, gatt) * scale
-            gqkv = np.stack([gscores @ k, gscores.transpose(0, 1, 3, 2) @ q, att.transpose(0, 1, 3, 2) @ gctx])
-            gqkv = gqkv.transpose(1, 3, 0, 2, 4).reshape(b * s, 3 * h)        # [B*S, 3H], columns q | k | v
-            gw = x.values.reshape(b * s, h).T @ gqkv
-            gb = gqkv.sum(axis=0)
-            grads = [
-                (wq, gw[:, :h]), (wk, gw[:, h:2 * h]), (wv, gw[:, 2 * h:]),
-                (bq, gb[:h]), (bk, gb[h:2 * h]), (bv, gb[2 * h:]),
-                (wo, ctx.reshape(b * s, h).T @ g2), (bo, g2.sum(axis=0)),
-            ]
-            if x.requires_grad or x._backward is not None:
-                grads.append((x, (gqkv @ w_qkv.T).reshape(b, s, h)))
-            for t, g_t in grads:
-                if t.requires_grad or t._backward is not None:
-                    t._accumulate(g_t)
+    def backward(g):
+        g2 = g.reshape(b * s, h)
+        gctx = (g @ wo.values.T).reshape(b, s, heads, dh).transpose(0, 2, 1, 3)
+        gatt = gctx @ v.transpose(0, 1, 3, 2)
+        gscores = _softmax_grad(att, gatt) * scale
+        gqkv = np.stack([gscores @ k, gscores.transpose(0, 1, 3, 2) @ q, att.transpose(0, 1, 3, 2) @ gctx])
+        gqkv = gqkv.transpose(1, 3, 0, 2, 4).reshape(b * s, 3 * h)        # [B*S, 3H], columns q | k | v
+        gw = x.values.reshape(b * s, h).T @ gqkv
+        gb = gqkv.sum(axis=0)
+        grads = [
+            (wq, gw[:, :h]), (wk, gw[:, h:2 * h]), (wv, gw[:, 2 * h:]),
+            (bq, gb[:h]), (bk, gb[h:2 * h]), (bv, gb[2 * h:]),
+            (wo, ctx.reshape(b * s, h).T @ g2), (bo, g2.sum(axis=0)),
+        ]
+        if x.requires_grad:
+            grads.append((x, (gqkv @ w_qkv.T).reshape(b, s, h)))
+        for t, g_t in grads:
+            if t.requires_grad:
+                t._accumulate(g_t)
 
-        return backward
-
-    return make_result(out_vals, (x, wq, bq, wk, bk, wv, bv, wo, bo), build)
+    return make_result(out_vals, (x, wq, bq, wk, bk, wv, bv, wo, bo), backward)
 
 
 # -- convolutions ------------------------------------------------------------
@@ -202,26 +195,25 @@ def conv1d_relu_pool(layers, kernels, biases):
     pooled = act.reshape(n_layers, b, n, c_out).mean(axis=2)        # [L, B, C_out]
     out_vals = pooled.transpose(1, 0, 2).reshape(b, n_layers * c_out)
 
-    def build():
-        active = act > 0.0                                          # where the preactivation was positive
+    # Where the preactivation was positive; kept as a bool mask so the tape
+    # does not hold the float activations.
+    active = act > 0.0
 
-        def backward(g):
-            gp = g.reshape(b, n_layers, c_out).transpose(1, 0, 2)[:, :, None, :] * (1.0 / n)
-            gpre = (active.reshape(n_layers, b, n, c_out) * gp).reshape(n_layers, b * n, c_out)
-            grads = [
-                (kernels, (gpre.transpose(0, 2, 1) @ cols).reshape(n_layers, c_out, c_in, k)),
-                (biases, gpre.sum(axis=1)),
-            ]
-            if any(t.requires_grad or t._backward is not None for t in layers):
-                grads.append((layers, _token_taps_grad((gpre @ w).reshape(n_layers, b, n, c_in, k))))
-            for tensors, grad in grads:
-                for t, g_t in zip(tensors, grad):
-                    if t.requires_grad or t._backward is not None:
-                        t._accumulate(g_t)
+    def backward(g):
+        gp = g.reshape(b, n_layers, c_out).transpose(1, 0, 2)[:, :, None, :] * (1.0 / n)
+        gpre = (active.reshape(n_layers, b, n, c_out) * gp).reshape(n_layers, b * n, c_out)
+        grads = [
+            (kernels, (gpre.transpose(0, 2, 1) @ cols).reshape(n_layers, c_out, c_in, k)),
+            (biases, gpre.sum(axis=1)),
+        ]
+        if any(t.requires_grad for t in layers):
+            grads.append((layers, _token_taps_grad((gpre @ w).reshape(n_layers, b, n, c_in, k))))
+        for tensors, grad in grads:
+            for t, g_t in zip(tensors, grad):
+                if t.requires_grad:
+                    t._accumulate(g_t)
 
-        return backward
-
-    return make_result(out_vals, (*layers, *kernels, *biases), build)
+    return make_result(out_vals, (*layers, *kernels, *biases), backward)
 
 
 def conv2d(x, kernels, bias, stride=1, padding=0):
@@ -247,28 +239,25 @@ def conv2d(x, kernels, bias, stride=1, padding=0):
     out = cols @ w2.T + bias.values  # [B, HW_out, C_out]
     out_vals = out.transpose(0, 2, 1).reshape(b, c_out, h_out, w_out)
 
-    def build():
-        def backward(g):
-            gt = g.reshape(b, c_out, h_out * w_out).transpose(0, 2, 1)  # [B, HW_out, C_out]
-            if kernels.requires_grad or kernels._backward is not None:
-                gw = np.tensordot(gt, cols, axes=([0, 1], [0, 1]))
-                kernels._accumulate(gw.reshape(c_out, c_in, kh, kw))
-            if bias.requires_grad or bias._backward is not None:
-                bias._accumulate(gt.sum(axis=(0, 1)))
-            if x.requires_grad or x._backward is not None:
-                gcols = (gt @ w2).reshape(b, h_out, w_out, c_in, kh, kw)
-                gx = np.zeros((b, c_in, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
-                gc = gcols.transpose(0, 3, 1, 2, 4, 5)  # [B, C_in, H_out, W_out, kh, kw]
-                for i in range(kh):
-                    for j in range(kw):
-                        gx[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += gc[:, :, :, :, i, j]
-                if padding:
-                    gx = gx[:, :, padding : padding + h, padding : padding + w]
-                x._accumulate(gx)
+    def backward(g):
+        gt = g.reshape(b, c_out, h_out * w_out).transpose(0, 2, 1)  # [B, HW_out, C_out]
+        if kernels.requires_grad:
+            gw = np.tensordot(gt, cols, axes=([0, 1], [0, 1]))
+            kernels._accumulate(gw.reshape(c_out, c_in, kh, kw))
+        if bias.requires_grad:
+            bias._accumulate(gt.sum(axis=(0, 1)))
+        if x.requires_grad:
+            gcols = (gt @ w2).reshape(b, h_out, w_out, c_in, kh, kw)
+            gx = np.zeros((b, c_in, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
+            gc = gcols.transpose(0, 3, 1, 2, 4, 5)  # [B, C_in, H_out, W_out, kh, kw]
+            for i in range(kh):
+                for j in range(kw):
+                    gx[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += gc[:, :, :, :, i, j]
+            if padding:
+                gx = gx[:, :, padding : padding + h, padding : padding + w]
+            x._accumulate(gx)
 
-        return backward
-
-    return make_result(out_vals, (x, kernels, bias), build)
+    return make_result(out_vals, (x, kernels, bias), backward)
 
 
 # -- lookup ------------------------------------------------------------------
@@ -284,15 +273,12 @@ def embedding_lookup(table, indices):
         raise InputError(f"embedding index out of range for table with {table.shape[0]} rows")
     out_vals = table.values[idx]
 
-    def build():
-        def backward(g):
-            gt = np.zeros_like(table.values)
-            np.add.at(gt, idx, g)
-            table._accumulate(gt)
+    def backward(g):
+        gt = np.zeros_like(table.values)
+        np.add.at(gt, idx, g)
+        table._accumulate(gt)
 
-        return backward
-
-    return make_result(out_vals, (table,), build)
+    return make_result(out_vals, (table,), backward)
 
 
 # -- losses ------------------------------------------------------------------
@@ -307,17 +293,14 @@ def mse_loss(pred, target):
     n = diff.size
     out_vals = np.array([(diff * diff).sum() / n])
 
-    def build():
-        def backward(g):
-            scale = 2.0 * float(g.reshape(-1)[0]) / n
-            if pred.requires_grad or pred._backward is not None:
-                pred._accumulate(scale * diff)
-            if target.requires_grad or target._backward is not None:
-                target._accumulate(-scale * diff)
+    def backward(g):
+        scale = 2.0 * float(g.reshape(-1)[0]) / n
+        if pred.requires_grad:
+            pred._accumulate(scale * diff)
+        if target.requires_grad:
+            target._accumulate(-scale * diff)
 
-        return backward
-
-    return make_result(out_vals, (pred, target), build)
+    return make_result(out_vals, (pred, target), backward)
 
 
 def cross_entropy(logits, labels):
@@ -339,15 +322,10 @@ def cross_entropy(logits, labels):
     picked = shifted[np.arange(b), labels]
     out_vals = np.array([(lse - picked).mean()])
 
-    def build():
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
+    def backward(g):
+        gl = np.exp(shifted)
+        gl /= gl.sum(axis=1, keepdims=True)
+        gl[np.arange(b), labels] -= 1.0
+        logits._accumulate(gl * (float(g.reshape(-1)[0]) / b))
 
-        def backward(g):
-            gl = probs.copy()
-            gl[np.arange(b), labels] -= 1.0
-            logits._accumulate(gl * (float(g.reshape(-1)[0]) / b))
-
-        return backward
-
-    return make_result(out_vals, (logits,), build)
+    return make_result(out_vals, (logits,), backward)

@@ -1,7 +1,10 @@
 """Core tensor type and the reverse-mode tape.
 
 A ``Tensor`` wraps a dense numpy array plus an optional gradient of the same
-shape.  Operations record a backward closure and their parent tensors; calling
+shape.  Each op computes its forward values and hands one closure,
+``backward(g)``, to ``make_result``, which records it on the tape only when
+the result needs a gradient.  Work that only the gradient needs runs inside
+``backward``, so a forward under ``no_grad`` does none of it.  Calling
 ``backward()`` on a scalar result walks the graph in reverse topological order
 and accumulates gradients into every tensor with ``requires_grad=True``.
 Gradients add across uses and across backward calls; callers zero them
@@ -108,19 +111,13 @@ class Tensor:
             self.grad = np.zeros_like(self.values)
         self.grad += g
 
-    def backward(self, grad=None):
-        """Accumulate d(self)/d(leaf) into every reachable requires_grad leaf."""
-        if grad is None:
-            if self.size != 1:
-                raise ShapeError("backward() without an explicit gradient needs a scalar")
-            grad = np.ones_like(self.values)
-        else:
-            grad = np.asarray(grad, dtype=self.values.dtype)
-            if grad.shape != self.shape:
-                raise ShapeError(f"gradient shape {grad.shape} != tensor shape {self.shape}")
-
+    def backward(self):
+        """Accumulate d(self)/d(leaf) into every reachable requires_grad leaf;
+        ``self`` must be a scalar."""
+        if self.size != 1:
+            raise ShapeError(f"backward() needs a scalar, got shape {self.shape}")
         order = _toposort(self)
-        self._accumulate(grad)
+        self._accumulate(np.ones_like(self.values))
         for node in order:
             if node._backward is not None:
                 node._backward(node.grad)
@@ -197,24 +194,22 @@ def _toposort(root):
     return order
 
 
-def make_result(values, parents, backward_builder):
-    """Construct an op result, wiring the tape only when gradients are needed.
+def make_result(values, parents, backward):
+    """Construct an op result, recording it on the tape when it needs a gradient.
 
-    ``backward_builder`` is called lazily (only under grad mode with at least
-    one tracked parent) and must return a closure ``f(g)`` that accumulates
-    into the parents.
+    ``backward(g)`` accumulates the result's gradient ``g`` into every parent
+    that has ``requires_grad``.  The result needs a gradient, and keeps
+    ``backward`` and ``parents``, when grad mode is on and some parent has
+    ``requires_grad``; otherwise it keeps neither and the closure is dropped.
+    Invariant: an op result has ``requires_grad`` exactly when it has a
+    backward, so ops test ``requires_grad`` alone.
     """
     out = Tensor.__new__(Tensor)
     out.values = values
     out.grad = None
-    out._backward = None
-    tracked = _GRAD_ENABLED and any(p.requires_grad or p._backward is not None for p in parents)
-    out.requires_grad = tracked
-    if tracked:
-        out._parents = tuple(parents)
-        out._backward = backward_builder()
-    else:
-        out._parents = ()
+    out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    out._parents = tuple(parents) if out.requires_grad else ()
+    out._backward = backward if out.requires_grad else None
     return out
 
 
@@ -236,32 +231,26 @@ def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
     out_vals = a.values + b.values
 
-    def build():
-        def backward(g):
-            if a.requires_grad or a._backward is not None:
-                a._accumulate(_unbroadcast(g, a.shape))
-            if b.requires_grad or b._backward is not None:
-                b._accumulate(_unbroadcast(g, b.shape))
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.shape))
 
-        return backward
-
-    return make_result(out_vals, (a, b), build)
+    return make_result(out_vals, (a, b), backward)
 
 
 def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
     out_vals = a.values - b.values
 
-    def build():
-        def backward(g):
-            if a.requires_grad or a._backward is not None:
-                a._accumulate(_unbroadcast(g, a.shape))
-            if b.requires_grad or b._backward is not None:
-                b._accumulate(_unbroadcast(-g, b.shape))
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-g, b.shape))
 
-        return backward
-
-    return make_result(out_vals, (a, b), build)
+    return make_result(out_vals, (a, b), backward)
 
 
 def mul(a, b):
@@ -272,28 +261,22 @@ def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     out_vals = a.values * b.values
 
-    def build():
-        def backward(g):
-            if a.requires_grad or a._backward is not None:
-                a._accumulate(_unbroadcast(g * b.values, a.shape))
-            if b.requires_grad or b._backward is not None:
-                b._accumulate(_unbroadcast(g * a.values, b.shape))
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.values, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.values, b.shape))
 
-        return backward
-
-    return make_result(out_vals, (a, b), build)
+    return make_result(out_vals, (a, b), backward)
 
 
 def _scale(a, c):
     out_vals = a.values * c
 
-    def build():
-        def backward(g):
-            a._accumulate(g * c)
+    def backward(g):
+        a._accumulate(g * c)
 
-        return backward
-
-    return make_result(out_vals, (a,), build)
+    return make_result(out_vals, (a,), backward)
 
 
 def matmul(a, b):
@@ -309,18 +292,15 @@ def matmul(a, b):
         raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
     out_vals = np.matmul(a.values, b.values)
 
-    def build():
-        def backward(g):
-            if a.requires_grad or a._backward is not None:
-                ga = np.matmul(g, np.swapaxes(b.values, -1, -2))
-                a._accumulate(_unbroadcast(ga, a.shape))
-            if b.requires_grad or b._backward is not None:
-                gb = np.matmul(np.swapaxes(a.values, -1, -2), g)
-                b._accumulate(_unbroadcast(gb, b.shape))
+    def backward(g):
+        if a.requires_grad:
+            ga = np.matmul(g, np.swapaxes(b.values, -1, -2))
+            a._accumulate(_unbroadcast(ga, a.shape))
+        if b.requires_grad:
+            gb = np.matmul(np.swapaxes(a.values, -1, -2), g)
+            b._accumulate(_unbroadcast(gb, b.shape))
 
-        return backward
-
-    return make_result(out_vals, (a, b), build)
+    return make_result(out_vals, (a, b), backward)
 
 
 # -- shape manipulation ------------------------------------------------------
@@ -330,27 +310,20 @@ def reshape(a, shape):
     a = as_tensor(a)
     out_vals = a.values.reshape(shape)
 
-    def build():
-        def backward(g):
-            a._accumulate(g.reshape(a.shape))
+    def backward(g):
+        a._accumulate(g.reshape(a.shape))
 
-        return backward
-
-    return make_result(out_vals, (a,), build)
+    return make_result(out_vals, (a,), backward)
 
 
 def transpose(a, axes=None):
     a = as_tensor(a)
     out_vals = np.transpose(a.values, axes)
-    inv = None if axes is None else tuple(np.argsort(axes))
 
-    def build():
-        def backward(g):
-            a._accumulate(np.transpose(g, inv))
+    def backward(g):
+        a._accumulate(np.transpose(g, None if axes is None else np.argsort(axes)))
 
-        return backward
-
-    return make_result(out_vals, (a,), build)
+    return make_result(out_vals, (a,), backward)
 
 
 def tensor_slice(a, key):
@@ -363,15 +336,12 @@ def tensor_slice(a, key):
     else:
         scalar = False
 
-    def build():
-        def backward(g):
-            full = np.zeros_like(a.values)
-            full[key] = g.reshape(()) if scalar else g
-            a._accumulate(full)
+    def backward(g):
+        full = np.zeros_like(a.values)
+        full[key] = g.reshape(()) if scalar else g
+        a._accumulate(full)
 
-        return backward
-
-    return make_result(out_vals, (a,), build)
+    return make_result(out_vals, (a,), backward)
 
 
 def concat(tensors, axis=0):
@@ -379,33 +349,27 @@ def concat(tensors, axis=0):
     if not tensors:
         raise ShapeError("concat needs at least one tensor")
     out_vals = np.concatenate([t.values for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
-    def build():
-        def backward(g):
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad or t._backward is not None:
-                    idx = [slice(None)] * g.ndim
-                    idx[axis] = slice(lo, hi)
-                    t._accumulate(g[tuple(idx)])
+    def backward(g):
+        hi = 0
+        for t in tensors:
+            lo, hi = hi, hi + t.shape[axis]
+            if t.requires_grad:
+                idx = [slice(None)] * g.ndim
+                idx[axis] = slice(lo, hi)
+                t._accumulate(g[tuple(idx)])
 
-        return backward
-
-    return make_result(out_vals, tuple(tensors), build)
+    return make_result(out_vals, tuple(tensors), backward)
 
 
 def broadcast_to(a, shape):
     a = as_tensor(a)
     out_vals = np.broadcast_to(a.values, shape).copy()
 
-    def build():
-        def backward(g):
-            a._accumulate(_unbroadcast(g, a.shape))
+    def backward(g):
+        a._accumulate(_unbroadcast(g, a.shape))
 
-        return backward
-
-    return make_result(out_vals, (a,), build)
+    return make_result(out_vals, (a,), backward)
 
 
 # -- reductions --------------------------------------------------------------
@@ -417,19 +381,16 @@ def tensor_sum(a, axis=None, keepdims=False):
     if out_vals.ndim == 0:
         out_vals = out_vals.reshape(1)
 
-    def build():
-        def backward(g):
-            if axis is None:
-                gg = g.reshape((1,) * a.ndim)
-            elif keepdims:
-                gg = g
-            else:
-                gg = np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(gg, a.shape).copy())
+    def backward(g):
+        if axis is None:
+            gg = g.reshape((1,) * a.ndim)
+        elif keepdims:
+            gg = g
+        else:
+            gg = np.expand_dims(g, axis)
+        a._accumulate(np.broadcast_to(gg, a.shape).copy())
 
-        return backward
-
-    return make_result(out_vals, (a,), build)
+    return make_result(out_vals, (a,), backward)
 
 
 def mean(a, axis=None, keepdims=False):

@@ -2,9 +2,9 @@
 
 Config sections are dataclasses whose fields all have defaults.  They are
 written with ``dataclasses.asdict`` and read back with ``from_dict``, the one
-decoder shared by run configs and checkpoint headers.  ``read_int``,
-``read_float`` and ``read_floats`` apply the same no-coercion rule to the
-numeric fields of dataset files, and also reject non-finite numbers there.
+decoder shared by run configs and checkpoint headers.  ``read_str``,
+``read_int``, ``read_float`` and ``read_floats`` apply the same no-coercion
+rule to the fields of dataset files, and also reject non-finite numbers there.
 """
 
 import dataclasses
@@ -44,6 +44,13 @@ def from_dict(cls, data, section, error=ConfigError):
             )
         kwargs[name] = value
     return cls(**kwargs)
+
+
+def read_str(value, name):
+    """``value`` if it is a str; a number, bool, null or list raises ``FormatError``."""
+    if type(value) is not str:
+        raise FormatError(f"{name} must be str, got {type(value).__name__}")
+    return value
 
 
 def read_int(value, name):

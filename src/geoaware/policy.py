@@ -406,7 +406,6 @@ class Policy:
         self.geo = geo or GeoStubConfig()
         self.vocab = tuple(vocab)
         self.dtype = np.dtype(dtype)
-        self.seed = seed
         self.backbone = None
         if cfg.backbone_kind == "geo":
             picks = select_layer_indices(self.geo.num_layers, cfg.select_mode, cfg.select_count)

@@ -121,11 +121,6 @@ def masked_chunk_mse(pred, batch):
     return (diff * diff).sum() * (1.0 / denom)
 
 
-def _masked_flat_targets(batch):
-    """Expert chunks flattened to [B, act_dim]; padded tail steps stay zero."""
-    return (batch.targets * batch.mask[:, :, None]).reshape(len(batch.targets), -1)
-
-
 def _abort_guard(step_no, store, fn):
     try:
         return fn()
@@ -174,7 +169,7 @@ def _fold_layer(store, features, w_name, b_name):
     return np.maximum(features @ w_new + b_new, 0.0)
 
 
-def calibrate_input_stats(policy: Policy, dataset, cameras=None, rng=None, samples=CALIBRATION_SAMPLES, cache=None):
+def calibrate_input_stats(policy: Policy, dataset, cameras, rng, samples=CALIBRATION_SAMPLES, cache=None):
     """Fold probe-batch feature statistics into the vision MLP's initial weights.
 
     The frozen featurizer (and the pixel conv stack) hands the policy features
@@ -192,8 +187,6 @@ def calibrate_input_stats(policy: Policy, dataset, cameras=None, rng=None, sampl
     """
     if not dataset.episodes:
         raise ConfigError("cannot calibrate on an empty dataset")
-    cameras = list(dataset.cameras) if cameras is None else list(cameras)
-    rng = np.random.default_rng(policy.seed) if rng is None else rng
     pairs = dataset.sample_index()
     picks = rng.integers(0, len(pairs), size=samples)
     store = policy.params
@@ -215,8 +208,8 @@ def calibrate_input_stats(policy: Policy, dataset, cameras=None, rng=None, sampl
         _fold_layer(store, hidden, "pixel.head.w2", "pixel.head.b2")
 
 
-def bc_train(dataset, cfg: TrainConfig, policy: Policy | None = None, geo: GeoStubConfig | None = None):
-    """Train a policy on expert demonstrations; returns (policy, losses).
+def bc_train(dataset, cfg: TrainConfig, policy: Policy):
+    """Train ``policy`` on expert demonstrations; returns (policy, losses).
 
     Optimization starts from input-calibrated feature MLP weights (see
     ``calibrate_input_stats``).  ``losses`` holds one scalar per optimization
@@ -230,10 +223,7 @@ def bc_train(dataset, cfg: TrainConfig, policy: Policy | None = None, geo: GeoSt
     cfg.validate()
     if not dataset.episodes:
         raise ConfigError("cannot train on an empty dataset")
-    if policy is None:
-        pcfg = PolicyConfig(head_kind=cfg.head_kind, backbone_kind=cfg.backbone_kind)
-        policy = Policy(pcfg, tuple(dataset.instructions()), seed=cfg.seed, geo=geo)
-    elif (policy.cfg.head_kind, policy.cfg.backbone_kind) != (cfg.head_kind, cfg.backbone_kind):
+    if (policy.cfg.head_kind, policy.cfg.backbone_kind) != (cfg.head_kind, cfg.backbone_kind):
         raise ConfigError("policy head/backbone disagree with the train config")
 
     store = policy.params
@@ -257,9 +247,8 @@ def bc_train(dataset, cfg: TrainConfig, policy: Policy | None = None, geo: GeoSt
         for step_no in range(cfg.vq_pretrain_steps):
             def vq_step():
                 # observations are irrelevant to the action autoencoder
-                targets, mask = _chunk_targets(dataset, draw(), policy.cfg.chunk_len, policy.dtype)
-                flat = (targets * mask[:, :, None]).reshape(len(targets), -1)
-                loss, _ = vqvae_loss(Tensor(flat), store, policy.cfg)
+                targets, _ = _chunk_targets(dataset, draw(), policy.cfg.chunk_len, policy.dtype)
+                loss, _ = vqvae_loss(Tensor(targets.reshape(len(targets), -1)), store, policy.cfg)
                 return _descend(loss, store, opt)
 
             losses.append(_abort_guard(step_no, store, vq_step))
@@ -275,7 +264,8 @@ def bc_train(dataset, cfg: TrainConfig, policy: Policy | None = None, geo: GeoSt
             if policy.cfg.head_kind == "mlp":
                 loss = masked_chunk_mse(policy.head(h_action), batch)
             else:
-                loss, _ = vqbet_train_loss(h_action, Tensor(_masked_flat_targets(batch)), store, policy.cfg, True)
+                flat = batch.targets.reshape(len(batch.targets), -1)
+                loss, _ = vqbet_train_loss(h_action, Tensor(flat), store, policy.cfg, True)
             return _descend(loss, store, opt)
 
         losses.append(_abort_guard(step_no, store, bc_step))

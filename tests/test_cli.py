@@ -228,6 +228,13 @@ def test_report_schema_mismatch_exits_4(workdir, capsys):
     unknown = workdir / "unknown.json"
     unknown.write_text(json.dumps({"schema_version": 1, "mystery": []}))
     assert main(["report", "--in", str(unknown), "--format", "md"]) == 4
+    # true and 1.0 compare equal to 1, but only the int 1 is version 1
+    rep = {"model": "m", "category": "seen", "average_rate": 50.0,
+           "tasks": [{"id": "t0", "successes": 1, "rollouts": 2, "rate": 50.0}]}
+    for version, code in ((1, 0), (True, 4), (1.0, 4)):
+        path = workdir / "versioned.json"
+        path.write_text(json.dumps(dict(rep, schema_version=version)))
+        assert main(["report", "--in", str(path), "--format", "md"]) == code
     capsys.readouterr()
 
 

@@ -358,11 +358,23 @@ def _scene(docs):
      lambda docs: _scene(docs)["goal_regions"][0]["center"].append(0.0),
      lambda docs: docs[0]["seen_cameras"][0]["up"].pop(),
      lambda docs: docs[0]["seen_cameras"][1]["principal_point"].append(16.0),
-     lambda docs: _scene(docs).update(held_object="ghost")],
+     lambda docs: _scene(docs).update(held_object="ghost"),
+     lambda docs: docs[0]["tasks"][0].update(instruction=5),
+     lambda docs: docs[0]["tasks"][0].update(task_id=3),
+     lambda docs: docs[0]["tasks"][0]["objects"][0].__setitem__(0, 7),
+     lambda docs: docs[0]["tasks"][0]["regions"][0].__setitem__(0, 7),
+     lambda docs: docs[0]["tasks"][0]["goals"][0].__setitem__(0, 7),
+     lambda docs: docs[0]["tasks"][0]["goals"][0].__setitem__(1, None),
+     lambda docs: docs[1].update(instruction=["pick"]),
+     lambda docs: docs[1].update(task_id=0),
+     lambda docs: _scene(docs)["objects"][0].update(object_id=7),
+     lambda docs: _scene(docs)["goal_regions"][0].update(region_id=7)],
     ids=["object-color-purple", "region-color-red", "task-object-color-purple", "task-region-color-blue",
          "step-action-3-entries", "step-proprio-8-entries", "scene-ee-pos-2-entries", "scene-ee-rot-4-entries",
          "object-pos-2-entries", "goal-center-4-entries", "camera-up-2-entries", "camera-principal-point-3-entries",
-         "held-object-ghost"],
+         "held-object-ghost", "task-instruction-int", "task-id-int", "task-object-id-int", "task-region-id-int",
+         "task-goal-object-id-int", "task-goal-region-id-null", "episode-instruction-list", "episode-task-id-int",
+         "scene-object-id-int", "scene-region-id-int"],
 )
 def test_dataset_value_that_breaks_training_raises_format_error(tmp_path, edit, capsys):
     # each loaded on its own and then crashed training or trained on a scene that cannot exist

@@ -3,15 +3,28 @@
 import numpy as np
 import pytest
 
+import geoaware.numerics as numerics
 from geoaware.errors import NumericError, ShapeError
 from geoaware.numerics import (
     Tensor,
+    add,
+    attention_block,
     broadcast_to,
     concat,
+    conv1d_relu_pool,
+    conv2d,
+    cross_entropy,
+    embedding_lookup,
     grad_check,
+    layer_norm,
     matmul,
     mean,
+    mse_loss,
+    mul,
     no_grad,
+    relu,
+    reshape,
+    sub,
     tensor_sum,
     transpose,
 )
@@ -156,3 +169,51 @@ def test_detach_cuts_tape():
     loss = tensor_sum(y)
     loss.backward()
     assert x.grad is None
+
+
+# op name -> (input shapes, the op applied to one tensor per shape)
+OP_CASES = {
+    "add": ([(2, 3), (3,)], lambda t: add(*t)),
+    "sub": ([(2, 3), (2, 3)], lambda t: sub(*t)),
+    "mul": ([(2, 3), (2, 3)], lambda t: mul(*t)),
+    "matmul": ([(2, 3), (3, 4)], lambda t: matmul(*t)),
+    "reshape": ([(2, 3)], lambda t: reshape(t[0], (3, 2))),
+    "transpose": ([(2, 3)], lambda t: transpose(t[0], (1, 0))),
+    "concat": ([(2, 3), (2, 1)], lambda t: concat(t, axis=1)),
+    "broadcast_to": ([(1, 3)], lambda t: broadcast_to(t[0], (2, 3))),
+    "tensor_sum": ([(2, 3)], lambda t: tensor_sum(t[0], axis=1)),
+    "mean": ([(2, 3)], lambda t: mean(t[0])),
+    "relu": ([(2, 3)], lambda t: relu(t[0])),
+    "layer_norm": ([(2, 3), (3,), (3,)], lambda t: layer_norm(*t)),
+    "attention_block": ([(1, 2, 4)] + [(4, 4), (4,)] * 4, lambda t: attention_block(*t, heads=2, mask=np.zeros((2, 2)))),
+    "conv1d_relu_pool": ([(1, 4, 2)] * 2 + [(3, 2, 3)] * 2 + [(3,)] * 2,
+                         lambda t: conv1d_relu_pool(t[0:2], t[2:4], t[4:6])),
+    "conv2d": ([(1, 2, 4, 4), (3, 2, 3, 3), (3,)], lambda t: conv2d(*t, padding=1)),
+    "embedding_lookup": ([(4, 3)], lambda t: embedding_lookup(t[0], np.array([0, 2]))),
+    "mse_loss": ([(2, 3), (2, 3)], lambda t: mse_loss(*t)),
+    "cross_entropy": ([(2, 3)], lambda t: cross_entropy(t[0], np.array([0, 2]))),
+}
+NOT_OPS = {"Tensor", "no_grad", "ParamStore", "AdamWState", "init_adamw", "adamw_step", "grad_check"}
+
+
+def _on_tape(t):
+    return t.requires_grad, t._backward is not None, len(t._parents) > 0
+
+
+@pytest.mark.parametrize("name", [name for name in numerics.__all__ if name not in NOT_OPS])
+def test_op_result_requires_grad_exactly_when_it_has_a_backward(name):
+    shapes, op = OP_CASES[name]
+    rng = np.random.default_rng(0)
+    values = [rng.standard_normal(shape) for shape in shapes]
+    for i in range(len(values)):
+        tracked = op([Tensor(v, requires_grad=j == i) for j, v in enumerate(values)])
+        assert _on_tape(tracked) == (True, True, True)
+
+    assert _on_tape(op([Tensor(v) for v in values])) == (False, False, False)
+    frozen = [Tensor(v, requires_grad=True) for v in values]
+    for t in frozen:
+        t.requires_grad = False     # as ParamStore.set_frozen does
+    assert _on_tape(op(frozen)) == (False, False, False)
+    with no_grad():
+        out = op([Tensor(v, requires_grad=True) for v in values])
+    assert _on_tape(out) == (False, False, False)
