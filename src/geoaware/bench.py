@@ -64,7 +64,7 @@ def rollout(policy, task, cameras, seed, sim: SimConfig | None = None) -> Rollou
     raising, also when the forward pass itself goes non-finite; the gripper
     command is thresholded by sign inside the world."""
     sim = sim or SimConfig()
-    scene = reset(task, seed=seed, sim=sim)
+    scene = reset(task, seed=seed)
     for t in range(sim.max_episode_steps):
         try:
             vec = np.asarray(policy.action(scene, task.instruction, cameras), dtype=float)
@@ -293,11 +293,13 @@ def render_json(report):
     return json.dumps(rep, indent=2, sort_keys=True) + "\n"
 
 
+REPORT_RENDERERS = {"json": render_json, "md": render_markdown, "csv": render_csv}
+
+
 def emit_report(report, fmt, path):
-    """Write a report as json, markdown, or csv; json re-emits byte-stably."""
-    renderers = {"json": render_json, "markdown": render_markdown, "csv": render_csv}
-    if fmt not in renderers:
-        raise ConfigError(f"unknown report format {fmt!r} (expected json | markdown | csv)")
-    text = renderers[fmt](report)
+    """Write a report in a ``REPORT_RENDERERS`` format; json re-emits byte-stably."""
+    if fmt not in REPORT_RENDERERS:
+        raise ConfigError(f"unknown report format {fmt!r} (expected {' | '.join(REPORT_RENDERERS)})")
+    text = REPORT_RENDERERS[fmt](report)
     write_atomic(path, text)
     return text

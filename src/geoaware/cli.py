@@ -19,13 +19,13 @@ import sys
 import time
 from dataclasses import replace
 
-from geoaware.bench import REPORT_SCHEMA_VERSION, ablate_layers, emit_report, evaluate, render_csv, render_json, render_markdown
-from geoaware.config import RunConfig, read_config
+from geoaware.bench import REPORT_RENDERERS, REPORT_SCHEMA_VERSION, ablate_layers, emit_report, evaluate
+from geoaware.config import load_config
 from geoaware.deskworld.dataset import generate_dataset, load_dataset, save_dataset
 from geoaware.deskworld.world import make_tasks
 from geoaware.errors import ConfigError, ConfigMismatchError, GeoAwareError, NumericAbort, SchemaError
 from geoaware.gradsuite import SUITE_TOLERANCE, run_gradcheck_suite, suite_passed
-from geoaware.persist import from_dict, write_atomic
+from geoaware.persist import write_atomic
 from geoaware.policy import Policy
 from geoaware.training import bc_train, load_checkpoint, save_checkpoint
 
@@ -35,14 +35,6 @@ VIEW_CATEGORIES = {
     "novel-medium": "novel_medium",
     "novel-large": "novel_large",
 }
-
-
-def _load_run_config(path):
-    """(RunConfig, raw dict) for ``path``; defaults and {} when no file given."""
-    if path is None:
-        return RunConfig(), {}
-    raw = read_config(path)
-    return from_dict(RunConfig, raw, "top-level").validate(), raw
 
 
 def _env_seed():
@@ -87,7 +79,7 @@ def _parse_modes(text):
 
 
 def cmd_gen_data(args):
-    run_cfg, raw = _load_run_config(args.config)
+    run_cfg, raw = load_config(args.config)
     seed = _resolve_seed(args.seed, "seed" in raw, run_cfg.seed)
     episodes_per_task = args.episodes_per_task if args.episodes_per_task is not None else 50
     tasks = make_tasks()
@@ -101,7 +93,7 @@ def cmd_gen_data(args):
 
 
 def cmd_train(args):
-    run_cfg, raw = _load_run_config(args.config)
+    run_cfg, raw = load_config(args.config)
     train_raw = raw.get("train", {})
     kinds = {}                  # --head/--backbone set the policy and train sections alike
     if args.head is not None:
@@ -142,7 +134,7 @@ def cmd_eval(args):
 
 
 def cmd_ablate(args):
-    run_cfg, raw = _load_run_config(args.config)
+    run_cfg, raw = load_config(args.config)
     train_raw = raw.get("train", {})
     seed = _resolve_seed(None, "seed" in train_raw, run_cfg.train.seed)
     train_cfg = replace(run_cfg.train, seed=seed).validate()
@@ -154,7 +146,7 @@ def cmd_ablate(args):
         modes=modes, checkpoint_dir=args.out_dir,
     )
     emit_report(report, "json", os.path.join(args.out_dir, "ablation.json"))
-    emit_report(report, "markdown", os.path.join(args.out_dir, "ablation.md"))
+    emit_report(report, "md", os.path.join(args.out_dir, "ablation.md"))
     for row in report.rows:
         print(
             f"{row['label']}: seen {row['seen']['average_rate']:.1f}%  "
@@ -190,9 +182,8 @@ def cmd_report(args):
         raise SchemaError(f"report schema_version {version!r} is not supported (expected {REPORT_SCHEMA_VERSION})")
     if not any(key in payload for key in ("tasks", "ablation", "comparison")):
         raise SchemaError("report JSON has none of the known sections (tasks, ablation, comparison)")
-    renderers = {"md": render_markdown, "csv": render_csv, "json": render_json}
     try:
-        text = renderers[args.format](payload)
+        text = REPORT_RENDERERS[args.format](payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"report JSON lacks or mistypes a field the schema requires: {exc!r}")
     if args.out is not None:
@@ -246,7 +237,7 @@ def build_parser():
 
     p = sub.add_parser("report", help="render a report JSON as markdown or csv")
     p.add_argument("--in", dest="infile", required=True, help="report JSON path")
-    p.add_argument("--format", choices=("md", "csv", "json"), default="md", help="output format (default: md)")
+    p.add_argument("--format", choices=tuple(REPORT_RENDERERS), default="md", help="output format (default: md)")
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=cmd_report)
 

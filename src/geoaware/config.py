@@ -50,16 +50,17 @@ class RunConfig:
         return self
 
 
-def read_config(path) -> dict:
-    """The raw JSON document at ``path``."""
+def load_config(path=None) -> tuple[RunConfig, dict]:
+    """(RunConfig, raw JSON document) for the file at ``path``; the defaults
+    and ``{}`` when no file is given.  The raw document tells a value set in
+    the file from a default."""
+    if path is None:
+        return RunConfig(), {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-
-
-def load_config(path) -> RunConfig:
-    return from_dict(RunConfig, read_config(path), "top-level").validate()
+    return from_dict(RunConfig, raw, "top-level").validate(), raw

@@ -65,7 +65,7 @@ def run_expert_episode(task: TaskSpec, seed: int, sim: SimConfig | None = None) 
     """Roll the scripted expert from a seeded reset; the final stored step holds
     the success-satisfying scene with a zero action."""
     sim = sim or SimConfig()
-    scene = reset(task, seed, sim)
+    scene = reset(task, seed)
     steps = []
     for _ in range(sim.max_episode_steps):
         if success(scene, task):
@@ -225,7 +225,7 @@ def load_dataset(path) -> DemoDataset:
     if not isinstance(header, dict):
         raise FormatError(f"dataset header must be an object, got {type(header).__name__}")
     version = header.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise FormatError(f"unsupported dataset format_version {version!r} (expected {FORMAT_VERSION})")
     try:
         seed = read_int(header["seed"], "dataset seed")

@@ -153,7 +153,7 @@ def make_tasks():
     ]
 
 
-def reset(task: TaskSpec, seed: int, sim: SimConfig | None = None) -> SceneState:
+def reset(task: TaskSpec, seed: int) -> SceneState:
     """Sample a scene for the task: regions first, then objects, all separated."""
     rng = np.random.default_rng([int(seed), task.index, 7919])
     placed = []

@@ -8,11 +8,11 @@ codebook first, alone; then the policy with the codebook frozen.
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import struct
 from dataclasses import asdict, dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from geoaware.backbones import GeoStubConfig, pixel_pooled
 from geoaware.deskworld.world import SimConfig
 from geoaware.errors import ConfigError, ConfigMismatchError, FormatError, NumericAbort, NumericError
 from geoaware.numerics import Tensor, adamw_step, init_adamw, no_grad
-from geoaware.persist import from_dict, write_atomic
+from geoaware.persist import from_dict, read_int, write_atomic
 from geoaware.policy import (
     Policy,
     PolicyConfig,
@@ -35,7 +35,7 @@ from geoaware.policy import (
 log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"GAVP"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -279,53 +279,34 @@ def bc_train(dataset, cfg: TrainConfig, policy: Policy):
 # -- checkpoints -------------------------------------------------------------
 
 
-def _write_block(out, payload: bytes):
-    out.write(struct.pack("<I", len(payload)))
-    out.write(payload)
-
-
-def _read_exact(f, n, what):
-    data = f.read(n)
-    if len(data) != n:
-        raise FormatError(f"checkpoint truncated while reading {what}")
-    return data
-
-
 def save_checkpoint(policy: Policy, path, step=0, train: TrainConfig | None = None, sim: SimConfig | None = None):
-    """Serialize config + parameters.  Tensor payloads are float32
-    little-endian; round-trips are bitwise for float32 policies (the training
-    precision)."""
-    snapshot = {
+    """Serialize config + parameters.
+
+    Layout: the magic ``GAVP``, a u32 version and a u32 header length (both
+    little-endian), the JSON header (sorted keys), then every tensor's
+    float32 little-endian payload, concatenated in store order.  The header
+    holds the ``policy``, ``geo``, ``train`` and ``sim`` sections, ``vocab``,
+    ``codebook_trained``, ``tensors`` (``[name, shape]`` per tensor, in store
+    order), the sorted ``frozen`` names and ``step``.  Round-trips are bitwise
+    for float32 policies (the training precision).
+    """
+    store = policy.params
+    names = store.names()
+    header = {
         "policy": asdict(policy.cfg),
         "geo": asdict(policy.geo),
         "vocab": list(policy.vocab),
         "codebook_trained": bool(policy.codebook_trained),
         "train": asdict(train) if train is not None else None,
         "sim": asdict(sim) if sim is not None else None,
+        "tensors": [[name, list(store[name].values.shape)] for name in names],
+        "frozen": sorted(store.frozen_names()),
+        "step": step,
     }
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<I", CHECKPOINT_VERSION))
-    _write_block(buf, json.dumps(snapshot, sort_keys=True).encode("utf-8"))
-    names = policy.params.names()
-    buf.write(struct.pack("<I", len(names)))
-    for name in names:
-        values = policy.params[name].values
-        encoded = name.encode("utf-8")
-        buf.write(struct.pack("<H", len(encoded)))
-        buf.write(encoded)
-        buf.write(struct.pack("<B", values.ndim))
-        for dim in values.shape:
-            buf.write(struct.pack("<I", dim))
-        buf.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
-    frozen = sorted(policy.params.frozen_names())
-    buf.write(struct.pack("<I", len(frozen)))
-    for name in frozen:
-        encoded = name.encode("utf-8")
-        buf.write(struct.pack("<H", len(encoded)))
-        buf.write(encoded)
-    buf.write(struct.pack("<I", step))
-    write_atomic(path, buf.getvalue())
+    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+    prefix = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(encoded))
+    payloads = [np.ascontiguousarray(store[name].values, dtype="<f4").tobytes() for name in names]
+    write_atomic(path, b"".join([prefix, encoded, *payloads]))
 
 
 @dataclass
@@ -336,82 +317,70 @@ class CheckpointBundle:
     sim: SimConfig | None
 
 
-_HEADER_KEYS = {"policy", "geo", "vocab", "codebook_trained", "train", "sim"}
+_HEADER_KEYS = {"policy", "geo", "vocab", "codebook_trained", "train", "sim", "tensors", "frozen", "step"}
 
 
-def _parse_header(snapshot):
-    """(policy, geo, vocab, codebook_trained, train, sim) from a checkpoint's
-    JSON header; ``train`` and ``sim`` may be null."""
-    if not isinstance(snapshot, dict) or set(snapshot) != _HEADER_KEYS:
-        found = sorted(snapshot) if isinstance(snapshot, dict) else type(snapshot).__name__
+def _parse_header(header):
+    """(policy, geo, vocab, train, sim) from a checkpoint's JSON header, after
+    checking every key's type; ``train`` and ``sim`` may be null."""
+    if not isinstance(header, dict) or set(header) != _HEADER_KEYS:
+        found = sorted(header) if isinstance(header, dict) else type(header).__name__
         raise FormatError(f"checkpoint header needs exactly the keys {sorted(_HEADER_KEYS)}, got {found}")
-    vocab = snapshot["vocab"]
-    if not isinstance(vocab, list) or not all(isinstance(word, str) for word in vocab):
-        raise FormatError("checkpoint vocab must be a list of strings")
-    if not isinstance(snapshot["codebook_trained"], bool):
+    for key in ("vocab", "frozen"):
+        if not isinstance(header[key], list) or not all(isinstance(word, str) for word in header[key]):
+            raise FormatError(f"checkpoint {key} must be a list of strings")
+    if not isinstance(header["codebook_trained"], bool):
         raise FormatError("checkpoint codebook_trained must be a bool")
-    policy = from_dict(PolicyConfig, snapshot["policy"], "policy", FormatError)
-    geo = from_dict(GeoStubConfig, snapshot["geo"], "geo", FormatError)
+    if not isinstance(header["tensors"], list):
+        raise FormatError("checkpoint tensors must be a list")
+    if read_int(header["step"], "checkpoint step") < 0:
+        raise FormatError(f"checkpoint step must not be negative, got {header['step']}")
+    policy = from_dict(PolicyConfig, header["policy"], "policy", FormatError)
+    geo = from_dict(GeoStubConfig, header["geo"], "geo", FormatError)
     train, sim = (
-        None if snapshot[name] is None else from_dict(cls, snapshot[name], name, FormatError)
+        None if header[name] is None else from_dict(cls, header[name], name, FormatError)
         for name, cls in (("train", TrainConfig), ("sim", SimConfig))
     )
-    return policy, geo, tuple(vocab), snapshot["codebook_trained"], train, sim
+    return policy, geo, tuple(header["vocab"]), train, sim
 
 
-def load_checkpoint(path, expect_policy: PolicyConfig | None = None) -> CheckpointBundle:
-    """Rebuild a policy from a checkpoint.  ``expect_policy`` (when given)
-    must match the stored config exactly."""
+def load_checkpoint(path) -> CheckpointBundle:
+    """Rebuild a policy from a checkpoint written by ``save_checkpoint``.
+
+    A file that is not such a checkpoint raises ``FormatError``; a header
+    whose ``tensors`` differ from the ones its own config implies raises
+    ``ConfigMismatchError``.
+    """
     with open(path, "rb") as f:
-        if _read_exact(f, 4, "magic") != CHECKPOINT_MAGIC:
-            raise FormatError("not a checkpoint file (bad magic)")
-        (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
-        if version != CHECKPOINT_VERSION:
-            raise FormatError(f"unsupported checkpoint version {version}")
-        (cfg_len,) = struct.unpack("<I", _read_exact(f, 4, "config length"))
-        try:
-            snapshot = json.loads(_read_exact(f, cfg_len, "config").decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"unreadable checkpoint config: {exc}") from exc
+        raw = f.read()
+    if len(raw) < 12 or raw[:4] != CHECKPOINT_MAGIC:
+        raise FormatError("not a checkpoint file (bad magic or truncated prefix)")
+    version, header_len = struct.unpack("<II", raw[4:12])
+    if version != CHECKPOINT_VERSION:
+        raise FormatError(f"unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})")
+    try:
+        header = json.loads(raw[12:12 + header_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"unreadable checkpoint header: {exc}") from exc
+    body = memoryview(raw)[12 + header_len:]
 
-        pcfg, geo, vocab, codebook_trained, train, sim = _parse_header(snapshot)
-        if expect_policy is not None and expect_policy != pcfg:
-            raise ConfigMismatchError(
-                "checkpoint policy config does not match the requested config"
-            )
-        policy = Policy(pcfg, vocab, seed=0, geo=geo, dtype=np.float32)
-
-        (count,) = struct.unpack("<I", _read_exact(f, 4, "tensor count"))
-        if count != len(policy.params):
-            raise ConfigMismatchError(
-                f"checkpoint stores {count} tensors, config implies {len(policy.params)}"
-            )
-        for _ in range(count):
-            # a corrupt name decodes with U+FFFD and then matches no parameter
-            (name_len,) = struct.unpack("<H", _read_exact(f, 2, "tensor name length"))
-            name = _read_exact(f, name_len, "tensor name").decode("utf-8", "replace")
-            if name not in policy.params:
-                raise ConfigMismatchError(f"checkpoint tensor {name!r} not implied by config")
-            (rank,) = struct.unpack("<B", _read_exact(f, 1, "tensor rank"))
-            dims = tuple(
-                struct.unpack("<I", _read_exact(f, 4, "tensor dim"))[0] for _ in range(rank)
-            )
-            expected = policy.params[name].values.shape
-            if dims != expected:
-                raise ConfigMismatchError(f"tensor {name!r} has shape {dims}, expected {expected}")
-            n_bytes = 4 * int(np.prod(dims, dtype=np.int64)) if dims else 4
-            raw = _read_exact(f, n_bytes, f"tensor {name!r} payload")
-            policy.params[name].values = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
-
-        (n_frozen,) = struct.unpack("<I", _read_exact(f, 4, "frozen count"))
-        frozen = []
-        for _ in range(n_frozen):
-            (name_len,) = struct.unpack("<H", _read_exact(f, 2, "frozen name length"))
-            frozen.append(_read_exact(f, name_len, "frozen name").decode("utf-8", "replace"))
-        policy.params.set_frozen(frozen)
-        (step,) = struct.unpack("<I", _read_exact(f, 4, "step"))
-        if f.read(1):
-            raise FormatError("trailing data after checkpoint payload")
-
-    policy.codebook_trained = codebook_trained
-    return CheckpointBundle(policy=policy, step=step, train=train, sim=sim)
+    pcfg, geo, vocab, train, sim = _parse_header(header)
+    policy = Policy(pcfg, vocab, seed=0, geo=geo, dtype=np.float32)
+    store = policy.params
+    implied = [[name, list(store[name].values.shape)] for name in store.names()]
+    # compared as JSON text, so a dim written as 8.0 or true does not pass for 8 or 1
+    for i, (stored, expected) in enumerate(zip_longest(header["tensors"], implied)):
+        if json.dumps(stored) != json.dumps(expected):
+            raise ConfigMismatchError(f"checkpoint tensors[{i}] is {stored!r}, its config implies {expected!r}")
+    sizes = [store[name].values.size for name, _ in implied]
+    if len(body) != 4 * sum(sizes):
+        raise FormatError(f"checkpoint body holds {len(body)} bytes, its tensors need {4 * sum(sizes)}")
+    chunks = np.split(np.frombuffer(body, dtype="<f4"), np.cumsum(sizes)[:-1])
+    for (name, shape), chunk in zip(implied, chunks):
+        store[name].values = chunk.reshape(shape).copy()
+    unknown = set(header["frozen"]) - set(store.names())
+    if unknown:
+        raise FormatError(f"checkpoint freezes tensors its config does not have: {sorted(unknown)}")
+    store.set_frozen(header["frozen"])
+    policy.codebook_trained = header["codebook_trained"]
+    return CheckpointBundle(policy=policy, step=header["step"], train=train, sim=sim)

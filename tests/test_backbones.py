@@ -23,7 +23,7 @@ def _scenes_and_cameras(n_scenes=4, n_cameras=4):
     # tasks t0, t1, t3 have 8 keypoints and t2 has 9, so any 3+ scenes mix both
     sim = SimConfig()
     tasks = make_tasks()
-    scenes = [reset(tasks[i % len(tasks)], seed=i, sim=sim) for i in range(n_scenes)]
+    scenes = [reset(tasks[i % len(tasks)], seed=i) for i in range(n_scenes)]
     cams = list(seen_cameras(sim))
     cams += sample_viewpoints("novel_medium", max(0, n_cameras - 2), seed=11, sim=sim)
     return scenes, cams[:n_cameras]
@@ -83,7 +83,7 @@ def test_raw_token_layout():
     backbone = _full()
     sim = SimConfig()
     tasks = make_tasks()
-    scenes = [reset(tasks[0], seed=3, sim=sim), reset(tasks[2], seed=3, sim=sim)]
+    scenes = [reset(tasks[0], seed=3), reset(tasks[2], seed=3)]
     views, worlds = backbone.raw_tokens(scenes, seen_cameras(sim))
     assert views.shape == (2, 2, 16, RAW_WIDTH)
     assert worlds.shape == (2, 16, RAW_WIDTH)
@@ -134,7 +134,7 @@ def test_world_tokens_track_object_motion():
     backbone = _full()
     sim = SimConfig()
     task = make_tasks()[0]
-    scene = reset(task, seed=0, sim=sim)
+    scene = reset(task, seed=0)
     cam = seen_cameras(sim)[0]
     from geoaware.deskworld.world import Action
 
@@ -147,7 +147,7 @@ def test_world_tokens_track_object_motion():
 def test_too_many_keypoints_rejected():
     backbone = _full(GeoStubConfig(num_keypoints=4))
     sim = SimConfig()
-    scene = reset(make_tasks()[0], seed=0, sim=sim)
+    scene = reset(make_tasks()[0], seed=0)
     with pytest.raises(ShapeError):
         backbone.raw_tokens([scene], seen_cameras(sim))
     with pytest.raises(ShapeError):

@@ -226,5 +226,8 @@ def test_csv_format():
 
 
 def test_emit_rejects_unknown_format(tmp_path):
-    with pytest.raises(ConfigError):
-        emit_report(_handmade_report(), "yaml", tmp_path / "x")
+    # one name per format, the one `geoaware report --format` takes
+    for fmt in ("yaml", "markdown"):
+        with pytest.raises(ConfigError):
+            emit_report(_handmade_report(), fmt, tmp_path / "x")
+    assert emit_report(_handmade_report(), "md", tmp_path / "x") == render_markdown(_handmade_report())

@@ -126,7 +126,7 @@ def reference_frame(scene, pose):
 def four_task_scenes():
     """One reset per task (t2 has two goal regions, the others one), plus a
     moved copy of each, so disc counts and depth orders differ between rows."""
-    scenes = [reset(task, seed, SIM) for seed, task in enumerate(make_tasks())]
+    scenes = [reset(task, seed) for seed, task in enumerate(make_tasks())]
     rng = np.random.default_rng(17)
     for scene in list(scenes):
         moved = scene.copy()
@@ -142,7 +142,7 @@ def border_scene():
     edge of the top-down camera, so its disc is clipped by the image border."""
     cam = seen_cameras(SIM)[0]
     right, _, forward = camera_axes(cam)
-    scene = reset(make_tasks()[0], 0, SIM)
+    scene = reset(make_tasks()[0], 0)
     depth = 0.9
     offset = (cam.image_size - 0.5 - cam.principal_point[0]) * depth / cam.focal
     scene.objects[0].pos = cam.position + depth * forward + offset * right
@@ -157,7 +157,7 @@ def behind_camera():
 def near_camera():
     """6 cm above the goal region of task t0 (reset seed 0), whose disc is
     then wider than the whole image."""
-    centre = reset(make_tasks()[0], 0, SIM).goal_regions[0].center
+    centre = reset(make_tasks()[0], 0).goal_regions[0].center
     return make_pose(centre + [0.0, 0.0, 0.06], look_at=centre, up=(0.0, 1.0, 0.0))
 
 
@@ -183,7 +183,7 @@ def test_render_matches_per_frame_reference(cameras):
 
 
 def test_render_near_camera_disc_covers_image():
-    img = render_image([reset(make_tasks()[0], 0, SIM)], [near_camera()])[0, 0]
+    img = render_image([reset(make_tasks()[0], 0)], [near_camera()])[0, 0]
     assert np.all(img != np.asarray(BACKGROUND_COLOR, dtype=np.float32))
 
 
@@ -197,7 +197,7 @@ def test_render_border_disc_is_clipped():
 
 
 def test_render_values_and_determinism():
-    scene = reset(make_tasks()[0], 0, SIM)
+    scene = reset(make_tasks()[0], 0)
     cam = seen_cameras(SIM)[1]
     img1 = render_image([scene], [cam])
     img2 = render_image([scene], [cam])
@@ -208,14 +208,14 @@ def test_render_values_and_determinism():
 
 
 def test_render_golden_hashes():
-    scene = reset(make_tasks()[0], 0, SIM)
+    scene = reset(make_tasks()[0], 0)
     cams = seen_cameras(SIM)
     for img, expected in zip(render_image([scene], cams)[0], GOLDEN_RENDER_HASHES):
         assert hashlib.sha256(np.ascontiguousarray(img).tobytes()).hexdigest() == expected
 
 
 def test_render_disc_appears_at_projected_center():
-    scene = reset(make_tasks()[0], 3, SIM)
+    scene = reset(make_tasks()[0], 3)
     cam = seen_cameras(SIM)[0]  # top-down
     obj = scene.objects[0]
     uv, _ = project_points(cam, obj.pos)
@@ -225,14 +225,14 @@ def test_render_disc_appears_at_projected_center():
 
 
 def test_render_culls_behind_camera():
-    scene = reset(make_tasks()[0], 0, SIM)
+    scene = reset(make_tasks()[0], 0)
     img = render_image([scene], [behind_camera()])[0, 0]
     # everything sits above the camera plane, behind its view: background only
     assert np.allclose(img, img[0, 0], atol=1e-6)
 
 
 def test_render_rejects_mixed_image_sizes():
-    scene = reset(make_tasks()[0], 0, SIM)
+    scene = reset(make_tasks()[0], 0)
     with pytest.raises(CameraError, match="image_size"):
         render_image([scene], [make_pose([0.0, -1.0, 0.5], size=32), make_pose([0.0, -1.0, 0.5], size=24)])
 

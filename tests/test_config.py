@@ -17,6 +17,7 @@ def test_defaults_everywhere():
     assert cfg.train.steps == 5000
     assert cfg.geo.num_layers == 12
     assert cfg.sim.max_episode_steps == 200
+    assert load_config(None) == (RunConfig(), {})
 
 
 def test_partial_section_overrides():
@@ -46,10 +47,10 @@ def test_round_trip_lossless(tmp_path):
     cfg = from_dict(RunConfig, {"seed": 11, "policy": {"chunk_len": 2}, "geo": {"lift_seed": 9}}, "top-level")
     path = tmp_path / "run.json"
     path.write_text(json.dumps(asdict(cfg)))
-    again = load_config(path)
+    again, raw = load_config(path)
     assert asdict(again) == asdict(cfg)
-    # file is plain namespaced JSON
-    raw = json.loads(path.read_text())
+    # file is plain namespaced JSON, handed back as read
+    assert raw == json.loads(path.read_text())
     assert set(raw) == {"seed", "policy", "train", "geo", "sim"}
 
 

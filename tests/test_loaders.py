@@ -21,7 +21,7 @@ from geoaware.config import RunConfig, load_config
 from geoaware.backbones import GeoStubConfig
 from geoaware.deskworld.dataset import generate_dataset, load_dataset, save_dataset
 from geoaware.deskworld.world import SimConfig, make_tasks
-from geoaware.errors import ConfigError, FormatError, GeoAwareError
+from geoaware.errors import ConfigError, ConfigMismatchError, FormatError, GeoAwareError
 from geoaware.policy import Policy, PolicyConfig
 from geoaware.training import TrainConfig, load_checkpoint, save_checkpoint
 
@@ -246,15 +246,38 @@ def _drop(key):
         lambda header: header.update(train=[]),
         lambda header: header.update(policy=None),
         lambda header: header.update(extra=1),
+        lambda header: header.update(frozen="lang.table"),
+        lambda header: header.update(frozen=[1]),
+        lambda header: header["frozen"].append("ghost.w"),
+        lambda header: header.update(step=True),
+        lambda header: header.update(step=3.0),
+        lambda header: header.update(step=-1),
+        lambda header: header.update(tensors={}),
     ],
     ids=["no-policy", "no-geo", "no-vocab", "no-codebook-trained", "geo-extra", "sim-extra", "vocab-str",
-         "codebook-trained-int", "train-list", "policy-null", "header-extra"],
+         "codebook-trained-int", "train-list", "policy-null", "header-extra", "frozen-str", "frozen-int-entry",
+         "frozen-unknown-tensor", "step-bool", "step-float", "step-negative", "tensors-dict"],
 )
 def test_malformed_checkpoint_header_raises_format_error(tmp_path, edit, capsys):
     path = _checkpoint_header_edit(tmp_path, edit)
     with pytest.raises(FormatError):
         load_checkpoint(path)
     assert main(["eval", "--ckpt", str(path)]) == 1
+    capsys.readouterr()
+
+
+def _float_dim(header):
+    shape = header["tensors"][0][1]
+    shape[0] = float(shape[0])
+
+
+@pytest.mark.parametrize("edit", [lambda header: header["tensors"][0][1].append(1), _float_dim],
+                         ids=["extra-dim", "float-dim"])
+def test_checkpoint_tensor_shape_mismatch_exits_3(tmp_path, edit, capsys):
+    path = _checkpoint_header_edit(tmp_path, edit)
+    with pytest.raises(ConfigMismatchError):
+        load_checkpoint(path)
+    assert main(["eval", "--ckpt", str(path)]) == 3
     capsys.readouterr()
 
 
@@ -299,8 +322,11 @@ def test_malformed_dataset_header_raises_format_error(tmp_path, edit):
     [lambda docs: docs[0].update(seed=3.7),
      lambda docs: docs[1].update(seed=True),
      lambda docs: docs[0]["seen_cameras"][0].update(image_size="32"),
-     lambda docs: docs[0]["tasks"][0].update(index=0.0)],
-    ids=["header-seed-float", "episode-seed-bool", "camera-image-size-str", "task-index-float"],
+     lambda docs: docs[0]["tasks"][0].update(index=0.0),
+     lambda docs: docs[0].update(format_version=True),
+     lambda docs: docs[0].update(format_version=1.0)],
+    ids=["header-seed-float", "episode-seed-bool", "camera-image-size-str", "task-index-float",
+         "header-format-version-bool", "header-format-version-float"],
 )
 def test_mistyped_dataset_int_raises_format_error(tmp_path, edit, capsys):
     # integer fields are never coerced: 3.7 must not load as seed 3

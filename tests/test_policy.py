@@ -443,7 +443,7 @@ def test_float32_policy_stays_float32(backbone, head):
     sim = SimConfig()
     pol = Policy(PolicyConfig(backbone_kind=backbone, head_kind=head), VOCAB, seed=27)
     pol.codebook_trained = True
-    scenes = [reset(task, seed=28, sim=sim) for task in make_tasks()[:3]]
+    scenes = [reset(task, seed=28) for task in make_tasks()[:3]]
     vision = pol.featurize(scenes, list(seen_cameras(sim)))
     proprio = np.stack([s.proprio() for s in scenes])
     h_action = pol.forward(vision, list(VOCAB), proprio)
@@ -466,7 +466,7 @@ def test_featurize_returns_only_selected_layers():
     geo = GeoStubConfig()
     pol = Policy(PolicyConfig(select_mode="even", select_count=4), VOCAB, seed=0, geo=geo)
     sim = SimConfig()
-    scenes = [reset(task, seed=13, sim=sim) for task in make_tasks()]
+    scenes = [reset(task, seed=13) for task in make_tasks()]
     cams = list(seen_cameras(sim))
     vision = pol.featurize(scenes, cams)
     full = GeoBackbone(geo, range(1, geo.num_layers + 1)).pyramid_batch(scenes, cams)
@@ -522,7 +522,7 @@ def test_policy_vision_input_gradients():
 def test_view_invariant_configuration_ignores_cameras():
     sim = SimConfig()
     task = make_tasks()[0]
-    scene = reset(task, seed=5, sim=sim)
+    scene = reset(task, seed=5)
     pol = Policy(
         PolicyConfig(select_mode="last", select_count=1),
         tuple(t.instruction for t in make_tasks()),
@@ -590,7 +590,7 @@ def test_no_dead_parameters_pixel():
 def test_policy_action_rollout_entry():
     sim = SimConfig()
     tasks = make_tasks()
-    scene = reset(tasks[0], seed=0, sim=sim)
+    scene = reset(tasks[0], seed=0)
     pol = Policy(PolicyConfig(), tuple(t.instruction for t in tasks), seed=2)
     act = pol.action(scene, tasks[0].instruction, seen_cameras(sim))
     assert act.shape == (7,)
@@ -602,7 +602,7 @@ def test_policy_action_rollout_entry():
 def test_policy_camera_count_mismatch():
     sim = SimConfig()
     tasks = make_tasks()
-    scene = reset(tasks[0], seed=0, sim=sim)
+    scene = reset(tasks[0], seed=0)
     pol = Policy(PolicyConfig(), tuple(t.instruction for t in tasks), seed=2)
     with pytest.raises(ShapeError):
         pol.featurize([scene], seen_cameras(sim)[:1])
@@ -636,7 +636,7 @@ def test_pixel_featurize_golden_hash_and_rows(category):
 def test_pixel_featurize_rejects_mixed_image_sizes():
     sim = SimConfig()
     tasks = make_tasks()
-    scene = reset(tasks[0], seed=0, sim=sim)
+    scene = reset(tasks[0], seed=0)
     top, side = seen_cameras(sim)
     cameras = [top, replace(side, image_size=24)]
     pol = Policy(PolicyConfig(backbone_kind="pixel"), tuple(t.instruction for t in tasks), seed=2)

@@ -1,5 +1,8 @@
 """Trainer behavior, two-phase VQ schedule, and checkpoint persistence."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -339,10 +342,12 @@ def test_checkpoint_bad_version(tmp_path, demos):
     path = tmp_path / "v.ckpt"
     save_checkpoint(pol, path)
     raw = bytearray(path.read_bytes())
-    raw[4:8] = (99).to_bytes(4, "little")
-    path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError):
-        load_checkpoint(path)
+    # version 1 kept tensor names, shapes, frozen names and step in a binary layer
+    for version in (1, 99):
+        raw[4:8] = version.to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
 
 
 def test_checkpoint_truncation(tmp_path, demos):
@@ -369,10 +374,15 @@ def test_checkpoint_config_mismatch(tmp_path, demos):
     pol = small_policy(demos)
     path = tmp_path / "m.ckpt"
     save_checkpoint(pol, path)
-    with pytest.raises(ConfigMismatchError):
-        load_checkpoint(path, expect_policy=PolicyConfig(repr_dim=64))
-    loaded = load_checkpoint(path, expect_policy=pol.cfg)
-    assert loaded.policy.cfg == pol.cfg
+    raw = path.read_bytes()
+    (length,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12:12 + length])
+    name, shape = header["tensors"][3]
+    header["tensors"][3] = [name, shape + [1]]
+    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(encoded)) + encoded + raw[12 + length:])
+    with pytest.raises(ConfigMismatchError, match=r"tensors\[3\]"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_save_load_save_is_stable(tmp_path, demos):

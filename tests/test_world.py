@@ -32,8 +32,8 @@ def test_task_set_is_closed_and_distinct():
 def test_reset_deterministic_and_separated():
     task = make_tasks()[0]
     for seed in range(100):
-        scene = reset(task, seed, SIM)
-        again = reset(task, seed, SIM)
+        scene = reset(task, seed)
+        again = reset(task, seed)
         assert np.array_equal(scene.ee_pos, again.ee_pos)
         for a, b in zip(scene.objects, again.objects):
             assert np.array_equal(a.pos, b.pos)
@@ -50,11 +50,11 @@ def test_reset_deterministic_and_separated():
 def test_reset_never_starts_solved():
     for task in make_tasks():
         for seed in range(50):
-            assert not success(reset(task, seed, SIM), task)
+            assert not success(reset(task, seed), task)
 
 
 def test_step_zero_action_changes_nothing_but_gripper_normalizes():
-    scene = reset(make_tasks()[0], 0, SIM)
+    scene = reset(make_tasks()[0], 0)
     nxt = step(scene, Action.zero(), SIM)
     assert np.array_equal(nxt.ee_pos, scene.ee_pos)
     assert nxt.gripper == 1.0
@@ -63,7 +63,7 @@ def test_step_zero_action_changes_nothing_but_gripper_normalizes():
 
 
 def test_step_clips_translation_per_axis():
-    scene = reset(make_tasks()[0], 1, SIM)
+    scene = reset(make_tasks()[0], 1)
     act = Action(d_pos=np.array([10.0, -10.0, 0.01]), d_rot=np.zeros(3), gripper_cmd=1.0)
     nxt = step(scene, act, SIM)
     moved = nxt.ee_pos - scene.ee_pos
@@ -72,21 +72,21 @@ def test_step_clips_translation_per_axis():
 
 
 def test_step_keeps_ee_inside_workspace():
-    scene = reset(make_tasks()[0], 2, SIM)
+    scene = reset(make_tasks()[0], 2)
     for _ in range(30):
         scene = step(scene, Action(d_pos=np.array([1.0, 1.0, 1.0]), d_rot=np.zeros(3), gripper_cmd=1.0), SIM)
     assert (scene.ee_pos <= WORKSPACE_HALF).all()
 
 
 def test_gripper_command_sign_with_zero_open():
-    scene = reset(make_tasks()[0], 3, SIM)
+    scene = reset(make_tasks()[0], 3)
     assert step(scene, Action(np.zeros(3), np.zeros(3), -0.2), SIM).gripper == -1.0
     assert step(scene, Action(np.zeros(3), np.zeros(3), 0.0), SIM).gripper == 1.0
     assert step(scene, Action(np.zeros(3), np.zeros(3), 0.7), SIM).gripper == 1.0
 
 
 def test_grasp_and_carry_two_step_trace():
-    scene = reset(make_tasks()[0], 4, SIM)
+    scene = reset(make_tasks()[0], 4)
     target = scene.objects[0]
     # teleport-by-steps: walk the ee onto the object with the gripper open
     while np.linalg.norm(target.pos - scene.ee_pos) > 1e-12:
@@ -111,7 +111,7 @@ def test_grasp_and_carry_two_step_trace():
 def test_release_leaves_object_at_release_point():
     # Precise variant of the trace above: the object must NOT follow the ee
     # on the step whose command opens the gripper.
-    scene = reset(make_tasks()[0], 5, SIM)
+    scene = reset(make_tasks()[0], 5)
     obj = scene.objects[0]
     while np.linalg.norm(obj.pos - scene.ee_pos) > 1e-12:
         delta = np.clip(obj.pos - scene.ee_pos, -SIM.max_step, SIM.max_step)
@@ -124,13 +124,13 @@ def test_release_leaves_object_at_release_point():
 
 
 def test_closing_far_from_objects_grasps_nothing():
-    scene = reset(make_tasks()[0], 6, SIM)  # ee starts at home, far above the table
+    scene = reset(make_tasks()[0], 6)  # ee starts at home, far above the table
     nxt = step(scene, Action(np.zeros(3), np.zeros(3), -1.0), SIM)
     assert nxt.held_object is None
 
 
 def test_rotation_is_inert_but_tracked():
-    scene = reset(make_tasks()[0], 7, SIM)
+    scene = reset(make_tasks()[0], 7)
     act = Action(np.zeros(3), np.array([0.1, -0.2, 0.3]), 1.0)
     nxt = step(scene, act, SIM)
     assert np.allclose(nxt.ee_rot, scene.ee_rot + act.d_rot)
@@ -139,14 +139,14 @@ def test_rotation_is_inert_but_tracked():
 
 
 def test_non_finite_action_rejected():
-    scene = reset(make_tasks()[0], 8, SIM)
+    scene = reset(make_tasks()[0], 8)
     with pytest.raises(InputError):
         step(scene, Action(np.array([np.nan, 0, 0]), np.zeros(3), 1.0), SIM)
 
 
 def test_success_boundary():
     task = make_tasks()[0]
-    scene = reset(task, 9, SIM)
+    scene = reset(task, 9)
     region = scene.region_by_id(task.goals[0][1])
     obj = scene.object_by_id(task.goals[0][0])
     direction = np.array([1.0, 0.0, 0.0])
@@ -158,7 +158,7 @@ def test_success_boundary():
 
 def test_success_false_while_held():
     task = make_tasks()[0]
-    scene = reset(task, 10, SIM)
+    scene = reset(task, 10)
     obj = scene.object_by_id(task.goals[0][0])
     obj.pos = scene.region_by_id(task.goals[0][1]).center.copy()
     assert success(scene, task)
@@ -170,7 +170,7 @@ def test_success_false_while_held():
 def test_expert_succeeds_within_budget(task_index):
     task = make_tasks()[task_index]
     for seed in range(20):
-        scene = reset(task, seed, SIM)
+        scene = reset(task, seed)
         for _ in range(SIM.max_episode_steps):
             if success(scene, task):
                 break
@@ -180,7 +180,7 @@ def test_expert_succeeds_within_budget(task_index):
 
 def test_expert_action_clipped_per_axis():
     task = make_tasks()[0]
-    scene = reset(task, 11, SIM)
+    scene = reset(task, 11)
     act = expert_action(scene, task, SIM)
     assert (np.abs(act.d_pos) <= SIM.max_step + 1e-15).all()
     assert np.array_equal(act.d_rot, np.zeros(3))
@@ -188,7 +188,7 @@ def test_expert_action_clipped_per_axis():
 
 def test_expert_points_at_object_from_far():
     task = make_tasks()[0]
-    scene = reset(task, 12, SIM)
+    scene = reset(task, 12)
     obj = scene.object_by_id(task.goals[0][0])
     act = expert_action(scene, task, SIM)
     delta = obj.pos - scene.ee_pos
