@@ -78,6 +78,14 @@ def _parse_modes(text):
     return out
 
 
+def _recorded_sim(dataset, run_cfg, raw):
+    """The ``SimConfig`` the demos were recorded under; a config file whose
+    ``sim`` section differs from it raises ``ConfigMismatchError``."""
+    if "sim" in raw and run_cfg.sim != dataset.sim:
+        raise ConfigMismatchError(f"config sim {run_cfg.sim} differs from the dataset's {dataset.sim}")
+    return dataset.sim
+
+
 def cmd_gen_data(args):
     run_cfg, raw = load_config(args.config)
     seed = _resolve_seed(args.seed, "seed" in raw, run_cfg.seed)
@@ -105,10 +113,11 @@ def cmd_train(args):
         overrides["steps"] = args.steps
     train_cfg = replace(run_cfg.train, **overrides).validate()
     dataset = load_dataset(args.data)
+    sim = _recorded_sim(dataset, run_cfg, raw)
     policy_cfg = replace(run_cfg.policy, **kinds)
     policy = Policy(policy_cfg, tuple(dataset.instructions()), seed=train_cfg.seed, geo=run_cfg.geo)
     policy, losses = bc_train(dataset, train_cfg, policy=policy)
-    save_checkpoint(policy, args.out, step=train_cfg.steps, train=train_cfg, sim=run_cfg.sim)
+    save_checkpoint(policy, args.out, step=train_cfg.steps, train=train_cfg, sim=sim)
     print(f"trained {train_cfg.steps} steps; final loss {losses[-1]:.6f}")
     print(f"saved checkpoint to {args.out}")
     return 0
@@ -140,9 +149,10 @@ def cmd_ablate(args):
     train_cfg = replace(run_cfg.train, seed=seed).validate()
     modes = _parse_modes(args.modes)
     dataset = load_dataset(args.data)
+    sim = _recorded_sim(dataset, run_cfg, raw)
     os.makedirs(args.out_dir, exist_ok=True)
     report = ablate_layers(
-        dataset, train_cfg, policy_cfg=run_cfg.policy, sim=run_cfg.sim, geo=run_cfg.geo,
+        dataset, train_cfg, policy_cfg=run_cfg.policy, sim=sim, geo=run_cfg.geo,
         modes=modes, checkpoint_dir=args.out_dir,
     )
     emit_report(report, "json", os.path.join(args.out_dir, "ablation.json"))

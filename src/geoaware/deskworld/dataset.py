@@ -1,39 +1,42 @@
 """Expert demonstration datasets serialized as JSON lines.
 
-This module is the one owner of the file format.  Line 0 is a header (format
-version, task specs, seen cameras, seed); each following line is one episode.
-A dataclass is written as an object of its fields in field order and an array
-as a list.  Floats are written as Python's shortest ``repr`` that round-trips
-the double exactly, so replaying stored actions through the dynamics
-reproduces stored scenes bit-for-bit.  The readers are strict: a number of
-the wrong type, an id or instruction that is not a string, a vector of the
-wrong length, an unknown colour or a held object that is not in its scene
-raises ``FormatError``.  Observations (renders, features) are never stored;
-they are derived at batch time.
+This module is the one owner of the file format.  Line 0 is a header object
+with the keys ``format_version``, ``tasks``, ``sim`` (the ``SimConfig`` the
+demos were recorded under), ``seed`` and ``episodes`` (their count).  Each
+further line is one episode with the keys ``task_id``, ``seed`` and
+``actions`` (one 7-vector per step).  Scenes are not stored: ``load_dataset``
+replays each episode, ``reset(task, seed)`` and then ``step`` over its
+actions under ``sim``, so its scenes are by construction the ones its actions
+produce.  Floats are written as Python's shortest ``repr``, so a reloaded
+dataset equals the saved one bit for bit.  The readers are strict: a missing
+or extra key, a value of the wrong type or length, a non-finite number, a
+negative seed or task index, an unknown colour or an episode of a task the
+header lacks raises ``FormatError``.  Observations (renders, features) are
+never stored; they are derived at batch time.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
 from geoaware.errors import FormatError, GenerationError
-from geoaware.deskworld.camera import CameraPose, seen_cameras
 from geoaware.deskworld.world import (
-    OBJECT_COLORS, REGION_COLORS, Action, GoalRegion, ObjectState, SceneState, SimConfig, TaskSpec,
-    expert_action, reset, step, success,
+    OBJECT_COLORS, REGION_COLORS, Action, SceneState, SimConfig, TaskSpec, expert_action, reset, step, success,
 )
-from geoaware.persist import read_float, read_floats, read_int, read_str, write_atomic
+from geoaware.persist import from_dict, read_float, read_floats, read_int, read_str, write_atomic
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+_HEADER_KEYS = {"format_version", "tasks", "sim", "seed", "episodes"}
+_EPISODE_KEYS = {"task_id", "seed", "actions"}
 
 
 @dataclass
 class EpisodeStep:
     scene: SceneState
-    proprio: np.ndarray
     action: np.ndarray
 
 
@@ -48,7 +51,7 @@ class Episode:
 @dataclass
 class DemoDataset:
     tasks: list[TaskSpec]
-    cameras: list[CameraPose]
+    sim: SimConfig
     seed: int
     episodes: list[Episode]
 
@@ -71,11 +74,11 @@ def run_expert_episode(task: TaskSpec, seed: int, sim: SimConfig | None = None) 
         if success(scene, task):
             break
         action = expert_action(scene, task, sim)
-        steps.append(EpisodeStep(scene=scene, proprio=scene.proprio(), action=action.as_vector()))
+        steps.append(EpisodeStep(scene=scene, action=action.as_vector()))
         scene = step(scene, action, sim)
     if not success(scene, task):
         raise GenerationError(f"expert failed task {task.task_id!r} with seed {seed} within {sim.max_episode_steps} steps")
-    steps.append(EpisodeStep(scene=scene, proprio=scene.proprio(), action=Action.zero().as_vector()))
+    steps.append(EpisodeStep(scene=scene, action=Action.zero().as_vector()))
     return Episode(task_id=task.task_id, instruction=task.instruction, seed=seed, steps=steps)
 
 
@@ -87,7 +90,7 @@ def generate_dataset(tasks, episodes_per_task, seed, sim: SimConfig | None = Non
         for e in range(episodes_per_task):
             episode_seed = seed * 1_000_003 + e
             episodes.append(run_expert_episode(task, episode_seed, sim))
-    return DemoDataset(tasks=list(tasks), cameras=seen_cameras(sim), seed=seed, episodes=episodes)
+    return DemoDataset(tasks=list(tasks), sim=sim, seed=seed, episodes=episodes)
 
 
 # -- writing -----------------------------------------------------------------
@@ -107,18 +110,25 @@ def save_dataset(dataset: DemoDataset, path):
     header = {
         "format_version": FORMAT_VERSION,
         "tasks": dataset.tasks,
-        "seen_cameras": dataset.cameras,
+        "sim": dataset.sim,
         "seed": dataset.seed,
         "episodes": len(dataset.episodes),
     }
-    lines = [
-        json.dumps(doc, default=_encode, allow_nan=False, separators=(",", ":"))
-        for doc in [header, *dataset.episodes]
+    docs = [header] + [
+        {"task_id": ep.task_id, "seed": ep.seed, "actions": [st.action for st in ep.steps]} for ep in dataset.episodes
     ]
+    lines = [json.dumps(doc, default=_encode, allow_nan=False, separators=(",", ":")) for doc in docs]
     write_atomic(path, "\n".join(lines) + "\n")
 
 
 # -- reading -----------------------------------------------------------------
+
+
+def _non_negative(value, name):
+    """``value`` if it is an int >= 0, as ``reset`` seeds with; else ``FormatError``."""
+    if read_int(value, name) < 0:
+        raise FormatError(f"{name} must not be negative, got {value}")
+    return value
 
 
 def _vector(values, size, name):
@@ -137,36 +147,9 @@ def _color(value, palette, name):
     return value
 
 
-def _read_scene(d):
-    objects = [
-        ObjectState(
-            read_str(o["object_id"], "object id"), _color(o["color"], OBJECT_COLORS, "object color"),
-            _vector(o["pos"], 3, "object pos"),
-        )
-        for o in d["objects"]
-    ]
-    held = d["held_object"]
-    if held is not None and held not in [o.object_id for o in objects]:
-        raise FormatError(f"scene holds {held!r}, which is not one of its objects")
-    return SceneState(
-        ee_pos=_vector(d["ee_pos"], 3, "scene ee_pos"),
-        ee_rot=_vector(d["ee_rot"], 3, "scene ee_rot"),
-        gripper=read_float(d["gripper"], "scene gripper"),
-        objects=objects,
-        goal_regions=[
-            GoalRegion(
-                read_str(g["region_id"], "region id"), _color(g["color"], REGION_COLORS, "region color"),
-                _vector(g["center"], 3, "goal center"), read_float(g["radius"], "goal radius"),
-            )
-            for g in d["goal_regions"]
-        ],
-        held_object=held,
-    )
-
-
 def _read_task(d):
     return TaskSpec(
-        index=read_int(d["index"], "task index"),
+        index=_non_negative(d["index"], "task index"),
         task_id=read_str(d["task_id"], "task id"),
         instruction=read_str(d["instruction"], "task instruction"),
         objects=tuple(
@@ -183,34 +166,30 @@ def _read_task(d):
     )
 
 
-def _read_camera(d):
-    image_size = read_int(d["image_size"], "camera image_size")
-    if image_size < 1:
-        raise FormatError(f"camera image_size must be positive, got {image_size}")
-    return CameraPose(
-        position=_vector(d["position"], 3, "camera position"),
-        look_at=_vector(d["look_at"], 3, "camera look_at"),
-        up=_vector(d["up"], 3, "camera up"),
-        focal=read_float(d["focal"], "camera focal"),
-        principal_point=_vector(d["principal_point"], 2, "camera principal_point"),
-        image_size=image_size,
-    )
+def _read_sim(d):
+    """The header's ``sim`` section, with a float field that the file wrote
+    as an int read as a float, as ``read_float`` reads one."""
+    sim = from_dict(SimConfig, d, "sim", FormatError)
+    if sim.image_size < 1:
+        raise FormatError(f"sim image_size must be positive, got {sim.image_size}")
+    return replace(sim, **{f.name: float(getattr(sim, f.name)) for f in fields(sim) if type(f.default) is float})
 
 
-def _read_episode(d):
-    return Episode(
-        task_id=read_str(d["task_id"], "episode task id"),
-        instruction=read_str(d["instruction"], "episode instruction"),
-        seed=read_int(d["seed"], "episode seed"),
-        steps=[
-            EpisodeStep(
-                scene=_read_scene(s["scene"]),
-                proprio=_vector(s["proprio"], 7, "step proprio"),
-                action=_vector(s["action"], 7, "step action"),
-            )
-            for s in d["steps"]
-        ],
-    )
+def _read_episode(d, tasks_by_id, sim):
+    """Replay one episode line: its task's seeded reset, then one ``step``
+    per stored action but the last, which belongs to the final scene."""
+    if set(d) != _EPISODE_KEYS:
+        raise FormatError(f"dataset episode needs exactly the keys {sorted(_EPISODE_KEYS)}, got {sorted(d)}")
+    task_id = read_str(d["task_id"], "episode task id")
+    if task_id not in tasks_by_id:
+        raise FormatError(f"episode task id {task_id!r} names no task of the header")
+    task, seed = tasks_by_id[task_id], _non_negative(d["seed"], "episode seed")
+    actions = [_vector(a, 7, "step action") for a in d["actions"]]
+    scenes = [reset(task, seed)]
+    for action in actions[:-1]:
+        scenes.append(step(scenes[-1], Action.from_vector(action), sim))
+    steps = [EpisodeStep(scene=scene, action=action) for scene, action in zip(scenes, actions)]
+    return Episode(task_id=task_id, instruction=task.instruction, seed=seed, steps=steps)
 
 
 def load_dataset(path) -> DemoDataset:
@@ -222,18 +201,21 @@ def load_dataset(path) -> DemoDataset:
         header = json.loads(lines[0])
     except ValueError as e:         # invalid UTF-8 or invalid JSON
         raise FormatError(f"dataset header is not valid JSON: {e}") from e
-    if not isinstance(header, dict):
-        raise FormatError(f"dataset header must be an object, got {type(header).__name__}")
-    version = header.get("format_version")
+    version = header.get("format_version") if isinstance(header, dict) else None
     if type(version) is not int or version != FORMAT_VERSION:
         raise FormatError(f"unsupported dataset format_version {version!r} (expected {FORMAT_VERSION})")
+    if set(header) != _HEADER_KEYS:
+        raise FormatError(f"dataset header needs exactly the keys {sorted(_HEADER_KEYS)}, got {sorted(header)}")
     try:
         seed = read_int(header["seed"], "dataset seed")
         tasks = [_read_task(t) for t in header["tasks"]]
-        cameras = [_read_camera(c) for c in header["seen_cameras"]]
-        episodes = [_read_episode(json.loads(ln)) for ln in lines[1:]]
+        by_id = {t.task_id: t for t in tasks}
+        if len(by_id) != len(tasks):
+            raise FormatError("dataset task ids must be unique")
+        sim = _read_sim(header["sim"])
+        episodes = [_read_episode(json.loads(ln), by_id, sim) for ln in lines[1:]]
     except (KeyError, IndexError, TypeError, ValueError) as e:
         raise FormatError(f"malformed dataset file {path}: {e}") from e
-    if header.get("episodes") != len(episodes):
-        raise FormatError(f"dataset {path} truncated: header lists {header.get('episodes')} episodes, found {len(episodes)}")
-    return DemoDataset(tasks=tasks, cameras=cameras, seed=seed, episodes=episodes)
+    if read_int(header["episodes"], "dataset episode count") != len(episodes):
+        raise FormatError(f"dataset {path} truncated: header lists {header['episodes']} episodes, found {len(episodes)}")
+    return DemoDataset(tasks=tasks, sim=sim, seed=seed, episodes=episodes)

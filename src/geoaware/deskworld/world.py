@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -213,7 +213,7 @@ def step(scene: SceneState, action: Action, sim: SimConfig | None = None) -> Sce
 
 def success(scene: SceneState, task: TaskSpec) -> bool:
     """Every task-designated object inside its region's radius and not held."""
-    for i, (object_id, region_id) in enumerate(task.goals):
+    for object_id, region_id in task.goals:
         obj = scene.object_by_id(object_id)
         region = scene.region_by_id(region_id)
         if scene.held_object == object_id:

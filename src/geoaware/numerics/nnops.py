@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from geoaware.errors import InputError, ShapeError
-from geoaware.numerics.tensor import Tensor, as_tensor, make_result
+from geoaware.numerics.tensor import as_tensor, make_result
 
 # -- activations and normalization -------------------------------------------
 

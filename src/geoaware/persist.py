@@ -2,9 +2,10 @@
 
 Config sections are dataclasses whose fields all have defaults.  They are
 written with ``dataclasses.asdict`` and read back with ``from_dict``, the one
-decoder shared by run configs and checkpoint headers.  ``read_str``,
-``read_int``, ``read_float`` and ``read_floats`` apply the same no-coercion
-rule to the fields of dataset files, and also reject non-finite numbers there.
+decoder shared by run configs, checkpoint headers and dataset headers.
+``read_str``, ``read_int``, ``read_float`` and ``read_floats`` apply the same
+no-coercion rule to the other fields of dataset files.  Float fields must be
+finite everywhere.
 """
 
 import dataclasses
@@ -24,8 +25,9 @@ def from_dict(cls, data, section, error=ConfigError):
     Missing keys keep their defaults.  A non-object, an unknown key, or a value
     whose type differs from the field's default raises ``error``: an int
     passes for a float, but a bool never passes for a number nor a number for
-    a bool, and values are never coerced.  A field whose default is itself a
-    dataclass is read recursively as the section named after the field.
+    a bool, values are never coerced, and a float field must be finite as in
+    ``read_float``.  A field whose default is itself a dataclass is read
+    recursively as the section named after the field.
     """
     if not isinstance(data, dict):
         raise error(f"config section {section!r} must be an object, got {type(data).__name__}")
@@ -42,6 +44,8 @@ def from_dict(cls, data, section, error=ConfigError):
             raise error(
                 f"config section {section!r}: {name} must be {type(default).__name__}, got {type(value).__name__}"
             )
+        elif type(default) is float and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            raise error(f"config section {section!r}: {name} must be finite, got {value!r}")
         kwargs[name] = value
     return cls(**kwargs)
 

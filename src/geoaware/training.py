@@ -1,7 +1,7 @@
 """Behavior-cloning trainer and checkpoint persistence.
 
 Observations are derived at batch time: the frozen featurizer (or renderer)
-runs on stored scenes, so datasets stay small and the two backbones train
+runs on the demos' scenes, so datasets stay small and the two backbones train
 from identical demonstrations.  The VQ head trains in two phases: the action
 codebook first, alone; then the policy with the codebook frozen.
 """
@@ -17,6 +17,7 @@ from itertools import zip_longest
 import numpy as np
 
 from geoaware.backbones import GeoStubConfig, pixel_pooled
+from geoaware.deskworld.camera import seen_cameras
 from geoaware.deskworld.world import SimConfig
 from geoaware.errors import ConfigError, ConfigMismatchError, FormatError, NumericAbort, NumericError
 from geoaware.numerics import Tensor, adamw_step, init_adamw, no_grad
@@ -92,12 +93,10 @@ def make_batch(dataset, indices, policy: Policy, cameras, cache=None):
     targets, mask = _chunk_targets(dataset, indices, policy.cfg.chunk_len, policy.dtype)
     scenes = [dataset.episodes[e].steps[s].scene for e, s in indices]
     instructions = [dataset.episodes[e].instruction for e, s in indices]
-    proprio = [dataset.episodes[e].steps[s].proprio for e, s in indices]
 
     if cache is None:
         vision = policy.featurize(scenes, cameras)
     else:
-        rows = []
         missing = [(pos, key) for pos, key in enumerate(indices) if key not in cache]
         if missing:
             fresh = policy.featurize([scenes[pos] for pos, _ in missing], cameras)
@@ -107,7 +106,7 @@ def make_batch(dataset, indices, policy: Policy, cameras, cache=None):
     return Batch(
         vision=vision,
         instructions=instructions,
-        proprio=np.asarray(proprio, dtype=policy.dtype),
+        proprio=np.asarray([scene.proprio() for scene in scenes], dtype=policy.dtype),
         targets=targets,
         mask=mask,
     )
@@ -227,7 +226,7 @@ def bc_train(dataset, cfg: TrainConfig, policy: Policy):
         raise ConfigError("policy head/backbone disagree with the train config")
 
     store = policy.params
-    cameras = list(dataset.cameras)
+    cameras = seen_cameras(dataset.sim)
     pairs = dataset.sample_index()
     rng = np.random.default_rng([cfg.seed, 211])
     cache = {} if policy.cfg.backbone_kind == "pixel" else None
@@ -288,8 +287,11 @@ def save_checkpoint(policy: Policy, path, step=0, train: TrainConfig | None = No
     holds the ``policy``, ``geo``, ``train`` and ``sim`` sections, ``vocab``,
     ``codebook_trained``, ``tensors`` (``[name, shape]`` per tensor, in store
     order), the sorted ``frozen`` names and ``step``.  Round-trips are bitwise
-    for float32 policies (the training precision).
+    for float32 policies (the training precision).  A ``step`` that is not a
+    non-negative int raises ``ConfigError`` before anything is written.
     """
+    if type(step) is not int or step < 0:
+        raise ConfigError(f"checkpoint step must be a non-negative int, got {step!r}")
     store = policy.params
     names = store.names()
     header = {

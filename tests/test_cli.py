@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,11 @@ import pytest
 import geoaware
 from geoaware.cli import main
 from geoaware.deskworld.dataset import load_dataset
+from geoaware.deskworld.world import SimConfig
 from geoaware.training import load_checkpoint
+
+
+SHORT_SIM = SimConfig(max_step=1.0, max_episode_steps=8)
 
 
 def sha256(path):
@@ -36,6 +41,16 @@ def dataset_path(workdir):
     path = workdir / "demos.jsonl"
     code = main(["gen-data", "--out", str(path), "--episodes-per-task", "2", "--seed", "0"])
     assert code == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def short_dataset_path(workdir):
+    # a long control step lets the expert finish within 8 steps, which caps every ablation rollout
+    cfg = workdir / "short-sim.json"
+    cfg.write_text(json.dumps({"sim": asdict(SHORT_SIM)}))
+    path = workdir / "short.jsonl"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(path), "--episodes-per-task", "2"]) == 0
     return path
 
 
@@ -146,18 +161,33 @@ def test_train_honours_policy_section(workdir, dataset_path, capsys):
     capsys.readouterr()
 
 
-def test_train_pixel_on_mixed_camera_sizes_exits_1(workdir, dataset_path, capsys):
-    # geo trains on such a dataset; the pixel renderer needs one image size
-    path = workdir / "mixed.jsonl"
-    lines = dataset_path.read_text().splitlines(keepends=True)
-    header = json.loads(lines[0])
-    header["seen_cameras"][1]["image_size"] = 24
-    path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
-    code = main(["train", "--data", str(path), "--out", str(workdir / "mixed.ckpt"), "--backbone", "pixel",
-                 "--steps", "1"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error:") and "image_size" in err and "Traceback" not in err
+def test_train_records_the_dataset_sim(workdir, capsys):
+    # the demos were recorded, and are rendered for training, under the dataset's sim
+    cfg = workdir / "large-frames.json"
+    cfg.write_text(json.dumps({"sim": {"image_size": 48}}))
+    data = workdir / "large-frames.jsonl"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(data), "--episodes-per-task", "1"]) == 0
+    out = workdir / "large-frames.ckpt"
+    assert main(["train", "--data", str(data), "--out", str(out), "--steps", "1", "--backbone", "pixel"]) == 0
+    assert load_checkpoint(out).sim == load_dataset(data).sim == SimConfig(image_size=48)
+    capsys.readouterr()
+
+
+def test_train_and_ablate_reject_a_sim_section_unlike_the_dataset(workdir, dataset_path, capsys):
+    cfg = workdir / "other-sim.json"
+    cfg.write_text(json.dumps({"sim": {"image_size": 48}}))
+    out = workdir / "other-sim.ckpt"
+    code = main(["train", "--config", str(cfg), "--data", str(dataset_path), "--out", str(out), "--steps", "1"])
+    assert code == 3
+    assert "differs from the dataset's" in capsys.readouterr().err
+    assert not out.exists()
+    out_dir = workdir / "other-sim-ablation"
+    assert main(["ablate", "--config", str(cfg), "--data", str(dataset_path), "--out-dir", str(out_dir)]) == 3
+    assert not (out_dir / "ablation.json").exists()
+    # a sim section equal to the dataset's is accepted
+    cfg.write_text(json.dumps({"sim": asdict(SimConfig())}))
+    assert main(["train", "--config", str(cfg), "--data", str(dataset_path), "--out", str(out), "--steps", "1"]) == 0
+    capsys.readouterr()
 
 
 def test_train_numeric_abort_exits_2(workdir, dataset_path, capsys):
@@ -258,14 +288,11 @@ def test_report_invalid_json_exits_1(workdir, capsys):
     capsys.readouterr()
 
 
-def test_ablate_writes_checkpoints_and_reports(workdir, dataset_path, capsys):
+def test_ablate_writes_checkpoints_and_reports(workdir, short_dataset_path, capsys):
     cfg = workdir / "ablate.json"
-    cfg.write_text(json.dumps({
-        "train": {"steps": 10, "eval_every": 0},
-        "sim": {"max_episode_steps": 8},
-    }))
+    cfg.write_text(json.dumps({"train": {"steps": 10, "eval_every": 0}}))
     out_dir = workdir / "ablation"
-    code = main(["ablate", "--config", str(cfg), "--data", str(dataset_path),
+    code = main(["ablate", "--config", str(cfg), "--data", str(short_dataset_path),
                  "--modes", "even4,last4", "--out-dir", str(out_dir)])
     capsys.readouterr()
     assert code == 0
@@ -275,7 +302,9 @@ def test_ablate_writes_checkpoints_and_reports(workdir, dataset_path, capsys):
     assert [row["mode"] for row in report["ablation"]] == ["even", "last"]
     md = (out_dir / "ablation.md").read_text()
     assert "even(4) (default)" in md
-    assert load_checkpoint(out_dir / "ablate-even.ckpt").policy.cfg.select_mode == "even"
+    bundle = load_checkpoint(out_dir / "ablate-even.ckpt")
+    assert bundle.policy.cfg.select_mode == "even"
+    assert bundle.sim == SHORT_SIM
 
 
 def test_ablate_rejects_a_pixel_config(workdir, dataset_path, capsys):
@@ -286,15 +315,11 @@ def test_ablate_rejects_a_pixel_config(workdir, dataset_path, capsys):
     assert "layer ablation only applies to the geo backbone" in capsys.readouterr().err
 
 
-def test_ablate_honours_geo_section(workdir, dataset_path, capsys):
+def test_ablate_honours_geo_section(workdir, short_dataset_path, capsys):
     cfg = workdir / "ablate-geo.json"
-    cfg.write_text(json.dumps({
-        "train": {"steps": 5, "eval_every": 0},
-        "sim": {"max_episode_steps": 4},
-        "geo": {"num_layers": 6},
-    }))
+    cfg.write_text(json.dumps({"train": {"steps": 5, "eval_every": 0}, "geo": {"num_layers": 6}}))
     out_dir = workdir / "ablation-geo"
-    code = main(["ablate", "--config", str(cfg), "--data", str(dataset_path),
+    code = main(["ablate", "--config", str(cfg), "--data", str(short_dataset_path),
                  "--modes", "all,even2", "--out-dir", str(out_dir)])
     capsys.readouterr()
     assert code == 0

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from geoaware.cli import main
 from geoaware.deskworld import SimConfig, generate_dataset, load_dataset, make_tasks, save_dataset, success
 from geoaware.deskworld.dataset import run_expert_episode
 from geoaware.deskworld.world import Action, step
@@ -75,12 +76,11 @@ def test_episode_ends_in_success_state():
         assert len(ep.steps) <= SIM.max_episode_steps + 1
 
 
-def test_actions_have_seven_entries_and_proprio_matches_scene():
+def test_actions_have_seven_entries():
     ds = small_dataset()
     for ep in ds.episodes:
         for st in ep.steps:
             assert st.action.shape == (7,)
-            assert np.array_equal(st.proprio, st.scene.proprio())
 
 
 def test_replay_reproduces_stored_scenes():
@@ -98,6 +98,24 @@ def test_replay_survives_serialization_roundtrip(tmp_path):
         assert replay_deviation(ep, SIM) <= 1e-9
     # exact float round-trip: the whole dataset matches the in-memory original bitwise
     assert_same_bits(ds, loaded)
+
+
+def test_loaded_scenes_follow_an_edited_action(tmp_path):
+    # scenes are replayed from the stored actions, so an edited action moves the scenes after it
+    ds = small_dataset(seed=3, episodes_per_task=1)
+    path = tmp_path / "demos.jsonl"
+    save_dataset(ds, path)
+    lines = path.read_text().splitlines()
+    episode = json.loads(lines[1])
+    episode["actions"][0] = [0.05, -0.05, 0.0, 0.0, 0.0, 0.0, 1.0]
+    path.write_text("\n".join([lines[0], json.dumps(episode)] + lines[2:]) + "\n")
+    loaded = load_dataset(path).episodes[0]
+    original = ds.episodes[0]
+    assert np.array_equal(loaded.steps[0].scene.ee_pos, original.steps[0].scene.ee_pos)
+    expected = step(original.steps[0].scene, Action.from_vector(episode["actions"][0]), SIM)
+    assert_same_bits(loaded.steps[1].scene, expected)
+    assert not np.array_equal(loaded.steps[1].scene.ee_pos, original.steps[1].scene.ee_pos)
+    assert replay_deviation(loaded, SIM) == 0.0
 
 
 def test_file_with_17_digit_floats_loads_to_the_same_bits(tmp_path):
@@ -125,12 +143,15 @@ def test_header_contents(tmp_path):
     ds = small_dataset(seed=4)
     path = tmp_path / "demos.jsonl"
     save_dataset(ds, path)
-    header = json.loads(path.read_text().splitlines()[0])
-    assert header["format_version"] == 1
+    header, *episodes = [json.loads(line) for line in path.read_text().splitlines()]
+    assert header["format_version"] == 2
     assert header["seed"] == 4
     assert len(header["tasks"]) == 4
-    assert len(header["seen_cameras"]) == 2
+    assert header["sim"] == dataclasses.asdict(SIM)
     assert header["episodes"] == len(ds.episodes)
+    # an episode is its task, seed and actions: no scene, proprio or camera is stored
+    for doc, ep in zip(episodes, ds.episodes):
+        assert doc == {"task_id": ep.task_id, "seed": ep.seed, "actions": [st.action.tolist() for st in ep.steps]}
 
 
 def test_default_scale_episode_count():
@@ -138,16 +159,19 @@ def test_default_scale_episode_count():
     assert len(ds.episodes) == 4 * 50
 
 
-def test_bad_version_rejected(tmp_path):
+def test_bad_version_rejected(tmp_path, capsys):
     ds = small_dataset()
     path = tmp_path / "demos.jsonl"
     save_dataset(ds, path)
     lines = path.read_text().splitlines()
     header = json.loads(lines[0])
-    header["format_version"] = 99
-    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-    with pytest.raises(FormatError):
-        load_dataset(path)
+    for version in (1, 99):
+        header["format_version"] = version
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        with pytest.raises(FormatError, match="format_version"):
+            load_dataset(path)
+        assert main(["train", "--data", str(path), "--out", str(tmp_path / "p.ckpt"), "--steps", "1"]) == 1
+    assert "format_version" in capsys.readouterr().err
 
 
 def test_truncated_file_rejected(tmp_path):

@@ -291,8 +291,10 @@ def test_checkpoint_without_train_and_sim_loads(tmp_path):
 @pytest.mark.parametrize(
     "doc",
     [{"seed": "x"}, {"seed": True}, {"train": {"steps": "10"}}, {"policy": {"hidden_dim": "64"}},
-     {"sim": {"focal": None}}],
-    ids=["seed-str", "seed-bool", "train-steps-str", "policy-hidden-dim-str", "sim-focal-null"],
+     {"sim": {"focal": None}}, {"sim": {"focal": float("inf")}}, {"train": {"lr": float("nan")}},
+     {"sim": {"max_step": float("-inf")}}, {"sim": {"focal": 10 ** 400}}],
+    ids=["seed-str", "seed-bool", "train-steps-str", "policy-hidden-dim-str", "sim-focal-null", "sim-focal-inf",
+         "train-lr-nan", "sim-max-step-neg-inf", "sim-focal-huge-int"],
 )
 def test_mistyped_run_config_raises_config_error(tmp_path, doc, capsys):
     path = tmp_path / "run.json"
@@ -321,7 +323,7 @@ def test_malformed_dataset_header_raises_format_error(tmp_path, edit):
     "edit",
     [lambda docs: docs[0].update(seed=3.7),
      lambda docs: docs[1].update(seed=True),
-     lambda docs: docs[0]["seen_cameras"][0].update(image_size="32"),
+     lambda docs: docs[0]["sim"].update(image_size="32"),
      lambda docs: docs[0]["tasks"][0].update(index=0.0),
      lambda docs: docs[0].update(format_version=True),
      lambda docs: docs[0].update(format_version=1.0)],
@@ -343,15 +345,11 @@ def test_mistyped_dataset_int_raises_format_error(tmp_path, edit, capsys):
 
 @pytest.mark.parametrize(
     "edit",
-    [lambda docs: docs[0]["seen_cameras"][0].update(focal="48.5"),
-     lambda docs: docs[1]["steps"][0]["scene"].update(gripper="1"),
-     lambda docs: docs[1]["steps"][0]["scene"]["goal_regions"][0].update(radius=True),
+    [lambda docs: docs[0]["sim"].update(focal="48.5"),
      lambda docs: docs[0]["tasks"][0]["regions"][0].__setitem__(2, "0.06"),
-     lambda docs: docs[0]["seen_cameras"][1]["position"].__setitem__(0, "0.5"),
-     lambda docs: docs[1]["steps"][1]["scene"]["objects"][0]["pos"].__setitem__(2, False),
-     lambda docs: docs[1]["steps"][0].update(action=0.0)],
-    ids=["camera-focal-str", "scene-gripper-str", "goal-radius-bool", "task-radius-str",
-         "camera-position-entry-str", "object-pos-entry-bool", "step-action-scalar"],
+     lambda docs: docs[1]["actions"][1].__setitem__(2, False),
+     lambda docs: docs[1]["actions"].__setitem__(0, 0.0)],
+    ids=["camera-focal-str", "task-radius-str", "step-action-entry-bool", "step-action-scalar"],
 )
 def test_mistyped_dataset_float_raises_format_error(tmp_path, edit, capsys):
     # float fields accept ints and floats only: "48.5" must not load as 48.5
@@ -366,41 +364,27 @@ def test_mistyped_dataset_float_raises_format_error(tmp_path, edit, capsys):
     capsys.readouterr()
 
 
-def _scene(docs):
-    return docs[1]["steps"][0]["scene"]
-
-
 @pytest.mark.parametrize(
     "edit",
-    [lambda docs: _scene(docs)["objects"][0].update(color="purple"),
-     lambda docs: _scene(docs)["goal_regions"][0].update(color="red"),
-     lambda docs: docs[0]["tasks"][0]["objects"][0].__setitem__(1, "purple"),
+    [lambda docs: docs[0]["tasks"][0]["objects"][0].__setitem__(1, "purple"),
      lambda docs: docs[0]["tasks"][0]["regions"][0].__setitem__(1, "blue"),
-     lambda docs: docs[1]["steps"][0].update(action=docs[1]["steps"][0]["action"][:3]),
-     lambda docs: docs[1]["steps"][0]["proprio"].append(0.0),
-     lambda docs: _scene(docs)["ee_pos"].pop(),
-     lambda docs: _scene(docs)["ee_rot"].append(0.0),
-     lambda docs: _scene(docs)["objects"][1]["pos"].pop(),
-     lambda docs: _scene(docs)["goal_regions"][0]["center"].append(0.0),
-     lambda docs: docs[0]["seen_cameras"][0]["up"].pop(),
-     lambda docs: docs[0]["seen_cameras"][1]["principal_point"].append(16.0),
-     lambda docs: _scene(docs).update(held_object="ghost"),
+     lambda docs: docs[1]["actions"].__setitem__(0, docs[1]["actions"][0][:3]),
      lambda docs: docs[0]["tasks"][0].update(instruction=5),
      lambda docs: docs[0]["tasks"][0].update(task_id=3),
      lambda docs: docs[0]["tasks"][0]["objects"][0].__setitem__(0, 7),
      lambda docs: docs[0]["tasks"][0]["regions"][0].__setitem__(0, 7),
      lambda docs: docs[0]["tasks"][0]["goals"][0].__setitem__(0, 7),
      lambda docs: docs[0]["tasks"][0]["goals"][0].__setitem__(1, None),
-     lambda docs: docs[1].update(instruction=["pick"]),
      lambda docs: docs[1].update(task_id=0),
-     lambda docs: _scene(docs)["objects"][0].update(object_id=7),
-     lambda docs: _scene(docs)["goal_regions"][0].update(region_id=7)],
-    ids=["object-color-purple", "region-color-red", "task-object-color-purple", "task-region-color-blue",
-         "step-action-3-entries", "step-proprio-8-entries", "scene-ee-pos-2-entries", "scene-ee-rot-4-entries",
-         "object-pos-2-entries", "goal-center-4-entries", "camera-up-2-entries", "camera-principal-point-3-entries",
-         "held-object-ghost", "task-instruction-int", "task-id-int", "task-object-id-int", "task-region-id-int",
-         "task-goal-object-id-int", "task-goal-region-id-null", "episode-instruction-list", "episode-task-id-int",
-         "scene-object-id-int", "scene-region-id-int"],
+     lambda docs: docs[1].update(task_id="t9"),
+     lambda docs: docs[1].update(seed=-1),
+     lambda docs: docs[0]["tasks"][0].update(index=-1),
+     lambda docs: docs[0]["tasks"].append(docs[0]["tasks"][0]),
+     lambda docs: docs[1].update(steps=[])],
+    ids=["task-object-color-purple", "task-region-color-blue", "step-action-3-entries", "task-instruction-int",
+         "task-id-int", "task-object-id-int", "task-region-id-int", "task-goal-object-id-int",
+         "task-goal-region-id-null", "episode-task-id-int", "episode-task-id-unknown", "episode-seed-negative",
+         "task-index-negative", "task-id-duplicate", "episode-extra-key"],
 )
 def test_dataset_value_that_breaks_training_raises_format_error(tmp_path, edit, capsys):
     # each loaded on its own and then crashed training or trained on a scene that cannot exist
@@ -419,11 +403,11 @@ def test_dataset_value_that_breaks_training_raises_format_error(tmp_path, edit, 
 
 @pytest.mark.parametrize(
     "edit",
-    [lambda docs: docs[1]["steps"][0]["scene"]["ee_pos"].__setitem__(0, float("nan")),
-     lambda docs: docs[0]["seen_cameras"][0].update(focal=float("inf")),
-     lambda docs: docs[1]["steps"][0]["action"].__setitem__(3, float("-inf")),
-     lambda docs: docs[0]["seen_cameras"][1].update(focal=10 ** 400)],
-    ids=["scene-ee-pos-nan", "camera-focal-inf", "step-action-neg-inf", "camera-focal-huge-int"],
+    [lambda docs: docs[0]["sim"].update(focal=float("inf")),
+     lambda docs: docs[1]["actions"][0].__setitem__(3, float("-inf")),
+     lambda docs: docs[1]["actions"][1].__setitem__(0, float("nan")),
+     lambda docs: docs[0]["sim"].update(focal=10 ** 400)],
+    ids=["camera-focal-inf", "step-action-neg-inf", "step-action-nan", "camera-focal-huge-int"],
 )
 def test_non_finite_dataset_float_raises_format_error(tmp_path, edit, capsys):
     # json reads NaN, Infinity and -Infinity; no physical quantity is one
@@ -446,8 +430,7 @@ def test_non_positive_camera_image_size_raises_format_error(tmp_path, size, caps
     path = tmp_path / "demos.jsonl"
     _write_dataset(path)
     fmt = JsonLines(path.read_bytes())
-    for camera in fmt.docs[0]["seen_cameras"]:
-        camera["image_size"] = size
+    fmt.docs[0]["sim"]["image_size"] = size
     path.write_bytes(fmt.encode(fmt.docs))
     with pytest.raises(FormatError, match="image_size"):
         load_dataset(path)
@@ -461,9 +444,9 @@ def test_dataset_float_fields_accept_ints(tmp_path):
     path = tmp_path / "demos.jsonl"
     _write_dataset(path)
     fmt = JsonLines(path.read_bytes())
-    fmt.docs[0]["seen_cameras"][0]["focal"] = 48
-    fmt.docs[1]["steps"][0]["scene"]["gripper"] = 1
+    fmt.docs[0]["sim"]["focal"] = 48
+    fmt.docs[1]["actions"][0][6] = 1
     path.write_bytes(fmt.encode(fmt.docs))
     loaded = load_dataset(path)
-    assert loaded.cameras[0].focal == 48.0 and type(loaded.cameras[0].focal) is float
-    assert loaded.episodes[0].steps[0].scene.gripper == 1.0
+    assert loaded.sim.focal == 48.0 and type(loaded.sim.focal) is float
+    assert loaded.episodes[0].steps[0].action[6] == 1.0

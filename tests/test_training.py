@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import geoaware.training as training
-from geoaware.backbones import GeoStubConfig
+from geoaware.deskworld.camera import seen_cameras
 from geoaware.deskworld.dataset import generate_dataset
 from geoaware.deskworld.world import SimConfig, make_tasks
 from geoaware.errors import ConfigError, ConfigMismatchError, FormatError, NumericAbort
@@ -49,14 +49,14 @@ def small_train(**kw):
 def test_make_batch_shapes_and_determinism(demos):
     pol = small_policy(demos)
     indices = demos.sample_index()[:8]
-    batch = make_batch(demos, indices, pol, demos.cameras)
+    batch = make_batch(demos, indices, pol, seen_cameras(demos.sim))
     assert batch.vision.shape[:2] == (8, 2)
     assert batch.vision.dtype == np.float32
     assert batch.proprio.shape == (8, 7)
     assert batch.targets.shape == (8, 1, 7)
     assert np.all(batch.mask == 1.0)
     assert len(batch.instructions) == 8
-    again = make_batch(demos, indices, pol, demos.cameras)
+    again = make_batch(demos, indices, pol, seen_cameras(demos.sim))
     assert batch.vision.tobytes() == again.vision.tobytes()
     assert batch.targets.tobytes() == again.targets.tobytes()
     assert batch.proprio.tobytes() == again.proprio.tobytes()
@@ -64,17 +64,17 @@ def test_make_batch_shapes_and_determinism(demos):
 
 def test_make_batch_matches_stored_steps(demos):
     pol = small_policy(demos)
-    batch = make_batch(demos, [(0, 3)], pol, demos.cameras)
+    batch = make_batch(demos, [(0, 3)], pol, seen_cameras(demos.sim))
     episode = demos.episodes[0]
     assert batch.instructions[0] == episode.instruction
-    assert np.allclose(batch.proprio[0], episode.steps[3].proprio)
+    assert np.allclose(batch.proprio[0], episode.steps[3].scene.proprio())
     assert np.allclose(batch.targets[0, 0], episode.steps[3].action, atol=1e-7)
 
 
 def test_make_batch_chunk_padding(demos):
     pol = small_policy(demos, chunk_len=4)
     last = len(demos.episodes[0].steps)
-    batch = make_batch(demos, [(0, last - 2)], pol, demos.cameras)
+    batch = make_batch(demos, [(0, last - 2)], pol, seen_cameras(demos.sim))
     assert np.array_equal(batch.mask[0], [1.0, 1.0, 0.0, 0.0])
     assert np.all(batch.targets[0, 2:] == 0.0)
 
@@ -82,18 +82,18 @@ def test_make_batch_chunk_padding(demos):
 def test_make_batch_rejects_bad_index(demos):
     pol = small_policy(demos)
     with pytest.raises(IndexError):
-        make_batch(demos, [(0, 10_000)], pol, demos.cameras)
+        make_batch(demos, [(0, 10_000)], pol, seen_cameras(demos.sim))
 
 
 def test_pixel_batch_cache_consistency(demos):
     pol = small_policy(demos, backbone_kind="pixel")
     indices = demos.sample_index()[:4]
     cache = {}
-    cached = make_batch(demos, indices, pol, demos.cameras, cache)
-    direct = make_batch(demos, indices, pol, demos.cameras)
+    cached = make_batch(demos, indices, pol, seen_cameras(demos.sim), cache)
+    direct = make_batch(demos, indices, pol, seen_cameras(demos.sim))
     assert cached.vision.tobytes() == direct.vision.tobytes()
     assert set(cache) == set(indices)
-    again = make_batch(demos, indices, pol, demos.cameras, cache)
+    again = make_batch(demos, indices, pol, seen_cameras(demos.sim), cache)
     assert again.vision.tobytes() == direct.vision.tobytes()
 
 
@@ -105,7 +105,7 @@ def test_zero_lr_leaves_parameters_bitwise(demos):
     # separately calibrated twin rather than the raw initialization
     twin = small_policy(demos)
     calibrate_input_stats(
-        twin, demos, demos.cameras, rng=np.random.default_rng([0, CALIBRATION_SEED_SALT])
+        twin, demos, seen_cameras(demos.sim), rng=np.random.default_rng([0, CALIBRATION_SEED_SALT])
     )
     before = twin.params.hash_of()
     pol = small_policy(demos)
@@ -133,7 +133,7 @@ def _vision_mlp_input_stats(pol, demos):
     from geoaware.policy import fold_views, pooled_vision
 
     with no_grad():
-        batch = make_batch(demos, demos.sample_index(), pol, demos.cameras)
+        batch = make_batch(demos, demos.sample_index(), pol, seen_cameras(demos.sim))
         pooled = pooled_vision(*fold_views(batch.vision, None, pol.cfg), pol.params)
         stacked = pooled.values @ pol.params["vision.mlp.1.w"].values + pol.params["vision.mlp.1.b"].values
     return stacked.mean(axis=0), stacked.std(axis=0)
@@ -143,7 +143,7 @@ def test_calibration_standardizes_mlp_input(demos):
     pol = small_policy(demos)
     raw_mean, raw_std = _vision_mlp_input_stats(pol, demos)
     assert np.abs(raw_mean).max() / max(raw_std.max(), 1e-12) > 10.0  # pathological before
-    calibrate_input_stats(pol, demos, demos.cameras, rng=np.random.default_rng(3))
+    calibrate_input_stats(pol, demos, seen_cameras(demos.sim), rng=np.random.default_rng(3))
     mean, std = _vision_mlp_input_stats(pol, demos)
     # preactivations should sit near the origin at order-one scale
     assert np.abs(mean).max() < 1.0
@@ -155,7 +155,7 @@ def test_calibration_is_deterministic(demos):
     hashes = []
     for _ in range(2):
         pol = small_policy(demos)
-        calibrate_input_stats(pol, demos, demos.cameras, rng=np.random.default_rng(7))
+        calibrate_input_stats(pol, demos, seen_cameras(demos.sim), rng=np.random.default_rng(7))
         hashes.append(pol.params.hash_of())
     assert hashes[0] == hashes[1]
 
@@ -163,7 +163,7 @@ def test_calibration_is_deterministic(demos):
 def test_calibration_only_rescales_rows_and_shifts_bias(demos):
     pol = small_policy(demos)
     w_before = pol.params["vision.mlp.1.w"].values.astype(np.float64)
-    calibrate_input_stats(pol, demos, demos.cameras, rng=np.random.default_rng(3))
+    calibrate_input_stats(pol, demos, seen_cameras(demos.sim), rng=np.random.default_rng(3))
     w_after = pol.params["vision.mlp.1.w"].values.astype(np.float64)
     # each input dimension's row is scaled by one positive factor, nothing else
     ratios = w_after / w_before
@@ -179,9 +179,9 @@ def test_calibration_only_rescales_rows_and_shifts_bias(demos):
 def test_calibration_covers_pixel_head(demos):
     pol = small_policy(demos, backbone_kind="pixel")
     w_before = pol.params["pixel.head.w1"].values.copy()
-    calibrate_input_stats(pol, demos, demos.cameras, rng=np.random.default_rng(3), samples=32)
+    calibrate_input_stats(pol, demos, seen_cameras(demos.sim), rng=np.random.default_rng(3), samples=32)
     assert not np.array_equal(pol.params["pixel.head.w1"].values, w_before)
-    batch = make_batch(demos, demos.sample_index()[:4], pol, demos.cameras)
+    batch = make_batch(demos, demos.sample_index()[:4], pol, seen_cameras(demos.sim))
     out = pol.head(pol.forward(batch.vision, batch.instructions, batch.proprio))
     assert np.all(np.isfinite(out.values))
 
@@ -287,12 +287,12 @@ def test_vqbet_training_never_decodes_a_chunk(demos, monkeypatch):
     pol, _ = bc_train(demos, small_train(steps=3, head_kind="vqbet", vq_pretrain_steps=2), policy=pol)
     assert calls == []
     episode = demos.episodes[0]
-    pol.action(episode.steps[0].scene, episode.instruction, demos.cameras)
+    pol.action(episode.steps[0].scene, episode.instruction, seen_cameras(demos.sim))
     assert len(calls) == 1
 
 
 def test_overfit_smoke_single_episode(demos):
-    single = type(demos)(tasks=demos.tasks, cameras=demos.cameras, seed=demos.seed, episodes=demos.episodes[:1])
+    single = type(demos)(tasks=demos.tasks, sim=demos.sim, seed=demos.seed, episodes=demos.episodes[:1])
     pol = small_policy(demos, repr_dim=32, conv_dim=16, hidden_dim=32)
     _, losses = bc_train(single, small_train(steps=300, batch_size=16), policy=pol)
     assert float(np.mean(losses[-20:])) < 0.5 * float(np.mean(losses[:20]))
@@ -383,6 +383,15 @@ def test_checkpoint_config_mismatch(tmp_path, demos):
     path.write_bytes(raw[:8] + struct.pack("<I", len(encoded)) + encoded + raw[12 + length:])
     with pytest.raises(ConfigMismatchError, match=r"tensors\[3\]"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("step", [-1, True, 3.0], ids=["negative", "bool", "float"])
+def test_checkpoint_bad_step_raises_before_writing(tmp_path, demos, step):
+    # load_checkpoint rejects such a step, so save_checkpoint must not write it
+    path = tmp_path / "s.ckpt"
+    with pytest.raises(ConfigError, match="step"):
+        save_checkpoint(small_policy(demos), path, step=step)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_checkpoint_save_load_save_is_stable(tmp_path, demos):
