@@ -171,10 +171,13 @@ def ablate_layers(dataset, train_cfg: TrainConfig, policy_cfg=None, rollouts_per
     data, shared ``geo`` stub) and evaluate each on seen and medium novel views.
 
     ``modes`` overrides the default (mode, count) triple; ``checkpoint_dir``
-    (when given) receives one ``ablate-<mode>.ckpt`` per trained policy."""
+    (when given) receives one ``ablate-<mode>.ckpt`` per trained policy, which
+    records ``dataset.sim``, the sim the demos were recorded under.  ``sim``
+    (default ``dataset.sim``) is the one evaluation runs under, such as a
+    shorter ``max_episode_steps`` as a cap."""
     if train_cfg.backbone_kind != "geo":
         raise ConfigError("layer ablation only applies to the geo backbone")
-    sim = sim or SimConfig()
+    sim = sim or dataset.sim
     base = policy_cfg if policy_cfg is not None else PolicyConfig()
     rows = []
     for mode, count in (tuple(modes) if modes is not None else ABLATION_MODES):
@@ -182,7 +185,7 @@ def ablate_layers(dataset, train_cfg: TrainConfig, policy_cfg=None, rollouts_per
         policy = Policy(pcfg, tuple(dataset.instructions()), seed=train_cfg.seed, geo=geo)
         policy, _ = bc_train(dataset, train_cfg, policy=policy)
         if checkpoint_dir is not None:
-            save_checkpoint(policy, os.path.join(checkpoint_dir, f"ablate-{mode}.ckpt"), step=train_cfg.steps, train=train_cfg, sim=sim)
+            save_checkpoint(policy, os.path.join(checkpoint_dir, f"ablate-{mode}.ckpt"), step=train_cfg.steps, train=train_cfg, sim=dataset.sim)
         selected = len(policy.backbone.layers)
         label = f"{mode}({selected})" if mode != "all" else "all"
         row = {

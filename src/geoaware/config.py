@@ -45,8 +45,7 @@ class RunConfig:
                     f"policy.{kind} {getattr(self.policy, kind)!r} disagrees with train.{kind} "
                     f"{getattr(self.train, kind)!r}; set both"
                 )
-        if self.sim.image_size < 1:
-            raise ConfigError(f"sim.image_size must be positive, got {self.sim.image_size}")
+        self.sim.validate()
         return self
 
 

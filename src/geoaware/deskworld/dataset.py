@@ -7,11 +7,14 @@ further line is one episode with the keys ``task_id``, ``seed`` and
 ``actions`` (one 7-vector per step).  Scenes are not stored: ``load_dataset``
 replays each episode, ``reset(task, seed)`` and then ``step`` over its
 actions under ``sim``, so its scenes are by construction the ones its actions
-produce.  Floats are written as Python's shortest ``repr``, so a reloaded
-dataset equals the saved one bit for bit.  The readers are strict: a missing
-or extra key, a value of the wrong type or length, a non-finite number, a
-negative seed or task index, an unknown colour or an episode of a task the
-header lacks raises ``FormatError``.  Observations (renders, features) are
+produce.  The header's ``tasks`` record the task definitions the demos were
+made under, and each must equal the code's task of its id (``make_tasks``),
+whose ``TaskSpec`` the replay uses.  Floats are written as Python's shortest
+``repr``, so a reloaded dataset equals the saved one bit for bit.  The readers
+are strict: a missing or extra key, a value of the wrong type or length, a
+non-finite number, a negative seed, an out-of-range ``sim`` field, a header
+task that is unknown, repeated or unlike the code's, or an episode of a task
+the header lacks raises ``FormatError``.  Observations (renders, features) are
 never stored; they are derived at batch time.
 """
 
@@ -24,9 +27,9 @@ import numpy as np
 
 from geoaware.errors import FormatError, GenerationError
 from geoaware.deskworld.world import (
-    OBJECT_COLORS, REGION_COLORS, Action, SceneState, SimConfig, TaskSpec, expert_action, reset, step, success,
+    Action, SceneState, SimConfig, TaskSpec, expert_action, make_tasks, reset, step, success,
 )
-from geoaware.persist import from_dict, read_float, read_floats, read_int, read_str, write_atomic
+from geoaware.persist import from_dict, read_floats, read_int, read_str, write_atomic
 
 FORMAT_VERSION = 2
 
@@ -139,39 +142,29 @@ def _vector(values, size, name):
     return np.array(values, dtype=float)
 
 
-def _color(value, palette, name):
-    """``value`` if it names a colour of ``palette``, which the renderer and
-    the geometric features look up; anything else raises ``FormatError``."""
-    if value not in palette:
-        raise FormatError(f"{name} must be one of {sorted(palette)}, got {value!r}")
-    return value
-
-
-def _read_task(d):
-    return TaskSpec(
-        index=_non_negative(d["index"], "task index"),
-        task_id=read_str(d["task_id"], "task id"),
-        instruction=read_str(d["instruction"], "task instruction"),
-        objects=tuple(
-            (read_str(o[0], "task object id"), _color(o[1], OBJECT_COLORS, "task object color")) for o in d["objects"]
-        ),
-        regions=tuple(
-            (
-                read_str(r[0], "task region id"), _color(r[1], REGION_COLORS, "task region color"),
-                read_float(r[2], "task region radius"),
-            )
-            for r in d["regions"]
-        ),
-        goals=tuple((read_str(g[0], "task goal object id"), read_str(g[1], "task goal region id")) for g in d["goals"]),
-    )
+def _read_tasks(entries):
+    """The code's ``TaskSpec`` for each header task entry.  An entry must
+    equal the code's task of its id as canonical JSON text, the way
+    ``load_checkpoint`` compares ``tensors``, so an int written as ``0.0`` or
+    ``true`` does not pass; an unknown or repeated id raises ``FormatError``."""
+    code = {task.task_id: task for task in make_tasks()}
+    tasks = {}
+    for entry in entries:
+        task_id = entry["task_id"]
+        if task_id not in code:
+            raise FormatError(f"dataset task {task_id!r} is not a task of make_tasks()")
+        if task_id in tasks:
+            raise FormatError(f"dataset task {task_id!r} is listed twice")
+        if json.dumps(entry, sort_keys=True) != json.dumps(code[task_id], default=_encode, sort_keys=True):
+            raise FormatError(f"dataset task {task_id!r} differs from its definition in make_tasks()")
+        tasks[task_id] = code[task_id]
+    return tasks
 
 
 def _read_sim(d):
-    """The header's ``sim`` section, with a float field that the file wrote
-    as an int read as a float, as ``read_float`` reads one."""
-    sim = from_dict(SimConfig, d, "sim", FormatError)
-    if sim.image_size < 1:
-        raise FormatError(f"sim image_size must be positive, got {sim.image_size}")
+    """The header's ``sim`` section, within ``SimConfig.validate``'s bounds,
+    with a float field that the file wrote as an int read as a float."""
+    sim = from_dict(SimConfig, d, "sim", FormatError).validate(FormatError)
     return replace(sim, **{f.name: float(getattr(sim, f.name)) for f in fields(sim) if type(f.default) is float})
 
 
@@ -208,14 +201,11 @@ def load_dataset(path) -> DemoDataset:
         raise FormatError(f"dataset header needs exactly the keys {sorted(_HEADER_KEYS)}, got {sorted(header)}")
     try:
         seed = read_int(header["seed"], "dataset seed")
-        tasks = [_read_task(t) for t in header["tasks"]]
-        by_id = {t.task_id: t for t in tasks}
-        if len(by_id) != len(tasks):
-            raise FormatError("dataset task ids must be unique")
+        by_id = _read_tasks(header["tasks"])
         sim = _read_sim(header["sim"])
         episodes = [_read_episode(json.loads(ln), by_id, sim) for ln in lines[1:]]
     except (KeyError, IndexError, TypeError, ValueError) as e:
         raise FormatError(f"malformed dataset file {path}: {e}") from e
     if read_int(header["episodes"], "dataset episode count") != len(episodes):
         raise FormatError(f"dataset {path} truncated: header lists {header['episodes']} episodes, found {len(episodes)}")
-    return DemoDataset(tasks=tasks, sim=sim, seed=seed, episodes=episodes)
+    return DemoDataset(tasks=list(by_id.values()), sim=sim, seed=seed, episodes=episodes)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geoaware.errors import GenerationError, InputError, TaskError
+from geoaware.errors import ConfigError, GenerationError, InputError, TaskError
 
 # Palette shared by the renderer and the geometric feature stub.  Object and
 # region colors come from a closed set; the end-effector color is reserved.
@@ -37,6 +37,13 @@ class SimConfig:
     image_size: int = 32
     focal: float = 30.0             # pixels
     camera_radius: float = 1.0      # seen/novel cameras live on this sphere
+
+    def validate(self, error=ConfigError):
+        """``self`` if every length and count is positive; else raises ``error``."""
+        for name in ("max_step", "grasp_radius", "focal", "camera_radius", "max_episode_steps", "image_size"):
+            if not getattr(self, name) > 0:
+                raise error(f"sim {name} must be positive, got {getattr(self, name)}")
+        return self
 
 
 @dataclass

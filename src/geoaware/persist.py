@@ -3,9 +3,9 @@
 Config sections are dataclasses whose fields all have defaults.  They are
 written with ``dataclasses.asdict`` and read back with ``from_dict``, the one
 decoder shared by run configs, checkpoint headers and dataset headers.
-``read_str``, ``read_int``, ``read_float`` and ``read_floats`` apply the same
-no-coercion rule to the other fields of dataset files.  Float fields must be
-finite everywhere.
+``read_str``, ``read_int`` and ``read_floats`` apply the same no-coercion rule
+to the other fields of dataset files and checkpoint headers.  Float fields
+must be finite everywhere.
 """
 
 import dataclasses
@@ -25,9 +25,10 @@ def from_dict(cls, data, section, error=ConfigError):
     Missing keys keep their defaults.  A non-object, an unknown key, or a value
     whose type differs from the field's default raises ``error``: an int
     passes for a float, but a bool never passes for a number nor a number for
-    a bool, values are never coerced, and a float field must be finite as in
-    ``read_float``.  A field whose default is itself a dataclass is read
-    recursively as the section named after the field.
+    a bool, values are never coerced, and a float field must be finite (NaN,
+    infinity and an int beyond the float range fail).  A field whose default
+    is itself a dataclass is read recursively as the section named after the
+    field.
     """
     if not isinstance(data, dict):
         raise error(f"config section {section!r} must be an object, got {type(data).__name__}")
@@ -64,20 +65,10 @@ def read_int(value, name):
     return value
 
 
-def read_float(value, name):
-    """``value`` as a float if it is a finite int or float; a string, bool,
-    NaN, infinity, an int beyond the float range or anything else raises
-    ``FormatError``.  Every such field is a physical quantity."""
-    if type(value) is not float and type(value) is not int:
-        raise FormatError(f"{name} must be a number, got {type(value).__name__}")
-    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-        raise FormatError(f"{name} must be finite, got {value!r}")
-    return float(value)
-
-
 def read_floats(values, name):
-    """``values`` if it is a list of numbers, each as ``read_float`` accepts
-    it; anything else raises ``FormatError``."""
+    """``values`` if it is a list of finite ints or floats; a string, bool,
+    NaN, infinity, an int beyond the float range or anything else raises
+    ``FormatError``.  Every such entry is a physical quantity."""
     if type(values) is not list:
         raise FormatError(f"{name} must be a list of numbers, got {type(values).__name__}")
     for v in values:

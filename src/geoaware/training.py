@@ -343,6 +343,8 @@ def _parse_header(header):
         None if header[name] is None else from_dict(cls, header[name], name, FormatError)
         for name, cls in (("train", TrainConfig), ("sim", SimConfig))
     )
+    if sim is not None:
+        sim.validate(FormatError)
     return policy, geo, tuple(header["vocab"]), train, sim
 
 

@@ -21,7 +21,7 @@ from geoaware.deskworld.dataset import generate_dataset
 from geoaware.deskworld.world import SimConfig, expert_action, make_tasks
 from geoaware.errors import ConfigError, ConfigMismatchError
 from geoaware.policy import Policy, PolicyConfig
-from geoaware.training import TrainConfig
+from geoaware.training import TrainConfig, load_checkpoint
 
 SIM = SimConfig()
 TASKS = make_tasks()
@@ -156,12 +156,14 @@ def test_compare_rejects_sim_mismatch():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_ablation_structure():
+def test_ablation_structure(tmp_path):
     demos = generate_dataset(TASKS[:2], episodes_per_task=1, seed=0, sim=SIM)
     cfg = TrainConfig(steps=2, batch_size=4, vq_pretrain_steps=1, seed=0, eval_every=0)
     report = ablate_layers(
-        demos, cfg, rollouts_per_task=1, eval_seeds=(0,), sim=SimConfig(max_episode_steps=10)
+        demos, cfg, rollouts_per_task=1, eval_seeds=(0,), sim=SimConfig(max_episode_steps=10), checkpoint_dir=tmp_path
     )
+    # the evaluation cap is not the sim the demos were recorded under
+    assert load_checkpoint(tmp_path / "ablate-even.ckpt").sim == demos.sim
     rows = report.rows
     assert [row["mode"] for row in rows] == ["all", "even", "last"]
     assert [row["selected"] for row in rows] == [12, 4, 4]

@@ -1,8 +1,11 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports, and every private name it
+defines at module level, is used in that module.
 
-The modules are parsed with ``ast``; a name an import binds counts as used
-when the module reads it anywhere, annotations included.  Names listed in a
-module's ``__all__`` (re-exports) and ``from __future__`` imports are exempt.
+The modules are parsed with ``ast``; a name counts as used when the module
+reads it anywhere, annotations included.  Imported names listed in a module's
+``__all__`` (re-exports) and ``from __future__`` imports are exempt.  A
+private name is one with a single leading underscore (``_x``) bound by a
+module-level def, class or assignment.
 """
 
 import ast
@@ -29,6 +32,25 @@ def unused_imports(source):
     return [(line, name) for line, name in imported if name not in used | exported]
 
 
+def unused_private_names(source):
+    """(line, name) for every module-level private def, class or assigned
+    name that ``source`` never reads."""
+    tree = ast.parse(source)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+            defined += [(node.lineno, name.id) for name in names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [
+        (line, name) for line, name in defined
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
 def test_scanner_finds_unused_names_and_exempts_exports():
     source = (
         "from __future__ import annotations\n"
@@ -47,3 +69,27 @@ def test_scanner_finds_unused_names_and_exempts_exports():
 )
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_scanner_finds_unused_private_names():
+    source = (
+        "__version__ = '1'\n"
+        "_A = 1\n"
+        "_B: int = 2\n"
+        "_c, _d = 3, 4\n"
+        "def _f(x=_c):\n"
+        "    _g = 5\n"
+        "    return _A\n"
+        "class _K:\n"
+        "    _h = 6\n"
+        "def public() -> '_K':\n"
+        "    return _f()\n"
+    )
+    assert unused_private_names(source) == [(3, "_B"), (4, "_d"), (8, "_K")]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.rglob("*.py")), ids=lambda path: str(path.relative_to(PACKAGE.parent))
+)
+def test_module_has_no_unused_private_names(path):
+    assert unused_private_names(path.read_text(encoding="utf-8")) == []

@@ -253,10 +253,13 @@ def _drop(key):
         lambda header: header.update(step=3.0),
         lambda header: header.update(step=-1),
         lambda header: header.update(tensors={}),
+        lambda header: header["sim"].update(focal=0),
+        lambda header: header["sim"].update(max_episode_steps=0),
     ],
     ids=["no-policy", "no-geo", "no-vocab", "no-codebook-trained", "geo-extra", "sim-extra", "vocab-str",
          "codebook-trained-int", "train-list", "policy-null", "header-extra", "frozen-str", "frozen-int-entry",
-         "frozen-unknown-tensor", "step-bool", "step-float", "step-negative", "tensors-dict"],
+         "frozen-unknown-tensor", "step-bool", "step-float", "step-negative", "tensors-dict", "sim-focal-zero",
+         "sim-max-episode-steps-zero"],
 )
 def test_malformed_checkpoint_header_raises_format_error(tmp_path, edit, capsys):
     path = _checkpoint_header_edit(tmp_path, edit)
@@ -292,9 +295,12 @@ def test_checkpoint_without_train_and_sim_loads(tmp_path):
     "doc",
     [{"seed": "x"}, {"seed": True}, {"train": {"steps": "10"}}, {"policy": {"hidden_dim": "64"}},
      {"sim": {"focal": None}}, {"sim": {"focal": float("inf")}}, {"train": {"lr": float("nan")}},
-     {"sim": {"max_step": float("-inf")}}, {"sim": {"focal": 10 ** 400}}],
+     {"sim": {"max_step": float("-inf")}}, {"sim": {"focal": 10 ** 400}}, {"sim": {"focal": 0}},
+     {"sim": {"camera_radius": 0}}, {"sim": {"max_step": -0.05}}, {"sim": {"grasp_radius": 0.0}},
+     {"sim": {"max_episode_steps": 0}}],
     ids=["seed-str", "seed-bool", "train-steps-str", "policy-hidden-dim-str", "sim-focal-null", "sim-focal-inf",
-         "train-lr-nan", "sim-max-step-neg-inf", "sim-focal-huge-int"],
+         "train-lr-nan", "sim-max-step-neg-inf", "sim-focal-huge-int", "sim-focal-zero", "sim-camera-radius-zero",
+         "sim-max-step-negative", "sim-grasp-radius-zero", "sim-max-episode-steps-zero"],
 )
 def test_mistyped_run_config_raises_config_error(tmp_path, doc, capsys):
     path = tmp_path / "run.json"
@@ -364,6 +370,11 @@ def test_mistyped_dataset_float_raises_format_error(tmp_path, edit, capsys):
     capsys.readouterr()
 
 
+def _rename_task_t9(docs):
+    # the header task and its episode agree, so only the code's task set can reject the id
+    docs[0]["tasks"][0]["task_id"] = docs[1]["task_id"] = "t9"
+
+
 @pytest.mark.parametrize(
     "edit",
     [lambda docs: docs[0]["tasks"][0]["objects"][0].__setitem__(1, "purple"),
@@ -380,11 +391,17 @@ def test_mistyped_dataset_float_raises_format_error(tmp_path, edit, capsys):
      lambda docs: docs[1].update(seed=-1),
      lambda docs: docs[0]["tasks"][0].update(index=-1),
      lambda docs: docs[0]["tasks"].append(docs[0]["tasks"][0]),
-     lambda docs: docs[1].update(steps=[])],
+     lambda docs: docs[1].update(steps=[]),
+     lambda docs: docs[0]["tasks"][0]["regions"][0].__setitem__(2, 0.07),
+     lambda docs: docs[0]["tasks"][0].update(instruction=make_tasks()[2].instruction),
+     _rename_task_t9,
+     lambda docs: docs[0]["sim"].update(focal=0),
+     lambda docs: docs[0]["sim"].update(camera_radius=0)],
     ids=["task-object-color-purple", "task-region-color-blue", "step-action-3-entries", "task-instruction-int",
          "task-id-int", "task-object-id-int", "task-region-id-int", "task-goal-object-id-int",
          "task-goal-region-id-null", "episode-task-id-int", "episode-task-id-unknown", "episode-seed-negative",
-         "task-index-negative", "task-id-duplicate", "episode-extra-key"],
+         "task-index-negative", "task-id-duplicate", "episode-extra-key", "task-region-radius-0.07",
+         "task-instruction-of-t2", "task-id-unknown", "sim-focal-zero", "sim-camera-radius-zero"],
 )
 def test_dataset_value_that_breaks_training_raises_format_error(tmp_path, edit, capsys):
     # each loaded on its own and then crashed training or trained on a scene that cannot exist
