@@ -13,6 +13,9 @@ property the policy's projection head is meant to exploit.
 A ``GeoBackbone`` is built for the layers the policy selects and computes
 only those: ``pyramid_batch`` featurizes a whole batch of scenes under V
 cameras at once into [B, V, L_selected, N, D].
+
+Either backbone ends in a trainable conv stage (``pooled_features``); the
+policy's one shared projection ``vision.mlp`` follows it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from geoaware.errors import ConfigError, ShapeError
 from geoaware.deskworld.camera import project_points
-from geoaware.numerics import Tensor, conv2d, matmul, relu
+from geoaware.numerics import Tensor, conv1d_relu_pool, conv2d, matmul, relu
 from geoaware.numerics.tensor import broadcast_to, reshape
 
 # Keypoint attribute classes (one-hot in world-frame vectors).
@@ -44,12 +47,16 @@ class GeoStubConfig:
     num_keypoints: int = 16         # tokens per layer (zero-padded)
     lift_seed: int = 7              # seeds the frozen lift matrices
 
+    def validate(self, error=ConfigError):
+        """``self`` if it has 2+ layers, positive sizes and a non-negative
+        ``lift_seed``; else raises ``error``."""
+        if self.num_layers < 2 or self.feature_dim < 1 or self.num_keypoints < 1 or self.lift_seed < 0:
+            raise error(f"geo needs num_layers >= 2, feature_dim and num_keypoints >= 1, lift_seed >= 0; got {self}")
+        return self
+
     def alphas(self):
         """Per-layer world-frame mixing weight: 0 at layer 1, 1 at layer M."""
-        m = self.num_layers
-        if m < 2:
-            raise ConfigError("geometric stub needs at least 2 layers")
-        return np.arange(m) / (m - 1)
+        return np.arange(self.num_layers) / (self.num_layers - 1)
 
 
 class GeoBackbone:
@@ -60,7 +67,7 @@ class GeoBackbone:
     checkpoints."""
 
     def __init__(self, cfg: GeoStubConfig, layers):
-        self.cfg = cfg
+        self.cfg = cfg.validate()
         self.layers = list(layers)
         self.alphas = cfg.alphas()[np.array(self.layers) - 1]
         self.lifts = np.stack([
@@ -149,34 +156,45 @@ def select_layer_indices(num_layers, mode, count):
     raise ConfigError(f"unknown layer selection mode {mode!r} (expected even | all | last)")
 
 
-# -- pixel baseline ----------------------------------------------------------
+# -- trainable conv stages ---------------------------------------------------
 
 PIXEL_CHANNELS = (8, 16, 32)
 
 
-def init_pixel_params(store, rng, lang_embed_dim, repr_dim, dtype=np.float64):
-    """Register the pixel encoder: 3 strided 3x3 convs, a language-conditioned
-    feature-wise modulation on the last feature map, and a head MLP."""
-
-    def uniform(shape, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
+def init_pixel_params(store, uniform, lang_embed_dim):
+    """Register the pixel encoder's conv stage: 3 strided 3x3 convs and a
+    language-conditioned feature-wise modulation on the last feature map.
+    ``uniform(shape, fan_in)`` draws each initial value."""
     c_prev = 3
     for i, c in enumerate(PIXEL_CHANNELS, start=1):
         store.add(f"pixel.conv{i}.w", uniform((c, c_prev, 3, 3), c_prev * 9))
         store.add(f"pixel.conv{i}.b", uniform((c,), c_prev * 9))
         c_prev = c
     c_last = PIXEL_CHANNELS[-1]
-    store.add("pixel.film.scale.w", uniform((lang_embed_dim, c_last), lang_embed_dim))
+    dtype = store.add("pixel.film.scale.w", uniform((lang_embed_dim, c_last), lang_embed_dim)).dtype
     # scale bias starts at 1 so modulation begins as identity
     store.add("pixel.film.scale.b", np.ones(c_last, dtype=dtype))
     store.add("pixel.film.shift.w", uniform((lang_embed_dim, c_last), lang_embed_dim))
     store.add("pixel.film.shift.b", np.zeros(c_last, dtype=dtype))
-    store.add("pixel.head.w1", uniform((c_last, repr_dim), c_last))
-    store.add("pixel.head.b1", uniform((repr_dim,), c_last))
-    store.add("pixel.head.w2", uniform((repr_dim, repr_dim), repr_dim))
-    store.add("pixel.head.b2", uniform((repr_dim,), repr_dim))
+
+
+def pooled_vision(selected_layers, store):
+    """Conv/relu/pool stage of the geo backbone: [batch, L * conv_dim].
+
+    Layer i of the L layers [batch, tokens, channels] gets its own conv over
+    the token axis (``vision.conv{i}``, kernel 3, padded to keep the tokens),
+    relu, then the mean over tokens; the L pooled vectors are concatenated in
+    layer order.  All of it is the one fused op ``conv1d_relu_pool``.
+    """
+    conv_dim = store["vision.conv0.w"].shape[0]
+    width = store["vision.mlp.1.w"].shape[0]
+    if len(selected_layers) * conv_dim != width:
+        raise ShapeError(f"expected {width // conv_dim} selected layers, got {len(selected_layers)}")
+    return conv1d_relu_pool(
+        selected_layers,
+        [store[f"vision.conv{i}.w"] for i in range(len(selected_layers))],
+        [store[f"vision.conv{i}.b"] for i in range(len(selected_layers))],
+    )
 
 
 def pixel_pooled(images, lang_embed, store):
@@ -197,9 +215,16 @@ def pixel_pooled(images, lang_embed, store):
     return reshape(h, (b, c, h.shape[2] * h.shape[3])).mean(axis=2)     # global average pool
 
 
-def pixel_features(images, lang_embed, store):
-    """Encode [B, 3, H, W] images into [B, repr_dim] embeddings: the pooled
-    conv/FiLM features pushed through the 2-layer head MLP."""
-    pooled = pixel_pooled(images, lang_embed, store)
-    hidden = relu(matmul(pooled, store["pixel.head.w1"]) + store["pixel.head.b1"])
-    return matmul(hidden, store["pixel.head.w2"]) + store["pixel.head.b2"]
+def pooled_features(vision, lang_embed, store, backbone_kind):
+    """Either backbone's conv stage on ``vision`` [batch, views, ...]: pooled
+    features [batch * views, P], row b * views + v for scene b under view v.
+    ``geo`` (``pooled_vision``) ignores the language embedding [batch, d];
+    ``pixel`` (``pixel_pooled``) is conditioned on it, repeated per view."""
+    vision = np.asarray(vision)
+    b, views = vision.shape[:2]
+    folded = vision.reshape((b * views,) + vision.shape[2:])
+    if backbone_kind == "geo":
+        return pooled_vision([Tensor(folded[:, l]) for l in range(folded.shape[1])], store)
+    d = lang_embed.shape[1]
+    per_view = reshape(broadcast_to(reshape(lang_embed, (b, 1, d)), (b, views, d)), (b * views, d))
+    return pixel_pooled(Tensor(folded), per_view, store)

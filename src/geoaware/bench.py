@@ -88,9 +88,9 @@ def evaluate(policy, category, rollouts_per_task=10, seeds=(0,), sim: SimConfig 
     sim = sim or SimConfig()
     tasks = list(tasks) if tasks is not None else make_tasks()
     seeds = list(seeds)
-    if not tasks or rollouts_per_task < 1 or not seeds:
+    if not tasks or rollouts_per_task < 1 or not seeds or min(seeds) < 0:
         raise ConfigError(
-            "evaluation needs at least one task, rollouts_per_task >= 1 and at least one seed, "
+            "evaluation needs at least one task, rollouts_per_task >= 1 and at least one seed, none negative, "
             f"got {len(tasks)} tasks, {rollouts_per_task} and {seeds}"
         )
     training_cams = seen_cameras(sim)

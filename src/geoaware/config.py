@@ -37,6 +37,9 @@ class RunConfig:
     sim: SimConfig = field(default_factory=SimConfig)
 
     def validate(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must not be negative, got {self.seed}")
+        self.geo.validate()
         self.policy.validate(geo=self.geo)
         self.train.validate()
         for kind in ("head_kind", "backbone_kind"):

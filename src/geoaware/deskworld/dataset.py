@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from geoaware.errors import FormatError, GenerationError
+from geoaware.errors import ConfigError, FormatError, GenerationError
 from geoaware.deskworld.world import (
     Action, SceneState, SimConfig, TaskSpec, expert_action, make_tasks, reset, step, success,
 )
@@ -87,6 +87,8 @@ def run_expert_episode(task: TaskSpec, seed: int, sim: SimConfig | None = None) 
 
 def generate_dataset(tasks, episodes_per_task, seed, sim: SimConfig | None = None) -> DemoDataset:
     """Expert demos for every task; any expert failure raises (never dropped)."""
+    if episodes_per_task < 1 or seed < 0:
+        raise ConfigError(f"need episodes_per_task >= 1 and seed >= 0, got {episodes_per_task} and {seed}")
     sim = sim or SimConfig()
     episodes = []
     for task in tasks:

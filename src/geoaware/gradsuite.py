@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from geoaware.backbones import GeoBackbone, GeoStubConfig, init_pixel_params, pixel_features
+from geoaware.backbones import GeoBackbone, GeoStubConfig, pixel_pooled, pooled_vision
 from geoaware.numerics.gradcheck import grad_check
 from geoaware.numerics.nnops import (
     attention_block,
@@ -187,11 +187,10 @@ def _check_cross_entropy(step):
     return grad_check(f, [logits], step=step)
 
 
-def _tiny_policy(head_kind="mlp"):
+def _tiny_policy(**kw):
     cfg = PolicyConfig(
         repr_dim=8, conv_dim=4, hidden_dim=8, lang_embed_dim=4, trunk_heads=2,
-        select_mode="all", select_count=3, head_kind=head_kind,
-        vq_codes=5, vq_dim=3, vq_hidden=6,
+        select_mode="all", select_count=3, vq_codes=5, vq_dim=3, vq_hidden=6, **kw,
     )
     geo = GeoStubConfig(num_layers=3, feature_dim=4, num_keypoints=5)
     store = ParamStore()
@@ -200,6 +199,7 @@ def _tiny_policy(head_kind="mlp"):
 
 
 def _check_project_vision(step):
+    # the geo conv stage, then the shared projection vision.mlp
     cfg, geo, store = _tiny_policy()
     rng = np.random.default_rng(113)
     layers = [rng.normal(size=(2, geo.num_keypoints, geo.feature_dim)) for _ in range(3)]
@@ -210,27 +210,28 @@ def _check_project_vision(step):
         for name, leaf in zip(names, leaves[: len(names)]):
             store.replace(name, leaf)
         lts = [leaves[len(names) + i] for i in range(3)]
-        return (project_vision(lts, store, cfg) * Tensor(w)).sum()
+        return (project_vision(pooled_vision(lts, store), store) * Tensor(w)).sum()
 
     inputs = [store[n].values.copy() for n in names] + layers
     return grad_check(f, inputs, step=step)
 
 
-def _check_pixel_features(step):
-    # Seed chosen so every relu preactivation sits at least 1.2e-3 from the
-    # kink; a 1e-4 probe can then never cross one and flip a branch.
-    store = ParamStore()
-    rng = np.random.default_rng(135)
-    init_pixel_params(store, rng, lang_embed_dim=4, repr_dim=8, dtype=np.float64)
+def _check_pixel_encoder(step):
+    # The pixel conv/FiLM stage, then the shared projection vision.mlp.  Seed
+    # chosen so every relu preactivation sits at least 1.9e-3 from the kink;
+    # a 1e-4 probe can then never cross one and flip a branch.
+    cfg, _, store = _tiny_policy(backbone_kind="pixel")
+    rng = np.random.default_rng(348)
     images = rng.uniform(0.0, 1.0, size=(2, 3, 8, 8))
-    lang = rng.normal(size=(2, 4))
-    names = ["pixel.conv1.w", "pixel.film.scale.w", "pixel.head.w2"]
-    w = rng.normal(size=(2, 8))
+    lang = rng.normal(size=(2, cfg.repr_dim))         # FiLM reads the repr_dim language embedding
+    names = ["pixel.conv1.w", "pixel.film.scale.w", "vision.mlp.2.w"]
+    w = rng.normal(size=(2, cfg.repr_dim))
 
     def f(leaves):
         for name, leaf in zip(names, leaves[: len(names)]):
             store.replace(name, leaf)
-        return (pixel_features(leaves[len(names)], leaves[len(names) + 1], store) * Tensor(w)).sum()
+        pooled = pixel_pooled(leaves[len(names)], leaves[len(names) + 1], store)
+        return (project_vision(pooled, store) * Tensor(w)).sum()
 
     inputs = [store[n].values.copy() for n in names] + [images, lang]
     return grad_check(f, inputs, step=step)
@@ -286,6 +287,7 @@ def _check_vqbet_head(step):
     # nearest-code boundary.
     cfg, _, store = _tiny_policy(head_kind="vqbet")
     rng = np.random.default_rng(117)
+    store.set_frozen(store.frozen_names() | {"vq.codes"})           # a trained codebook
     store.replace("vq.codes", rng.normal(size=(cfg.vq_codes, cfg.vq_dim)) * 2.0)
     h = rng.normal(size=(2, cfg.hidden_dim))
     actions = rng.normal(size=(2, cfg.act_dim)) * 0.5
@@ -294,7 +296,7 @@ def _check_vqbet_head(step):
     def f(leaves):
         for name, leaf in zip(names, leaves[: len(names)]):
             store.replace(name, leaf)
-        loss, _ = vqbet_train_loss(leaves[len(names)], leaves[len(names) + 1], store, cfg, codebook_trained=True)
+        loss, _ = vqbet_train_loss(leaves[len(names)], leaves[len(names) + 1], store, cfg)
         return loss
 
     inputs = [store[n].values.copy() for n in names] + [h, actions]
@@ -336,7 +338,7 @@ _CHECKS = [
     ("mse_loss", _check_mse),
     ("cross_entropy", _check_cross_entropy),
     ("project_vision", _check_project_vision),
-    ("pixel_features", _check_pixel_features),
+    ("pixel_encoder", _check_pixel_encoder),
     ("trunk", _check_trunk),
     ("mlp_head", _check_mlp_head),
     ("vqbet_head", _check_vqbet_head),

@@ -1,14 +1,16 @@
-"""The policy network: projection over selected geometric layers (or the
-pixel baseline), language and proprioception encoders, a small causal
-decoder-only trunk with a learnable action token, and two interchangeable
-action heads (direct MLP regression, or discrete code classification with a
-continuous offset on top of a learned action codebook).
+"""The policy network: a vision encoder, language and proprioception
+encoders, a small causal decoder-only trunk with a learnable action token,
+and two interchangeable action heads (direct MLP regression, or discrete code
+classification with a continuous offset on top of a learned action codebook).
+The vision encoder is the backbone's conv stage (``pooled_features``), then
+one trainable projection ``vision.mlp`` (``project_vision``) for either backbone.
 
 Every function here takes a batch: instructions are a sequence, states and
 embeddings carry a leading batch axis, and one scene is a batch of one.
 ``policy_forward`` ends at the trunk's action-token embedding ``h_action``;
 the head runs only where an action chunk is used (``Policy.head``), so the
 VQ-BeT training objective reads ``h_action`` without decoding a chunk.
+The action codebook is trained once ``vq.codes`` is frozen.
 
 All parameters live in one ParamStore under dotted names; the creation order
 inside ``init_policy_params`` is fixed so a single seeded generator
@@ -22,10 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from geoaware.backbones import (
+    PIXEL_CHANNELS,
     GeoBackbone,
     GeoStubConfig,
     init_pixel_params,
-    pixel_features,
+    pooled_features,
     select_layer_indices,
 )
 from geoaware.deskworld.camera import render_image
@@ -34,7 +37,6 @@ from geoaware.numerics import (
     ParamStore,
     Tensor,
     attention_block,
-    conv1d_relu_pool,
     cross_entropy,
     embedding_lookup,
     layer_norm,
@@ -78,17 +80,21 @@ class PolicyConfig:
     def n_tokens(self):
         return self.views + 3   # per-view vision, language, proprio, action
 
-    def validate(self, geo: GeoStubConfig | None = None):
-        if self.hidden_dim % self.trunk_heads:
-            raise ConfigError("hidden_dim must be divisible by trunk_heads")
-        if self.head_kind not in ("mlp", "vqbet"):
-            raise ConfigError(f"unknown head_kind {self.head_kind!r}")
-        if self.backbone_kind not in ("geo", "pixel"):
-            raise ConfigError(f"unknown backbone_kind {self.backbone_kind!r}")
-        if self.views < 1 or self.chunk_len < 1:
-            raise ConfigError("views and chunk_len must be positive")
+    def validate(self, geo: GeoStubConfig | None = None, error=ConfigError):
+        """``self`` if every width and count is positive and the kinds are
+        known, else raises ``error``; a geo selection must fit ``geo``."""
+        for name in ("repr_dim", "conv_dim", "hidden_dim", "lang_embed_dim", "chunk_len", "select_count",
+                     "trunk_layers", "trunk_heads", "views", "vq_dim", "vq_hidden"):
+            if getattr(self, name) < 1:
+                raise error(f"policy {name} must be positive, got {getattr(self, name)}")
         if self.vq_codes < 2:
-            raise ConfigError("the codebook needs at least 2 codes")
+            raise error("the codebook needs at least 2 codes")
+        if self.hidden_dim % self.trunk_heads:
+            raise error("hidden_dim must be divisible by trunk_heads")
+        if self.head_kind not in ("mlp", "vqbet"):
+            raise error(f"unknown head_kind {self.head_kind!r}")
+        if self.backbone_kind not in ("geo", "pixel"):
+            raise error(f"unknown backbone_kind {self.backbone_kind!r}")
         if geo is not None and self.backbone_kind == "geo":
             # mode=all ignores the count; the others must fit the pyramid
             select_layer_indices(geo.num_layers, self.select_mode, self.select_count)
@@ -105,10 +111,11 @@ def language_table(vocab, lang_embed_dim, dtype=np.float64):
 def init_policy_params(store, cfg: PolicyConfig, vocab, seed, backbone: GeoBackbone | None = None, dtype=np.float32):
     """Register every parameter in a fixed creation order.
 
-    Order: vision projection (or pixel encoder), language table + MLP,
-    proprio MLP, action/positional tokens, adapter (when widths differ),
-    trunk blocks, head.  The language table is frozen at creation.  The geo
-    projection gets one conv per layer ``backbone`` selects.
+    Order: the backbone's conv stage (one token conv per layer ``backbone``
+    selects, or the pixel convs and FiLM), the shared vision projection
+    ``vision.mlp``, language table + MLP, proprio MLP, action/positional
+    tokens, adapter (when widths differ), trunk blocks, head.  The language
+    table is frozen at creation.
     """
     if not vocab:
         raise ConfigError("vocabulary must not be empty")
@@ -128,10 +135,12 @@ def init_policy_params(store, cfg: PolicyConfig, vocab, seed, backbone: GeoBackb
         for i in range(slots):
             store.add(f"vision.conv{i}.w", uniform((cfg.conv_dim, width, 3), width * 3))
             store.add(f"vision.conv{i}.b", uniform((cfg.conv_dim,), width * 3))
-        linear("vision.mlp.1", slots * cfg.conv_dim, d)
-        linear("vision.mlp.2", d, d)
+        pooled_width = slots * cfg.conv_dim
     else:
-        init_pixel_params(store, rng, lang_embed_dim=d, repr_dim=d, dtype=dtype)
+        init_pixel_params(store, uniform, lang_embed_dim=d)
+        pooled_width = PIXEL_CHANNELS[-1]
+    linear("vision.mlp.1", pooled_width, d)
+    linear("vision.mlp.2", d, d)
 
     store.add("lang.table", language_table(vocab, cfg.lang_embed_dim, dtype), frozen=True)
     linear("lang.mlp.1", cfg.lang_embed_dim, d)
@@ -182,32 +191,11 @@ def _mlp2(x, store, p1, p2):
 # -- encoders ----------------------------------------------------------------
 
 
-def pooled_vision(selected_layers, store):
-    """Conv/relu/pool stage of the vision projection: [batch, L * conv_dim].
-
-    Layer i of the L layers [batch, tokens, channels] gets its own conv over
-    the token axis (``vision.conv{i}``, kernel 3, padded to keep the tokens),
-    relu, then the mean over tokens; the L pooled vectors are concatenated in
-    layer order.  All of it is the one fused op ``conv1d_relu_pool``.  A batch
-    row is one (scene, view) pair, so callers fold the views into the batch.
-    """
-    conv_dim = store["vision.conv0.w"].shape[0]
-    width = store["vision.mlp.1.w"].shape[0]
-    if len(selected_layers) * conv_dim != width:
-        raise ShapeError(f"expected {width // conv_dim} selected layers, got {len(selected_layers)}")
-    return conv1d_relu_pool(
-        selected_layers,
-        [store[f"vision.conv{i}.w"] for i in range(len(selected_layers))],
-        [store[f"vision.conv{i}.b"] for i in range(len(selected_layers))],
-    )
-
-
-def project_vision(selected_layers, store, cfg: PolicyConfig):
-    """Fuse L selected pyramid layers [batch, tokens, channels] into one
-    [batch, repr_dim] embedding per row: the conv/relu/pool stage
-    (``pooled_vision``), then a 2-layer MLP over the pooled vectors.
-    """
-    return _mlp2(pooled_vision(selected_layers, store), store, "vision.mlp.1", "vision.mlp.2")
+def project_vision(pooled, store):
+    """The shared vision projection: pooled features [rows, P] from either
+    backbone's conv stage (``pooled_features``) through the 2-layer MLP
+    ``vision.mlp``, one [rows, repr_dim] embedding per row."""
+    return _mlp2(pooled, store, "vision.mlp.1", "vision.mlp.2")
 
 
 def encode_language(instructions, store, vocab):
@@ -229,22 +217,6 @@ def encode_proprio(state, store):
     if t.shape[-1] != ACTION_WIDTH:
         raise ShapeError(f"proprio state must have width {ACTION_WIDTH}, got {t.shape[-1]}")
     return _mlp2(t, store, "proprio.1", "proprio.2")
-
-
-def fold_views(vision, z_lang, cfg: PolicyConfig):
-    """The vision encoder's arguments for ``vision`` [batch, views, ...], with
-    the views folded into the batch: row b * views + v is scene b under view
-    v, so the encoder runs once per pass.  The geo projection gets its L
-    selected layers [batch * views, tokens, channels]; the pixel encoder gets
-    the images [batch * views, 3, H, W] and the language embedding ``z_lang``
-    [batch, d] repeated per view, which conditions it (geo ignores
-    ``z_lang``)."""
-    vision = np.asarray(vision)
-    folded = vision.reshape((vision.shape[0] * cfg.views,) + vision.shape[2:])
-    if cfg.backbone_kind == "geo":
-        return ([Tensor(folded[:, l]) for l in range(folded.shape[1])],)
-    b, d = z_lang.shape
-    return Tensor(folded), reshape(broadcast_to(reshape(z_lang, (b, 1, d)), (b, cfg.views, d)), (b * cfg.views, d))
 
 
 # -- trunk -------------------------------------------------------------------
@@ -342,10 +314,10 @@ def vqvae_loss(actions, store, cfg: PolicyConfig):
     return recon + codebook + commit * cfg.commitment_beta, indices
 
 
-def vqbet_head(h_action, store, cfg: PolicyConfig, codebook_trained):
+def vqbet_head(h_action, store, cfg: PolicyConfig):
     """Inference path: classify a code from h_action [batch, hidden], decode
     it, and add the regressed continuous offset: [batch, chunk_len, 7]."""
-    if not codebook_trained:
+    if "vq.codes" not in store.frozen_names():
         raise StateError("action codebook has not been trained (run the pretraining phase first)")
     logits = matmul(h_action, store["vq.cls.w"]) + store["vq.cls.b"]
     picked = embedding_lookup(store["vq.codes"], np.argmax(logits.values, axis=1))
@@ -354,13 +326,13 @@ def vqbet_head(h_action, store, cfg: PolicyConfig, codebook_trained):
     return reshape(out, (h_action.shape[0], cfg.chunk_len, ACTION_WIDTH))
 
 
-def vqbet_train_loss(h_action, expert_actions, store, cfg: PolicyConfig, codebook_trained):
+def vqbet_train_loss(h_action, expert_actions, store, cfg: PolicyConfig):
     """Teacher-forced head objective: cross-entropy against the expert action's
     quantized code, plus a weighted reconstruction through the true code.
 
     ``expert_actions`` is [batch, act_dim].  Returns (loss, target indices).
     """
-    if not codebook_trained:
+    if "vq.codes" not in store.frozen_names():
         raise StateError("action codebook has not been trained (run the pretraining phase first)")
     targets = expert_actions if isinstance(expert_actions, Tensor) else Tensor(expert_actions)
     z_e = vq_encode(targets.detach(), store)
@@ -383,16 +355,15 @@ def policy_forward(vision, instructions, proprio, store, cfg: PolicyConfig, voca
     backbone (the selected layers of the frozen pyramid, every one of which
     is used) or [batch, views, 3, H, W] images for the pixel baseline;
     ``instructions`` holds one instruction per batch row and ``proprio`` is
-    [batch, 7].  The views are folded into the batch (``fold_views``), so the
-    vision encoder runs once per pass.
+    [batch, 7].  The views are folded into the batch (``pooled_features``),
+    so the vision encoder runs once per pass.
     """
     vision = np.asarray(vision)
     if vision.ndim != 5 or vision.shape[1] != cfg.views:
         raise ShapeError(f"vision input must be [batch, {cfg.views}, ...] with rank 5, got {vision.shape}")
     z_lang = encode_language(instructions, store, vocab)
-    inputs = fold_views(vision, z_lang, cfg)
-    z_vis = project_vision(*inputs, store, cfg) if cfg.backbone_kind == "geo" else pixel_features(*inputs, store)
-    z_vis = reshape(z_vis, (vision.shape[0], cfg.views, cfg.repr_dim))
+    pooled = pooled_features(vision, z_lang, store, cfg.backbone_kind)
+    z_vis = reshape(project_vision(pooled, store), (vision.shape[0], cfg.views, cfg.repr_dim))
     x = build_token_sequence(z_vis, z_lang, encode_proprio(proprio, store), store, cfg)
     return trunk_forward(x, store, cfg)[:, -1]
 
@@ -412,7 +383,6 @@ class Policy:
             self.backbone = GeoBackbone(self.geo, picks)
         self.params = ParamStore()
         init_policy_params(self.params, cfg, self.vocab, seed, self.backbone, dtype=self.dtype)
-        self.codebook_trained = cfg.head_kind == "mlp"
 
     def featurize(self, scenes, cameras):
         """Observation tensor for a batch of scenes under V cameras: the
@@ -436,7 +406,7 @@ class Policy:
         configured head."""
         if self.cfg.head_kind == "mlp":
             return mlp_head(h_action, self.params, self.cfg)
-        return vqbet_head(h_action, self.params, self.cfg, self.codebook_trained)
+        return vqbet_head(h_action, self.params, self.cfg)
 
     def action(self, scene, instruction, cameras):
         """First action of the predicted chunk for one scene, as a plain

@@ -16,7 +16,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from geoaware.backbones import GeoStubConfig, pixel_pooled
+from geoaware.backbones import GeoStubConfig, pooled_features
 from geoaware.deskworld.camera import seen_cameras
 from geoaware.deskworld.world import SimConfig
 from geoaware.errors import ConfigError, ConfigMismatchError, FormatError, NumericAbort, NumericError
@@ -27,8 +27,6 @@ from geoaware.policy import (
     PolicyConfig,
     codebook_param_names,
     encode_language,
-    fold_views,
-    pooled_vision,
     vqbet_train_loss,
     vqvae_loss,
 )
@@ -36,7 +34,7 @@ from geoaware.policy import (
 log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"GAVP"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -51,11 +49,16 @@ class TrainConfig:
     vq_pretrain_steps: int = 2000
     eval_every: int = 1000
 
-    def validate(self):
+    def validate(self, error=ConfigError):
+        """``self`` if the step counts are positive and ``lr``, ``seed``,
+        ``weight_decay`` and ``eval_every`` are not negative; else raises ``error``."""
         if self.steps < 1 or self.batch_size < 1:
-            raise ConfigError("steps and batch_size must be positive")
+            raise error("steps and batch_size must be positive")
         if self.vq_pretrain_steps < 1:
-            raise ConfigError("vq_pretrain_steps must be positive")
+            raise error("vq_pretrain_steps must be positive")
+        for name in ("lr", "weight_decay", "seed", "eval_every"):
+            if not getattr(self, name) >= 0:        # NaN fails too
+                raise error(f"train {name} must not be negative, got {getattr(self, name)}")
         return self
 
 
@@ -169,42 +172,37 @@ def _fold_layer(store, features, w_name, b_name):
 
 
 def calibrate_input_stats(policy: Policy, dataset, cameras, rng, samples=CALIBRATION_SAMPLES, cache=None):
-    """Fold probe-batch feature statistics into the vision MLP's initial weights.
+    """Fold probe-batch feature statistics into the shared projection's initial weights.
 
-    The frozen featurizer (and the pixel conv stack) hands the policy features
-    whose per-dimension means sit tens of standard deviations away from zero:
-    static keypoints and the positive relu/pool stage both contribute large
-    constants.  Adam scales its steps by gradient magnitude, and against such
-    offsets the informative part of the gradient is a rounding error, so the
-    policy reliably trains into a vision-blind optimum.  The standard remedy
-    without touching the architecture is data-dependent initialization:
-    measure the per-dimension mean and scale of each feature MLP layer's
-    input on a probe batch and fold them into that layer's weights
-    (see ``_fold_layer``).  Later stages are insulated by the trunk's layer
-    norms.  Deterministic given dataset, policy, and rng; the folded weights
-    are ordinary trainable parameters, so checkpoints carry them unchanged.
+    Either backbone's conv stage (``pooled_features``) hands ``vision.mlp``
+    features whose per-dimension means sit tens of standard deviations away
+    from zero: static keypoints and the positive relu/pool stage both
+    contribute large constants.  Adam scales its steps by gradient magnitude,
+    and against such offsets the informative part of the gradient is a
+    rounding error, so the policy reliably trains into a vision-blind
+    optimum.  The standard remedy without touching the architecture is
+    data-dependent initialization: measure the per-dimension mean and scale
+    of each projection layer's input on a probe batch and fold them into that
+    layer's weights (see ``_fold_layer``).  Later stages are insulated by the
+    trunk's layer norms.  Deterministic given dataset, policy, and rng; the
+    folded weights are ordinary trainable parameters, so checkpoints carry
+    them unchanged.
     """
     if not dataset.episodes:
         raise ConfigError("cannot calibrate on an empty dataset")
     pairs = dataset.sample_index()
     picks = rng.integers(0, len(pairs), size=samples)
     store = policy.params
-    geo = policy.cfg.backbone_kind == "geo"
     feats = []
     with no_grad():
         for lo in range(0, samples, CALIBRATION_CHUNK):
             idx = [pairs[i] for i in picks[lo:lo + CALIBRATION_CHUNK]]
             batch = make_batch(dataset, idx, policy, cameras, cache)
-            z_lang = None if geo else encode_language(batch.instructions, store, policy.vocab)
-            inputs = fold_views(batch.vision, z_lang, policy.cfg)
-            feats.append((pooled_vision(*inputs, store) if geo else pixel_pooled(*inputs, store)).values)
+            z_lang = encode_language(batch.instructions, store, policy.vocab)
+            feats.append(pooled_features(batch.vision, z_lang, store, policy.cfg.backbone_kind).values)
     features = np.concatenate(feats).astype(np.float64)
-    if geo:
-        hidden = _fold_layer(store, features, "vision.mlp.1.w", "vision.mlp.1.b")
-        _fold_layer(store, hidden, "vision.mlp.2.w", "vision.mlp.2.b")
-    else:
-        hidden = _fold_layer(store, features, "pixel.head.w1", "pixel.head.b1")
-        _fold_layer(store, hidden, "pixel.head.w2", "pixel.head.b2")
+    hidden = _fold_layer(store, features, "vision.mlp.1.w", "vision.mlp.1.b")
+    _fold_layer(store, hidden, "vision.mlp.2.w", "vision.mlp.2.b")
 
 
 def bc_train(dataset, cfg: TrainConfig, policy: Policy):
@@ -254,7 +252,6 @@ def bc_train(dataset, cfg: TrainConfig, policy: Policy):
             if cfg.eval_every and (step_no + 1) % cfg.eval_every == 0:
                 log.info("vq pretrain step %d loss %.6f", step_no + 1, losses[-1])
         store.set_frozen(codebook | {"lang.table"})
-        policy.codebook_trained = True
 
     for step_no in range(cfg.steps):
         def bc_step():
@@ -264,7 +261,7 @@ def bc_train(dataset, cfg: TrainConfig, policy: Policy):
                 loss = masked_chunk_mse(policy.head(h_action), batch)
             else:
                 flat = batch.targets.reshape(len(batch.targets), -1)
-                loss, _ = vqbet_train_loss(h_action, Tensor(flat), store, policy.cfg, True)
+                loss, _ = vqbet_train_loss(h_action, Tensor(flat), store, policy.cfg)
             return _descend(loss, store, opt)
 
         losses.append(_abort_guard(step_no, store, bc_step))
@@ -285,10 +282,12 @@ def save_checkpoint(policy: Policy, path, step=0, train: TrainConfig | None = No
     little-endian), the JSON header (sorted keys), then every tensor's
     float32 little-endian payload, concatenated in store order.  The header
     holds the ``policy``, ``geo``, ``train`` and ``sim`` sections, ``vocab``,
-    ``codebook_trained``, ``tensors`` (``[name, shape]`` per tensor, in store
-    order), the sorted ``frozen`` names and ``step``.  Round-trips are bitwise
-    for float32 policies (the training precision).  A ``step`` that is not a
-    non-negative int raises ``ConfigError`` before anything is written.
+    ``tensors`` (``[name, shape]`` per tensor, in store order), the sorted
+    ``frozen`` names and ``step``.  Version 3 has one vision projection
+    ``vision.mlp`` for either backbone and no codebook flag: a VQ codebook is
+    trained when ``vq.codes`` is frozen.  Round-trips are bitwise for float32
+    policies (the training precision).  A ``step`` that is not a non-negative
+    int raises ``ConfigError`` before anything is written.
     """
     if type(step) is not int or step < 0:
         raise ConfigError(f"checkpoint step must be a non-negative int, got {step!r}")
@@ -298,7 +297,6 @@ def save_checkpoint(policy: Policy, path, step=0, train: TrainConfig | None = No
         "policy": asdict(policy.cfg),
         "geo": asdict(policy.geo),
         "vocab": list(policy.vocab),
-        "codebook_trained": bool(policy.codebook_trained),
         "train": asdict(train) if train is not None else None,
         "sim": asdict(sim) if sim is not None else None,
         "tensors": [[name, list(store[name].values.shape)] for name in names],
@@ -319,20 +317,18 @@ class CheckpointBundle:
     sim: SimConfig | None
 
 
-_HEADER_KEYS = {"policy", "geo", "vocab", "codebook_trained", "train", "sim", "tensors", "frozen", "step"}
+_HEADER_KEYS = {"policy", "geo", "vocab", "train", "sim", "tensors", "frozen", "step"}
 
 
 def _parse_header(header):
     """(policy, geo, vocab, train, sim) from a checkpoint's JSON header, after
-    checking every key's type; ``train`` and ``sim`` may be null."""
+    checking every key's type and every section's values; ``train`` and ``sim`` may be null."""
     if not isinstance(header, dict) or set(header) != _HEADER_KEYS:
         found = sorted(header) if isinstance(header, dict) else type(header).__name__
         raise FormatError(f"checkpoint header needs exactly the keys {sorted(_HEADER_KEYS)}, got {found}")
     for key in ("vocab", "frozen"):
         if not isinstance(header[key], list) or not all(isinstance(word, str) for word in header[key]):
             raise FormatError(f"checkpoint {key} must be a list of strings")
-    if not isinstance(header["codebook_trained"], bool):
-        raise FormatError("checkpoint codebook_trained must be a bool")
     if not isinstance(header["tensors"], list):
         raise FormatError("checkpoint tensors must be a list")
     if read_int(header["step"], "checkpoint step") < 0:
@@ -343,8 +339,10 @@ def _parse_header(header):
         None if header[name] is None else from_dict(cls, header[name], name, FormatError)
         for name, cls in (("train", TrainConfig), ("sim", SimConfig))
     )
-    if sim is not None:
-        sim.validate(FormatError)
+    geo.validate(FormatError)
+    policy.validate(geo, FormatError)
+    for section in filter(None, (train, sim)):
+        section.validate(FormatError)
     return policy, geo, tuple(header["vocab"]), train, sim
 
 
@@ -386,5 +384,4 @@ def load_checkpoint(path) -> CheckpointBundle:
     if unknown:
         raise FormatError(f"checkpoint freezes tensors its config does not have: {sorted(unknown)}")
     store.set_frozen(header["frozen"])
-    policy.codebook_trained = header["codebook_trained"]
     return CheckpointBundle(policy=policy, step=header["step"], train=train, sim=sim)

@@ -1,21 +1,25 @@
 """Frozen geometric stub and pixel encoder behavior."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from geoaware.backbones import (
     ATTRIBUTES,
     DEPTH_CLAMP,
+    PIXEL_CHANNELS,
     RAW_WIDTH,
     GeoBackbone,
     GeoStubConfig,
     init_pixel_params,
-    pixel_features,
+    pixel_pooled,
+    pooled_features,
     select_layer_indices,
 )
 from geoaware.deskworld.camera import sample_viewpoints, seen_cameras
 from geoaware.deskworld.world import SimConfig, make_tasks, reset, step
-from geoaware.errors import ConfigError, ShapeError
+from geoaware.errors import ConfigError, FormatError, ShapeError
 from geoaware.numerics import ParamStore, Tensor, grad_check
 
 
@@ -62,6 +66,19 @@ def test_mixing_weights_are_linear_ramp():
     assert alphas[0] == 0.0
     assert alphas[-1] == 1.0
     assert np.allclose(np.diff(alphas), 1.0 / 11.0)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("num_layers", 1), ("feature_dim", 0), ("num_keypoints", 0), ("lift_seed", -1)]
+)
+def test_stub_config_rejects_degenerate_sizes(field, value):
+    cfg = replace(GeoStubConfig(), **{field: value})
+    with pytest.raises(ConfigError, match=field):
+        cfg.validate()
+    with pytest.raises(FormatError):
+        cfg.validate(FormatError)
+    with pytest.raises(ConfigError):
+        GeoBackbone(cfg, [1])
 
 
 def test_intermediate_layer_is_convex_mix():
@@ -200,19 +217,35 @@ def test_select_layers_returns_requested_slices():
 # -- pixel encoder -----------------------------------------------------------
 
 
-def _pixel_store(seed=0, lang_dim=6, repr_dim=10):
+def _pixel_store(seed=0, lang_dim=6):
     store = ParamStore()
-    init_pixel_params(store, np.random.default_rng(seed), lang_dim, repr_dim)
+    rng = np.random.default_rng(seed)
+    init_pixel_params(store, lambda shape, fan_in: rng.uniform(-1.0, 1.0, shape) / np.sqrt(fan_in), lang_dim)
     return store
 
 
-def test_pixel_features_shape():
+def test_pixel_pooled_shape():
     store = _pixel_store()
     images = Tensor(np.random.default_rng(0).uniform(0, 1, (3, 3, 32, 32)))
     lang = Tensor(np.random.default_rng(1).standard_normal((3, 6)))
-    out = pixel_features(images, lang, store)
-    assert out.shape == (3, 10)
+    out = pixel_pooled(images, lang, store)
+    assert out.shape == (3, PIXEL_CHANNELS[-1])
     assert np.all(np.isfinite(out.values))
+    assert not any(name.startswith("vision.") for name in store.names())   # the projection is the policy's
+
+
+def test_pooled_features_fold_views_into_the_batch():
+    # row b * views + v of the folded pass is scene b under view v alone
+    store = _pixel_store()
+    rng = np.random.default_rng(6)
+    images = rng.uniform(0, 1, (2, 3, 3, 16, 16))
+    lang = rng.standard_normal((2, 6))
+    folded = pooled_features(images, Tensor(lang), store, "pixel").values
+    assert folded.shape == (6, PIXEL_CHANNELS[-1])
+    for row in range(6):
+        b, v = divmod(row, 3)
+        alone = pixel_pooled(Tensor(images[b, v][None]), Tensor(lang[b][None]), store).values
+        np.testing.assert_allclose(folded[row], alone[0], rtol=1e-12, atol=1e-12)
 
 
 def test_film_identity_at_init_bias():
@@ -223,8 +256,8 @@ def test_film_identity_at_init_bias():
     store["pixel.film.shift.w"].values[:] = 0.0
     rng = np.random.default_rng(2)
     images = Tensor(rng.uniform(0, 1, (2, 3, 16, 16)))
-    out_a = pixel_features(images, Tensor(rng.standard_normal((2, 6))), store)
-    out_b = pixel_features(images, Tensor(rng.standard_normal((2, 6))), store)
+    out_a = pixel_pooled(images, Tensor(rng.standard_normal((2, 6))), store)
+    out_b = pixel_pooled(images, Tensor(rng.standard_normal((2, 6))), store)
     assert np.array_equal(out_a.values, out_b.values)
 
 
@@ -232,32 +265,32 @@ def test_film_modulates_output():
     store = _pixel_store()
     rng = np.random.default_rng(3)
     images = Tensor(rng.uniform(0, 1, (2, 3, 16, 16)))
-    out_a = pixel_features(images, Tensor(rng.standard_normal((2, 6))), store)
-    out_b = pixel_features(images, Tensor(rng.standard_normal((2, 6))), store)
+    out_a = pixel_pooled(images, Tensor(rng.standard_normal((2, 6))), store)
+    out_b = pixel_pooled(images, Tensor(rng.standard_normal((2, 6))), store)
     assert np.abs(out_a.values - out_b.values).max() > 1e-6
 
 
 def test_pixel_encoder_gradients():
-    store = _pixel_store(seed=4, lang_dim=4, repr_dim=5)
+    store = _pixel_store(seed=4, lang_dim=4)
     rng = np.random.default_rng(5)
     images = rng.uniform(0, 1, (2, 3, 8, 8))
     lang = rng.standard_normal((2, 4))
 
     def f(leaves):
-        img, w1, gamma_w = leaves
-        saved_w1 = store["pixel.head.w1"]
+        img, conv_w, gamma_w = leaves
+        saved_cw = store["pixel.conv3.w"]
         saved_gw = store["pixel.film.scale.w"]
-        store._entries["pixel.head.w1"] = w1
+        store._entries["pixel.conv3.w"] = conv_w
         store._entries["pixel.film.scale.w"] = gamma_w
         try:
-            out = pixel_features(img, Tensor(lang), store)
+            out = pixel_pooled(img, Tensor(lang), store)
         finally:
-            store._entries["pixel.head.w1"] = saved_w1
+            store._entries["pixel.conv3.w"] = saved_cw
             store._entries["pixel.film.scale.w"] = saved_gw
         return (out * out).mean()
 
     err = grad_check(
         f,
-        [images, store["pixel.head.w1"].values.copy(), store["pixel.film.scale.w"].values.copy()],
+        [images, store["pixel.conv3.w"].values.copy(), store["pixel.film.scale.w"].values.copy()],
     )
     assert err <= 1e-4

@@ -103,6 +103,47 @@ def test_gen_data_rejects_non_positive_image_size(workdir, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("episodes", ["0", "-2"])
+def test_gen_data_without_episodes_exits_1(workdir, episodes, capsys):
+    out = workdir / "empty.jsonl"
+    code = main(["gen-data", "--out", str(out), "--episodes-per-task", episodes])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "episodes_per_task" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, env, config",
+    [("gen-data", ["--seed", "-1"], None, None),
+     ("train", ["--seed", "-3"], None, None),
+     ("eval", ["--seed", "-2"], None, None),
+     ("eval", [], "-5", None),
+     ("gen-data", [], None, {"seed": -1}),
+     ("train", [], None, {"train": {"seed": -1}})],
+    ids=["gen-data-flag", "train-flag", "eval-flag", "eval-env", "config-seed", "config-train-seed"],
+)
+def test_negative_seed_exits_1(workdir, dataset_path, checkpoint_path, monkeypatch, capsys, command, flags, env, config):
+    # each used to die with numpy's bare "expected non-negative integer"
+    out = workdir / "negative-seed.out"
+    argv = {
+        "gen-data": ["gen-data", "--out", str(out), "--episodes-per-task", "1"],
+        "train": ["train", "--data", str(dataset_path), "--out", str(out), "--steps", "1"],
+        "eval": ["eval", "--ckpt", str(checkpoint_path), "--rollouts", "1"],
+    }[command] + flags
+    if env is not None:
+        monkeypatch.setenv("GEOAWARE_SEED", env)
+    if config is not None:
+        path = workdir / "negative-seed.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "seed" in err
+    assert not out.exists()
+
+
 def test_seed_precedence(workdir, monkeypatch, capsys):
     a, b, c, d = (workdir / name for name in ("sa.jsonl", "sb.jsonl", "sc.jsonl", "sd.jsonl"))
     assert main(["gen-data", "--out", str(a), "--episodes-per-task", "1", "--seed", "9"]) == 0
@@ -135,7 +176,7 @@ def test_train_vqbet_head_flag(workdir, dataset_path, tiny_config, capsys):
     assert "final loss" in text
     bundle = load_checkpoint(out)
     assert bundle.policy.cfg.head_kind == "vqbet"
-    assert bundle.policy.codebook_trained
+    assert "vq.codes" in bundle.policy.params.frozen_names()
 
 
 def test_train_honours_policy_section(workdir, dataset_path, capsys):

@@ -10,7 +10,7 @@ EXPECTED_COMPONENTS = {
     "add_sub_mul", "matmul", "reshape_transpose_slice_concat", "relu",
     "layer_norm", "attention_block", "conv1d_relu_pool", "conv2d",
     "embedding_lookup", "mse_loss", "cross_entropy", "project_vision",
-    "pixel_features", "trunk", "mlp_head", "vqbet_head", "end_to_end",
+    "pixel_encoder", "trunk", "mlp_head", "vqbet_head", "end_to_end",
 }
 
 

@@ -1,5 +1,7 @@
 """Every name a module of the package imports, and every private name it
-defines at module level, is used in that module.
+defines at module level, is used in that module; and every public def or
+class a module defines at module level is read in the package or in
+``perfbench``, apart from an explicit allowlist.
 
 The modules are parsed with ``ast``; a name counts as used when the module
 reads it anywhere, annotations included.  Imported names listed in a module's
@@ -93,3 +95,54 @@ def test_scanner_finds_unused_private_names():
 )
 def test_module_has_no_unused_private_names(path):
     assert unused_private_names(path.read_text(encoding="utf-8")) == []
+
+
+# -- public names that only tests use ----------------------------------------
+
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
+
+# Kept for planned work in ROADMAP.md: ``bench.compare`` backs a planned
+# ``geoaware compare`` command (direction 6), ``nearest_seen_offset`` goes
+# into per-rollout telemetry (direction 5).
+TEST_ONLY_ALLOWED = {"bench.compare", "deskworld.camera.nearest_seen_offset"}
+
+
+def unreferenced_public_names(modules, readers):
+    """``module.name`` for every module-level public def or class in
+    ``modules`` (module name -> source) that no source in ``modules`` or
+    ``readers`` reads, as a bare name or as an attribute.  Names are matched
+    without their module, so a same-named read anywhere counts."""
+    read = set()
+    for source in [*modules.values(), *readers]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return {
+        f"{module}.{node.name}"
+        for module, source in modules.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    }
+
+
+def test_scanner_finds_public_names_only_tests_use():
+    modules = {
+        "a": "def used():\n    pass\ndef via_attr():\n    pass\ndef orphan():\n    orphan = 1\nclass Lonely:\n    pass\n"
+             "def _private():\n    pass\n",
+        "b": "from a import used\nimport a\nused()\na.via_attr()\n",
+    }
+    assert unreferenced_public_names(modules, []) == {"a.orphan", "a.Lonely"}
+    assert unreferenced_public_names(modules, ["x = Lonely()\n"]) == {"a.orphan"}
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    modules = {
+        ".".join(path.relative_to(PACKAGE).with_suffix("").parts): path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    readers = [path.read_text(encoding="utf-8") for path in sorted(PERFBENCH.rglob("*.py"))]
+    assert unreferenced_public_names(modules, readers) == TEST_ONLY_ALLOWED

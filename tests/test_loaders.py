@@ -238,11 +238,10 @@ def _drop(key):
         _drop("policy"),
         _drop("geo"),
         _drop("vocab"),
-        _drop("codebook_trained"),
         lambda header: header["geo"].update(bogus=1),
         lambda header: header["sim"].update(bogus=1),
         lambda header: header.update(vocab="push it"),
-        lambda header: header.update(codebook_trained=1),
+        lambda header: header.update(codebook_trained=True),
         lambda header: header.update(train=[]),
         lambda header: header.update(policy=None),
         lambda header: header.update(extra=1),
@@ -255,11 +254,23 @@ def _drop(key):
         lambda header: header.update(tensors={}),
         lambda header: header["sim"].update(focal=0),
         lambda header: header["sim"].update(max_episode_steps=0),
+        lambda header: header["policy"].update(trunk_heads=0),
+        lambda header: header["policy"].update(repr_dim=-8),
+        lambda header: header["geo"].update(feature_dim=0),
+        lambda header: header["geo"].update(num_layers=1),
+        lambda header: header["geo"].update(num_keypoints=0),
+        lambda header: header["geo"].update(lift_seed=-1),
+        lambda header: header["train"].update(lr=-1.0),
+        lambda header: header["train"].update(weight_decay=-1.0),
+        lambda header: header["train"].update(eval_every=-1),
+        lambda header: header["train"].update(seed=-1),
     ],
-    ids=["no-policy", "no-geo", "no-vocab", "no-codebook-trained", "geo-extra", "sim-extra", "vocab-str",
-         "codebook-trained-int", "train-list", "policy-null", "header-extra", "frozen-str", "frozen-int-entry",
-         "frozen-unknown-tensor", "step-bool", "step-float", "step-negative", "tensors-dict", "sim-focal-zero",
-         "sim-max-episode-steps-zero"],
+    ids=["no-policy", "no-geo", "no-vocab", "geo-extra", "sim-extra", "vocab-str", "codebook-trained-v2-key",
+         "train-list", "policy-null", "header-extra", "frozen-str", "frozen-int-entry", "frozen-unknown-tensor",
+         "step-bool", "step-float", "step-negative", "tensors-dict", "sim-focal-zero", "sim-max-episode-steps-zero",
+         "policy-trunk-heads-zero", "policy-repr-dim-negative", "geo-feature-dim-zero", "geo-num-layers-one",
+         "geo-num-keypoints-zero", "geo-lift-seed-negative", "train-lr-negative", "train-weight-decay-negative",
+         "train-eval-every-negative", "train-seed-negative"],
 )
 def test_malformed_checkpoint_header_raises_format_error(tmp_path, edit, capsys):
     path = _checkpoint_header_edit(tmp_path, edit)
@@ -297,10 +308,16 @@ def test_checkpoint_without_train_and_sim_loads(tmp_path):
      {"sim": {"focal": None}}, {"sim": {"focal": float("inf")}}, {"train": {"lr": float("nan")}},
      {"sim": {"max_step": float("-inf")}}, {"sim": {"focal": 10 ** 400}}, {"sim": {"focal": 0}},
      {"sim": {"camera_radius": 0}}, {"sim": {"max_step": -0.05}}, {"sim": {"grasp_radius": 0.0}},
-     {"sim": {"max_episode_steps": 0}}],
+     {"sim": {"max_episode_steps": 0}}, {"policy": {"trunk_heads": 0}}, {"policy": {"conv_dim": -1}},
+     {"geo": {"feature_dim": 0}}, {"geo": {"num_layers": 1}}, {"geo": {"num_keypoints": 0}},
+     {"geo": {"lift_seed": -1}}, {"train": {"lr": -1.0}},
+     {"train": {"weight_decay": -1e-4}}, {"train": {"eval_every": -1}}, {"seed": -1}, {"train": {"seed": -1}}],
     ids=["seed-str", "seed-bool", "train-steps-str", "policy-hidden-dim-str", "sim-focal-null", "sim-focal-inf",
          "train-lr-nan", "sim-max-step-neg-inf", "sim-focal-huge-int", "sim-focal-zero", "sim-camera-radius-zero",
-         "sim-max-step-negative", "sim-grasp-radius-zero", "sim-max-episode-steps-zero"],
+         "sim-max-step-negative", "sim-grasp-radius-zero", "sim-max-episode-steps-zero", "policy-trunk-heads-zero",
+         "policy-conv-dim-negative", "geo-feature-dim-zero", "geo-num-layers-one", "geo-num-keypoints-zero",
+         "geo-lift-seed-negative", "train-lr-negative", "train-weight-decay-negative", "train-eval-every-negative", "seed-negative",
+         "train-seed-negative"],
 )
 def test_mistyped_run_config_raises_config_error(tmp_path, doc, capsys):
     path = tmp_path / "run.json"

@@ -6,11 +6,11 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from geoaware.backbones import GeoBackbone, GeoStubConfig
+from geoaware.backbones import GeoBackbone, GeoStubConfig, pooled_features, pooled_vision
 from geoaware.deskworld.camera import sample_viewpoints, seen_cameras
 from geoaware.deskworld.dataset import generate_dataset
 from geoaware.deskworld.world import SimConfig, make_tasks, reset
-from geoaware.errors import CameraError, ConfigError, ShapeError, StateError, VocabularyError
+from geoaware.errors import CameraError, ConfigError, FormatError, ShapeError, StateError, VocabularyError
 from geoaware.numerics import Tensor, cross_entropy, grad_check, matmul, mse_loss
 from geoaware.persist import from_dict
 from geoaware.policy import (
@@ -20,7 +20,6 @@ from geoaware.policy import (
     codebook_param_names,
     encode_language,
     encode_proprio,
-    fold_views,
     mlp_head,
     policy_forward,
     project_vision,
@@ -69,6 +68,18 @@ def clear_grads(store):
         t.grad = None
 
 
+def freeze_codebook(pol):
+    """Mark the action codebook trained, as the end of VQ pretraining does."""
+    pol.params.set_frozen(pol.params.frozen_names() | {"vq.codes"})
+    return pol
+
+
+def geo_vision(layers, pol):
+    """The geo vision encoder on L layers [rows, tokens, channels]: the conv
+    stage, then the shared projection."""
+    return project_vision(pooled_vision(layers, pol.params), pol.params)
+
+
 # -- config ------------------------------------------------------------------
 
 
@@ -85,6 +96,20 @@ def test_config_validation():
         from_dict(PolicyConfig, {"repr_dim": 64, "banana": 1}, "policy")
     roundtrip = from_dict(PolicyConfig, asdict(PolicyConfig()), "policy")
     assert roundtrip == PolicyConfig()
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["repr_dim", "conv_dim", "hidden_dim", "lang_embed_dim", "chunk_len", "select_count", "trunk_layers",
+     "trunk_heads", "views", "vq_dim", "vq_hidden"],
+)
+def test_config_rejects_non_positive_sizes(field):
+    # trunk_heads 0 used to reach hidden_dim % trunk_heads as a ZeroDivisionError
+    for value in (0, -2):
+        with pytest.raises(ConfigError, match=field):
+            replace(PolicyConfig(), **{field: value}).validate()
+        with pytest.raises(FormatError, match=field):
+            replace(PolicyConfig(), **{field: value}).validate(error=FormatError)
 
 
 def test_default_config_matches_design_point():
@@ -116,9 +141,9 @@ def test_project_vision_output_shapes():
     for mode, count, slots in (("last", 1, 1), ("even", 2, 2), ("all", 3, 3)):
         pol = tiny_policy(select_mode=mode, select_count=count)
         layers = [rng.standard_normal((1, 5, 4)) for _ in range(slots)]
-        out = project_vision(layers, pol.params, pol.cfg)
+        out = geo_vision(layers, pol)
         assert out.shape == (1, 8)
-        batched = project_vision([np.concatenate([l, l]) for l in layers], pol.params, pol.cfg)
+        batched = geo_vision([np.concatenate([l, l]) for l in layers], pol)
         assert batched.shape == (2, 8)
         assert np.allclose(batched.values[0], out.values[0])
 
@@ -126,8 +151,8 @@ def test_project_vision_output_shapes():
 def test_project_vision_zero_input_is_view_independent():
     pol = tiny_policy()
     zero = [np.zeros((1, 5, 4))] * 3
-    a = project_vision(zero, pol.params, pol.cfg)
-    b = project_vision([np.zeros((1, 5, 4))] * 3, pol.params, pol.cfg)
+    a = geo_vision(zero, pol)
+    b = geo_vision([np.zeros((1, 5, 4))] * 3, pol)
     assert np.array_equal(a.values, b.values)
     assert np.all(np.isfinite(a.values))
 
@@ -135,9 +160,9 @@ def test_project_vision_zero_input_is_view_independent():
 def test_project_vision_wrong_layer_count():
     pol = tiny_policy()
     with pytest.raises(ShapeError):
-        project_vision([np.zeros((1, 5, 4))] * 2, pol.params, pol.cfg)
+        geo_vision([np.zeros((1, 5, 4))] * 2, pol)
     with pytest.raises(ShapeError):
-        project_vision([np.zeros((5, 4))] * 3, pol.params, pol.cfg)      # unbatched layers
+        geo_vision([np.zeros((5, 4))] * 3, pol)      # unbatched layers
 
 
 def test_project_vision_gradients():
@@ -146,7 +171,7 @@ def test_project_vision_gradients():
     layers = [rng.standard_normal((2, 5, 4)) for _ in range(3)]
 
     def f(leaves):
-        out = project_vision(leaves, pol.params, pol.cfg)
+        out = geo_vision(leaves, pol)
         return (out * out).mean()
 
     assert grad_check(f, layers) <= 1e-4
@@ -369,15 +394,18 @@ def test_vqbet_head_requires_trained_codebook():
     pol = tiny_policy(head_kind="vqbet")
     h = Tensor(np.zeros((2, 8)))
     with pytest.raises(StateError):
-        vqbet_head(h, pol.params, pol.cfg, codebook_trained=False)
+        vqbet_head(h, pol.params, pol.cfg)
     with pytest.raises(StateError):
-        vqbet_train_loss(h, Tensor(np.zeros((2, 7))), pol.params, pol.cfg, codebook_trained=False)
-    out = vqbet_head(h, pol.params, pol.cfg, codebook_trained=True)
+        vqbet_train_loss(h, Tensor(np.zeros((2, 7))), pol.params, pol.cfg)
+    with pytest.raises(StateError):
+        pol.head(h)
+    freeze_codebook(pol)
+    out = vqbet_head(h, pol.params, pol.cfg)
     assert out.shape == (2, 1, 7)
 
 
 def test_vqbet_train_loss_reduces_to_ce_on_perfect_decode():
-    pol = tiny_policy(head_kind="vqbet")
+    pol = freeze_codebook(tiny_policy(head_kind="vqbet"))
     rng = np.random.default_rng(10)
     h = Tensor(rng.standard_normal((3, 8)))
     # force: every action quantizes to code 2, decoder emits the action exactly,
@@ -392,7 +420,7 @@ def test_vqbet_train_loss_reduces_to_ce_on_perfect_decode():
     pol.params["vq.enc.2.b"].values[:] = pol.params["vq.codes"].values[2]
     pol.params["vq.dec.2.b"].values[:] = action
     targets = Tensor(np.tile(action, (3, 1)))
-    loss, indices = vqbet_train_loss(h, targets, pol.params, pol.cfg, codebook_trained=True)
+    loss, indices = vqbet_train_loss(h, targets, pol.params, pol.cfg)
     assert np.all(indices == 2)
     logits = matmul(h, pol.params["vq.cls.w"]) + pol.params["vq.cls.b"]
     assert loss.item() == pytest.approx(cross_entropy(logits, indices).item(), rel=1e-12)
@@ -420,10 +448,10 @@ def test_folded_views_match_separate_calls():
     rng = np.random.default_rng(24)
     pol = Policy(tiny_cfg(), VOCAB, seed=25, geo=TINY_GEO)
     vision = rand_vision(rng, pol.cfg, batch=3).astype(np.float32)
-    z = project_vision(*fold_views(vision, None, pol.cfg), pol.params, pol.cfg).values
+    z = project_vision(pooled_features(vision, None, pol.params, "geo"), pol.params).values
     for row in range(6):
         b, v = divmod(row, pol.cfg.views)
-        alone = project_vision([vision[b : b + 1, v, l] for l in range(3)], pol.params, pol.cfg).values
+        alone = geo_vision([vision[b : b + 1, v, l] for l in range(3)], pol).values
         np.testing.assert_allclose(z[row], alone[0], rtol=1e-5, atol=1e-6)
 
     pixel = Policy(PolicyConfig(backbone_kind="pixel"), VOCAB, seed=26)
@@ -442,7 +470,8 @@ def test_float32_policy_stays_float32(backbone, head):
     # a float64 scalar or mask anywhere in the pass would silently promote
     sim = SimConfig()
     pol = Policy(PolicyConfig(backbone_kind=backbone, head_kind=head), VOCAB, seed=27)
-    pol.codebook_trained = True
+    if head == "vqbet":
+        freeze_codebook(pol)
     scenes = [reset(task, seed=28) for task in make_tasks()[:3]]
     vision = pol.featurize(scenes, list(seen_cameras(sim)))
     proprio = np.stack([s.proprio() for s in scenes])
@@ -453,7 +482,7 @@ def test_float32_policy_stays_float32(backbone, head):
     if head == "mlp":
         loss = mse_loss(chunk, targets.reshape(3, 1, 7))
     else:
-        loss = vqbet_train_loss(h_action, targets, pol.params, pol.cfg, True)[0]
+        loss = vqbet_train_loss(h_action, targets, pol.params, pol.cfg)[0]
         loss = loss + vqvae_loss(targets, pol.params, pol.cfg)[0]
     assert loss.dtype == np.float32
     loss.backward()
@@ -508,7 +537,7 @@ def test_policy_vision_input_gradients():
 
     def f(leaves):
         # one leaf per selected layer, views folded into the batch: row b * 2 + v
-        z_vis = project_vision([leaves[l - 1] for l in picks], pol.params, pol.cfg).reshape(2, 2, 8)
+        z_vis = geo_vision([leaves[l - 1] for l in picks], pol).reshape(2, 2, 8)
         z_lang = encode_language([VOCAB[0], VOCAB[1]], pol.params, pol.vocab)
         z_prop = encode_proprio(leaves[3], pol.params)
         seq = build_token_sequence(z_vis, z_lang, z_prop, pol.params, pol.cfg)
@@ -560,10 +589,10 @@ def test_no_dead_parameters_vqbet_geo():
         assert grad is not None and np.any(grad != 0.0), f"dead codebook parameter {name}"
 
     clear_grads(pol.params)
-    pol.codebook_trained = True
+    freeze_codebook(pol)
     vision = rand_vision(rng, pol.cfg)
     h = pol.forward(vision, [VOCAB[0], VOCAB[1]], rng.standard_normal((2, 7)))
-    loss, _ = vqbet_train_loss(h, Tensor(rng.standard_normal((2, 7))), pol.params, pol.cfg, True)
+    loss, _ = vqbet_train_loss(h, Tensor(rng.standard_normal((2, 7))), pol.params, pol.cfg)
     loss.backward()
     for name in pol.params.trainable_names():
         if name in covered or name.startswith("vq.dec"):

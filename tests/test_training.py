@@ -11,7 +11,7 @@ from geoaware.deskworld.camera import seen_cameras
 from geoaware.deskworld.dataset import generate_dataset
 from geoaware.deskworld.world import SimConfig, make_tasks
 from geoaware.errors import ConfigError, ConfigMismatchError, FormatError, NumericAbort
-from geoaware.numerics import adamw_step
+from geoaware.numerics import Tensor, adamw_step
 from geoaware.policy import Policy, PolicyConfig, codebook_param_names
 from geoaware.training import (
     CALIBRATION_SEED_SALT,
@@ -129,12 +129,12 @@ def test_training_is_deterministic(demos):
 def _vision_mlp_input_stats(pol, demos):
     """Mean and std per dimension of the calibrated first-layer preactivations
     over every dataset step and view."""
+    from geoaware.backbones import pooled_features
     from geoaware.numerics import no_grad
-    from geoaware.policy import fold_views, pooled_vision
 
     with no_grad():
         batch = make_batch(demos, demos.sample_index(), pol, seen_cameras(demos.sim))
-        pooled = pooled_vision(*fold_views(batch.vision, None, pol.cfg), pol.params)
+        pooled = pooled_features(batch.vision, None, pol.params, "geo")
         stacked = pooled.values @ pol.params["vision.mlp.1.w"].values + pol.params["vision.mlp.1.b"].values
     return stacked.mean(axis=0), stacked.std(axis=0)
 
@@ -177,10 +177,12 @@ def test_calibration_only_rescales_rows_and_shifts_bias(demos):
 
 
 def test_calibration_covers_pixel_head(demos):
+    # the pixel backbone feeds the same shared projection, which calibration folds
     pol = small_policy(demos, backbone_kind="pixel")
-    w_before = pol.params["pixel.head.w1"].values.copy()
+    before = {name: pol.params[name].values.copy() for name in pol.params.names()}
     calibrate_input_stats(pol, demos, seen_cameras(demos.sim), rng=np.random.default_rng(3), samples=32)
-    assert not np.array_equal(pol.params["pixel.head.w1"].values, w_before)
+    changed = {name for name in before if not np.array_equal(pol.params[name].values, before[name])}
+    assert changed == {"vision.mlp.1.w", "vision.mlp.1.b", "vision.mlp.2.w", "vision.mlp.2.b"}
     batch = make_batch(demos, demos.sample_index()[:4], pol, seen_cameras(demos.sim))
     out = pol.head(pol.forward(batch.vision, batch.instructions, batch.proprio))
     assert np.all(np.isfinite(out.values))
@@ -210,6 +212,22 @@ def test_mismatched_policy_and_train_config(demos):
     pol = small_policy(demos)
     with pytest.raises(ConfigError):
         bc_train(demos, small_train(head_kind="vqbet"), policy=pol)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("lr", -1.0), ("lr", float("nan")), ("weight_decay", -1e-4), ("eval_every", -1), ("seed", -3)],
+)
+def test_train_config_rejects_bad_values(demos, field, value):
+    # lr -1 used to run gradient ascent to a final loss of about 4e10 and exit 0
+    cfg = small_train(**{field: value})
+    with pytest.raises(ConfigError, match=field):
+        cfg.validate()
+    with pytest.raises(FormatError, match=field):
+        cfg.validate(FormatError)
+    pol = small_policy(demos)
+    with pytest.raises(ConfigError, match=field):
+        bc_train(demos, cfg, policy=pol)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -260,7 +278,7 @@ def test_vqbet_two_phase_schedule(demos):
         cfg = small_train(steps=steps, head_kind="vqbet", vq_pretrain_steps=15)
         pol, losses = bc_train(demos, cfg, policy=pol)
         assert len(losses) == 15 + steps
-        assert pol.codebook_trained
+        assert "vq.codes" in pol.params.frozen_names()
         results.append(pol.params.hash_of(codebook_param_names(pol.params)))
     # phase 2 length does not touch the codebook: it trained in phase 1 only
     assert results[0] == results[1]
@@ -325,9 +343,10 @@ def test_checkpoint_vqbet_round_trip(tmp_path, demos):
     path = tmp_path / "vq.ckpt"
     save_checkpoint(pol, path)
     bundle = load_checkpoint(path)
-    assert bundle.policy.codebook_trained
     assert bundle.policy.params.hash_of() == pol.params.hash_of()
     assert "vq.codes" in bundle.policy.params.frozen_names()
+    h_action = Tensor(np.zeros((1, pol.cfg.hidden_dim), dtype=np.float32))
+    assert np.array_equal(bundle.policy.head(h_action).values, pol.head(h_action).values)
 
 
 def test_checkpoint_bad_magic(tmp_path, demos):
@@ -342,8 +361,10 @@ def test_checkpoint_bad_version(tmp_path, demos):
     path = tmp_path / "v.ckpt"
     save_checkpoint(pol, path)
     raw = bytearray(path.read_bytes())
-    # version 1 kept tensor names, shapes, frozen names and step in a binary layer
-    for version in (1, 99):
+    # version 1 kept tensor names, shapes, frozen names and step in a binary
+    # layer; version 2 named the pixel projection pixel.head.* and had a
+    # codebook_trained key
+    for version in (1, 2, 99):
         raw[4:8] = version.to_bytes(4, "little")
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
