@@ -123,7 +123,7 @@ class GeoBackbone:
         views, worlds = self.raw_tokens(scenes, cameras)
         alphas = self.alphas[:, None, None]                     # [L, 1, 1]
         mixed = (1.0 - alphas) * views[:, :, None] + alphas * worlds[:, None, None]
-        return np.einsum("bvmnr,mrd->bvmnd", mixed, self.lifts)
+        return mixed @ self.lifts                               # [B, V, L, N, R] @ [L, R, D]
 
 
 # -- layer selection ---------------------------------------------------------

@@ -61,9 +61,9 @@ def _check_elementwise(step):
 
 def _check_matmul(step):
     rng = np.random.default_rng(102)
-    a = rng.normal(size=(3, 4))
+    a = rng.normal(size=(2, 3, 4))     # rank 3: the weight gradient sums over both leading axes
     b = rng.normal(size=(4, 2))
-    w = rng.normal(size=(3, 2))
+    w = rng.normal(size=(2, 3, 2))
 
     def f(leaves):
         x, y = leaves

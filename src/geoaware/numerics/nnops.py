@@ -9,9 +9,12 @@ suite.  Ops are as coarse as their callers allow, since every op pays Python
 overhead: the geometric vision projection's per-layer conv, relu and token
 pooling are one op, ``conv1d_relu_pool``, over all selected layers at once,
 and a trunk block's whole self-attention (q/k/v projections, masked softmax,
-context and output projection) is one op, ``attention_block``.  Ops do not
-check their results for NaN or Inf; see the ``tensor`` module for where
-finiteness is checked.
+context and output projection) is one op, ``attention_block``.  Every
+product of an activation with a shared weight, ``x [..., K] @ w [K, N]``, is
+one GEMM over all leading axes on ``x.reshape(-1, K)``, forward and backward:
+``matmul``, the attention projections and ``conv2d``'s im2col product.  Ops
+do not check their results for NaN or Inf; see the ``tensor`` module for
+where finiteness is checked.
 """
 
 from __future__ import annotations
@@ -98,29 +101,30 @@ def attention_block(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, mask):
     dh = h // heads
     scale = 1.0 / math.sqrt(dh)
 
+    x2 = x.values.reshape(b * s, h)
     w_qkv = np.concatenate([wq.values, wk.values, wv.values], axis=1)        # [H, 3H]
-    qkv = x.values @ w_qkv + np.concatenate([bq.values, bk.values, bv.values])
+    qkv = x2 @ w_qkv + np.concatenate([bq.values, bk.values, bv.values])    # [B*S, 3H]
     q, k, v = qkv.reshape(b, s, 3, heads, dh).transpose(2, 0, 3, 1, 4)     # 3 x [B, heads, S, dh]
     scores = (q @ k.transpose(0, 1, 3, 2)) * scale
     scores += mask
     att = np.exp(scores - scores.max(axis=-1, keepdims=True))
     att /= att.sum(axis=-1, keepdims=True)
-    ctx = (att @ v).transpose(0, 2, 1, 3).reshape(b, s, h)
-    out_vals = ctx @ wo.values + bo.values
+    ctx = (att @ v).transpose(0, 2, 1, 3).reshape(b * s, h)
+    out_vals = (ctx @ wo.values + bo.values).reshape(b, s, h)
 
     def backward(g):
         g2 = g.reshape(b * s, h)
-        gctx = (g @ wo.values.T).reshape(b, s, heads, dh).transpose(0, 2, 1, 3)
+        gctx = (g2 @ wo.values.T).reshape(b, s, heads, dh).transpose(0, 2, 1, 3)
         gatt = gctx @ v.transpose(0, 1, 3, 2)
         gscores = _softmax_grad(att, gatt) * scale
         gqkv = np.stack([gscores @ k, gscores.transpose(0, 1, 3, 2) @ q, att.transpose(0, 1, 3, 2) @ gctx])
         gqkv = gqkv.transpose(1, 3, 0, 2, 4).reshape(b * s, 3 * h)        # [B*S, 3H], columns q | k | v
-        gw = x.values.reshape(b * s, h).T @ gqkv
+        gw = x2.T @ gqkv
         gb = gqkv.sum(axis=0)
         grads = [
             (wq, gw[:, :h]), (wk, gw[:, h:2 * h]), (wv, gw[:, 2 * h:]),
             (bq, gb[:h]), (bk, gb[h:2 * h]), (bv, gb[2 * h:]),
-            (wo, ctx.reshape(b * s, h).T @ g2), (bo, g2.sum(axis=0)),
+            (wo, ctx.T @ g2), (bo, g2.sum(axis=0)),
         ]
         if x.requires_grad:
             grads.append((x, (gqkv @ w_qkv.T).reshape(b, s, h)))
@@ -217,7 +221,11 @@ def conv1d_relu_pool(layers, kernels, biases):
 
 
 def conv2d(x, kernels, bias, stride=1, padding=0):
-    """2-D cross-correlation for [B, C_in, H, W] inputs, [C_out, C_in, kh, kw] kernels."""
+    """2-D cross-correlation for [B, C_in, H, W] inputs, [C_out, C_in, kh, kw] kernels.
+
+    The input's windows are held as one [B * HW_out, C_in * kh * kw] im2col
+    matrix, so the forward product and each gradient are one GEMM.
+    """
     x, kernels, bias = as_tensor(x), as_tensor(kernels), as_tensor(bias)
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be rank 4, got {x.shape}")
@@ -234,18 +242,18 @@ def conv2d(x, kernels, bias, stride=1, padding=0):
 
     xp = np.pad(x.values, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.values
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b, h_out * w_out, c_in * kh * kw)
+    hw = h_out * w_out
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * hw, c_in * kh * kw)
     w2 = kernels.values.reshape(c_out, c_in * kh * kw)
-    out = cols @ w2.T + bias.values  # [B, HW_out, C_out]
-    out_vals = out.transpose(0, 2, 1).reshape(b, c_out, h_out, w_out)
+    out = cols @ w2.T + bias.values  # [B*HW_out, C_out]
+    out_vals = out.reshape(b, hw, c_out).transpose(0, 2, 1).reshape(b, c_out, h_out, w_out)
 
     def backward(g):
-        gt = g.reshape(b, c_out, h_out * w_out).transpose(0, 2, 1)  # [B, HW_out, C_out]
+        gt = g.reshape(b, c_out, hw).transpose(0, 2, 1).reshape(b * hw, c_out)
         if kernels.requires_grad:
-            gw = np.tensordot(gt, cols, axes=([0, 1], [0, 1]))
-            kernels._accumulate(gw.reshape(c_out, c_in, kh, kw))
+            kernels._accumulate((gt.T @ cols).reshape(c_out, c_in, kh, kw))
         if bias.requires_grad:
-            bias._accumulate(gt.sum(axis=(0, 1)))
+            bias._accumulate(gt.sum(axis=0))
         if x.requires_grad:
             gcols = (gt @ w2).reshape(b, h_out, w_out, c_in, kh, kw)
             gx = np.zeros((b, c_in, h + 2 * padding, w + 2 * padding), dtype=g.dtype)

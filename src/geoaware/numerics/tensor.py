@@ -279,28 +279,31 @@ def _scale(a, c):
     return make_result(out_vals, (a,), backward)
 
 
-def matmul(a, b):
-    """Matrix product with numpy-style leading-batch broadcasting.
+def matmul(a, w):
+    """Product of an activation with a weight: ``a [..., K] @ w [K, N]`` -> ``[..., N]``.
 
-    Both operands must have rank >= 2; gradients for broadcast batch
-    dimensions are summed back down.
+    ``a`` has rank >= 2 and ``w`` rank exactly 2.  All of ``a``'s leading
+    axes fold into one GEMM on ``a.reshape(-1, K)``, forward and backward, so
+    ``w``'s gradient is a single [K, M] @ [M, N] product that sums over every
+    leading axis.
     """
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    out_vals = np.matmul(a.values, b.values)
+    a, w = as_tensor(a), as_tensor(w)
+    if a.ndim < 2 or w.ndim != 2:
+        raise ShapeError(f"matmul needs a rank >= 2 input and a rank-2 weight, got {a.shape} @ {w.shape}")
+    k, n = w.shape
+    if a.shape[-1] != k:
+        raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {w.shape}")
+    a2 = a.values.reshape(-1, k)
+    out_vals = (a2 @ w.values).reshape(a.shape[:-1] + (n,))
 
     def backward(g):
+        g2 = g.reshape(-1, n)
         if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.values, -1, -2))
-            a._accumulate(_unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.values, -1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.shape))
+            a._accumulate((g2 @ w.values.T).reshape(a.shape))
+        if w.requires_grad:
+            w._accumulate(a2.T @ g2)
 
-    return make_result(out_vals, (a, b), backward)
+    return make_result(out_vals, (a, w), backward)
 
 
 # -- shape manipulation ------------------------------------------------------

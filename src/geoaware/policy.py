@@ -81,14 +81,18 @@ class PolicyConfig:
         return self.views + 3   # per-view vision, language, proprio, action
 
     def validate(self, geo: GeoStubConfig | None = None, error=ConfigError):
-        """``self`` if every width and count is positive and the kinds are
-        known, else raises ``error``; a geo selection must fit ``geo``."""
+        """``self`` if every width and count is positive, the VQ-BeT loss
+        weights are not negative and the kinds are known, else raises
+        ``error``; a geo selection must fit ``geo``."""
         for name in ("repr_dim", "conv_dim", "hidden_dim", "lang_embed_dim", "chunk_len", "select_count",
                      "trunk_layers", "trunk_heads", "views", "vq_dim", "vq_hidden"):
             if getattr(self, name) < 1:
                 raise error(f"policy {name} must be positive, got {getattr(self, name)}")
         if self.vq_codes < 2:
             raise error("the codebook needs at least 2 codes")
+        for name in ("commitment_beta", "offset_weight"):
+            if not getattr(self, name) >= 0:        # NaN fails too
+                raise error(f"policy {name} must not be negative, got {getattr(self, name)}")
         if self.hidden_dim % self.trunk_heads:
             raise error("hidden_dim must be divisible by trunk_heads")
         if self.head_kind not in ("mlp", "vqbet"):
@@ -97,7 +101,10 @@ class PolicyConfig:
             raise error(f"unknown backbone_kind {self.backbone_kind!r}")
         if geo is not None and self.backbone_kind == "geo":
             # mode=all ignores the count; the others must fit the pyramid
-            select_layer_indices(geo.num_layers, self.select_mode, self.select_count)
+            try:
+                select_layer_indices(geo.num_layers, self.select_mode, self.select_count)
+            except ConfigError as exc:
+                raise error(str(exc)) from exc
         return self
 
 

@@ -96,6 +96,19 @@ def test_intermediate_layer_is_convex_mix():
                 assert np.allclose(stack[b, v, l], expected, atol=1e-12)
 
 
+def test_pyramid_batch_matches_its_einsum_definition():
+    # [B, V, L, N, D]: layer l of scene b under camera v lifts the l-th mix
+    backbone = GeoBackbone(GeoStubConfig(), [1, 4, 8, 12])
+    scenes, cams = _scenes_and_cameras(n_scenes=5, n_cameras=3)
+    views, worlds = backbone.raw_tokens(scenes, cams)
+    a = backbone.alphas
+    mixed = np.einsum("m,bvnr->bvmnr", 1.0 - a, views) + np.einsum("m,bnr->bmnr", a, worlds)[:, None]
+    expected = np.einsum("bvmnr,mrd->bvmnd", mixed, backbone.lifts)
+    stack = backbone.pyramid_batch(scenes, cams)
+    assert stack.dtype == np.float64 and stack.shape == expected.shape == (5, 3, 4, 16, 32)
+    assert np.abs(stack - expected).max() <= 1e-12
+
+
 def test_raw_token_layout():
     backbone = _full()
     sim = SimConfig()

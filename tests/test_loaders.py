@@ -264,13 +264,18 @@ def _drop(key):
         lambda header: header["train"].update(weight_decay=-1.0),
         lambda header: header["train"].update(eval_every=-1),
         lambda header: header["train"].update(seed=-1),
+        lambda header: header["policy"].update(offset_weight=-10.0),
+        lambda header: header["policy"].update(commitment_beta=-1.0),
+        lambda header: header["policy"].update(select_count=5),
+        lambda header: header["policy"].update(select_mode="bogus"),
     ],
     ids=["no-policy", "no-geo", "no-vocab", "geo-extra", "sim-extra", "vocab-str", "codebook-trained-v2-key",
          "train-list", "policy-null", "header-extra", "frozen-str", "frozen-int-entry", "frozen-unknown-tensor",
          "step-bool", "step-float", "step-negative", "tensors-dict", "sim-focal-zero", "sim-max-episode-steps-zero",
          "policy-trunk-heads-zero", "policy-repr-dim-negative", "geo-feature-dim-zero", "geo-num-layers-one",
          "geo-num-keypoints-zero", "geo-lift-seed-negative", "train-lr-negative", "train-weight-decay-negative",
-         "train-eval-every-negative", "train-seed-negative"],
+         "train-eval-every-negative", "train-seed-negative", "policy-offset-weight-negative",
+         "policy-commitment-beta-negative", "policy-select-count-over-layers", "policy-select-mode-unknown"],
 )
 def test_malformed_checkpoint_header_raises_format_error(tmp_path, edit, capsys):
     path = _checkpoint_header_edit(tmp_path, edit)
@@ -311,13 +316,14 @@ def test_checkpoint_without_train_and_sim_loads(tmp_path):
      {"sim": {"max_episode_steps": 0}}, {"policy": {"trunk_heads": 0}}, {"policy": {"conv_dim": -1}},
      {"geo": {"feature_dim": 0}}, {"geo": {"num_layers": 1}}, {"geo": {"num_keypoints": 0}},
      {"geo": {"lift_seed": -1}}, {"train": {"lr": -1.0}},
-     {"train": {"weight_decay": -1e-4}}, {"train": {"eval_every": -1}}, {"seed": -1}, {"train": {"seed": -1}}],
+     {"train": {"weight_decay": -1e-4}}, {"train": {"eval_every": -1}}, {"seed": -1}, {"train": {"seed": -1}},
+     {"policy": {"offset_weight": -10.0}}, {"policy": {"commitment_beta": -1.0}}],
     ids=["seed-str", "seed-bool", "train-steps-str", "policy-hidden-dim-str", "sim-focal-null", "sim-focal-inf",
          "train-lr-nan", "sim-max-step-neg-inf", "sim-focal-huge-int", "sim-focal-zero", "sim-camera-radius-zero",
          "sim-max-step-negative", "sim-grasp-radius-zero", "sim-max-episode-steps-zero", "policy-trunk-heads-zero",
          "policy-conv-dim-negative", "geo-feature-dim-zero", "geo-num-layers-one", "geo-num-keypoints-zero",
          "geo-lift-seed-negative", "train-lr-negative", "train-weight-decay-negative", "train-eval-every-negative", "seed-negative",
-         "train-seed-negative"],
+         "train-seed-negative", "policy-offset-weight-negative", "policy-commitment-beta-negative"],
 )
 def test_mistyped_run_config_raises_config_error(tmp_path, doc, capsys):
     path = tmp_path / "run.json"

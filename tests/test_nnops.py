@@ -250,6 +250,41 @@ def test_conv2d_shapes():
     assert out.values.shape == (2, 5, 4, 4)
 
 
+def reference_conv2d(x, kernels, bias, stride, padding, g):
+    """Cross-correlation from its definition, one output pixel at a time, with
+    the input and kernel gradients of ``sum(out * g)``: (out, gx, gk, gb)."""
+    b, c_in, h, w = x.shape
+    c_out, _, kh, kw = kernels.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    h_out, w_out = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
+    out = np.zeros((b, c_out, h_out, w_out))
+    gxp, gk = np.zeros_like(xp), np.zeros_like(kernels)
+    for n in range(b):
+        for o in range(c_out):
+            for i in range(h_out):
+                for j in range(w_out):
+                    window = xp[n, :, i * stride : i * stride + kh, j * stride : j * stride + kw]
+                    out[n, o, i, j] = bias[o] + (window * kernels[o]).sum()
+                    gk[o] += g[n, o, i, j] * window
+                    gxp[n, :, i * stride : i * stride + kh, j * stride : j * stride + kw] += g[n, o, i, j] * kernels[o]
+    gx = gxp[:, :, padding : padding + h, padding : padding + w]
+    return out, gx, gk, g.sum(axis=(0, 2, 3))
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1])
+def test_conv2d_matches_reference(stride, padding):
+    rng = np.random.default_rng(10 * stride + padding)
+    x, k, bias = rng.standard_normal((2, 3, 6, 5)), rng.standard_normal((4, 3, 3, 3)), rng.standard_normal(4)
+    xt, kt, bt = (Tensor(v, requires_grad=True) for v in (x, k, bias))
+    out = conv2d(xt, kt, bt, stride=stride, padding=padding)
+    g = rng.standard_normal(out.shape)
+    tensor_sum(out * Tensor(g)).backward()
+    for got, ref in zip((out.values, xt.grad, kt.grad, bt.grad), reference_conv2d(x, k, bias, stride, padding, g)):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_conv2d_grad_matches_fd(seed):
     rng = np.random.default_rng(seed)

@@ -87,6 +87,32 @@ def test_matmul_grad_matches_fd(seed):
     assert err <= TOL
 
 
+def test_matmul_rejects_a_weight_that_is_not_rank_2():
+    with pytest.raises(ShapeError):
+        matmul(Tensor(np.ones((2, 5, 4))), Tensor(np.ones((2, 4, 3))))
+    with pytest.raises(ShapeError):
+        matmul(Tensor(np.ones(4)), Tensor(np.ones((4, 3))))
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+def test_matmul_folds_leading_axes_like_per_slice_products(dtype, tol):
+    # one GEMM over all leading axes gives each slice's product, each slice's
+    # input gradient, and the weight gradient summed over the slices
+    rng = np.random.default_rng(3)
+    a, w, g = (rng.standard_normal(shape).astype(dtype) for shape in ((3, 5, 4), (4, 2), (3, 5, 2)))
+    at, wt = Tensor(a, requires_grad=True), Tensor(w, requires_grad=True)
+    out = matmul(at, wt)
+    tensor_sum(out * Tensor(g)).backward()
+    refs = (
+        np.stack([np.matmul(a[i], w) for i in range(3)]),
+        np.stack([np.matmul(g[i], w.T) for i in range(3)]),
+        sum(np.matmul(a[i].T, g[i]) for i in range(3)),
+    )
+    for got, ref in zip((out.values, at.grad, wt.grad), refs):
+        assert got.dtype == dtype and got.shape == ref.shape
+        assert np.abs(got - ref).max() <= tol * max(1.0, np.abs(ref).max())
+
+
 def test_matmul_batched_grad_matches_fd():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((2, 5, 4))
