@@ -128,6 +128,8 @@ class GeoBackbone:
 
 # -- layer selection ---------------------------------------------------------
 
+SELECT_MODES = ("even", "all", "last")
+
 
 def select_layer_indices(num_layers, mode, count):
     """1-based layer picks for a selection mode.
@@ -153,7 +155,7 @@ def select_layer_indices(num_layers, mode, count):
         if picks[-1] > m:
             raise ConfigError(f"cannot spread {count} selections over {m} layers")
         return picks
-    raise ConfigError(f"unknown layer selection mode {mode!r} (expected even | all | last)")
+    raise ConfigError(f"unknown layer selection mode {mode!r} (expected {' | '.join(SELECT_MODES)})")
 
 
 # -- trainable conv stages ---------------------------------------------------
@@ -163,7 +165,7 @@ PIXEL_CHANNELS = (8, 16, 32)
 
 def init_pixel_params(store, uniform, lang_embed_dim):
     """Register the pixel encoder's conv stage: 3 strided 3x3 convs and a
-    language-conditioned feature-wise modulation on the last feature map.
+    language-conditioned feature-wise modulation of the last feature map.
     ``uniform(shape, fan_in)`` draws each initial value."""
     c_prev = 3
     for i, c in enumerate(PIXEL_CHANNELS, start=1):
@@ -198,21 +200,22 @@ def pooled_vision(selected_layers, store):
 
 
 def pixel_pooled(images, lang_embed, store):
-    """Conv/FiLM/pool stage of the pixel encoder: [B, C_last] pooled features.
+    """Conv/pool/FiLM stage of the pixel encoder: [B, C_last] pooled features.
 
     ``lang_embed`` [B, lang_embed_dim] conditions the last conv's per-channel
-    scale and shift (gamma * h + beta).
+    scale and shift (FiLM: gamma * h + beta).  The modulation is applied to
+    the pooled [B, C] features instead of the [B, C, H, W] map: gamma and
+    beta are constant over the map and the global average pool is linear,
+    so mean(gamma * h + beta) = gamma * mean(h) + beta.
     """
     h = images if isinstance(images, Tensor) else Tensor(images)
     for i in range(1, len(PIXEL_CHANNELS) + 1):
         h = relu(conv2d(h, store[f"pixel.conv{i}.w"], store[f"pixel.conv{i}.b"], stride=2, padding=1))
+    b, c = h.shape[0], h.shape[1]
+    pooled = reshape(h, (b, c, h.shape[2] * h.shape[3])).mean(axis=2)    # global average pool
     gamma = matmul(lang_embed, store["pixel.film.scale.w"]) + store["pixel.film.scale.b"]
     beta = matmul(lang_embed, store["pixel.film.shift.w"]) + store["pixel.film.shift.b"]
-    b, c = h.shape[0], h.shape[1]
-    gamma = reshape(gamma, (b, c, 1, 1))
-    beta = reshape(beta, (b, c, 1, 1))
-    h = h * broadcast_to(gamma, h.shape) + broadcast_to(beta, h.shape)
-    return reshape(h, (b, c, h.shape[2] * h.shape[3])).mean(axis=2)     # global average pool
+    return pooled * gamma + beta
 
 
 def pooled_features(vision, lang_embed, store, backbone_kind):

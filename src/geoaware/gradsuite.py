@@ -140,17 +140,22 @@ def _check_conv1d_relu_pool(step):
 
 
 def _check_conv2d(step):
+    # Two chained convs: the second's input and the first's incoming gradient
+    # arrive as [B, C, H, W] views of batch-innermost memory.
     rng = np.random.default_rng(108)
     x = rng.normal(size=(2, 3, 6, 6))
-    k = rng.normal(size=(4, 3, 3, 3)) * 0.5
-    b = rng.normal(size=4) * 0.1
-    w = rng.normal(size=(2, 4, 3, 3))
+    k1 = rng.normal(size=(4, 3, 3, 3)) * 0.5
+    b1 = rng.normal(size=4) * 0.1
+    k2 = rng.normal(size=(3, 4, 3, 3)) * 0.5
+    b2 = rng.normal(size=3) * 0.1
+    w = rng.normal(size=(2, 3, 2, 2))
 
     def f(leaves):
-        h, kk, bb = leaves
-        return (conv2d(h, kk, bb, stride=2, padding=1) * Tensor(w)).sum()
+        h, kk1, bb1, kk2, bb2 = leaves
+        h = conv2d(h, kk1, bb1, stride=2, padding=1)
+        return (conv2d(h, kk2, bb2, stride=2, padding=1) * Tensor(w)).sum()
 
-    return grad_check(f, [x, k, b], step=step)
+    return grad_check(f, [x, k1, b1, k2, b2], step=step)
 
 
 def _check_embedding(step):

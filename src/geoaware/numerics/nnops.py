@@ -12,9 +12,15 @@ and a trunk block's whole self-attention (q/k/v projections, masked softmax,
 context and output projection) is one op, ``attention_block``.  Every
 product of an activation with a shared weight, ``x [..., K] @ w [K, N]``, is
 one GEMM over all leading axes on ``x.reshape(-1, K)``, forward and backward:
-``matmul``, the attention projections and ``conv2d``'s im2col product.  Ops
-do not check their results for NaN or Inf; see the ``tensor`` module for
-where finiteness is checked.
+``matmul`` and the attention projections.  ``conv2d``'s im2col contract:
+activations are held batch-innermost as [C, H, W, B]; the im2col matrix is
+[C_in * kh * kw, H_out * W_out * B] with rows in (c_in, i, j) order, built
+by one strided slice copy per kernel tap; the product is one GEMM with the
+[C_out, C_in * kh * kw] kernel matrix on the left, forward and for each
+gradient; and the output and input gradient are [B, C, H, W] views of
+[C, H, W, B] arrays, so stacked convs pass activations and gradients on
+without a layout copy.  Ops do not check their results for NaN or Inf; see
+the ``tensor`` module for where finiteness is checked.
 """
 
 from __future__ import annotations
@@ -223,8 +229,13 @@ def conv1d_relu_pool(layers, kernels, biases):
 def conv2d(x, kernels, bias, stride=1, padding=0):
     """2-D cross-correlation for [B, C_in, H, W] inputs, [C_out, C_in, kh, kw] kernels.
 
-    The input's windows are held as one [B * HW_out, C_in * kh * kw] im2col
-    matrix, so the forward product and each gradient are one GEMM.
+    Activations are held internally as [C, H, W, B], batch innermost, and
+    multiplied through the im2col matrix the module docstring describes.
+    The output is a view, the [B, C_out, H_out, W_out] transpose of a
+    [C_out, H_out, W_out, B] array, and so is the input gradient, of a
+    [C_in, H, W, B] array.  An input or incoming gradient already in that
+    layout, such as the previous conv's output after relu, is read without
+    a copy.
     """
     x, kernels, bias = as_tensor(x), as_tensor(kernels), as_tensor(bias)
     if x.ndim != 4:
@@ -240,30 +251,32 @@ def conv2d(x, kernels, bias, stride=1, padding=0):
     if h_out <= 0 or w_out <= 0:
         raise ShapeError(f"conv2d output extent would be {h_out}x{w_out}")
 
-    xp = np.pad(x.values, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.values
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    hw = h_out * w_out
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * hw, c_in * kh * kw)
+    xp = x.values.transpose(1, 2, 3, 0)  # [C_in, H, W, B]
+    if padding:
+        xp = np.pad(xp, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    n = h_out * w_out * b
+    cols = np.empty((c_in, kh, kw, h_out, w_out, b), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
+    cols = cols.reshape(c_in * kh * kw, n)
     w2 = kernels.values.reshape(c_out, c_in * kh * kw)
-    out = cols @ w2.T + bias.values  # [B*HW_out, C_out]
-    out_vals = out.reshape(b, hw, c_out).transpose(0, 2, 1).reshape(b, c_out, h_out, w_out)
+    out = w2 @ cols + bias.values[:, None]  # [C_out, H_out * W_out * B]
+    out_vals = out.reshape(c_out, h_out, w_out, b).transpose(3, 0, 1, 2)
 
     def backward(g):
-        gt = g.reshape(b, c_out, hw).transpose(0, 2, 1).reshape(b * hw, c_out)
+        gt = g.transpose(1, 2, 3, 0).reshape(c_out, n)
         if kernels.requires_grad:
-            kernels._accumulate((gt.T @ cols).reshape(c_out, c_in, kh, kw))
+            kernels._accumulate((gt @ cols.T).reshape(c_out, c_in, kh, kw))
         if bias.requires_grad:
-            bias._accumulate(gt.sum(axis=0))
+            bias._accumulate(gt.sum(axis=1))
         if x.requires_grad:
-            gcols = (gt @ w2).reshape(b, h_out, w_out, c_in, kh, kw)
-            gx = np.zeros((b, c_in, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
-            gc = gcols.transpose(0, 3, 1, 2, 4, 5)  # [B, C_in, H_out, W_out, kh, kw]
+            gcols = (w2.T @ gt).reshape(c_in, kh, kw, h_out, w_out, b)
+            gx = np.zeros((c_in, h + 2 * padding, w + 2 * padding, b), dtype=g.dtype)
             for i in range(kh):
                 for j in range(kw):
-                    gx[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += gc[:, :, :, :, i, j]
-            if padding:
-                gx = gx[:, :, padding : padding + h, padding : padding + w]
-            x._accumulate(gx)
+                    gx[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += gcols[:, i, j]
+            x._accumulate(gx[:, padding : padding + h, padding : padding + w].transpose(3, 0, 1, 2))
 
     return make_result(out_vals, (x, kernels, bias), backward)
 

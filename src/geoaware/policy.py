@@ -25,6 +25,7 @@ import numpy as np
 
 from geoaware.backbones import (
     PIXEL_CHANNELS,
+    SELECT_MODES,
     GeoBackbone,
     GeoStubConfig,
     init_pixel_params,
@@ -82,8 +83,8 @@ class PolicyConfig:
 
     def validate(self, geo: GeoStubConfig | None = None, error=ConfigError):
         """``self`` if every width and count is positive, the VQ-BeT loss
-        weights are not negative and the kinds are known, else raises
-        ``error``; a geo selection must fit ``geo``."""
+        weights are not negative and the kinds and layer selection mode are
+        known, else raises ``error``; a geo selection must fit ``geo``."""
         for name in ("repr_dim", "conv_dim", "hidden_dim", "lang_embed_dim", "chunk_len", "select_count",
                      "trunk_layers", "trunk_heads", "views", "vq_dim", "vq_hidden"):
             if getattr(self, name) < 1:
@@ -99,6 +100,8 @@ class PolicyConfig:
             raise error(f"unknown head_kind {self.head_kind!r}")
         if self.backbone_kind not in ("geo", "pixel"):
             raise error(f"unknown backbone_kind {self.backbone_kind!r}")
+        if self.select_mode not in SELECT_MODES:
+            raise error(f"unknown layer selection mode {self.select_mode!r} (expected {' | '.join(SELECT_MODES)})")
         if geo is not None and self.backbone_kind == "geo":
             # mode=all ignores the count; the others must fit the pyramid
             try:

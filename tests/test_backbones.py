@@ -20,7 +20,7 @@ from geoaware.backbones import (
 from geoaware.deskworld.camera import sample_viewpoints, seen_cameras
 from geoaware.deskworld.world import SimConfig, make_tasks, reset, step
 from geoaware.errors import ConfigError, FormatError, ShapeError
-from geoaware.numerics import ParamStore, Tensor, grad_check
+from geoaware.numerics import ParamStore, Tensor, conv2d, grad_check, relu
 
 
 def _scenes_and_cameras(n_scenes=4, n_cameras=4):
@@ -281,6 +281,22 @@ def test_film_modulates_output():
     out_a = pixel_pooled(images, Tensor(rng.standard_normal((2, 6))), store)
     out_b = pixel_pooled(images, Tensor(rng.standard_normal((2, 6))), store)
     assert np.abs(out_a.values - out_b.values).max() > 1e-6
+
+
+def test_pixel_pooled_equals_film_on_the_map_then_pool():
+    # FiLM's definition: modulate every position of the last map, then pool
+    store = _pixel_store(seed=7)
+    rng = np.random.default_rng(8)
+    images, lang = rng.uniform(0, 1, (3, 3, 16, 16)), rng.standard_normal((3, 6))
+    h = Tensor(images)
+    for i in range(1, len(PIXEL_CHANNELS) + 1):
+        h = relu(conv2d(h, store[f"pixel.conv{i}.w"], store[f"pixel.conv{i}.b"], stride=2, padding=1))
+    gamma = lang @ store["pixel.film.scale.w"].values + store["pixel.film.scale.b"].values
+    beta = lang @ store["pixel.film.shift.w"].values + store["pixel.film.shift.b"].values
+    expected = (gamma[:, :, None, None] * h.values + beta[:, :, None, None]).mean(axis=(2, 3))
+    got = pixel_pooled(Tensor(images), Tensor(lang), store).values
+    assert got.dtype == np.float64
+    assert np.abs(got - expected).max() <= 1e-12
 
 
 def test_pixel_encoder_gradients():

@@ -268,6 +268,7 @@ def _drop(key):
         lambda header: header["policy"].update(commitment_beta=-1.0),
         lambda header: header["policy"].update(select_count=5),
         lambda header: header["policy"].update(select_mode="bogus"),
+        lambda header: header["policy"].update(backbone_kind="pixel", select_mode="bogus"),
     ],
     ids=["no-policy", "no-geo", "no-vocab", "geo-extra", "sim-extra", "vocab-str", "codebook-trained-v2-key",
          "train-list", "policy-null", "header-extra", "frozen-str", "frozen-int-entry", "frozen-unknown-tensor",
@@ -275,7 +276,8 @@ def _drop(key):
          "policy-trunk-heads-zero", "policy-repr-dim-negative", "geo-feature-dim-zero", "geo-num-layers-one",
          "geo-num-keypoints-zero", "geo-lift-seed-negative", "train-lr-negative", "train-weight-decay-negative",
          "train-eval-every-negative", "train-seed-negative", "policy-offset-weight-negative",
-         "policy-commitment-beta-negative", "policy-select-count-over-layers", "policy-select-mode-unknown"],
+         "policy-commitment-beta-negative", "policy-select-count-over-layers", "policy-select-mode-unknown",
+         "policy-pixel-select-mode-unknown"],
 )
 def test_malformed_checkpoint_header_raises_format_error(tmp_path, edit, capsys):
     path = _checkpoint_header_edit(tmp_path, edit)
@@ -317,13 +319,15 @@ def test_checkpoint_without_train_and_sim_loads(tmp_path):
      {"geo": {"feature_dim": 0}}, {"geo": {"num_layers": 1}}, {"geo": {"num_keypoints": 0}},
      {"geo": {"lift_seed": -1}}, {"train": {"lr": -1.0}},
      {"train": {"weight_decay": -1e-4}}, {"train": {"eval_every": -1}}, {"seed": -1}, {"train": {"seed": -1}},
-     {"policy": {"offset_weight": -10.0}}, {"policy": {"commitment_beta": -1.0}}],
+     {"policy": {"offset_weight": -10.0}}, {"policy": {"commitment_beta": -1.0}},
+     {"policy": {"backbone_kind": "pixel", "select_mode": "bogus"}, "train": {"backbone_kind": "pixel"}}],
     ids=["seed-str", "seed-bool", "train-steps-str", "policy-hidden-dim-str", "sim-focal-null", "sim-focal-inf",
          "train-lr-nan", "sim-max-step-neg-inf", "sim-focal-huge-int", "sim-focal-zero", "sim-camera-radius-zero",
          "sim-max-step-negative", "sim-grasp-radius-zero", "sim-max-episode-steps-zero", "policy-trunk-heads-zero",
          "policy-conv-dim-negative", "geo-feature-dim-zero", "geo-num-layers-one", "geo-num-keypoints-zero",
          "geo-lift-seed-negative", "train-lr-negative", "train-weight-decay-negative", "train-eval-every-negative", "seed-negative",
-         "train-seed-negative", "policy-offset-weight-negative", "policy-commitment-beta-negative"],
+         "train-seed-negative", "policy-offset-weight-negative", "policy-commitment-beta-negative",
+         "policy-pixel-select-mode-unknown"],
 )
 def test_mistyped_run_config_raises_config_error(tmp_path, doc, capsys):
     path = tmp_path / "run.json"

@@ -271,18 +271,45 @@ def reference_conv2d(x, kernels, bias, stride, padding, g):
     return out, gx, gk, g.sum(axis=(0, 2, 3))
 
 
-@pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("padding", [0, 1])
-def test_conv2d_matches_reference(stride, padding):
+@pytest.mark.parametrize(
+    "padding, stride, layout",
+    [pytest.param(p, s, layout, id=f"{p}-{s}" if layout == "contiguous" else f"{layout}-{p}-{s}")
+     for layout in ("contiguous", "batch-innermost", "chain") for p in (0, 1) for s in (1, 2)]
+    + [pytest.param(1, 2, "float32", id="float32-1-2")],
+)
+def test_conv2d_matches_reference(padding, stride, layout):
+    # "batch-innermost": the input is a [B, C, H, W] view of [C, H, W, B] memory.
+    # "chain": two convs, so the second reads the first's output view and hands
+    # its input gradient back as a view; the reference is applied twice.
+    # "float32": float32 in, float32 out, every gradient included.
     rng = np.random.default_rng(10 * stride + padding)
-    x, k, bias = rng.standard_normal((2, 3, 6, 5)), rng.standard_normal((4, 3, 3, 3)), rng.standard_normal(4)
-    xt, kt, bt = (Tensor(v, requires_grad=True) for v in (x, k, bias))
-    out = conv2d(xt, kt, bt, stride=stride, padding=padding)
-    g = rng.standard_normal(out.shape)
-    tensor_sum(out * Tensor(g)).backward()
-    for got, ref in zip((out.values, xt.grad, kt.grad, bt.grad), reference_conv2d(x, k, bias, stride, padding, g)):
-        assert got.shape == ref.shape
-        assert np.abs(got - ref).max() <= 1e-12
+    x = rng.standard_normal((2, 3, 9, 8) if layout == "chain" else (2, 3, 6, 5))
+    params = [(rng.standard_normal((4, 3, 3, 3)), rng.standard_normal(4))]
+    if layout == "chain":
+        params.append((rng.standard_normal((2, 4, 3, 3)), rng.standard_normal(2)))
+    dtype = np.float32 if layout == "float32" else np.float64
+    x_in = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2) if layout == "batch-innermost" else x
+    xt = Tensor(x_in.astype(dtype), requires_grad=True)
+    leaves = [(Tensor(k.astype(dtype), requires_grad=True), Tensor(b.astype(dtype), requires_grad=True)) for k, b in params]
+    hs = [xt]
+    for kt, bt in leaves:
+        hs.append(conv2d(hs[-1], kt, bt, stride=stride, padding=padding))
+    g = rng.standard_normal(hs[-1].shape)
+    tensor_sum(hs[-1] * Tensor(g.astype(dtype))).backward()
+
+    # reference: forward layer by layer (its gradients unused), then backward in reverse
+    ins = [x]
+    for (k, b), h in zip(params, hs[1:]):
+        ins.append(reference_conv2d(ins[-1], k, b, stride, padding, np.zeros(h.shape))[0])
+    ref_grads, g_in = [], g
+    for (k, b), h_in in zip(reversed(params), reversed(ins[:-1])):
+        _, g_in, gk, gb = reference_conv2d(h_in, k, b, stride, padding, g_in)
+        ref_grads = [gk, gb] + ref_grads
+    got = [hs[-1].values, xt.grad] + [t.grad for pair in leaves for t in pair]
+    for got_t, ref in zip(got, [ins[-1], g_in] + ref_grads, strict=True):
+        assert got_t.shape == ref.shape and got_t.dtype == dtype
+        tol = 1e-5 * np.abs(ref).max() if dtype == np.float32 else 1e-12
+        assert np.abs(got_t - ref).max() <= tol
 
 
 @pytest.mark.parametrize("seed", range(5))
