@@ -7,6 +7,13 @@ GEOAWARE_SEED environment variable, which takes precedence over built-in
 defaults.  Exit codes: 0 success, 1 usage or input problem, 2 numeric abort
 (non-finite loss or gradient, or a failed gradient check), 3 checkpoint
 missing or config mismatch, 4 report schema mismatch.
+
+Concurrent runs: numpy's BLAS starts one thread per core by default, and
+several processes that each do so contend for the cores; four trainings at
+once on a 2-core host ran about 20x slower than one.  When running more than
+one process at a time, start each with ``OPENBLAS_NUM_THREADS=1`` (and
+``OMP_NUM_THREADS=1`` for other BLAS builds).  The program itself sets no
+thread count.
 """
 
 from __future__ import annotations
@@ -207,6 +214,11 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="geoaware",
         description="Viewpoint-generalization benchmark: geometric-feature policy vs pixel baseline.",
+        epilog=(
+            "Running several processes at once: start each with OPENBLAS_NUM_THREADS=1 (and OMP_NUM_THREADS=1), "
+            "or their BLAS threads contend for the cores; unpinned, four concurrent trainings on 2 cores ran about "
+            "20x slower."
+        ),
     )
     sub = parser.add_subparsers(dest="command")
 

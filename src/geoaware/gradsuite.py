@@ -13,14 +13,13 @@ import numpy as np
 from geoaware.backbones import GeoBackbone, GeoStubConfig, pixel_pooled, pooled_vision
 from geoaware.numerics.gradcheck import grad_check
 from geoaware.numerics.nnops import (
-    attention_block,
     conv1d_relu_pool,
     conv2d,
     cross_entropy,
     embedding_lookup,
-    layer_norm,
     mse_loss,
     relu,
+    transformer_block,
 )
 from geoaware.numerics.params import ParamStore
 from geoaware.numerics.tensor import Tensor, concat
@@ -96,33 +95,31 @@ def _check_relu(step):
     return grad_check(f, [a], step=step)
 
 
-def _check_layer_norm(step):
-    rng = np.random.default_rng(106)
-    x = rng.normal(size=(2, 3, 6))
-    gamma = rng.normal(size=6) * 0.5 + 1.0
-    beta = rng.normal(size=6) * 0.1
-    w = rng.normal(size=(2, 3, 6))
-
-    def f(leaves):
-        h, g, b = leaves
-        return (layer_norm(h, g, b) * Tensor(w)).sum()
-
-    return grad_check(f, [x, gamma, beta], step=step)
-
-
-def _check_attention_block(step):
-    # all 9 inputs are leaves; the causal mask zeroes every future key
-    rng = np.random.default_rng(109)
-    b, s, h, heads = 2, 4, 6, 2
+def _check_transformer_block(step):
+    # All 17 inputs are leaves, at S_q = S under the causal mask and at
+    # S_q = 1 under its last row, as the trunk's last block runs.  Seed chosen
+    # so every FFN relu preactivation sits at least 0.25 from the kink.
+    rng = np.random.default_rng(117)
+    b, s, h, width, heads = 2, 4, 6, 8, 2
     x = rng.normal(size=(b, s, h))
-    params = [rng.normal(size=shape) * 0.5 for _ in range(4) for shape in ((h, h), (h,))]
-    mask = causal_mask(s)
-    w = rng.normal(size=(b, s, h))
 
-    def f(leaves):
-        return (attention_block(*leaves, heads, mask) * Tensor(w)).sum()
+    def layer_norm_params():
+        return [rng.normal(size=h) * 0.5 + 1.0, rng.normal(size=h) * 0.1]
 
-    return grad_check(f, [x] + params, step=step)
+    params = layer_norm_params() + [rng.normal(size=shape) * 0.5 for _ in range(4) for shape in ((h, h), (h,))]
+    params += layer_norm_params() + [
+        rng.normal(size=(h, width)) * 0.5, rng.normal(size=width) * 0.1,
+        rng.normal(size=(width, h)) * 0.5, rng.normal(size=h) * 0.1,
+    ]
+    worst = 0.0
+    for mask in (causal_mask(s), causal_mask(s)[-1:]):
+        w = rng.normal(size=(b, mask.shape[0], h))
+
+        def f(leaves, mask=mask, w=w):
+            return (transformer_block(*leaves, heads, mask) * Tensor(w)).sum()
+
+        worst = max(worst, grad_check(f, [x] + params, step=step))
+    return worst
 
 
 def _check_conv1d_relu_pool(step):
@@ -256,7 +253,7 @@ def _check_trunk(step):
             store.replace(name, leaf)
         z_vis, z_lang, z_prop = leaves[len(names):]
         x = build_token_sequence(z_vis, z_lang, z_prop, store, cfg)
-        return (trunk_forward(x, store, cfg)[:, -1] * Tensor(w)).sum()
+        return (trunk_forward(x, store, cfg) * Tensor(w)).sum()
 
     inputs = [store[n].values.copy() for n in names] + zs
     return grad_check(f, inputs, step=step)
@@ -335,8 +332,7 @@ _CHECKS = [
     ("matmul", _check_matmul),
     ("reshape_transpose_slice_concat", _check_shape_ops),
     ("relu", _check_relu),
-    ("layer_norm", _check_layer_norm),
-    ("attention_block", _check_attention_block),
+    ("transformer_block", _check_transformer_block),
     ("conv1d_relu_pool", _check_conv1d_relu_pool),
     ("conv2d", _check_conv2d),
     ("embedding_lookup", _check_embedding),

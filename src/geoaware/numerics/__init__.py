@@ -20,14 +20,13 @@ from geoaware.numerics.tensor import (
     transpose,
 )
 from geoaware.numerics.nnops import (
-    attention_block,
     conv1d_relu_pool,
     conv2d,
     cross_entropy,
     embedding_lookup,
-    layer_norm,
     mse_loss,
     relu,
+    transformer_block,
 )
 from geoaware.numerics.params import ParamStore
 from geoaware.numerics.optim import AdamWState, adamw_step, init_adamw
@@ -47,8 +46,7 @@ __all__ = [
     "mean",
     "no_grad",
     "relu",
-    "layer_norm",
-    "attention_block",
+    "transformer_block",
     "conv1d_relu_pool",
     "conv2d",
     "embedding_lookup",

@@ -8,19 +8,20 @@ backward is checked against central finite differences by the gradient-check
 suite.  Ops are as coarse as their callers allow, since every op pays Python
 overhead: the geometric vision projection's per-layer conv, relu and token
 pooling are one op, ``conv1d_relu_pool``, over all selected layers at once,
-and a trunk block's whole self-attention (q/k/v projections, masked softmax,
-context and output projection) is one op, ``attention_block``.  Every
-product of an activation with a shared weight, ``x [..., K] @ w [K, N]``, is
-one GEMM over all leading axes on ``x.reshape(-1, K)``, forward and backward:
-``matmul`` and the attention projections.  ``conv2d``'s im2col contract:
-activations are held batch-innermost as [C, H, W, B]; the im2col matrix is
-[C_in * kh * kw, H_out * W_out * B] with rows in (c_in, i, j) order, built
-by one strided slice copy per kernel tap; the product is one GEMM with the
-[C_out, C_in * kh * kw] kernel matrix on the left, forward and for each
-gradient; and the output and input gradient are [B, C, H, W] views of
-[C, H, W, B] arrays, so stacked convs pass activations and gradients on
-without a layout copy.  Ops do not check their results for NaN or Inf; see
-the ``tensor`` module for where finiteness is checked.
+and a whole pre-norm trunk block (layer norm, q/k/v projections, masked
+softmax, output projection, residual, layer norm, relu FFN, residual) is one
+op, ``transformer_block``, whose queries may be only the last positions.
+Every product of an activation with a shared weight, ``x [..., K] @ w
+[K, N]``, is one GEMM over all leading axes on ``x.reshape(-1, K)``, forward
+and backward: ``matmul`` and the block's projections.  ``conv2d``'s im2col
+contract: activations are held batch-innermost as [C, H, W, B]; the im2col
+matrix is [C_in * kh * kw, H_out * W_out * B] with rows in (c_in, i, j)
+order, built by one strided slice copy per kernel tap; the product is one
+GEMM with the [C_out, C_in * kh * kw] kernel matrix on the left, forward
+and for each gradient; and the output and input gradient are [B, C, H, W]
+views of [C, H, W, B] arrays, so stacked convs pass activations and
+gradients on without a layout copy.  Ops do not check their results for NaN
+or Inf; see the ``tensor`` module for where finiteness is checked.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from geoaware.errors import InputError, ShapeError
 from geoaware.numerics.tensor import as_tensor, make_result
 
-# -- activations and normalization -------------------------------------------
+# -- activations -------------------------------------------------------------
 
 
 def relu(a):
@@ -45,35 +46,35 @@ def relu(a):
     return make_result(out_vals, (a,), backward)
 
 
-def layer_norm(x, gamma, beta, eps=1e-6):
+# -- the transformer block ---------------------------------------------------
+#
+# The block's parts are private helper pairs on plain arrays: ``_part(...)``
+# returns (output, saved) and ``_part_grad(g, saved)`` one gradient per input
+# array, in argument order.  ``transformer_block`` chains them under one
+# ``make_result``.
+
+
+def _layer_norm(x, gamma, beta, eps=1e-6):
     """Normalize the last axis to zero mean / unit variance, then scale-shift."""
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     d = x.shape[-1]
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise ShapeError(f"layer_norm affine params must have shape ({d},)")
-    mu = x.values.mean(axis=-1, keepdims=True)
-    xc = x.values - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out_vals = xhat * gamma.values + beta.values
-
-    def backward(g):
-        if x.requires_grad:
-            dxhat = g * gamma.values
-            term1 = dxhat.mean(axis=-1, keepdims=True)
-            term2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate(inv * (dxhat - term1 - xhat * term2))
-        lead = tuple(range(g.ndim - 1))
-        if gamma.requires_grad:
-            gamma._accumulate((g * xhat).sum(axis=lead))
-        if beta.requires_grad:
-            beta._accumulate(g.sum(axis=lead))
-
-    return make_result(out_vals, (x, gamma, beta), backward)
+    xhat = x - x.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / d + eps)
+    xhat *= inv
+    out = xhat * gamma
+    out += beta
+    return out, (gamma, xhat, inv)
 
 
-# -- attention ---------------------------------------------------------------
+def _layer_norm_grad(g, saved):
+    """Gradients of ``_layer_norm`` for x, gamma and beta; the affine ones sum
+    over the leading axes."""
+    gamma, xhat, inv = saved
+    d = g.shape[-1]
+    dxhat = g * gamma
+    term1 = dxhat.sum(axis=-1, keepdims=True) / d
+    term2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / d
+    lead = tuple(range(g.ndim - 1))
+    return inv * (dxhat - term1 - xhat * term2), (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
 
 def _softmax_grad(out, g):
@@ -81,64 +82,123 @@ def _softmax_grad(out, g):
     return out * (g - (g * out).sum(axis=-1, keepdims=True))
 
 
-def attention_block(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, mask):
-    """Multi-head self-attention with its output projection: [B, S, H] -> [B, S, H].
+def _attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, mask):
+    """Multi-head attention of the last S_q positions of ``x`` [B, S, H] over
+    all S, with its output projection: [B, S_q, H], where S_q is the number
+    of rows of the [S_q, S] additive ``mask``.
 
-    q, k and v are ``x @ w + b`` for their [H, H] weights and [H] biases,
-    computed as one matmul over the concatenated weights and split into
-    ``heads`` heads of width H / heads.  Scores are q k^T / sqrt(H / heads)
-    plus ``mask``, a plain [S, S] additive array (not differentiated), then
-    a numerically stable softmax over keys; the heads' contexts are
-    concatenated and projected by ``wo``, ``bo``.  Computes in ``x``'s dtype:
-    the mask is cast to it and the scale is a Python float, so float32
-    inputs never promote.
+    q, k and v come from one GEMM over the concatenated [H, 3H] weights, for
+    every position, and split into ``heads`` heads of width H / heads; the
+    queries are then cut to the last S_q positions.  Scores are
+    q k^T / sqrt(H / heads) plus ``mask``, then a numerically stable softmax
+    over keys; the heads' contexts are concatenated and projected by ``wo``,
+    ``bo``.
     """
-    x, wq, bq, wk, bk, wv, bv, wo, bo = (as_tensor(t) for t in (x, wq, bq, wk, bk, wv, bv, wo, bo))
-    if x.ndim != 3:
-        raise ShapeError(f"attention input must be [batch, length, width], got {x.shape}")
     b, s, h = x.shape
-    if heads < 1 or h % heads:
-        raise ShapeError(f"width {h} does not split into {heads} heads")
-    if any(w.shape != (h, h) for w in (wq, wk, wv, wo)) or any(t.shape != (h,) for t in (bq, bk, bv, bo)):
-        raise ShapeError(f"attention weights must be ({h}, {h}) and biases ({h},)")
-    mask = np.asarray(mask, dtype=x.values.dtype)
-    if mask.shape != (s, s):
-        raise ShapeError(f"attention mask must be ({s}, {s}), got {mask.shape}")
+    sq = mask.shape[0]
     dh = h // heads
     scale = 1.0 / math.sqrt(dh)
-
-    x2 = x.values.reshape(b * s, h)
-    w_qkv = np.concatenate([wq.values, wk.values, wv.values], axis=1)        # [H, 3H]
-    qkv = x2 @ w_qkv + np.concatenate([bq.values, bk.values, bv.values])    # [B*S, 3H]
+    x2 = x.reshape(b * s, h)
+    w_qkv = np.concatenate([wq, wk, wv], axis=1)                            # [H, 3H]
+    qkv = x2 @ w_qkv                                                        # [B*S, 3H]
+    qkv += np.concatenate([bq, bk, bv])
     q, k, v = qkv.reshape(b, s, 3, heads, dh).transpose(2, 0, 3, 1, 4)     # 3 x [B, heads, S, dh]
-    scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-    scores += mask
-    att = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    q = q[:, :, s - sq:]
+    att = q @ k.transpose(0, 1, 3, 2)                                      # the scores, then softmax in place
+    att *= scale
+    att += mask
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
     att /= att.sum(axis=-1, keepdims=True)
-    ctx = (att @ v).transpose(0, 2, 1, 3).reshape(b * s, h)
-    out_vals = (ctx @ wo.values + bo.values).reshape(b, s, h)
+    ctx = (att @ v).transpose(0, 2, 1, 3).reshape(b * sq, h)
+    out = ctx @ wo
+    out += bo
+    return out.reshape(b, sq, h), (x2, w_qkv, wo, q, k, v, att, ctx, scale)
+
+
+def _attention_grad(g, saved):
+    """Gradients of ``_attention`` for x, wq, bq, wk, bk, wv, bv, wo and bo."""
+    x2, w_qkv, wo, q, k, v, att, ctx, scale = saved
+    b, heads, sq, dh = q.shape
+    s, h = k.shape[2], heads * dh
+    g2 = g.reshape(b * sq, h)
+    gctx = (g2 @ wo.T).reshape(b, sq, heads, dh).transpose(0, 2, 1, 3)
+    gatt = gctx @ v.transpose(0, 1, 3, 2)
+    gscores = _softmax_grad(att, gatt) * scale
+    gqkv = np.zeros((3, b, heads, s, dh), dtype=g.dtype)                   # positions without a query get no q gradient
+    gqkv[0, :, :, s - sq:] = gscores @ k
+    gqkv[1] = gscores.transpose(0, 1, 3, 2) @ q
+    gqkv[2] = att.transpose(0, 1, 3, 2) @ gctx
+    gqkv = gqkv.transpose(1, 3, 0, 2, 4).reshape(b * s, 3 * h)            # [B*S, 3H], columns q | k | v
+    gw = x2.T @ gqkv
+    gb = gqkv.sum(axis=0)
+    return (
+        (gqkv @ w_qkv.T).reshape(b, s, h),
+        gw[:, :h], gb[:h], gw[:, h:2 * h], gb[h:2 * h], gw[:, 2 * h:], gb[2 * h:],
+        ctx.T @ g2, g2.sum(axis=0),
+    )
+
+
+def transformer_block(x, ln1_g, ln1_b, wq, bq, wk, bk, wv, bv, wo, bo, ln2_g, ln2_b, w1, b1, w2, b2, heads, mask):
+    """One pre-norm transformer block: [B, S, H] -> [B, S_q, H].
+
+    LN1, then multi-head self-attention (``_attention``: [H, H] q/k/v/o
+    weights, [H] biases) whose queries are the last S_q positions, plus the
+    residual stream at those positions; then LN2, a relu FFN ``w1`` [H, F],
+    ``b1`` [F], ``w2`` [F, H], ``b2`` [H], and the residual again.  ``mask``
+    is a plain [S_q, S] additive array (not differentiated), 1 <= S_q <= S:
+    ``causal_mask(S)`` runs every position, its last row only the last one.
+    Both layer norms use eps 1e-6 and [H] gains and shifts.  Computes in
+    ``x``'s dtype: the mask is cast to it and the scale is a Python float,
+    so float32 inputs never promote.
+    """
+    leaves = tuple(map(as_tensor, (x, ln1_g, ln1_b, wq, bq, wk, bk, wv, bv, wo, bo, ln2_g, ln2_b, w1, b1, w2, b2)))
+    vals = [t.values for t in leaves]
+    if vals[0].ndim != 3:
+        raise ShapeError(f"transformer block input must be [batch, length, width], got {vals[0].shape}")
+    b, s, h = vals[0].shape
+    if heads < 1 or h % heads:
+        raise ShapeError(f"width {h} does not split into {heads} heads")
+    f = vals[14].size
+    expected = [(h,)] * 2 + [(h, h), (h,)] * 4 + [(h,)] * 2 + [(h, f), (f,), (f, h), (h,)]
+    shapes = [v.shape for v in vals[1:]]
+    if shapes != expected:
+        raise ShapeError(f"transformer block parameters must have shapes {expected}, got {shapes}")
+    mask = np.asarray(mask, dtype=vals[0].dtype)
+    if mask.ndim != 2 or mask.shape[1] != s or not 1 <= mask.shape[0] <= s:
+        raise ShapeError(f"transformer block mask must be [S_q, {s}] with 1 <= S_q <= {s}, got {mask.shape}")
+    sq = mask.shape[0]
+
+    n1, ln1 = _layer_norm(vals[0], vals[1], vals[2])
+    r, attn = _attention(n1, *vals[3:11], heads, mask)
+    r += vals[0][:, s - sq:]                                                # the residual stream at the queries
+    r = r.reshape(b * sq, h)
+    n2, ln2 = _layer_norm(r, vals[11], vals[12])
+    hid = n2 @ vals[13]
+    hid += vals[14]
+    np.maximum(hid, 0.0, out=hid)
+    out = hid @ vals[15]
+    out += vals[16]
+    out += r
 
     def backward(g):
-        g2 = g.reshape(b * s, h)
-        gctx = (g2 @ wo.values.T).reshape(b, s, heads, dh).transpose(0, 2, 1, 3)
-        gatt = gctx @ v.transpose(0, 1, 3, 2)
-        gscores = _softmax_grad(att, gatt) * scale
-        gqkv = np.stack([gscores @ k, gscores.transpose(0, 1, 3, 2) @ q, att.transpose(0, 1, 3, 2) @ gctx])
-        gqkv = gqkv.transpose(1, 3, 0, 2, 4).reshape(b * s, 3 * h)        # [B*S, 3H], columns q | k | v
-        gw = x2.T @ gqkv
-        gb = gqkv.sum(axis=0)
-        grads = [
-            (wq, gw[:, :h]), (wk, gw[:, h:2 * h]), (wv, gw[:, 2 * h:]),
-            (bq, gb[:h]), (bk, gb[h:2 * h]), (bv, gb[2 * h:]),
-            (wo, ctx.T @ g2), (bo, g2.sum(axis=0)),
-        ]
-        if x.requires_grad:
-            grads.append((x, (gqkv @ w_qkv.T).reshape(b, s, h)))
-        for t, g_t in grads:
+        g2 = g.reshape(b * sq, h)
+        ghid = g2 @ vals[15].T
+        ghid *= hid > 0.0
+        gr, g_ln2_g, g_ln2_b = _layer_norm_grad(ghid @ vals[13].T, ln2)
+        gr += g2
+        g_n1, *g_attn = _attention_grad(gr, attn)
+        gx, g_ln1_g, g_ln1_b = _layer_norm_grad(g_n1, ln1)
+        gx[:, s - sq:] += gr.reshape(b, sq, h)
+        grads = (
+            gx, g_ln1_g, g_ln1_b, *g_attn, g_ln2_g, g_ln2_b,
+            n2.T @ ghid, ghid.sum(axis=0), hid.T @ g2, g2.sum(axis=0),
+        )
+        for t, g_t in zip(leaves, grads):
             if t.requires_grad:
                 t._accumulate(g_t)
 
-    return make_result(out_vals, (x, wq, bq, wk, bk, wv, bv, wo, bo), backward)
+    return make_result(out.reshape(b, sq, h), leaves, backward)
 
 
 # -- convolutions ------------------------------------------------------------

@@ -7,8 +7,10 @@ one trainable projection ``vision.mlp`` (``project_vision``) for either backbone
 
 Every function here takes a batch: instructions are a sequence, states and
 embeddings carry a leading batch axis, and one scene is a batch of one.
-``policy_forward`` ends at the trunk's action-token embedding ``h_action``;
-the head runs only where an action chunk is used (``Policy.head``), so the
+Each trunk block is one ``transformer_block`` op; only the action token is
+read from the trunk, so its last block computes just that token, and
+``trunk_forward`` and ``policy_forward`` end at its embedding ``h_action``.
+The head runs only where an action chunk is used (``Policy.head``), so the
 VQ-BeT training objective reads ``h_action`` without decoding a chunk.
 The action codebook is trained once ``vq.codes`` is frozen.
 
@@ -19,6 +21,7 @@ reproduces initialization bit-for-bit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,14 +40,13 @@ from geoaware.errors import ConfigError, ShapeError, StateError, VocabularyError
 from geoaware.numerics import (
     ParamStore,
     Tensor,
-    attention_block,
     cross_entropy,
     embedding_lookup,
-    layer_norm,
     matmul,
     mse_loss,
     no_grad,
     relu,
+    transformer_block,
 )
 from geoaware.numerics.tensor import as_tensor, broadcast_to, concat, reshape
 
@@ -245,36 +247,40 @@ def build_token_sequence(z_vis, z_lang, z_proprio, store, cfg: PolicyConfig):
     return concat(parts, axis=1) + store["token.pos"]
 
 
+@functools.cache
 def causal_mask(length, dtype=np.float64):
-    """Additive attention mask, a plain [length, length] array: 0 on and below
-    the diagonal, a huge negative above.  exp of the fill underflows to
-    exactly zero, so future positions contribute nothing, making causality
-    exact rather than approximate."""
-    mask = np.zeros((length, length), dtype=dtype)
-    mask[np.triu_indices(length, k=1)] = ATTENTION_MASK_FILL
+    """Additive attention mask, a plain read-only [length, length] array: 0
+    on and below the diagonal, a huge negative above.  exp of the fill
+    underflows to exactly zero, so future positions contribute nothing,
+    making causality exact rather than approximate.  Built once per
+    ``(length, dtype)``; every call with those arguments returns the same
+    array."""
+    mask = np.triu(np.full((length, length), ATTENTION_MASK_FILL, dtype=dtype), k=1)
+    mask.flags.writeable = False
     return mask
 
 
-def _attention(x, store, prefix, cfg, mask):
-    params = [store[f"{prefix}.attn.{name}.{part}"] for name in ("q", "k", "v", "o") for part in ("w", "b")]
-    return attention_block(x, *params, cfg.trunk_heads, mask)
+# a trunk block's parameters under ``trunk{i}.``, in ``transformer_block``'s argument order
+_BLOCK_PARAMS = (
+    "ln1.g", "ln1.b", "attn.q.w", "attn.q.b", "attn.k.w", "attn.k.b", "attn.v.w", "attn.v.b", "attn.o.w", "attn.o.b",
+    "ln2.g", "ln2.b", "ff.1.w", "ff.1.b", "ff.2.w", "ff.2.b",
+)
 
 
 def trunk_forward(x, store, cfg: PolicyConfig):
     """Pre-norm causal transformer over the token sequence ``x`` [batch,
-    length, repr_dim] (positions already added); returns every position's
-    output [batch, length, hidden].  The action token's embedding is the last
-    position, ``[:, -1]``."""
+    length, repr_dim] (positions already added); returns the action token's
+    embedding h_action [batch, hidden].  Blocks ``0 .. trunk_layers - 2`` run
+    every position under the causal mask; the last block runs only the
+    action token (the last position) as a query, with the mask's last row,
+    since no other position of its output is read."""
     if cfg.repr_dim != cfg.hidden_dim:
         x = matmul(x, store["adapter.w"]) + store["adapter.b"]
     mask = causal_mask(x.shape[1], dtype=x.values.dtype)
     for blk in range(cfg.trunk_layers):
-        p = f"trunk{blk}"
-        normed = layer_norm(x, store[f"{p}.ln1.g"], store[f"{p}.ln1.b"])
-        x = x + _attention(normed, store, p, cfg, mask)
-        normed = layer_norm(x, store[f"{p}.ln2.g"], store[f"{p}.ln2.b"])
-        x = x + _mlp2(normed, store, f"{p}.ff.1", f"{p}.ff.2")
-    return x
+        params = [store[f"trunk{blk}.{name}"] for name in _BLOCK_PARAMS]
+        x = transformer_block(x, *params, cfg.trunk_heads, mask[-1:] if blk == cfg.trunk_layers - 1 else mask)
+    return reshape(x, (x.shape[0], x.shape[2]))
 
 
 # -- heads -------------------------------------------------------------------
@@ -358,8 +364,9 @@ def vqbet_train_loss(h_action, expert_actions, store, cfg: PolicyConfig):
 
 
 def policy_forward(vision, instructions, proprio, store, cfg: PolicyConfig, vocab):
-    """Batched pass from featurized observations to the trunk's action-token
-    embedding h_action [batch, hidden]; a head turns it into actions.
+    """Batched pass from featurized observations to h_action [batch,
+    hidden], the action-token embedding ``trunk_forward`` returns; a head
+    turns it into actions.
 
     ``vision`` is [batch, views, L_selected, tokens, channels] for the geo
     backbone (the selected layers of the frozen pyramid, every one of which
@@ -375,7 +382,7 @@ def policy_forward(vision, instructions, proprio, store, cfg: PolicyConfig, voca
     pooled = pooled_features(vision, z_lang, store, cfg.backbone_kind)
     z_vis = reshape(project_vision(pooled, store), (vision.shape[0], cfg.views, cfg.repr_dim))
     x = build_token_sequence(z_vis, z_lang, encode_proprio(proprio, store), store, cfg)
-    return trunk_forward(x, store, cfg)[:, -1]
+    return trunk_forward(x, store, cfg)
 
 
 class Policy:

@@ -397,6 +397,11 @@ def test_help_lists_defaults(capsys):
     assert "(default: mlp)" in out
 
 
+def test_help_says_to_pin_blas_threads_for_concurrent_runs(capsys):
+    assert main(["--help"]) == 0
+    assert "OPENBLAS_NUM_THREADS=1" in capsys.readouterr().out
+
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 

@@ -8,7 +8,7 @@ from geoaware.gradsuite import SUITE_TOLERANCE, run_gradcheck_suite, suite_passe
 
 EXPECTED_COMPONENTS = {
     "add_sub_mul", "matmul", "reshape_transpose_slice_concat", "relu",
-    "layer_norm", "attention_block", "conv1d_relu_pool", "conv2d",
+    "transformer_block", "conv1d_relu_pool", "conv2d",
     "embedding_lookup", "mse_loss", "cross_entropy", "project_vision",
     "pixel_encoder", "trunk", "mlp_head", "vqbet_head", "end_to_end",
 }
@@ -42,7 +42,7 @@ def test_broken_conv1d_backward_is_named(monkeypatch):
 
 
 def test_broken_attention_backward_is_named(monkeypatch):
-    # skews the softmax term of attention_block's backward
+    # skews the softmax term of transformer_block's backward
     original = nnops._softmax_grad
 
     def skewed(out, g):
@@ -52,4 +52,19 @@ def test_broken_attention_backward_is_named(monkeypatch):
     records = run_gradcheck_suite()
     assert not suite_passed(records)
     failed = {r["component"] for r in records if not r["passed"]}
-    assert "attention_block" in failed
+    assert "transformer_block" in failed
+
+
+def test_broken_layer_norm_backward_is_named(monkeypatch):
+    # skews the input gradient of transformer_block's layer norms
+    original = nnops._layer_norm_grad
+
+    def skewed(g, saved):
+        gx, g_gamma, g_beta = original(g, saved)
+        return gx * 1.01, g_gamma, g_beta
+
+    monkeypatch.setattr(nnops, "_layer_norm_grad", skewed)
+    records = run_gradcheck_suite()
+    assert not suite_passed(records)
+    failed = {r["component"] for r in records if not r["passed"]}
+    assert "transformer_block" in failed

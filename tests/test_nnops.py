@@ -5,26 +5,40 @@ import math
 import numpy as np
 import pytest
 
+import geoaware.numerics.nnops as nnops
 from geoaware.errors import InputError, ShapeError
 from geoaware.numerics import (
     Tensor,
-    attention_block,
     conv1d_relu_pool,
     conv2d,
     cross_entropy,
     embedding_lookup,
     grad_check,
-    layer_norm,
     mse_loss,
     relu,
     tensor_sum,
+    transformer_block,
 )
+from geoaware.numerics.tensor import make_result
 from geoaware.policy import causal_mask
 
 TOL = 1e-4
 
 
-# -- relu / layer_norm --------------------------------------------------------
+def part_op(part, part_grad, *ts, **kw):
+    """One part of ``transformer_block``, a private helper pair such as
+    ``nnops._layer_norm`` and ``nnops._layer_norm_grad``, as a tape op of its
+    own, so finite differences probe that part alone."""
+    out, saved = part(*(t.values for t in ts), **kw)
+
+    def backward(g):
+        for t, g_t in zip(ts, part_grad(g, saved)):
+            t._accumulate(g_t)
+
+    return make_result(out, ts, backward)
+
+
+# -- relu / layer norm -------------------------------------------------------
 
 
 def test_relu_values():
@@ -33,11 +47,12 @@ def test_relu_values():
 
 
 def test_layer_norm_standardizes():
+    # the transformer block's layer norm
     rng = np.random.default_rng(1)
     x = rng.standard_normal((5, 64)) * 3.0 + 2.0
-    out = layer_norm(Tensor(x), Tensor(np.ones(64)), Tensor(np.zeros(64)))
-    assert np.allclose(out.values.mean(axis=-1), 0.0, atol=1e-5)
-    assert np.allclose(out.values.var(axis=-1), 1.0, atol=1e-5)
+    out, _ = nnops._layer_norm(x, np.ones(64), np.zeros(64))
+    assert np.allclose(out.mean(axis=-1), 0.0, atol=1e-5)
+    assert np.allclose(out.var(axis=-1), 1.0, atol=1e-5)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -47,26 +62,31 @@ def test_activation_grads_match_fd(seed):
     g, b = rng.standard_normal(7), rng.standard_normal(7)
     w = rng.standard_normal((4, 7))
 
+    def layer_norm(ts):
+        return tensor_sum(part_op(nnops._layer_norm, nnops._layer_norm_grad, *ts[:3]) * ts[3])
+
     assert grad_check(lambda ts: tensor_sum(relu(ts[0]) * ts[1]), [x, w]) <= TOL
-    assert grad_check(lambda ts: tensor_sum(layer_norm(ts[0], ts[1], ts[2]) * ts[3]), [x, g, b, w]) <= TOL
+    assert grad_check(layer_norm, [x, g, b, w]) <= TOL
 
 
-# -- attention_block ----------------------------------------------------------
+# -- the attention part of transformer_block ---------------------------------
 
 
 def reference_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, mask):
-    """Self-attention from its definition, one row, head and query at a time."""
+    """Self-attention from its definition, one row, head and query at a time;
+    the queries are the last ``mask.shape[0]`` positions."""
     b, s, h = x.shape
+    sq = mask.shape[0]
     dh = h // heads
     x, mask = x.astype(np.float64), mask.astype(np.float64)
-    out = np.zeros((b, s, h))
+    out = np.zeros((b, sq, h))
     for row in range(b):
         q, k, v = (x[row] @ w + bias for w, bias in ((wq, bq), (wk, bk), (wv, bv)))
-        ctx = np.zeros((s, h))
+        ctx = np.zeros((sq, h))
         for head in range(heads):
             cols = slice(head * dh, (head + 1) * dh)
-            for i in range(s):
-                scores = np.array([q[i, cols] @ k[j, cols] / math.sqrt(dh) + mask[i, j] for j in range(s)])
+            for i in range(sq):
+                scores = np.array([q[s - sq + i, cols] @ k[j, cols] / math.sqrt(dh) + mask[i, j] for j in range(s)])
                 weights = np.exp(scores - scores.max())
                 ctx[i, cols] = sum(wt * v[j, cols] for j, wt in enumerate(weights / weights.sum()))
         out[row] = ctx @ wo + bo
@@ -85,27 +105,27 @@ def test_attention_block_matches_reference(shape, dtype, tol, causal):
     b, s, h, heads = shape
     inputs = random_attention_inputs(np.random.default_rng(sum(shape)), b, s, h, dtype)
     mask = causal_mask(s) if causal else np.zeros((s, s))
-    out = attention_block(*inputs, heads, mask)
+    out, _ = nnops._attention(*inputs, heads, mask.astype(dtype))
     assert out.dtype == dtype
     ref = reference_attention(*inputs, heads, mask)
     assert out.shape == ref.shape == (b, s, h)
-    assert np.abs(out.values - ref).max() <= tol
+    assert np.abs(out - ref).max() <= tol
 
 
 def test_attention_block_shape_errors():
-    x, w, bias, mask = np.ones((2, 3, 4)), np.ones((4, 4)), np.zeros(4), np.zeros((3, 3))
-    good = [x, w, bias, w, bias, w, bias, w, bias]
+    # the attention arguments of transformer_block: x, then wq, bq, ..., wo, bo at 3-10
+    inputs, mask = random_block_inputs(np.random.default_rng(0), 2, 3, 4, 5), np.zeros((3, 3))
     bad = [
-        (good, 3, mask),                                    # width 4 does not split into 3 heads
-        (good, 0, mask),                                    # no heads
-        (good, 2, np.zeros((3, 4))),                        # mask does not match the length
-        ([np.ones((3, 4))] + good[1:], 2, mask),            # unbatched input
-        (good[:7] + [np.ones((4, 5)), bias], 2, mask),      # output projection not square
-        (good[:2] + [np.zeros(5)] + good[3:], 2, mask),     # wrong bias width
+        ({}, 3, mask),                                  # width 4 does not split into 3 heads
+        ({}, 0, mask),                                  # no heads
+        ({}, 2, np.zeros((3, 4))),                      # mask does not match the length
+        ({0: np.ones((3, 4))}, 2, mask),                # unbatched input
+        ({9: np.ones((4, 5))}, 2, mask),                # output projection not square
+        ({4: np.zeros(5)}, 2, mask),                    # wrong bias width
     ]
-    for inputs, heads, m in bad:
+    for changes, heads, m in bad:
         with pytest.raises(ShapeError):
-            attention_block(*inputs, heads, m)
+            transformer_block(*[changes.get(i, a) for i, a in enumerate(inputs)], heads, m)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -116,7 +136,108 @@ def test_attention_block_grad_matches_fd(seed):
     probe = rng.standard_normal((1, 3, 4))
 
     def f(ts):
-        return tensor_sum(attention_block(*ts, 2, np.zeros((3, 3))) * Tensor(probe))
+        attention = part_op(nnops._attention, nnops._attention_grad, *ts, heads=2, mask=np.zeros((3, 3)))
+        return tensor_sum(attention * Tensor(probe))
+
+    assert grad_check(f, inputs) <= TOL
+
+
+# -- transformer_block -------------------------------------------------------
+
+
+def reference_layer_norm(x, gamma, beta):
+    """Layer norm from its definition, one vector at a time (eps 1e-6)."""
+    out = np.zeros(x.shape)
+    for idx in np.ndindex(x.shape[:-1]):
+        row = x[idx]
+        mu = sum(row) / len(row)
+        var = sum((v - mu) ** 2 for v in row) / len(row)
+        out[idx] = (row - mu) / math.sqrt(var + 1e-6) * gamma + beta
+    return out
+
+
+def reference_block(x, params, heads, mask):
+    """LN -> attention -> residual -> LN -> relu FFN -> residual in float64,
+    the queries and the residual stream being the last ``mask.shape[0]``
+    positions."""
+    x = x.astype(np.float64)
+    ln1_g, ln1_b, *attention, ln2_g, ln2_b, w1, b1, w2, b2 = (p.astype(np.float64) for p in params)
+    attended = reference_attention(reference_layer_norm(x, ln1_g, ln1_b), *attention, heads, mask)
+    r = x[:, x.shape[1] - mask.shape[0]:] + attended
+    out = r.copy()
+    for idx in np.ndindex(r.shape[:-1]):
+        hidden = np.maximum(reference_layer_norm(r[idx], ln2_g, ln2_b) @ w1 + b1, 0.0)
+        out[idx] += hidden @ w2 + b2
+    return out
+
+
+def random_block_inputs(rng, b, s, h, f, dtype=np.float64):
+    """x [b, s, h] and the 16 parameters of a block with FFN width f."""
+    def layer_norm_params():
+        return [rng.standard_normal(h) * 0.5 + 1.0, rng.standard_normal(h) * 0.1]
+
+    x, *attention = random_attention_inputs(rng, b, s, h)
+    ffn = [
+        rng.standard_normal((h, f)) * 0.5, rng.standard_normal(f) * 0.1,
+        rng.standard_normal((f, h)) * 0.5, rng.standard_normal(h) * 0.1,
+    ]
+    return [a.astype(dtype) for a in [x] + layer_norm_params() + attention + layer_norm_params() + ffn]
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("shape", [(1, 5, 8, 4, 16), (3, 4, 6, 2, 24), (2, 1, 4, 1, 16), (1, 1, 6, 3, 8)])
+@pytest.mark.parametrize("causal", [True, False])
+@pytest.mark.parametrize("queries", ["all", "last"])
+def test_transformer_block_matches_reference(shape, dtype, tol, causal, queries):
+    b, s, h, heads, f = shape
+    inputs = random_block_inputs(np.random.default_rng(sum(shape)), b, s, h, f, dtype)
+    mask = causal_mask(s) if causal else np.zeros((s, s))
+    if queries == "last":
+        mask = mask[-1:]
+    out = transformer_block(*inputs, heads, mask)
+    assert out.dtype == dtype
+    ref = reference_block(inputs[0], inputs[1:], heads, mask)
+    assert out.shape == ref.shape == (b, mask.shape[0], h)
+    assert np.abs(out.values - ref).max() <= tol
+
+
+def test_transformer_block_shape_errors():
+    # the block's own arguments: query count, mask, layer norms and FFN
+    inputs, mask = random_block_inputs(np.random.default_rng(0), 2, 3, 4, 5), np.zeros((3, 3))
+    assert transformer_block(*inputs, 2, mask).shape == (2, 3, 4)
+    bad_masks = [
+        np.zeros((4, 3)),                   # more queries than positions
+        np.zeros((0, 3)),                   # no query
+        np.zeros((1, 2)),                   # mask width is not the length
+        np.zeros(3),                        # not a matrix
+    ]
+    for m in bad_masks:
+        with pytest.raises(ShapeError):
+            transformer_block(*inputs, 2, m)
+    bad_params = [
+        (1, np.ones(5)),                    # layer-norm 1 gain width
+        (12, np.zeros(3)),                  # layer-norm 2 shift width
+        (13, np.ones((5, 4))),              # FFN in-projection transposed
+        (14, np.zeros(6)),                  # FFN bias does not match its width
+        (15, np.ones((4, 5))),              # FFN out-projection transposed
+        (16, np.zeros(5)),                  # output bias width
+    ]
+    for i, value in bad_params:
+        with pytest.raises(ShapeError):
+            transformer_block(*inputs[:i], value, *inputs[i + 1:], 2, mask)
+
+
+@pytest.mark.parametrize("queries", [5, 1])
+def test_transformer_block_grad_matches_fd(queries):
+    # batch 1, as in closed-loop rollouts; every input is a leaf.  Seed chosen
+    # so every FFN relu preactivation sits at least 0.17 from the kink.
+    rng = np.random.default_rng(47)
+    inputs = random_block_inputs(rng, 1, 5, 4, 6)
+    mask = causal_mask(5)[5 - queries:]
+    probe = rng.standard_normal((1, queries, 4))
+
+    def f(ts):
+        return tensor_sum(transformer_block(*ts, 2, mask) * Tensor(probe))
 
     assert grad_check(f, inputs) <= TOL
 

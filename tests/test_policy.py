@@ -11,12 +11,14 @@ from geoaware.deskworld.camera import sample_viewpoints, seen_cameras
 from geoaware.deskworld.dataset import generate_dataset
 from geoaware.deskworld.world import SimConfig, make_tasks, reset
 from geoaware.errors import CameraError, ConfigError, FormatError, ShapeError, StateError, VocabularyError
-from geoaware.numerics import Tensor, cross_entropy, grad_check, matmul, mse_loss
+from geoaware.numerics import Tensor, cross_entropy, grad_check, matmul, mse_loss, transformer_block
 from geoaware.persist import from_dict
 from geoaware.policy import (
+    _BLOCK_PARAMS,
     Policy,
     PolicyConfig,
     build_token_sequence,
+    causal_mask,
     codebook_param_names,
     encode_language,
     encode_proprio,
@@ -236,17 +238,52 @@ def test_token_sequence_layout():
         build_token_sequence(Tensor(np.zeros((2, 3, 8))), z, z, pol.params, pol.cfg)     # three views, two expected
 
 
+def all_query_blocks(pol, x):
+    """The trunk's blocks over ``x`` with every position a query in every
+    block, the last one included: [batch, length, hidden]."""
+    mask = causal_mask(x.shape[1])
+    for blk in range(pol.cfg.trunk_layers):
+        params = [pol.params[f"trunk{blk}.{name}"] for name in _BLOCK_PARAMS]
+        x = transformer_block(x, *params, pol.cfg.trunk_heads, mask)
+    return x
+
+
 def test_trunk_causality_is_exact():
+    # the trunk's blocks, run with the full causal mask: a position's output
+    # never depends on a later token, bit for bit
     pol = tiny_policy(seed=7)
     rng = np.random.default_rng(3)
     seq = _token_sequence(pol, rng, batch=1)
-    base = trunk_forward(seq, pol.params, pol.cfg).values.copy()
+    base = all_query_blocks(pol, seq).values.copy()
     for j in range(1, 5):
         bumped = seq.values.copy()
         bumped[:, j] += 17.0
-        out = trunk_forward(Tensor(bumped), pol.params, pol.cfg).values
+        out = all_query_blocks(pol, Tensor(bumped)).values
         assert np.array_equal(out[:, :j], base[:, :j])
         assert np.abs(out[:, j:] - base[:, j:]).max() > 1e-6
+
+
+def test_trunk_action_token_reads_every_token():
+    # a bump along a random direction: layer norm removes one along all ones
+    pol = tiny_policy(seed=7)
+    rng = np.random.default_rng(3)
+    seq = _token_sequence(pol, rng, batch=1)
+    base = trunk_forward(seq, pol.params, pol.cfg).values
+    for j in range(5):
+        bumped = seq.values.copy()
+        bumped[:, j] += rng.standard_normal(8)
+        assert np.abs(trunk_forward(Tensor(bumped), pol.params, pol.cfg).values - base).max() > 1e-6
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_trunk_matches_last_row_of_all_query_blocks(layers):
+    # the last block computes only the action token, and gets it as an
+    # all-query last block would
+    pol = tiny_policy(seed=9, trunk_layers=layers)
+    seq = _token_sequence(pol, np.random.default_rng(10), batch=3)
+    h_action = trunk_forward(seq, pol.params, pol.cfg)
+    assert h_action.shape == (3, 8)
+    assert np.abs(h_action.values - all_query_blocks(pol, seq).values[:, -1]).max() <= 1e-12
 
 
 def test_trunk_single_token_sequence():
@@ -254,9 +291,18 @@ def test_trunk_single_token_sequence():
     tokens = Tensor(np.random.default_rng(4).standard_normal((2, 1, 8)))
     out = trunk_forward(tokens, pol.params, pol.cfg)
     again = trunk_forward(tokens, pol.params, pol.cfg)
-    assert out.shape == (2, 1, 8)
+    assert out.shape == (2, 8)
     assert np.all(np.isfinite(out.values))
     assert np.array_equal(out.values, again.values)
+
+
+def test_causal_mask_is_built_once_and_read_only():
+    mask = causal_mask(5, np.float32)
+    assert causal_mask(5, np.float32) is mask
+    assert mask.dtype == np.float32
+    assert np.array_equal(mask == 0.0, np.tril(np.ones((5, 5), dtype=bool)))
+    with pytest.raises(ValueError):
+        mask[0, 1] = 0.0
 
 
 def test_trunk_gradients():
@@ -268,7 +314,7 @@ def test_trunk_gradients():
         saved = pol.params["trunk0.attn.q.w"]
         pol.params._entries["trunk0.attn.q.w"] = qw
         try:
-            out = trunk_forward(tokens + pol.params["token.pos"], pol.params, pol.cfg)[:, -1]
+            out = trunk_forward(tokens + pol.params["token.pos"], pol.params, pol.cfg)
         finally:
             pol.params._entries["trunk0.attn.q.w"] = saved
         return (out * out).mean()
@@ -541,7 +587,7 @@ def test_policy_vision_input_gradients():
         z_lang = encode_language([VOCAB[0], VOCAB[1]], pol.params, pol.vocab)
         z_prop = encode_proprio(leaves[3], pol.params)
         seq = build_token_sequence(z_vis, z_lang, z_prop, pol.params, pol.cfg)
-        h = trunk_forward(seq, pol.params, pol.cfg)[:, -1]
+        h = trunk_forward(seq, pol.params, pol.cfg)
         return (mlp_head(h, pol.params, pol.cfg) * 0.5).mean()
 
     leaves = [rng.standard_normal((4, 5, 4)) for _ in range(3)] + [rng.standard_normal((2, 7))]

@@ -8,7 +8,6 @@ from geoaware.errors import NumericError, ShapeError
 from geoaware.numerics import (
     Tensor,
     add,
-    attention_block,
     broadcast_to,
     concat,
     conv1d_relu_pool,
@@ -16,7 +15,6 @@ from geoaware.numerics import (
     cross_entropy,
     embedding_lookup,
     grad_check,
-    layer_norm,
     matmul,
     mean,
     mse_loss,
@@ -26,6 +24,7 @@ from geoaware.numerics import (
     reshape,
     sub,
     tensor_sum,
+    transformer_block,
     transpose,
 )
 
@@ -197,7 +196,10 @@ def test_detach_cuts_tape():
     assert x.grad is None
 
 
-# op name -> (input shapes, the op applied to one tensor per shape)
+BLOCK_SHAPES = [(1, 2, 4)] + [(4,)] * 2 + [(4, 4), (4,)] * 4 + [(4,)] * 2 + [(4, 8), (8,), (8, 4), (4,)]
+
+# case name -> (input shapes, the op applied to one tensor per shape[, the inputs
+# each tracked alone]); every input is tracked when the third entry is absent
 OP_CASES = {
     "add": ([(2, 3), (3,)], lambda t: add(*t)),
     "sub": ([(2, 3), (2, 3)], lambda t: sub(*t)),
@@ -210,8 +212,11 @@ OP_CASES = {
     "tensor_sum": ([(2, 3)], lambda t: tensor_sum(t[0], axis=1)),
     "mean": ([(2, 3)], lambda t: mean(t[0])),
     "relu": ([(2, 3)], lambda t: relu(t[0])),
-    "layer_norm": ([(2, 3), (3,), (3,)], lambda t: layer_norm(*t)),
-    "attention_block": ([(1, 2, 4)] + [(4, 4), (4,)] * 4, lambda t: attention_block(*t, heads=2, mask=np.zeros((2, 2)))),
+    "transformer_block": (BLOCK_SHAPES, lambda t: transformer_block(*t, heads=2, mask=np.zeros((1, 2)))),
+    # the block's layer-norm inputs (x, ln1_g, ln1_b, ln2_g, ln2_b) and attention
+    # inputs (x, wq .. bo), once the inputs of the layer_norm and attention_block ops
+    "layer_norm": (BLOCK_SHAPES, lambda t: transformer_block(*t, heads=2, mask=np.zeros((1, 2))), (0, 1, 2, 11, 12)),
+    "attention_block": (BLOCK_SHAPES, lambda t: transformer_block(*t, heads=2, mask=np.zeros((1, 2))), range(11)),
     "conv1d_relu_pool": ([(1, 4, 2)] * 2 + [(3, 2, 3)] * 2 + [(3,)] * 2,
                          lambda t: conv1d_relu_pool(t[0:2], t[2:4], t[4:6])),
     "conv2d": ([(1, 2, 4, 4), (3, 2, 3, 3), (3,)], lambda t: conv2d(*t, padding=1)),
@@ -226,12 +231,12 @@ def _on_tape(t):
     return t.requires_grad, t._backward is not None, len(t._parents) > 0
 
 
-@pytest.mark.parametrize("name", [name for name in numerics.__all__ if name not in NOT_OPS])
+@pytest.mark.parametrize("name", sorted({name for name in numerics.__all__ if name not in NOT_OPS} | set(OP_CASES)))
 def test_op_result_requires_grad_exactly_when_it_has_a_backward(name):
-    shapes, op = OP_CASES[name]
+    shapes, op, *tracked_alone = OP_CASES[name]
     rng = np.random.default_rng(0)
     values = [rng.standard_normal(shape) for shape in shapes]
-    for i in range(len(values)):
+    for i in (tracked_alone[0] if tracked_alone else range(len(values))):
         tracked = op([Tensor(v, requires_grad=j == i) for j, v in enumerate(values)])
         assert _on_tape(tracked) == (True, True, True)
 
