@@ -31,6 +31,7 @@ from geoaware.numerics.tensor import broadcast_to, reshape
 
 # Keypoint attribute classes (one-hot in world-frame vectors).
 ATTRIBUTES = ("ee", "red", "blue", "green", "yellow", "fiducial")
+_ATTRIBUTE_IDS = {name: i for i, name in enumerate(ATTRIBUTES)}
 RAW_WIDTH = 3 + len(ATTRIBUTES) + 1     # geometry triple + one-hot + visibility flag
 DEPTH_CLAMP = 0.05                      # view-frame depth floor (behind-camera keypoints)
 
@@ -38,6 +39,8 @@ DEPTH_CLAMP = 0.05                      # view-frame depth floor (behind-camera 
 FIDUCIALS = np.array(
     [[-0.4, -0.4, 0.0], [-0.4, 0.4, 0.0], [0.4, -0.4, 0.0], [0.4, 0.4, 0.0]]
 )
+_FIDUCIAL_ROWS = list(FIDUCIALS)
+_FIDUCIAL_IDS = [_ATTRIBUTE_IDS["fiducial"]] * len(FIDUCIALS)
 
 
 @dataclass
@@ -83,27 +86,28 @@ class GeoBackbone:
         regions and the table fiducials, in that order; rows past them are zero.
         """
         b, n = len(scenes), self.cfg.num_keypoints
-        positions = np.zeros((b, n, 3))
-        attrs = np.zeros((b, n), dtype=int)
-        valid = np.zeros((b, n), dtype=bool)
-        for i, scene in enumerate(scenes):
-            keypoints = [
-                (scene.ee_pos, "ee"),
-                *((o.pos, o.color) for o in scene.objects),
-                *((g.center, g.color) for g in scene.goal_regions),
-                *((f, "fiducial") for f in FIDUCIALS),
-            ]
-            k = len(keypoints)
-            if k > n:
-                raise ShapeError(f"scene has {k} keypoints but the stub is configured for {n}")
-            positions[i, :k] = [p for p, _ in keypoints]
-            attrs[i, :k] = [ATTRIBUTES.index(c) for _, c in keypoints]
-            valid[i, :k] = True
-        points = positions[valid]                               # [K_total, 3], scene-major
+        points, attrs, counts = [], [], []                      # keypoints scene-major
+        for s in scenes:
+            points.append(s.ee_pos)
+            attrs.append(_ATTRIBUTE_IDS["ee"])
+            for o in s.objects:
+                points.append(o.pos)
+                attrs.append(_ATTRIBUTE_IDS[o.color])
+            for g in s.goal_regions:
+                points.append(g.center)
+                attrs.append(_ATTRIBUTE_IDS[g.color])
+            points += _FIDUCIAL_ROWS
+            attrs += _FIDUCIAL_IDS
+            counts.append(len(s.objects) + len(s.goal_regions) + 1 + len(FIDUCIALS))
+        if max(counts, default=0) > n:
+            raise ShapeError(f"scene has {max(counts)} keypoints but the stub is configured for {n}")
+        valid = np.arange(n) < np.array(counts)[:, None]       # [B, N]
+        points = np.array(points, dtype=float)                  # [K_total, 3]
+        attrs = np.array(attrs)
 
         world = np.zeros((b, n, RAW_WIDTH))
         world[valid, 0:3] = points
-        world[valid, 3 + attrs[valid]] = 1.0
+        world[valid, 3 + attrs] = 1.0
         world[valid, -1] = 1.0
 
         views = np.zeros((b, len(cameras), n, RAW_WIDTH))
@@ -121,8 +125,11 @@ class GeoBackbone:
         """Selected layers for all scene/camera combinations:
         [B, V, L_selected, N, D] float64, in pick order."""
         views, worlds = self.raw_tokens(scenes, cameras)
+        b, v, n, r = views.shape
         alphas = self.alphas[:, None, None]                     # [L, 1, 1]
-        mixed = (1.0 - alphas) * views[:, :, None] + alphas * worlds[:, None, None]
+        mixed = np.empty((b, v, len(self.layers), n, r))
+        np.multiply(views[:, :, None], 1.0 - alphas, out=mixed)
+        mixed += (alphas * worlds[:, None])[:, None]
         return mixed @ self.lifts                               # [B, V, L, N, R] @ [L, R, D]
 
 

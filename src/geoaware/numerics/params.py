@@ -2,8 +2,8 @@
 
 The store is an ordered map name -> Tensor.  Frozen entries (pretrained
 backbone surrogates, the language table, a locked codebook) are exempt from
-optimization and never receive gradients; the optimizer asserts it has not
-touched them.
+optimization and never receive gradients; the optimizer never gathers them
+into its update, so their values stay bitwise untouched.
 """
 
 from __future__ import annotations

@@ -10,6 +10,14 @@ and accumulates gradients into every tensor with ``requires_grad=True``.
 Gradients add across uses and across backward calls; callers zero them
 explicitly (the optimizer clears them after each step).
 
+A tensor's first gradient is written once: ``_accumulate`` stores a copy of
+it, cast to the tensor's dtype and laid out like its values, instead of
+zero-filling an array and adding into it.  The copy never aliases the array
+an op passed in, so ops may hand one upstream array to several parents.
+Later gradients add in place.  A gradient whose shape differs from the
+tensor's raises ``ShapeError``: every backward passes exact shapes, and
+``_unbroadcast`` sums broadcast axes away before it does.
+
 Ops do not check their results for NaN or Inf, since a check on every op
 costs more than many of the ops themselves.  Finiteness is checked where the
 contract can be observed: a ``Tensor`` built from outside data, each
@@ -107,9 +115,14 @@ class Tensor:
         return out
 
     def _accumulate(self, g):
+        """Add ``g``, which must have this tensor's shape, to ``self.grad``."""
+        if g.shape != self.values.shape:
+            raise ShapeError(f"gradient of shape {g.shape} for a tensor of shape {self.values.shape}")
         if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        self.grad += g
+            self.grad = np.empty_like(self.values)
+            self.grad[...] = g
+        else:
+            self.grad += g
 
     def backward(self):
         """Accumulate d(self)/d(leaf) into every reachable requires_grad leaf;
@@ -391,7 +404,7 @@ def tensor_sum(a, axis=None, keepdims=False):
             gg = g
         else:
             gg = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(gg, a.shape).copy())
+        a._accumulate(np.broadcast_to(gg, a.shape))
 
     return make_result(out_vals, (a,), backward)
 

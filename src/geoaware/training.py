@@ -349,7 +349,8 @@ def _parse_header(header):
 def load_checkpoint(path) -> CheckpointBundle:
     """Rebuild a policy from a checkpoint written by ``save_checkpoint``.
 
-    A file that is not such a checkpoint raises ``FormatError``; a header
+    A file that is not such a checkpoint, or whose payload holds a NaN or
+    infinity, raises ``FormatError`` (naming the tensor); a header
     whose ``tensors`` differ from the ones its own config implies raises
     ``ConfigMismatchError``.
     """
@@ -379,6 +380,8 @@ def load_checkpoint(path) -> CheckpointBundle:
         raise FormatError(f"checkpoint body holds {len(body)} bytes, its tensors need {4 * sum(sizes)}")
     chunks = np.split(np.frombuffer(body, dtype="<f4"), np.cumsum(sizes)[:-1])
     for (name, shape), chunk in zip(implied, chunks):
+        if not np.all(np.isfinite(chunk)):
+            raise FormatError(f"checkpoint tensor {name!r} holds non-finite values")
         store[name].values = chunk.reshape(shape).copy()
     unknown = set(header["frozen"]) - set(store.names())
     if unknown:

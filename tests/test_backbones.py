@@ -8,6 +8,7 @@ import pytest
 from geoaware.backbones import (
     ATTRIBUTES,
     DEPTH_CLAMP,
+    FIDUCIALS,
     PIXEL_CHANNELS,
     RAW_WIDTH,
     GeoBackbone,
@@ -17,7 +18,7 @@ from geoaware.backbones import (
     pooled_features,
     select_layer_indices,
 )
-from geoaware.deskworld.camera import sample_viewpoints, seen_cameras
+from geoaware.deskworld.camera import project_points, sample_viewpoints, seen_cameras
 from geoaware.deskworld.world import SimConfig, make_tasks, reset, step
 from geoaware.errors import ConfigError, FormatError, ShapeError
 from geoaware.numerics import ParamStore, Tensor, conv2d, grad_check, relu
@@ -107,6 +108,62 @@ def test_pyramid_batch_matches_its_einsum_definition():
     stack = backbone.pyramid_batch(scenes, cams)
     assert stack.dtype == np.float64 and stack.shape == expected.shape == (5, 3, 4, 16, 32)
     assert np.abs(stack - expected).max() <= 1e-12
+
+
+def _reference_raw_tokens(backbone, scenes, cameras):
+    """raw_tokens built scene by scene from (position, colour) keypoint lists."""
+    b, n = len(scenes), backbone.cfg.num_keypoints
+    positions = np.zeros((b, n, 3))
+    attrs = np.zeros((b, n), dtype=int)
+    valid = np.zeros((b, n), dtype=bool)
+    for i, scene in enumerate(scenes):
+        keypoints = [
+            (scene.ee_pos, "ee"),
+            *((o.pos, o.color) for o in scene.objects),
+            *((g.center, g.color) for g in scene.goal_regions),
+            *((f, "fiducial") for f in FIDUCIALS),
+        ]
+        k = len(keypoints)
+        positions[i, :k] = [p for p, _ in keypoints]
+        attrs[i, :k] = [ATTRIBUTES.index(c) for _, c in keypoints]
+        valid[i, :k] = True
+    points = positions[valid]
+
+    world = np.zeros((b, n, RAW_WIDTH))
+    world[valid, 0:3] = points
+    world[valid, 3 + attrs[valid]] = 1.0
+    world[valid, -1] = 1.0
+
+    views = np.zeros((b, len(cameras), n, RAW_WIDTH))
+    for j, cam in enumerate(cameras):
+        uv, depth = project_points(cam, points, min_depth=DEPTH_CLAMP)
+        size = float(cam.image_size)
+        view = views[:, j]
+        view[valid, 0] = uv[:, 0] / size
+        view[valid, 1] = uv[:, 1] / size
+        view[valid, 2] = np.maximum(depth, DEPTH_CLAMP)
+        view[valid, -1] = (depth > DEPTH_CLAMP).astype(float)
+    return views, world
+
+
+@pytest.mark.parametrize("n_scenes", [1, 7])
+def test_raw_tokens_matches_per_scene_reference(n_scenes):
+    backbone = _full()
+    scenes, cams = _scenes_and_cameras(n_scenes=n_scenes, n_cameras=3)
+    if n_scenes > 1:
+        assert {_keypoint_count(s) for s in scenes} == {8, 9}
+    for got, want in zip(backbone.raw_tokens(scenes, cams), _reference_raw_tokens(backbone, scenes, cams)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_pyramid_batch_is_bitwise_the_broadcast_mix():
+    backbone = GeoBackbone(GeoStubConfig(), [1, 4, 8, 12])
+    scenes, cams = _scenes_and_cameras(n_scenes=5, n_cameras=3)
+    views, worlds = backbone.raw_tokens(scenes, cams)
+    alphas = backbone.alphas[:, None, None]
+    mixed = (1.0 - alphas) * views[:, :, None] + alphas * worlds[:, None, None]
+    assert backbone.pyramid_batch(scenes, cams).tobytes() == (mixed @ backbone.lifts).tobytes()
 
 
 def test_raw_token_layout():

@@ -302,6 +302,25 @@ def test_checkpoint_tensor_shape_mismatch_exits_3(tmp_path, edit, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_checkpoint_payload_raises_format_error(tmp_path, bad, capsys):
+    # assigned straight to the policy, a NaN weight would fail every rollout of an evaluation
+    path = tmp_path / "tiny.ckpt"
+    _write_checkpoint(path)
+    raw = bytearray(path.read_bytes())
+    fmt = Checkpoint(bytes(raw))
+    sizes = {name: int(np.prod(shape)) for name, shape in fmt.docs[0]["tensors"]}
+    target = "vq.offset.2.b"
+    names = list(sizes)
+    at = fmt.header_span[1] + 4 * (sum(sizes[n] for n in names[:names.index(target)]) + 1)   # its 2nd value
+    raw[at:at + 4] = np.array([bad], dtype="<f4").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=target):
+        load_checkpoint(path)
+    assert main(["eval", "--ckpt", str(path)]) == 1
+    capsys.readouterr()
+
+
 def test_checkpoint_without_train_and_sim_loads(tmp_path):
     path = _checkpoint_header_edit(tmp_path, lambda header: header.update(train=None, sim=None))
     bundle = load_checkpoint(path)

@@ -1,10 +1,14 @@
 """AdamW and ParamStore contracts."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from geoaware.backbones import GeoBackbone, GeoStubConfig, select_layer_indices
 from geoaware.errors import NumericError, StateError
 from geoaware.numerics import ParamStore, Tensor, adamw_step, grad_check, init_adamw, tensor_sum
+from geoaware.policy import PolicyConfig, codebook_param_names, init_policy_params
 
 
 def make_store(values, frozen_values=None):
@@ -150,3 +154,113 @@ def test_optimizer_descends_quadratic():
         loss.backward()
         adamw_step(store, state)
     assert abs(store["w"].values[0]) < 0.05
+
+
+# -- the flat update against the per-entry loop -------------------------------
+
+
+def policy_store(backbone_kind, head_kind):
+    """The float32 parameter set of a default-sized policy (``lang.table`` frozen)."""
+    cfg = PolicyConfig(backbone_kind=backbone_kind, head_kind=head_kind)
+    geo = GeoStubConfig()
+    backbone = GeoBackbone(geo, select_layer_indices(geo.num_layers, cfg.select_mode, cfg.select_count))
+    store = ParamStore()
+    init_policy_params(store, cfg, ("push the red block", "open the drawer"), seed=3,
+                       backbone=backbone if backbone_kind == "geo" else None)
+    return store
+
+
+def set_grads(stores, rng):
+    """Give every trainable entry of each store the same float32 gradient."""
+    for name in stores[0].trainable_names():
+        g = rng.standard_normal(stores[0][name].shape).astype(np.float32)
+        for store in stores:
+            store[name].grad = g.copy()
+
+
+def assert_same_state(store, ref_store, state, ref_state):
+    for name in store.names():
+        assert store[name].values.dtype == ref_store[name].values.dtype
+        assert store[name].values.tobytes() == ref_store[name].values.tobytes(), name
+    for name in store.trainable_names():
+        assert state.m[name].tobytes() == ref_state.m[name].tobytes(), name
+        assert state.v[name].tobytes() == ref_state.v[name].tobytes(), name
+    assert state.step_count == ref_state.step_count
+
+
+@pytest.mark.parametrize("kinds", [("geo", "mlp"), ("pixel", "vqbet")], ids=["geo-mlp", "pixel-vqbet"])
+def test_flat_update_matches_per_entry_loop(kinds, reference_adamw):
+    ref_init, ref_step = reference_adamw
+    store = policy_store(*kinds)
+    ref_store = copy.deepcopy(store)
+    assert store.frozen_names() == {"lang.table"}
+    state = init_adamw(store, lr=3e-3, weight_decay=1e-2)
+    ref_state = ref_init(ref_store, lr=3e-3, weight_decay=1e-2)
+    frozen_before = store["lang.table"].values.tobytes()
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        set_grads([store, ref_store], rng)
+        adamw_step(store, state)
+        ref_step(ref_store, ref_state)
+        assert_same_state(store, ref_store, state, ref_state)
+        assert all(store[n].grad is None for n in store.names())
+    assert store["lang.table"].values.tobytes() == frozen_before
+    assert state.flat.m_flat.dtype == np.float32
+    # m[name] reads the flat moments
+    name = store.trainable_names()[0]
+    assert np.shares_memory(state.m[name], state.flat.m_flat)
+
+
+def test_flat_update_follows_trainable_set_switches(reference_adamw):
+    # codebook only, then the codebook and everything else (its moments carry
+    # over, the rest start at zero), then everything else (the VQ-BeT phase 2)
+    ref_init, ref_step = reference_adamw
+    store = policy_store("pixel", "vqbet")
+    ref_store = copy.deepcopy(store)
+    state = init_adamw(store)
+    ref_state = ref_init(ref_store)
+    codebook = set(codebook_param_names(store))
+    everything = set(store.names()) - {"lang.table"}
+    rng = np.random.default_rng(6)
+    for trainable, steps in ((codebook, 2), (everything, 3), (everything - codebook, 2)):
+        frozen = set(store.names()) - trainable
+        previous = {n for n, _ in state.flat.layout}
+        carried = {n: (state.m[n].copy(), state.v[n].copy()) for n in trainable & previous}
+        for s in (store, ref_store):
+            s.set_frozen(frozen)
+        for _ in range(steps):
+            set_grads([store, ref_store], rng)
+            adamw_step(store, state)
+            ref_step(ref_store, ref_state)
+            assert_same_state(store, ref_store, state, ref_state)
+        assert [n for n, _ in state.flat.layout] == store.trainable_names()
+        if trainable == everything:
+            assert set(carried) == codebook
+            assert all(np.any(m != 0) and np.any(v != 0) for m, v in carried.values())
+    assert state.step_count == 7
+
+
+def test_mixed_dtype_store_raises_and_changes_nothing():
+    store = ParamStore()
+    store.add("a", np.array([1.0, -2.0], dtype=np.float32))
+    store.add("b", np.array([0.5], dtype=np.float32))
+    state = init_adamw(store, lr=0.1)
+    store["a"].grad = np.array([0.3, -0.1], dtype=np.float32)
+    store["b"].grad = np.array([0.2], dtype=np.float32)
+    adamw_step(store, state)
+    store.replace("b", store["b"].values.astype(np.float64))
+    store["a"].grad = np.array([0.4, 0.1], dtype=np.float32)
+    store["b"].grad = np.array([0.2])
+
+    def snapshot():
+        return (
+            {n: store[n].values.tobytes() for n in store.names()},
+            {n: (state.m[n].tobytes(), state.v[n].tobytes()) for n in store.names()},
+            state.step_count,
+        )
+
+    before = snapshot()
+    with pytest.raises(StateError, match="dtype"):
+        adamw_step(store, state)
+    assert snapshot() == before
+    assert store["a"].grad is not None

@@ -60,6 +60,36 @@ def test_grads_accumulate_across_uses():
     assert np.allclose(x.grad, [7.0])
 
 
+@pytest.mark.parametrize("op", [add, sub])
+def test_first_gradient_is_an_independent_copy(op):
+    # add and sub hand one upstream array to both leaves (sub negates b's)
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = Tensor(np.array([3.0, 5.0]), requires_grad=True)
+    tensor_sum(op(a, b)).backward()
+    b_before = b.grad.copy()
+    a.grad[0] = 99.0
+    assert np.array_equal(b.grad, b_before)
+    assert not np.shares_memory(a.grad, b.grad)
+
+
+def test_first_gradient_is_cast_to_the_tensor_dtype():
+    t = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    g = np.array([0.1, 1.0 / 3.0, 2.0 ** -30 + 1.0])
+    t._accumulate(g)
+    assert t.grad.dtype == np.float32
+    assert t.grad.tobytes() == g.astype(np.float32).tobytes()
+
+
+def test_gradient_of_the_wrong_shape_raises():
+    t = Tensor(np.zeros((2, 3)), requires_grad=True)
+    with pytest.raises(ShapeError):
+        t._accumulate(np.ones(3))           # broadcastable, but not the tensor's shape
+    t._accumulate(np.ones((2, 3)))
+    with pytest.raises(ShapeError):
+        t._accumulate(np.ones((3, 2)))
+    assert np.array_equal(t.grad, np.ones((2, 3)))
+
+
 def test_matmul_identity():
     a = np.arange(6, dtype=float).reshape(2, 3)
     out = matmul(Tensor(a), Tensor(np.eye(3)))

@@ -271,6 +271,27 @@ def test_non_finite_gradient_aborts_with_its_step(demos, monkeypatch):
     assert pol.params.hash_of() == seen["params"]
 
 
+@pytest.mark.parametrize(
+    "kinds, cfg",
+    [(("geo", "mlp"), dict(steps=6)), (("pixel", "vqbet"), dict(steps=4, vq_pretrain_steps=5))],
+    ids=["geo-mlp", "pixel-vqbet"],
+)
+def test_training_matches_per_entry_optimizer(demos, monkeypatch, reference_adamw, kinds, cfg):
+    backbone_kind, head_kind = kinds
+    kw = dict(head_kind=head_kind, backbone_kind=backbone_kind)
+    if head_kind == "vqbet":
+        kw.update(vq_codes=8, vq_dim=4)
+    runs = []
+    for patch in (False, True):
+        if patch:
+            monkeypatch.setattr(training, "init_adamw", reference_adamw[0])
+            monkeypatch.setattr(training, "adamw_step", reference_adamw[1])
+        pol = small_policy(demos, **kw)
+        pol, losses = bc_train(demos, small_train(head_kind=head_kind, backbone_kind=backbone_kind, **cfg), policy=pol)
+        runs.append((losses, pol.params.hash_of()))
+    assert runs[0] == runs[1]
+
+
 def test_vqbet_two_phase_schedule(demos):
     results = []
     for steps in (1, 12):
