@@ -1,5 +1,5 @@
-"""Closed-loop evaluation: per-category rollouts, backbone comparison,
-layer-selection ablation, and report serialization.
+"""Closed-loop evaluation: per-category rollouts, layer-selection ablation,
+and report serialization.
 
 Success rates follow the protocol of 10 rollouts per task; novel-view
 categories draw a fresh camera pair per rollout, and the pair never matches
@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from geoaware.backbones import GeoStubConfig
-from geoaware.deskworld.camera import sample_viewpoints, seen_cameras
-from geoaware.deskworld.world import Action, SimConfig, make_tasks, reset, step, success
-from geoaware.errors import CameraError, ConfigMismatchError, ConfigError, NumericError
+from geoaware.deskworld.camera import VIEWS, sample_viewpoints, seen_cameras
+from geoaware.deskworld.world import SimConfig, make_tasks, reset, step, success
+from geoaware.errors import CameraError, ConfigError, InputError, NumericError
 from geoaware.persist import write_atomic
 from geoaware.policy import Policy, PolicyConfig
 from geoaware.training import TrainConfig, bc_train, save_checkpoint
@@ -60,19 +60,17 @@ class EvalReport:
 
 def rollout(policy, task, cameras, seed, sim: SimConfig | None = None) -> RolloutResult:
     """Run the policy closed-loop from a seeded reset until success or the
-    step cap.  A non-finite action marks the rollout failed instead of
-    raising, also when the forward pass itself goes non-finite; the gripper
-    command is thresholded by sign inside the world."""
+    step cap.  An action ``step`` rejects (a wrong shape or a non-finite
+    entry) marks the rollout failed instead of raising, and so does a forward
+    pass that itself goes non-finite; the gripper command is thresholded by
+    sign inside the world."""
     sim = sim or SimConfig()
     scene = reset(task, seed=seed)
     for t in range(sim.max_episode_steps):
         try:
-            vec = np.asarray(policy.action(scene, task.instruction, cameras), dtype=float)
-        except NumericError:
-            vec = None
-        if vec is None or vec.shape != (7,) or not np.all(np.isfinite(vec)):
+            scene = step(scene, policy.action(scene, task.instruction, cameras), sim)
+        except (NumericError, InputError):
             return RolloutResult(task.task_id, seed, False, t, failure="non-finite or malformed action")
-        scene = step(scene, Action.from_vector(vec), sim)
         if success(scene, task):
             return RolloutResult(task.task_id, seed, True, t + 1)
     return RolloutResult(task.task_id, seed, False, sim.max_episode_steps)
@@ -102,7 +100,7 @@ def evaluate(policy, category, rollouts_per_task=10, seeds=(0,), sim: SimConfig 
         for seed in seeds:
             for r in range(rollouts_per_task):
                 rollout_seed = 1_000_000 * seed + 997 * ti + r
-                cams = sample_viewpoints(category, 2, seed=rollout_seed, sim=sim)
+                cams = sample_viewpoints(category, VIEWS, seed=rollout_seed, sim=sim)
                 if category != "seen":
                     for cam in cams:
                         if any(cam.same_pose(tc) for tc in training_cams):
@@ -125,37 +123,7 @@ def evaluate(policy, category, rollouts_per_task=10, seeds=(0,), sim: SimConfig 
     )
 
 
-def compare(geo_policy, pixel_policy, categories, rollouts_per_task=10, seeds=(0,), sim: SimConfig | None = None, geo_sim: SimConfig | None = None, pixel_sim: SimConfig | None = None):
-    """Side-by-side success rates and the geo/pixel ratio per category.
-
-    When both policies carry simulator snapshots they must agree; ratios
-    against a zero pixel rate are reported as infinity (or 1 when both zero).
-    """
-    if geo_sim is not None and pixel_sim is not None and geo_sim != pixel_sim:
-        raise ConfigMismatchError("checkpoints were trained under different simulator settings")
-    sim = sim or geo_sim or SimConfig()
-    rows = []
-    for category in categories:
-        geo_rep = evaluate(geo_policy, category, rollouts_per_task, seeds, sim, model="geo")
-        pix_rep = evaluate(pixel_policy, category, rollouts_per_task, seeds, sim, model="pixel")
-        if pix_rep.average_rate > 0:
-            ratio = geo_rep.average_rate / pix_rep.average_rate
-        else:
-            ratio = 1.0 if geo_rep.average_rate == 0 else float("inf")
-        rows.append(
-            {
-                "category": category,
-                "geo": geo_rep.to_dict(),
-                "pixel": pix_rep.to_dict(),
-                "geo_rate": geo_rep.average_rate,
-                "pixel_rate": pix_rep.average_rate,
-                "ratio": ratio,
-            }
-        )
-    return {"schema_version": REPORT_SCHEMA_VERSION, "comparison": rows}
-
-
-ABLATION_MODES = (("all", 0), ("even", 4), ("last", 4))
+ABLATION_MODES = (("all", None), ("even", 4), ("last", 4))
 
 
 @dataclass
@@ -170,18 +138,19 @@ def ablate_layers(dataset, train_cfg: TrainConfig, policy_cfg=None, rollouts_per
     """Train one geo policy per layer-selection mode (shared seeds, shared
     data, shared ``geo`` stub) and evaluate each on seen and medium novel views.
 
-    ``modes`` overrides the default (mode, count) triple; ``checkpoint_dir``
-    (when given) receives one ``ablate-<mode>.ckpt`` per trained policy, which
-    records ``dataset.sim``, the sim the demos were recorded under.  ``sim``
-    (default ``dataset.sim``) is the one evaluation runs under, such as a
-    shorter ``max_episode_steps`` as a cap."""
+    ``modes`` overrides the default (mode, count) triple; a count of None
+    keeps ``policy_cfg``'s ``select_count``, which ``all`` ignores.
+    ``checkpoint_dir`` (when given) receives one ``ablate-<mode>.ckpt`` per
+    trained policy, which records ``dataset.sim``, the sim the demos were
+    recorded under.  ``sim`` (default ``dataset.sim``) is the one evaluation
+    runs under, such as a shorter ``max_episode_steps`` as a cap."""
     if train_cfg.backbone_kind != "geo":
         raise ConfigError("layer ablation only applies to the geo backbone")
     sim = sim or dataset.sim
     base = policy_cfg if policy_cfg is not None else PolicyConfig()
     rows = []
     for mode, count in (tuple(modes) if modes is not None else ABLATION_MODES):
-        pcfg = replace(base, select_mode=mode, select_count=count or base.select_count)
+        pcfg = replace(base, select_mode=mode, select_count=base.select_count if count is None else count)
         policy = Policy(pcfg, tuple(dataset.instructions()), seed=train_cfg.seed, geo=geo)
         policy, _ = bc_train(dataset, train_cfg, policy=policy)
         if checkpoint_dir is not None:
@@ -208,8 +177,6 @@ def ablate_layers(dataset, train_cfg: TrainConfig, policy_cfg=None, rollouts_per
 
 
 def _fmt_rate(value):
-    if value == float("inf"):
-        return "inf"
     return f"{value:.1f}"
 
 
@@ -239,27 +206,12 @@ def _ablation_markdown(rep: dict):
     return "\n".join(lines) + "\n"
 
 
-def _comparison_markdown(rep: dict):
-    lines = [
-        "| Category | Geo (%) | Pixel (%) | Ratio |",
-        "| --- | ---: | ---: | ---: |",
-    ]
-    for row in rep["comparison"]:
-        ratio = "inf" if row["ratio"] == float("inf") else f"{row['ratio']:.2f}"
-        lines.append(
-            f"| {row['category']} | {_fmt_rate(row['geo_rate'])} | {_fmt_rate(row['pixel_rate'])} | {ratio} |"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def render_markdown(report):
     rep = report.to_dict() if hasattr(report, "to_dict") else report
     if "tasks" in rep:
         return _eval_markdown(rep)
     if "ablation" in rep:
         return _ablation_markdown(rep)
-    if "comparison" in rep:
-        return _comparison_markdown(rep)
     raise ConfigError("unrecognized report structure")
 
 
@@ -273,10 +225,6 @@ def _csv_rows(rep: dict):
             for cat in ("seen", "novel_medium"):
                 sub = row[cat]
                 yield from _csv_rows(sub)
-    elif "comparison" in rep:
-        for row in rep["comparison"]:
-            yield from _csv_rows(row["geo"])
-            yield from _csv_rows(row["pixel"])
     else:
         raise ConfigError("unrecognized report structure")
 

@@ -67,22 +67,24 @@ def _resolve_seed(flag_value, file_has_seed, file_value, fallback=0):
 
 
 def _parse_modes(text):
-    """'all,even4,last4' -> [(mode, count), ...] for the layer ablation."""
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token == "all":
-            out.append(("all", 0))
-            continue
-        match = re.fullmatch(r"(even|last)(\d+)", token)
+    """'all,even4,last4' -> [(mode, count), ...] for the layer ablation;
+    ``all`` keeps the config's count (None).  A count below 1, or a mode given
+    twice (its checkpoint ``ablate-<mode>.ckpt`` would be overwritten), raises
+    ``ConfigError``."""
+    modes = {}
+    for token in filter(None, (token.strip() for token in text.split(","))):
+        match = re.fullmatch(r"all|(even|last)(\d+)", token)
         if match is None:
             raise ConfigError(f"unknown ablation mode {token!r} (expected all, evenN, or lastN)")
-        out.append((match.group(1), int(match.group(2))))
-    if not out:
+        mode, count = ("all", None) if token == "all" else (match.group(1), int(match.group(2)))
+        if count == 0:
+            raise ConfigError(f"ablation mode {token!r} selects no layers; the count must be at least 1")
+        if mode in modes:
+            raise ConfigError(f"ablation mode {mode!r} is given twice; each mode writes one ablate-{mode}.ckpt")
+        modes[mode] = count
+    if not modes:
         raise ConfigError("no ablation modes given")
-    return out
+    return list(modes.items())
 
 
 def _recorded_sim(dataset, run_cfg, raw):
@@ -197,8 +199,8 @@ def cmd_report(args):
     version = payload.get("schema_version") if isinstance(payload, dict) else payload
     if not isinstance(payload, dict) or type(version) is not int or version != REPORT_SCHEMA_VERSION:
         raise SchemaError(f"report schema_version {version!r} is not supported (expected {REPORT_SCHEMA_VERSION})")
-    if not any(key in payload for key in ("tasks", "ablation", "comparison")):
-        raise SchemaError("report JSON has none of the known sections (tasks, ablation, comparison)")
+    if not any(key in payload for key in ("tasks", "ablation")):
+        raise SchemaError("report JSON has none of the known sections (tasks, ablation)")
     try:
         text = REPORT_RENDERERS[args.format](payload)
     except (KeyError, TypeError, ValueError) as exc:

@@ -7,7 +7,6 @@ renders, and rollouts are bit-reproducible.
 """
 
 from geoaware.deskworld.world import (
-    Action,
     ObjectState,
     GoalRegion,
     SceneState,
@@ -37,7 +36,6 @@ from geoaware.deskworld.dataset import (
 )
 
 __all__ = [
-    "Action",
     "ObjectState",
     "GoalRegion",
     "SceneState",

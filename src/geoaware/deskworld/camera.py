@@ -35,6 +35,7 @@ MIN_RENDER_DEPTH = 1e-3     # points at or behind this camera depth are culled
 EE_RENDER_RADIUS = 0.02     # meters
 OBJECT_RENDER_RADIUS = 0.03
 _PAD_GROUP = 3              # paint group of the padding slots in a batch render
+VIEWS = 2                   # cameras per observation: the seen pair, or a novel pair
 
 # Angular-offset bands (degrees) between a novel camera and its nearest seen
 # camera; the offset is the great-circle angle on the camera sphere.
@@ -234,7 +235,7 @@ def nearest_seen_offset(pose: CameraPose, sim: SimConfig | None = None):
 def sample_viewpoints(category: str, count: int, seed: int, sim: SimConfig | None = None):
     """Cameras for an evaluation category.
 
-    ``seen`` returns the 2 fixed training cameras.  Novel categories draw
+    ``seen`` returns the ``VIEWS`` fixed training cameras.  Novel categories draw
     ``count`` cameras whose angular offset from their *nearest* seen camera
     falls in the category band: rotate a randomly chosen seen camera's
     position by an in-band angle around a random tangent axis, rejecting

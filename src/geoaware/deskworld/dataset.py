@@ -4,18 +4,20 @@ This module is the one owner of the file format.  Line 0 is a header object
 with the keys ``format_version``, ``tasks``, ``sim`` (the ``SimConfig`` the
 demos were recorded under), ``seed`` and ``episodes`` (their count).  Each
 further line is one episode with the keys ``task_id``, ``seed`` and
-``actions`` (one 7-vector per step).  Scenes are not stored: ``load_dataset``
-replays each episode, ``reset(task, seed)`` and then ``step`` over its
-actions under ``sim``, so its scenes are by construction the ones its actions
-produce.  The header's ``tasks`` record the task definitions the demos were
-made under, and each must equal the code's task of its id (``make_tasks``),
-whose ``TaskSpec`` the replay uses.  Floats are written as Python's shortest
-``repr``, so a reloaded dataset equals the saved one bit for bit.  The readers
-are strict: a missing or extra key, a value of the wrong type or length, a
-non-finite number, a negative seed, an out-of-range ``sim`` field, a header
-task that is unknown, repeated or unlike the code's, or an episode of a task
-the header lacks raises ``FormatError``.  Observations (renders, features) are
-never stored; they are derived at batch time.
+``actions`` (one list of ``ACTION_WIDTH`` numbers per step, the last being the
+idle action at the final, successful scene).  Scenes are not stored:
+``load_dataset`` replays each episode, ``reset(task, seed)`` and then ``step``
+over its actions under ``sim``, so its scenes are by construction the ones its
+actions produce.  The header's ``tasks`` record the task definitions the demos
+were made under, and each must equal the code's task of its id
+(``make_tasks``), whose ``TaskSpec`` the replay uses.  Floats are written as
+Python's shortest ``repr``, so a reloaded dataset equals the saved one bit for
+bit.  The readers are strict: a missing or extra key, a value of the wrong
+type or length, a non-finite number, a negative seed, an out-of-range ``sim``
+field, a header task that is unknown, repeated or unlike the code's, an
+episode of a task the header lacks or one with no actions raises
+``FormatError``.  Observations (renders, features) are never stored; they are
+derived at batch time.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from geoaware.errors import ConfigError, FormatError, GenerationError
 from geoaware.deskworld.world import (
-    Action, SceneState, SimConfig, TaskSpec, expert_action, make_tasks, reset, step, success,
+    ACTION_WIDTH, SceneState, SimConfig, TaskSpec, action_vector, expert_action, make_tasks, reset, step, success,
 )
 from geoaware.persist import from_dict, read_floats, read_int, read_str, write_atomic
 
@@ -38,17 +40,15 @@ _EPISODE_KEYS = {"task_id", "seed", "actions"}
 
 
 @dataclass
-class EpisodeStep:
-    scene: SceneState
-    action: np.ndarray
-
-
-@dataclass
 class Episode:
+    """One demonstration: action ``t`` was taken in ``scenes[t]``; the last
+    action is the idle one (``action_vector()``) at the successful scene."""
+
     task_id: str
     instruction: str
     seed: int
-    steps: list[EpisodeStep]
+    scenes: list[SceneState]
+    actions: np.ndarray             # [T, ACTION_WIDTH], one row per scene
 
 
 @dataclass
@@ -64,25 +64,27 @@ class DemoDataset:
 
     def sample_index(self):
         """All (episode_index, step_index) pairs, in storage order."""
-        return [(e, s) for e, ep in enumerate(self.episodes) for s in range(len(ep.steps))]
+        return [(e, s) for e, ep in enumerate(self.episodes) for s in range(len(ep.actions))]
 
 
 def run_expert_episode(task: TaskSpec, seed: int, sim: SimConfig | None = None) -> Episode:
     """Roll the scripted expert from a seeded reset; the final stored step holds
-    the success-satisfying scene with a zero action."""
+    the success-satisfying scene with the idle action."""
     sim = sim or SimConfig()
     scene = reset(task, seed)
-    steps = []
+    scenes, actions = [], []
     for _ in range(sim.max_episode_steps):
         if success(scene, task):
             break
         action = expert_action(scene, task, sim)
-        steps.append(EpisodeStep(scene=scene, action=action.as_vector()))
+        scenes.append(scene)
+        actions.append(action)
         scene = step(scene, action, sim)
     if not success(scene, task):
         raise GenerationError(f"expert failed task {task.task_id!r} with seed {seed} within {sim.max_episode_steps} steps")
-    steps.append(EpisodeStep(scene=scene, action=Action.zero().as_vector()))
-    return Episode(task_id=task.task_id, instruction=task.instruction, seed=seed, steps=steps)
+    scenes.append(scene)
+    actions.append(action_vector())
+    return Episode(task_id=task.task_id, instruction=task.instruction, seed=seed, scenes=scenes, actions=np.array(actions))
 
 
 def generate_dataset(tasks, episodes_per_task, seed, sim: SimConfig | None = None) -> DemoDataset:
@@ -120,7 +122,7 @@ def save_dataset(dataset: DemoDataset, path):
         "episodes": len(dataset.episodes),
     }
     docs = [header] + [
-        {"task_id": ep.task_id, "seed": ep.seed, "actions": [st.action for st in ep.steps]} for ep in dataset.episodes
+        {"task_id": ep.task_id, "seed": ep.seed, "actions": ep.actions} for ep in dataset.episodes
     ]
     lines = [json.dumps(doc, default=_encode, allow_nan=False, separators=(",", ":")) for doc in docs]
     write_atomic(path, "\n".join(lines) + "\n")
@@ -136,12 +138,17 @@ def _non_negative(value, name):
     return value
 
 
-def _vector(values, size, name):
-    """``values`` as a float array if it is a list of ``size`` numbers, each
-    as ``read_floats`` accepts it; anything else raises ``FormatError``."""
-    if len(read_floats(values, name)) != size:
-        raise FormatError(f"{name} must have {size} entries, got {len(values)}")
-    return np.array(values, dtype=float)
+def _actions(rows):
+    """``rows`` as a [T, ACTION_WIDTH] float array if it is a non-empty list
+    of lists of ``ACTION_WIDTH`` numbers, each as ``read_floats`` accepts it;
+    anything else raises ``FormatError``.  A written episode always ends in
+    the idle action, so an empty list is malformed."""
+    if type(rows) is not list or not rows:
+        raise FormatError("episode actions must be a non-empty list")
+    for row in rows:
+        if len(read_floats(row, "step action")) != ACTION_WIDTH:
+            raise FormatError(f"step action must have {ACTION_WIDTH} entries, got {len(row)}")
+    return np.array(rows, dtype=float)
 
 
 def _read_tasks(entries):
@@ -179,12 +186,11 @@ def _read_episode(d, tasks_by_id, sim):
     if task_id not in tasks_by_id:
         raise FormatError(f"episode task id {task_id!r} names no task of the header")
     task, seed = tasks_by_id[task_id], _non_negative(d["seed"], "episode seed")
-    actions = [_vector(a, 7, "step action") for a in d["actions"]]
+    actions = _actions(d["actions"])
     scenes = [reset(task, seed)]
     for action in actions[:-1]:
-        scenes.append(step(scenes[-1], Action.from_vector(action), sim))
-    steps = [EpisodeStep(scene=scene, action=action) for scene, action in zip(scenes, actions)]
-    return Episode(task_id=task_id, instruction=task.instruction, seed=seed, steps=steps)
+        scenes.append(step(scenes[-1], action, sim))
+    return Episode(task_id=task_id, instruction=task.instruction, seed=seed, scenes=scenes, actions=actions)
 
 
 def load_dataset(path) -> DemoDataset:

@@ -22,6 +22,11 @@ EE_HOME = (0.0, 0.0, 0.25)
 MIN_SEPARATION = 0.08
 PLACEMENT_ATTEMPTS = 1000
 
+# The world-policy interface: the widths of an action (laid out in ``step``)
+# and of the proprioceptive state (``SceneState.proprio``).
+ACTION_WIDTH = 7
+PROPRIO_WIDTH = 7
+
 # Lateral offsets applied to consecutive goals that share a region, so two
 # objects placed into one zone do not end up coincident.
 _PLACE_OFFSETS = ((0.0, 0.0, 0.0), (0.035, 0.0, 0.0), (-0.035, 0.0, 0.0), (0.0, 0.035, 0.0))
@@ -101,31 +106,8 @@ class SceneState:
         raise TaskError(f"no region {region_id!r} in scene")
 
     def proprio(self):
-        """7-vector fed to the policy: ee position, ee rotation, gripper."""
+        """The ``PROPRIO_WIDTH`` state fed to the policy: ee position, ee rotation, gripper."""
         return np.concatenate([self.ee_pos, self.ee_rot, [self.gripper]])
-
-
-@dataclass
-class Action:
-    """Translation delta, rotation delta, and gripper command; flattens to 7 floats."""
-
-    d_pos: np.ndarray
-    d_rot: np.ndarray
-    gripper_cmd: float
-
-    def as_vector(self):
-        return np.concatenate([self.d_pos, self.d_rot, [self.gripper_cmd]])
-
-    @classmethod
-    def from_vector(cls, vec):
-        vec = np.asarray(vec, dtype=float).reshape(-1)
-        if vec.shape != (7,):
-            raise InputError(f"action vector must have 7 entries, got shape {vec.shape}")
-        return cls(d_pos=vec[:3].copy(), d_rot=vec[3:6].copy(), gripper_cmd=float(vec[6]))
-
-    @classmethod
-    def zero(cls):
-        return cls(d_pos=np.zeros(3), d_rot=np.zeros(3), gripper_cmd=1.0)
 
 
 @dataclass
@@ -186,19 +168,25 @@ def reset(task: TaskSpec, seed: int) -> SceneState:
     )
 
 
-def step(scene: SceneState, action: Action, sim: SimConfig | None = None) -> SceneState:
-    """Kinematic update.  Grasping happens on the open->closed transition only;
-    a held object rigidly tracks the end-effector until released in place."""
+def step(scene: SceneState, action, sim: SimConfig | None = None) -> SceneState:
+    """Kinematic update under ``action``, a vector of ``ACTION_WIDTH`` floats:
+    translation delta (3, clipped per axis to ``sim.max_step``), rotation
+    delta (3), gripper command (closed when negative, else open).  Grasping
+    happens on the open->closed transition only; a held object rigidly tracks
+    the end-effector until released in place.  This is the one check of an
+    action: a wrong shape or a non-finite entry raises ``InputError``."""
     sim = sim or SimConfig()
-    vec = action.as_vector()
-    if not np.all(np.isfinite(vec)):
+    action = np.asarray(action, dtype=float)
+    if action.shape != (ACTION_WIDTH,):
+        raise InputError(f"action must have shape ({ACTION_WIDTH},), got {action.shape}")
+    if not np.all(np.isfinite(action)):
         raise InputError("action contains non-finite values")
 
     out = scene.copy()
-    d_pos = np.clip(action.d_pos, -sim.max_step, sim.max_step)
+    d_pos = np.clip(action[:3], -sim.max_step, sim.max_step)
     out.ee_pos = np.clip(scene.ee_pos + d_pos, -WORKSPACE_HALF, WORKSPACE_HALF)
-    out.ee_rot = scene.ee_rot + action.d_rot  # tracked but inert
-    new_grip = 1.0 if action.gripper_cmd >= 0 else -1.0
+    out.ee_rot = scene.ee_rot + action[3:6]  # tracked but inert
+    new_grip = 1.0 if action[6] >= 0 else -1.0
 
     if scene.held_object is not None:
         if new_grip < 0:
@@ -240,9 +228,16 @@ GRASP_APPROACH_TOL = 0.02   # close the gripper once within this distance
 PLACE_TOL = 0.015           # release once the held object is this close to target
 
 
-def expert_action(scene: SceneState, task: TaskSpec, sim: SimConfig | None = None) -> Action:
+def action_vector(d_pos=(0.0, 0.0, 0.0), gripper_cmd=1.0):
+    """The action that moves by ``d_pos`` with no rotation and commands the
+    gripper with ``gripper_cmd``; by default the idle, open-gripper action."""
+    return np.array([*d_pos, 0.0, 0.0, 0.0, gripper_cmd])
+
+
+def expert_action(scene: SceneState, task: TaskSpec, sim: SimConfig | None = None) -> np.ndarray:
     """Stateless scripted controller: approach -> grasp -> transport -> release
-    for each goal in order.  Proportional with per-axis clipping (gain 1)."""
+    for each goal in order.  Proportional with per-axis clipping (gain 1).
+    Returns the action vector ``step`` takes (``action_vector``)."""
     sim = sim or SimConfig()
 
     def clipped(delta):
@@ -254,8 +249,8 @@ def expert_action(scene: SceneState, task: TaskSpec, sim: SimConfig | None = Non
 
         if scene.held_object == object_id:
             if np.linalg.norm(scene.ee_pos - target) <= PLACE_TOL:
-                return Action(d_pos=np.zeros(3), d_rot=np.zeros(3), gripper_cmd=1.0)  # release
-            return Action(d_pos=clipped(target - scene.ee_pos), d_rot=np.zeros(3), gripper_cmd=-1.0)
+                return action_vector()  # release
+            return action_vector(clipped(target - scene.ee_pos), -1.0)
 
         if np.linalg.norm(obj.pos - target) <= PLACE_TOL:
             continue  # this goal is done
@@ -267,7 +262,7 @@ def expert_action(scene: SceneState, task: TaskSpec, sim: SimConfig | None = Non
 
         delta = obj.pos - scene.ee_pos
         if np.linalg.norm(delta) <= GRASP_APPROACH_TOL:
-            return Action(d_pos=clipped(delta), d_rot=np.zeros(3), gripper_cmd=-1.0)  # grasp
-        return Action(d_pos=clipped(delta), d_rot=np.zeros(3), gripper_cmd=1.0)  # approach
+            return action_vector(clipped(delta), -1.0)  # grasp
+        return action_vector(clipped(delta))  # approach
 
-    return Action.zero()  # all goals satisfied
+    return action_vector()  # all goals satisfied

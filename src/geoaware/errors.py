@@ -44,7 +44,7 @@ class CameraError(GeoAwareError):
 
 
 class InputError(GeoAwareError):
-    """Invalid runtime input (non-finite action, out-of-range label)."""
+    """Invalid runtime input (a malformed or non-finite action, an out-of-range label)."""
 
 
 class FormatError(GeoAwareError):

@@ -11,6 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from geoaware.backbones import GeoBackbone, GeoStubConfig, pixel_pooled, pooled_vision
+from geoaware.deskworld.camera import VIEWS
+from geoaware.deskworld.world import ACTION_WIDTH, PROPRIO_WIDTH
 from geoaware.numerics.gradcheck import grad_check
 from geoaware.numerics.nnops import (
     conv1d_relu_pool,
@@ -243,8 +245,8 @@ def _check_trunk(step):
     cfg, _, store = _tiny_policy()
     rng = np.random.default_rng(115)
     b = 2
-    zs = [rng.normal(size=(b, cfg.repr_dim)) for _ in range(cfg.views + 2)]
-    zs = [np.stack(zs[: cfg.views], axis=1)] + zs[cfg.views:]       # vision tokens [b, views, repr_dim]
+    zs = [rng.normal(size=(b, cfg.repr_dim)) for _ in range(VIEWS + 2)]
+    zs = [np.stack(zs[:VIEWS], axis=1)] + zs[VIEWS:]        # vision tokens [b, VIEWS, repr_dim]
     names = ["trunk0.attn.q.w", "trunk0.ff.1.w", "trunk1.attn.v.w", "trunk1.ln2.g", "token.action"]
     w = rng.normal(size=(b, cfg.hidden_dim))
 
@@ -263,7 +265,7 @@ def _check_mlp_head(step):
     cfg, _, store = _tiny_policy()
     rng = np.random.default_rng(116)
     h = rng.normal(size=(2, cfg.hidden_dim))
-    target = rng.normal(size=(2, cfg.chunk_len, 7))
+    target = rng.normal(size=(2, cfg.chunk_len, ACTION_WIDTH))
     names = ["head.1.w", "head.2.b"]
 
     def f(leaves):
@@ -308,10 +310,10 @@ def _check_vqbet_head(step):
 def _check_end_to_end(step):
     cfg, geo, store = _tiny_policy()
     rng = np.random.default_rng(118)
-    vision = rng.normal(size=(2, cfg.views, geo.num_layers, geo.num_keypoints, geo.feature_dim))
-    proprio = rng.normal(size=(2, 7))
+    vision = rng.normal(size=(2, VIEWS, geo.num_layers, geo.num_keypoints, geo.feature_dim))
+    proprio = rng.normal(size=(2, PROPRIO_WIDTH))
     instructions = [_VOCAB[0], _VOCAB[1]]
-    target = rng.normal(size=(2, cfg.chunk_len, 7))
+    target = rng.normal(size=(2, cfg.chunk_len, ACTION_WIDTH))
     names = [
         "vision.conv0.w", "vision.mlp.2.w", "lang.mlp.1.w", "proprio.2.w",
         "trunk0.attn.k.w", "trunk1.ff.2.w", "head.2.w", "token.pos",

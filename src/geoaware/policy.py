@@ -35,7 +35,8 @@ from geoaware.backbones import (
     pooled_features,
     select_layer_indices,
 )
-from geoaware.deskworld.camera import render_image
+from geoaware.deskworld.camera import VIEWS, render_image
+from geoaware.deskworld.world import ACTION_WIDTH, PROPRIO_WIDTH
 from geoaware.errors import ConfigError, ShapeError, StateError, VocabularyError
 from geoaware.numerics import (
     ParamStore,
@@ -50,7 +51,6 @@ from geoaware.numerics import (
 )
 from geoaware.numerics.tensor import as_tensor, broadcast_to, concat, reshape
 
-ACTION_WIDTH = 7                # ee translation 3 + rotation 3 + gripper
 ATTENTION_MASK_FILL = -1e30     # additive mask; exp underflows to exactly 0
 LANG_TABLE_SEED = 977           # the frozen instruction table is policy-seed independent
 
@@ -68,7 +68,6 @@ class PolicyConfig:
     trunk_heads: int = 4
     head_kind: str = "mlp"      # mlp | vqbet
     backbone_kind: str = "geo"  # geo | pixel
-    views: int = 2
     vq_codes: int = 32          # K
     vq_dim: int = 8             # code width
     vq_hidden: int = 32         # action autoencoder hidden width
@@ -81,14 +80,14 @@ class PolicyConfig:
 
     @property
     def n_tokens(self):
-        return self.views + 3   # per-view vision, language, proprio, action
+        return VIEWS + 3        # per-view vision, language, proprio, action
 
     def validate(self, geo: GeoStubConfig | None = None, error=ConfigError):
         """``self`` if every width and count is positive, the VQ-BeT loss
         weights are not negative and the kinds and layer selection mode are
         known, else raises ``error``; a geo selection must fit ``geo``."""
         for name in ("repr_dim", "conv_dim", "hidden_dim", "lang_embed_dim", "chunk_len", "select_count",
-                     "trunk_layers", "trunk_heads", "views", "vq_dim", "vq_hidden"):
+                     "trunk_layers", "trunk_heads", "vq_dim", "vq_hidden"):
             if getattr(self, name) < 1:
                 raise error(f"policy {name} must be positive, got {getattr(self, name)}")
         if self.vq_codes < 2:
@@ -157,7 +156,7 @@ def init_policy_params(store, cfg: PolicyConfig, vocab, seed, backbone: GeoBackb
     store.add("lang.table", language_table(vocab, cfg.lang_embed_dim, dtype), frozen=True)
     linear("lang.mlp.1", cfg.lang_embed_dim, d)
     linear("lang.mlp.2", d, d)
-    linear("proprio.1", ACTION_WIDTH, d)
+    linear("proprio.1", PROPRIO_WIDTH, d)
     linear("proprio.2", d, d)
 
     store.add("token.action", rng.normal(0.0, 0.02, size=(d,)).astype(dtype))
@@ -224,10 +223,10 @@ def encode_language(instructions, store, vocab):
 
 
 def encode_proprio(state, store):
-    """Embed the end-effector states [batch, 7] into [batch, repr_dim]."""
+    """Embed the end-effector states [batch, PROPRIO_WIDTH] into [batch, repr_dim]."""
     t = as_tensor(state)
-    if t.shape[-1] != ACTION_WIDTH:
-        raise ShapeError(f"proprio state must have width {ACTION_WIDTH}, got {t.shape[-1]}")
+    if t.shape[-1] != PROPRIO_WIDTH:
+        raise ShapeError(f"proprio state must have width {PROPRIO_WIDTH}, got {t.shape[-1]}")
     return _mlp2(t, store, "proprio.1", "proprio.2")
 
 
@@ -235,13 +234,13 @@ def encode_proprio(state, store):
 
 
 def build_token_sequence(z_vis, z_lang, z_proprio, store, cfg: PolicyConfig):
-    """The trunk input [batch, length, repr_dim]: the V vision tokens
-    ``z_vis`` [batch, views, repr_dim] in view order, then language and
+    """The trunk input [batch, length, repr_dim]: the ``VIEWS`` vision tokens
+    ``z_vis`` [batch, VIEWS, repr_dim] in view order, then language and
     proprio ([batch, repr_dim] each), and the learnable action token last,
     with the learned positions ``token.pos`` added."""
     b, d = z_lang.shape[0], cfg.repr_dim
-    if z_vis.shape != (b, cfg.views, d):
-        raise ShapeError(f"vision tokens must be {(b, cfg.views, d)}, got {z_vis.shape}")
+    if z_vis.shape != (b, VIEWS, d):
+        raise ShapeError(f"vision tokens must be {(b, VIEWS, d)}, got {z_vis.shape}")
     action = broadcast_to(reshape(store["token.action"], (1, 1, d)), (b, 1, d))
     parts = [z_vis, reshape(z_lang, (b, 1, d)), reshape(z_proprio, (b, 1, d)), action]
     return concat(parts, axis=1) + store["token.pos"]
@@ -288,7 +287,7 @@ def trunk_forward(x, store, cfg: PolicyConfig):
 
 def mlp_head(h_action, store, cfg: PolicyConfig):
     """Directly regress the action chunk from h_action [batch, hidden]:
-    [batch, chunk_len, 7]."""
+    [batch, chunk_len, ACTION_WIDTH]."""
     out = _mlp2(h_action, store, "head.1", "head.2")
     return reshape(out, (h_action.shape[0], cfg.chunk_len, ACTION_WIDTH))
 
@@ -332,7 +331,7 @@ def vqvae_loss(actions, store, cfg: PolicyConfig):
 
 def vqbet_head(h_action, store, cfg: PolicyConfig):
     """Inference path: classify a code from h_action [batch, hidden], decode
-    it, and add the regressed continuous offset: [batch, chunk_len, 7]."""
+    it, and add the regressed continuous offset: [batch, chunk_len, ACTION_WIDTH]."""
     if "vq.codes" not in store.frozen_names():
         raise StateError("action codebook has not been trained (run the pretraining phase first)")
     logits = matmul(h_action, store["vq.cls.w"]) + store["vq.cls.b"]
@@ -368,19 +367,19 @@ def policy_forward(vision, instructions, proprio, store, cfg: PolicyConfig, voca
     hidden], the action-token embedding ``trunk_forward`` returns; a head
     turns it into actions.
 
-    ``vision`` is [batch, views, L_selected, tokens, channels] for the geo
+    ``vision`` is [batch, VIEWS, L_selected, tokens, channels] for the geo
     backbone (the selected layers of the frozen pyramid, every one of which
-    is used) or [batch, views, 3, H, W] images for the pixel baseline;
+    is used) or [batch, VIEWS, 3, H, W] images for the pixel baseline;
     ``instructions`` holds one instruction per batch row and ``proprio`` is
-    [batch, 7].  The views are folded into the batch (``pooled_features``),
-    so the vision encoder runs once per pass.
+    [batch, PROPRIO_WIDTH].  The views are folded into the batch
+    (``pooled_features``), so the vision encoder runs once per pass.
     """
     vision = np.asarray(vision)
-    if vision.ndim != 5 or vision.shape[1] != cfg.views:
-        raise ShapeError(f"vision input must be [batch, {cfg.views}, ...] with rank 5, got {vision.shape}")
+    if vision.ndim != 5 or vision.shape[1] != VIEWS:
+        raise ShapeError(f"vision input must be [batch, {VIEWS}, ...] with rank 5, got {vision.shape}")
     z_lang = encode_language(instructions, store, vocab)
     pooled = pooled_features(vision, z_lang, store, cfg.backbone_kind)
-    z_vis = reshape(project_vision(pooled, store), (vision.shape[0], cfg.views, cfg.repr_dim))
+    z_vis = reshape(project_vision(pooled, store), (vision.shape[0], VIEWS, cfg.repr_dim))
     x = build_token_sequence(z_vis, z_lang, encode_proprio(proprio, store), store, cfg)
     return trunk_forward(x, store, cfg)
 
@@ -402,12 +401,12 @@ class Policy:
         init_policy_params(self.params, cfg, self.vocab, seed, self.backbone, dtype=self.dtype)
 
     def featurize(self, scenes, cameras):
-        """Observation tensor for a batch of scenes under V cameras: the
+        """Observation tensor for a batch of scenes under ``VIEWS`` cameras: the
         selected pyramid layers [B, V, L_selected, N, D] or images
         [B, V, 3, H, W].  Either backbone featurizes the whole batch in one
         call; the pixel one needs cameras that share one ``image_size``."""
-        if len(cameras) != self.cfg.views:
-            raise ShapeError(f"policy expects {self.cfg.views} cameras, got {len(cameras)}")
+        if len(cameras) != VIEWS:
+            raise ShapeError(f"policy expects {VIEWS} cameras, got {len(cameras)}")
         if self.backbone is not None:
             return self.backbone.pyramid_batch(scenes, cameras).astype(self.dtype)
         return np.ascontiguousarray(render_image(scenes, cameras).transpose(0, 1, 4, 2, 3), dtype=self.dtype)
@@ -419,17 +418,17 @@ class Policy:
         )
 
     def head(self, h_action):
-        """The action chunk [batch, chunk_len, 7] from h_action, through the
+        """The action chunk [batch, chunk_len, ACTION_WIDTH] from h_action, through the
         configured head."""
         if self.cfg.head_kind == "mlp":
             return mlp_head(h_action, self.params, self.cfg)
         return vqbet_head(h_action, self.params, self.cfg)
 
     def action(self, scene, instruction, cameras):
-        """First action of the predicted chunk for one scene, as a plain
-        7-vector (used by closed-loop rollouts).  Floating-point warnings are
-        silenced: a non-finite forward pass shows up as a non-finite action,
-        which the caller checks."""
+        """First action of the predicted chunk for one scene, as the plain
+        vector ``step`` takes (used by closed-loop rollouts).  Floating-point
+        warnings are silenced: a non-finite forward pass shows up as a
+        non-finite action, which ``step`` rejects."""
         with no_grad(), np.errstate(all="ignore"):
             vision = self.featurize([scene], list(cameras))
             chunk = self.head(self.forward(vision, [instruction], scene.proprio()[None].astype(self.dtype)))

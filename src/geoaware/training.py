@@ -18,7 +18,7 @@ import numpy as np
 
 from geoaware.backbones import GeoStubConfig, pooled_features
 from geoaware.deskworld.camera import seen_cameras
-from geoaware.deskworld.world import SimConfig
+from geoaware.deskworld.world import ACTION_WIDTH, SimConfig
 from geoaware.errors import ConfigError, ConfigMismatchError, FormatError, NumericAbort, NumericError
 from geoaware.numerics import Tensor, adamw_step, init_adamw, no_grad
 from geoaware.persist import from_dict, read_int, write_atomic
@@ -34,7 +34,7 @@ from geoaware.policy import (
 log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"GAVP"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass
@@ -64,26 +64,25 @@ class TrainConfig:
 
 @dataclass
 class Batch:
-    vision: np.ndarray          # [B, V, ...] pyramid or images
+    vision: np.ndarray          # [B, VIEWS, ...] pyramid or images
     instructions: list
-    proprio: np.ndarray         # [B, 7]
-    targets: np.ndarray         # [B, T_c, 7] expert chunks, zero-padded
+    proprio: np.ndarray         # [B, PROPRIO_WIDTH]
+    targets: np.ndarray         # [B, T_c, ACTION_WIDTH] expert chunks, zero-padded
     mask: np.ndarray            # [B, T_c] 1 where the chunk step existed
 
 
 def _chunk_targets(dataset, indices, t_c, dtype):
-    """Expert chunks [B, T_c, 7] and validity mask [B, T_c] for index pairs;
-    chunk steps past the episode end are zero with mask 0."""
-    targets = np.zeros((len(indices), t_c, 7))
+    """Expert chunks [B, T_c, ACTION_WIDTH] and validity mask [B, T_c] for
+    index pairs; chunk steps past the episode end are zero with mask 0."""
+    targets = np.zeros((len(indices), t_c, ACTION_WIDTH))
     mask = np.zeros((len(indices), t_c))
     for row, (ep_idx, st_idx) in enumerate(indices):
-        episode = dataset.episodes[ep_idx]
-        if not 0 <= st_idx < len(episode.steps):
+        actions = dataset.episodes[ep_idx].actions
+        if not 0 <= st_idx < len(actions):
             raise IndexError(f"step {st_idx} out of range for episode {ep_idx}")
-        for k in range(t_c):
-            if st_idx + k < len(episode.steps):
-                targets[row, k] = episode.steps[st_idx + k].action
-                mask[row, k] = 1.0
+        chunk = actions[st_idx:st_idx + t_c]
+        targets[row, :len(chunk)] = chunk
+        mask[row, :len(chunk)] = 1.0
     return targets.astype(dtype), mask.astype(dtype)
 
 
@@ -94,7 +93,7 @@ def make_batch(dataset, indices, policy: Policy, cameras, cache=None):
     per-step observation tensors across batches, keyed by index pair.
     """
     targets, mask = _chunk_targets(dataset, indices, policy.cfg.chunk_len, policy.dtype)
-    scenes = [dataset.episodes[e].steps[s].scene for e, s in indices]
+    scenes = [dataset.episodes[e].scenes[s] for e, s in indices]
     instructions = [dataset.episodes[e].instruction for e, s in indices]
 
     if cache is None:
@@ -117,7 +116,7 @@ def make_batch(dataset, indices, policy: Policy, cameras, cache=None):
 
 def masked_chunk_mse(pred, batch):
     """MSE over valid chunk steps only (padding past episode end is ignored)."""
-    weights = np.repeat(batch.mask[:, :, None], 7, axis=2)
+    weights = np.repeat(batch.mask[:, :, None], ACTION_WIDTH, axis=2)
     diff = (pred - Tensor(batch.targets)) * Tensor(weights)
     denom = float(weights.sum())
     return (diff * diff).sum() * (1.0 / denom)
@@ -285,9 +284,11 @@ def save_checkpoint(policy: Policy, path, step=0, train: TrainConfig | None = No
     ``tensors`` (``[name, shape]`` per tensor, in store order), the sorted
     ``frozen`` names and ``step``.  Version 3 has one vision projection
     ``vision.mlp`` for either backbone and no codebook flag: a VQ codebook is
-    trained when ``vq.codes`` is frozen.  Round-trips are bitwise for float32
-    policies (the training precision).  A ``step`` that is not a non-negative
-    int raises ``ConfigError`` before anything is written.
+    trained when ``vq.codes`` is frozen.  Version 4 drops ``views`` from the
+    ``policy`` section: the view count is the constant ``camera.VIEWS``.
+    Round-trips are bitwise for float32 policies (the training precision).  A
+    ``step`` that is not a non-negative int raises ``ConfigError`` before
+    anything is written.
     """
     if type(step) is not int or step < 0:
         raise ConfigError(f"checkpoint step must be a non-negative int, got {step!r}")

@@ -19,7 +19,7 @@ from geoaware.backbones import (
     select_layer_indices,
 )
 from geoaware.deskworld.camera import project_points, sample_viewpoints, seen_cameras
-from geoaware.deskworld.world import SimConfig, make_tasks, reset, step
+from geoaware.deskworld.world import SimConfig, action_vector, make_tasks, reset, step
 from geoaware.errors import ConfigError, FormatError, ShapeError
 from geoaware.numerics import ParamStore, Tensor, conv2d, grad_check, relu
 
@@ -223,9 +223,7 @@ def test_world_tokens_track_object_motion():
     task = make_tasks()[0]
     scene = reset(task, seed=0)
     cam = seen_cameras(sim)[0]
-    from geoaware.deskworld.world import Action
-
-    after_scene = step(scene, Action(d_pos=np.array([0.05, 0.0, 0.0]), d_rot=np.zeros(3), gripper_cmd=1.0), sim)
+    after_scene = step(scene, action_vector([0.05, 0.0, 0.0]), sim)
     before, after = backbone.raw_tokens([scene, after_scene], [cam])[1]
     assert after[0, 0] == pytest.approx(before[0, 0] + 0.05)
     assert np.array_equal(before[1:], after[1:])        # objects did not move

@@ -1,4 +1,4 @@
-"""Rollout evaluation, comparison, ablation structure, report formats."""
+"""Rollout evaluation, ablation structure, report formats."""
 
 import json
 
@@ -8,7 +8,6 @@ import pytest
 from geoaware.bench import (
     EvalReport,
     ablate_layers,
-    compare,
     emit_report,
     evaluate,
     render_csv,
@@ -18,8 +17,8 @@ from geoaware.bench import (
 )
 from geoaware.deskworld.camera import seen_cameras
 from geoaware.deskworld.dataset import generate_dataset
-from geoaware.deskworld.world import SimConfig, expert_action, make_tasks
-from geoaware.errors import ConfigError, ConfigMismatchError
+from geoaware.deskworld.world import ACTION_WIDTH, SimConfig, expert_action, make_tasks
+from geoaware.errors import ConfigError
 from geoaware.policy import Policy, PolicyConfig
 from geoaware.training import TrainConfig, load_checkpoint
 
@@ -33,7 +32,7 @@ class ExpertPolicy:
 
     def action(self, scene, instruction, cameras):
         task = next(t for t in TASKS if t.instruction == instruction)
-        return expert_action(scene, task, SIM).as_vector()
+        return expert_action(scene, task, SIM)
 
 
 class ConstantPolicy:
@@ -42,6 +41,21 @@ class ConstantPolicy:
 
     def action(self, scene, instruction, cameras):
         return self.vec
+
+
+class NanAtCallPolicy(ExpertPolicy):
+    """The expert, except that call number ``bad_call`` (from 0) returns an
+    action with one NaN entry."""
+
+    def __init__(self, bad_call):
+        self.calls, self.bad_call = 0, bad_call
+
+    def action(self, scene, instruction, cameras):
+        vec = super().action(scene, instruction, cameras)
+        if self.calls == self.bad_call:
+            vec[2] = np.nan
+        self.calls += 1
+        return vec
 
 
 def test_expert_rollout_succeeds_every_task():
@@ -70,6 +84,19 @@ def test_rollout_flags_non_finite_action():
     assert not result.succeeded
     assert result.failure is not None
     assert result.steps == 0
+
+
+@pytest.mark.parametrize("shape", [(ACTION_WIDTH - 1,), (1, ACTION_WIDTH)], ids=["6", "1x7"])
+def test_rollout_fails_a_malformed_action_at_step_0(shape):
+    result = rollout(ConstantPolicy(np.zeros(shape)), TASKS[0], seen_cameras(SIM), seed=0, sim=SIM)
+    assert (result.succeeded, result.steps, result.failure) == (False, 0, "non-finite or malformed action")
+
+
+def test_rollout_fails_at_the_first_non_finite_action():
+    # three expert steps are taken, then the fourth action holds a NaN
+    result = rollout(NanAtCallPolicy(bad_call=3), TASKS[0], seen_cameras(SIM), seed=0, sim=SIM)
+    assert (result.succeeded, result.steps, result.failure) == (False, 3, "non-finite or malformed action")
+    assert type(result.steps) is int
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -125,34 +152,6 @@ def test_evaluate_is_deterministic():
     a = evaluate(ExpertPolicy(), "novel_medium", rollouts_per_task=2, seeds=(3,), sim=SIM)
     b = evaluate(ExpertPolicy(), "novel_medium", rollouts_per_task=2, seeds=(3,), sim=SIM)
     assert render_json(a) == render_json(b)
-
-
-def test_compare_identical_policies_gives_unit_ratio():
-    expert = ExpertPolicy()
-    table = compare(expert, expert, ["seen", "novel_medium"], rollouts_per_task=2, seeds=(0,), sim=SIM)
-    assert [row["ratio"] for row in table["comparison"]] == [1.0, 1.0]
-    for row in table["comparison"]:
-        assert row["geo_rate"] == row["pixel_rate"]
-        assert set(row) == {"category", "geo", "pixel", "geo_rate", "pixel_rate", "ratio"}
-
-
-def test_compare_ratio_conventions():
-    zero = ConstantPolicy(np.zeros(7))
-    table = compare(ExpertPolicy(), zero, ["seen"], rollouts_per_task=1, seeds=(0,), sim=SimConfig(max_episode_steps=25))
-    assert table["comparison"][0]["ratio"] == float("inf")
-    both = compare(zero, zero, ["seen"], rollouts_per_task=1, seeds=(0,), sim=SimConfig(max_episode_steps=25))
-    assert both["comparison"][0]["ratio"] == 1.0
-
-
-def test_compare_rejects_sim_mismatch():
-    with pytest.raises(ConfigMismatchError):
-        compare(
-            ExpertPolicy(),
-            ExpertPolicy(),
-            ["seen"],
-            geo_sim=SimConfig(),
-            pixel_sim=SimConfig(grasp_radius=0.05),
-        )
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

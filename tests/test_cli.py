@@ -322,6 +322,18 @@ def test_report_missing_field_exits_4(workdir, drop, capsys):
     assert drop in capsys.readouterr().err
 
 
+def test_report_comparison_kind_exits_4(workdir, capsys):
+    # the geo/pixel comparison report kind is gone
+    rep = {"schema_version": 1, "model": "m", "category": "seen", "average_rate": 0.0,
+           "tasks": [{"id": "t0", "successes": 0, "rollouts": 1, "rate": 0.0}]}
+    row = {"category": "seen", "geo": rep, "pixel": rep, "geo_rate": 0.0, "pixel_rate": 0.0, "ratio": 1.0}
+    path = workdir / "comparison.json"
+    path.write_text(json.dumps({"schema_version": 1, "comparison": [row]}))
+    for fmt in ("md", "csv"):
+        assert main(["report", "--in", str(path), "--format", fmt]) == 4
+    assert "none of the known sections" in capsys.readouterr().err
+
+
 def test_report_invalid_json_exits_1(workdir, capsys):
     broken = workdir / "broken.json"
     broken.write_text("{nope")
@@ -356,6 +368,34 @@ def test_ablate_rejects_a_pixel_config(workdir, dataset_path, capsys):
     assert "layer ablation only applies to the geo backbone" in capsys.readouterr().err
 
 
+def test_version_3_checkpoint_exits_1(workdir, checkpoint_path, capsys):
+    # version 3 headers carried policy.views; the view count is now a constant
+    raw = checkpoint_path.read_bytes()
+    header_len = int.from_bytes(raw[8:12], "little")
+    header = json.loads(raw[12:12 + header_len])
+    header["policy"]["views"] = 2
+    encoded = json.dumps(header, sort_keys=True).encode()
+    body = raw[12 + header_len:]
+    old = workdir / "v3.ckpt"
+    old.write_bytes(raw[:4] + (3).to_bytes(4, "little") + len(encoded).to_bytes(4, "little") + encoded + body)
+    assert main(["eval", "--ckpt", str(old), "--rollouts", "1"]) == 1
+    assert "unsupported checkpoint version 3" in capsys.readouterr().err
+    old.write_bytes(raw[:8] + len(encoded).to_bytes(4, "little") + encoded + body)      # v4 with a views key
+    assert main(["eval", "--ckpt", str(old), "--rollouts", "1"]) == 1
+    assert "views" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("views", [1, 2, 3])
+def test_config_with_policy_views_exits_1(workdir, dataset_path, views, capsys):
+    # policy.views accepted any count but only 2 trained; the count is now camera.VIEWS
+    cfg = workdir / "views.json"
+    cfg.write_text(json.dumps({"policy": {"views": views}, "train": {"steps": 1}}))
+    code = main(["train", "--config", str(cfg), "--data", str(dataset_path), "--out", str(workdir / "views.ckpt")])
+    assert code == 1
+    assert "views" in capsys.readouterr().err
+    assert not (workdir / "views.ckpt").exists()
+
+
 def test_ablate_honours_geo_section(workdir, short_dataset_path, capsys):
     cfg = workdir / "ablate-geo.json"
     cfg.write_text(json.dumps({"train": {"steps": 5, "eval_every": 0}, "geo": {"num_layers": 6}}))
@@ -364,7 +404,8 @@ def test_ablate_honours_geo_section(workdir, short_dataset_path, capsys):
                  "--modes", "all,even2", "--out-dir", str(out_dir)])
     capsys.readouterr()
     assert code == 0
-    assert load_checkpoint(out_dir / "ablate-all.ckpt").policy.geo.num_layers == 6
+    bundle = load_checkpoint(out_dir / "ablate-all.ckpt")
+    assert (bundle.policy.geo.num_layers, bundle.policy.cfg.select_count) == (6, 4)     # all keeps the config's count
     report = json.loads((out_dir / "ablation.json").read_text())
     assert [(row["mode"], row["selected"]) for row in report["ablation"]] == [("all", 6), ("even", 2)]
 
@@ -373,6 +414,24 @@ def test_ablate_bad_mode_exits_1(workdir, dataset_path, capsys):
     code = main(["ablate", "--data", str(dataset_path), "--modes", "sideways3", "--out-dir", str(workdir / "no")])
     capsys.readouterr()
     assert code == 1
+
+
+@pytest.mark.parametrize("modes, message", [
+    ("even0", "selects no layers"),
+    ("all,last0", "selects no layers"),
+    ("even2,even4", "given twice"),
+    ("all,last4,all", "given twice"),
+])
+def test_ablate_rejects_a_zero_count_or_a_repeated_mode_before_training(
+    workdir, dataset_path, tiny_config, modes, message, capsys
+):
+    # even0 used to train and report even(4); even2,even4 wrote both policies to ablate-even.ckpt
+    out_dir = workdir / "ablate-rejected"
+    code = main(["ablate", "--config", str(tiny_config), "--data", str(dataset_path), "--modes", modes,
+                 "--out-dir", str(out_dir)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_gradcheck_passes(capsys):

@@ -10,7 +10,7 @@ import pytest
 from geoaware.cli import main
 from geoaware.deskworld import SimConfig, generate_dataset, load_dataset, make_tasks, save_dataset, success
 from geoaware.deskworld.dataset import run_expert_episode
-from geoaware.deskworld.world import Action, step
+from geoaware.deskworld.world import ACTION_WIDTH, step
 from geoaware.errors import FormatError, GenerationError
 
 SIM = SimConfig()
@@ -19,10 +19,9 @@ SIM = SimConfig()
 def replay_deviation(episode, sim):
     """Max numeric deviation when replaying stored actions from the first scene."""
     worst = 0.0
-    scene = episode.steps[0].scene
-    for i in range(len(episode.steps) - 1):
-        scene = step(scene, Action.from_vector(episode.steps[i].action), sim)
-        stored = episode.steps[i + 1].scene
+    scene = episode.scenes[0]
+    for action, stored in zip(episode.actions, episode.scenes[1:]):
+        scene = step(scene, action, sim)
         worst = max(worst, float(np.abs(scene.ee_pos - stored.ee_pos).max()))
         worst = max(worst, float(np.abs(scene.ee_rot - stored.ee_rot).max()))
         worst = max(worst, abs(scene.gripper - stored.gripper))
@@ -72,15 +71,15 @@ def test_episode_ends_in_success_state():
     tasks = {t.task_id: t for t in ds.tasks}
     for ep in ds.episodes:
         task = tasks[ep.task_id]
-        assert success(ep.steps[-1].scene, task)
-        assert len(ep.steps) <= SIM.max_episode_steps + 1
+        assert success(ep.scenes[-1], task)
+        assert len(ep.scenes) == len(ep.actions) <= SIM.max_episode_steps + 1
 
 
 def test_actions_have_seven_entries():
     ds = small_dataset()
     for ep in ds.episodes:
-        for st in ep.steps:
-            assert st.action.shape == (7,)
+        assert ep.actions.shape == (len(ep.scenes), ACTION_WIDTH) == (len(ep.scenes), 7)
+        assert np.array_equal(ep.actions[-1], [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0])    # the idle action
 
 
 def test_replay_reproduces_stored_scenes():
@@ -111,10 +110,10 @@ def test_loaded_scenes_follow_an_edited_action(tmp_path):
     path.write_text("\n".join([lines[0], json.dumps(episode)] + lines[2:]) + "\n")
     loaded = load_dataset(path).episodes[0]
     original = ds.episodes[0]
-    assert np.array_equal(loaded.steps[0].scene.ee_pos, original.steps[0].scene.ee_pos)
-    expected = step(original.steps[0].scene, Action.from_vector(episode["actions"][0]), SIM)
-    assert_same_bits(loaded.steps[1].scene, expected)
-    assert not np.array_equal(loaded.steps[1].scene.ee_pos, original.steps[1].scene.ee_pos)
+    assert np.array_equal(loaded.scenes[0].ee_pos, original.scenes[0].ee_pos)
+    expected = step(original.scenes[0], episode["actions"][0], SIM)
+    assert_same_bits(loaded.scenes[1], expected)
+    assert not np.array_equal(loaded.scenes[1].ee_pos, original.scenes[1].ee_pos)
     assert replay_deviation(loaded, SIM) == 0.0
 
 
@@ -151,7 +150,7 @@ def test_header_contents(tmp_path):
     assert header["episodes"] == len(ds.episodes)
     # an episode is its task, seed and actions: no scene, proprio or camera is stored
     for doc, ep in zip(episodes, ds.episodes):
-        assert doc == {"task_id": ep.task_id, "seed": ep.seed, "actions": [st.action.tolist() for st in ep.steps]}
+        assert doc == {"task_id": ep.task_id, "seed": ep.seed, "actions": ep.actions.tolist()}
 
 
 def test_default_scale_episode_count():
@@ -194,22 +193,20 @@ def test_exact_float_formatting(tmp_path):
     # every double round-trips through the file bit for bit, signed zero included
     values = [0.1, 1.0 / 3.0, 1e-17, 123456.789012345678, -2.5e-8, -0.0, 5e-324]
     ds = small_dataset(episodes_per_task=1)
-    ds.episodes[0].steps[0].action = np.array(values)
+    ds.episodes[0].actions[0] = values
     path = tmp_path / "demos.jsonl"
     save_dataset(ds, path)
-    assert load_dataset(path).episodes[0].steps[0].action.tobytes() == np.array(values).tobytes()
+    assert load_dataset(path).episodes[0].actions[0].tobytes() == np.array(values).tobytes()
 
 
 def test_sample_index_covers_all_steps():
     ds = small_dataset()
     idx = ds.sample_index()
-    assert len(idx) == sum(len(ep.steps) for ep in ds.episodes)
+    assert len(idx) == sum(len(ep.actions) for ep in ds.episodes)
     assert idx[0] == (0, 0)
 
 
 def test_expert_episode_deterministic():
     a = run_expert_episode(make_tasks()[3], 77, SIM)
     b = run_expert_episode(make_tasks()[3], 77, SIM)
-    assert len(a.steps) == len(b.steps)
-    for sa, sb in zip(a.steps, b.steps):
-        assert np.array_equal(sa.action, sb.action)
+    assert np.array_equal(a.actions, b.actions)

@@ -101,10 +101,9 @@ def test_module_has_no_unused_private_names(path):
 
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
 
-# Kept for planned work in ROADMAP.md: ``bench.compare`` backs a planned
-# ``geoaware compare`` command (direction 6), ``nearest_seen_offset`` goes
-# into per-rollout telemetry (direction 5).
-TEST_ONLY_ALLOWED = {"bench.compare", "deskworld.camera.nearest_seen_offset"}
+# Kept for planned work in ROADMAP.md: ``nearest_seen_offset`` goes into
+# per-rollout telemetry (direction 4).
+TEST_ONLY_ALLOWED = {"deskworld.camera.nearest_seen_offset"}
 
 
 def unreferenced_public_names(modules, readers):

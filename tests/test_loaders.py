@@ -487,6 +487,20 @@ def test_non_finite_dataset_float_raises_format_error(tmp_path, edit, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("actions", [[], {}], ids=["empty-list", "empty-object"])
+def test_episode_without_actions_raises_format_error(tmp_path, actions, capsys):
+    # every written episode ends in the idle action; these used to load as zero-step episodes
+    path = tmp_path / "demos.jsonl"
+    _write_dataset(path)
+    fmt = JsonLines(path.read_bytes())
+    fmt.docs[1]["actions"] = actions
+    path.write_bytes(fmt.encode(fmt.docs))
+    with pytest.raises(FormatError, match="non-empty"):
+        load_dataset(path)
+    assert main(["train", "--data", str(path), "--out", str(tmp_path / "p.ckpt"), "--steps", "1"]) == 1
+    assert "non-empty" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("size", [0, -32])
 def test_non_positive_camera_image_size_raises_format_error(tmp_path, size, capsys):
     # an empty image is no camera: it must not load and then fail deep in training
@@ -512,4 +526,4 @@ def test_dataset_float_fields_accept_ints(tmp_path):
     path.write_bytes(fmt.encode(fmt.docs))
     loaded = load_dataset(path)
     assert loaded.sim.focal == 48.0 and type(loaded.sim.focal) is float
-    assert loaded.episodes[0].steps[0].action[6] == 1.0
+    assert loaded.episodes[0].actions[0, 6] == 1.0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from geoaware.backbones import GeoBackbone, GeoStubConfig, pooled_features, pooled_vision
-from geoaware.deskworld.camera import sample_viewpoints, seen_cameras
+from geoaware.deskworld.camera import VIEWS, sample_viewpoints, seen_cameras
 from geoaware.deskworld.dataset import generate_dataset
 from geoaware.deskworld.world import SimConfig, make_tasks, reset
 from geoaware.errors import CameraError, ConfigError, FormatError, ShapeError, StateError, VocabularyError
@@ -62,7 +62,7 @@ def tiny_policy(seed=0, **kw):
 
 
 def rand_vision(rng, cfg, geo=TINY_GEO, batch=2):
-    return rng.standard_normal((batch, cfg.views, geo.num_layers, geo.num_keypoints, geo.feature_dim))
+    return rng.standard_normal((batch, VIEWS, geo.num_layers, geo.num_keypoints, geo.feature_dim))
 
 
 def clear_grads(store):
@@ -103,7 +103,7 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "field",
     ["repr_dim", "conv_dim", "hidden_dim", "lang_embed_dim", "chunk_len", "select_count", "trunk_layers",
-     "trunk_heads", "views", "vq_dim", "vq_hidden"],
+     "trunk_heads", "vq_dim", "vq_hidden"],
 )
 def test_config_rejects_non_positive_sizes(field):
     # trunk_heads 0 used to reach hidden_dim % trunk_heads as a ZeroDivisionError
@@ -118,7 +118,7 @@ def test_default_config_matches_design_point():
     cfg = PolicyConfig()
     assert (cfg.repr_dim, cfg.conv_dim, cfg.hidden_dim, cfg.lang_embed_dim) == (64, 32, 64, 32)
     assert (cfg.select_count, cfg.select_mode) == (4, "even")
-    assert (cfg.trunk_layers, cfg.trunk_heads, cfg.views) == (2, 4, 2)
+    assert (cfg.trunk_layers, cfg.trunk_heads, VIEWS) == (2, 4, 2)
     assert (cfg.vq_codes, cfg.vq_dim, cfg.commitment_beta, cfg.offset_weight) == (32, 8, 0.25, 10.0)
     assert cfg.act_dim == 7 and cfg.n_tokens == 5
 
@@ -221,7 +221,7 @@ def test_encode_proprio_contracts():
 
 def _token_sequence(pol, rng, batch=2):
     cfg = pol.cfg
-    z_vis = Tensor(np.stack([rng.standard_normal((batch, cfg.repr_dim)) for _ in range(cfg.views)], axis=1))
+    z_vis = Tensor(np.stack([rng.standard_normal((batch, cfg.repr_dim)) for _ in range(VIEWS)], axis=1))
     z_lang = Tensor(rng.standard_normal((batch, cfg.repr_dim)))
     z_prop = Tensor(rng.standard_normal((batch, cfg.repr_dim)))
     return build_token_sequence(z_vis, z_lang, z_prop, pol.params, cfg)
@@ -496,7 +496,7 @@ def test_folded_views_match_separate_calls():
     vision = rand_vision(rng, pol.cfg, batch=3).astype(np.float32)
     z = project_vision(pooled_features(vision, None, pol.params, "geo"), pol.params).values
     for row in range(6):
-        b, v = divmod(row, pol.cfg.views)
+        b, v = divmod(row, VIEWS)
         alone = geo_vision([vision[b : b + 1, v, l] for l in range(3)], pol).values
         np.testing.assert_allclose(z[row], alone[0], rtol=1e-5, atol=1e-6)
 
@@ -698,7 +698,7 @@ def test_pixel_featurize_golden_hash_and_rows(category):
     tasks = make_tasks()
     data = generate_dataset(tasks, 1, seed=7, sim=sim)
     rng = np.random.default_rng(7)
-    scenes = [ep.steps[i].scene for ep in data.episodes for i in rng.choice(len(ep.steps), size=3, replace=False)]
+    scenes = [ep.scenes[i] for ep in data.episodes for i in rng.choice(len(ep.scenes), size=3, replace=False)]
     cameras = sample_viewpoints(category, 2, seed=7, sim=sim)
     pol = Policy(PolicyConfig(backbone_kind="pixel"), tuple(t.instruction for t in tasks), seed=0)
     frames = pol.featurize(scenes, cameras)

@@ -67,15 +67,16 @@ def test_make_batch_matches_stored_steps(demos):
     batch = make_batch(demos, [(0, 3)], pol, seen_cameras(demos.sim))
     episode = demos.episodes[0]
     assert batch.instructions[0] == episode.instruction
-    assert np.allclose(batch.proprio[0], episode.steps[3].scene.proprio())
-    assert np.allclose(batch.targets[0, 0], episode.steps[3].action, atol=1e-7)
+    assert np.allclose(batch.proprio[0], episode.scenes[3].proprio())
+    assert np.allclose(batch.targets[0, 0], episode.actions[3], atol=1e-7)
 
 
 def test_make_batch_chunk_padding(demos):
     pol = small_policy(demos, chunk_len=4)
-    last = len(demos.episodes[0].steps)
-    batch = make_batch(demos, [(0, last - 2)], pol, seen_cameras(demos.sim))
+    actions = demos.episodes[0].actions
+    batch = make_batch(demos, [(0, len(actions) - 2)], pol, seen_cameras(demos.sim))
     assert np.array_equal(batch.mask[0], [1.0, 1.0, 0.0, 0.0])
+    assert np.array_equal(batch.targets[0, :2], actions[-2:].astype(np.float32))
     assert np.all(batch.targets[0, 2:] == 0.0)
 
 
@@ -326,7 +327,7 @@ def test_vqbet_training_never_decodes_a_chunk(demos, monkeypatch):
     pol, _ = bc_train(demos, small_train(steps=3, head_kind="vqbet", vq_pretrain_steps=2), policy=pol)
     assert calls == []
     episode = demos.episodes[0]
-    pol.action(episode.steps[0].scene, episode.instruction, seen_cameras(demos.sim))
+    pol.action(episode.scenes[0], episode.instruction, seen_cameras(demos.sim))
     assert len(calls) == 1
 
 
@@ -384,8 +385,8 @@ def test_checkpoint_bad_version(tmp_path, demos):
     raw = bytearray(path.read_bytes())
     # version 1 kept tensor names, shapes, frozen names and step in a binary
     # layer; version 2 named the pixel projection pixel.head.* and had a
-    # codebook_trained key
-    for version in (1, 2, 99):
+    # codebook_trained key; version 3 had a views key in its policy section
+    for version in (1, 2, 3, 99):
         raw[4:8] = version.to_bytes(4, "little")
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from geoaware.deskworld import (
-    Action,
     SimConfig,
     expert_action,
     make_tasks,
@@ -12,10 +11,15 @@ from geoaware.deskworld import (
     step,
     success,
 )
-from geoaware.deskworld.world import MIN_SEPARATION, WORKSPACE_HALF
+from geoaware.deskworld.world import ACTION_WIDTH, MIN_SEPARATION, WORKSPACE_HALF, action_vector
 from geoaware.errors import InputError
 
 SIM = SimConfig()
+
+
+def act(d_pos=(0.0, 0.0, 0.0), d_rot=(0.0, 0.0, 0.0), gripper_cmd=1.0):
+    """The action vector ``step`` takes, rotation included."""
+    return np.concatenate([d_pos, d_rot, [gripper_cmd]])
 
 
 def test_task_set_is_closed_and_distinct():
@@ -55,7 +59,7 @@ def test_reset_never_starts_solved():
 
 def test_step_zero_action_changes_nothing_but_gripper_normalizes():
     scene = reset(make_tasks()[0], 0)
-    nxt = step(scene, Action.zero(), SIM)
+    nxt = step(scene, action_vector(), SIM)
     assert np.array_equal(nxt.ee_pos, scene.ee_pos)
     assert nxt.gripper == 1.0
     for a, b in zip(nxt.objects, scene.objects):
@@ -64,8 +68,7 @@ def test_step_zero_action_changes_nothing_but_gripper_normalizes():
 
 def test_step_clips_translation_per_axis():
     scene = reset(make_tasks()[0], 1)
-    act = Action(d_pos=np.array([10.0, -10.0, 0.01]), d_rot=np.zeros(3), gripper_cmd=1.0)
-    nxt = step(scene, act, SIM)
+    nxt = step(scene, act([10.0, -10.0, 0.01]), SIM)
     moved = nxt.ee_pos - scene.ee_pos
     assert np.allclose(moved[:2], [SIM.max_step, -SIM.max_step])
     assert np.isclose(moved[2], 0.01)
@@ -74,15 +77,15 @@ def test_step_clips_translation_per_axis():
 def test_step_keeps_ee_inside_workspace():
     scene = reset(make_tasks()[0], 2)
     for _ in range(30):
-        scene = step(scene, Action(d_pos=np.array([1.0, 1.0, 1.0]), d_rot=np.zeros(3), gripper_cmd=1.0), SIM)
+        scene = step(scene, act([1.0, 1.0, 1.0]), SIM)
     assert (scene.ee_pos <= WORKSPACE_HALF).all()
 
 
 def test_gripper_command_sign_with_zero_open():
     scene = reset(make_tasks()[0], 3)
-    assert step(scene, Action(np.zeros(3), np.zeros(3), -0.2), SIM).gripper == -1.0
-    assert step(scene, Action(np.zeros(3), np.zeros(3), 0.0), SIM).gripper == 1.0
-    assert step(scene, Action(np.zeros(3), np.zeros(3), 0.7), SIM).gripper == 1.0
+    assert step(scene, act(gripper_cmd=-0.2), SIM).gripper == -1.0
+    assert step(scene, act(gripper_cmd=0.0), SIM).gripper == 1.0
+    assert step(scene, act(gripper_cmd=0.7), SIM).gripper == 1.0
 
 
 def test_grasp_and_carry_two_step_trace():
@@ -91,17 +94,17 @@ def test_grasp_and_carry_two_step_trace():
     # teleport-by-steps: walk the ee onto the object with the gripper open
     while np.linalg.norm(target.pos - scene.ee_pos) > 1e-12:
         delta = np.clip(target.pos - scene.ee_pos, -SIM.max_step, SIM.max_step)
-        scene = step(scene, Action(delta, np.zeros(3), 1.0), SIM)
+        scene = step(scene, act(delta), SIM)
         target = scene.objects[0]
     # close: grasp fires on the open->closed transition
-    scene = step(scene, Action(np.zeros(3), np.zeros(3), -1.0), SIM)
+    scene = step(scene, act(gripper_cmd=-1.0), SIM)
     assert scene.held_object == target.object_id
     # move while closed: the object tracks the ee
-    scene = step(scene, Action(np.array([0.03, -0.02, 0.04]), np.zeros(3), -1.0), SIM)
+    scene = step(scene, act([0.03, -0.02, 0.04], gripper_cmd=-1.0), SIM)
     assert np.array_equal(scene.objects[0].pos, scene.ee_pos)
     # open: release in place
     released_at = scene.ee_pos.copy()
-    scene = step(scene, Action(np.array([0.05, 0.0, 0.0]), np.zeros(3), 1.0), SIM)
+    scene = step(scene, act([0.05, 0.0, 0.0]), SIM)
     assert scene.held_object is None
     assert np.array_equal(scene.objects[0].pos, released_at + np.array([0.05, 0.0, 0.0])) or np.array_equal(
         scene.objects[0].pos, released_at
@@ -115,33 +118,35 @@ def test_release_leaves_object_at_release_point():
     obj = scene.objects[0]
     while np.linalg.norm(obj.pos - scene.ee_pos) > 1e-12:
         delta = np.clip(obj.pos - scene.ee_pos, -SIM.max_step, SIM.max_step)
-        scene = step(scene, Action(delta, np.zeros(3), 1.0), SIM)
+        scene = step(scene, act(delta), SIM)
         obj = scene.objects[0]
-    scene = step(scene, Action(np.zeros(3), np.zeros(3), -1.0), SIM)
+    scene = step(scene, act(gripper_cmd=-1.0), SIM)
     held_pos = scene.objects[0].pos.copy()
-    scene = step(scene, Action(np.array([0.04, 0.0, 0.0]), np.zeros(3), 1.0), SIM)
+    scene = step(scene, act([0.04, 0.0, 0.0]), SIM)
     assert np.array_equal(scene.objects[0].pos, held_pos)
 
 
 def test_closing_far_from_objects_grasps_nothing():
     scene = reset(make_tasks()[0], 6)  # ee starts at home, far above the table
-    nxt = step(scene, Action(np.zeros(3), np.zeros(3), -1.0), SIM)
+    nxt = step(scene, act(gripper_cmd=-1.0), SIM)
     assert nxt.held_object is None
 
 
 def test_rotation_is_inert_but_tracked():
     scene = reset(make_tasks()[0], 7)
-    act = Action(np.zeros(3), np.array([0.1, -0.2, 0.3]), 1.0)
-    nxt = step(scene, act, SIM)
-    assert np.allclose(nxt.ee_rot, scene.ee_rot + act.d_rot)
+    nxt = step(scene, act(d_rot=[0.1, -0.2, 0.3]), SIM)
+    assert np.allclose(nxt.ee_rot, scene.ee_rot + [0.1, -0.2, 0.3])
     for a, b in zip(nxt.objects, scene.objects):
         assert np.array_equal(a.pos, b.pos)
 
 
 def test_non_finite_action_rejected():
     scene = reset(make_tasks()[0], 8)
-    with pytest.raises(InputError):
-        step(scene, Action(np.array([np.nan, 0, 0]), np.zeros(3), 1.0), SIM)
+    for index, value in [(0, np.nan), (4, np.inf), (6, -np.inf)]:
+        action = act()
+        action[index] = value
+        with pytest.raises(InputError, match="non-finite"):
+            step(scene, action, SIM)
 
 
 def test_success_boundary():
@@ -181,26 +186,35 @@ def test_expert_succeeds_within_budget(task_index):
 def test_expert_action_clipped_per_axis():
     task = make_tasks()[0]
     scene = reset(task, 11)
-    act = expert_action(scene, task, SIM)
-    assert (np.abs(act.d_pos) <= SIM.max_step + 1e-15).all()
-    assert np.array_equal(act.d_rot, np.zeros(3))
+    action = expert_action(scene, task, SIM)
+    assert action.shape == (ACTION_WIDTH,)
+    assert (np.abs(action[:3]) <= SIM.max_step + 1e-15).all()
+    assert np.array_equal(action[3:6], np.zeros(3))
 
 
 def test_expert_points_at_object_from_far():
     task = make_tasks()[0]
     scene = reset(task, 12)
     obj = scene.object_by_id(task.goals[0][0])
-    act = expert_action(scene, task, SIM)
+    d_pos = expert_action(scene, task, SIM)[:3]
     delta = obj.pos - scene.ee_pos
     # sign agreement on every axis, dominant axis saturated
-    assert (np.sign(act.d_pos) == np.sign(delta)).all()
-    assert np.isclose(np.abs(act.d_pos).max(), SIM.max_step)
+    assert (np.sign(d_pos) == np.sign(delta)).all()
+    assert np.isclose(np.abs(d_pos).max(), SIM.max_step)
 
 
 def test_action_vector_roundtrip():
-    act = Action(np.array([0.01, -0.02, 0.03]), np.array([0.0, 0.1, -0.1]), -1.0)
-    back = Action.from_vector(act.as_vector())
-    assert np.array_equal(back.as_vector(), act.as_vector())
-    assert act.as_vector().shape == (7,)
-    with pytest.raises(InputError):
-        Action.from_vector(np.zeros(6))
+    # action_vector lays out [d_pos, zero d_rot, gripper]; step reads it back
+    assert np.array_equal(action_vector([0.01, -0.02, 0.03], -1.0), [0.01, -0.02, 0.03, 0.0, 0.0, 0.0, -1.0])
+    assert np.array_equal(action_vector(), act())
+    scene = reset(make_tasks()[0], 13)
+    nxt = step(scene, action_vector([0.01, -0.02, 0.03], -1.0), SIM)
+    assert np.allclose(nxt.ee_pos - scene.ee_pos, [0.01, -0.02, 0.03])
+    assert nxt.gripper == -1.0
+
+
+@pytest.mark.parametrize("shape", [(ACTION_WIDTH - 1,), (1, ACTION_WIDTH), (ACTION_WIDTH + 1,), ()])
+def test_step_rejects_a_wrong_shape(shape):
+    scene = reset(make_tasks()[0], 14)
+    with pytest.raises(InputError, match="shape"):
+        step(scene, np.zeros(shape), SIM)
