@@ -1,7 +1,20 @@
-"""Scene state, task templates, kinematic dynamics, and the scripted expert."""
+"""Scene state, task templates, kinematic dynamics, and the scripted expert.
+
+Scenes are values: a scene is never edited after creation.  ``reset`` builds
+a fresh one, and ``step`` builds the next from the previous, sharing every
+part that did not move (object states, goal regions and their arrays) and
+making one new array per moved body; a held object shares the end-effector's
+position array.  Every array of a scene is read-only, so an in-place write
+raises ``ValueError`` instead of reaching a scene that shares it.  The
+kernels do their per-call arithmetic on Python floats, which round exactly as
+NumPy's elementwise float64 operations do; distances go through ``_norm``,
+which is ``np.linalg.norm`` for a vector.
+"""
 
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +40,32 @@ PLACEMENT_ATTEMPTS = 1000
 ACTION_WIDTH = 7
 PROPRIO_WIDTH = 7
 
+_VECTOR = struct.Struct("3d")
+
+
+def _frozen(x, y, z):
+    """A new read-only float64 3-vector.  Its memory is an immutable
+    ``bytes`` object, so the array cannot be made writable again."""
+    return np.frombuffer(_VECTOR.pack(x, y, z))
+
+
+def _norm(vector):
+    """The Euclidean length of a float vector, bit for bit as
+    ``np.linalg.norm`` computes it: the square root of its BLAS dot with
+    itself, whose rounding a Python sum of squares does not reproduce."""
+    return math.sqrt(vector.dot(vector))
+
+
+def _clip(value, bound):
+    """``value`` clipped to [-bound, bound]; ``np.clip`` for a finite float."""
+    return -bound if value < -bound else bound if value > bound else value
+
+
 # Lateral offsets applied to consecutive goals that share a region, so two
 # objects placed into one zone do not end up coincident.
-_PLACE_OFFSETS = ((0.0, 0.0, 0.0), (0.035, 0.0, 0.0), (-0.035, 0.0, 0.0), (0.0, 0.035, 0.0))
+_PLACE_OFFSETS = np.array(((0.0, 0.0, 0.0), (0.035, 0.0, 0.0), (-0.035, 0.0, 0.0), (0.0, 0.035, 0.0)))
+_HOME = _frozen(*EE_HOME)
+_NO_ROTATION = _frozen(0.0, 0.0, 0.0)
 
 
 @dataclass
@@ -57,9 +93,6 @@ class ObjectState:
     color: str
     pos: np.ndarray
 
-    def copy(self):
-        return ObjectState(self.object_id, self.color, self.pos.copy())
-
 
 @dataclass
 class GoalRegion:
@@ -68,13 +101,13 @@ class GoalRegion:
     center: np.ndarray
     radius: float
 
-    def copy(self):
-        return GoalRegion(self.region_id, self.color, self.center.copy(), self.radius)
-
 
 @dataclass
 class SceneState:
-    """Full world state: end-effector pose, gripper, objects, goals, held object."""
+    """Full world state: end-effector pose, gripper, objects, goals, held object.
+
+    A value: never edited after creation.  Its arrays are read-only and may be
+    shared with the scene it was stepped from (see the module docstring)."""
 
     ee_pos: np.ndarray
     ee_rot: np.ndarray              # accumulated rotation command; physically inert
@@ -82,16 +115,6 @@ class SceneState:
     objects: list[ObjectState]
     goal_regions: list[GoalRegion]
     held_object: str | None = None
-
-    def copy(self):
-        return SceneState(
-            ee_pos=self.ee_pos.copy(),
-            ee_rot=self.ee_rot.copy(),
-            gripper=self.gripper,
-            objects=[o.copy() for o in self.objects],
-            goal_regions=[g.copy() for g in self.goal_regions],
-            held_object=self.held_object,
-        )
 
     def object_by_id(self, object_id) -> ObjectState:
         for o in self.objects:
@@ -149,9 +172,9 @@ def reset(task: TaskSpec, seed: int) -> SceneState:
 
     def sample_position(label):
         for _ in range(PLACEMENT_ATTEMPTS):
-            xy = rng.uniform(-SPAWN_HALF, SPAWN_HALF, size=2)
-            pos = np.array([xy[0], xy[1], TABLE_Z])
-            if all(np.linalg.norm(pos - q) >= MIN_SEPARATION for q in placed):
+            x, y = rng.uniform(-SPAWN_HALF, SPAWN_HALF, size=2).tolist()
+            pos = _frozen(x, y, TABLE_Z)
+            if all(_norm(pos - q) >= MIN_SEPARATION for q in placed):
                 placed.append(pos)
                 return pos
         raise GenerationError(f"could not place {label} after {PLACEMENT_ATTEMPTS} attempts (task {task.task_id})")
@@ -159,8 +182,8 @@ def reset(task: TaskSpec, seed: int) -> SceneState:
     regions = [GoalRegion(rid, color, sample_position(rid), radius) for rid, color, radius in task.regions]
     objects = [ObjectState(oid, color, sample_position(oid)) for oid, color in task.objects]
     return SceneState(
-        ee_pos=np.array(EE_HOME),
-        ee_rot=np.zeros(3),
+        ee_pos=_HOME,
+        ee_rot=_NO_ROTATION,
         gripper=1.0,
         objects=objects,
         goal_regions=regions,
@@ -173,37 +196,40 @@ def step(scene: SceneState, action, sim: SimConfig | None = None) -> SceneState:
     translation delta (3, clipped per axis to ``sim.max_step``), rotation
     delta (3), gripper command (closed when negative, else open).  Grasping
     happens on the open->closed transition only; a held object rigidly tracks
-    the end-effector until released in place.  This is the one check of an
-    action: a wrong shape or a non-finite entry raises ``InputError``."""
+    the end-effector until released in place.  Returns a new scene and leaves
+    ``scene`` as it was.  This is the one check of an action: an entry that
+    is not a real number (a string, a complex number, ``None``), a wrong
+    shape or a non-finite entry raises ``InputError``."""
     sim = sim or SimConfig()
-    action = np.asarray(action, dtype=float)
+    try:
+        action = np.asarray(action)
+    except ValueError as e:         # a ragged nesting
+        raise InputError(f"action must be a vector of real numbers: {e}") from e
+    if action.dtype.kind not in "biuf":
+        raise InputError(f"action must be a vector of real numbers, got dtype {action.dtype}")
     if action.shape != (ACTION_WIDTH,):
         raise InputError(f"action must have shape ({ACTION_WIDTH},), got {action.shape}")
-    if not np.all(np.isfinite(action)):
+    values = action.tolist()
+    if not all(map(math.isfinite, values)):
         raise InputError("action contains non-finite values")
 
-    out = scene.copy()
-    d_pos = np.clip(action[:3], -sim.max_step, sim.max_step)
-    out.ee_pos = np.clip(scene.ee_pos + d_pos, -WORKSPACE_HALF, WORKSPACE_HALF)
-    out.ee_rot = scene.ee_rot + action[3:6]  # tracked but inert
-    new_grip = 1.0 if action[6] >= 0 else -1.0
+    ee_pos = _frozen(*[
+        _clip(p + _clip(d, sim.max_step), WORKSPACE_HALF) for p, d in zip(scene.ee_pos.tolist(), values[:3])
+    ])
+    ee_rot = _frozen(*[r + d for r, d in zip(scene.ee_rot.tolist(), values[3:6])])  # tracked but inert
+    gripper = 1.0 if values[6] >= 0 else -1.0
 
-    if scene.held_object is not None:
-        if new_grip < 0:
-            out.object_by_id(scene.held_object).pos = out.ee_pos.copy()
-        else:
-            out.held_object = None  # release; the object stays where it is
-    elif scene.gripper > 0 and new_grip < 0:
-        candidates = [
-            (float(np.linalg.norm(o.pos - out.ee_pos)), o.object_id)
-            for o in out.objects
-            if np.linalg.norm(o.pos - out.ee_pos) <= sim.grasp_radius
-        ]
+    held = scene.held_object
+    if held is not None and gripper > 0:
+        held = None  # release; the object stays where it is
+    elif held is None and scene.gripper > 0 and gripper < 0:
+        distances = [(_norm(o.pos - ee_pos), o.object_id) for o in scene.objects]
+        candidates = [c for c in distances if c[0] <= sim.grasp_radius]
         if candidates:
-            out.held_object = min(candidates)[1]
-            out.object_by_id(out.held_object).pos = out.ee_pos.copy()
-    out.gripper = new_grip
-    return out
+            held = min(candidates)[1]
+    # The held object moves with the end-effector; the rest are shared.
+    objects = [ObjectState(o.object_id, o.color, ee_pos) if o.object_id == held else o for o in scene.objects]
+    return SceneState(ee_pos, ee_rot, gripper, objects, list(scene.goal_regions), held)
 
 
 def success(scene: SceneState, task: TaskSpec) -> bool:
@@ -213,7 +239,7 @@ def success(scene: SceneState, task: TaskSpec) -> bool:
         region = scene.region_by_id(region_id)
         if scene.held_object == object_id:
             return False
-        if np.linalg.norm(obj.pos - region.center) > region.radius:
+        if _norm(obj.pos - region.center) > region.radius:
             return False
     return True
 
@@ -221,7 +247,7 @@ def success(scene: SceneState, task: TaskSpec) -> bool:
 def _place_target(scene: SceneState, task: TaskSpec, goal_index: int) -> np.ndarray:
     _, region_id = task.goals[goal_index]
     center = scene.region_by_id(region_id).center
-    return center + np.array(_PLACE_OFFSETS[goal_index % len(_PLACE_OFFSETS)])
+    return center + _PLACE_OFFSETS[goal_index % len(_PLACE_OFFSETS)]
 
 
 GRASP_APPROACH_TOL = 0.02   # close the gripper once within this distance
@@ -241,18 +267,19 @@ def expert_action(scene: SceneState, task: TaskSpec, sim: SimConfig | None = Non
     sim = sim or SimConfig()
 
     def clipped(delta):
-        return np.clip(delta, -sim.max_step, sim.max_step)
+        return [_clip(d, sim.max_step) for d in delta.tolist()]
 
     for i, (object_id, region_id) in enumerate(task.goals):
         obj = scene.object_by_id(object_id)
         target = _place_target(scene, task, i)
 
         if scene.held_object == object_id:
-            if np.linalg.norm(scene.ee_pos - target) <= PLACE_TOL:
+            delta = target - scene.ee_pos
+            if _norm(delta) <= PLACE_TOL:
                 return action_vector()  # release
-            return action_vector(clipped(target - scene.ee_pos), -1.0)
+            return action_vector(clipped(delta), -1.0)
 
-        if np.linalg.norm(obj.pos - target) <= PLACE_TOL:
+        if _norm(obj.pos - target) <= PLACE_TOL:
             continue  # this goal is done
 
         if scene.held_object is not None:
@@ -261,7 +288,7 @@ def expert_action(scene: SceneState, task: TaskSpec, sim: SimConfig | None = Non
             raise TaskError(f"expert is holding {scene.held_object!r} but needs {object_id!r}")
 
         delta = obj.pos - scene.ee_pos
-        if np.linalg.norm(delta) <= GRASP_APPROACH_TOL:
+        if _norm(delta) <= GRASP_APPROACH_TOL:
             return action_vector(clipped(delta), -1.0)  # grasp
         return action_vector(clipped(delta))  # approach
 

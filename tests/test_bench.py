@@ -36,8 +36,10 @@ class ExpertPolicy:
 
 
 class ConstantPolicy:
+    """Returns ``vec`` as given, so the world sees malformed actions as-is."""
+
     def __init__(self, vec):
-        self.vec = np.asarray(vec, dtype=float)
+        self.vec = vec
 
     def action(self, scene, instruction, cameras):
         return self.vec
@@ -86,9 +88,13 @@ def test_rollout_flags_non_finite_action():
     assert result.steps == 0
 
 
-@pytest.mark.parametrize("shape", [(ACTION_WIDTH - 1,), (1, ACTION_WIDTH)], ids=["6", "1x7"])
-def test_rollout_fails_a_malformed_action_at_step_0(shape):
-    result = rollout(ConstantPolicy(np.zeros(shape)), TASKS[0], seen_cameras(SIM), seed=0, sim=SIM)
+@pytest.mark.parametrize(
+    "vec",
+    [np.zeros(ACTION_WIDTH - 1), np.zeros((1, ACTION_WIDTH)), ["a"] * ACTION_WIDTH, [1j] * ACTION_WIDTH],
+    ids=["6", "1x7", "strings", "complex"],
+)
+def test_rollout_fails_a_malformed_action_at_step_0(vec):
+    result = rollout(ConstantPolicy(vec), TASKS[0], seen_cameras(SIM), seed=0, sim=SIM)
     assert (result.succeeded, result.steps, result.failure) == (False, 0, "non-finite or malformed action")
 
 

@@ -1,6 +1,7 @@
 """Pinhole projection, disc rendering, and viewpoint sampling."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -129,11 +130,9 @@ def four_task_scenes():
     scenes = [reset(task, seed) for seed, task in enumerate(make_tasks())]
     rng = np.random.default_rng(17)
     for scene in list(scenes):
-        moved = scene.copy()
-        moved.ee_pos = moved.ee_pos + rng.normal(0.0, 0.15, 3)
-        for obj in moved.objects:
-            obj.pos = obj.pos + rng.normal(0.0, 0.1, 3)
-        scenes.append(moved)
+        ee_pos = scene.ee_pos + rng.normal(0.0, 0.15, 3)
+        objects = [replace(obj, pos=obj.pos + rng.normal(0.0, 0.1, 3)) for obj in scene.objects]
+        scenes.append(replace(scene, ee_pos=ee_pos, objects=objects))
     return scenes
 
 

@@ -1,12 +1,15 @@
 """Dataset generation, serialization exactness, and replay fidelity."""
 
+import copy
 import dataclasses
+import hashlib
 import json
 import struct
 
 import numpy as np
 import pytest
 
+import geoaware.deskworld.dataset as dataset_module
 from geoaware.cli import main
 from geoaware.deskworld import SimConfig, generate_dataset, load_dataset, make_tasks, save_dataset, success
 from geoaware.deskworld.dataset import run_expert_episode
@@ -210,3 +213,40 @@ def test_expert_episode_deterministic():
     a = run_expert_episode(make_tasks()[3], 77, SIM)
     b = run_expert_episode(make_tasks()[3], 77, SIM)
     assert np.array_equal(a.actions, b.actions)
+
+
+# The sha256 of the demo file pins the world's arithmetic (reset, step,
+# expert_action, success) and the file format across versions; (16, 0) and
+# (48, 0) are the demo sets of the benchmark's two workloads.
+@pytest.mark.parametrize(
+    "episodes_per_task, seed, digest",
+    [
+        (4, 0, "be86cd1065f433cf4eae488f5ca5149a4a2bd29080b471d641a991740c39c8e3"),
+        (8, 3, "d285750b394b49089ab0282064936d5268b73175148eb7346ae1465ab4eedd82"),
+        (16, 0, "8ab7ed1c004acef4ef219fbb7e7ad0bf28be06c99ae67791779a94c2f305f8a1"),
+        (48, 0, "868c779ca23886158b1466610afc3b08ea9a7af833fbab41389349725130baa7"),
+    ],
+)
+def test_demo_file_bytes_are_pinned(tmp_path, episodes_per_task, seed, digest):
+    path = tmp_path / "demos.jsonl"
+    save_dataset(generate_dataset(make_tasks(), episodes_per_task, seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_episode_scenes_keep_the_values_they_were_created_with(monkeypatch):
+    # scenes share unmoved parts, so a later step must not edit an earlier scene
+    snapshots = []
+
+    def snapshotted(make_scene):
+        def wrapper(*args):
+            scene = make_scene(*args)
+            snapshots.append(copy.deepcopy(scene))
+            return scene
+        return wrapper
+
+    monkeypatch.setattr(dataset_module, "reset", snapshotted(dataset_module.reset))
+    monkeypatch.setattr(dataset_module, "step", snapshotted(dataset_module.step))
+    for task in make_tasks():
+        snapshots.clear()
+        episode = run_expert_episode(task, 21, SIM)
+        assert_same_bits(episode.scenes, snapshots)

@@ -213,6 +213,36 @@ def test_action_vector_roundtrip():
     assert nxt.gripper == -1.0
 
 
+@pytest.mark.parametrize(
+    "action",
+    [["a"] * ACTION_WIDTH, [1j] * ACTION_WIDTH, np.full(ACTION_WIDTH, 0.01 + 0.01j), [[0.0] * 3, [0.0] * 4]],
+    ids=["strings", "complex", "complex-array", "ragged"],
+)
+def test_step_rejects_a_non_numeric_action(action):
+    scene = reset(make_tasks()[0], 14)
+    with pytest.raises(InputError, match="real numbers"):
+        step(scene, action, SIM)
+
+
+def test_scenes_are_read_only_and_share_unmoved_parts():
+    task = make_tasks()[3]
+    scenes = [reset(task, 15)]
+    while not success(scenes[-1], task):
+        scenes.append(step(scenes[-1], expert_action(scenes[-1], task, SIM), SIM))
+    assert any(scene.held_object for scene in scenes)
+    for scene in scenes:
+        arrays = [scene.ee_pos, scene.ee_rot, *(o.pos for o in scene.objects), *(g.center for g in scene.goal_regions)]
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
+    for before, after in zip(scenes, scenes[1:]):
+        assert all(a is b for a, b in zip(after.goal_regions, before.goal_regions))
+        for a, b in zip(after.objects, before.objects):
+            assert (a is b) == (a.object_id != after.held_object)
+
+
 @pytest.mark.parametrize("shape", [(ACTION_WIDTH - 1,), (1, ACTION_WIDTH), (ACTION_WIDTH + 1,), ()])
 def test_step_rejects_a_wrong_shape(shape):
     scene = reset(make_tasks()[0], 14)
