@@ -7,8 +7,13 @@ Cameras use a right-handed look-at frame.  With camera-frame coordinates
 
 The renderer is batched: ``render_image(scenes, cameras)`` paints every
 scene under every camera in one call, projecting all disc centres of the
-batch once per camera, and composites each paint slot over a small window
-of every frame at once.  One scene under one camera is the batch of one.
+batch once per camera.  One vectorized pass then lists, for every disc of
+every frame, the pixels of its box (those within radius + 1 pixel of its
+centre on both axes, the only ones its alpha can reach) with their alpha,
+so the only per-disc work left is one gather, blend and scatter per paint
+position over all frames.  Boxes keep their own sizes, so one large disc
+does not widen the others' work.  One scene under one camera is the batch
+of one, the closed-loop rollout case.
 
 The two fixed "seen" cameras (top-down and oblique side) are the training
 views; novel evaluation cameras are sampled on the same sphere at a bounded
@@ -133,15 +138,23 @@ def _paint_slots(scenes):
 
 def render_image(scenes, cameras):
     """Render every scene under every camera as colored discs: float32
-    [B, V, H, W, 3] in [0, 1].  All cameras must share one ``image_size``.
+    [B, V, H, W, 3] in [0, 1].  Needs at least one scene, and cameras that
+    share one ``image_size``.
 
     In each frame goal regions paint first, objects far-to-near, the
     end-effector last.  Disc pixel radius is focal * world_radius / depth;
     behind-camera discs (depth <= MIN_RENDER_DEPTH) cull.  A disc composites
     over its frame with alpha = clip(radius_px + 0.5 - dist, 0, 1), dist being
-    a pixel's distance to the projected centre.  The frames are a view of one
-    channel-planar buffer, so the channel axis is the slowest in memory.
+    a pixel's distance to the projected centre.  Alpha is exactly 0 off a
+    disc's box, the pixels within radius_px + 1 of its centre on both axes,
+    and x * (1 - 0) + 0 * c == x, so only the boxes are painted.  One
+    vectorized pass lists every box pixel of every frame with its alpha; the
+    paint loop then runs once per paint position, not per disc or frame.  The
+    frames are a view of one channel-planar buffer, so the channel axis is the
+    slowest in memory.
     """
+    if not scenes:
+        raise CameraError("a render needs at least one scene")
     sizes = {cam.image_size for cam in cameras}
     if len(sizes) != 1:
         raise CameraError(f"cameras of one render must share one image_size, got {sorted(sizes)}")
@@ -149,6 +162,7 @@ def render_image(scenes, cameras):
     centres, radii, colors, groups = _paint_slots(scenes)
     b, k = radii.shape
     views = len(cameras)
+    frames = b * views
 
     # [B, V, K] projections; padding, like a culled disc, never paints
     uv, depth = np.empty((b, views, k, 2)), np.empty((b, views, k))
@@ -158,32 +172,42 @@ def render_image(scenes, cameras):
     groups = np.broadcast_to(groups[:, None], depth.shape)
     live = (groups != _PAD_GROUP) & (depth > MIN_RENDER_DEPTH)
     focal = np.array([cam.focal for cam in cameras], dtype=float)[None, :, None]
-    radius_px = focal * radii[:, None] / np.where(live, depth, 1.0)
+    radius_px = (focal * radii[:, None] / np.where(live, depth, 1.0)).reshape(frames, k)
+    uv, live = uv.reshape(frames, k, 2), live.reshape(frames, k)
 
-    # paint order in every frame: by group, then far to near (ties keep slot order)
-    order = np.lexsort((-depth, groups), axis=-1).reshape(b * views, k)
-    radius_px, live = (np.take_along_axis(a.reshape(b * views, k), order, axis=1) for a in (radius_px, live))
-    uv = np.take_along_axis(uv.reshape(b * views, k, 2), order[..., None], axis=1)
-    colors = np.take_along_axis(np.repeat(colors, views, axis=0), order[..., None], axis=1)
+    # every disc's box [lo, lo + extent) in (x, y), clipped to the image; empty unless live
+    lo = np.clip(np.ceil(uv - radius_px[..., None] - 1), 0, size).astype(int)
+    hi = np.clip(np.floor(uv + radius_px[..., None] + 1) + 1, 0, size).astype(int)
+    extent = np.where(live[..., None], hi - lo, 0)
 
-    # channel planes [3, frame * H * W]; each slot composites over one window per frame
-    img = np.empty((3, b * views * size * size), dtype=np.float32)
+    # paint order in every frame: by group, then far to near (ties keep slot
+    # order); the painted discs listed position-major, frame by frame
+    order = np.lexsort((-depth, groups), axis=-1).reshape(frames, k)
+    painted = (extent.min(axis=-1) > 0)[np.arange(frames)[:, None], order]
+    position, frame = np.nonzero(painted.T)
+    slot = order[frame, position]
+    (x0, y0), (w, h), (cx, cy) = lo[frame, slot].T, extent[frame, slot].T, uv[frame, slot].T
+
+    # every box pixel, disc after disc, row-major within a box
+    count = w * h
+    disc = np.repeat(np.arange(count.size), count)
+    cell = np.arange(disc.size) - np.repeat(np.cumsum(count) - count, count)
+    xs, ys = x0[disc] + cell % w[disc], y0[disc] + cell // w[disc]
+    dist = np.hypot(xs - cx[disc], ys - cy[disc])
+    alpha = np.clip(radius_px[frame, slot][disc] + 0.5 - dist, 0.0, 1.0).astype(np.float32)
+    # the composite x * (1 - alpha) + alpha * c, its two image-free terms made once
+    keep, paint = 1.0 - alpha, alpha * colors[frame // views, slot][disc].T
+    plane = frames * size * size
+    index = (frame[disc] * size + ys) * size + xs + plane * np.arange(3)[:, None]    # [3, P] into the flat planes
+    bounds = np.searchsorted(position[disc], np.arange(k + 1)).tolist()
+
+    img = np.empty((3, plane), dtype=np.float32)
     img[:] = np.asarray(BACKGROUND_COLOR, dtype=np.float32)[:, None]
-    for slot in range(k):
-        rows = np.flatnonzero(live[:, slot])
-        centre, r = uv[rows, slot], radius_px[rows, slot]
-        # the disc's (x, y) box, clipped to the image; alpha is exactly 0 outside it
-        lo = np.clip(np.floor(centre - r[:, None] - 1), 0, size).astype(int)
-        hi = np.clip(np.ceil(centre + r[:, None] + 1) + 1, 0, size).astype(int)
-        span = int(np.max(hi - lo, initial=0))
-        if span == 0:
-            continue
-        # a span x span window per frame covers its box; past the box, x * (1 - 0) + 0 * c == x
-        xs, ys = (np.minimum(lo[:, axis], size - span)[:, None] + np.arange(span) for axis in (0, 1))
-        dist = np.hypot(xs[:, None, :] - centre[:, 0, None, None], ys[:, :, None] - centre[:, 1, None, None])
-        alpha = np.clip(r[:, None, None] + 0.5 - dist, 0.0, 1.0).astype(np.float32).reshape(len(rows), -1)
-        pixels = ((rows[:, None, None] * size + ys[:, :, None]) * size + xs[:, None, :]).reshape(len(rows), -1)
-        img[:, pixels] = img[:, pixels] * (1.0 - alpha) + alpha * colors[rows, slot].T[:, :, None]
+    flat = img.reshape(-1)
+    # a paint position holds at most one disc per frame, so no pixel repeats within one scatter
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        at = index[:, start:stop]
+        flat[at] = flat.take(at) * keep[start:stop] + paint[:, start:stop]
     # a convex blend of palette colours stays in [0, 1]
     return img.reshape(3, b, views, size, size).transpose(1, 2, 3, 4, 0)
 

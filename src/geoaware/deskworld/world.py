@@ -133,6 +133,13 @@ class SceneState:
         return np.concatenate([self.ee_pos, self.ee_rot, [self.gripper]])
 
 
+def stack_proprio(scenes):
+    """``SceneState.proprio`` of every scene as one [B, PROPRIO_WIDTH] float64
+    array, built from one array per field rather than one concatenate per scene."""
+    fields = ([s.ee_pos for s in scenes], [s.ee_rot for s in scenes], [[s.gripper] for s in scenes])
+    return np.concatenate([np.array(f, dtype=float) for f in fields], axis=1)
+
+
 @dataclass
 class TaskSpec:
     """One language-conditioned pick-and-place template."""

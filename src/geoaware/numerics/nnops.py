@@ -16,12 +16,15 @@ Every product of an activation with a shared weight, ``x [..., K] @ w
 and backward: ``matmul`` and the block's projections.  ``conv2d``'s im2col
 contract: activations are held batch-innermost as [C, H, W, B]; the im2col
 matrix is [C_in * kh * kw, H_out * W_out * B] with rows in (c_in, i, j)
-order, built by one strided slice copy per kernel tap; the product is one
-GEMM with the [C_out, C_in * kh * kw] kernel matrix on the left, forward
-and for each gradient; and the output and input gradient are [B, C, H, W]
-views of [C, H, W, B] arrays, so stacked convs pass activations and
-gradients on without a layout copy.  Ops do not check their results for NaN
-or Inf; see the ``tensor`` module for where finiteness is checked.
+order, built by one strided slice copy per kernel tap from the input or,
+with padding p, from a zero-filled [C, H + 2p, W + 2p, B] buffer the input
+is copied into (the zeros ``np.pad`` writes, at a fraction of its per-call
+cost); the product is one GEMM with the [C_out, C_in * kh * kw] kernel
+matrix on the left, forward and for each gradient; and the output and
+input gradient are [B, C, H, W] views of [C, H, W, B] arrays, so stacked
+convs pass activations and gradients on without a layout copy.  Ops do not
+check their results for NaN or Inf; see the ``tensor`` module for where
+finiteness is checked.
 """
 
 from __future__ import annotations
@@ -289,6 +292,9 @@ def conv1d_relu_pool(layers, kernels, biases):
 def conv2d(x, kernels, bias, stride=1, padding=0):
     """2-D cross-correlation for [B, C_in, H, W] inputs, [C_out, C_in, kh, kw] kernels.
 
+    ``stride`` is an int >= 1 and ``padding`` an int >= 0 zeros on each side
+    of both spatial axes; anything else raises ``ShapeError``.
+
     Activations are held internally as [C, H, W, B], batch innermost, and
     multiplied through the im2col matrix the module docstring describes.
     The output is a view, the [B, C_out, H_out, W_out] transpose of a
@@ -305,6 +311,9 @@ def conv2d(x, kernels, bias, stride=1, padding=0):
         raise ShapeError(f"conv2d kernels {kernels.shape} do not match input channels {x.shape[1]}")
     if bias.shape != (c_out,):
         raise ShapeError(f"conv2d bias must have shape ({c_out},)")
+    for name, value, least in (("stride", stride, 1), ("padding", padding, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ShapeError(f"conv2d {name} must be an int >= {least}, got {value!r}")
     b, _, h, w = x.shape
     h_out = (h + 2 * padding - kh) // stride + 1
     w_out = (w + 2 * padding - kw) // stride + 1
@@ -313,7 +322,9 @@ def conv2d(x, kernels, bias, stride=1, padding=0):
 
     xp = x.values.transpose(1, 2, 3, 0)  # [C_in, H, W, B]
     if padding:
-        xp = np.pad(xp, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+        padded = np.zeros((c_in, h + 2 * padding, w + 2 * padding, b), dtype=xp.dtype)
+        padded[:, padding : padding + h, padding : padding + w] = xp
+        xp = padded
     n = h_out * w_out * b
     cols = np.empty((c_in, kh, kw, h_out, w_out, b), dtype=xp.dtype)
     for i in range(kh):

@@ -404,7 +404,10 @@ class Policy:
         """Observation tensor for a batch of scenes under ``VIEWS`` cameras: the
         selected pyramid layers [B, V, L_selected, N, D] or images
         [B, V, 3, H, W].  Either backbone featurizes the whole batch in one
-        call; the pixel one needs cameras that share one ``image_size``."""
+        call; the pixel one needs cameras that share one ``image_size``.  An
+        empty batch raises ``ShapeError``."""
+        if not scenes:
+            raise ShapeError("featurize needs at least one scene")
         if len(cameras) != VIEWS:
             raise ShapeError(f"policy expects {VIEWS} cameras, got {len(cameras)}")
         if self.backbone is not None:

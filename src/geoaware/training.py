@@ -18,7 +18,7 @@ import numpy as np
 
 from geoaware.backbones import GeoStubConfig, pooled_features
 from geoaware.deskworld.camera import seen_cameras
-from geoaware.deskworld.world import ACTION_WIDTH, SimConfig
+from geoaware.deskworld.world import ACTION_WIDTH, SimConfig, stack_proprio
 from geoaware.errors import ConfigError, ConfigMismatchError, FormatError, NumericAbort, NumericError
 from geoaware.numerics import Tensor, adamw_step, init_adamw, no_grad
 from geoaware.persist import from_dict, read_int, write_atomic
@@ -108,7 +108,7 @@ def make_batch(dataset, indices, policy: Policy, cameras, cache=None):
     return Batch(
         vision=vision,
         instructions=instructions,
-        proprio=np.asarray([scene.proprio() for scene in scenes], dtype=policy.dtype),
+        proprio=stack_proprio(scenes).astype(policy.dtype),
         targets=targets,
         mask=mask,
     )

@@ -1,5 +1,6 @@
 """Rollout evaluation, ablation structure, report formats."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -15,12 +16,12 @@ from geoaware.bench import (
     render_markdown,
     rollout,
 )
-from geoaware.deskworld.camera import seen_cameras
+from geoaware.deskworld.camera import sample_viewpoints, seen_cameras
 from geoaware.deskworld.dataset import generate_dataset
 from geoaware.deskworld.world import ACTION_WIDTH, SimConfig, expert_action, make_tasks
 from geoaware.errors import ConfigError
 from geoaware.policy import Policy, PolicyConfig
-from geoaware.training import TrainConfig, load_checkpoint
+from geoaware.training import TrainConfig, bc_train, load_checkpoint
 
 SIM = SimConfig()
 TASKS = make_tasks()
@@ -122,6 +123,43 @@ def test_rollout_caps_at_episode_limit():
     result = rollout(ConstantPolicy(np.zeros(7)), TASKS[0], seen_cameras(SIM), seed=0, sim=SIM)
     assert not result.succeeded
     assert result.steps == SIM.max_episode_steps
+
+
+class RecordingPolicy:
+    """Passes every call through to ``policy`` and keeps the actions."""
+
+    def __init__(self, policy):
+        self.policy, self.actions = policy, []
+
+    def action(self, scene, instruction, cameras):
+        self.actions.append(self.policy.action(scene, instruction, cameras))
+        return self.actions[-1]
+
+
+# sha256 of the 25 float64 actions a briefly trained policy takes in one
+# seeded novel_medium rollout, recorded with the per-slot window renderer and
+# the np.pad conv2d that the current ones replaced.  No trained policy solves
+# a task, so success rates cannot show drift in the closed-loop step; this
+# stream can.
+GOLDEN_ACTION_STREAMS = {
+    ("pixel", "vqbet"): "861579d57b35dc1a12ebbd2c84b7c278d6e24163e109bb0700f6c31f20fbedae",
+    ("geo", "mlp"): "cd60a9d1e2b6d1676e00bcd90de550eb2af9361af8a5b9a204f124a97629927c",
+}
+
+
+@pytest.mark.parametrize("backbone, head", sorted(GOLDEN_ACTION_STREAMS), ids="/".join)
+def test_closed_loop_action_stream_is_pinned(backbone, head):
+    demos = generate_dataset(TASKS, 1, seed=3, sim=SIM)
+    policy = Policy(PolicyConfig(backbone_kind=backbone, head_kind=head), tuple(demos.instructions()), seed=3)
+    train = TrainConfig(steps=4, batch_size=8, seed=3, vq_pretrain_steps=4, eval_every=0, head_kind=head, backbone_kind=backbone)
+    bc_train(demos, train, policy)
+    recorder = RecordingPolicy(policy)
+    cameras = sample_viewpoints("novel_medium", 2, seed=3, sim=SIM)
+    result = rollout(recorder, TASKS[2], cameras, seed=3, sim=SimConfig(max_episode_steps=25))
+    assert (result.succeeded, result.steps, len(recorder.actions)) == (False, 25, 25)
+    stream = np.stack(recorder.actions)
+    assert stream.dtype == np.float64 and stream.shape == (25, ACTION_WIDTH)
+    assert hashlib.sha256(stream.tobytes()).hexdigest() == GOLDEN_ACTION_STREAMS[backbone, head]
 
 
 def test_untrained_policy_is_near_zero():

@@ -10,6 +10,7 @@ from geoaware.deskworld import (
     CameraPose,
     SimConfig,
     camera_axes,
+    generate_dataset,
     make_tasks,
     nearest_seen_offset,
     project_points,
@@ -179,6 +180,37 @@ def test_render_matches_per_frame_reference(cameras):
     for b, scene in enumerate(scenes):
         for v, cam in enumerate(cams):
             assert np.array_equal(frames[b, v], reference_frame(scene, cam)), (b, v)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_batch_one_render_matches_reference_along_expert_episodes():
+    # the rollout case: one scene per call, every scene of one demo per task
+    data = generate_dataset(make_tasks(), 1, seed=11, sim=SIM)
+    pairs = (sample_viewpoints("novel_medium", 2, seed=11, sim=SIM), [near_camera(), behind_camera()])
+    for episode in data.episodes:
+        for scene in episode.scenes:
+            for cams in pairs:
+                frames = render_image([scene], cams)
+                for v, cam in enumerate(cams):
+                    assert np.array_equal(frames[0, v], reference_frame(scene, cam))
+
+
+def test_render_paint_position_that_paints_in_no_frame():
+    # t2 scenes have one more disc than the others, so the last paint position
+    # is padding in every frame of t0; in t2's frame it is the end effector,
+    # lifted behind the top-down camera and culled.  That position paints nothing.
+    cam = seen_cameras(SIM)[0]
+    lifted = replace(reset(make_tasks()[2], 0), ee_pos=cam.position + [0.0, 0.0, 0.5])
+    scenes = [reset(make_tasks()[0], 0), lifted, reset(make_tasks()[0], 1)]
+    frames = render_image(scenes, [cam])
+    for b, scene in enumerate(scenes):
+        assert np.array_equal(frames[b, 0], reference_frame(scene, cam)), b
+    assert np.array_equal(render_image(scenes[:1], [cam])[0], frames[0])
+
+
+def test_render_rejects_an_empty_batch():
+    with pytest.raises(CameraError, match="at least one scene"):
+        render_image([], seen_cameras(SIM))
 
 
 def test_render_near_camera_disc_covers_image():

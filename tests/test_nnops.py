@@ -433,6 +433,68 @@ def test_conv2d_matches_reference(padding, stride, layout):
         assert np.abs(got_t - ref).max() <= tol
 
 
+def np_pad_conv2d(x, kernels, bias, stride, padding, g):
+    """``conv2d`` as it was written with ``np.pad``, on plain arrays: the
+    output and the gradients of ``sum(out * g)`` for x, kernels and bias.
+    The same im2col GEMMs on the same layouts, so a zero-buffer padding must
+    match it bit for bit."""
+    c_out, c_in, kh, kw = kernels.shape
+    b, _, h, w = x.shape
+    h_out, w_out = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
+    xp = x.transpose(1, 2, 3, 0)
+    if padding:
+        xp = np.pad(xp, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    n = h_out * w_out * b
+    cols = np.empty((c_in, kh, kw, h_out, w_out, b), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
+    cols = cols.reshape(c_in * kh * kw, n)
+    w2 = kernels.reshape(c_out, c_in * kh * kw)
+    out = (w2 @ cols + bias[:, None]).reshape(c_out, h_out, w_out, b).transpose(3, 0, 1, 2)
+    gt = g.transpose(1, 2, 3, 0).reshape(c_out, n)
+    gcols = (w2.T @ gt).reshape(c_in, kh, kw, h_out, w_out, b)
+    gx = np.zeros((c_in, h + 2 * padding, w + 2 * padding, b), dtype=g.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            gx[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += gcols[:, i, j]
+    gx = gx[:, padding : padding + h, padding : padding + w].transpose(3, 0, 1, 2)
+    return out, gx, (gt @ cols.T).reshape(c_out, c_in, kh, kw), gt.sum(axis=1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("layout", ["contiguous", "batch-innermost"])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+def test_conv2d_is_bitwise_the_np_pad_version(padding, stride, layout, dtype):
+    rng = np.random.default_rng(100 + 10 * padding + stride)
+    x = rng.standard_normal((3, 2, 7, 6)).astype(dtype)
+    if layout == "batch-innermost":        # a [B, C, H, W] view of [C, H, W, B] memory
+        x = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+    k, b = rng.standard_normal((4, 2, 3, 3)).astype(dtype), rng.standard_normal(4).astype(dtype)
+    xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, k, b))
+    out = conv2d(xt, kt, bt, stride=stride, padding=padding)
+    g = rng.standard_normal(out.shape).astype(dtype)
+    tensor_sum(out * Tensor(g)).backward()
+    for got, ref in zip((out.values, xt.grad, kt.grad, bt.grad), np_pad_conv2d(x, k, b, stride, padding, g), strict=True):
+        assert got.dtype == dtype and np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize(
+    "stride, padding",
+    [(0, 1), (-1, 0), (1.5, 0), (2.0, 1), (True, 1), ("2", 1), (1, -1), (2, -2), (1, 0.5), (1, 1.0), (1, False), (1, None)],
+)
+def test_conv2d_rejects_bad_stride_and_padding(stride, padding):
+    x = Tensor(np.ones((1, 2, 6, 6)))
+    with pytest.raises(ShapeError, match="stride|padding"):
+        conv2d(x, Tensor(np.ones((3, 2, 3, 3))), Tensor(np.zeros(3)), stride=stride, padding=padding)
+
+
+def test_conv2d_accepts_numpy_int_stride_and_padding():
+    x, k, b = Tensor(np.ones((1, 2, 6, 6))), Tensor(np.ones((3, 2, 3, 3))), Tensor(np.zeros(3))
+    assert np.array_equal(conv2d(x, k, b, stride=np.int64(2), padding=np.int32(1)).values, conv2d(x, k, b, 2, 1).values)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_conv2d_grad_matches_fd(seed):
     rng = np.random.default_rng(seed)

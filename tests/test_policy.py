@@ -683,6 +683,13 @@ def test_policy_camera_count_mismatch():
         pol.featurize([scene], seen_cameras(sim)[:1])
 
 
+@pytest.mark.parametrize("backbone", ["geo", "pixel"])
+def test_featurize_rejects_an_empty_batch(backbone):
+    pol = Policy(PolicyConfig(backbone_kind=backbone), tuple(t.instruction for t in make_tasks()), seed=2)
+    with pytest.raises(ShapeError, match="at least one scene"):
+        pol.featurize([], seen_cameras(SimConfig()))
+
+
 # Recorded from the per-frame renderer this batched one replaced: pixel
 # featurize of 3 seeded steps from each task's demo (dataset seed 7) under the
 # seen pair and a novel_medium pair (seed 7).

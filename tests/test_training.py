@@ -46,6 +46,15 @@ def small_train(**kw):
 # -- batches -----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_make_batch_proprio_is_the_per_scene_stack(demos, dtype):
+    pol = Policy(PolicyConfig(), tuple(demos.instructions()), dtype=dtype)
+    indices = demos.sample_index()[::3]
+    batch = make_batch(demos, indices, pol, seen_cameras(demos.sim))
+    expected = np.asarray([demos.episodes[e].scenes[s].proprio() for e, s in indices], dtype=dtype)
+    assert batch.proprio.dtype == dtype and batch.proprio.tobytes() == expected.tobytes()
+
+
 def test_make_batch_shapes_and_determinism(demos):
     pol = small_policy(demos)
     indices = demos.sample_index()[:8]
