@@ -12,10 +12,16 @@ property the policy's projection head is meant to exploit.
 
 A ``GeoBackbone`` is built for the layers the policy selects and computes
 only those: ``pyramid_batch`` featurizes a whole batch of scenes under V
-cameras at once into [B, V, L_selected, N, D].
+cameras at once into [B, V, L_selected, N, D].  ``raw_tokens`` writes every
+keypoint through one flat row index into the B * N token rows.  The pyramid
+is layer-major: each layer mixes and lifts all B * V * N tokens in one
+product, and the [B, V, L, N, D] result is a view of [L, B, V, N, D] memory.
 
 Either backbone ends in a trainable conv stage (``pooled_features``); the
-policy's one shared projection ``vision.mlp`` follows it.
+policy's one shared projection ``vision.mlp`` follows it.  The geo stage
+reads the layer-major pyramid as one [L, B * V, N, D] conv tensor, without
+a copy, and runs all layers' token convs (``vision.conv.w`` [L, C_out, D,
+3], ``vision.conv.b`` [L, C_out]) as the one op ``conv1d_relu_pool``.
 """
 
 from __future__ import annotations
@@ -101,36 +107,39 @@ class GeoBackbone:
             counts.append(len(s.objects) + len(s.goal_regions) + 1 + len(FIDUCIALS))
         if max(counts, default=0) > n:
             raise ShapeError(f"scene has {max(counts)} keypoints but the stub is configured for {n}")
-        valid = np.arange(n) < np.array(counts)[:, None]       # [B, N]
+        rows = np.flatnonzero(np.arange(n) < np.array(counts)[:, None])    # each keypoint's row of B * N
         points = np.array(points, dtype=float)                  # [K_total, 3]
         attrs = np.array(attrs)
 
-        world = np.zeros((b, n, RAW_WIDTH))
-        world[valid, 0:3] = points
-        world[valid, 3 + attrs] = 1.0
-        world[valid, -1] = 1.0
+        world = np.zeros((b * n, RAW_WIDTH))
+        world[rows, 0:3] = points
+        world[rows, 3 + attrs] = 1.0
+        world[rows, -1] = 1.0
 
-        views = np.zeros((b, len(cameras), n, RAW_WIDTH))
-        for j, cam in enumerate(cameras):
+        views = np.zeros((len(cameras), b * n, RAW_WIDTH))     # camera-major
+        for view, cam in zip(views, cameras):
             uv, depth = project_points(cam, points, min_depth=DEPTH_CLAMP)
-            size = float(cam.image_size)
-            view = views[:, j]
-            view[valid, 0] = uv[:, 0] / size
-            view[valid, 1] = uv[:, 1] / size
-            view[valid, 2] = np.maximum(depth, DEPTH_CLAMP)
-            view[valid, -1] = (depth > DEPTH_CLAMP).astype(float)
-        return views, world
+            view[rows, 0:2] = uv / float(cam.image_size)
+            view[rows, 2] = np.maximum(depth, DEPTH_CLAMP)
+            view[rows, -1] = depth > DEPTH_CLAMP
+        return views.reshape(len(cameras), b, n, RAW_WIDTH).transpose(1, 0, 2, 3), world.reshape(b, n, RAW_WIDTH)
 
     def pyramid_batch(self, scenes, cameras):
         """Selected layers for all scene/camera combinations:
-        [B, V, L_selected, N, D] float64, in pick order."""
+        [B, V, L_selected, N, D] float64, in pick order.
+
+        The result is a view of layer-major [L, B, V, N, D] memory: every
+        layer mixes and lifts its B * V * N tokens in one [B * V * N, R] @
+        [R, D] product."""
         views, worlds = self.raw_tokens(scenes, cameras)
         b, v, n, r = views.shape
-        alphas = self.alphas[:, None, None]                     # [L, 1, 1]
-        mixed = np.empty((b, v, len(self.layers), n, r))
-        np.multiply(views[:, :, None], 1.0 - alphas, out=mixed)
-        mixed += (alphas * worlds[:, None])[:, None]
-        return mixed @ self.lifts                               # [B, V, L, N, R] @ [L, R, D]
+        layers = len(self.layers)
+        alphas = self.alphas[:, None, None, None, None]         # [L, 1, 1, 1, 1]
+        mixed = np.empty((layers, b, v, n, r))
+        np.multiply(views, 1.0 - alphas, out=mixed)
+        mixed += alphas * worlds[:, None]
+        lifted = mixed.reshape(layers, b * v * n, r) @ self.lifts
+        return lifted.reshape(layers, b, v, n, -1).transpose(1, 2, 0, 3, 4)
 
 
 # -- layer selection ---------------------------------------------------------
@@ -187,23 +196,17 @@ def init_pixel_params(store, uniform, lang_embed_dim):
     store.add("pixel.film.shift.b", np.zeros(c_last, dtype=dtype))
 
 
-def pooled_vision(selected_layers, store):
-    """Conv/relu/pool stage of the geo backbone: [batch, L * conv_dim].
+def pooled_vision(layers, store):
+    """Conv/relu/pool stage of the geo backbone: [rows, L * conv_dim].
 
-    Layer i of the L layers [batch, tokens, channels] gets its own conv over
-    the token axis (``vision.conv{i}``, kernel 3, padded to keep the tokens),
-    relu, then the mean over tokens; the L pooled vectors are concatenated in
-    layer order.  All of it is the one fused op ``conv1d_relu_pool``.
+    ``layers`` [L, rows, tokens, channels] holds the L selected layers.
+    Layer l gets its own conv over the token axis (``vision.conv.w[l]``,
+    kernel 3, padded to keep the tokens, and ``vision.conv.b[l]``), relu,
+    then the mean over tokens; the L pooled vectors are concatenated in layer
+    order.  All of it is the one fused op ``conv1d_relu_pool``, which raises
+    ``ShapeError`` unless there is one kernel per layer.
     """
-    conv_dim = store["vision.conv0.w"].shape[0]
-    width = store["vision.mlp.1.w"].shape[0]
-    if len(selected_layers) * conv_dim != width:
-        raise ShapeError(f"expected {width // conv_dim} selected layers, got {len(selected_layers)}")
-    return conv1d_relu_pool(
-        selected_layers,
-        [store[f"vision.conv{i}.w"] for i in range(len(selected_layers))],
-        [store[f"vision.conv{i}.b"] for i in range(len(selected_layers))],
-    )
+    return conv1d_relu_pool(layers, store["vision.conv.w"], store["vision.conv.b"])
 
 
 def pixel_pooled(images, lang_embed, store):
@@ -232,9 +235,10 @@ def pooled_features(vision, lang_embed, store, backbone_kind):
     ``pixel`` (``pixel_pooled``) is conditioned on it, repeated per view."""
     vision = np.asarray(vision)
     b, views = vision.shape[:2]
-    folded = vision.reshape((b * views,) + vision.shape[2:])
     if backbone_kind == "geo":
-        return pooled_vision([Tensor(folded[:, l]) for l in range(folded.shape[1])], store)
+        # [B, V, L, N, D] -> [L, B * V, N, D]; no copy for ``pyramid_batch``'s layer-major memory
+        layers = vision.transpose(2, 0, 1, 3, 4)
+        return pooled_vision(Tensor(layers.reshape((layers.shape[0], b * views) + layers.shape[3:])), store)
     d = lang_embed.shape[1]
     per_view = reshape(broadcast_to(reshape(lang_embed, (b, 1, d)), (b, views, d)), (b * views, d))
-    return pixel_pooled(Tensor(folded), per_view, store)
+    return pixel_pooled(Tensor(vision.reshape((b * views,) + vision.shape[2:])), per_view, store)

@@ -6,7 +6,9 @@ values take precedence over config-file values, which take precedence over the
 GEOAWARE_SEED environment variable, which takes precedence over built-in
 defaults.  Exit codes: 0 success, 1 usage or input problem, 2 numeric abort
 (non-finite loss or gradient, or a failed gradient check), 3 checkpoint
-missing or config mismatch, 4 report schema mismatch.
+missing or config mismatch, 4 report schema mismatch.  A path that cannot be
+read or written (missing, a directory, no permission) is an input problem,
+exit 1, apart from ``eval``'s missing checkpoint.
 
 Concurrent runs: numpy's BLAS starts one thread per core by default, and
 several processes that each do so contend for the cores; four trainings at
@@ -288,7 +290,7 @@ def main(argv=None):
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (GeoAwareError, FileNotFoundError) as exc:
+    except (GeoAwareError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

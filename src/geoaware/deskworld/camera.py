@@ -5,6 +5,9 @@ Cameras use a right-handed look-at frame.  With camera-frame coordinates
 
     u = focal * X / Z + c_x,     v = focal * Y / Z + c_y.
 
+A ``CameraPose`` is a value: it computes its (right, down, forward) axes
+once, when it is made, and every projection reads them.
+
 The renderer is batched: ``render_image(scenes, cameras)`` paints every
 scene under every camera in one call, projecting all disc centres of the
 batch once per camera.  One vectorized pass then lists, for every disc of
@@ -23,7 +26,7 @@ angular offset from their nearest seen camera.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,20 +58,38 @@ _ELEVATION_LIMITS = (5.0, 88.0)     # keep novel cameras above the table, off th
 _SAMPLE_ATTEMPTS = 1000
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CameraPose:
+    """A pinhole camera pose, a value: it holds its own read-only float copies
+    of ``position``, ``look_at``, ``up`` and ``principal_point``, and computes
+    its (right, down, forward) axes (``camera_axes``) once, when it is made,
+    so a degenerate pose raises ``CameraError`` there.  ``project_points``
+    reads the stored axes.  Poses compare with ``same_pose``."""
+
     position: np.ndarray
     look_at: np.ndarray
     up: np.ndarray
     focal: float
     principal_point: np.ndarray
     image_size: int
+    axes: tuple = field(init=False, repr=False)     # (right, down, forward)
+
+    def __post_init__(self):
+        for name in ("position", "look_at", "up", "principal_point"):
+            value = np.array(getattr(self, name), dtype=float)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        axes = camera_axes(self)
+        for axis in axes:
+            axis.flags.writeable = False
+        object.__setattr__(self, "axes", axes)
 
     def same_pose(self, other, tol=1e-9):
-        return (
-            np.allclose(self.position, other.position, atol=tol)
-            and np.allclose(self.look_at, other.look_at, atol=tol)
-            and np.allclose(self.up, other.up, atol=tol)
+        """Whether ``other`` has the same position, look-at point and up
+        vector, each coordinate within the absolute tolerance ``tol``."""
+        return all(
+            np.allclose(getattr(self, name), getattr(other, name), rtol=0.0, atol=tol)
+            for name in ("position", "look_at", "up")
         )
 
 
@@ -79,7 +100,8 @@ def _cross(a, b):
 
 
 def camera_axes(pose: CameraPose):
-    """Rows (right, down, forward) of the world-to-camera rotation."""
+    """Rows (right, down, forward) of the world-to-camera rotation, computed
+    from the pose's position, look-at point and up vector."""
     forward = pose.look_at - pose.position
     norm = np.linalg.norm(forward)
     if norm < 1e-9:
@@ -102,16 +124,16 @@ def project_points(pose: CameraPose, points, min_depth=MIN_RENDER_DEPTH):
     behind-camera points yield finite coordinates and callers decide what to
     do with them (the renderer culls them, the feature stub flags them).
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    right, down, forward = camera_axes(pose)
-    rel = points - pose.position
-    x = rel @ right
-    y = rel @ down
+    rel = np.atleast_2d(np.asarray(points, dtype=float)) - pose.position
+    right, down, forward = pose.axes
     z = rel @ forward
-    safe_z = np.maximum(z, min_depth)
-    u = pose.focal * x / safe_z + pose.principal_point[0]
-    v = pose.focal * y / safe_z + pose.principal_point[1]
-    return np.stack([u, v], axis=1), z
+    uv = np.empty((len(rel), 2))
+    uv[:, 0] = rel @ right
+    uv[:, 1] = rel @ down
+    uv *= pose.focal
+    uv /= np.maximum(z, min_depth)[:, None]
+    uv += pose.principal_point
+    return uv, z
 
 
 def _paint_slots(scenes):
@@ -283,12 +305,12 @@ def sample_viewpoints(category: str, count: int, seed: int, sim: SimConfig | Non
             psi = math.radians(rng.uniform(lo, hi))
             # random unit axis tangent to the sphere at `base`
             helper = np.array([0.0, 0.0, 1.0]) if abs(base[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-            t1 = _unit(np.cross(base, helper))
-            t2 = np.cross(base, t1)
+            t1 = _unit(_cross(base, helper))
+            t2 = _cross(base, t1)
             phi = rng.uniform(0.0, 2.0 * math.pi)
             axis = math.cos(phi) * t1 + math.sin(phi) * t2
             # rotate base around `axis` by psi (Rodrigues; axis is orthogonal to base)
-            pos = math.cos(psi) * base + math.sin(psi) * np.cross(axis, base)
+            pos = math.cos(psi) * base + math.sin(psi) * _cross(axis, base)
             elevation = math.degrees(math.asin(float(np.clip(pos[2], -1.0, 1.0))))
             if not (_ELEVATION_LIMITS[0] <= elevation <= _ELEVATION_LIMITS[1]):
                 continue

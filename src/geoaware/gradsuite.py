@@ -98,9 +98,10 @@ def _check_relu(step):
 
 
 def _check_transformer_block(step):
-    # All 17 inputs are leaves, at S_q = S under the causal mask and at
-    # S_q = 1 under its last row, as the trunk's last block runs.  Seed chosen
-    # so every FFN relu preactivation sits at least 0.25 from the kink.
+    # All 13 inputs are leaves, the fused q/k/v weight and bias among them,
+    # at S_q = S under the causal mask and at S_q = 1 under its last row, as
+    # the trunk's last block runs.  Seed chosen so every FFN relu
+    # preactivation sits at least 0.25 from the kink.
     rng = np.random.default_rng(117)
     b, s, h, width, heads = 2, 4, 6, 8, 2
     x = rng.normal(size=(b, s, h))
@@ -108,7 +109,9 @@ def _check_transformer_block(step):
     def layer_norm_params():
         return [rng.normal(size=h) * 0.5 + 1.0, rng.normal(size=h) * 0.1]
 
-    params = layer_norm_params() + [rng.normal(size=shape) * 0.5 for _ in range(4) for shape in ((h, h), (h,))]
+    params = layer_norm_params()
+    qw, qb, kw, kb, vw, vb, ow, ob = (rng.normal(size=shape) * 0.5 for _ in range(4) for shape in ((h, h), (h,)))
+    params += [np.concatenate([qw, kw, vw], axis=1), np.concatenate([qb, kb, vb]), ow, ob]
     params += layer_norm_params() + [
         rng.normal(size=(h, width)) * 0.5, rng.normal(size=width) * 0.1,
         rng.normal(size=(width, h)) * 0.5, rng.normal(size=h) * 0.1,
@@ -125,17 +128,19 @@ def _check_transformer_block(step):
 
 
 def _check_conv1d_relu_pool(step):
-    # Seed chosen so every relu preactivation sits at least 1e-2 from the kink.
+    # The input [L, R, N, C], the stacked kernels and the stacked biases are
+    # leaves.  Seed chosen so every relu preactivation sits at least 1e-2
+    # from the kink.
     rng = np.random.default_rng(107)
-    layers = [rng.normal(size=(2, 7, 3)) for _ in range(2)]
-    kernels = [rng.normal(size=(4, 3, 3)) * 0.5 for _ in range(2)]
-    biases = [rng.normal(size=4) * 0.1 for _ in range(2)]
+    x = np.stack([rng.normal(size=(2, 7, 3)) for _ in range(2)])
+    kernels = np.stack([rng.normal(size=(4, 3, 3)) * 0.5 for _ in range(2)])
+    biases = np.stack([rng.normal(size=4) * 0.1 for _ in range(2)])
     w = rng.normal(size=(2, 8))
 
     def f(leaves):
-        return (conv1d_relu_pool(leaves[0:2], leaves[2:4], leaves[4:6]) * Tensor(w)).sum()
+        return (conv1d_relu_pool(*leaves) * Tensor(w)).sum()
 
-    return grad_check(f, layers + kernels + biases, step=step)
+    return grad_check(f, [x, kernels, biases], step=step)
 
 
 def _check_conv2d(step):
@@ -206,17 +211,16 @@ def _check_project_vision(step):
     # the geo conv stage, then the shared projection vision.mlp
     cfg, geo, store = _tiny_policy()
     rng = np.random.default_rng(113)
-    layers = [rng.normal(size=(2, geo.num_keypoints, geo.feature_dim)) for _ in range(3)]
-    names = ["vision.conv0.w", "vision.conv1.w", "vision.mlp.1.w", "vision.mlp.2.b"]
+    layers = np.stack([rng.normal(size=(2, geo.num_keypoints, geo.feature_dim)) for _ in range(3)])
+    names = ["vision.conv.w", "vision.conv.b", "vision.mlp.1.w", "vision.mlp.2.b"]
     w = rng.normal(size=(2, cfg.repr_dim))
 
     def f(leaves):
         for name, leaf in zip(names, leaves[: len(names)]):
             store.replace(name, leaf)
-        lts = [leaves[len(names) + i] for i in range(3)]
-        return (project_vision(pooled_vision(lts, store), store) * Tensor(w)).sum()
+        return (project_vision(pooled_vision(leaves[len(names)], store), store) * Tensor(w)).sum()
 
-    inputs = [store[n].values.copy() for n in names] + layers
+    inputs = [store[n].values.copy() for n in names] + [layers]
     return grad_check(f, inputs, step=step)
 
 
@@ -247,7 +251,7 @@ def _check_trunk(step):
     b = 2
     zs = [rng.normal(size=(b, cfg.repr_dim)) for _ in range(VIEWS + 2)]
     zs = [np.stack(zs[:VIEWS], axis=1)] + zs[VIEWS:]        # vision tokens [b, VIEWS, repr_dim]
-    names = ["trunk0.attn.q.w", "trunk0.ff.1.w", "trunk1.attn.v.w", "trunk1.ln2.g", "token.action"]
+    names = ["trunk0.attn.qkv.w", "trunk0.ff.1.w", "trunk1.attn.qkv.b", "trunk1.ln2.g", "token.action"]
     w = rng.normal(size=(b, cfg.hidden_dim))
 
     def f(leaves):
@@ -315,8 +319,8 @@ def _check_end_to_end(step):
     instructions = [_VOCAB[0], _VOCAB[1]]
     target = rng.normal(size=(2, cfg.chunk_len, ACTION_WIDTH))
     names = [
-        "vision.conv0.w", "vision.mlp.2.w", "lang.mlp.1.w", "proprio.2.w",
-        "trunk0.attn.k.w", "trunk1.ff.2.w", "head.2.w", "token.pos",
+        "vision.conv.w", "vision.mlp.2.w", "lang.mlp.1.w", "proprio.2.w",
+        "trunk0.attn.qkv.w", "trunk1.ff.2.w", "head.2.w", "token.pos",
     ]
 
     def f(leaves):

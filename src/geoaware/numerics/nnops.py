@@ -8,12 +8,19 @@ backward is checked against central finite differences by the gradient-check
 suite.  Ops are as coarse as their callers allow, since every op pays Python
 overhead: the geometric vision projection's per-layer conv, relu and token
 pooling are one op, ``conv1d_relu_pool``, over all selected layers at once,
-and a whole pre-norm trunk block (layer norm, q/k/v projections, masked
-softmax, output projection, residual, layer norm, relu FFN, residual) is one
-op, ``transformer_block``, whose queries may be only the last positions.
-Every product of an activation with a shared weight, ``x [..., K] @ w
-[K, N]``, is one GEMM over all leading axes on ``x.reshape(-1, K)``, forward
-and backward: ``matmul`` and the block's projections.  ``conv2d``'s im2col
+and a whole pre-norm trunk block (layer norm, one fused q/k/v projection,
+masked softmax, output projection, residual, layer norm, relu FFN, residual)
+is one op, ``transformer_block``, whose queries may be only the last
+positions.  Every product of an activation with a shared weight, ``x [...,
+K] @ w [K, N]``, is one GEMM over all leading axes on ``x.reshape(-1, K)``,
+forward and backward: ``matmul`` and the block's projections; q, k and v
+are one [H, 3H] weight, so they are one GEMM too.  ``conv1d_relu_pool``'s
+token-conv contract: the L layers arrive as one [L, R, N, C_in] tensor with
+kernels stacked as [L, C_out, C_in, k] and biases as [L, C_out]; the im2col
+matrix is [L, R * N, C_in * k] with columns in (c_in, tap) order, built by
+one strided copy per tap with only the padded rows zeroed; and the product
+is one batched GEMM, ``cols @ w^T``, per layer's [C_out, C_in * k] kernel
+matrix, to which the bias is added in place.  ``conv2d``'s im2col
 contract: activations are held batch-innermost as [C, H, W, B]; the im2col
 matrix is [C_in * kh * kw, H_out * W_out * B] with rows in (c_in, i, j)
 order, built by one strided slice copy per kernel tap from the input or,
@@ -85,14 +92,15 @@ def _softmax_grad(out, g):
     return out * (g - (g * out).sum(axis=-1, keepdims=True))
 
 
-def _attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, mask):
+def _attention(x, w_qkv, b_qkv, wo, bo, heads, mask):
     """Multi-head attention of the last S_q positions of ``x`` [B, S, H] over
     all S, with its output projection: [B, S_q, H], where S_q is the number
     of rows of the [S_q, S] additive ``mask``.
 
-    q, k and v come from one GEMM over the concatenated [H, 3H] weights, for
-    every position, and split into ``heads`` heads of width H / heads; the
-    queries are then cut to the last S_q positions.  Scores are
+    q, k and v come from one GEMM with the fused [H, 3H] weight ``w_qkv``
+    (columns q | k | v) plus the [3H] bias ``b_qkv``, for every position,
+    and split into ``heads`` heads of width H / heads; the queries are then
+    cut to the last S_q positions.  Scores are
     q k^T / sqrt(H / heads) plus ``mask``, then a numerically stable softmax
     over keys; the heads' contexts are concatenated and projected by ``wo``,
     ``bo``.
@@ -102,9 +110,8 @@ def _attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, mask):
     dh = h // heads
     scale = 1.0 / math.sqrt(dh)
     x2 = x.reshape(b * s, h)
-    w_qkv = np.concatenate([wq, wk, wv], axis=1)                            # [H, 3H]
     qkv = x2 @ w_qkv                                                        # [B*S, 3H]
-    qkv += np.concatenate([bq, bk, bv])
+    qkv += b_qkv
     q, k, v = qkv.reshape(b, s, 3, heads, dh).transpose(2, 0, 3, 1, 4)     # 3 x [B, heads, S, dh]
     q = q[:, :, s - sq:]
     att = q @ k.transpose(0, 1, 3, 2)                                      # the scores, then softmax in place
@@ -120,7 +127,7 @@ def _attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, mask):
 
 
 def _attention_grad(g, saved):
-    """Gradients of ``_attention`` for x, wq, bq, wk, bk, wv, bv, wo and bo."""
+    """Gradients of ``_attention`` for x, w_qkv, b_qkv, wo and bo."""
     x2, w_qkv, wo, q, k, v, att, ctx, scale = saved
     b, heads, sq, dh = q.shape
     s, h = k.shape[2], heads * dh
@@ -133,37 +140,32 @@ def _attention_grad(g, saved):
     gqkv[1] = gscores.transpose(0, 1, 3, 2) @ q
     gqkv[2] = att.transpose(0, 1, 3, 2) @ gctx
     gqkv = gqkv.transpose(1, 3, 0, 2, 4).reshape(b * s, 3 * h)            # [B*S, 3H], columns q | k | v
-    gw = x2.T @ gqkv
-    gb = gqkv.sum(axis=0)
-    return (
-        (gqkv @ w_qkv.T).reshape(b, s, h),
-        gw[:, :h], gb[:h], gw[:, h:2 * h], gb[h:2 * h], gw[:, 2 * h:], gb[2 * h:],
-        ctx.T @ g2, g2.sum(axis=0),
-    )
+    return (gqkv @ w_qkv.T).reshape(b, s, h), x2.T @ gqkv, gqkv.sum(axis=0), ctx.T @ g2, g2.sum(axis=0)
 
 
-def transformer_block(x, ln1_g, ln1_b, wq, bq, wk, bk, wv, bv, wo, bo, ln2_g, ln2_b, w1, b1, w2, b2, heads, mask):
+def transformer_block(x, ln1_g, ln1_b, w_qkv, b_qkv, wo, bo, ln2_g, ln2_b, w1, b1, w2, b2, heads, mask):
     """One pre-norm transformer block: [B, S, H] -> [B, S_q, H].
 
-    LN1, then multi-head self-attention (``_attention``: [H, H] q/k/v/o
-    weights, [H] biases) whose queries are the last S_q positions, plus the
-    residual stream at those positions; then LN2, a relu FFN ``w1`` [H, F],
-    ``b1`` [F], ``w2`` [F, H], ``b2`` [H], and the residual again.  ``mask``
+    LN1, then multi-head self-attention (``_attention``: the fused q/k/v
+    weight ``w_qkv`` [H, 3H] and bias ``b_qkv`` [3H], the output projection
+    ``wo`` [H, H] and ``bo`` [H]) whose queries are the last S_q positions,
+    plus the residual stream at those positions; then LN2, a relu FFN ``w1``
+    [H, F], ``b1`` [F], ``w2`` [F, H], ``b2`` [H], and the residual again.  ``mask``
     is a plain [S_q, S] additive array (not differentiated), 1 <= S_q <= S:
     ``causal_mask(S)`` runs every position, its last row only the last one.
     Both layer norms use eps 1e-6 and [H] gains and shifts.  Computes in
     ``x``'s dtype: the mask is cast to it and the scale is a Python float,
     so float32 inputs never promote.
     """
-    leaves = tuple(map(as_tensor, (x, ln1_g, ln1_b, wq, bq, wk, bk, wv, bv, wo, bo, ln2_g, ln2_b, w1, b1, w2, b2)))
+    leaves = tuple(map(as_tensor, (x, ln1_g, ln1_b, w_qkv, b_qkv, wo, bo, ln2_g, ln2_b, w1, b1, w2, b2)))
     vals = [t.values for t in leaves]
     if vals[0].ndim != 3:
         raise ShapeError(f"transformer block input must be [batch, length, width], got {vals[0].shape}")
     b, s, h = vals[0].shape
     if heads < 1 or h % heads:
         raise ShapeError(f"width {h} does not split into {heads} heads")
-    f = vals[14].size
-    expected = [(h,)] * 2 + [(h, h), (h,)] * 4 + [(h,)] * 2 + [(h, f), (f,), (f, h), (h,)]
+    f = vals[10].size
+    expected = [(h,)] * 2 + [(h, 3 * h), (3 * h,), (h, h), (h,)] + [(h,)] * 2 + [(h, f), (f,), (f, h), (h,)]
     shapes = [v.shape for v in vals[1:]]
     if shapes != expected:
         raise ShapeError(f"transformer block parameters must have shapes {expected}, got {shapes}")
@@ -173,22 +175,22 @@ def transformer_block(x, ln1_g, ln1_b, wq, bq, wk, bk, wv, bv, wo, bo, ln2_g, ln
     sq = mask.shape[0]
 
     n1, ln1 = _layer_norm(vals[0], vals[1], vals[2])
-    r, attn = _attention(n1, *vals[3:11], heads, mask)
+    r, attn = _attention(n1, *vals[3:7], heads, mask)
     r += vals[0][:, s - sq:]                                                # the residual stream at the queries
     r = r.reshape(b * sq, h)
-    n2, ln2 = _layer_norm(r, vals[11], vals[12])
-    hid = n2 @ vals[13]
-    hid += vals[14]
+    n2, ln2 = _layer_norm(r, vals[7], vals[8])
+    hid = n2 @ vals[9]
+    hid += vals[10]
     np.maximum(hid, 0.0, out=hid)
-    out = hid @ vals[15]
-    out += vals[16]
+    out = hid @ vals[11]
+    out += vals[12]
     out += r
 
     def backward(g):
         g2 = g.reshape(b * sq, h)
-        ghid = g2 @ vals[15].T
+        ghid = g2 @ vals[11].T
         ghid *= hid > 0.0
-        gr, g_ln2_g, g_ln2_b = _layer_norm_grad(ghid @ vals[13].T, ln2)
+        gr, g_ln2_g, g_ln2_b = _layer_norm_grad(ghid @ vals[9].T, ln2)
         gr += g2
         g_n1, *g_attn = _attention_grad(gr, attn)
         gx, g_ln1_g, g_ln1_b = _layer_norm_grad(g_n1, ln1)
@@ -209,13 +211,19 @@ def transformer_block(x, ln1_g, ln1_b, wq, bq, wk, bk, wv, bv, wo, bo, ln2_g, ln
 
 def _token_taps(x, k):
     """im2col over the token axis with "same" zero padding: [..., N, C] ->
-    [..., N, C, k], where tap t of token n reads token n + t - k // 2."""
+    [..., N, C, k], where tap t of token n reads token n + t - k // 2.  Each
+    tap copies its in-range tokens and zeroes only the rows it pads."""
     n = x.shape[-2]
-    cols = np.zeros(x.shape + (k,), dtype=x.dtype)
+    cols = np.empty(x.shape + (k,), dtype=x.dtype)
     for t in range(k):
         d = t - k // 2
-        lo, hi = max(0, -d), min(n, n - d)
+        lo = min(n, max(0, -d))                 # tap t is in range for tokens [lo, hi)
+        hi = max(lo, min(n, n - d))
         cols[..., lo:hi, :, t] = x[..., lo + d : hi + d, :]
+        if lo:
+            cols[..., :lo, :, t] = 0.0
+        if hi < n:
+            cols[..., hi:, :, t] = 0.0
     return cols
 
 
@@ -226,67 +234,58 @@ def _token_taps_grad(gcols):
     gx = np.zeros(gcols.shape[:-1], dtype=gcols.dtype)
     for t in range(k):
         d = t - k // 2
-        lo, hi = max(0, -d), min(n, n - d)
+        lo = min(n, max(0, -d))
+        hi = max(lo, min(n, n - d))
         gx[..., lo + d : hi + d, :] += gcols[..., lo:hi, :, t]
     return gx
 
 
-def conv1d_relu_pool(layers, kernels, biases):
-    """Per-layer conv over tokens, relu, then the mean over tokens: [B, L * C_out].
+def conv1d_relu_pool(x, kernels, biases):
+    """Per-layer conv over tokens, relu, then the mean over tokens: [R, L * C_out].
 
-    ``layers`` are L channels-last tensors [B, N, C_in]; ``kernels`` the L
-    matching [C_out, C_in, k] kernels (k odd) and ``biases`` the L [C_out]
-    biases.  Layer l's conv is a stride-1 cross-correlation (no kernel flip)
-    with ``k // 2`` zeros padded on both ends of the token axis, so the
-    output keeps N tokens.  The L layers run as one batched matmul, and the
-    output is layer-major: columns [l * C_out, (l + 1) * C_out) are layer l.
+    ``x`` [L, R, N, C_in] holds L layers of R rows of N channels-last
+    tokens; ``kernels`` [L, C_out, C_in, k] (k odd) and ``biases`` [L, C_out]
+    are layer l's kernel and bias at index l.  Layer l's conv is a stride-1
+    cross-correlation (no kernel flip) with ``k // 2`` zeros padded on both
+    ends of the token axis, so the output keeps N tokens.  All layers run
+    through the one im2col matrix and batched GEMM the module docstring
+    describes, and the output is layer-major: columns [l * C_out, (l + 1) *
+    C_out) are layer l.
     """
-    layers = [as_tensor(t) for t in layers]
-    kernels = [as_tensor(t) for t in kernels]
-    biases = [as_tensor(t) for t in biases]
-    if not layers or not len(layers) == len(kernels) == len(biases):
-        raise ShapeError(
-            f"need one kernel and one bias per layer, got {len(layers)} layers, "
-            f"{len(kernels)} kernels and {len(biases)} biases"
-        )
-    shape = layers[0].shape
-    if len(shape) != 3 or any(t.shape != shape for t in layers):
-        raise ShapeError(f"layers must be [batch, tokens, channels], all of one shape, got {[t.shape for t in layers]}")
-    kshape = kernels[0].shape
-    if len(kshape) != 3 or kshape[1] != shape[2] or kshape[2] % 2 == 0 or any(t.shape != kshape for t in kernels):
-        raise ShapeError(f"kernels must be [C_out, {shape[2]}, odd k], all of one shape, got {[t.shape for t in kernels]}")
-    if any(t.shape != (kshape[0],) for t in biases):
-        raise ShapeError(f"biases must all have shape ({kshape[0]},)")
-    b, n, c_in = shape
-    c_out, _, k = kshape
-    n_layers = len(layers)
+    x, kernels, biases = as_tensor(x), as_tensor(kernels), as_tensor(biases)
+    if x.ndim != 4:
+        raise ShapeError(f"conv input must be [layers, rows, tokens, channels], got {x.shape}")
+    n_layers, r, n, c_in = x.shape
+    kshape = kernels.shape
+    if len(kshape) != 4 or kshape[0] != n_layers or kshape[2] != c_in or kshape[3] % 2 == 0:
+        raise ShapeError(f"kernels must be [{n_layers}, C_out, {c_in}, odd k], got {kshape}")
+    c_out, k = kshape[1], kshape[3]
+    if biases.shape != (n_layers, c_out):
+        raise ShapeError(f"biases must have shape ({n_layers}, {c_out}), got {biases.shape}")
 
-    cols = _token_taps(np.stack([t.values for t in layers]), k).reshape(n_layers, b * n, c_in * k)
-    w = np.stack([t.values for t in kernels]).reshape(n_layers, c_out, c_in * k)
-    act = cols @ w.transpose(0, 2, 1) + np.stack([t.values for t in biases])[:, None, :]
-    np.maximum(act, 0.0, out=act)                                   # relu in place: [L, B*N, C_out]
-    pooled = act.reshape(n_layers, b, n, c_out).mean(axis=2)        # [L, B, C_out]
-    out_vals = pooled.transpose(1, 0, 2).reshape(b, n_layers * c_out)
+    cols = _token_taps(x.values, k).reshape(n_layers, r * n, c_in * k)
+    w = kernels.values.reshape(n_layers, c_out, c_in * k)
+    act = cols @ w.transpose(0, 2, 1)
+    act += biases.values[:, None, :]
+    np.maximum(act, 0.0, out=act)                                   # relu in place: [L, R*N, C_out]
+    pooled = act.reshape(n_layers, r, n, c_out).mean(axis=2)        # [L, R, C_out]
+    out_vals = pooled.transpose(1, 0, 2).reshape(r, n_layers * c_out)
 
     # Where the preactivation was positive; kept as a bool mask so the tape
     # does not hold the float activations.
     active = act > 0.0
 
     def backward(g):
-        gp = g.reshape(b, n_layers, c_out).transpose(1, 0, 2)[:, :, None, :] * (1.0 / n)
-        gpre = (active.reshape(n_layers, b, n, c_out) * gp).reshape(n_layers, b * n, c_out)
-        grads = [
-            (kernels, (gpre.transpose(0, 2, 1) @ cols).reshape(n_layers, c_out, c_in, k)),
-            (biases, gpre.sum(axis=1)),
-        ]
-        if any(t.requires_grad for t in layers):
-            grads.append((layers, _token_taps_grad((gpre @ w).reshape(n_layers, b, n, c_in, k))))
-        for tensors, grad in grads:
-            for t, g_t in zip(tensors, grad):
-                if t.requires_grad:
-                    t._accumulate(g_t)
+        gp = g.reshape(r, n_layers, c_out).transpose(1, 0, 2)[:, :, None, :] * (1.0 / n)
+        gpre = (active.reshape(n_layers, r, n, c_out) * gp).reshape(n_layers, r * n, c_out)
+        if kernels.requires_grad:
+            kernels._accumulate((gpre.transpose(0, 2, 1) @ cols).reshape(kshape))
+        if biases.requires_grad:
+            biases._accumulate(gpre.sum(axis=1))
+        if x.requires_grad:
+            x._accumulate(_token_taps_grad((gpre @ w).reshape(n_layers, r, n, c_in, k)))
 
-    return make_result(out_vals, (*layers, *kernels, *biases), backward)
+    return make_result(out_vals, (x, kernels, biases), backward)
 
 
 def conv2d(x, kernels, bias, stride=1, padding=0):

@@ -126,7 +126,11 @@ def init_policy_params(store, cfg: PolicyConfig, vocab, seed, backbone: GeoBackb
     selects, or the pixel convs and FiLM), the shared vision projection
     ``vision.mlp``, language table + MLP, proprio MLP, action/positional
     tokens, adapter (when widths differ), trunk blocks, head.  The language
-    table is frozen at creation.
+    table is frozen at creation.  Fused entries are drawn part by part, then
+    joined: the geo token convs layer by layer (kernel, then bias) into
+    ``vision.conv.w`` [L, conv_dim, D, 3] and ``vision.conv.b`` [L,
+    conv_dim], and each block's q, k and v projections (weight, then bias)
+    side by side into ``attn.qkv.w`` [H, 3H] and ``attn.qkv.b`` [3H].
     """
     if not vocab:
         raise ConfigError("vocabulary must not be empty")
@@ -143,9 +147,10 @@ def init_policy_params(store, cfg: PolicyConfig, vocab, seed, backbone: GeoBackb
     d, h = cfg.repr_dim, cfg.hidden_dim
     if cfg.backbone_kind == "geo":
         slots, width = len(backbone.layers), backbone.cfg.feature_dim
-        for i in range(slots):
-            store.add(f"vision.conv{i}.w", uniform((cfg.conv_dim, width, 3), width * 3))
-            store.add(f"vision.conv{i}.b", uniform((cfg.conv_dim,), width * 3))
+        fan_in = width * 3
+        convs = [(uniform((cfg.conv_dim, width, 3), fan_in), uniform((cfg.conv_dim,), fan_in)) for _ in range(slots)]
+        store.add("vision.conv.w", np.stack([w for w, _ in convs]))
+        store.add("vision.conv.b", np.stack([b for _, b in convs]))
         pooled_width = slots * cfg.conv_dim
     else:
         init_pixel_params(store, uniform, lang_embed_dim=d)
@@ -168,8 +173,10 @@ def init_policy_params(store, cfg: PolicyConfig, vocab, seed, backbone: GeoBackb
         p = f"trunk{b}"
         store.add(f"{p}.ln1.g", np.ones(h, dtype=dtype))
         store.add(f"{p}.ln1.b", np.zeros(h, dtype=dtype))
-        for name in ("q", "k", "v", "o"):
-            linear(f"{p}.attn.{name}", h, h)
+        qkv = [(uniform((h, h), h), uniform((h,), h)) for _ in range(3)]
+        store.add(f"{p}.attn.qkv.w", np.concatenate([w for w, _ in qkv], axis=1))
+        store.add(f"{p}.attn.qkv.b", np.concatenate([b for _, b in qkv]))
+        linear(f"{p}.attn.o", h, h)
         store.add(f"{p}.ln2.g", np.ones(h, dtype=dtype))
         store.add(f"{p}.ln2.b", np.zeros(h, dtype=dtype))
         linear(f"{p}.ff.1", h, 4 * h)
@@ -261,8 +268,8 @@ def causal_mask(length, dtype=np.float64):
 
 # a trunk block's parameters under ``trunk{i}.``, in ``transformer_block``'s argument order
 _BLOCK_PARAMS = (
-    "ln1.g", "ln1.b", "attn.q.w", "attn.q.b", "attn.k.w", "attn.k.b", "attn.v.w", "attn.v.b", "attn.o.w", "attn.o.b",
-    "ln2.g", "ln2.b", "ff.1.w", "ff.1.b", "ff.2.w", "ff.2.b",
+    "ln1.g", "ln1.b", "attn.qkv.w", "attn.qkv.b", "attn.o.w", "attn.o.b", "ln2.g", "ln2.b", "ff.1.w", "ff.1.b",
+    "ff.2.w", "ff.2.b",
 )
 
 
@@ -402,7 +409,8 @@ class Policy:
 
     def featurize(self, scenes, cameras):
         """Observation tensor for a batch of scenes under ``VIEWS`` cameras: the
-        selected pyramid layers [B, V, L_selected, N, D] or images
+        selected pyramid layers [B, V, L_selected, N, D] (a view of
+        ``pyramid_batch``'s layer-major memory, which ``astype`` keeps) or images
         [B, V, 3, H, W].  Either backbone featurizes the whole batch in one
         call; the pixel one needs cameras that share one ``image_size``.  An
         empty batch raises ``ShapeError``."""

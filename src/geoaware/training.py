@@ -34,7 +34,7 @@ from geoaware.policy import (
 log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"GAVP"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 @dataclass
@@ -286,6 +286,11 @@ def save_checkpoint(policy: Policy, path, step=0, train: TrainConfig | None = No
     ``vision.mlp`` for either backbone and no codebook flag: a VQ codebook is
     trained when ``vq.codes`` is frozen.  Version 4 drops ``views`` from the
     ``policy`` section: the view count is the constant ``camera.VIEWS``.
+    Version 5 stores fused tensors: the geo token convs as ``vision.conv.w``
+    [L, conv_dim, D, 3] and ``vision.conv.b`` [L, conv_dim] instead of one
+    ``vision.conv{i}`` pair per layer, and each trunk block's q, k and v
+    projections as ``attn.qkv.w`` [H, 3H] and ``attn.qkv.b`` [3H]; older
+    versions are rejected.
     Round-trips are bitwise for float32 policies (the training precision).  A
     ``step`` that is not a non-negative int raises ``ConfigError`` before
     anything is written.

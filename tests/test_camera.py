@@ -1,6 +1,7 @@
 """Pinhole projection, disc rendering, and viewpoint sampling."""
 
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from geoaware.deskworld import (
     sample_viewpoints,
     seen_cameras,
 )
+from geoaware.deskworld import camera
 from geoaware.deskworld.camera import CATEGORY_BANDS, EE_RENDER_RADIUS, MIN_RENDER_DEPTH, OBJECT_RENDER_RADIUS
 from geoaware.deskworld.world import BACKGROUND_COLOR, EE_COLOR, OBJECT_COLORS, REGION_COLORS
 from geoaware.errors import CameraError
@@ -94,6 +96,37 @@ def test_degenerate_cameras_rejected():
         camera_axes(make_pose([0.0, 0.0, 0.0], look_at=(0.0, 0.0, 0.0)))
     with pytest.raises(CameraError):
         camera_axes(make_pose([0.0, 0.0, 1.0], look_at=(0.0, 0.0, 0.0), up=(0.0, 0.0, 1.0)))
+
+
+def test_pose_is_a_value_that_carries_its_axes():
+    position = np.array([0.9, -0.4, 0.6])
+    pose = make_pose(position)
+    right, down, forward = pose.axes
+    for got, want in zip(pose.axes, camera_axes(pose)):
+        assert got.tobytes() == want.tobytes()
+    assert np.isclose(right @ down, 0.0) and np.isclose(down @ forward, 0.0) and np.isclose(forward @ right, 0.0)
+    position[0] = 5.0                       # the pose keeps its own copy
+    assert pose.position[0] == 0.9
+    for array in (pose.position, pose.look_at, pose.up, pose.principal_point, *pose.axes):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    with pytest.raises(AttributeError):
+        pose.position = np.zeros(3)
+
+
+def test_same_pose_tolerance_is_absolute():
+    # the oblique seen camera's coordinates are 0.4-0.65 m, where numpy's
+    # default relative tolerance of 1e-5 alone would accept a 2e-6 shift
+    oblique = seen_cameras(SIM)[1]
+
+    def shifted(delta):
+        return make_pose(oblique.position + delta, up=oblique.up, focal=oblique.focal, size=oblique.image_size)
+
+    assert not oblique.same_pose(shifted(2e-6))
+    assert not oblique.same_pose(shifted(2e-6), tol=0.0)
+    assert oblique.same_pose(shifted(2e-6), tol=1e-5)
+    assert oblique.same_pose(shifted(1e-12))
+    assert oblique.same_pose(shifted(0.0), tol=0.0)
 
 
 # -- rendering ---------------------------------------------------------------
@@ -313,6 +346,47 @@ def test_novel_cameras_never_match_training_poses():
     for category in sorted(CATEGORY_BANDS):
         for cam in sample_viewpoints(category, 10, seed=3, sim=SIM):
             assert not any(cam.same_pose(s) for s in seen)
+
+
+def reference_sample_viewpoints(category, count, seed, sim=SIM):
+    """``sample_viewpoints`` as it was written with ``np.cross``."""
+    lo, hi = CATEGORY_BANDS[category]
+    rng = np.random.default_rng([int(seed), list(CATEGORY_BANDS).index(category), 104729])
+    bases = [s.position for s in seen_cameras(sim)]
+
+    cameras = []
+    while len(cameras) < count:
+        for _ in range(camera._SAMPLE_ATTEMPTS):
+            base_idx = int(rng.integers(len(bases)))
+            base = camera._unit(bases[base_idx])
+            psi = math.radians(rng.uniform(lo, hi))
+            # random unit axis tangent to the sphere at `base`
+            helper = np.array([0.0, 0.0, 1.0]) if abs(base[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+            t1 = camera._unit(np.cross(base, helper))
+            t2 = np.cross(base, t1)
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            axis = math.cos(phi) * t1 + math.sin(phi) * t2
+            # rotate base around `axis` by psi (Rodrigues; axis is orthogonal to base)
+            pos = math.cos(psi) * base + math.sin(psi) * np.cross(axis, base)
+            elevation = math.degrees(math.asin(float(np.clip(pos[2], -1.0, 1.0))))
+            if not (camera._ELEVATION_LIMITS[0] <= elevation <= camera._ELEVATION_LIMITS[1]):
+                continue
+            offsets = [camera._great_circle_deg(pos, b) for b in bases]
+            if int(np.argmin(offsets)) != base_idx:
+                continue  # drifted closer to the other training camera
+            cameras.append(camera._pose_on_sphere(pos * sim.camera_radius, sim))
+            break
+        else:
+            raise CameraError(f"viewpoint sampling failed for category {category!r}")
+    return cameras
+
+
+@pytest.mark.parametrize("category", sorted(CATEGORY_BANDS))
+def test_sample_viewpoints_is_bitwise_the_np_cross_version(category):
+    for seed in range(64):
+        for got, want in zip(sample_viewpoints(category, 4, seed, SIM), reference_sample_viewpoints(category, 4, seed)):
+            for name in ("position", "look_at", "up"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_unknown_category_rejected():

@@ -385,6 +385,28 @@ def test_version_3_checkpoint_exits_1(workdir, checkpoint_path, capsys):
     assert "views" in capsys.readouterr().err
 
 
+def test_version_4_checkpoint_exits_1(workdir, checkpoint_path, capsys):
+    # version 4 stored one vision.conv{i} pair per layer and separate q, k and v projections
+    raw = checkpoint_path.read_bytes()
+    old = workdir / "v4.ckpt"
+    old.write_bytes(raw[:4] + (4).to_bytes(4, "little") + raw[8:])
+    assert main(["eval", "--ckpt", str(old), "--rollouts", "1"]) == 1
+    assert "unsupported checkpoint version 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "--ckpt", "{dir}"],
+    ["train", "--data", "{dir}", "--out", "{dir}/out.ckpt"],
+    ["report", "--in", "{dir}"],
+], ids=["eval", "train", "report"])
+def test_directory_as_input_path_exits_1(workdir, command, capsys):
+    # each used to raise IsADirectoryError past main
+    code = main([arg.format(dir=workdir) for arg in command])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
 @pytest.mark.parametrize("views", [1, 2, 3])
 def test_config_with_policy_views_exits_1(workdir, dataset_path, views, capsys):
     # policy.views accepted any count but only 2 trained; the count is now camera.VIEWS

@@ -72,16 +72,17 @@ def test_activation_grads_match_fd(seed):
 # -- the attention part of transformer_block ---------------------------------
 
 
-def reference_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, mask):
+def reference_attention(x, w_qkv, b_qkv, wo, bo, heads, mask):
     """Self-attention from its definition, one row, head and query at a time;
-    the queries are the last ``mask.shape[0]`` positions."""
+    the queries are the last ``mask.shape[0]`` positions, and q, k and v the
+    three column blocks of the fused projection."""
     b, s, h = x.shape
     sq = mask.shape[0]
     dh = h // heads
     x, mask = x.astype(np.float64), mask.astype(np.float64)
     out = np.zeros((b, sq, h))
     for row in range(b):
-        q, k, v = (x[row] @ w + bias for w, bias in ((wq, bq), (wk, bk), (wv, bv)))
+        q, k, v = (x[row] @ w + bias for w, bias in zip(np.split(w_qkv, 3, axis=1), np.split(b_qkv, 3)))
         ctx = np.zeros((sq, h))
         for head in range(heads):
             cols = slice(head * dh, (head + 1) * dh)
@@ -94,8 +95,11 @@ def reference_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, mask):
 
 
 def random_attention_inputs(rng, b, s, h, dtype=np.float64):
-    params = [rng.standard_normal(shape) * 0.5 for _ in range(4) for shape in ((h, h), (h,))]
-    return [a.astype(dtype) for a in [rng.standard_normal((b, s, h))] + params]
+    """x [b, s, h], the fused q/k/v weight [h, 3h] and bias [3h], wo and bo;
+    q, k, v and o are drawn as four (weight, bias) pairs, then x."""
+    qw, qb, kw, kb, vw, vb, wo, bo = (rng.standard_normal(shape) * 0.5 for _ in range(4) for shape in ((h, h), (h,)))
+    inputs = [rng.standard_normal((b, s, h)), np.concatenate([qw, kw, vw], axis=1), np.concatenate([qb, kb, vb]), wo, bo]
+    return [a.astype(dtype) for a in inputs]
 
 
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
@@ -113,15 +117,16 @@ def test_attention_block_matches_reference(shape, dtype, tol, causal):
 
 
 def test_attention_block_shape_errors():
-    # the attention arguments of transformer_block: x, then wq, bq, ..., wo, bo at 3-10
+    # the attention arguments of transformer_block: x, then w_qkv, b_qkv, wo, bo at 3-6
     inputs, mask = random_block_inputs(np.random.default_rng(0), 2, 3, 4, 5), np.zeros((3, 3))
     bad = [
         ({}, 3, mask),                                  # width 4 does not split into 3 heads
         ({}, 0, mask),                                  # no heads
         ({}, 2, np.zeros((3, 4))),                      # mask does not match the length
         ({0: np.ones((3, 4))}, 2, mask),                # unbatched input
-        ({9: np.ones((4, 5))}, 2, mask),                # output projection not square
+        ({5: np.ones((4, 5))}, 2, mask),                # output projection not square
         ({4: np.zeros(5)}, 2, mask),                    # wrong bias width
+        ({3: np.ones((4, 4))}, 2, mask),                # q/k/v weight not fused
     ]
     for changes, heads, m in bad:
         with pytest.raises(ShapeError):
@@ -172,7 +177,7 @@ def reference_block(x, params, heads, mask):
 
 
 def random_block_inputs(rng, b, s, h, f, dtype=np.float64):
-    """x [b, s, h] and the 16 parameters of a block with FFN width f."""
+    """x [b, s, h] and the 12 parameters of a block with FFN width f."""
     def layer_norm_params():
         return [rng.standard_normal(h) * 0.5 + 1.0, rng.standard_normal(h) * 0.1]
 
@@ -216,11 +221,11 @@ def test_transformer_block_shape_errors():
             transformer_block(*inputs, 2, m)
     bad_params = [
         (1, np.ones(5)),                    # layer-norm 1 gain width
-        (12, np.zeros(3)),                  # layer-norm 2 shift width
-        (13, np.ones((5, 4))),              # FFN in-projection transposed
-        (14, np.zeros(6)),                  # FFN bias does not match its width
-        (15, np.ones((4, 5))),              # FFN out-projection transposed
-        (16, np.zeros(5)),                  # output bias width
+        (8, np.zeros(3)),                   # layer-norm 2 shift width
+        (9, np.ones((5, 4))),               # FFN in-projection transposed
+        (10, np.zeros(6)),                  # FFN bias does not match its width
+        (11, np.ones((4, 5))),              # FFN out-projection transposed
+        (12, np.zeros(5)),                  # output bias width
     ]
     for i, value in bad_params:
         with pytest.raises(ShapeError):
@@ -248,7 +253,7 @@ def test_transformer_block_grad_matches_fd(queries):
 def reference_conv1d_relu_pool(layers, kernels, biases):
     """The op from its definition, one output entry at a time: a padded
     stride-1 cross-correlation over tokens, relu, mean over tokens, layers
-    concatenated in order."""
+    concatenated in order.  Each argument is indexed by layer first."""
     out = []
     for x, w, bias in zip(layers, kernels, biases):
         b, n, c_in = x.shape
@@ -268,10 +273,11 @@ def reference_conv1d_relu_pool(layers, kernels, biases):
 
 
 def random_conv_inputs(rng, n_layers, b, n, c_in, c_out, k, dtype=np.float64):
+    """Stacked layers [L, b, n, c_in], kernels [L, c_out, c_in, k] and biases [L, c_out]."""
     layers = [rng.standard_normal((b, n, c_in)).astype(dtype) for _ in range(n_layers)]
     kernels = [(rng.standard_normal((c_out, c_in, k)) * 0.5).astype(dtype) for _ in range(n_layers)]
     biases = [(rng.standard_normal(c_out) * 0.1).astype(dtype) for _ in range(n_layers)]
-    return layers, kernels, biases
+    return np.stack(layers), np.stack(kernels), np.stack(biases)
 
 
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
@@ -290,7 +296,7 @@ def test_conv1d_identity_kernel():
     x = np.arange(1.0, 11.0).reshape(1, 5, 2)
     kernel = np.zeros((2, 2, 3))
     kernel[[0, 1], [0, 1], 1] = 1.0
-    out = conv1d_relu_pool([x], [kernel], [np.zeros(2)])
+    out = conv1d_relu_pool(x[None], kernel[None], np.zeros((1, 2)))
     assert np.array_equal(out.values, x.mean(axis=1))
 
 
@@ -298,7 +304,7 @@ def test_conv1d_hand_value_cross_correlation():
     # tokens [1, 2, 3], kernel [1, 1, 1], zero padded: [0+1+2, 1+2+3, 2+3+0] = [3, 6, 5] -> mean 14/3;
     # the second layer's bias -4 leaves relu([-1, 2, 1]) = [0, 2, 1] -> mean 1
     x = np.array([[[1.0], [2.0], [3.0]]])
-    out = conv1d_relu_pool([x, x], [np.ones((1, 1, 3))] * 2, [np.zeros(1), np.array([-4.0])])
+    out = conv1d_relu_pool(np.stack([x, x]), np.ones((2, 1, 1, 3)), np.array([[0.0], [-4.0]]))
     assert np.allclose(out.values, [[14.0 / 3.0, 1.0]], rtol=1e-15, atol=0)
 
 
@@ -306,8 +312,8 @@ def test_conv1d_no_kernel_flip():
     # Asymmetric kernel [1, 2, 3] distinguishes correlation from convolution.
     # Token 0 hot: out = [2, 1, 0] (flipped would be [2, 3, 0]); token 2 hot: out = [0, 3, 2].
     kernel = np.array([[[1.0, 2.0, 3.0]]])
-    first = conv1d_relu_pool([np.array([[[1.0], [0.0], [0.0]]])], [kernel], [np.zeros(1)])
-    last = conv1d_relu_pool([np.array([[[0.0], [0.0], [1.0]]])], [kernel], [np.zeros(1)])
+    first = conv1d_relu_pool(np.array([[[[1.0], [0.0], [0.0]]]]), kernel[None], np.zeros((1, 1)))
+    last = conv1d_relu_pool(np.array([[[[0.0], [0.0], [1.0]]]]), kernel[None], np.zeros((1, 1)))
     assert np.array_equal(first.values * 3.0, [[3.0]])
     assert np.array_equal(last.values * 3.0, [[5.0]])
 
@@ -324,15 +330,17 @@ def test_conv1d_output_length():
 
 
 def test_conv1d_relu_pool_shape_errors():
-    x, w, b = np.ones((2, 5, 3)), np.ones((4, 3, 3)), np.zeros(4)
+    x, w, b = np.ones((2, 2, 5, 3)), np.ones((2, 4, 3, 3)), np.zeros((2, 4))
     bad = [
-        ([x, x], [w], [b, b]),                              # fewer kernels than layers
-        ([], [], []),                                       # no layers
-        ([np.ones((5, 3))], [w], [b]),                      # unbatched layer
-        ([x, np.ones((2, 6, 3))], [w, w], [b, b]),          # layers of different shapes
-        ([x], [np.ones((4, 2, 3))], [b]),                   # kernel channels != layer channels
-        ([x], [np.ones((4, 3, 2))], [b]),                   # even kernel has no centre tap
-        ([x], [w], [np.zeros(3)]),                          # bias width != kernel outputs
+        (x, w[:1], b),                                      # fewer kernels than layers
+        (x, w, b[:1]),                                      # fewer biases than layers
+        (x[:0], w[:0], b[:0]),                              # no layers
+        (np.ones((2, 5, 3)), w, b),                         # unbatched layers
+        (x, np.ones((2, 4, 3)), b),                         # kernels not stacked
+        (x, np.ones((2, 4, 2, 3)), b),                      # kernel channels != layer channels
+        (x, np.ones((2, 4, 3, 2)), b),                      # even kernel has no centre tap
+        (x, w, np.zeros((2, 3))),                           # bias width != kernel outputs
+        (x, w, np.zeros(4)),                                # biases not stacked
     ]
     for layers, kernels, biases in bad:
         with pytest.raises(ShapeError):
@@ -344,12 +352,25 @@ def test_conv1d_grad_matches_fd(seed):
     rng = np.random.default_rng(seed)
     layers, kernels, biases = random_conv_inputs(rng, 2, 2, 6, 3, 4, 3)
     probe = rng.standard_normal((2, 8))
-    leaves = layers + kernels + biases
 
     def f(ts):
-        return tensor_sum(conv1d_relu_pool(ts[0:2], ts[2:4], ts[4:6]) * Tensor(probe))
+        return tensor_sum(conv1d_relu_pool(*ts) * Tensor(probe))
 
-    assert grad_check(f, leaves) <= TOL
+    assert grad_check(f, [layers, kernels, biases]) <= TOL
+
+
+@pytest.mark.parametrize("n, k", [(1, 5), (2, 7), (3, 9)])
+def test_conv1d_kernel_wider_than_the_padded_tokens(n, k):
+    # taps that fall wholly outside the tokens read zeros, forward and backward
+    rng = np.random.default_rng(n + k)
+    layers, kernels, biases = random_conv_inputs(rng, 2, 3, n, 2, 4, k)
+    ref = reference_conv1d_relu_pool(layers, kernels, biases)
+    assert np.abs(conv1d_relu_pool(layers, kernels, biases).values - ref).max() <= 1e-12
+
+    def f(ts):
+        return tensor_sum(conv1d_relu_pool(*ts))
+
+    assert grad_check(f, [layers, kernels, biases]) <= TOL
 
 
 def test_conv1d_batched_grad_matches_fd():
@@ -357,9 +378,9 @@ def test_conv1d_batched_grad_matches_fd():
     layers, kernels, biases = random_conv_inputs(rng, 3, 4, 5, 2, 3, 5)
 
     def f(ts):
-        return tensor_sum(conv1d_relu_pool(ts[0:3], ts[3:6], ts[6:9]))
+        return tensor_sum(conv1d_relu_pool(*ts))
 
-    assert grad_check(f, layers + kernels + biases) <= TOL
+    assert grad_check(f, [layers, kernels, biases]) <= TOL
 
 
 # -- conv2d ------------------------------------------------------------------
@@ -516,13 +537,13 @@ def test_pool_identity_when_out_equals_n():
     x = np.array([[[2.0, -3.0, 5.0]]])
     kernel = np.zeros((3, 3, 3))
     kernel[[0, 1, 2], [0, 1, 2], 1] = 1.0
-    out = conv1d_relu_pool([x], [kernel], [np.zeros(3)])
+    out = conv1d_relu_pool(x[None], kernel[None], np.zeros((1, 3)))
     assert np.array_equal(out.values, [[2.0, 0.0, 5.0]])
 
 
 def test_pool_full_mean():
     x = np.array([[[2.0], [4.0], [6.0]]])
-    out = conv1d_relu_pool([x], [np.array([[[0.0, 1.0, 0.0]]])], [np.zeros(1)])
+    out = conv1d_relu_pool(x[None], np.array([[[[0.0, 1.0, 0.0]]]]), np.zeros((1, 1)))
     assert np.array_equal(out.values, [[4.0]])
 
 
@@ -536,9 +557,9 @@ def test_pool_grad_matches_fd(seed):
     probe = rng.standard_normal((3, 4))
 
     def f(ts):
-        return tensor_sum(conv1d_relu_pool(ts[0:1], ts[1:2], ts[2:3]) * Tensor(probe))
+        return tensor_sum(conv1d_relu_pool(*ts) * Tensor(probe))
 
-    assert grad_check(f, layers + kernels + biases) <= TOL
+    assert grad_check(f, [layers, kernels, biases]) <= TOL
 
 
 # -- embedding ---------------------------------------------------------------

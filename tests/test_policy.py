@@ -77,8 +77,9 @@ def freeze_codebook(pol):
 
 
 def geo_vision(layers, pol):
-    """The geo vision encoder on L layers [rows, tokens, channels]: the conv
-    stage, then the shared projection."""
+    """The geo vision encoder on L layers [rows, tokens, channels], stacked
+    into [L, rows, tokens, channels]: the conv stage, then the shared
+    projection."""
     return project_vision(pooled_vision(layers, pol.params), pol.params)
 
 
@@ -170,13 +171,13 @@ def test_project_vision_wrong_layer_count():
 def test_project_vision_gradients():
     pol = tiny_policy(seed=5)
     rng = np.random.default_rng(1)
-    layers = [rng.standard_normal((2, 5, 4)) for _ in range(3)]
+    layers = np.stack([rng.standard_normal((2, 5, 4)) for _ in range(3)])
 
     def f(leaves):
-        out = geo_vision(leaves, pol)
+        out = geo_vision(leaves[0], pol)
         return (out * out).mean()
 
-    assert grad_check(f, layers) <= 1e-4
+    assert grad_check(f, [layers]) <= 1e-4
 
 
 def test_encode_language_contracts():
@@ -311,15 +312,15 @@ def test_trunk_gradients():
 
     def f(leaves):
         tokens, qw = leaves
-        saved = pol.params["trunk0.attn.q.w"]
-        pol.params._entries["trunk0.attn.q.w"] = qw
+        saved = pol.params["trunk0.attn.qkv.w"]
+        pol.params._entries["trunk0.attn.qkv.w"] = qw
         try:
             out = trunk_forward(tokens + pol.params["token.pos"], pol.params, pol.cfg)
         finally:
-            pol.params._entries["trunk0.attn.q.w"] = saved
+            pol.params._entries["trunk0.attn.qkv.w"] = saved
         return (out * out).mean()
 
-    leaves = [rng.standard_normal((2, 5, 8)), pol.params["trunk0.attn.q.w"].values.copy()]
+    leaves = [rng.standard_normal((2, 5, 8)), pol.params["trunk0.attn.qkv.w"].values.copy()]
     assert grad_check(f, leaves) <= 1e-4
 
 
@@ -533,7 +534,7 @@ def test_float32_policy_stays_float32(backbone, head):
     assert loss.dtype == np.float32
     loss.backward()
     grads = {name: t.grad.dtype for name, t in pol.params.items() if t.grad is not None}
-    assert {"trunk0.attn.q.w", "trunk1.attn.o.b", "token.pos"} <= set(grads)
+    assert {"trunk0.attn.qkv.w", "trunk1.attn.o.b", "token.pos"} <= set(grads)
     assert set(grads.values()) == {np.dtype(np.float32)}
 
 
@@ -560,7 +561,7 @@ def test_policy_end_to_end_gradients():
     vision = rand_vision(rng, pol.cfg, batch=1)
     proprio = rng.standard_normal((1, 7))
     target = rng.standard_normal((1, 1, 7))
-    checked = ["vision.conv0.w", "lang.mlp.1.w", "proprio.1.w", "token.action", "trunk1.attn.v.w", "head.2.w"]
+    checked = ["vision.conv.w", "lang.mlp.1.w", "proprio.1.w", "token.action", "trunk1.attn.qkv.w", "head.2.w"]
 
     def f(leaves):
         saved = [pol.params[n] for n in checked]
@@ -579,18 +580,17 @@ def test_policy_end_to_end_gradients():
 def test_policy_vision_input_gradients():
     pol = tiny_policy(seed=16)
     rng = np.random.default_rng(17)
-    picks = [1, 2, 3]
 
     def f(leaves):
-        # one leaf per selected layer, views folded into the batch: row b * 2 + v
-        z_vis = geo_vision([leaves[l - 1] for l in picks], pol).reshape(2, 2, 8)
+        # the selected layers stacked in one leaf, views folded into the batch: row b * 2 + v
+        z_vis = geo_vision(leaves[0], pol).reshape(2, 2, 8)
         z_lang = encode_language([VOCAB[0], VOCAB[1]], pol.params, pol.vocab)
-        z_prop = encode_proprio(leaves[3], pol.params)
+        z_prop = encode_proprio(leaves[1], pol.params)
         seq = build_token_sequence(z_vis, z_lang, z_prop, pol.params, pol.cfg)
         h = trunk_forward(seq, pol.params, pol.cfg)
         return (mlp_head(h, pol.params, pol.cfg) * 0.5).mean()
 
-    leaves = [rng.standard_normal((4, 5, 4)) for _ in range(3)] + [rng.standard_normal((2, 7))]
+    leaves = [np.stack([rng.standard_normal((4, 5, 4)) for _ in range(3)]), rng.standard_normal((2, 7))]
     assert grad_check(f, leaves) <= 1e-4
 
 

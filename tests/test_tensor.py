@@ -226,7 +226,7 @@ def test_detach_cuts_tape():
     assert x.grad is None
 
 
-BLOCK_SHAPES = [(1, 2, 4)] + [(4,)] * 2 + [(4, 4), (4,)] * 4 + [(4,)] * 2 + [(4, 8), (8,), (8, 4), (4,)]
+BLOCK_SHAPES = [(1, 2, 4)] + [(4,)] * 2 + [(4, 12), (12,), (4, 4), (4,)] + [(4,)] * 2 + [(4, 8), (8,), (8, 4), (4,)]
 
 # case name -> (input shapes, the op applied to one tensor per shape[, the inputs
 # each tracked alone]); every input is tracked when the third entry is absent
@@ -244,11 +244,10 @@ OP_CASES = {
     "relu": ([(2, 3)], lambda t: relu(t[0])),
     "transformer_block": (BLOCK_SHAPES, lambda t: transformer_block(*t, heads=2, mask=np.zeros((1, 2)))),
     # the block's layer-norm inputs (x, ln1_g, ln1_b, ln2_g, ln2_b) and attention
-    # inputs (x, wq .. bo), once the inputs of the layer_norm and attention_block ops
-    "layer_norm": (BLOCK_SHAPES, lambda t: transformer_block(*t, heads=2, mask=np.zeros((1, 2))), (0, 1, 2, 11, 12)),
-    "attention_block": (BLOCK_SHAPES, lambda t: transformer_block(*t, heads=2, mask=np.zeros((1, 2))), range(11)),
-    "conv1d_relu_pool": ([(1, 4, 2)] * 2 + [(3, 2, 3)] * 2 + [(3,)] * 2,
-                         lambda t: conv1d_relu_pool(t[0:2], t[2:4], t[4:6])),
+    # inputs (x, w_qkv .. bo), once the inputs of the layer_norm and attention_block ops
+    "layer_norm": (BLOCK_SHAPES, lambda t: transformer_block(*t, heads=2, mask=np.zeros((1, 2))), (0, 1, 2, 7, 8)),
+    "attention_block": (BLOCK_SHAPES, lambda t: transformer_block(*t, heads=2, mask=np.zeros((1, 2))), range(7)),
+    "conv1d_relu_pool": ([(2, 1, 4, 2), (2, 3, 2, 3), (2, 3)], lambda t: conv1d_relu_pool(*t)),
     "conv2d": ([(1, 2, 4, 4), (3, 2, 3, 3), (3,)], lambda t: conv2d(*t, padding=1)),
     "embedding_lookup": ([(4, 3)], lambda t: embedding_lookup(t[0], np.array([0, 2]))),
     "mse_loss": ([(2, 3), (2, 3)], lambda t: mse_loss(*t)),

@@ -182,7 +182,7 @@ def test_calibration_only_rescales_rows_and_shifts_bias(demos):
     # untouched elsewhere: the trunk keeps its raw initialization
     fresh = small_policy(demos)
     assert np.array_equal(
-        pol.params["trunk0.attn.q.w"].values, fresh.params["trunk0.attn.q.w"].values
+        pol.params["trunk0.attn.qkv.w"].values, fresh.params["trunk0.attn.qkv.w"].values
     )
 
 
@@ -394,8 +394,9 @@ def test_checkpoint_bad_version(tmp_path, demos):
     raw = bytearray(path.read_bytes())
     # version 1 kept tensor names, shapes, frozen names and step in a binary
     # layer; version 2 named the pixel projection pixel.head.* and had a
-    # codebook_trained key; version 3 had a views key in its policy section
-    for version in (1, 2, 3, 99):
+    # codebook_trained key; version 3 had a views key in its policy section;
+    # version 4 stored per-layer vision.conv{i} and separate attn.q/k/v tensors
+    for version in (1, 2, 3, 4, 99):
         raw[4:8] = version.to_bytes(4, "little")
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
