@@ -1,9 +1,11 @@
 """Closed-loop evaluation: per-category rollouts, layer-selection ablation,
 and report serialization.
 
-Success rates follow the protocol of 10 rollouts per task; novel-view
-categories draw a fresh camera pair per rollout, and the pair never matches
-the training cameras.
+A rollout is ``dataset.run_episode`` with the policy as the actor, so it
+returns the same ``Episode`` a demo is, with its visited scenes, executed
+actions and ``Outcome``.  Success rates follow the protocol of 10 rollouts
+per task; novel-view categories draw a fresh camera pair per rollout, and the
+pair never matches the training cameras.
 """
 
 from __future__ import annotations
@@ -18,23 +20,15 @@ import numpy as np
 
 from geoaware.backbones import GeoStubConfig
 from geoaware.deskworld.camera import VIEWS, sample_viewpoints, seen_cameras
-from geoaware.deskworld.world import SimConfig, make_tasks, reset, step, success
-from geoaware.errors import CameraError, ConfigError, InputError, NumericError
+from geoaware.deskworld.dataset import Episode, Outcome, run_episode
+from geoaware.deskworld.world import SimConfig, make_tasks
+from geoaware.errors import CameraError, ConfigError, SchemaError
 from geoaware.persist import write_atomic
 from geoaware.policy import Policy, PolicyConfig
 from geoaware.training import TrainConfig, bc_train, save_checkpoint
 
 REPORT_SCHEMA_VERSION = 1
 CSV_FIELDS = ("model", "category", "task", "successes", "rollouts", "rate")
-
-
-@dataclass
-class RolloutResult:
-    task_id: str
-    seed: int
-    succeeded: bool
-    steps: int
-    failure: str | None = None
 
 
 @dataclass
@@ -58,22 +52,13 @@ class EvalReport:
         }
 
 
-def rollout(policy, task, cameras, seed, sim: SimConfig | None = None) -> RolloutResult:
-    """Run the policy closed-loop from a seeded reset until success or the
-    step cap.  An action ``step`` rejects (a wrong shape or a non-finite
-    entry) marks the rollout failed instead of raising, and so does a forward
-    pass that itself goes non-finite; the gripper command is thresholded by
-    sign inside the world."""
-    sim = sim or SimConfig()
-    scene = reset(task, seed=seed)
-    for t in range(sim.max_episode_steps):
-        try:
-            scene = step(scene, policy.action(scene, task.instruction, cameras), sim)
-        except (NumericError, InputError):
-            return RolloutResult(task.task_id, seed, False, t, failure="non-finite or malformed action")
-        if success(scene, task):
-            return RolloutResult(task.task_id, seed, True, t + 1)
-    return RolloutResult(task.task_id, seed, False, sim.max_episode_steps)
+def rollout(policy, task, cameras, seed, sim: SimConfig | None = None) -> Episode:
+    """The policy's closed-loop ``Episode`` under ``cameras``
+    (``dataset.run_episode``): a malformed or non-finite action, or a forward
+    pass that itself goes non-finite, ends it as ``Outcome.BAD_ACTION``
+    instead of raising; the gripper command is thresholded by sign inside the
+    world."""
+    return run_episode(task, seed, lambda scene: policy.action(scene, task.instruction, cameras), sim or SimConfig())
 
 
 def evaluate(policy, category, rollouts_per_task=10, seeds=(0,), sim: SimConfig | None = None, tasks=None, model="policy") -> EvalReport:
@@ -106,7 +91,7 @@ def evaluate(policy, category, rollouts_per_task=10, seeds=(0,), sim: SimConfig 
                         if any(cam.same_pose(tc) for tc in training_cams):
                             raise CameraError("novel-view rollout drew a training camera")
                 result = rollout(policy, task, cams, seed=rollout_seed, sim=sim)
-                wins += result.succeeded
+                wins += result.outcome is Outcome.SUCCESS
                 total += 1
                 lengths.append(result.steps)
         rows.append(
@@ -212,21 +197,24 @@ def render_markdown(report):
         return _eval_markdown(rep)
     if "ablation" in rep:
         return _ablation_markdown(rep)
-    raise ConfigError("unrecognized report structure")
+    raise SchemaError("unrecognized report structure")
+
+
+def _eval_csv_rows(rep: dict):
+    for row in rep["tasks"]:
+        yield (rep["model"], rep["category"], row["id"], row["successes"], row["rollouts"], _fmt_rate(row["rate"]))
+    yield (rep["model"], rep["category"], "average", "", "", _fmt_rate(rep["average_rate"]))
 
 
 def _csv_rows(rep: dict):
     if "tasks" in rep:
-        for row in rep["tasks"]:
-            yield (rep["model"], rep["category"], row["id"], row["successes"], row["rollouts"], _fmt_rate(row["rate"]))
-        yield (rep["model"], rep["category"], "average", "", "", _fmt_rate(rep["average_rate"]))
+        yield from _eval_csv_rows(rep)
     elif "ablation" in rep:
         for row in rep["ablation"]:
             for cat in ("seen", "novel_medium"):
-                sub = row[cat]
-                yield from _csv_rows(sub)
+                yield from _eval_csv_rows(row[cat])
     else:
-        raise ConfigError("unrecognized report structure")
+        raise SchemaError("unrecognized report structure")
 
 
 def render_csv(report):

@@ -106,7 +106,7 @@ def cmd_gen_data(args):
     save_dataset(dataset, args.out)
     print(f"wrote {len(dataset.episodes)} episodes to {args.out}")
     for task in tasks:
-        n = sum(1 for ep in dataset.episodes if ep.task_id == task.task_id)
+        n = sum(1 for ep in dataset.episodes if ep.task == task)
         print(f"expert success {task.task_id}: {n}/{episodes_per_task}")
     return 0
 

@@ -1,4 +1,10 @@
-"""Expert demonstration datasets serialized as JSON lines.
+"""Episodes of the desk world, and expert demonstration datasets serialized
+as JSON lines.
+
+``run_episode`` is the one closed loop: it resets, then steps under ``act``
+until success or the step cap, and returns an ``Episode``, the record of a
+demo and of a policy rollout alike.  ``run_expert_episode`` runs it with the
+scripted expert, ``bench.rollout`` with a policy.
 
 This module is the one owner of the file format.  Line 0 is a header object
 with the keys ``format_version``, ``tasks``, ``sim`` (the ``SimConfig`` the
@@ -8,7 +14,8 @@ further line is one episode with the keys ``task_id``, ``seed`` and
 idle action at the final, successful scene).  Scenes are not stored:
 ``load_dataset`` replays each episode, ``reset(task, seed)`` and then ``step``
 over its actions under ``sim``, so its scenes are by construction the ones its
-actions produce.  The header's ``tasks`` record the task definitions the demos
+actions produce, and its outcome is ``SUCCESS`` only if its final scene
+succeeds.  The header's ``tasks`` record the task definitions the demos
 were made under, and each must equal the code's task of its id
 (``make_tasks``), whose ``TaskSpec`` the replay uses.  Floats are written as
 Python's shortest ``repr``, so a reloaded dataset equals the saved one bit for
@@ -22,12 +29,13 @@ derived at batch time.
 
 from __future__ import annotations
 
+import enum
 import json
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from geoaware.errors import ConfigError, FormatError, GenerationError
+from geoaware.errors import ConfigError, FormatError, GenerationError, InputError, NumericError
 from geoaware.deskworld.world import (
     ACTION_WIDTH, SceneState, SimConfig, TaskSpec, action_vector, expert_action, make_tasks, reset, step, success,
 )
@@ -39,16 +47,30 @@ _HEADER_KEYS = {"format_version", "tasks", "sim", "seed", "episodes"}
 _EPISODE_KEYS = {"task_id", "seed", "actions"}
 
 
+class Outcome(enum.Enum):
+    """How an episode ended."""
+
+    SUCCESS = "success"             # the final scene satisfies the task
+    TIMEOUT = "timeout"             # the step cap ran out first
+    BAD_ACTION = "bad_action"       # ``step`` rejected the action, or ``act`` went non-finite
+
+
 @dataclass
 class Episode:
-    """One demonstration: action ``t`` was taken in ``scenes[t]``; the last
-    action is the idle one (``action_vector()``) at the successful scene."""
+    """One trajectory, an expert demo or a policy rollout: action ``t`` was
+    taken in ``scenes[t]``, and the last action, at the final scene, is the
+    idle one (``action_vector()``), so there is one action row per scene.
+    ``steps`` counts the actions executed; ``outcome`` says how it ended."""
 
-    task_id: str
-    instruction: str
+    task: TaskSpec
     seed: int
     scenes: list[SceneState]
     actions: np.ndarray             # [T, ACTION_WIDTH], one row per scene
+    outcome: Outcome
+
+    @property
+    def steps(self):
+        return len(self.scenes) - 1
 
 
 @dataclass
@@ -67,24 +89,36 @@ class DemoDataset:
         return [(e, s) for e, ep in enumerate(self.episodes) for s in range(len(ep.actions))]
 
 
-def run_expert_episode(task: TaskSpec, seed: int, sim: SimConfig | None = None) -> Episode:
-    """Roll the scripted expert from a seeded reset; the final stored step holds
-    the success-satisfying scene with the idle action."""
-    sim = sim or SimConfig()
+def run_episode(task: TaskSpec, seed: int, act, sim: SimConfig) -> Episode:
+    """Step ``act(scene)`` from a seeded reset until success or the step
+    cap.  An action ``step`` rejects (a wrong shape or a non-finite entry),
+    or a ``NumericError`` from ``act``, ends the episode as ``BAD_ACTION``
+    instead of raising."""
     scene = reset(task, seed)
-    scenes, actions = [], []
+    scenes, actions, outcome = [scene], [], Outcome.TIMEOUT
     for _ in range(sim.max_episode_steps):
-        if success(scene, task):
+        try:
+            action = act(scene)
+            scene = step(scene, action, sim)
+        except (NumericError, InputError):
+            outcome = Outcome.BAD_ACTION
             break
-        action = expert_action(scene, task, sim)
         scenes.append(scene)
         actions.append(action)
-        scene = step(scene, action, sim)
-    if not success(scene, task):
-        raise GenerationError(f"expert failed task {task.task_id!r} with seed {seed} within {sim.max_episode_steps} steps")
-    scenes.append(scene)
+        if success(scene, task):
+            outcome = Outcome.SUCCESS
+            break
     actions.append(action_vector())
-    return Episode(task_id=task.task_id, instruction=task.instruction, seed=seed, scenes=scenes, actions=np.array(actions))
+    return Episode(task, seed, scenes, np.array(actions), outcome)
+
+
+def run_expert_episode(task: TaskSpec, seed: int, sim: SimConfig | None = None) -> Episode:
+    """The scripted expert's episode; one that does not succeed raises."""
+    sim = sim or SimConfig()
+    episode = run_episode(task, seed, lambda scene: expert_action(scene, task, sim), sim)
+    if episode.outcome is not Outcome.SUCCESS:
+        raise GenerationError(f"expert failed task {task.task_id!r} with seed {seed} within {sim.max_episode_steps} steps")
+    return episode
 
 
 def generate_dataset(tasks, episodes_per_task, seed, sim: SimConfig | None = None) -> DemoDataset:
@@ -122,7 +156,7 @@ def save_dataset(dataset: DemoDataset, path):
         "episodes": len(dataset.episodes),
     }
     docs = [header] + [
-        {"task_id": ep.task_id, "seed": ep.seed, "actions": ep.actions} for ep in dataset.episodes
+        {"task_id": ep.task.task_id, "seed": ep.seed, "actions": ep.actions} for ep in dataset.episodes
     ]
     lines = [json.dumps(doc, default=_encode, allow_nan=False, separators=(",", ":")) for doc in docs]
     write_atomic(path, "\n".join(lines) + "\n")
@@ -179,7 +213,9 @@ def _read_sim(d):
 
 def _read_episode(d, tasks_by_id, sim):
     """Replay one episode line: its task's seeded reset, then one ``step``
-    per stored action but the last, which belongs to the final scene."""
+    per stored action but the last, which belongs to the final scene.  Unlike
+    ``run_episode`` it follows every stored action, and it takes the outcome
+    from the final scene alone: ``SUCCESS`` or ``TIMEOUT``."""
     if set(d) != _EPISODE_KEYS:
         raise FormatError(f"dataset episode needs exactly the keys {sorted(_EPISODE_KEYS)}, got {sorted(d)}")
     task_id = read_str(d["task_id"], "episode task id")
@@ -190,7 +226,8 @@ def _read_episode(d, tasks_by_id, sim):
     scenes = [reset(task, seed)]
     for action in actions[:-1]:
         scenes.append(step(scenes[-1], action, sim))
-    return Episode(task_id=task_id, instruction=task.instruction, seed=seed, scenes=scenes, actions=actions)
+    outcome = Outcome.SUCCESS if success(scenes[-1], task) else Outcome.TIMEOUT
+    return Episode(task, seed, scenes, actions, outcome)
 
 
 def load_dataset(path) -> DemoDataset:

@@ -94,7 +94,7 @@ def make_batch(dataset, indices, policy: Policy, cameras, cache=None):
     """
     targets, mask = _chunk_targets(dataset, indices, policy.cfg.chunk_len, policy.dtype)
     scenes = [dataset.episodes[e].scenes[s] for e, s in indices]
-    instructions = [dataset.episodes[e].instruction for e, s in indices]
+    instructions = [dataset.episodes[e].task.instruction for e, s in indices]
 
     if cache is None:
         vision = policy.featurize(scenes, cameras)

@@ -17,8 +17,8 @@ from geoaware.bench import (
     rollout,
 )
 from geoaware.deskworld.camera import sample_viewpoints, seen_cameras
-from geoaware.deskworld.dataset import generate_dataset
-from geoaware.deskworld.world import ACTION_WIDTH, SimConfig, expert_action, make_tasks
+from geoaware.deskworld.dataset import Outcome, generate_dataset, run_expert_episode
+from geoaware.deskworld.world import ACTION_WIDTH, SimConfig, action_vector, expert_action, make_tasks
 from geoaware.errors import ConfigError
 from geoaware.policy import Policy, PolicyConfig
 from geoaware.training import TrainConfig, bc_train, load_checkpoint
@@ -64,9 +64,9 @@ class NanAtCallPolicy(ExpertPolicy):
 def test_expert_rollout_succeeds_every_task():
     for task in TASKS:
         result = rollout(ExpertPolicy(), task, seen_cameras(SIM), seed=5, sim=SIM)
-        assert result.succeeded
+        assert result.outcome is Outcome.SUCCESS
         assert result.steps <= SIM.max_episode_steps
-        assert result.failure is None
+        assert result.task is task
 
 
 def test_expert_scores_100_percent_in_every_category():
@@ -79,13 +79,47 @@ def test_expert_scores_100_percent_in_every_category():
 def test_rollout_determinism():
     a = rollout(ExpertPolicy(), TASKS[1], seen_cameras(SIM), seed=9, sim=SIM)
     b = rollout(ExpertPolicy(), TASKS[1], seen_cameras(SIM), seed=9, sim=SIM)
-    assert (a.succeeded, a.steps) == (b.succeeded, b.steps)
+    assert (a.outcome, a.steps) == (b.outcome, b.steps)
+    assert a.actions.tobytes() == b.actions.tobytes()
+
+
+def scene_bits(scene):
+    """Every number of ``scene`` as bytes, with its held object."""
+    arrays = [scene.ee_pos, scene.ee_rot, [scene.gripper], *(o.pos for o in scene.objects)]
+    arrays += [g.center for g in scene.goal_regions]
+    return np.concatenate(arrays).tobytes(), scene.held_object
+
+
+@pytest.mark.parametrize("task", TASKS, ids=lambda task: task.task_id)
+def test_expert_rollout_is_the_expert_demo(task):
+    # one closed loop records demos and rollouts, so they agree bit for bit
+    for seed in range(5):
+        demo = run_expert_episode(task, seed, SIM)
+        result = rollout(ExpertPolicy(), task, seen_cameras(SIM), seed=seed, sim=SIM)
+        assert (demo.task, demo.seed, demo.outcome) == (task, seed, Outcome.SUCCESS)
+        assert (result.task, result.seed, result.outcome) == (demo.task, demo.seed, demo.outcome)
+        assert [scene_bits(s) for s in result.scenes] == [scene_bits(s) for s in demo.scenes]
+        assert (result.actions.dtype, result.actions.shape) == (demo.actions.dtype, demo.actions.shape)
+        assert result.actions.tobytes() == demo.actions.tobytes()
+
+
+@pytest.mark.parametrize(
+    "make_policy, outcome",
+    [(ExpertPolicy, Outcome.SUCCESS), (lambda: ConstantPolicy(np.zeros(ACTION_WIDTH)), Outcome.TIMEOUT),
+     (lambda: NanAtCallPolicy(bad_call=3), Outcome.BAD_ACTION)],
+    ids=["success", "timeout", "bad-action"],
+)
+def test_rollout_episode_has_one_action_row_per_scene(make_policy, outcome):
+    result = rollout(make_policy(), TASKS[0], seen_cameras(SIM), seed=0, sim=SimConfig(max_episode_steps=60))
+    assert result.outcome is outcome
+    assert result.steps == len(result.scenes) - 1 == len(result.actions) - 1
+    assert result.actions.shape == (len(result.scenes), ACTION_WIDTH)
+    assert result.actions[-1].tobytes() == action_vector().tobytes()
 
 
 def test_rollout_flags_non_finite_action():
     result = rollout(ConstantPolicy([np.nan] * 7), TASKS[0], seen_cameras(SIM), seed=0, sim=SIM)
-    assert not result.succeeded
-    assert result.failure is not None
+    assert result.outcome is Outcome.BAD_ACTION
     assert result.steps == 0
 
 
@@ -96,13 +130,13 @@ def test_rollout_flags_non_finite_action():
 )
 def test_rollout_fails_a_malformed_action_at_step_0(vec):
     result = rollout(ConstantPolicy(vec), TASKS[0], seen_cameras(SIM), seed=0, sim=SIM)
-    assert (result.succeeded, result.steps, result.failure) == (False, 0, "non-finite or malformed action")
+    assert (result.outcome, result.steps) == (Outcome.BAD_ACTION, 0)
 
 
 def test_rollout_fails_at_the_first_non_finite_action():
     # three expert steps are taken, then the fourth action holds a NaN
     result = rollout(NanAtCallPolicy(bad_call=3), TASKS[0], seen_cameras(SIM), seed=0, sim=SIM)
-    assert (result.succeeded, result.steps, result.failure) == (False, 3, "non-finite or malformed action")
+    assert (result.outcome, result.steps) == (Outcome.BAD_ACTION, 3)
     assert type(result.steps) is int
 
 
@@ -116,12 +150,12 @@ def test_evaluate_fails_rollouts_of_a_non_finite_policy():
     assert report.average_rate == 0.0
     assert report.mean_episode_length == 0.0
     result = rollout(policy, TASKS[0], seen_cameras(SIM), seed=0, sim=SIM)
-    assert (result.succeeded, result.steps, result.failure) == (False, 0, "non-finite or malformed action")
+    assert (result.outcome, result.steps) == (Outcome.BAD_ACTION, 0)
 
 
 def test_rollout_caps_at_episode_limit():
     result = rollout(ConstantPolicy(np.zeros(7)), TASKS[0], seen_cameras(SIM), seed=0, sim=SIM)
-    assert not result.succeeded
+    assert result.outcome is Outcome.TIMEOUT
     assert result.steps == SIM.max_episode_steps
 
 
@@ -156,9 +190,10 @@ def test_closed_loop_action_stream_is_pinned(backbone, head):
     recorder = RecordingPolicy(policy)
     cameras = sample_viewpoints("novel_medium", 2, seed=3, sim=SIM)
     result = rollout(recorder, TASKS[2], cameras, seed=3, sim=SimConfig(max_episode_steps=25))
-    assert (result.succeeded, result.steps, len(recorder.actions)) == (False, 25, 25)
+    assert (result.outcome, result.steps, len(recorder.actions)) == (Outcome.TIMEOUT, 25, 25)
     stream = np.stack(recorder.actions)
     assert stream.dtype == np.float64 and stream.shape == (25, ACTION_WIDTH)
+    assert result.actions[:-1].tobytes() == stream.tobytes()
     assert hashlib.sha256(stream.tobytes()).hexdigest() == GOLDEN_ACTION_STREAMS[backbone, head]
 
 

@@ -7,22 +7,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from geoaware.deskworld import (
+from geoaware.deskworld import camera
+from geoaware.deskworld.camera import (
+    CATEGORY_BANDS,
+    EE_RENDER_RADIUS,
+    MIN_RENDER_DEPTH,
+    OBJECT_RENDER_RADIUS,
     CameraPose,
-    SimConfig,
     camera_axes,
-    generate_dataset,
-    make_tasks,
     nearest_seen_offset,
     project_points,
     render_image,
-    reset,
     sample_viewpoints,
     seen_cameras,
 )
-from geoaware.deskworld import camera
-from geoaware.deskworld.camera import CATEGORY_BANDS, EE_RENDER_RADIUS, MIN_RENDER_DEPTH, OBJECT_RENDER_RADIUS
-from geoaware.deskworld.world import BACKGROUND_COLOR, EE_COLOR, OBJECT_COLORS, REGION_COLORS
+from geoaware.deskworld.dataset import generate_dataset
+from geoaware.deskworld.world import BACKGROUND_COLOR, EE_COLOR, OBJECT_COLORS, REGION_COLORS, SimConfig, make_tasks, reset
 from geoaware.errors import CameraError
 
 SIM = SimConfig()

@@ -334,6 +334,16 @@ def test_report_comparison_kind_exits_4(workdir, capsys):
     assert "none of the known sections" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub", [{}, {"ablation": []}], ids=["empty", "nested-ablation"])
+def test_report_ablation_row_without_evaluations_exits_4_in_every_format(workdir, sub, capsys):
+    # csv used to exit 1 on an empty sub-report and 0 on a nested ablation
+    path = workdir / "hollow.json"
+    path.write_text(json.dumps({"schema_version": 1, "ablation": [{"seen": sub, "novel_medium": sub}]}))
+    for fmt in ("md", "csv"):
+        assert main(["report", "--in", str(path), "--format", fmt]) == 4
+    capsys.readouterr()
+
+
 def test_report_invalid_json_exits_1(workdir, capsys):
     broken = workdir / "broken.json"
     broken.write_text("{nope")

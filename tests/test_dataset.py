@@ -11,9 +11,8 @@ import pytest
 
 import geoaware.deskworld.dataset as dataset_module
 from geoaware.cli import main
-from geoaware.deskworld import SimConfig, generate_dataset, load_dataset, make_tasks, save_dataset, success
-from geoaware.deskworld.dataset import run_expert_episode
-from geoaware.deskworld.world import ACTION_WIDTH, step
+from geoaware.deskworld.dataset import Outcome, generate_dataset, load_dataset, run_expert_episode, save_dataset
+from geoaware.deskworld.world import ACTION_WIDTH, SimConfig, make_tasks, step, success
 from geoaware.errors import FormatError, GenerationError
 
 SIM = SimConfig()
@@ -71,10 +70,9 @@ def small_dataset(seed=0, episodes_per_task=3):
 
 def test_episode_ends_in_success_state():
     ds = small_dataset()
-    tasks = {t.task_id: t for t in ds.tasks}
     for ep in ds.episodes:
-        task = tasks[ep.task_id]
-        assert success(ep.scenes[-1], task)
+        assert ep.task in ds.tasks
+        assert success(ep.scenes[-1], ep.task)
         assert len(ep.scenes) == len(ep.actions) <= SIM.max_episode_steps + 1
 
 
@@ -153,7 +151,7 @@ def test_header_contents(tmp_path):
     assert header["episodes"] == len(ds.episodes)
     # an episode is its task, seed and actions: no scene, proprio or camera is stored
     for doc, ep in zip(episodes, ds.episodes):
-        assert doc == {"task_id": ep.task_id, "seed": ep.seed, "actions": ep.actions.tolist()}
+        assert doc == {"task_id": ep.task.task_id, "seed": ep.seed, "actions": ep.actions.tolist()}
 
 
 def test_default_scale_episode_count():
@@ -174,6 +172,21 @@ def test_bad_version_rejected(tmp_path, capsys):
             load_dataset(path)
         assert main(["train", "--data", str(path), "--out", str(tmp_path / "p.ckpt"), "--steps", "1"]) == 1
     assert "format_version" in capsys.readouterr().err
+
+
+def test_loaded_outcome_is_read_from_the_final_replayed_scene(tmp_path):
+    ds = small_dataset(episodes_per_task=1)
+    path = tmp_path / "demos.jsonl"
+    save_dataset(ds, path)
+    assert [ep.outcome for ep in load_dataset(path).episodes] == [Outcome.SUCCESS] * len(ds.episodes)
+    # drop middle actions and keep the idle row: the replay stops short of the goal
+    header, first, *rest = path.read_text().splitlines()
+    doc = json.loads(first)
+    doc["actions"] = doc["actions"][:5] + doc["actions"][-1:]
+    path.write_text("\n".join([header, json.dumps(doc), *rest]) + "\n")
+    short = load_dataset(path).episodes[0]
+    assert (short.outcome, short.steps, len(short.actions)) == (Outcome.TIMEOUT, 5, 6)
+    assert not success(short.scenes[-1], short.task)
 
 
 def test_truncated_file_rejected(tmp_path):

@@ -16,8 +16,9 @@ from geoaware.backbones import (
     RAW_WIDTH,
     pooled_features,
 )
-from geoaware.deskworld import generate_dataset, make_tasks, sample_viewpoints, seen_cameras
-from geoaware.deskworld.camera import project_points
+from geoaware.deskworld.camera import project_points, sample_viewpoints, seen_cameras
+from geoaware.deskworld.dataset import generate_dataset
+from geoaware.deskworld.world import make_tasks
 from geoaware.errors import ShapeError
 from geoaware.numerics import Tensor, conv1d_relu_pool, no_grad
 from geoaware.numerics.tensor import as_tensor, make_result

@@ -97,6 +97,40 @@ def test_module_has_no_unused_private_names(path):
     assert unused_private_names(path.read_text(encoding="utf-8")) == []
 
 
+# -- one owner of the closed loop ----------------------------------------------
+
+# The world's own module defines ``reset`` and ``step``; the dataset module
+# owns the closed loop (``run_episode``) and the loader's replay.
+LOOP_OWNERS = {"deskworld/world.py", "deskworld/dataset.py"}
+
+
+def world_loop_calls(source):
+    """(line, name) for every call of ``step`` or ``reset`` in ``source``,
+    as a bare name or as an attribute."""
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name in ("step", "reset"):
+                calls.append((node.lineno, name))
+    return calls
+
+
+def test_scanner_finds_world_loop_calls():
+    source = "from w import step\nimport w\nstep(s, a)\nw.reset(t, 0)\nstepper(1)\nx.step\n"
+    assert world_loop_calls(source) == [(3, "step"), (4, "reset")]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.rglob("*.py") if p.relative_to(PACKAGE).as_posix() not in LOOP_OWNERS),
+    ids=lambda path: str(path.relative_to(PACKAGE.parent)),
+)
+def test_only_the_loop_owners_call_step_or_reset(path):
+    assert world_loop_calls(path.read_text(encoding="utf-8")) == []
+
+
 # -- public names that only tests use ----------------------------------------
 
 PERFBENCH = PACKAGE.parent.parent / "perfbench"

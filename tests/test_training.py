@@ -75,7 +75,7 @@ def test_make_batch_matches_stored_steps(demos):
     pol = small_policy(demos)
     batch = make_batch(demos, [(0, 3)], pol, seen_cameras(demos.sim))
     episode = demos.episodes[0]
-    assert batch.instructions[0] == episode.instruction
+    assert batch.instructions[0] == episode.task.instruction
     assert np.allclose(batch.proprio[0], episode.scenes[3].proprio())
     assert np.allclose(batch.targets[0, 0], episode.actions[3], atol=1e-7)
 
@@ -336,7 +336,7 @@ def test_vqbet_training_never_decodes_a_chunk(demos, monkeypatch):
     pol, _ = bc_train(demos, small_train(steps=3, head_kind="vqbet", vq_pretrain_steps=2), policy=pol)
     assert calls == []
     episode = demos.episodes[0]
-    pol.action(episode.scenes[0], episode.instruction, seen_cameras(demos.sim))
+    pol.action(episode.scenes[0], episode.task.instruction, seen_cameras(demos.sim))
     assert len(calls) == 1
 
 

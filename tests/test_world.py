@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
-from geoaware.deskworld import (
+from geoaware.deskworld.world import (
+    ACTION_WIDTH,
+    MIN_SEPARATION,
+    WORKSPACE_HALF,
     SimConfig,
+    action_vector,
     expert_action,
     make_tasks,
     reset,
     step,
     success,
 )
-from geoaware.deskworld.world import ACTION_WIDTH, MIN_SEPARATION, WORKSPACE_HALF, action_vector
 from geoaware.errors import InputError
 
 SIM = SimConfig()
