@@ -1,11 +1,15 @@
-"""Closed-loop evaluation: per-category rollouts, layer-selection ablation,
-and report serialization.
+"""Closed-loop evaluation and report rendering.
 
 A rollout is ``dataset.run_episode`` with the policy as the actor, so it
 returns the same ``Episode`` a demo is, with its visited scenes, executed
 actions and ``Outcome``.  Success rates follow the protocol of 10 rollouts
 per task; novel-view categories draw a fresh camera pair per rollout, and the
 pair never matches the training cameras.
+
+The layer-selection ablation loop lives in ``cli.cmd_ablate``: it trains each
+mode through the helper ``train`` uses and scores it here with ``evaluate``
+once per ``ABLATION_CATEGORIES`` entry.  The renderers read the report dicts
+that ``geoaware report`` reads: ``EvalReport.to_dict()`` or an ablation.
 """
 
 from __future__ import annotations
@@ -13,22 +17,19 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from geoaware.backbones import GeoStubConfig
 from geoaware.deskworld.camera import VIEWS, sample_viewpoints, seen_cameras
 from geoaware.deskworld.dataset import Episode, Outcome, run_episode
 from geoaware.deskworld.world import SimConfig, make_tasks
 from geoaware.errors import CameraError, ConfigError, SchemaError
 from geoaware.persist import write_atomic
-from geoaware.policy import Policy, PolicyConfig
-from geoaware.training import TrainConfig, bc_train, save_checkpoint
 
 REPORT_SCHEMA_VERSION = 1
 CSV_FIELDS = ("model", "category", "task", "successes", "rollouts", "rate")
+ABLATION_CATEGORIES = ("seen", "novel_medium")    # the view categories each ablation row is scored on
 
 
 @dataclass
@@ -41,15 +42,7 @@ class EvalReport:
     seeds: list
 
     def to_dict(self):
-        return {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "model": self.model,
-            "category": self.category,
-            "tasks": self.tasks,
-            "average_rate": self.average_rate,
-            "mean_episode_length": self.mean_episode_length,
-            "seeds": self.seeds,
-        }
+        return {"schema_version": REPORT_SCHEMA_VERSION, **asdict(self)}
 
 
 def rollout(policy, task, cameras, seed, sim: SimConfig | None = None) -> Episode:
@@ -108,56 +101,6 @@ def evaluate(policy, category, rollouts_per_task=10, seeds=(0,), sim: SimConfig 
     )
 
 
-ABLATION_MODES = (("all", None), ("even", 4), ("last", 4))
-
-
-@dataclass
-class AblationReport:
-    rows: list                     # one per layer-selection mode
-
-    def to_dict(self):
-        return {"schema_version": REPORT_SCHEMA_VERSION, "ablation": self.rows}
-
-
-def ablate_layers(dataset, train_cfg: TrainConfig, policy_cfg=None, rollouts_per_task=10, eval_seeds=(0,), sim: SimConfig | None = None, geo: GeoStubConfig | None = None, modes=None, checkpoint_dir=None) -> AblationReport:
-    """Train one geo policy per layer-selection mode (shared seeds, shared
-    data, shared ``geo`` stub) and evaluate each on seen and medium novel views.
-
-    ``modes`` overrides the default (mode, count) triple; a count of None
-    keeps ``policy_cfg``'s ``select_count``, which ``all`` ignores.
-    ``checkpoint_dir`` (when given) receives one ``ablate-<mode>.ckpt`` per
-    trained policy, which records ``dataset.sim``, the sim the demos were
-    recorded under.  ``sim`` (default ``dataset.sim``) is the one evaluation
-    runs under, such as a shorter ``max_episode_steps`` as a cap."""
-    if train_cfg.backbone_kind != "geo":
-        raise ConfigError("layer ablation only applies to the geo backbone")
-    sim = sim or dataset.sim
-    base = policy_cfg if policy_cfg is not None else PolicyConfig()
-    rows = []
-    for mode, count in (tuple(modes) if modes is not None else ABLATION_MODES):
-        pcfg = replace(base, select_mode=mode, select_count=base.select_count if count is None else count)
-        policy = Policy(pcfg, tuple(dataset.instructions()), seed=train_cfg.seed, geo=geo)
-        policy, _ = bc_train(dataset, train_cfg, policy=policy)
-        if checkpoint_dir is not None:
-            save_checkpoint(policy, os.path.join(checkpoint_dir, f"ablate-{mode}.ckpt"), step=train_cfg.steps, train=train_cfg, sim=dataset.sim)
-        selected = len(policy.backbone.layers)
-        label = f"{mode}({selected})" if mode != "all" else "all"
-        row = {
-            "mode": mode,
-            "selected": selected,
-            "label": label,
-            "default": mode == "even",
-            "seen": evaluate(
-                policy, "seen", rollouts_per_task, eval_seeds, sim, tasks=dataset.tasks, model=label
-            ).to_dict(),
-            "novel_medium": evaluate(
-                policy, "novel_medium", rollouts_per_task, eval_seeds, sim, tasks=dataset.tasks, model=label
-            ).to_dict(),
-        }
-        rows.append(row)
-    return AblationReport(rows=rows)
-
-
 # -- serialization -----------------------------------------------------------
 
 
@@ -179,20 +122,16 @@ def _eval_markdown(rep: dict):
 
 
 def _ablation_markdown(rep: dict):
-    lines = [
-        "| Layer selection | Seen (%) | Novel medium (%) |",
-        "| --- | ---: | ---: |",
-    ]
+    titles = [cat.replace("_", " ").capitalize() + " (%)" for cat in ABLATION_CATEGORIES]
+    lines = ["| " + " | ".join(["Layer selection", *titles]) + " |", "| --- |" + " ---: |" * len(titles)]
     for row in rep["ablation"]:
         label = row["label"] + (" (default)" if row["default"] else "")
-        lines.append(
-            f"| {label} | {_fmt_rate(row['seen']['average_rate'])} | {_fmt_rate(row['novel_medium']['average_rate'])} |"
-        )
+        rates = [_fmt_rate(row[cat]["average_rate"]) for cat in ABLATION_CATEGORIES]
+        lines.append("| " + " | ".join([label, *rates]) + " |")
     return "\n".join(lines) + "\n"
 
 
-def render_markdown(report):
-    rep = report.to_dict() if hasattr(report, "to_dict") else report
+def render_markdown(rep: dict):
     if "tasks" in rep:
         return _eval_markdown(rep)
     if "ablation" in rep:
@@ -211,14 +150,13 @@ def _csv_rows(rep: dict):
         yield from _eval_csv_rows(rep)
     elif "ablation" in rep:
         for row in rep["ablation"]:
-            for cat in ("seen", "novel_medium"):
+            for cat in ABLATION_CATEGORIES:
                 yield from _eval_csv_rows(row[cat])
     else:
         raise SchemaError("unrecognized report structure")
 
 
-def render_csv(report):
-    rep = report.to_dict() if hasattr(report, "to_dict") else report
+def render_csv(rep: dict):
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
@@ -227,18 +165,17 @@ def render_csv(report):
     return out.getvalue()
 
 
-def render_json(report):
-    rep = report.to_dict() if hasattr(report, "to_dict") else report
+def render_json(rep: dict):
     return json.dumps(rep, indent=2, sort_keys=True) + "\n"
 
 
 REPORT_RENDERERS = {"json": render_json, "md": render_markdown, "csv": render_csv}
 
 
-def emit_report(report, fmt, path):
-    """Write a report in a ``REPORT_RENDERERS`` format; json re-emits byte-stably."""
+def emit_report(rep: dict, fmt, path):
+    """Write a report dict in a ``REPORT_RENDERERS`` format; json re-emits byte-stably."""
     if fmt not in REPORT_RENDERERS:
         raise ConfigError(f"unknown report format {fmt!r} (expected {' | '.join(REPORT_RENDERERS)})")
-    text = REPORT_RENDERERS[fmt](report)
+    text = REPORT_RENDERERS[fmt](rep)
     write_atomic(path, text)
     return text

@@ -1,6 +1,12 @@
 """Command-line front end: dataset generation, training, evaluation, layer
 ablation, gradient checking, and report formatting.
 
+``train`` and ``ablate`` share one training step, ``_train_and_save``: build
+the policy, behaviour-clone it, checkpoint it with the dataset's sim.  The
+layer-selection ablation is ``cmd_ablate``'s loop over the parsed modes; each
+pass trains through that step and scores the policy with ``bench.evaluate``
+on every ``bench.ABLATION_CATEGORIES`` entry.
+
 Every subcommand is bit-reproducible given identical flags and seed.  Flag
 values take precedence over config-file values, which take precedence over the
 GEOAWARE_SEED environment variable, which takes precedence over built-in
@@ -28,7 +34,8 @@ import sys
 import time
 from dataclasses import replace
 
-from geoaware.bench import REPORT_RENDERERS, REPORT_SCHEMA_VERSION, ablate_layers, emit_report, evaluate
+from geoaware.backbones import select_layer_indices
+from geoaware.bench import ABLATION_CATEGORIES, REPORT_RENDERERS, REPORT_SCHEMA_VERSION, emit_report, evaluate
 from geoaware.config import load_config
 from geoaware.deskworld.dataset import generate_dataset, load_dataset, save_dataset
 from geoaware.deskworld.world import make_tasks
@@ -89,25 +96,30 @@ def _parse_modes(text):
     return list(modes.items())
 
 
-def _recorded_sim(dataset, run_cfg, raw):
-    """The ``SimConfig`` the demos were recorded under; a config file whose
-    ``sim`` section differs from it raises ``ConfigMismatchError``."""
+def _check_recorded_sim(dataset, run_cfg, raw):
+    """Raise ``ConfigMismatchError`` when the config file has a ``sim``
+    section unlike the ``SimConfig`` the demos were recorded under."""
     if "sim" in raw and run_cfg.sim != dataset.sim:
         raise ConfigMismatchError(f"config sim {run_cfg.sim} differs from the dataset's {dataset.sim}")
-    return dataset.sim
+
+
+def _train_and_save(dataset, policy_cfg, train_cfg, geo, path):
+    """(policy, losses): a ``Policy`` behaviour-cloned on ``dataset`` and
+    checkpointed at ``path`` with ``dataset.sim``, the sim its demos were
+    recorded under."""
+    policy = Policy(policy_cfg, tuple(dataset.instructions()), seed=train_cfg.seed, geo=geo)
+    policy, losses = bc_train(dataset, train_cfg, policy=policy)
+    save_checkpoint(policy, path, step=train_cfg.steps, train=train_cfg, sim=dataset.sim)
+    return policy, losses
 
 
 def cmd_gen_data(args):
     run_cfg, raw = load_config(args.config)
     seed = _resolve_seed(args.seed, "seed" in raw, run_cfg.seed)
     episodes_per_task = args.episodes_per_task if args.episodes_per_task is not None else 50
-    tasks = make_tasks()
-    dataset = generate_dataset(tasks, episodes_per_task, seed, sim=run_cfg.sim)
+    dataset = generate_dataset(make_tasks(), episodes_per_task, seed, sim=run_cfg.sim)
     save_dataset(dataset, args.out)
     print(f"wrote {len(dataset.episodes)} episodes to {args.out}")
-    for task in tasks:
-        n = sum(1 for ep in dataset.episodes if ep.task == task)
-        print(f"expert success {task.task_id}: {n}/{episodes_per_task}")
     return 0
 
 
@@ -124,11 +136,8 @@ def cmd_train(args):
         overrides["steps"] = args.steps
     train_cfg = replace(run_cfg.train, **overrides).validate()
     dataset = load_dataset(args.data)
-    sim = _recorded_sim(dataset, run_cfg, raw)
-    policy_cfg = replace(run_cfg.policy, **kinds)
-    policy = Policy(policy_cfg, tuple(dataset.instructions()), seed=train_cfg.seed, geo=run_cfg.geo)
-    policy, losses = bc_train(dataset, train_cfg, policy=policy)
-    save_checkpoint(policy, args.out, step=train_cfg.steps, train=train_cfg, sim=sim)
+    _check_recorded_sim(dataset, run_cfg, raw)
+    _, losses = _train_and_save(dataset, replace(run_cfg.policy, **kinds), train_cfg, run_cfg.geo, args.out)
     print(f"trained {train_cfg.steps} steps; final loss {losses[-1]:.6f}")
     print(f"saved checkpoint to {args.out}")
     return 0
@@ -148,32 +157,42 @@ def cmd_eval(args):
         sim=bundle.sim, model=model,
     )
     if args.report is not None:
-        emit_report(report, "json", args.report)
+        emit_report(report.to_dict(), "json", args.report)
     print(f"{model} {args.views}: average success rate {report.average_rate:.1f}%")
     return 0
 
 
 def cmd_ablate(args):
     run_cfg, raw = load_config(args.config)
+    if run_cfg.train.backbone_kind != "geo":
+        raise ConfigError("layer ablation only applies to the geo backbone")
     train_raw = raw.get("train", {})
     seed = _resolve_seed(None, "seed" in train_raw, run_cfg.train.seed)
     train_cfg = replace(run_cfg.train, seed=seed).validate()
     modes = _parse_modes(args.modes)
     dataset = load_dataset(args.data)
-    sim = _recorded_sim(dataset, run_cfg, raw)
+    _check_recorded_sim(dataset, run_cfg, raw)
     os.makedirs(args.out_dir, exist_ok=True)
-    report = ablate_layers(
-        dataset, train_cfg, policy_cfg=run_cfg.policy, sim=sim, geo=run_cfg.geo,
-        modes=modes, checkpoint_dir=args.out_dir,
-    )
+    base = run_cfg.policy
+    # the default row is the selection `geoaware train --config` would train
+    default_layers = select_layer_indices(run_cfg.geo.num_layers, base.select_mode, base.select_count)
+    rows = []
+    for mode, count in modes:
+        policy_cfg = replace(base, select_mode=mode, select_count=base.select_count if count is None else count)
+        path = os.path.join(args.out_dir, f"ablate-{mode}.ckpt")
+        policy, _ = _train_and_save(dataset, policy_cfg, train_cfg, run_cfg.geo, path)
+        layers = policy.backbone.layers
+        label = f"{mode}({len(layers)})" if mode != "all" else "all"
+        row = {"mode": mode, "selected": len(layers), "label": label, "default": layers == default_layers}
+        for category in ABLATION_CATEGORIES:
+            row[category] = evaluate(policy, category, sim=dataset.sim, tasks=dataset.tasks, model=label).to_dict()
+        rows.append(row)
+        rates = "  ".join(f"{cat.replace('_', '-')} {row[cat]['average_rate']:.1f}%" for cat in ABLATION_CATEGORIES)
+        print(f"{label}: {rates}")
+    report = {"schema_version": REPORT_SCHEMA_VERSION, "ablation": rows}
     emit_report(report, "json", os.path.join(args.out_dir, "ablation.json"))
     emit_report(report, "md", os.path.join(args.out_dir, "ablation.md"))
-    for row in report.rows:
-        print(
-            f"{row['label']}: seen {row['seen']['average_rate']:.1f}%  "
-            f"novel-medium {row['novel_medium']['average_rate']:.1f}%"
-        )
-    print(f"wrote {len(report.rows)} checkpoints and reports to {args.out_dir}")
+    print(f"wrote {len(rows)} checkpoints and reports to {args.out_dir}")
     return 0
 
 
@@ -251,7 +270,15 @@ def build_parser():
     p.add_argument("--report", help="also write the eval report JSON here (default: none)")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablate", help="layer-selection ablation (one training per mode)")
+    p = sub.add_parser(
+        "ablate",
+        help="layer-selection ablation: one `train` run per mode, scored on seen and novel-medium views",
+        description=(
+            "For each mode, trains and checkpoints a geo policy as `geoaware train` does (ablate-<mode>.ckpt) and "
+            "scores it as `geoaware eval` does, on seen and novel-medium views. Writes ablation.json and ablation.md; "
+            "the row with the config's own layer selection is marked (default)."
+        ),
+    )
     p.add_argument("--config", help="run config JSON (default: built-in defaults)")
     p.add_argument("--data", required=True, help="dataset path from gen-data")
     p.add_argument("--modes", default="all,even4,last4", help="comma list of all|evenN|lastN (default: all,even4,last4)")

@@ -17,7 +17,6 @@ from geoaware.numerics.tensor import (
     reshape,
     sub,
     tensor_sum,
-    transpose,
 )
 from geoaware.numerics.nnops import (
     conv1d_relu_pool,
@@ -39,7 +38,6 @@ __all__ = [
     "mul",
     "matmul",
     "reshape",
-    "transpose",
     "concat",
     "broadcast_to",
     "tensor_sum",

@@ -164,16 +164,10 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __getitem__(self, key):
-        return tensor_slice(self, key)
-
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return reshape(self, shape)
-
-    def transpose(self, *axes):
-        return transpose(self, axes if axes else None)
 
     def sum(self, axis=None, keepdims=False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
@@ -328,34 +322,6 @@ def reshape(a, shape):
 
     def backward(g):
         a._accumulate(g.reshape(a.shape))
-
-    return make_result(out_vals, (a,), backward)
-
-
-def transpose(a, axes=None):
-    a = as_tensor(a)
-    out_vals = np.transpose(a.values, axes)
-
-    def backward(g):
-        a._accumulate(np.transpose(g, None if axes is None else np.argsort(axes)))
-
-    return make_result(out_vals, (a,), backward)
-
-
-def tensor_slice(a, key):
-    """Basic indexing (ints, slices, Ellipsis); gradient scatters into place."""
-    a = as_tensor(a)
-    out_vals = a.values[key]
-    if out_vals.ndim == 0:
-        out_vals = out_vals.reshape(1)
-        scalar = True
-    else:
-        scalar = False
-
-    def backward(g):
-        full = np.zeros_like(a.values)
-        full[key] = g.reshape(()) if scalar else g
-        a._accumulate(full)
 
     return make_result(out_vals, (a,), backward)
 

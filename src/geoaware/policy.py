@@ -36,7 +36,7 @@ from geoaware.backbones import (
     select_layer_indices,
 )
 from geoaware.deskworld.camera import VIEWS, render_image
-from geoaware.deskworld.world import ACTION_WIDTH, PROPRIO_WIDTH
+from geoaware.deskworld.world import ACTION_WIDTH, PROPRIO_WIDTH, stack_proprio
 from geoaware.errors import ConfigError, ShapeError, StateError, VocabularyError
 from geoaware.numerics import (
     ParamStore,
@@ -442,5 +442,5 @@ class Policy:
         non-finite action, which ``step`` rejects."""
         with no_grad(), np.errstate(all="ignore"):
             vision = self.featurize([scene], list(cameras))
-            chunk = self.head(self.forward(vision, [instruction], scene.proprio()[None].astype(self.dtype)))
+            chunk = self.head(self.forward(vision, [instruction], stack_proprio([scene])))
         return np.asarray(chunk.values[0, 0], dtype=np.float64)

@@ -1,4 +1,4 @@
-"""Rollout evaluation, ablation structure, report formats."""
+"""Rollout evaluation and report formats."""
 
 import hashlib
 import json
@@ -8,7 +8,6 @@ import pytest
 
 from geoaware.bench import (
     EvalReport,
-    ablate_layers,
     emit_report,
     evaluate,
     render_csv,
@@ -21,7 +20,7 @@ from geoaware.deskworld.dataset import Outcome, generate_dataset, run_expert_epi
 from geoaware.deskworld.world import ACTION_WIDTH, SimConfig, action_vector, expert_action, make_tasks
 from geoaware.errors import ConfigError
 from geoaware.policy import Policy, PolicyConfig
-from geoaware.training import TrainConfig, bc_train, load_checkpoint
+from geoaware.training import TrainConfig, bc_train
 
 SIM = SimConfig()
 TASKS = make_tasks()
@@ -230,36 +229,7 @@ def test_evaluate_rejects_empty_evaluations(rollouts, seeds, tasks):
 def test_evaluate_is_deterministic():
     a = evaluate(ExpertPolicy(), "novel_medium", rollouts_per_task=2, seeds=(3,), sim=SIM)
     b = evaluate(ExpertPolicy(), "novel_medium", rollouts_per_task=2, seeds=(3,), sim=SIM)
-    assert render_json(a) == render_json(b)
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_ablation_structure(tmp_path):
-    demos = generate_dataset(TASKS[:2], episodes_per_task=1, seed=0, sim=SIM)
-    cfg = TrainConfig(steps=2, batch_size=4, vq_pretrain_steps=1, seed=0, eval_every=0)
-    report = ablate_layers(
-        demos, cfg, rollouts_per_task=1, eval_seeds=(0,), sim=SimConfig(max_episode_steps=10), checkpoint_dir=tmp_path
-    )
-    # the evaluation cap is not the sim the demos were recorded under
-    assert load_checkpoint(tmp_path / "ablate-even.ckpt").sim == demos.sim
-    rows = report.rows
-    assert [row["mode"] for row in rows] == ["all", "even", "last"]
-    assert [row["selected"] for row in rows] == [12, 4, 4]
-    assert [row["default"] for row in rows] == [False, True, False]
-    for row in rows:
-        assert set(row["seen"]["tasks"][0]) == {"id", "successes", "rollouts", "rate"}
-        assert len(row["seen"]["tasks"]) == 2
-    payload = report.to_dict()
-    assert payload["schema_version"] == 1
-    md = render_markdown(report)
-    assert md.count("\n") == 5    # header, divider, 3 rows
-    assert "(default)" in md
-
-
-def test_ablation_requires_geo():
-    demos = generate_dataset(TASKS[:1], episodes_per_task=1, seed=0, sim=SIM)
-    with pytest.raises(ConfigError):
-        ablate_layers(demos, TrainConfig(backbone_kind="pixel"))
+    assert render_json(a.to_dict()) == render_json(b.to_dict())
 
 
 def _handmade_report():
@@ -273,7 +243,7 @@ def _handmade_report():
         average_rate=86.30615,
         mean_episode_length=17.25,
         seeds=[0],
-    )
+    ).to_dict()
 
 
 def test_json_round_trip_is_byte_stable(tmp_path):
@@ -303,6 +273,21 @@ def test_csv_format():
     assert lines[1] == "geo,seen,t0,9,10,90.0"
     assert lines[2] == "geo,seen,t1,8,10,82.6"
     assert lines[3] == "geo,seen,average,,,86.3"
+
+
+def test_ablation_markdown_and_csv_layout():
+    rep = _handmade_report()
+    row = {"mode": "even", "selected": 4, "label": "even(4)", "default": True, "seen": rep, "novel_medium": rep}
+    ablation = {"schema_version": 1, "ablation": [row, dict(row, mode="all", label="all", default=False)]}
+    assert render_markdown(ablation).splitlines() == [
+        "| Layer selection | Seen (%) | Novel medium (%) |",
+        "| --- | ---: | ---: |",
+        "| even(4) (default) | 86.3 | 86.3 |",
+        "| all | 86.3 | 86.3 |",
+    ]
+    lines = render_csv(ablation).splitlines()
+    assert len(lines) == 1 + 2 * 2 * 3      # header, then 2 rows x 2 categories x (2 tasks + average)
+    assert lines[1:4] == render_csv(rep).splitlines()[1:]
 
 
 def test_emit_rejects_unknown_format(tmp_path):

@@ -76,8 +76,6 @@ def test_gen_data_counts_and_determinism(workdir, dataset_path, capsys):
     assert main(["gen-data", "--out", str(twin), "--episodes-per-task", "2", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert "wrote 8 episodes" in out
-    for task_id in ("t0", "t1", "t2", "t3"):
-        assert f"expert success {task_id}: 2/2" in out
     assert sha256(twin) == sha256(dataset_path)
 
 
@@ -370,12 +368,49 @@ def test_ablate_writes_checkpoints_and_reports(workdir, short_dataset_path, caps
     assert bundle.sim == SHORT_SIM
 
 
-def test_ablate_rejects_a_pixel_config(workdir, dataset_path, capsys):
+def test_ablate_rejects_a_pixel_config(workdir, capsys):
+    # before the dataset loads (this one does not exist) and before the output directory is made
     cfg = workdir / "ablate-pixel.json"
     cfg.write_text(json.dumps({"policy": {"backbone_kind": "pixel"}, "train": {"backbone_kind": "pixel"}}))
-    code = main(["ablate", "--config", str(cfg), "--data", str(dataset_path), "--out-dir", str(workdir / "abl")])
+    out_dir = workdir / "abl"
+    code = main(["ablate", "--config", str(cfg), "--data", str(workdir / "absent.jsonl"), "--out-dir", str(out_dir)])
     assert code == 1
     assert "layer ablation only applies to the geo backbone" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def _ablate(workdir, data, name, config, modes=None):
+    """The ablation.json rows and ablation.md lines of one ``geoaware ablate`` run."""
+    cfg = workdir / f"{name}.json"
+    cfg.write_text(json.dumps(config))
+    out_dir = workdir / name
+    flags = [] if modes is None else ["--modes", modes]
+    assert main(["ablate", "--config", str(cfg), "--data", str(data), *flags, "--out-dir", str(out_dir)]) == 0
+    report = json.loads((out_dir / "ablation.json").read_text())
+    return report["ablation"], (out_dir / "ablation.md").read_text().splitlines()
+
+
+def test_ablate_marks_no_default_row_when_no_mode_selects_the_configs_layers(workdir, short_dataset_path, capsys):
+    # "default" used to mean mode == "even", so even(2) was marked though the config trains even(4)
+    config = {"train": {"steps": 2, "eval_every": 0}}
+    rows, md = _ablate(workdir, short_dataset_path, "ablate-no-default", config, "all,even2")
+    capsys.readouterr()
+    assert [(row["label"], row["default"]) for row in rows] == [("all", False), ("even(2)", False)]
+    assert not any("(default)" in line for line in md)
+
+
+def test_ablate_marks_the_configs_layer_selection_as_default(workdir, short_dataset_path, capsys):
+    # the default modes, under a config whose policy `geoaware train` would train on the last 4 layers
+    config = {"policy": {"select_mode": "last"}, "train": {"steps": 2, "eval_every": 0}}
+    rows, md = _ablate(workdir, short_dataset_path, "ablate-last-default", config)
+    capsys.readouterr()
+    assert [(row["label"], row["selected"], row["default"]) for row in rows] == [
+        ("all", 12, False), ("even(4)", 4, False), ("last(4)", 4, True),
+    ]
+    assert len(md) == 5 and md[-1].startswith("| last(4) (default) |")
+    for row in rows:
+        assert all(set(row[cat]["tasks"][0]) == {"id", "successes", "rollouts", "rate"} for cat in ("seen", "novel_medium"))
+    assert load_checkpoint(workdir / "ablate-last-default" / "ablate-last.ckpt").sim == SHORT_SIM
 
 
 def test_version_3_checkpoint_exits_1(workdir, checkpoint_path, capsys):

@@ -7,7 +7,7 @@ import geoaware.numerics.nnops as nnops
 from geoaware.gradsuite import SUITE_TOLERANCE, run_gradcheck_suite, suite_passed
 
 EXPECTED_COMPONENTS = {
-    "add_sub_mul", "matmul", "reshape_transpose_slice_concat", "relu",
+    "add_sub_mul", "matmul", "reshape_concat_mean", "relu",
     "transformer_block", "conv1d_relu_pool", "conv2d",
     "embedding_lookup", "mse_loss", "cross_entropy", "project_vision",
     "pixel_encoder", "trunk", "mlp_head", "vqbet_head", "end_to_end",

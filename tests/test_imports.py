@@ -104,22 +104,22 @@ def test_module_has_no_unused_private_names(path):
 LOOP_OWNERS = {"deskworld/world.py", "deskworld/dataset.py"}
 
 
-def world_loop_calls(source):
-    """(line, name) for every call of ``step`` or ``reset`` in ``source``,
+def calls_of(source, names):
+    """(line, name) for every call in ``source`` of a function in ``names``,
     as a bare name or as an attribute."""
     calls = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
-            if name in ("step", "reset"):
+            if name in names:
                 calls.append((node.lineno, name))
     return calls
 
 
 def test_scanner_finds_world_loop_calls():
     source = "from w import step\nimport w\nstep(s, a)\nw.reset(t, 0)\nstepper(1)\nx.step\n"
-    assert world_loop_calls(source) == [(3, "step"), (4, "reset")]
+    assert calls_of(source, ("step", "reset")) == [(3, "step"), (4, "reset")]
 
 
 @pytest.mark.parametrize(
@@ -128,7 +128,23 @@ def test_scanner_finds_world_loop_calls():
     ids=lambda path: str(path.relative_to(PACKAGE.parent)),
 )
 def test_only_the_loop_owners_call_step_or_reset(path):
-    assert world_loop_calls(path.read_text(encoding="utf-8")) == []
+    assert calls_of(path.read_text(encoding="utf-8"), ("step", "reset")) == []
+
+
+# -- one train path ------------------------------------------------------------
+
+# ``training`` defines the train step; ``cli._train_and_save`` is its one
+# caller, shared by ``geoaware train`` and ``geoaware ablate``.
+TRAIN_OWNERS = {"training.py", "cli.py"}
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.rglob("*.py") if p.relative_to(PACKAGE).as_posix() not in TRAIN_OWNERS),
+    ids=lambda path: str(path.relative_to(PACKAGE.parent)),
+)
+def test_only_the_train_owners_call_bc_train_or_save_checkpoint(path):
+    assert calls_of(path.read_text(encoding="utf-8"), ("bc_train", "save_checkpoint")) == []
 
 
 # -- public names that only tests use ----------------------------------------

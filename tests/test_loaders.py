@@ -15,7 +15,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from geoaware.bench import AblationReport, EvalReport, emit_report
+from geoaware.bench import REPORT_SCHEMA_VERSION, EvalReport, emit_report
 from geoaware.cli import main
 from geoaware.config import RunConfig, load_config
 from geoaware.backbones import GeoStubConfig
@@ -91,13 +91,13 @@ def _eval_report():
 
 
 def _write_eval_report(path):
-    emit_report(_eval_report(), "json", path)
+    emit_report(_eval_report().to_dict(), "json", path)
 
 
 def _write_ablation_report(path):
     row = {"mode": "even", "selected": 4, "label": "even(4)", "default": True,
            "seen": _eval_report().to_dict(), "novel_medium": _eval_report().to_dict()}
-    emit_report(AblationReport(rows=[row]), "json", path)
+    emit_report({"schema_version": REPORT_SCHEMA_VERSION, "ablation": [row]}, "json", path)
 
 
 def _report_commands(path, tmp):

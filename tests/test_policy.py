@@ -9,7 +9,7 @@ import pytest
 from geoaware.backbones import GeoBackbone, GeoStubConfig, pooled_features, pooled_vision
 from geoaware.deskworld.camera import VIEWS, sample_viewpoints, seen_cameras
 from geoaware.deskworld.dataset import generate_dataset
-from geoaware.deskworld.world import SimConfig, make_tasks, reset
+from geoaware.deskworld.world import SimConfig, make_tasks, reset, stack_proprio
 from geoaware.errors import CameraError, ConfigError, FormatError, ShapeError, StateError, VocabularyError
 from geoaware.numerics import Tensor, cross_entropy, grad_check, matmul, mse_loss, transformer_block
 from geoaware.persist import from_dict
@@ -521,7 +521,7 @@ def test_float32_policy_stays_float32(backbone, head):
         freeze_codebook(pol)
     scenes = [reset(task, seed=28) for task in make_tasks()[:3]]
     vision = pol.featurize(scenes, list(seen_cameras(sim)))
-    proprio = np.stack([s.proprio() for s in scenes])
+    proprio = stack_proprio(scenes)
     h_action = pol.forward(vision, list(VOCAB), proprio)
     chunk = pol.head(h_action)
     assert (vision.dtype, h_action.dtype, chunk.dtype) == (np.float32,) * 3
@@ -549,7 +549,7 @@ def test_featurize_returns_only_selected_layers():
     assert vision.dtype == np.float32
     assert vision.shape == (4, 2, 4, geo.num_keypoints, geo.feature_dim)
     assert np.array_equal(vision, full[:, :, [1, 3, 6, 8]].astype(np.float32))     # layers {2,4,7,9}
-    proprio = np.stack([s.proprio() for s in scenes])
+    proprio = stack_proprio(scenes)
     assert pol.head(pol.forward(vision, [VOCAB[0]] * 4, proprio)).shape == (4, 1, 7)
     with pytest.raises(ShapeError):
         pol.forward(full.astype(np.float32), [VOCAB[0]] * 4, proprio)

@@ -25,7 +25,6 @@ from geoaware.numerics import (
     sub,
     tensor_sum,
     transformer_block,
-    transpose,
 )
 
 TOL = 1e-4
@@ -163,25 +162,27 @@ def test_elementwise_grads_match_fd(seed):
     assert err <= TOL
 
 
-def test_concat_and_slice_grads():
+def test_concat_grads():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((2, 3))
     b = rng.standard_normal((2, 5))
+    w = rng.standard_normal((2, 8))
 
     def f(ts):
         joined = concat([ts[0], ts[1]], axis=1)
-        return tensor_sum(joined[:, 2:6] * joined[:, 2:6])
+        return tensor_sum(joined * joined * Tensor(w))
 
     assert grad_check(f, [a, b]) <= TOL
 
 
-def test_transpose_reshape_grads():
+def test_reshape_grads():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((2, 3, 4))
+    w = rng.standard_normal((4, 6))
 
     def f(ts):
-        t = transpose(ts[0], (2, 0, 1)).reshape(4, 6)
-        return tensor_sum(t * t)
+        t = reshape(ts[0], (4, 6))
+        return tensor_sum(t * t * Tensor(w))
 
     assert grad_check(f, [x]) <= TOL
 
@@ -236,7 +237,6 @@ OP_CASES = {
     "mul": ([(2, 3), (2, 3)], lambda t: mul(*t)),
     "matmul": ([(2, 3), (3, 4)], lambda t: matmul(*t)),
     "reshape": ([(2, 3)], lambda t: reshape(t[0], (3, 2))),
-    "transpose": ([(2, 3)], lambda t: transpose(t[0], (1, 0))),
     "concat": ([(2, 3), (2, 1)], lambda t: concat(t, axis=1)),
     "broadcast_to": ([(1, 3)], lambda t: broadcast_to(t[0], (2, 3))),
     "tensor_sum": ([(2, 3)], lambda t: tensor_sum(t[0], axis=1)),

@@ -51,7 +51,9 @@ def test_make_batch_proprio_is_the_per_scene_stack(demos, dtype):
     pol = Policy(PolicyConfig(), tuple(demos.instructions()), dtype=dtype)
     indices = demos.sample_index()[::3]
     batch = make_batch(demos, indices, pol, seen_cameras(demos.sim))
-    expected = np.asarray([demos.episodes[e].scenes[s].proprio() for e, s in indices], dtype=dtype)
+    scenes = [demos.episodes[e].scenes[s] for e, s in indices]
+    # the proprio layout: ee position, ee rotation, gripper
+    expected = np.asarray([np.concatenate([s.ee_pos, s.ee_rot, [s.gripper]]) for s in scenes], dtype=dtype)
     assert batch.proprio.dtype == dtype and batch.proprio.tobytes() == expected.tobytes()
 
 
@@ -76,7 +78,8 @@ def test_make_batch_matches_stored_steps(demos):
     batch = make_batch(demos, [(0, 3)], pol, seen_cameras(demos.sim))
     episode = demos.episodes[0]
     assert batch.instructions[0] == episode.task.instruction
-    assert np.allclose(batch.proprio[0], episode.scenes[3].proprio())
+    scene = episode.scenes[3]
+    assert np.allclose(batch.proprio[0], np.concatenate([scene.ee_pos, scene.ee_rot, [scene.gripper]]))
     assert np.allclose(batch.targets[0, 0], episode.actions[3], atol=1e-7)
 
 
