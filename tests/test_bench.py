@@ -1,5 +1,6 @@
-"""Rollout evaluation and report formats."""
+"""Rollout evaluation, the layer ablation's backbone check, report formats."""
 
+import argparse
 import hashlib
 import json
 
@@ -15,6 +16,7 @@ from geoaware.bench import (
     render_markdown,
     rollout,
 )
+from geoaware.cli import cmd_ablate
 from geoaware.deskworld.camera import sample_viewpoints, seen_cameras
 from geoaware.deskworld.dataset import Outcome, generate_dataset, run_expert_episode
 from geoaware.deskworld.world import ACTION_WIDTH, SimConfig, action_vector, expert_action, make_tasks
@@ -230,6 +232,17 @@ def test_evaluate_is_deterministic():
     a = evaluate(ExpertPolicy(), "novel_medium", rollouts_per_task=2, seeds=(3,), sim=SIM)
     b = evaluate(ExpertPolicy(), "novel_medium", rollouts_per_task=2, seeds=(3,), sim=SIM)
     assert render_json(a.to_dict()) == render_json(b.to_dict())
+
+
+def test_ablation_requires_geo(tmp_path):
+    # the check raises before the dataset loads (this one does not exist) and before the output directory is made
+    cfg = tmp_path / "pixel.json"
+    cfg.write_text(json.dumps({"policy": {"backbone_kind": "pixel"}, "train": {"backbone_kind": "pixel"}}))
+    out_dir = tmp_path / "abl"
+    args = argparse.Namespace(config=str(cfg), data=str(tmp_path / "absent.jsonl"), modes="all,even4,last4", out_dir=str(out_dir))
+    with pytest.raises(ConfigError, match="geo backbone"):
+        cmd_ablate(args)
+    assert not out_dir.exists()
 
 
 def _handmade_report():
