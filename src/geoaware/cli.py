@@ -8,20 +8,21 @@ pass trains through that step and scores the policy with ``bench.evaluate``
 on every ``bench.ABLATION_CATEGORIES`` entry.
 
 Every subcommand is bit-reproducible given identical flags and seed.  Flag
-values take precedence over config-file values, which take precedence over the
-GEOAWARE_SEED environment variable, which takes precedence over built-in
-defaults.  Exit codes: 0 success, 1 usage or input problem, 2 numeric abort
-(non-finite loss or gradient, or a failed gradient check), 3 checkpoint
-missing or config mismatch, 4 report schema mismatch.  A path that cannot be
-read or written (missing, a directory, no permission) is an input problem,
-exit 1, apart from ``eval``'s missing checkpoint.
+values take precedence over config-file values, which take precedence over
+built-in defaults.  Exit codes: 0 success, 1 usage or input problem,
+2 numeric abort (non-finite loss or gradient, or a failed gradient check),
+3 checkpoint missing or config mismatch, 4 report schema mismatch.  A path
+that cannot be read or written (missing, a directory, no permission) is an
+input problem, exit 1, apart from ``eval``'s missing checkpoint.
 
 Concurrent runs: numpy's BLAS starts one thread per core by default, and
 several processes that each do so contend for the cores; four trainings at
 once on a 2-core host ran about 20x slower than one.  When running more than
 one process at a time, start each with ``OPENBLAS_NUM_THREADS=1`` (and
 ``OMP_NUM_THREADS=1`` for other BLAS builds).  The program itself sets no
-thread count.
+thread count.  Training (``train``, ``ablate``) does set glibc's malloc
+thresholds for its process, so that freed buffers stay in the heap between
+steps (see ``training.bc_train``).
 """
 
 from __future__ import annotations
@@ -53,26 +54,10 @@ VIEW_CATEGORIES = {
 }
 
 
-def _env_seed():
-    raw = os.environ.get("GEOAWARE_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"GEOAWARE_SEED must be an integer, got {raw!r}")
-
-
-def _resolve_seed(flag_value, file_has_seed, file_value, fallback=0):
-    """flag > config file > GEOAWARE_SEED > built-in default."""
-    if flag_value is not None:
-        return flag_value
-    if file_has_seed:
-        return file_value
-    env = _env_seed()
-    if env is not None:
-        return env
-    return fallback
+def _resolve_seed(flag_value, config_value):
+    """flag > config file > built-in default: ``config_value`` is the file's
+    seed, or the config's default when the file sets none."""
+    return config_value if flag_value is None else flag_value
 
 
 def _parse_modes(text):
@@ -114,8 +99,8 @@ def _train_and_save(dataset, policy_cfg, train_cfg, geo, path):
 
 
 def cmd_gen_data(args):
-    run_cfg, raw = load_config(args.config)
-    seed = _resolve_seed(args.seed, "seed" in raw, run_cfg.seed)
+    run_cfg, _ = load_config(args.config)
+    seed = _resolve_seed(args.seed, run_cfg.seed)
     episodes_per_task = args.episodes_per_task if args.episodes_per_task is not None else 50
     dataset = generate_dataset(make_tasks(), episodes_per_task, seed, sim=run_cfg.sim)
     save_dataset(dataset, args.out)
@@ -125,13 +110,12 @@ def cmd_gen_data(args):
 
 def cmd_train(args):
     run_cfg, raw = load_config(args.config)
-    train_raw = raw.get("train", {})
     kinds = {}                  # --head/--backbone set the policy and train sections alike
     if args.head is not None:
         kinds["head_kind"] = args.head
     if args.backbone is not None:
         kinds["backbone_kind"] = args.backbone
-    overrides = dict(kinds, seed=_resolve_seed(args.seed, "seed" in train_raw, run_cfg.train.seed))
+    overrides = dict(kinds, seed=_resolve_seed(args.seed, run_cfg.train.seed))
     if args.steps is not None:
         overrides["steps"] = args.steps
     train_cfg = replace(run_cfg.train, **overrides).validate()
@@ -149,11 +133,10 @@ def cmd_eval(args):
     except FileNotFoundError:
         print(f"error: checkpoint {args.ckpt} does not exist", file=sys.stderr)
         return 3
-    seed = _resolve_seed(args.seed, False, None)
     category = VIEW_CATEGORIES[args.views]
     model = f"{bundle.policy.cfg.backbone_kind}-{bundle.policy.cfg.head_kind}"
     report = evaluate(
-        bundle.policy, category, rollouts_per_task=args.rollouts, seeds=(seed,),
+        bundle.policy, category, rollouts_per_task=args.rollouts, seeds=(args.seed,),
         sim=bundle.sim, model=model,
     )
     if args.report is not None:
@@ -166,9 +149,6 @@ def cmd_ablate(args):
     run_cfg, raw = load_config(args.config)
     if run_cfg.train.backbone_kind != "geo":
         raise ConfigError("layer ablation only applies to the geo backbone")
-    train_raw = raw.get("train", {})
-    seed = _resolve_seed(None, "seed" in train_raw, run_cfg.train.seed)
-    train_cfg = replace(run_cfg.train, seed=seed).validate()
     modes = _parse_modes(args.modes)
     dataset = load_dataset(args.data)
     _check_recorded_sim(dataset, run_cfg, raw)
@@ -180,7 +160,7 @@ def cmd_ablate(args):
     for mode, count in modes:
         policy_cfg = replace(base, select_mode=mode, select_count=base.select_count if count is None else count)
         path = os.path.join(args.out_dir, f"ablate-{mode}.ckpt")
-        policy, _ = _train_and_save(dataset, policy_cfg, train_cfg, run_cfg.geo, path)
+        policy, _ = _train_and_save(dataset, policy_cfg, run_cfg.train, run_cfg.geo, path)
         layers = policy.backbone.layers
         label = f"{mode}({len(layers)})" if mode != "all" else "all"
         row = {"mode": mode, "selected": len(layers), "label": label, "default": layers == default_layers}
@@ -249,7 +229,7 @@ def build_parser():
     p.add_argument("--config", help="run config JSON (default: built-in defaults)")
     p.add_argument("--out", required=True, help="output dataset path (JSON lines)")
     p.add_argument("--episodes-per-task", type=int, help="demos per task (default: 50)")
-    p.add_argument("--seed", type=int, help="generation seed (default: 0; config file or GEOAWARE_SEED override)")
+    p.add_argument("--seed", type=int, help="generation seed (default: 0; overrides the config file)")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="behavior-clone a policy on a dataset")
@@ -259,14 +239,14 @@ def build_parser():
     p.add_argument("--head", choices=("mlp", "vqbet"), help="action head (default: mlp)")
     p.add_argument("--backbone", choices=("geo", "pixel"), help="vision backbone (default: geo)")
     p.add_argument("--steps", type=int, help="optimization steps (default: 5000)")
-    p.add_argument("--seed", type=int, help="training seed (default: 0; config file or GEOAWARE_SEED override)")
+    p.add_argument("--seed", type=int, help="training seed (default: 0; overrides the config file)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="closed-loop success rates for a checkpoint")
     p.add_argument("--ckpt", required=True, help="checkpoint path from train")
     p.add_argument("--views", choices=sorted(VIEW_CATEGORIES), default="seen", help="camera category (default: seen)")
     p.add_argument("--rollouts", type=int, default=10, help="rollouts per task (default: 10)")
-    p.add_argument("--seed", type=int, help="evaluation seed (default: 0; GEOAWARE_SEED overrides)")
+    p.add_argument("--seed", type=int, default=0, help="evaluation seed (default: 0)")
     p.add_argument("--report", help="also write the eval report JSON here (default: none)")
     p.set_defaults(func=cmd_eval)
 

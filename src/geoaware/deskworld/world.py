@@ -36,7 +36,7 @@ MIN_SEPARATION = 0.08
 PLACEMENT_ATTEMPTS = 1000
 
 # The world-policy interface: the widths of an action (laid out in ``step``)
-# and of the proprioceptive state (``SceneState.proprio``).
+# and of the proprioceptive state (laid out in ``stack_proprio``).
 ACTION_WIDTH = 7
 PROPRIO_WIDTH = 7
 

@@ -8,8 +8,10 @@ codebook first, alone; then the policy with the codebook frozen.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import logging
+import platform
 import struct
 from dataclasses import asdict, dataclass
 from itertools import zip_longest
@@ -35,6 +37,10 @@ log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"GAVP"
 CHECKPOINT_VERSION = 5
+
+# glibc's mallopt parameters, from <malloc.h>
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
 
 
 @dataclass
@@ -204,6 +210,19 @@ def calibrate_input_stats(policy: Policy, dataset, cameras, rng, samples=CALIBRA
     _fold_layer(store, hidden, "vision.mlp.2.w", "vision.mlp.2.b")
 
 
+def _keep_freed_heap():
+    """On glibc, serve blocks up to 32 MiB from the heap, and return freed
+    heap memory to the kernel only past 128 MiB; elsewhere do nothing.
+    Setting either threshold switches off glibc's dynamic mmap threshold,
+    which would otherwise raise both as large blocks are freed, so both are
+    set."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    libc = ctypes.CDLL(None)
+    libc.mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    libc.mallopt(M_TRIM_THRESHOLD, 128 << 20)
+
+
 def bc_train(dataset, cfg: TrainConfig, policy: Policy):
     """Train ``policy`` on expert demonstrations; returns (policy, losses).
 
@@ -215,7 +234,15 @@ def bc_train(dataset, cfg: TrainConfig, policy: Policy):
     loss or gradient raises ``NumericAbort`` with the failing step and the
     parameter norms, before that step changes any parameter.  Fixed seed and
     config give bit-identical results.
+
+    On glibc it first sets the process's malloc thresholds (see
+    ``_keep_freed_heap``), and the setting outlives the call.  A pixel step
+    frees multi-MB temporaries (im2col and pad buffers, gradients, the
+    stacked frame batch); by default glibc hands them back to the kernel, and
+    the next step page-faults them in again.  The setting changes no
+    arithmetic.
     """
+    _keep_freed_heap()
     cfg.validate()
     if not dataset.episodes:
         raise ConfigError("cannot train on an empty dataset")

@@ -1,10 +1,13 @@
 """Shared fixtures."""
 
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geoaware
 from geoaware.errors import NumericError, StateError
 
 
@@ -64,3 +67,14 @@ def reference_adamw():
     """(init, step) of AdamW as a per-entry loop, the specification the
     package's flat update must match bit for bit."""
     return reference_init_adamw, reference_adamw_step
+
+
+@pytest.fixture
+def child_env():
+    """The caller's environment with the directory holding the imported
+    geoaware package first on PYTHONPATH, so a child interpreter runs the
+    tree under test rather than some other installed copy."""
+    paths = [str(Path(geoaware.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}

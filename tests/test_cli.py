@@ -1,11 +1,10 @@
 """End-to-end command-line coverage: every subcommand runs against a tiny
 dataset, exit codes follow the documented table (0 ok, 1 usage, 2 numeric
 abort, 3 missing checkpoint or config mismatch, 4 schema mismatch), and seed
-precedence is flags over config file over GEOAWARE_SEED over defaults."""
+precedence is flags over config file over defaults."""
 
 import hashlib
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -16,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import geoaware
 from geoaware.cli import main
 from geoaware.deskworld.dataset import load_dataset
 from geoaware.deskworld.world import SimConfig
@@ -112,16 +110,15 @@ def test_gen_data_without_episodes_exits_1(workdir, episodes, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, flags, env, config",
-    [("gen-data", ["--seed", "-1"], None, None),
-     ("train", ["--seed", "-3"], None, None),
-     ("eval", ["--seed", "-2"], None, None),
-     ("eval", [], "-5", None),
-     ("gen-data", [], None, {"seed": -1}),
-     ("train", [], None, {"train": {"seed": -1}})],
-    ids=["gen-data-flag", "train-flag", "eval-flag", "eval-env", "config-seed", "config-train-seed"],
+    "command, flags, config",
+    [("gen-data", ["--seed", "-1"], None),
+     ("train", ["--seed", "-3"], None),
+     ("eval", ["--seed", "-2"], None),
+     ("gen-data", [], {"seed": -1}),
+     ("train", [], {"train": {"seed": -1}})],
+    ids=["gen-data-flag", "train-flag", "eval-flag", "config-seed", "config-train-seed"],
 )
-def test_negative_seed_exits_1(workdir, dataset_path, checkpoint_path, monkeypatch, capsys, command, flags, env, config):
+def test_negative_seed_exits_1(workdir, dataset_path, checkpoint_path, capsys, command, flags, config):
     # each used to die with numpy's bare "expected non-negative integer"
     out = workdir / "negative-seed.out"
     argv = {
@@ -129,8 +126,6 @@ def test_negative_seed_exits_1(workdir, dataset_path, checkpoint_path, monkeypat
         "train": ["train", "--data", str(dataset_path), "--out", str(out), "--steps", "1"],
         "eval": ["eval", "--ckpt", str(checkpoint_path), "--rollouts", "1"],
     }[command] + flags
-    if env is not None:
-        monkeypatch.setenv("GEOAWARE_SEED", env)
     if config is not None:
         path = workdir / "negative-seed.json"
         path.write_text(json.dumps(config))
@@ -142,19 +137,17 @@ def test_negative_seed_exits_1(workdir, dataset_path, checkpoint_path, monkeypat
     assert not out.exists()
 
 
-def test_seed_precedence(workdir, monkeypatch, capsys):
+def test_seed_precedence(workdir, capsys):
     a, b, c, d = (workdir / name for name in ("sa.jsonl", "sb.jsonl", "sc.jsonl", "sd.jsonl"))
     assert main(["gen-data", "--out", str(a), "--episodes-per-task", "1", "--seed", "9"]) == 0
-    monkeypatch.setenv("GEOAWARE_SEED", "9")
     assert main(["gen-data", "--out", str(b), "--episodes-per-task", "1"]) == 0
-    assert sha256(a) == sha256(b)
-    assert main(["gen-data", "--out", str(c), "--episodes-per-task", "1", "--seed", "4"]) == 0
-    assert sha256(c) != sha256(b)
+    assert sha256(b) != sha256(a)
     cfg = workdir / "seeded.json"
     cfg.write_text(json.dumps({"seed": 9}))
-    monkeypatch.setenv("GEOAWARE_SEED", "4")
-    assert main(["gen-data", "--config", str(cfg), "--out", str(d), "--episodes-per-task", "1"]) == 0
-    assert sha256(d) == sha256(a)
+    assert main(["gen-data", "--config", str(cfg), "--out", str(c), "--episodes-per-task", "1"]) == 0
+    assert sha256(c) == sha256(a)
+    assert main(["gen-data", "--config", str(cfg), "--out", str(d), "--episodes-per-task", "1", "--seed", "0"]) == 0
+    assert sha256(d) == sha256(b)
     capsys.readouterr()
 
 
@@ -531,18 +524,8 @@ def test_help_says_to_pin_blas_threads_for_concurrent_runs(capsys):
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
-def child_env():
-    """The caller's environment with the directory holding the imported
-    geoaware package first on PYTHONPATH, so a child interpreter runs the
-    tree under test rather than some other installed copy."""
-    paths = [str(Path(geoaware.__file__).resolve().parents[1])]
-    if os.environ.get("PYTHONPATH"):
-        paths.append(os.environ["PYTHONPATH"])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-
-
-def test_console_script_runs():
-    proc = subprocess.run([sys.executable, "-m", "geoaware.cli"], capture_output=True, text=True, env=child_env())
+def test_console_script_runs(child_env):
+    proc = subprocess.run([sys.executable, "-m", "geoaware.cli"], capture_output=True, text=True, env=child_env)
     assert proc.returncode == 1
     assert "usage: geoaware" in proc.stdout
     assert "gen-data" in proc.stdout
@@ -554,14 +537,14 @@ def test_console_script_runs():
         spec = tomllib.load(f)["project"]["scripts"]["geoaware"]
     module, _, attr = spec.partition(":")
     wrapper = f"import sys\nimport {module}\nsys.argv[0] = 'geoaware'\nsys.exit({module}.{attr}())\n"
-    proc = subprocess.run([sys.executable, "-c", wrapper, "--help"], capture_output=True, text=True, env=child_env())
+    proc = subprocess.run([sys.executable, "-c", wrapper, "--help"], capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0, proc.stderr
     assert "gen-data" in proc.stdout
 
 
 @pytest.mark.skipif(shutil.which("geoaware") is None,
                     reason="the geoaware console script is not on PATH (install with `pip install -e .`)")
-def test_installed_console_script_runs():
-    proc = subprocess.run(["geoaware", "--help"], capture_output=True, text=True, env=child_env())
+def test_installed_console_script_runs(child_env):
+    proc = subprocess.run(["geoaware", "--help"], capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0
     assert "gen-data" in proc.stdout

@@ -147,6 +147,43 @@ def test_only_the_train_owners_call_bc_train_or_save_checkpoint(path):
     assert calls_of(path.read_text(encoding="utf-8"), ("bc_train", "save_checkpoint")) == []
 
 
+# -- one owner of the foreign call --------------------------------------------
+
+# ``training._keep_freed_heap`` sets glibc's malloc thresholds through
+# ``ctypes``; no other module reaches into C.
+CTYPES_OWNERS = {"training.py"}
+
+
+def imports_of(source, module):
+    """Lines of every ``import`` or ``from ... import`` of ``module`` or of
+    one of its submodules in ``source``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name == module or name.startswith(module + ".") for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_scanner_finds_ctypes_imports():
+    source = "import os, ctypes\nfrom ctypes import CDLL\nimport ctypes.util\nimport ctypeslib\nfrom . import ctypes\n"
+    assert imports_of(source, "ctypes") == [1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.rglob("*.py") if p.relative_to(PACKAGE).as_posix() not in CTYPES_OWNERS),
+    ids=lambda path: str(path.relative_to(PACKAGE.parent)),
+)
+def test_only_training_imports_ctypes(path):
+    assert imports_of(path.read_text(encoding="utf-8"), "ctypes") == []
+
+
 # -- public names that only tests use ----------------------------------------
 
 PERFBENCH = PACKAGE.parent.parent / "perfbench"

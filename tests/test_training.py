@@ -1,7 +1,11 @@
 """Trainer behavior, two-phase VQ schedule, and checkpoint persistence."""
 
 import json
+import platform
 import struct
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -134,6 +138,42 @@ def test_training_is_deterministic(demos):
         pol, losses = bc_train(demos, small_train(steps=10), policy=pol)
         runs.append((pol.params.hash_of(), tuple(losses)))
     assert runs[0] == runs[1]
+
+
+# Ten 6 MiB arrays freed together: 15,360 pages that a heap which keeps its
+# freed memory serves again without a page fault.
+FREED_HEAP_SCRIPT = textwrap.dedent("""
+    import resource
+
+    import numpy as np
+
+    from geoaware.deskworld.dataset import generate_dataset
+    from geoaware.deskworld.world import make_tasks
+    from geoaware.policy import Policy, PolicyConfig
+    from geoaware.training import TrainConfig, bc_train
+
+    demos = generate_dataset(make_tasks(), episodes_per_task=1, seed=0)
+    cfg = PolicyConfig(repr_dim=16, conv_dim=8, hidden_dim=16, lang_embed_dim=8, trunk_heads=2)
+    bc_train(demos, TrainConfig(steps=1, batch_size=2, eval_every=0), Policy(cfg, tuple(demos.instructions())))
+
+    def faults_of_one_round():
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        arrays = [np.ones(6 << 17) for _ in range(10)]
+        del arrays
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    for _ in range(2):
+        faults_of_one_round()
+    print(max(faults_of_one_round() for _ in range(5)))
+""")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="bc_train tunes glibc's malloc only")
+def test_training_keeps_freed_heap_memory(child_env):
+    # a fresh interpreter, so no earlier test has set the thresholds already
+    proc = subprocess.run([sys.executable, "-c", FREED_HEAP_SCRIPT], capture_output=True, text=True, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) < 0.01 * 10 * 1536
 
 
 # -- input-statistics initialization -----------------------------------------

@@ -6,12 +6,14 @@ import pytest
 from geoaware.deskworld.world import (
     ACTION_WIDTH,
     MIN_SEPARATION,
+    PROPRIO_WIDTH,
     WORKSPACE_HALF,
     SimConfig,
     action_vector,
     expert_action,
     make_tasks,
     reset,
+    stack_proprio,
     step,
     success,
 )
@@ -34,6 +36,14 @@ def test_task_set_is_closed_and_distinct():
     assert len(set(ids)) == len(ids)
     # calling twice yields identical specs
     assert make_tasks() == tasks
+
+
+def test_stack_proprio_lays_out_the_proprio_width():
+    scenes = [reset(task, seed) for seed, task in enumerate(make_tasks()[:3])]
+    proprio = stack_proprio(scenes)
+    assert proprio.shape == (3, PROPRIO_WIDTH) and proprio.dtype == np.float64
+    # ee position, ee rotation, gripper
+    assert proprio[1].tolist() == [*scenes[1].ee_pos, *scenes[1].ee_rot, scenes[1].gripper]
 
 
 def test_reset_deterministic_and_separated():
