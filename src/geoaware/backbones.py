@@ -18,10 +18,13 @@ is layer-major: each layer mixes and lifts all B * V * N tokens in one
 product, and the [B, V, L, N, D] result is a view of [L, B, V, N, D] memory.
 
 Either backbone ends in a trainable conv stage (``pooled_features``); the
-policy's one shared projection ``vision.mlp`` follows it.  The geo stage
-reads the layer-major pyramid as one [L, B * V, N, D] conv tensor, without
-a copy, and runs all layers' token convs (``vision.conv.w`` [L, C_out, D,
-3], ``vision.conv.b`` [L, C_out]) as the one op ``conv1d_relu_pool``.
+policy's one shared projection ``vision.mlp`` follows it.  Each conv stage
+is one tape op.  The geo stage reads the layer-major pyramid as one [L, B *
+V, N, D] conv tensor, without a copy, and runs all layers' token convs
+(``vision.conv.w`` [L, C_out, D, 3], ``vision.conv.b`` [L, C_out]) as
+``conv1d_relu_pool``.  The pixel stage runs its three strided image convs,
+their relus and the global mean pool as ``conv2d_relu_pool``; only its
+language FiLM runs outside that op.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 
 from geoaware.errors import ConfigError, ShapeError
 from geoaware.deskworld.camera import project_points
-from geoaware.numerics import Tensor, conv1d_relu_pool, conv2d, matmul, relu
+from geoaware.numerics import Tensor, conv1d_relu_pool, conv2d_relu_pool, matmul
 from geoaware.numerics.tensor import broadcast_to, reshape
 
 # Keypoint attribute classes (one-hot in world-frame vectors).
@@ -212,17 +215,19 @@ def pooled_vision(layers, store):
 def pixel_pooled(images, lang_embed, store):
     """Conv/pool/FiLM stage of the pixel encoder: [B, C_last] pooled features.
 
-    ``lang_embed`` [B, lang_embed_dim] conditions the last conv's per-channel
-    scale and shift (FiLM: gamma * h + beta).  The modulation is applied to
-    the pooled [B, C] features instead of the [B, C, H, W] map: gamma and
-    beta are constant over the map and the global average pool is linear,
-    so mean(gamma * h + beta) = gamma * mean(h) + beta.
+    ``images`` [B, 3, H, W] pass the stride-2, padding-1 convs ``pixel.conv{i}``
+    with their relus and the global average pool as the one op
+    ``conv2d_relu_pool``.  ``lang_embed`` [B, lang_embed_dim] conditions the
+    last conv's per-channel scale and shift (FiLM: gamma * h + beta).  The
+    modulation is applied to the pooled [B, C] features instead of the [B, C,
+    H, W] map: gamma and beta are constant over the map and the global
+    average pool is linear, so mean(gamma * h + beta) = gamma * mean(h) + beta.
     """
-    h = images if isinstance(images, Tensor) else Tensor(images)
-    for i in range(1, len(PIXEL_CHANNELS) + 1):
-        h = relu(conv2d(h, store[f"pixel.conv{i}.w"], store[f"pixel.conv{i}.b"], stride=2, padding=1))
-    b, c = h.shape[0], h.shape[1]
-    pooled = reshape(h, (b, c, h.shape[2] * h.shape[3])).mean(axis=2)    # global average pool
+    convs = range(1, len(PIXEL_CHANNELS) + 1)
+    pooled = conv2d_relu_pool(
+        images, [store[f"pixel.conv{i}.w"] for i in convs], [store[f"pixel.conv{i}.b"] for i in convs],
+        stride=2, padding=1,
+    )
     gamma = matmul(lang_embed, store["pixel.film.scale.w"]) + store["pixel.film.scale.b"]
     beta = matmul(lang_embed, store["pixel.film.shift.w"]) + store["pixel.film.shift.b"]
     return pooled * gamma + beta

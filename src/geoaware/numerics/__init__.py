@@ -11,7 +11,6 @@ from geoaware.numerics.tensor import (
     broadcast_to,
     concat,
     matmul,
-    mean,
     mul,
     no_grad,
     reshape,
@@ -20,11 +19,11 @@ from geoaware.numerics.tensor import (
 )
 from geoaware.numerics.nnops import (
     conv1d_relu_pool,
-    conv2d,
+    conv2d_relu_pool,
     cross_entropy,
     embedding_lookup,
+    mlp2,
     mse_loss,
-    relu,
     transformer_block,
 )
 from geoaware.numerics.params import ParamStore
@@ -41,12 +40,11 @@ __all__ = [
     "concat",
     "broadcast_to",
     "tensor_sum",
-    "mean",
     "no_grad",
-    "relu",
+    "mlp2",
     "transformer_block",
     "conv1d_relu_pool",
-    "conv2d",
+    "conv2d_relu_pool",
     "embedding_lookup",
     "mse_loss",
     "cross_entropy",

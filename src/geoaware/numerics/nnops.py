@@ -7,31 +7,37 @@ gradient; work that only the gradient needs runs inside ``backward``.  Every
 backward is checked against central finite differences by the gradient-check
 suite.  Ops are as coarse as their callers allow, since every op pays Python
 overhead: the geometric vision projection's per-layer conv, relu and token
-pooling are one op, ``conv1d_relu_pool``, over all selected layers at once,
-and a whole pre-norm trunk block (layer norm, one fused q/k/v projection,
+pooling are one op, ``conv1d_relu_pool``, over all selected layers at once;
+the pixel encoder's stacked conv -> relu layers and global mean pool are one
+op, ``conv2d_relu_pool``; every two-layer relu MLP is one op, ``mlp2``; and
+a whole pre-norm trunk block (layer norm, one fused q/k/v projection,
 masked softmax, output projection, residual, layer norm, relu FFN, residual)
 is one op, ``transformer_block``, whose queries may be only the last
-positions.  Every product of an activation with a shared weight, ``x [...,
+positions.  Inside an op, intermediate gradients are local arrays, never
+tape nodes.  Every product of an activation with a shared weight, ``x [...,
 K] @ w [K, N]``, is one GEMM over all leading axes on ``x.reshape(-1, K)``,
-forward and backward: ``matmul`` and the block's projections; q, k and v
-are one [H, 3H] weight, so they are one GEMM too.  ``conv1d_relu_pool``'s
-token-conv contract: the L layers arrive as one [L, R, N, C_in] tensor with
-kernels stacked as [L, C_out, C_in, k] and biases as [L, C_out]; the im2col
-matrix is [L, R * N, C_in * k] with columns in (c_in, tap) order, built by
-one strided copy per tap with only the padded rows zeroed; and the product
-is one batched GEMM, ``cols @ w^T``, per layer's [C_out, C_in * k] kernel
-matrix, to which the bias is added in place.  ``conv2d``'s im2col
-contract: activations are held batch-innermost as [C, H, W, B]; the im2col
-matrix is [C_in * kh * kw, H_out * W_out * B] with rows in (c_in, i, j)
-order, built by one strided slice copy per kernel tap from the input or,
-with padding p, from a zero-filled [C, H + 2p, W + 2p, B] buffer the input
-is copied into (the zeros ``np.pad`` writes, at a fraction of its per-call
-cost); the product is one GEMM with the [C_out, C_in * kh * kw] kernel
-matrix on the left, forward and for each gradient; and the output and
-input gradient are [B, C, H, W] views of [C, H, W, B] arrays, so stacked
-convs pass activations and gradients on without a layout copy.  Ops do not
-check their results for NaN or Inf; see the ``tensor`` module for where
-finiteness is checked.
+forward and backward: ``matmul``, ``mlp2`` and the block's projections; q,
+k and v are one [H, 3H] weight, so they are one GEMM too.
+``conv1d_relu_pool``'s token-conv contract: the L layers arrive as one [L,
+R, N, C_in] tensor with kernels stacked as [L, C_out, C_in, k] and biases as
+[L, C_out]; the im2col matrix is [L, R * N, C_in * k] with columns in (c_in,
+tap) order, built by one strided copy per tap with only the padded rows
+zeroed; and the product is one batched GEMM, ``cols @ w^T``, per layer's
+[C_out, C_in * k] kernel matrix, to which the bias is added in place.
+``conv2d_relu_pool``'s contract: activations are held batch-innermost as
+[C, H, W, B], so each layer's output is the next one's input without a
+layout copy; a layer's im2col matrix is [C_in * kh * kw, H_out * W_out * B]
+with rows in (c_in, i, j) order, built by one strided slice copy per kernel
+tap from the input or, with padding p, from a zero-filled [C, H + 2p, W +
+2p, B] buffer the input is copied into; the forward product is one GEMM
+with the [C_out, C_in * kh * kw] kernel matrix on the left, the bias added
+and the relu applied in place on its output; the tape keeps each layer's
+im2col matrix and a bool relu mask, not its float activations; the pool
+sums the H * W positions of a [B, C, H * W] view of the last map, without a
+copy, then scales by 1 / (H * W); and backward forms each kernel gradient as ``(cols @ g^T)^T``
+and an input gradient, one GEMM each, only for the layers above the first
+or when the input needs one.  Ops do not check their results for NaN or
+Inf; see the ``tensor`` module for where finiteness is checked.
 """
 
 from __future__ import annotations
@@ -43,17 +49,50 @@ import numpy as np
 from geoaware.errors import InputError, ShapeError
 from geoaware.numerics.tensor import as_tensor, make_result
 
-# -- activations -------------------------------------------------------------
+# -- the two-layer MLP -------------------------------------------------------
 
 
-def relu(a):
-    a = as_tensor(a)
-    out_vals = np.maximum(a.values, 0.0)
+def mlp2(x, w1, b1, w2, b2):
+    """``relu(x @ w1 + b1) @ w2 + b2`` for ``x`` [B, K]: [B, N].
+
+    ``w1`` [K, F], ``b1`` [F], ``w2`` [F, N] and ``b2`` [N]; any other rank
+    or width raises ``ShapeError``.  Each product is one GEMM, forward and
+    for each gradient, and the relu runs in place on the hidden layer, of
+    which the tape keeps the post-relu values.
+    """
+    x, w1, b1, w2, b2 = leaves = tuple(map(as_tensor, (x, w1, b1, w2, b2)))
+    x_v, w1_v, b1_v, w2_v, b2_v = (t.values for t in leaves)
+    if x_v.ndim != 2 or w1_v.ndim != 2 or w2_v.ndim != 2:
+        raise ShapeError(f"mlp2 needs a rank-2 input and rank-2 weights, got {x_v.shape}, {w1_v.shape}, {w2_v.shape}")
+    k, f = w1_v.shape
+    n = w2_v.shape[1]
+    shapes = [x_v.shape[1], b1_v.shape, w2_v.shape[0], b2_v.shape]
+    if shapes != [k, (f,), f, (n,)]:
+        raise ShapeError(
+            f"mlp2 widths disagree: x {x_v.shape} @ w1 {w1_v.shape} + b1 {b1_v.shape}, "
+            f"then @ w2 {w2_v.shape} + b2 {b2_v.shape}"
+        )
+    hid = x_v @ w1_v
+    hid += b1_v
+    np.maximum(hid, 0.0, out=hid)
+    out = hid @ w2_v
+    out += b2_v
 
     def backward(g):
-        a._accumulate(g * (a.values > 0.0))
+        if w2.requires_grad:
+            w2._accumulate(hid.T @ g)
+        if b2.requires_grad:
+            b2._accumulate(g.sum(axis=0))
+        ghid = g @ w2_v.T
+        ghid *= hid > 0.0
+        if x.requires_grad:
+            x._accumulate(ghid @ w1_v.T)
+        if w1.requires_grad:
+            w1._accumulate(x_v.T @ ghid)
+        if b1.requires_grad:
+            b1._accumulate(ghid.sum(axis=0))
 
-    return make_result(out_vals, (a,), backward)
+    return make_result(out, leaves, backward)
 
 
 # -- the transformer block ---------------------------------------------------
@@ -288,67 +327,106 @@ def conv1d_relu_pool(x, kernels, biases):
     return make_result(out_vals, (x, kernels, biases), backward)
 
 
-def conv2d(x, kernels, bias, stride=1, padding=0):
-    """2-D cross-correlation for [B, C_in, H, W] inputs, [C_out, C_in, kh, kw] kernels.
+def _conv2d(x, kernels, bias, stride, padding):
+    """One 2-D cross-correlation on a batch-innermost [C_in, H, W, B] array:
+    (out [C_out, H_out, W_out, B], saved), through the im2col matrix the
+    module docstring describes, with the bias added in place."""
+    c_in, h, w, b = x.shape
+    c_out, _, kh, kw = kernels.shape
+    h_out = (h + 2 * padding - kh) // stride + 1
+    w_out = (w + 2 * padding - kw) // stride + 1
+    if padding:
+        padded = np.zeros((c_in, h + 2 * padding, w + 2 * padding, b), dtype=x.dtype)
+        padded[:, padding : padding + h, padding : padding + w] = x
+        x = padded
+    cols = np.empty((c_in, kh, kw, h_out, w_out, b), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = x[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
+    cols = cols.reshape(c_in * kh * kw, h_out * w_out * b)
+    w2 = kernels.reshape(c_out, c_in * kh * kw)
+    out = w2 @ cols
+    out += bias[:, None]
+    return out.reshape(c_out, h_out, w_out, b), (cols, w2, kernels.shape, (c_in, h, w, b), stride, padding)
 
-    ``stride`` is an int >= 1 and ``padding`` an int >= 0 zeros on each side
-    of both spatial axes; anything else raises ``ShapeError``.
 
-    Activations are held internally as [C, H, W, B], batch innermost, and
-    multiplied through the im2col matrix the module docstring describes.
-    The output is a view, the [B, C_out, H_out, W_out] transpose of a
-    [C_out, H_out, W_out, B] array, and so is the input gradient, of a
-    [C_in, H, W, B] array.  An input or incoming gradient already in that
-    layout, such as the previous conv's output after relu, is read without
-    a copy.
+def _conv2d_grad(g, saved, input_grad):
+    """Gradients of ``_conv2d`` from ``g`` [C_out, H_out, W_out, B]: (the
+    kernels', the bias', and, when ``input_grad``, the input's [C_in, H, W,
+    B], else None)."""
+    cols, w2, kshape, (c_in, h, w, b), stride, padding = saved
+    c_out, _, kh, kw = kshape
+    _, h_out, w_out, _ = g.shape
+    gt = g.reshape(c_out, h_out * w_out * b)
+    gk, gb = (cols @ gt.T).T.reshape(kshape), gt.sum(axis=1)
+    if not input_grad:
+        return gk, gb, None
+    gcols = (w2.T @ gt).reshape(c_in, kh, kw, h_out, w_out, b)
+    gx = np.zeros((c_in, h + 2 * padding, w + 2 * padding, b), dtype=g.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            gx[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += gcols[:, i, j]
+    return gk, gb, gx[:, padding : padding + h, padding : padding + w]
+
+
+def conv2d_relu_pool(x, kernels, biases, stride, padding):
+    """Stacked 2-D conv -> relu layers, then the global mean pool: [B, C_last].
+
+    ``x`` is [B, C_in, H, W]; ``kernels`` and ``biases`` hold one [C_out,
+    C_in, kh, kw] kernel and one [C_out] bias per layer, each layer's C_in
+    the previous one's C_out.  Every layer is a cross-correlation with the
+    same ``stride`` (an int >= 1) and ``padding`` (an int >= 0 zeros on each
+    side of both spatial axes); anything else, or an empty output map,
+    raises ``ShapeError``.  The pool is the sum over the last map's H * W
+    positions times 1 / (H * W).  The layers run as the module docstring
+    describes; the tape keeps each layer's im2col matrix and relu mask.
     """
-    x, kernels, bias = as_tensor(x), as_tensor(kernels), as_tensor(bias)
-    if x.ndim != 4:
-        raise ShapeError(f"conv2d input must be rank 4, got {x.shape}")
-    c_out, c_in, kh, kw = kernels.shape
-    if x.shape[1] != c_in:
-        raise ShapeError(f"conv2d kernels {kernels.shape} do not match input channels {x.shape[1]}")
-    if bias.shape != (c_out,):
-        raise ShapeError(f"conv2d bias must have shape ({c_out},)")
+    x = as_tensor(x)
+    kernels, biases = tuple(map(as_tensor, kernels)), tuple(map(as_tensor, biases))
     for name, value, least in (("stride", stride, 1), ("padding", padding, 0)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
             raise ShapeError(f"conv2d {name} must be an int >= {least}, got {value!r}")
-    b, _, h, w = x.shape
-    h_out = (h + 2 * padding - kh) // stride + 1
-    w_out = (w + 2 * padding - kw) // stride + 1
-    if h_out <= 0 or w_out <= 0:
-        raise ShapeError(f"conv2d output extent would be {h_out}x{w_out}")
+    if x.ndim != 4:
+        raise ShapeError(f"conv2d input must be [batch, channels, height, width], got {x.shape}")
+    if not kernels or len(kernels) != len(biases):
+        raise ShapeError(f"conv2d needs one bias per kernel, at least one layer; got {len(kernels)} and {len(biases)}")
+    b, c, h, w = x.shape
+    for kernel, bias in zip(kernels, biases):
+        if kernel.ndim != 4 or kernel.shape[1] != c or bias.shape != kernel.shape[:1]:
+            raise ShapeError(f"conv2d kernel {kernel.shape} and bias {bias.shape} do not fit {c} input channels")
+        c = kernel.shape[0]
+        h = (h + 2 * padding - kernel.shape[2]) // stride + 1
+        w = (w + 2 * padding - kernel.shape[3]) // stride + 1
+        if h <= 0 or w <= 0:
+            raise ShapeError(f"conv2d output extent would be {h}x{w}")
 
-    xp = x.values.transpose(1, 2, 3, 0)  # [C_in, H, W, B]
-    if padding:
-        padded = np.zeros((c_in, h + 2 * padding, w + 2 * padding, b), dtype=xp.dtype)
-        padded[:, padding : padding + h, padding : padding + w] = xp
-        xp = padded
-    n = h_out * w_out * b
-    cols = np.empty((c_in, kh, kw, h_out, w_out, b), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xp[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
-    cols = cols.reshape(c_in * kh * kw, n)
-    w2 = kernels.values.reshape(c_out, c_in * kh * kw)
-    out = w2 @ cols + bias.values[:, None]  # [C_out, H_out * W_out * B]
-    out_vals = out.reshape(c_out, h_out, w_out, b).transpose(3, 0, 1, 2)
+    act = x.values.transpose(1, 2, 3, 0)                                   # [C, H, W, B]
+    layers = []                                                             # (saved, relu mask) per layer
+    for kernel, bias in zip(kernels, biases):
+        act, saved = _conv2d(act, kernel.values, bias.values, stride, padding)
+        np.maximum(act, 0.0, out=act)                                       # relu in place
+        layers.append((saved, act > 0.0))
+    scale = 1.0 / (h * w)
+    pooled = act.transpose(3, 0, 1, 2).reshape(b, c, h * w).sum(axis=2)     # over a [B, C, H * W] view
+    pooled *= scale
 
     def backward(g):
-        gt = g.transpose(1, 2, 3, 0).reshape(c_out, n)
-        if kernels.requires_grad:
-            kernels._accumulate((gt @ cols.T).reshape(c_out, c_in, kh, kw))
-        if bias.requires_grad:
-            bias._accumulate(gt.sum(axis=1))
+        # the pool's gradient spreads g / (H * W) over the map; below it, each
+        # layer's relu mask gates the gradient of its output
+        g = (g * scale).T[:, None, None, :]
+        for l in reversed(range(len(layers))):
+            saved, active = layers[l]
+            g = g * active
+            gk, gb, gx = _conv2d_grad(g, saved, input_grad=l > 0 or x.requires_grad)
+            if kernels[l].requires_grad:
+                kernels[l]._accumulate(gk)
+            if biases[l].requires_grad:
+                biases[l]._accumulate(gb)
+            g = gx
         if x.requires_grad:
-            gcols = (w2.T @ gt).reshape(c_in, kh, kw, h_out, w_out, b)
-            gx = np.zeros((c_in, h + 2 * padding, w + 2 * padding, b), dtype=g.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    gx[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += gcols[:, i, j]
-            x._accumulate(gx[:, padding : padding + h, padding : padding + w].transpose(3, 0, 1, 2))
+            x._accumulate(g.transpose(3, 0, 1, 2))
 
-    return make_result(out_vals, (x, kernels, bias), backward)
+    return make_result(pooled, (x, *kernels, *biases), backward)
 
 
 # -- lookup ------------------------------------------------------------------

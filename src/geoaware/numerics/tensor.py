@@ -172,9 +172,6 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
 
 def as_tensor(value):
     return value if isinstance(value, Tensor) else Tensor(value)
@@ -373,9 +370,3 @@ def tensor_sum(a, axis=None, keepdims=False):
         a._accumulate(np.broadcast_to(gg, a.shape))
 
     return make_result(out_vals, (a,), backward)
-
-
-def mean(a, axis=None, keepdims=False):
-    a = as_tensor(a)
-    n = a.size if axis is None else np.prod([a.shape[ax] for ax in np.atleast_1d(axis)])
-    return _scale(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / float(n))

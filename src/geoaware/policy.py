@@ -7,9 +7,12 @@ one trainable projection ``vision.mlp`` (``project_vision``) for either backbone
 
 Every function here takes a batch: instructions are a sequence, states and
 embeddings carry a leading batch axis, and one scene is a batch of one.
-Each trunk block is one ``transformer_block`` op; only the action token is
-read from the trunk, so its last block computes just that token, and
-``trunk_forward`` and ``policy_forward`` end at its embedding ``h_action``.
+Every two-layer MLP (the vision projection, the language and proprio
+encoders, the MLP head, the action autoencoder's encoder and decoder, and
+the VQ-BeT offset head) is one ``mlp2`` op, and each trunk block is one
+``transformer_block`` op; only the action token is read from the trunk, so
+its last block computes just that token, and ``trunk_forward`` and
+``policy_forward`` end at its embedding ``h_action``.
 The head runs only where an action chunk is used (``Policy.head``), so the
 VQ-BeT training objective reads ``h_action`` without decoding a chunk.
 The action codebook is trained once ``vq.codes`` is frozen.
@@ -44,9 +47,9 @@ from geoaware.numerics import (
     cross_entropy,
     embedding_lookup,
     matmul,
+    mlp2,
     mse_loss,
     no_grad,
-    relu,
     transformer_block,
 )
 from geoaware.numerics.tensor import as_tensor, broadcast_to, concat, reshape
@@ -202,8 +205,8 @@ def codebook_param_names(store):
 
 
 def _mlp2(x, store, p1, p2):
-    hidden = relu(matmul(x, store[f"{p1}.w"]) + store[f"{p1}.b"])
-    return matmul(hidden, store[f"{p2}.w"]) + store[f"{p2}.b"]
+    """The two-layer relu MLP ``p1`` -> ``p2`` on ``x`` [batch, width], as the one op ``mlp2``."""
+    return mlp2(x, store[f"{p1}.w"], store[f"{p1}.b"], store[f"{p2}.w"], store[f"{p2}.b"])
 
 
 # -- encoders ----------------------------------------------------------------

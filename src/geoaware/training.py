@@ -77,28 +77,45 @@ class Batch:
     mask: np.ndarray            # [B, T_c] 1 where the chunk step existed
 
 
-def _chunk_targets(dataset, indices, t_c, dtype):
+def _action_table(dataset):
+    """Every step's expert action [N, ACTION_WIDTH], in ``sample_index``
+    order, with each episode's first row and end row [E].  Built per
+    ``bc_train`` call, never kept on the dataset, which may grow."""
+    lengths = np.array([len(ep.actions) for ep in dataset.episodes], dtype=np.intp)
+    ends = np.cumsum(lengths)
+    actions = np.concatenate([ep.actions for ep in dataset.episodes] + [np.zeros((0, ACTION_WIDTH))])
+    return actions, ends - lengths, ends
+
+
+def _chunk_targets(table, indices, t_c, dtype):
     """Expert chunks [B, T_c, ACTION_WIDTH] and validity mask [B, T_c] for
-    index pairs; chunk steps past the episode end are zero with mask 0."""
-    targets = np.zeros((len(indices), t_c, ACTION_WIDTH))
-    mask = np.zeros((len(indices), t_c))
-    for row, (ep_idx, st_idx) in enumerate(indices):
-        actions = dataset.episodes[ep_idx].actions
-        if not 0 <= st_idx < len(actions):
-            raise IndexError(f"step {st_idx} out of range for episode {ep_idx}")
-        chunk = actions[st_idx:st_idx + t_c]
-        targets[row, :len(chunk)] = chunk
-        mask[row, :len(chunk)] = 1.0
-    return targets.astype(dtype), mask.astype(dtype)
+    (episode, step) pairs, gathered from an ``_action_table``; chunk steps
+    past the episode end are +0.0 with mask 0.  A step outside its episode
+    raises ``IndexError``."""
+    actions, starts, ends = table
+    pairs = np.asarray(indices, dtype=np.intp).reshape(-1, 2)
+    episodes, steps = pairs[:, 0], pairs[:, 1]
+    first, end = starts[episodes], ends[episodes]
+    bad = (steps < 0) | (first + steps >= end)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise IndexError(f"step {steps[row]} out of range for episode {episodes[row]}")
+    rows = (first + steps)[:, None] + np.arange(t_c)
+    mask = rows < end[:, None]
+    targets = np.zeros(mask.shape + (ACTION_WIDTH,), dtype=dtype)
+    targets[mask] = actions[rows[mask]]
+    return targets, mask.astype(dtype)
 
 
-def make_batch(dataset, indices, policy: Policy, cameras, cache=None):
+def make_batch(dataset, indices, policy: Policy, cameras, cache=None, actions=None):
     """Assemble one training batch for the given (episode, step) pairs.
 
     Featurization happens here, per batch; ``cache`` (a dict) memoizes
     per-step observation tensors across batches, keyed by index pair.
+    ``actions`` is the dataset's ``_action_table``, built here when not given.
     """
-    targets, mask = _chunk_targets(dataset, indices, policy.cfg.chunk_len, policy.dtype)
+    table = _action_table(dataset) if actions is None else actions
+    targets, mask = _chunk_targets(table, indices, policy.cfg.chunk_len, policy.dtype)
     scenes = [dataset.episodes[e].scenes[s] for e, s in indices]
     instructions = [dataset.episodes[e].task.instruction for e, s in indices]
 
@@ -176,7 +193,9 @@ def _fold_layer(store, features, w_name, b_name):
     return np.maximum(features @ w_new + b_new, 0.0)
 
 
-def calibrate_input_stats(policy: Policy, dataset, cameras, rng, samples=CALIBRATION_SAMPLES, cache=None):
+def calibrate_input_stats(
+    policy: Policy, dataset, cameras, rng, samples=CALIBRATION_SAMPLES, cache=None, actions=None
+):
     """Fold probe-batch feature statistics into the shared projection's initial weights.
 
     Either backbone's conv stage (``pooled_features``) hands ``vision.mlp``
@@ -191,7 +210,7 @@ def calibrate_input_stats(policy: Policy, dataset, cameras, rng, samples=CALIBRA
     layer's weights (see ``_fold_layer``).  Later stages are insulated by the
     trunk's layer norms.  Deterministic given dataset, policy, and rng; the
     folded weights are ordinary trainable parameters, so checkpoints carry
-    them unchanged.
+    them unchanged.  ``cache`` and ``actions`` go to ``make_batch``.
     """
     if not dataset.episodes:
         raise ConfigError("cannot calibrate on an empty dataset")
@@ -202,7 +221,7 @@ def calibrate_input_stats(policy: Policy, dataset, cameras, rng, samples=CALIBRA
     with no_grad():
         for lo in range(0, samples, CALIBRATION_CHUNK):
             idx = [pairs[i] for i in picks[lo:lo + CALIBRATION_CHUNK]]
-            batch = make_batch(dataset, idx, policy, cameras, cache)
+            batch = make_batch(dataset, idx, policy, cameras, cache, actions)
             z_lang = encode_language(batch.instructions, store, policy.vocab)
             feats.append(pooled_features(batch.vision, z_lang, store, policy.cfg.backbone_kind).values)
     features = np.concatenate(feats).astype(np.float64)
@@ -254,8 +273,10 @@ def bc_train(dataset, cfg: TrainConfig, policy: Policy):
     pairs = dataset.sample_index()
     rng = np.random.default_rng([cfg.seed, 211])
     cache = {} if policy.cfg.backbone_kind == "pixel" else None
+    actions = _action_table(dataset)
     calibrate_input_stats(
-        policy, dataset, cameras, rng=np.random.default_rng([cfg.seed, CALIBRATION_SEED_SALT]), cache=cache
+        policy, dataset, cameras, rng=np.random.default_rng([cfg.seed, CALIBRATION_SEED_SALT]), cache=cache,
+        actions=actions,
     )
     opt = init_adamw(store, lr=cfg.lr, weight_decay=cfg.weight_decay)
     losses = []
@@ -270,7 +291,7 @@ def bc_train(dataset, cfg: TrainConfig, policy: Policy):
         for step_no in range(cfg.vq_pretrain_steps):
             def vq_step():
                 # observations are irrelevant to the action autoencoder
-                targets, _ = _chunk_targets(dataset, draw(), policy.cfg.chunk_len, policy.dtype)
+                targets, _ = _chunk_targets(actions, draw(), policy.cfg.chunk_len, policy.dtype)
                 loss, _ = vqvae_loss(Tensor(targets.reshape(len(targets), -1)), store, policy.cfg)
                 return _descend(loss, store, opt)
 
@@ -281,7 +302,7 @@ def bc_train(dataset, cfg: TrainConfig, policy: Policy):
 
     for step_no in range(cfg.steps):
         def bc_step():
-            batch = make_batch(dataset, draw(), policy, cameras, cache)
+            batch = make_batch(dataset, draw(), policy, cameras, cache, actions)
             h_action = policy.forward(batch.vision, batch.instructions, batch.proprio)
             if policy.cfg.head_kind == "mlp":
                 loss = masked_chunk_mse(policy.head(h_action), batch)

@@ -7,8 +7,8 @@ import geoaware.numerics.nnops as nnops
 from geoaware.gradsuite import SUITE_TOLERANCE, run_gradcheck_suite, suite_passed
 
 EXPECTED_COMPONENTS = {
-    "add_sub_mul", "matmul", "reshape_concat_mean", "relu",
-    "transformer_block", "conv1d_relu_pool", "conv2d",
+    "add_sub_mul", "matmul", "reshape_concat", "mlp2",
+    "transformer_block", "conv1d_relu_pool", "conv2d_relu_pool",
     "embedding_lookup", "mse_loss", "cross_entropy", "project_vision",
     "pixel_encoder", "trunk", "mlp_head", "vqbet_head", "end_to_end",
 }
@@ -39,6 +39,21 @@ def test_broken_conv1d_backward_is_named(monkeypatch):
     assert not suite_passed(records)
     failed = {r["component"] for r in records if not r["passed"]}
     assert "conv1d_relu_pool" in failed
+
+
+def test_broken_conv2d_backward_is_named(monkeypatch):
+    # skews the kernel gradient of conv2d_relu_pool's layers
+    original = nnops._conv2d_grad
+
+    def skewed(g, saved, input_grad):
+        gk, gb, gx = original(g, saved, input_grad)
+        return gk * 1.01, gb, gx
+
+    monkeypatch.setattr(nnops, "_conv2d_grad", skewed)
+    records = run_gradcheck_suite()
+    assert not suite_passed(records)
+    failed = {r["component"] for r in records if not r["passed"]}
+    assert "conv2d_relu_pool" in failed
 
 
 def test_broken_attention_backward_is_named(monkeypatch):

@@ -7,15 +7,17 @@ import pytest
 
 import geoaware.numerics.nnops as nnops
 from geoaware.errors import InputError, ShapeError
+from geoaware.backbones import PIXEL_CHANNELS
 from geoaware.numerics import (
     Tensor,
     conv1d_relu_pool,
-    conv2d,
+    conv2d_relu_pool,
     cross_entropy,
     embedding_lookup,
     grad_check,
+    matmul,
+    mlp2,
     mse_loss,
-    relu,
     tensor_sum,
     transformer_block,
 )
@@ -38,12 +40,59 @@ def part_op(part, part_grad, *ts, **kw):
     return make_result(out, ts, backward)
 
 
-# -- relu / layer norm -------------------------------------------------------
+def relu_op(a):
+    """relu as the tape op it was before ``mlp2`` fused it: the reference for
+    ``mlp2``'s bitwise check."""
+    out = np.maximum(a.values, 0.0)
+
+    def backward(g):
+        a._accumulate(g * (a.values > 0.0))
+
+    return make_result(out, (a,), backward)
+
+
+# -- mlp2 / layer norm -------------------------------------------------------
 
 
 def test_relu_values():
-    out = relu(Tensor([-1.0, 0.0, 2.5]))
-    assert np.array_equal(out.values, [0.0, 0.0, 2.5])
+    # identity layers around mlp2's hidden relu
+    out = mlp2(Tensor([[-1.0, 0.0, 2.5]]), np.eye(3), np.zeros(3), np.eye(3), np.zeros(3))
+    assert np.array_equal(out.values, [[0.0, 0.0, 2.5]])
+
+
+@pytest.mark.parametrize("x_grad", [True, False], ids=["input-grad", "no-input-grad"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_mlp2_is_bitwise_the_matmul_add_relu_chain(dtype, x_grad):
+    rng = np.random.default_rng(7)
+    arrays = [rng.standard_normal(shape).astype(dtype) for shape in ((6, 5), (5, 9), (9,), (9, 4), (4,))]
+    g = rng.standard_normal((6, 4)).astype(dtype)
+    fused = [Tensor(a, requires_grad=x_grad or i > 0) for i, a in enumerate(arrays)]
+    chain = [Tensor(a, requires_grad=x_grad or i > 0) for i, a in enumerate(arrays)]
+    out = mlp2(*fused)
+    x, w1, b1, w2, b2 = chain
+    ref = matmul(relu_op(matmul(x, w1) + b1), w2) + b2
+    for t in (out, ref):
+        tensor_sum(t * Tensor(g)).backward()
+    assert out.dtype == dtype and np.array_equal(out.values, ref.values)
+    for got, want in zip(fused, chain, strict=True):
+        assert (got.grad is None) == (want.grad is None) == (not got.requires_grad)
+        assert got.grad is None or np.array_equal(got.grad, want.grad)
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        ((2, 4), (3, 5), (5,), (5, 2), (2,)),       # x width != w1 rows
+        ((2, 3), (3, 5), (4,), (5, 2), (2,)),       # b1 width
+        ((2, 3), (3, 5), (5,), (4, 2), (2,)),       # w2 rows != hidden width
+        ((2, 3), (3, 5), (5,), (5, 2), (3,)),       # b2 width
+        ((3,), (3, 5), (5,), (5, 2), (2,)),         # unbatched input
+        ((1, 2, 3), (3, 5), (5,), (5, 2), (2,)),    # rank-3 input
+    ],
+)
+def test_mlp2_rejects_width_mismatch(shapes):
+    with pytest.raises(ShapeError, match="mlp2"):
+        mlp2(*(np.ones(shape) for shape in shapes))
 
 
 def test_layer_norm_standardizes():
@@ -65,7 +114,9 @@ def test_activation_grads_match_fd(seed):
     def layer_norm(ts):
         return tensor_sum(part_op(nnops._layer_norm, nnops._layer_norm_grad, *ts[:3]) * ts[3])
 
-    assert grad_check(lambda ts: tensor_sum(relu(ts[0]) * ts[1]), [x, w]) <= TOL
+    # identity first layer: mlp2's hidden relu sees x itself
+    eye, zeros = Tensor(np.eye(7)), Tensor(np.zeros(7))
+    assert grad_check(lambda ts: tensor_sum(mlp2(ts[0], eye, zeros, ts[1], zeros) * ts[2]), [x, w.T @ w, w]) <= TOL
     assert grad_check(layer_norm, [x, g, b, w]) <= TOL
 
 
@@ -383,13 +434,21 @@ def test_conv1d_batched_grad_matches_fd():
     assert grad_check(f, [layers, kernels, biases]) <= TOL
 
 
-# -- conv2d ------------------------------------------------------------------
+# -- conv2d_relu_pool --------------------------------------------------------
 
 
 def test_conv2d_shapes():
     x = Tensor(np.ones((2, 3, 8, 8)))
-    out = conv2d(x, Tensor(np.ones((5, 3, 3, 3))), Tensor(np.zeros(5)), stride=2, padding=1)
-    assert out.values.shape == (2, 5, 4, 4)
+    out = conv2d_relu_pool(x, [Tensor(np.ones((5, 3, 3, 3)))], [Tensor(np.zeros(5))], stride=2, padding=1)
+    assert out.values.shape == (2, 5)
+    kernels = [np.ones((5, 3, 3, 3)), np.ones((4, 5, 2, 2))]
+    assert conv2d_relu_pool(x, kernels, [np.zeros(5), np.zeros(4)], stride=1, padding=0).shape == (2, 4)
+
+
+def conv_out_shape(x, kernels, stride, padding):
+    """[B, C_out, H_out, W_out] of one conv layer."""
+    (b, _, h, w), (c_out, _, kh, kw) = x.shape, kernels.shape
+    return b, c_out, (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
 
 
 def reference_conv2d(x, kernels, bias, stride, padding, g):
@@ -420,9 +479,11 @@ def reference_conv2d(x, kernels, bias, stride, padding, g):
     + [pytest.param(1, 2, "float32", id="float32-1-2")],
 )
 def test_conv2d_matches_reference(padding, stride, layout):
+    # conv2d_relu_pool against the definition: reference_conv2d, relu and the
+    # mean over the map per layer, then backward in reverse.
     # "batch-innermost": the input is a [B, C, H, W] view of [C, H, W, B] memory.
-    # "chain": two convs, so the second reads the first's output view and hands
-    # its input gradient back as a view; the reference is applied twice.
+    # "chain": two layers, so the second reads the first's output and hands
+    # its input gradient back through the first's relu.
     # "float32": float32 in, float32 out, every gradient included.
     rng = np.random.default_rng(10 * stride + padding)
     x = rng.standard_normal((2, 3, 9, 8) if layout == "chain" else (2, 3, 6, 5))
@@ -433,29 +494,31 @@ def test_conv2d_matches_reference(padding, stride, layout):
     x_in = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2) if layout == "batch-innermost" else x
     xt = Tensor(x_in.astype(dtype), requires_grad=True)
     leaves = [(Tensor(k.astype(dtype), requires_grad=True), Tensor(b.astype(dtype), requires_grad=True)) for k, b in params]
-    hs = [xt]
-    for kt, bt in leaves:
-        hs.append(conv2d(hs[-1], kt, bt, stride=stride, padding=padding))
-    g = rng.standard_normal(hs[-1].shape)
-    tensor_sum(hs[-1] * Tensor(g.astype(dtype))).backward()
+    out = conv2d_relu_pool(xt, [k for k, _ in leaves], [b for _, b in leaves], stride=stride, padding=padding)
+    g = rng.standard_normal(out.shape)
+    tensor_sum(out * Tensor(g.astype(dtype))).backward()
 
     # reference: forward layer by layer (its gradients unused), then backward in reverse
-    ins = [x]
-    for (k, b), h in zip(params, hs[1:]):
-        ins.append(reference_conv2d(ins[-1], k, b, stride, padding, np.zeros(h.shape))[0])
-    ref_grads, g_in = [], g
-    for (k, b), h_in in zip(reversed(params), reversed(ins[:-1])):
-        _, g_in, gk, gb = reference_conv2d(h_in, k, b, stride, padding, g_in)
+    ins, pres = [x], []
+    for k, b in params:
+        pre = reference_conv2d(ins[-1], k, b, stride, padding, np.zeros(conv_out_shape(ins[-1], k, stride, padding)))[0]
+        pres.append(pre)
+        ins.append(np.maximum(pre, 0.0))
+    h, w = ins[-1].shape[2:]
+    g_in = np.broadcast_to(g[:, :, None, None] / (h * w), ins[-1].shape)
+    ref_grads = []
+    for (k, b), h_in, pre in zip(reversed(params), reversed(ins[:-1]), reversed(pres)):
+        _, g_in, gk, gb = reference_conv2d(h_in, k, b, stride, padding, g_in * (pre > 0.0))
         ref_grads = [gk, gb] + ref_grads
-    got = [hs[-1].values, xt.grad] + [t.grad for pair in leaves for t in pair]
-    for got_t, ref in zip(got, [ins[-1], g_in] + ref_grads, strict=True):
+    got = [out.values, xt.grad] + [t.grad for pair in leaves for t in pair]
+    for got_t, ref in zip(got, [ins[-1].mean(axis=(2, 3)), g_in] + ref_grads, strict=True):
         assert got_t.shape == ref.shape and got_t.dtype == dtype
         tol = 1e-5 * np.abs(ref).max() if dtype == np.float32 else 1e-12
         assert np.abs(got_t - ref).max() <= tol
 
 
 def np_pad_conv2d(x, kernels, bias, stride, padding, g):
-    """``conv2d`` as it was written with ``np.pad``, on plain arrays: the
+    """One conv layer as it was written with ``np.pad``, on plain arrays: the
     output and the gradients of ``sum(out * g)`` for x, kernels and bias.
     The same im2col GEMMs on the same layouts, so a zero-buffer padding must
     match it bit for bit."""
@@ -483,22 +546,82 @@ def np_pad_conv2d(x, kernels, bias, stride, padding, g):
     return out, gx, (gt @ cols.T).reshape(c_out, c_in, kh, kw), gt.sum(axis=1)
 
 
+def np_pad_chain(x, kernels, biases, stride, padding, g):
+    """The pixel stage as the per-layer tape ops computed it: ``np_pad_conv2d``
+    and relu per layer, then the pool as a sum over a [B, C, H * W] view times
+    1 / (H * W); backward in reverse.  (pooled, gx, kernel grads, bias grads)."""
+    ins, pres = [x], []
+    for k, b in zip(kernels, biases):
+        g_none = np.zeros(conv_out_shape(ins[-1], k, stride, padding), dtype=x.dtype)
+        pre = np_pad_conv2d(ins[-1], k, b, stride, padding, g_none)[0]
+        pres.append(pre)
+        ins.append(np.maximum(pre, 0.0))
+    bsz, c, h, w = ins[-1].shape
+    scale = 1.0 / (h * w)
+    pooled = ins[-1].reshape(bsz, c, h * w).sum(axis=2) * scale
+    g_in = np.broadcast_to((g * scale)[:, :, None, None], ins[-1].shape)
+    gks, gbs = [], []
+    for k, b, h_in, pre in zip(kernels[::-1], biases[::-1], ins[-2::-1], pres[::-1]):
+        _, g_in, gk, gb = np_pad_conv2d(h_in, k, b, stride, padding, g_in * (pre > 0.0))
+        gks.insert(0, gk)
+        gbs.insert(0, gb)
+    return pooled, g_in, gks, gbs
+
+
+def check_bitwise_the_np_pad_chain(x, kernels, biases, stride, padding, x_grad):
+    """conv2d_relu_pool byte-equals ``np_pad_chain``: output, then every
+    gradient of ``sum(out * g)``; the input's only when it requires one."""
+    dtype = x.dtype
+    xt = Tensor(x, requires_grad=x_grad)
+    kts, bts = [Tensor(k, requires_grad=True) for k in kernels], [Tensor(b, requires_grad=True) for b in biases]
+    out = conv2d_relu_pool(xt, kts, bts, stride=stride, padding=padding)
+    g = np.random.default_rng(out.size).standard_normal(out.shape).astype(dtype)
+    tensor_sum(out * Tensor(g)).backward()
+    pooled, gx, gks, gbs = np_pad_chain(x, kernels, biases, stride, padding, g)
+    got = [out.values] + [t.grad for t in kts + bts]
+    want = [pooled] + gks + gbs
+    if x_grad:
+        got.append(xt.grad)
+        want.append(gx)
+    else:
+        assert xt.grad is None
+    for got_t, ref in zip(got, want, strict=True):
+        assert got_t.dtype == dtype and got_t.shape == ref.shape and np.array_equal(got_t, ref)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
 @pytest.mark.parametrize("layout", ["contiguous", "batch-innermost"])
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("padding", [0, 1, 2])
 def test_conv2d_is_bitwise_the_np_pad_version(padding, stride, layout, dtype):
+    # conv2d_relu_pool over one to three layers on odd sizes, input gradient
+    # on and off, against the per-layer np.pad chain
     rng = np.random.default_rng(100 + 10 * padding + stride)
-    x = rng.standard_normal((3, 2, 7, 6)).astype(dtype)
+    x = rng.standard_normal((3, 2, 11, 9)).astype(dtype)
     if layout == "batch-innermost":        # a [B, C, H, W] view of [C, H, W, B] memory
         x = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
-    k, b = rng.standard_normal((4, 2, 3, 3)).astype(dtype), rng.standard_normal(4).astype(dtype)
-    xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, k, b))
-    out = conv2d(xt, kt, bt, stride=stride, padding=padding)
-    g = rng.standard_normal(out.shape).astype(dtype)
-    tensor_sum(out * Tensor(g)).backward()
-    for got, ref in zip((out.values, xt.grad, kt.grad, bt.grad), np_pad_conv2d(x, k, b, stride, padding, g), strict=True):
-        assert got.dtype == dtype and np.array_equal(got, ref)
+    channels = (2, 4, 3, 5)
+    kernels = [rng.standard_normal((c_out, c_in, 3, 3)).astype(dtype) for c_in, c_out in zip(channels, channels[1:])]
+    biases = [rng.standard_normal(k.shape[0]).astype(dtype) * 0.1 for k in kernels]
+    for layers in (1, 2, 3):
+        if stride == 2 and padding == 0 and layers == 3:
+            continue                        # 11 x 9 -> 5 x 4 -> 2 x 1: a third layer has no output
+        for x_grad in (True, False):
+            check_bitwise_the_np_pad_chain(x, kernels[:layers], biases[:layers], stride, padding, x_grad)
+
+
+@pytest.mark.parametrize("x_grad", [False, True], ids=["no-input-grad", "input-grad"])
+def test_conv2d_relu_pool_is_bitwise_at_the_workload_shape(x_grad):
+    # the kernel gradient's GEMM orientation matches the np.pad chain's at
+    # the shapes checked, and equality can depend on shape: 128 frames of
+    # [3, 32, 32] through the pixel encoder's layers, as a training step runs them
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 1.0, (128, 3, 32, 32)).astype(np.float32)
+    channels = (3,) + PIXEL_CHANNELS
+    kernels = [(rng.uniform(-1, 1, (c_out, c_in, 3, 3)) / np.sqrt(9 * c_in)).astype(np.float32)
+               for c_in, c_out in zip(channels, channels[1:])]
+    biases = [(rng.uniform(-1, 1, k.shape[0]) / np.sqrt(9 * k.shape[1])).astype(np.float32) for k in kernels]
+    check_bitwise_the_np_pad_chain(x, kernels, biases, 2, 1, x_grad)
 
 
 @pytest.mark.parametrize(
@@ -508,12 +631,32 @@ def test_conv2d_is_bitwise_the_np_pad_version(padding, stride, layout, dtype):
 def test_conv2d_rejects_bad_stride_and_padding(stride, padding):
     x = Tensor(np.ones((1, 2, 6, 6)))
     with pytest.raises(ShapeError, match="stride|padding"):
-        conv2d(x, Tensor(np.ones((3, 2, 3, 3))), Tensor(np.zeros(3)), stride=stride, padding=padding)
+        conv2d_relu_pool(x, [Tensor(np.ones((3, 2, 3, 3)))], [Tensor(np.zeros(3))], stride=stride, padding=padding)
 
 
 def test_conv2d_accepts_numpy_int_stride_and_padding():
-    x, k, b = Tensor(np.ones((1, 2, 6, 6))), Tensor(np.ones((3, 2, 3, 3))), Tensor(np.zeros(3))
-    assert np.array_equal(conv2d(x, k, b, stride=np.int64(2), padding=np.int32(1)).values, conv2d(x, k, b, 2, 1).values)
+    x, k, b = Tensor(np.ones((1, 2, 6, 6))), [Tensor(np.ones((3, 2, 3, 3)))], [Tensor(np.zeros(3))]
+    out = conv2d_relu_pool(x, k, b, stride=np.int64(2), padding=np.int32(1))
+    assert np.array_equal(out.values, conv2d_relu_pool(x, k, b, 2, 1).values)
+
+
+@pytest.mark.parametrize(
+    "x_shape, kernel_shapes, bias_shapes",
+    [
+        ((1, 2, 6, 6), [], []),                                         # no layer
+        ((1, 2, 6, 6), [(3, 2, 3, 3)], []),                             # a kernel without a bias
+        ((1, 2, 6, 6), [(3, 4, 3, 3)], [(3,)]),                         # input channels
+        ((1, 2, 6, 6), [(3, 2, 3, 3), (4, 2, 3, 3)], [(3,), (4,)]),     # the second layer's input channels
+        ((1, 2, 6, 6), [(3, 2, 3, 3)], [(2,)]),                         # bias width
+        ((1, 2, 6, 6), [(3, 2, 3)], [(3,)]),                            # rank-3 kernel
+        ((2, 6, 6), [(3, 2, 3, 3)], [(3,)]),                            # unbatched input
+        ((1, 2, 2, 2), [(3, 2, 3, 3)], [(3,)]),                         # empty output map
+    ],
+)
+def test_conv2d_relu_pool_shape_errors(x_shape, kernel_shapes, bias_shapes):
+    with pytest.raises(ShapeError, match="conv2d"):
+        conv2d_relu_pool(np.ones(x_shape), [np.ones(s) for s in kernel_shapes], [np.zeros(s) for s in bias_shapes],
+                         stride=1, padding=0)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -522,9 +665,10 @@ def test_conv2d_grad_matches_fd(seed):
     x = rng.standard_normal((2, 2, 5, 5))
     w = rng.standard_normal((3, 2, 3, 3))
     b = rng.standard_normal(3)
+    probe = rng.standard_normal((2, 3))
 
     def f(ts):
-        return tensor_sum(relu(conv2d(ts[0], ts[1], ts[2], stride=2, padding=1)))
+        return tensor_sum(conv2d_relu_pool(ts[0], [ts[1]], [ts[2]], stride=2, padding=1) * Tensor(probe))
 
     assert grad_check(f, [x, w, b]) <= TOL
 

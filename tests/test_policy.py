@@ -65,6 +65,11 @@ def rand_vision(rng, cfg, geo=TINY_GEO, batch=2):
     return rng.standard_normal((batch, VIEWS, geo.num_layers, geo.num_keypoints, geo.feature_dim))
 
 
+def mean_of(t):
+    """The mean of a tensor's entries, as a scalar tensor on the tape."""
+    return t.sum() * (1.0 / t.size)
+
+
 def clear_grads(store):
     for _, t in store.items():
         t.grad = None
@@ -175,7 +180,7 @@ def test_project_vision_gradients():
 
     def f(leaves):
         out = geo_vision(leaves[0], pol)
-        return (out * out).mean()
+        return mean_of(out * out)
 
     assert grad_check(f, [layers]) <= 1e-4
 
@@ -212,7 +217,7 @@ def test_encode_proprio_contracts():
         encode_proprio(state, pol.params)                       # unbatched
 
     def f(leaves):
-        return (encode_proprio(leaves[0], pol.params) * 2.0).mean()
+        return mean_of(encode_proprio(leaves[0], pol.params) * 2.0)
 
     assert grad_check(f, [np.random.default_rng(2).standard_normal((3, 7))]) <= 1e-4
 
@@ -318,7 +323,7 @@ def test_trunk_gradients():
             out = trunk_forward(tokens + pol.params["token.pos"], pol.params, pol.cfg)
         finally:
             pol.params._entries["trunk0.attn.qkv.w"] = saved
-        return (out * out).mean()
+        return mean_of(out * out)
 
     leaves = [rng.standard_normal((2, 5, 8)), pol.params["trunk0.attn.qkv.w"].values.copy()]
     assert grad_check(f, leaves) <= 1e-4
@@ -331,7 +336,7 @@ def test_mlp_head_shapes_and_gradients():
     assert batch.shape == (3, 1, 7)
 
     def f(leaves):
-        return (mlp_head(leaves[0], pol.params, pol.cfg) * 3.0).mean()
+        return mean_of(mlp_head(leaves[0], pol.params, pol.cfg) * 3.0)
 
     assert grad_check(f, [rng.standard_normal((3, 8))]) <= 1e-4
 
@@ -588,7 +593,7 @@ def test_policy_vision_input_gradients():
         z_prop = encode_proprio(leaves[1], pol.params)
         seq = build_token_sequence(z_vis, z_lang, z_prop, pol.params, pol.cfg)
         h = trunk_forward(seq, pol.params, pol.cfg)
-        return (mlp_head(h, pol.params, pol.cfg) * 0.5).mean()
+        return mean_of(mlp_head(h, pol.params, pol.cfg) * 0.5)
 
     leaves = [np.stack([rng.standard_normal((4, 5, 4)) for _ in range(3)]), rng.standard_normal((2, 7))]
     assert grad_check(f, leaves) <= 1e-4

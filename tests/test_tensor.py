@@ -11,16 +11,15 @@ from geoaware.numerics import (
     broadcast_to,
     concat,
     conv1d_relu_pool,
-    conv2d,
+    conv2d_relu_pool,
     cross_entropy,
     embedding_lookup,
     grad_check,
     matmul,
-    mean,
+    mlp2,
     mse_loss,
     mul,
     no_grad,
-    relu,
     reshape,
     sub,
     tensor_sum,
@@ -158,7 +157,7 @@ def test_elementwise_grads_match_fd(seed):
 
     err = grad_check(lambda ts: tensor_sum(ts[0] * ts[1] + ts[2]), [x, y, b])
     assert err <= TOL
-    err = grad_check(lambda ts: mean((ts[0] - ts[1]) * (ts[0] - ts[1])), [x, y])
+    err = grad_check(lambda ts: tensor_sum((ts[0] - ts[1]) * (ts[0] - ts[1])) * (1.0 / x.size), [x, y])
     assert err <= TOL
 
 
@@ -240,15 +239,17 @@ OP_CASES = {
     "concat": ([(2, 3), (2, 1)], lambda t: concat(t, axis=1)),
     "broadcast_to": ([(1, 3)], lambda t: broadcast_to(t[0], (2, 3))),
     "tensor_sum": ([(2, 3)], lambda t: tensor_sum(t[0], axis=1)),
-    "mean": ([(2, 3)], lambda t: mean(t[0])),
-    "relu": ([(2, 3)], lambda t: relu(t[0])),
+    "mlp2": ([(2, 3), (3, 4), (4,), (4, 2), (2,)], lambda t: mlp2(*t)),
     "transformer_block": (BLOCK_SHAPES, lambda t: transformer_block(*t, heads=2, mask=np.zeros((1, 2)))),
     # the block's layer-norm inputs (x, ln1_g, ln1_b, ln2_g, ln2_b) and attention
     # inputs (x, w_qkv .. bo), once the inputs of the layer_norm and attention_block ops
     "layer_norm": (BLOCK_SHAPES, lambda t: transformer_block(*t, heads=2, mask=np.zeros((1, 2))), (0, 1, 2, 7, 8)),
     "attention_block": (BLOCK_SHAPES, lambda t: transformer_block(*t, heads=2, mask=np.zeros((1, 2))), range(7)),
     "conv1d_relu_pool": ([(2, 1, 4, 2), (2, 3, 2, 3), (2, 3)], lambda t: conv1d_relu_pool(*t)),
-    "conv2d": ([(1, 2, 4, 4), (3, 2, 3, 3), (3,)], lambda t: conv2d(*t, padding=1)),
+    "conv2d_relu_pool": (
+        [(1, 2, 4, 4), (3, 2, 3, 3), (2, 3, 3, 3), (3,), (2,)],
+        lambda t: conv2d_relu_pool(t[0], t[1:3], t[3:], stride=1, padding=1),
+    ),
     "embedding_lookup": ([(4, 3)], lambda t: embedding_lookup(t[0], np.array([0, 2]))),
     "mse_loss": ([(2, 3), (2, 3)], lambda t: mse_loss(*t)),
     "cross_entropy": ([(2, 3)], lambda t: cross_entropy(t[0], np.array([0, 2]))),

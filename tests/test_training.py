@@ -1,5 +1,6 @@
 """Trainer behavior, two-phase VQ schedule, and checkpoint persistence."""
 
+import hashlib
 import json
 import platform
 import struct
@@ -13,7 +14,7 @@ import pytest
 import geoaware.training as training
 from geoaware.deskworld.camera import seen_cameras
 from geoaware.deskworld.dataset import generate_dataset
-from geoaware.deskworld.world import SimConfig, make_tasks
+from geoaware.deskworld.world import ACTION_WIDTH, SimConfig, make_tasks
 from geoaware.errors import ConfigError, ConfigMismatchError, FormatError, NumericAbort
 from geoaware.numerics import Tensor, adamw_step
 from geoaware.policy import Policy, PolicyConfig, codebook_param_names
@@ -102,6 +103,38 @@ def test_make_batch_rejects_bad_index(demos):
         make_batch(demos, [(0, 10_000)], pol, seen_cameras(demos.sim))
 
 
+def loop_chunk_targets(dataset, indices, t_c, dtype):
+    """Chunk targets and mask as a loop over the batch rows: the reference
+    for the trainer's one-gather version."""
+    targets = np.zeros((len(indices), t_c, ACTION_WIDTH))
+    mask = np.zeros((len(indices), t_c))
+    for row, (ep_idx, st_idx) in enumerate(indices):
+        chunk = dataset.episodes[ep_idx].actions[st_idx:st_idx + t_c]
+        targets[row, :len(chunk)] = chunk
+        mask[row, :len(chunk)] = 1.0
+    return targets.astype(dtype), mask.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("chunk_len", [1, 3])
+def test_gathered_chunk_targets_are_the_loop_version(demos, chunk_len, dtype):
+    # every step, so chunks run across each episode end; negative actions
+    # pad with +0.0 like the loop's zeros
+    pairs = demos.sample_index()
+    pol = Policy(PolicyConfig(chunk_len=chunk_len), tuple(demos.instructions()), dtype=dtype)
+    got = make_batch(demos, pairs[::-1], pol, seen_cameras(demos.sim))
+    targets, mask = loop_chunk_targets(demos, pairs[::-1], chunk_len, dtype)
+    assert (got.targets.dtype, got.mask.dtype) == (dtype, dtype)
+    assert got.targets.tobytes() == targets.tobytes() and got.mask.tobytes() == mask.tobytes()
+    assert (mask == 0).any() == (chunk_len > 1)
+
+
+@pytest.mark.parametrize("pair", [(0, -1), (1, 10_000), (0, 1 << 40)])
+def test_chunk_targets_reject_a_step_outside_its_episode(demos, pair):
+    with pytest.raises(IndexError):
+        training._chunk_targets(training._action_table(demos), [(0, 0), pair], 2, np.float32)
+
+
 def test_pixel_batch_cache_consistency(demos):
     pol = small_policy(demos, backbone_kind="pixel")
     indices = demos.sample_index()[:4]
@@ -138,6 +171,40 @@ def test_training_is_deterministic(demos):
         pol, losses = bc_train(demos, small_train(steps=10), policy=pol)
         runs.append((pol.params.hash_of(), tuple(losses)))
     assert runs[0] == runs[1]
+
+
+# sha256 of the float64 loss list, and the trained parameters' hash, of a
+# short run per backbone/head at batch 64: three VQ steps where the head has
+# them, then three BC steps.  At batch 64 the pixel stage's first layer
+# multiplies 32,768-column im2col matrices, as the benchmark's training does.
+GOLDEN_LOSS_STREAMS = {
+    ("geo", "mlp"): (
+        "03fa736d79f80f95838418b50cd25520eb1813d9578540b07cbef05a41c8837e",
+        "be05c7fa8359cdfcbc29c7fcf3dc17a1944ab1ba9a23d25cc47efee1badcd59c",
+    ),
+    ("geo", "vqbet"): (
+        "9fad8f5688a44bec07877b6caa9ade4f36baf11eb7ae1127184a7f467e9fc9eb",
+        "8509453f7560fc7dc7bfb9e16fc7ebbafcb917fcc69911dac3b5a4bf724a793b",
+    ),
+    ("pixel", "mlp"): (
+        "b878079446ebb1cf4d3d887ffcd4d56c9b25ec7a83fa4c2079a54e2db8268e5e",
+        "a71260bc0b72321b113784c066b5ebca32cf74a71484531a32f5330ba74bccf9",
+    ),
+    ("pixel", "vqbet"): (
+        "6e51bdd876894ac986958f5bdd17f2e8615fc9603d7e15c2019d117b9e5e6326",
+        "a1f147a24f3996e606aa8ef3d1c3f820b13c35efb2590da0cf1c9764f0144453",
+    ),
+}
+
+
+@pytest.mark.parametrize("backbone, head", sorted(GOLDEN_LOSS_STREAMS), ids="/".join)
+def test_golden_loss_streams(demos, backbone, head):
+    pol = small_policy(demos, backbone_kind=backbone, head_kind=head)
+    cfg = small_train(steps=3, batch_size=64, vq_pretrain_steps=3, backbone_kind=backbone, head_kind=head)
+    _, losses = bc_train(demos, cfg, policy=pol)
+    assert len(losses) == (6 if head == "vqbet" else 3)
+    digest = hashlib.sha256(np.array(losses, dtype=np.float64).tobytes()).hexdigest()
+    assert (digest, pol.params.hash_of()) == GOLDEN_LOSS_STREAMS[backbone, head]
 
 
 # Ten 6 MiB arrays freed together: 15,360 pages that a heap which keeps its
