@@ -24,7 +24,8 @@ V, N, D] conv tensor, without a copy, and runs all layers' token convs
 (``vision.conv.w`` [L, C_out, D, 3], ``vision.conv.b`` [L, C_out]) as
 ``conv1d_relu_pool``.  The pixel stage runs its three strided image convs,
 their relus and the global mean pool as ``conv2d_relu_pool``; only its
-language FiLM runs outside that op.
+language FiLM runs outside that op, with the scale and shift that
+``pixel_film`` computes from the language alone.
 """
 
 from __future__ import annotations
@@ -212,38 +213,51 @@ def pooled_vision(layers, store):
     return conv1d_relu_pool(layers, store["vision.conv.w"], store["vision.conv.b"])
 
 
-def pixel_pooled(images, lang_embed, store):
+def pixel_film(lang_embed, store, views):
+    """The pixel stage's FiLM terms for the language embeddings ``lang_embed``
+    [B, d], each repeated for its ``views``: (gamma, beta), the last conv's
+    per-channel scale and shift, each [B * views, C_last] with row b * views
+    + v for scene b under view v, the row order of ``pooled_features``.
+    They depend on the instructions and the parameters only, so a rollout
+    computes them once."""
+    b, d = lang_embed.shape
+    per_view = reshape(broadcast_to(reshape(lang_embed, (b, 1, d)), (b, views, d)), (b * views, d))
+    gamma = matmul(per_view, store["pixel.film.scale.w"]) + store["pixel.film.scale.b"]
+    beta = matmul(per_view, store["pixel.film.shift.w"]) + store["pixel.film.shift.b"]
+    return gamma, beta
+
+
+def pixel_pooled(images, film, store):
     """Conv/pool/FiLM stage of the pixel encoder: [B, C_last] pooled features.
 
     ``images`` [B, 3, H, W] pass the stride-2, padding-1 convs ``pixel.conv{i}``
     with their relus and the global average pool as the one op
-    ``conv2d_relu_pool``.  ``lang_embed`` [B, lang_embed_dim] conditions the
-    last conv's per-channel scale and shift (FiLM: gamma * h + beta).  The
-    modulation is applied to the pooled [B, C] features instead of the [B, C,
-    H, W] map: gamma and beta are constant over the map and the global
-    average pool is linear, so mean(gamma * h + beta) = gamma * mean(h) + beta.
+    ``conv2d_relu_pool``.  ``film`` is one (gamma, beta) row per image
+    (``pixel_film``), the last conv's per-channel scale and shift (FiLM:
+    gamma * h + beta).  The modulation is applied to the pooled [B, C]
+    features instead of the [B, C, H, W] map: gamma and beta are constant
+    over the map and the global average pool is linear, so mean(gamma * h +
+    beta) = gamma * mean(h) + beta.
     """
     convs = range(1, len(PIXEL_CHANNELS) + 1)
     pooled = conv2d_relu_pool(
         images, [store[f"pixel.conv{i}.w"] for i in convs], [store[f"pixel.conv{i}.b"] for i in convs],
         stride=2, padding=1,
     )
-    gamma = matmul(lang_embed, store["pixel.film.scale.w"]) + store["pixel.film.scale.b"]
-    beta = matmul(lang_embed, store["pixel.film.shift.w"]) + store["pixel.film.shift.b"]
+    gamma, beta = film
     return pooled * gamma + beta
 
 
-def pooled_features(vision, lang_embed, store, backbone_kind):
+def pooled_features(vision, film, store, backbone_kind):
     """Either backbone's conv stage on ``vision`` [batch, views, ...]: pooled
     features [batch * views, P], row b * views + v for scene b under view v.
-    ``geo`` (``pooled_vision``) ignores the language embedding [batch, d];
-    ``pixel`` (``pixel_pooled``) is conditioned on it, repeated per view."""
+    ``geo`` (``pooled_vision``) takes no language and ignores ``film``;
+    ``pixel`` (``pixel_pooled``) is modulated by ``film``, the per-view FiLM
+    terms of ``pixel_film``."""
     vision = np.asarray(vision)
     b, views = vision.shape[:2]
     if backbone_kind == "geo":
         # [B, V, L, N, D] -> [L, B * V, N, D]; no copy for ``pyramid_batch``'s layer-major memory
         layers = vision.transpose(2, 0, 1, 3, 4)
         return pooled_vision(Tensor(layers.reshape((layers.shape[0], b * views) + layers.shape[3:])), store)
-    d = lang_embed.shape[1]
-    per_view = reshape(broadcast_to(reshape(lang_embed, (b, 1, d)), (b, views, d)), (b * views, d))
-    return pixel_pooled(Tensor(vision.reshape((b * views,) + vision.shape[2:])), per_view, store)
+    return pixel_pooled(Tensor(vision.reshape((b * views,) + vision.shape[2:])), film, store)

@@ -2,9 +2,12 @@
 
 A rollout is ``dataset.run_episode`` with the policy as the actor, so it
 returns the same ``Episode`` a demo is, with its visited scenes, executed
-actions and ``Outcome``.  Success rates follow the protocol of 10 rollouts
-per task; novel-view categories draw a fresh camera pair per rollout, and the
-pair never matches the training cameras.
+actions and ``Outcome``.  A policy is anything with ``language(instruction)``
+and ``action(scene, language, cameras)``: a rollout computes the
+instruction's language value once and passes it to every step's action.
+Success rates follow the protocol of 10 rollouts per task; novel-view
+categories draw a fresh camera pair per rollout, and the pair never matches
+the training cameras.
 
 The layer-selection ablation loop lives in ``cli.cmd_ablate``: it trains each
 mode through the helper ``train`` uses and scores it here with ``evaluate``
@@ -50,8 +53,11 @@ def rollout(policy, task, cameras, seed, sim: SimConfig | None = None) -> Episod
     (``dataset.run_episode``): a malformed or non-finite action, or a forward
     pass that itself goes non-finite, ends it as ``Outcome.BAD_ACTION``
     instead of raising; the gripper command is thresholded by sign inside the
-    world."""
-    return run_episode(task, seed, lambda scene: policy.action(scene, task.instruction, cameras), sim or SimConfig())
+    world.  The task's instruction is embedded once, by
+    ``policy.language``, and every control step's ``policy.action`` takes
+    that value; an instruction outside the policy's vocabulary raises."""
+    language = policy.language(task.instruction)
+    return run_episode(task, seed, lambda scene: policy.action(scene, language, cameras), sim or SimConfig())
 
 
 def evaluate(policy, category, rollouts_per_task=10, seeds=(0,), sim: SimConfig | None = None, tasks=None, model="policy") -> EvalReport:

@@ -43,7 +43,19 @@ MIN_RENDER_DEPTH = 1e-3     # points at or behind this camera depth are culled
 EE_RENDER_RADIUS = 0.02     # meters
 OBJECT_RENDER_RADIUS = 0.03
 _PAD_GROUP = 3              # paint group of the padding slots in a batch render
+_NOWHERE = np.zeros(3)      # a padding slot's centre
 VIEWS = 2                   # cameras per observation: the seen pair, or a novel pair
+
+# The paint table: a slot's colour and paint group, for padding (row 0), each
+# goal region colour (group 0), each object colour (group 1) and the end
+# effector (group 2).
+_PAINT_COLORS = np.array(
+    [(0.0, 0.0, 0.0), *REGION_COLORS.values(), *OBJECT_COLORS.values(), EE_COLOR], dtype=np.float32
+)
+_PAINT_GROUPS = np.array([_PAD_GROUP] + [0] * len(REGION_COLORS) + [1] * len(OBJECT_COLORS) + [2])
+_PAD_PAINT, _EE_PAINT = 0, len(_PAINT_GROUPS) - 1
+_REGION_PAINT = {color: 1 + i for i, color in enumerate(REGION_COLORS)}
+_OBJECT_PAINT = {color: 1 + len(REGION_COLORS) + i for i, color in enumerate(OBJECT_COLORS)}
 
 # Angular-offset bands (degrees) between a novel camera and its nearest seen
 # camera; the offset is the great-circle angle on the camera sphere.
@@ -141,21 +153,28 @@ def _paint_slots(scenes):
     regions, 1 objects, 2 end effector), rows padded to the longest one.
 
     Returns centres [B, K, 3], world radii [B, K], colours [B, K, 3] float32
-    and groups [B, K], which are ``_PAD_GROUP`` on padding.
+    and groups [B, K], which are ``_PAD_GROUP`` on padding.  Each quantity is
+    listed scene by scene and group by group, padding included, and becomes
+    one array; a slot's colour and group are one row of the paint table.
     """
-    rows = [
-        [(g.center, g.radius, REGION_COLORS[g.color], 0) for g in s.goal_regions]
-        + [(o.pos, OBJECT_RENDER_RADIUS, OBJECT_COLORS[o.color], 1) for o in s.objects]
-        + [(s.ee_pos, EE_RENDER_RADIUS, EE_COLOR, 2)]
-        for s in scenes
-    ]
-    b, k = len(rows), max(map(len, rows))
-    centres, radii = np.zeros((b, k, 3)), np.zeros((b, k))
-    colors, groups = np.zeros((b, k, 3), dtype=np.float32), np.full((b, k), _PAD_GROUP)
-    discs = [(i, j, *disc) for i, row in enumerate(rows) for j, disc in enumerate(row)]
-    i, j, centre, radius, color, group = zip(*discs)
-    centres[i, j], radii[i, j], colors[i, j], groups[i, j] = centre, radius, color, group
-    return centres, radii, colors, groups
+    k = 1 + max(len(s.goal_regions) + len(s.objects) for s in scenes)
+    centres, radii, paints = [], [], []
+    for s in scenes:
+        regions, objects = s.goal_regions, s.objects
+        pad = k - 1 - len(regions) - len(objects)
+        centres += [g.center for g in regions]
+        centres += [o.pos for o in objects]
+        centres += [s.ee_pos] + [_NOWHERE] * pad
+        radii += [g.radius for g in regions]
+        radii += [OBJECT_RENDER_RADIUS] * len(objects) + [EE_RENDER_RADIUS] + [0.0] * pad
+        paints += [_REGION_PAINT[g.color] for g in regions]
+        paints += [_OBJECT_PAINT[o.color] for o in objects]
+        paints += [_EE_PAINT] + [_PAD_PAINT] * pad
+    b, paints = len(scenes), np.array(paints)
+    return (
+        np.concatenate(centres).reshape(b, k, 3), np.array(radii).reshape(b, k),
+        _PAINT_COLORS[paints].reshape(b, k, 3), _PAINT_GROUPS[paints].reshape(b, k),
+    )
 
 
 def render_image(scenes, cameras):

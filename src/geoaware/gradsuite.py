@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from geoaware.backbones import GeoBackbone, GeoStubConfig, pixel_pooled, pooled_vision
+from geoaware.backbones import GeoBackbone, GeoStubConfig, pixel_film, pixel_pooled, pooled_vision
 from geoaware.deskworld.camera import VIEWS
 from geoaware.deskworld.world import ACTION_WIDTH, PROPRIO_WIDTH
 from geoaware.numerics.gradcheck import grad_check
@@ -29,6 +29,7 @@ from geoaware.policy import (
     PolicyConfig,
     build_token_sequence,
     causal_mask,
+    embed_instructions,
     init_policy_params,
     mlp_head,
     policy_forward,
@@ -237,7 +238,7 @@ def _check_pixel_encoder(step):
     def f(leaves):
         for name, leaf in zip(names, leaves[: len(names)]):
             store.replace(name, leaf)
-        pooled = pixel_pooled(leaves[len(names)], leaves[len(names) + 1], store)
+        pooled = pixel_pooled(leaves[len(names)], pixel_film(leaves[len(names) + 1], store, 1), store)
         return (project_vision(pooled, store) * Tensor(w)).sum()
 
     inputs = [store[n].values.copy() for n in names] + [images, lang]
@@ -325,7 +326,8 @@ def _check_end_to_end(step):
     def f(leaves):
         for name, leaf in zip(names, leaves):
             store.replace(name, leaf)
-        h_action = policy_forward(vision, instructions, Tensor(proprio), store, cfg, _VOCAB)
+        language = embed_instructions(instructions, store, cfg, _VOCAB)
+        h_action = policy_forward(vision, language, Tensor(proprio), store, cfg)
         return mse_loss(mlp_head(h_action, store, cfg), Tensor(target))
 
     inputs = [store[n].values.copy() for n in names]

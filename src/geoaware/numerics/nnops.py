@@ -27,27 +27,40 @@ zeroed; and the product is one batched GEMM, ``cols @ w^T``, per layer's
 ``conv2d_relu_pool``'s contract: activations are held batch-innermost as
 [C, H, W, B], so each layer's output is the next one's input without a
 layout copy; a layer's im2col matrix is [C_in * kh * kw, H_out * W_out * B]
-with rows in (c_in, i, j) order, built by one strided slice copy per kernel
-tap from the input or, with padding p, from a zero-filled [C, H + 2p, W +
-2p, B] buffer the input is copied into; the forward product is one GEMM
-with the [C_out, C_in * kh * kw] kernel matrix on the left, the bias added
-and the relu applied in place on its output; the tape keeps each layer's
-im2col matrix and a bool relu mask, not its float activations; the pool
-sums the H * W positions of a [B, C, H * W] view of the last map, without a
-copy, then scales by 1 / (H * W); and backward forms each kernel gradient as ``(cols @ g^T)^T``
-and an input gradient, one GEMM each, only for the layers above the first
-or when the input needs one.  Ops do not check their results for NaN or
+with rows in (c_in, i, j) order, built one of two ways, to the same bytes.
+From ``GATHER_BELOW_FRAMES`` frames up (training batches), by one strided
+slice copy per kernel tap from the input or, with padding p, from a
+zero-filled [C, H + 2p, W + 2p, B] buffer the input is copied into; each
+copy's inner loop runs over the B frames.  Below it (a rollout's two
+frames), where those copies are thousands of 2-element loops, by one
+``take`` from a flat copy of the input followed by one zero slot, through an
+index array built once per shape (``_gather_index``, a bounded cache); the
+constant's comment holds the measurement that set it.  The forward product
+is one GEMM with the [C_out, C_in * kh * kw] kernel matrix on the left, the
+bias added and the relu applied in place on its output; the tape keeps each
+layer's im2col matrix and a bool relu mask, not its float activations; the
+pool sums the H * W positions of a [B, C, H * W] view of the last map,
+without a copy, then scales by 1 / (H * W); and backward forms each kernel
+gradient as ``(cols @ g^T)^T`` and an input gradient, one GEMM each, only
+for the layers above the first or when the input needs one.  When the
+result will take no gradient (``needs_grad``: grad mode off, or no parent
+requiring one), neither conv op builds relu masks or keeps im2col
+matrices.  The layer norms, the attention softmax and both conv pools
+reduce through ``np.add.reduce`` and ``np.maximum.reduce`` directly,
+skipping the Python-level wrappers of ``ndarray.sum``, ``.max`` and
+``.mean``, with the same results.  Ops do not check their results for NaN or
 Inf; see the ``tensor`` module for where finiteness is checked.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from geoaware.errors import InputError, ShapeError
-from geoaware.numerics.tensor import as_tensor, make_result
+from geoaware.numerics.tensor import as_tensor, make_result, needs_grad
 
 # -- the two-layer MLP -------------------------------------------------------
 
@@ -106,8 +119,8 @@ def mlp2(x, w1, b1, w2, b2):
 def _layer_norm(x, gamma, beta, eps=1e-6):
     """Normalize the last axis to zero mean / unit variance, then scale-shift."""
     d = x.shape[-1]
-    xhat = x - x.sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / d + eps)
+    xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d + eps)
     xhat *= inv
     out = xhat * gamma
     out += beta
@@ -120,15 +133,15 @@ def _layer_norm_grad(g, saved):
     gamma, xhat, inv = saved
     d = g.shape[-1]
     dxhat = g * gamma
-    term1 = dxhat.sum(axis=-1, keepdims=True) / d
-    term2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / d
+    term1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+    term2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
     lead = tuple(range(g.ndim - 1))
-    return inv * (dxhat - term1 - xhat * term2), (g * xhat).sum(axis=lead), g.sum(axis=lead)
+    return inv * (dxhat - term1 - xhat * term2), np.add.reduce(g * xhat, axis=lead), np.add.reduce(g, axis=lead)
 
 
 def _softmax_grad(out, g):
     """Input gradient of a last-axis softmax from its output ``out`` and output gradient ``g``."""
-    return out * (g - (g * out).sum(axis=-1, keepdims=True))
+    return out * (g - np.add.reduce(g * out, axis=-1, keepdims=True))
 
 
 def _attention(x, w_qkv, b_qkv, wo, bo, heads, mask):
@@ -156,9 +169,9 @@ def _attention(x, w_qkv, b_qkv, wo, bo, heads, mask):
     att = q @ k.transpose(0, 1, 3, 2)                                      # the scores, then softmax in place
     att *= scale
     att += mask
-    att -= att.max(axis=-1, keepdims=True)
+    att -= np.maximum.reduce(att, axis=-1, keepdims=True)
     np.exp(att, out=att)
-    att /= att.sum(axis=-1, keepdims=True)
+    att /= np.add.reduce(att, axis=-1, keepdims=True)
     ctx = (att @ v).transpose(0, 2, 1, 3).reshape(b * sq, h)
     out = ctx @ wo
     out += bo
@@ -247,6 +260,14 @@ def transformer_block(x, ln1_g, ln1_b, w_qkv, b_qkv, wo, bo, ln2_g, ln2_b, w1, b
 
 # -- convolutions ------------------------------------------------------------
 
+# ``_conv2d`` builds its im2col matrix by one gather below this many frames,
+# and by slice copies from there up.  Measured on the pixel stage (three
+# stride-2 3x3 convs of [3, 32, 32] float32 frames under ``no_grad``, on a
+# 2-core x86-64 VM), slices vs gather: 172 vs 115 us at 2 frames,
+# 220 vs 160 us at 4, 262 vs 257 us at 6, 281 vs 340 us at 8, and 4.8 vs
+# 5.2 ms at 128.  Rollouts run 2 frames; training batches 128, calibration 256.
+GATHER_BELOW_FRAMES = 6
+
 
 def _token_taps(x, k):
     """im2col over the token axis with "same" zero padding: [..., N, C] ->
@@ -307,8 +328,12 @@ def conv1d_relu_pool(x, kernels, biases):
     act = cols @ w.transpose(0, 2, 1)
     act += biases.values[:, None, :]
     np.maximum(act, 0.0, out=act)                                   # relu in place: [L, R*N, C_out]
-    pooled = act.reshape(n_layers, r, n, c_out).mean(axis=2)        # [L, R, C_out]
+    # the mean over tokens as ``ndarray.mean`` computes it, without its Python-level wrapper
+    pooled = np.add.reduce(act.reshape(n_layers, r, n, c_out), axis=2)
+    np.true_divide(pooled, np.intp(n), out=pooled, casting="unsafe")   # [L, R, C_out]
     out_vals = pooled.transpose(1, 0, 2).reshape(r, n_layers * c_out)
+    if not needs_grad((x, kernels, biases)):
+        return make_result(out_vals, (x, kernels, biases), None)
 
     # Where the preactivation was positive; kept as a bool mask so the tape
     # does not hold the float activations.
@@ -327,6 +352,24 @@ def conv1d_relu_pool(x, kernels, biases):
     return make_result(out_vals, (x, kernels, biases), backward)
 
 
+@functools.lru_cache(maxsize=32)
+def _gather_index(c_in, h, w, b, kh, kw, stride, padding):
+    """The im2col matrix of a [C_in, H, W, B] input as flat positions: [C_in
+    * kh * kw, H_out * W_out * B] indices into the input's C-order values
+    followed by one zero slot, index C_in * H * W * B, which every padded
+    position reads.  Read-only; built once per shape."""
+    h_out = (h + 2 * padding - kh) // stride + 1
+    w_out = (w + 2 * padding - kw) // stride + 1
+    ys = (np.arange(kh)[:, None] + stride * np.arange(h_out) - padding)[None, :, None, :, None, None]
+    xs = (np.arange(kw)[:, None] + stride * np.arange(w_out) - padding)[None, None, :, None, :, None]
+    channels = np.arange(c_in)[:, None, None, None, None, None]
+    inside = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
+    index = np.where(inside, ((channels * h + ys) * w + xs) * b + np.arange(b), c_in * h * w * b)
+    index = index.reshape(c_in * kh * kw, h_out * w_out * b)
+    index.flags.writeable = False
+    return index
+
+
 def _conv2d(x, kernels, bias, stride, padding):
     """One 2-D cross-correlation on a batch-innermost [C_in, H, W, B] array:
     (out [C_out, H_out, W_out, B], saved), through the im2col matrix the
@@ -335,15 +378,21 @@ def _conv2d(x, kernels, bias, stride, padding):
     c_out, _, kh, kw = kernels.shape
     h_out = (h + 2 * padding - kh) // stride + 1
     w_out = (w + 2 * padding - kw) // stride + 1
-    if padding:
-        padded = np.zeros((c_in, h + 2 * padding, w + 2 * padding, b), dtype=x.dtype)
-        padded[:, padding : padding + h, padding : padding + w] = x
-        x = padded
-    cols = np.empty((c_in, kh, kw, h_out, w_out, b), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = x[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
-    cols = cols.reshape(c_in * kh * kw, h_out * w_out * b)
+    if b < GATHER_BELOW_FRAMES:
+        flat = np.empty(x.size + 1, dtype=x.dtype)
+        flat[:-1].reshape(x.shape)[...] = x
+        flat[-1] = 0.0
+        cols = flat.take(_gather_index(c_in, h, w, b, kh, kw, stride, padding))
+    else:
+        if padding:
+            padded = np.zeros((c_in, h + 2 * padding, w + 2 * padding, b), dtype=x.dtype)
+            padded[:, padding : padding + h, padding : padding + w] = x
+            x = padded
+        cols = np.empty((c_in, kh, kw, h_out, w_out, b), dtype=x.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                cols[:, i, j] = x[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
+        cols = cols.reshape(c_in * kh * kw, h_out * w_out * b)
     w2 = kernels.reshape(c_out, c_in * kh * kw)
     out = w2 @ cols
     out += bias[:, None]
@@ -379,7 +428,8 @@ def conv2d_relu_pool(x, kernels, biases, stride, padding):
     side of both spatial axes); anything else, or an empty output map,
     raises ``ShapeError``.  The pool is the sum over the last map's H * W
     positions times 1 / (H * W).  The layers run as the module docstring
-    describes; the tape keeps each layer's im2col matrix and relu mask.
+    describes; when the result takes a gradient, the tape keeps each layer's
+    im2col matrix and relu mask.
     """
     x = as_tensor(x)
     kernels, biases = tuple(map(as_tensor, kernels)), tuple(map(as_tensor, biases))
@@ -400,14 +450,16 @@ def conv2d_relu_pool(x, kernels, biases, stride, padding):
         if h <= 0 or w <= 0:
             raise ShapeError(f"conv2d output extent would be {h}x{w}")
 
+    taped = needs_grad((x, *kernels, *biases))
     act = x.values.transpose(1, 2, 3, 0)                                   # [C, H, W, B]
     layers = []                                                             # (saved, relu mask) per layer
     for kernel, bias in zip(kernels, biases):
         act, saved = _conv2d(act, kernel.values, bias.values, stride, padding)
         np.maximum(act, 0.0, out=act)                                       # relu in place
-        layers.append((saved, act > 0.0))
+        if taped:
+            layers.append((saved, act > 0.0))
     scale = 1.0 / (h * w)
-    pooled = act.transpose(3, 0, 1, 2).reshape(b, c, h * w).sum(axis=2)     # over a [B, C, H * W] view
+    pooled = np.add.reduce(act.transpose(3, 0, 1, 2).reshape(b, c, h * w), axis=2)    # over a [B, C, H * W] view
     pooled *= scale
 
     def backward(g):

@@ -198,6 +198,14 @@ def _toposort(root):
     return order
 
 
+def needs_grad(parents):
+    """Whether an op result on ``parents`` takes a gradient: grad mode is on
+    and some parent has ``requires_grad``.  ``make_result`` records exactly
+    these results; an op may test it first to skip state only ``backward``
+    reads."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def make_result(values, parents, backward):
     """Construct an op result, recording it on the tape when it needs a gradient.
 
@@ -211,7 +219,7 @@ def make_result(values, parents, backward):
     out = Tensor.__new__(Tensor)
     out.values = values
     out.grad = None
-    out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    out.requires_grad = needs_grad(parents)
     out._parents = tuple(parents) if out.requires_grad else ()
     out._backward = backward if out.requires_grad else None
     return out

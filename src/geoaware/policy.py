@@ -17,6 +17,13 @@ The head runs only where an action chunk is used (``Policy.head``), so the
 VQ-BeT training objective reads ``h_action`` without decoding a chunk.
 The action codebook is trained once ``vq.codes`` is frozen.
 
+The language input is computed outside ``policy_forward``, which takes it
+as an argument: ``embed_instructions`` gives the instructions' ``Language``,
+the language token and, for the pixel backbone, the per-view FiLM terms.
+It depends only on the instructions and the parameters, so
+``Policy.forward`` computes it per training batch, and a rollout computes it
+once (``Policy.language``) and passes it to every ``Policy.action`` call.
+
 All parameters live in one ParamStore under dotted names; the creation order
 inside ``init_policy_params`` is fixed so a single seeded generator
 reproduces initialization bit-for-bit.
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +43,7 @@ from geoaware.backbones import (
     GeoBackbone,
     GeoStubConfig,
     init_pixel_params,
+    pixel_film,
     pooled_features,
     select_layer_indices,
 )
@@ -232,6 +241,22 @@ def encode_language(instructions, store, vocab):
     return _mlp2(rows, store, "lang.mlp.1", "lang.mlp.2")
 
 
+class Language(NamedTuple):
+    """What a batch of instructions conditions the policy with: ``embed``
+    [batch, repr_dim], the language token (``encode_language``), and for the
+    pixel backbone ``film``, its per-view FiLM terms (``pixel_film``), None
+    for geo.  Both depend on the instructions and the parameters only."""
+
+    embed: Tensor
+    film: tuple | None
+
+
+def embed_instructions(instructions, store, cfg: PolicyConfig, vocab):
+    """The ``Language`` of a batch of instructions."""
+    z_lang = encode_language(instructions, store, vocab)
+    return Language(z_lang, pixel_film(z_lang, store, VIEWS) if cfg.backbone_kind == "pixel" else None)
+
+
 def encode_proprio(state, store):
     """Embed the end-effector states [batch, PROPRIO_WIDTH] into [batch, repr_dim]."""
     t = as_tensor(state)
@@ -276,6 +301,12 @@ _BLOCK_PARAMS = (
 )
 
 
+@functools.cache
+def _block_names(blk):
+    """Trunk block ``blk``'s parameter names, in ``_BLOCK_PARAMS`` order."""
+    return tuple(f"trunk{blk}.{name}" for name in _BLOCK_PARAMS)
+
+
 def trunk_forward(x, store, cfg: PolicyConfig):
     """Pre-norm causal transformer over the token sequence ``x`` [batch,
     length, repr_dim] (positions already added); returns the action token's
@@ -287,7 +318,7 @@ def trunk_forward(x, store, cfg: PolicyConfig):
         x = matmul(x, store["adapter.w"]) + store["adapter.b"]
     mask = causal_mask(x.shape[1], dtype=x.values.dtype)
     for blk in range(cfg.trunk_layers):
-        params = [store[f"trunk{blk}.{name}"] for name in _BLOCK_PARAMS]
+        params = [store[name] for name in _block_names(blk)]
         x = transformer_block(x, *params, cfg.trunk_heads, mask[-1:] if blk == cfg.trunk_layers - 1 else mask)
     return reshape(x, (x.shape[0], x.shape[2]))
 
@@ -372,7 +403,7 @@ def vqbet_train_loss(h_action, expert_actions, store, cfg: PolicyConfig):
 # -- composition -------------------------------------------------------------
 
 
-def policy_forward(vision, instructions, proprio, store, cfg: PolicyConfig, vocab):
+def policy_forward(vision, language: Language, proprio, store, cfg: PolicyConfig):
     """Batched pass from featurized observations to h_action [batch,
     hidden], the action-token embedding ``trunk_forward`` returns; a head
     turns it into actions.
@@ -380,17 +411,18 @@ def policy_forward(vision, instructions, proprio, store, cfg: PolicyConfig, voca
     ``vision`` is [batch, VIEWS, L_selected, tokens, channels] for the geo
     backbone (the selected layers of the frozen pyramid, every one of which
     is used) or [batch, VIEWS, 3, H, W] images for the pixel baseline;
-    ``instructions`` holds one instruction per batch row and ``proprio`` is
-    [batch, PROPRIO_WIDTH].  The views are folded into the batch
-    (``pooled_features``), so the vision encoder runs once per pass.
+    ``language`` is the ``embed_instructions`` of one instruction per batch
+    row, computed by the caller (per training batch, or once per rollout),
+    and ``proprio`` is [batch, PROPRIO_WIDTH].  The views are folded into
+    the batch (``pooled_features``), so the vision encoder runs once per
+    pass.
     """
     vision = np.asarray(vision)
     if vision.ndim != 5 or vision.shape[1] != VIEWS:
         raise ShapeError(f"vision input must be [batch, {VIEWS}, ...] with rank 5, got {vision.shape}")
-    z_lang = encode_language(instructions, store, vocab)
-    pooled = pooled_features(vision, z_lang, store, cfg.backbone_kind)
+    pooled = pooled_features(vision, language.film, store, cfg.backbone_kind)
     z_vis = reshape(project_vision(pooled, store), (vision.shape[0], VIEWS, cfg.repr_dim))
-    x = build_token_sequence(z_vis, z_lang, encode_proprio(proprio, store), store, cfg)
+    x = build_token_sequence(z_vis, language.embed, encode_proprio(proprio, store), store, cfg)
     return trunk_forward(x, store, cfg)
 
 
@@ -426,10 +458,10 @@ class Policy:
         return np.ascontiguousarray(render_image(scenes, cameras).transpose(0, 1, 4, 2, 3), dtype=self.dtype)
 
     def forward(self, vision, instructions, proprio):
-        """h_action [batch, hidden] for a featurized batch (``policy_forward``)."""
-        return policy_forward(
-            vision, instructions, np.asarray(proprio, dtype=self.dtype), self.params, self.cfg, self.vocab
-        )
+        """h_action [batch, hidden] for a featurized batch: the instructions'
+        ``embed_instructions``, then ``policy_forward``."""
+        language = embed_instructions(instructions, self.params, self.cfg, self.vocab)
+        return policy_forward(vision, language, np.asarray(proprio, dtype=self.dtype), self.params, self.cfg)
 
     def head(self, h_action):
         """The action chunk [batch, chunk_len, ACTION_WIDTH] from h_action, through the
@@ -438,12 +470,23 @@ class Policy:
             return mlp_head(h_action, self.params, self.cfg)
         return vqbet_head(h_action, self.params, self.cfg)
 
-    def action(self, scene, instruction, cameras):
+    def language(self, instruction):
+        """The ``Language`` of one rollout's instruction, which its every
+        ``action`` call takes; a rollout computes it once, since neither the
+        instruction nor the parameters change during it.  Runs without a
+        tape and with floating-point warnings silenced, like ``action``; an
+        instruction outside the vocabulary raises ``VocabularyError``."""
+        with no_grad(), np.errstate(all="ignore"):
+            return embed_instructions([instruction], self.params, self.cfg, self.vocab)
+
+    def action(self, scene, language: Language, cameras):
         """First action of the predicted chunk for one scene, as the plain
-        vector ``step`` takes (used by closed-loop rollouts).  Floating-point
-        warnings are silenced: a non-finite forward pass shows up as a
-        non-finite action, which ``step`` rejects."""
+        vector ``step`` takes (used by closed-loop rollouts); ``language`` is
+        the rollout's ``Policy.language``.  Floating-point warnings are
+        silenced: a non-finite forward pass shows up as a non-finite action,
+        which ``step`` rejects."""
         with no_grad(), np.errstate(all="ignore"):
             vision = self.featurize([scene], list(cameras))
-            chunk = self.head(self.forward(vision, [instruction], stack_proprio([scene])))
+            proprio = np.asarray(stack_proprio([scene]), dtype=self.dtype)
+            chunk = self.head(policy_forward(vision, language, proprio, self.params, self.cfg))
         return np.asarray(chunk.values[0, 0], dtype=np.float64)

@@ -28,7 +28,7 @@ from geoaware.policy import (
     Policy,
     PolicyConfig,
     codebook_param_names,
-    encode_language,
+    embed_instructions,
     vqbet_train_loss,
     vqvae_loss,
 )
@@ -222,8 +222,8 @@ def calibrate_input_stats(
         for lo in range(0, samples, CALIBRATION_CHUNK):
             idx = [pairs[i] for i in picks[lo:lo + CALIBRATION_CHUNK]]
             batch = make_batch(dataset, idx, policy, cameras, cache, actions)
-            z_lang = encode_language(batch.instructions, store, policy.vocab)
-            feats.append(pooled_features(batch.vision, z_lang, store, policy.cfg.backbone_kind).values)
+            film = embed_instructions(batch.instructions, store, policy.cfg, policy.vocab).film
+            feats.append(pooled_features(batch.vision, film, store, policy.cfg.backbone_kind).values)
     features = np.concatenate(feats).astype(np.float64)
     hidden = _fold_layer(store, features, "vision.mlp.1.w", "vision.mlp.1.b")
     _fold_layer(store, hidden, "vision.mlp.2.w", "vision.mlp.2.b")

@@ -14,6 +14,7 @@ from geoaware.backbones import (
     GeoBackbone,
     GeoStubConfig,
     init_pixel_params,
+    pixel_film,
     pixel_pooled,
     pooled_features,
     select_layer_indices,
@@ -296,7 +297,7 @@ def test_pixel_pooled_shape():
     store = _pixel_store()
     images = Tensor(np.random.default_rng(0).uniform(0, 1, (3, 3, 32, 32)))
     lang = Tensor(np.random.default_rng(1).standard_normal((3, 6)))
-    out = pixel_pooled(images, lang, store)
+    out = pixel_pooled(images, pixel_film(lang, store, 1), store)
     assert out.shape == (3, PIXEL_CHANNELS[-1])
     assert np.all(np.isfinite(out.values))
     assert not any(name.startswith("vision.") for name in store.names())   # the projection is the policy's
@@ -308,11 +309,11 @@ def test_pooled_features_fold_views_into_the_batch():
     rng = np.random.default_rng(6)
     images = rng.uniform(0, 1, (2, 3, 3, 16, 16))
     lang = rng.standard_normal((2, 6))
-    folded = pooled_features(images, Tensor(lang), store, "pixel").values
+    folded = pooled_features(images, pixel_film(Tensor(lang), store, 3), store, "pixel").values
     assert folded.shape == (6, PIXEL_CHANNELS[-1])
     for row in range(6):
         b, v = divmod(row, 3)
-        alone = pixel_pooled(Tensor(images[b, v][None]), Tensor(lang[b][None]), store).values
+        alone = pixel_pooled(Tensor(images[b, v][None]), pixel_film(Tensor(lang[b][None]), store, 1), store).values
         np.testing.assert_allclose(folded[row], alone[0], rtol=1e-12, atol=1e-12)
 
 
@@ -324,8 +325,8 @@ def test_film_identity_at_init_bias():
     store["pixel.film.shift.w"].values[:] = 0.0
     rng = np.random.default_rng(2)
     images = Tensor(rng.uniform(0, 1, (2, 3, 16, 16)))
-    out_a = pixel_pooled(images, Tensor(rng.standard_normal((2, 6))), store)
-    out_b = pixel_pooled(images, Tensor(rng.standard_normal((2, 6))), store)
+    out_a = pixel_pooled(images, pixel_film(Tensor(rng.standard_normal((2, 6))), store, 1), store)
+    out_b = pixel_pooled(images, pixel_film(Tensor(rng.standard_normal((2, 6))), store, 1), store)
     assert np.array_equal(out_a.values, out_b.values)
 
 
@@ -333,8 +334,8 @@ def test_film_modulates_output():
     store = _pixel_store()
     rng = np.random.default_rng(3)
     images = Tensor(rng.uniform(0, 1, (2, 3, 16, 16)))
-    out_a = pixel_pooled(images, Tensor(rng.standard_normal((2, 6))), store)
-    out_b = pixel_pooled(images, Tensor(rng.standard_normal((2, 6))), store)
+    out_a = pixel_pooled(images, pixel_film(Tensor(rng.standard_normal((2, 6))), store, 1), store)
+    out_b = pixel_pooled(images, pixel_film(Tensor(rng.standard_normal((2, 6))), store, 1), store)
     assert np.abs(out_a.values - out_b.values).max() > 1e-6
 
 
@@ -364,7 +365,7 @@ def test_pixel_pooled_equals_film_on_the_map_then_pool():
     gamma = lang @ store["pixel.film.scale.w"].values + store["pixel.film.scale.b"].values
     beta = lang @ store["pixel.film.shift.w"].values + store["pixel.film.shift.b"].values
     expected = (gamma[:, :, None, None] * h + beta[:, :, None, None]).mean(axis=(2, 3))
-    got = pixel_pooled(Tensor(images), Tensor(lang), store).values
+    got = pixel_pooled(Tensor(images), pixel_film(Tensor(lang), store, 1), store).values
     assert got.dtype == np.float64
     assert np.abs(got - expected).max() <= 1e-12
 
@@ -382,7 +383,7 @@ def test_pixel_encoder_gradients():
         store._entries["pixel.conv3.w"] = conv_w
         store._entries["pixel.film.scale.w"] = gamma_w
         try:
-            out = pixel_pooled(img, Tensor(lang), store)
+            out = pixel_pooled(img, pixel_film(Tensor(lang), store, 1), store)
         finally:
             store._entries["pixel.conv3.w"] = saved_cw
             store._entries["pixel.film.scale.w"] = saved_gw

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import geoaware.policy
 from geoaware.bench import (
     EvalReport,
     emit_report,
@@ -20,7 +21,7 @@ from geoaware.cli import cmd_ablate
 from geoaware.deskworld.camera import sample_viewpoints, seen_cameras
 from geoaware.deskworld.dataset import Outcome, generate_dataset, run_expert_episode
 from geoaware.deskworld.world import ACTION_WIDTH, SimConfig, action_vector, expert_action, make_tasks
-from geoaware.errors import ConfigError
+from geoaware.errors import ConfigError, VocabularyError
 from geoaware.policy import Policy, PolicyConfig
 from geoaware.training import TrainConfig, bc_train
 
@@ -29,11 +30,13 @@ TASKS = make_tasks()
 
 
 class ExpertPolicy:
-    """Scripted expert behind the policy interface; reads true scene state and
-    ignores the cameras entirely."""
+    """Scripted expert behind the policy interface; its language value is the
+    task, and it reads true scene state and ignores the cameras entirely."""
 
-    def action(self, scene, instruction, cameras):
-        task = next(t for t in TASKS if t.instruction == instruction)
+    def language(self, instruction):
+        return next(t for t in TASKS if t.instruction == instruction)
+
+    def action(self, scene, task, cameras):
         return expert_action(scene, task, SIM)
 
 
@@ -43,7 +46,10 @@ class ConstantPolicy:
     def __init__(self, vec):
         self.vec = vec
 
-    def action(self, scene, instruction, cameras):
+    def language(self, instruction):
+        return instruction
+
+    def action(self, scene, language, cameras):
         return self.vec
 
 
@@ -54,8 +60,8 @@ class NanAtCallPolicy(ExpertPolicy):
     def __init__(self, bad_call):
         self.calls, self.bad_call = 0, bad_call
 
-    def action(self, scene, instruction, cameras):
-        vec = super().action(scene, instruction, cameras)
+    def action(self, scene, task, cameras):
+        vec = super().action(scene, task, cameras)
         if self.calls == self.bad_call:
             vec[2] = np.nan
         self.calls += 1
@@ -166,8 +172,11 @@ class RecordingPolicy:
     def __init__(self, policy):
         self.policy, self.actions = policy, []
 
-    def action(self, scene, instruction, cameras):
-        self.actions.append(self.policy.action(scene, instruction, cameras))
+    def language(self, instruction):
+        return self.policy.language(instruction)
+
+    def action(self, scene, language, cameras):
+        self.actions.append(self.policy.action(scene, language, cameras))
         return self.actions[-1]
 
 
@@ -182,13 +191,18 @@ GOLDEN_ACTION_STREAMS = {
 }
 
 
-@pytest.mark.parametrize("backbone, head", sorted(GOLDEN_ACTION_STREAMS), ids="/".join)
-def test_closed_loop_action_stream_is_pinned(backbone, head):
+def briefly_trained(backbone, head):
+    """A policy after 4 VQ steps (vqbet) and 4 BC steps on one demo per task."""
     demos = generate_dataset(TASKS, 1, seed=3, sim=SIM)
     policy = Policy(PolicyConfig(backbone_kind=backbone, head_kind=head), tuple(demos.instructions()), seed=3)
     train = TrainConfig(steps=4, batch_size=8, seed=3, vq_pretrain_steps=4, eval_every=0, head_kind=head, backbone_kind=backbone)
     bc_train(demos, train, policy)
-    recorder = RecordingPolicy(policy)
+    return policy
+
+
+@pytest.mark.parametrize("backbone, head", sorted(GOLDEN_ACTION_STREAMS), ids="/".join)
+def test_closed_loop_action_stream_is_pinned(backbone, head):
+    recorder = RecordingPolicy(briefly_trained(backbone, head))
     cameras = sample_viewpoints("novel_medium", 2, seed=3, sim=SIM)
     result = rollout(recorder, TASKS[2], cameras, seed=3, sim=SimConfig(max_episode_steps=25))
     assert (result.outcome, result.steps, len(recorder.actions)) == (Outcome.TIMEOUT, 25, 25)
@@ -196,6 +210,57 @@ def test_closed_loop_action_stream_is_pinned(backbone, head):
     assert stream.dtype == np.float64 and stream.shape == (25, ACTION_WIDTH)
     assert result.actions[:-1].tobytes() == stream.tobytes()
     assert hashlib.sha256(stream.tobytes()).hexdigest() == GOLDEN_ACTION_STREAMS[backbone, head]
+
+
+class PerStepLanguage:
+    """Embeds the instruction again on every control step, so its rollouts
+    are the reference for embedding it once per rollout."""
+
+    def __init__(self, policy):
+        self.policy = policy
+
+    def language(self, instruction):
+        return instruction
+
+    def action(self, scene, instruction, cameras):
+        return self.policy.action(scene, self.policy.language(instruction), cameras)
+
+
+@pytest.mark.parametrize("backbone, head", sorted(GOLDEN_ACTION_STREAMS), ids="/".join)
+def test_rollout_embeds_the_instruction_once(backbone, head, monkeypatch):
+    policy = briefly_trained(backbone, head)
+    sim = SimConfig(max_episode_steps=12)
+    cameras = sample_viewpoints("novel_medium", 2, seed=4, sim=sim)
+    reference = rollout(PerStepLanguage(policy), TASKS[1], cameras, seed=4, sim=sim)
+    calls = []
+    encode = geoaware.policy.encode_language
+    monkeypatch.setattr(geoaware.policy, "encode_language", lambda *args: calls.append(args) or encode(*args))
+    result = rollout(policy, TASKS[1], cameras, seed=4, sim=sim)
+    assert len(calls) == 1 and result.steps == 12
+    assert result.actions.tobytes() == reference.actions.tobytes()
+    # the report, too, is byte-equal to the per-step reference's
+    once = evaluate(policy, "novel_medium", rollouts_per_task=2, seeds=(1,), sim=sim)
+    per_step = evaluate(PerStepLanguage(policy), "novel_medium", rollouts_per_task=2, seeds=(1,), sim=sim)
+    assert render_json(once.to_dict()) == render_json(per_step.to_dict())
+
+
+def test_evaluate_raises_on_an_instruction_outside_the_vocabulary():
+    policy = Policy(PolicyConfig(), (TASKS[0].instruction,), seed=0)
+    with pytest.raises(VocabularyError):
+        evaluate(policy, "seen", rollouts_per_task=1, seeds=(0,), sim=SIM, tasks=[TASKS[1]])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("backbone", ["geo", "pixel"])
+def test_non_finite_language_fails_each_rollout(backbone):
+    # the instruction's embedding, computed once per rollout, overflows: every
+    # rollout ends as BAD_ACTION at its first step, without a warning
+    policy = Policy(PolicyConfig(backbone_kind=backbone), tuple(t.instruction for t in TASKS), seed=0)
+    policy.params["lang.mlp.2.w"].values[0, 0] = np.inf
+    report = evaluate(policy, "seen", rollouts_per_task=1, seeds=(0,), sim=SIM)
+    assert report.mean_episode_length == 0.0
+    result = rollout(policy, TASKS[0], seen_cameras(SIM), seed=0, sim=SIM)
+    assert (result.outcome, result.steps) == (Outcome.BAD_ACTION, 0)
 
 
 def test_untrained_policy_is_near_zero():

@@ -18,6 +18,7 @@ from geoaware.numerics import (
     matmul,
     mlp2,
     mse_loss,
+    no_grad,
     tensor_sum,
     transformer_block,
 )
@@ -673,6 +674,52 @@ def test_conv2d_grad_matches_fd(seed):
     assert grad_check(f, [x, w, b]) <= TOL
 
 
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize(
+    "frames", [1, nnops.GATHER_BELOW_FRAMES - 1, nnops.GATHER_BELOW_FRAMES, nnops.GATHER_BELOW_FRAMES + 3]
+)
+def test_gathered_im2col_is_the_sliced_one(frames, stride, padding, monkeypatch):
+    # both im2col builders at frame counts on either side of the crossover, on
+    # odd sizes: the output and every gradient byte-equal
+    rng = np.random.default_rng(frames * 10 + stride * 3 + padding)
+    x = rng.standard_normal((frames, 2, 11, 9)).astype(np.float32)
+    kernels = [rng.standard_normal(shape).astype(np.float32) for shape in ((4, 2, 3, 3), (3, 4, 3, 3))]
+    biases = [rng.standard_normal(k.shape[0]).astype(np.float32) * 0.1 for k in kernels]
+    runs = []
+    for below in (0, frames + 1):                   # slices, then the gather
+        monkeypatch.setattr(nnops, "GATHER_BELOW_FRAMES", below)
+        leaves = [Tensor(a, requires_grad=True) for a in (x, *kernels, *biases)]
+        out = conv2d_relu_pool(leaves[0], leaves[1:3], leaves[3:], stride=stride, padding=padding)
+        g = np.random.default_rng(out.size).standard_normal(out.shape).astype(np.float32)
+        tensor_sum(out * Tensor(g)).backward()
+        runs.append([out.values] + [t.grad for t in leaves])
+    for sliced, gathered in zip(*runs, strict=True):
+        assert gathered.dtype == sliced.dtype and gathered.shape == sliced.shape
+        assert gathered.tobytes() == sliced.tobytes()
+
+
+def test_conv_ops_are_bitwise_the_same_under_no_grad():
+    # without a tape the ops keep no masks or im2col matrices; the values are unchanged
+    rng = np.random.default_rng(41)
+    layers, kernels, biases = random_conv_inputs(rng, 3, 4, 9, 5, 6, 3, dtype=np.float32)
+    images = rng.standard_normal((2, 3, 13, 11)).astype(np.float32)
+    k2 = [rng.standard_normal((4, 3, 3, 3)).astype(np.float32), rng.standard_normal((5, 4, 3, 3)).astype(np.float32)]
+    b2 = [rng.standard_normal(4).astype(np.float32), rng.standard_normal(5).astype(np.float32)]
+
+    def both():
+        conv1d = conv1d_relu_pool(layers, Tensor(kernels, requires_grad=True), biases)
+        conv2d = conv2d_relu_pool(images, [Tensor(k, requires_grad=True) for k in k2], b2, stride=2, padding=1)
+        return conv1d, conv2d
+
+    taped = both()
+    with no_grad():
+        untaped = both()
+    for a, b in zip(taped, untaped, strict=True):
+        assert a.requires_grad and not b.requires_grad and b._backward is None
+        assert a.values.dtype == b.values.dtype and a.values.tobytes() == b.values.tobytes()
+
+
 # -- token pooling (conv1d_relu_pool) ------------------------------------------
 
 
@@ -704,6 +751,23 @@ def test_pool_grad_matches_fd(seed):
         return tensor_sum(conv1d_relu_pool(*ts) * Tensor(probe))
 
     assert grad_check(f, [layers, kernels, biases]) <= TOL
+
+
+@pytest.mark.parametrize("rows", [2, 128])
+@pytest.mark.parametrize("tokens", [7, 13, 16, 100])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_conv1d_pool_is_bitwise_ndarray_mean(dtype, tokens, rows):
+    # the pool sums with np.add.reduce and divides by the token count as
+    # ``ndarray.mean`` does: the op is the same im2col GEMM, relu and ``.mean``
+    rng = np.random.default_rng(tokens + rows)
+    layers, kernels, biases = random_conv_inputs(rng, 2, rows, tokens, 4, 6, 3, dtype=dtype)
+    cols = nnops._token_taps(layers, 3).reshape(2, rows * tokens, 4 * 3)
+    act = cols @ kernels.reshape(2, 6, 4 * 3).transpose(0, 2, 1)
+    act += biases[:, None, :]
+    np.maximum(act, 0.0, out=act)
+    want = act.reshape(2, rows, tokens, 6).mean(axis=2).transpose(1, 0, 2).reshape(rows, 2 * 6)
+    got = conv1d_relu_pool(layers, kernels, biases).values
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # -- embedding ---------------------------------------------------------------

@@ -20,6 +20,7 @@ from geoaware.policy import (
     build_token_sequence,
     causal_mask,
     codebook_param_names,
+    embed_instructions,
     encode_language,
     encode_proprio,
     mlp_head,
@@ -573,7 +574,8 @@ def test_policy_end_to_end_gradients():
         for n, leaf in zip(checked, leaves):
             pol.params._entries[n] = leaf
         try:
-            h_action = policy_forward(vision, [VOCAB[1]], proprio, pol.params, pol.cfg, pol.vocab)
+            language = embed_instructions([VOCAB[1]], pol.params, pol.cfg, pol.vocab)
+            h_action = policy_forward(vision, language, proprio, pol.params, pol.cfg)
             return mse_loss(mlp_head(h_action, pol.params, pol.cfg), Tensor(target))
         finally:
             for n, t in zip(checked, saved):
@@ -611,8 +613,9 @@ def test_view_invariant_configuration_ignores_cameras():
     )
     cams_a = list(seen_cameras(sim))
     cams_b = sample_viewpoints("novel_large", 2, seed=3, sim=sim)
-    act_a = pol.action(scene, task.instruction, cams_a)
-    act_b = pol.action(scene, task.instruction, cams_b)
+    language = pol.language(task.instruction)
+    act_a = pol.action(scene, language, cams_a)
+    act_b = pol.action(scene, language, cams_b)
     assert np.abs(act_a - act_b).max() <= 1e-7
 
 
@@ -672,10 +675,10 @@ def test_policy_action_rollout_entry():
     tasks = make_tasks()
     scene = reset(tasks[0], seed=0)
     pol = Policy(PolicyConfig(), tuple(t.instruction for t in tasks), seed=2)
-    act = pol.action(scene, tasks[0].instruction, seen_cameras(sim))
+    act = pol.action(scene, pol.language(tasks[0].instruction), seen_cameras(sim))
     assert act.shape == (7,)
     assert np.all(np.isfinite(act))
-    again = pol.action(scene, tasks[0].instruction, seen_cameras(sim))
+    again = pol.action(scene, pol.language(tasks[0].instruction), seen_cameras(sim))
     assert np.array_equal(act, again)
 
 
@@ -730,4 +733,4 @@ def test_pixel_featurize_rejects_mixed_image_sizes():
     with pytest.raises(CameraError):
         pol.featurize([scene], cameras)
     with pytest.raises(CameraError):
-        pol.action(scene, tasks[0].instruction, cameras)
+        pol.action(scene, pol.language(tasks[0].instruction), cameras)

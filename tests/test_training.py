@@ -446,7 +446,7 @@ def test_vqbet_training_never_decodes_a_chunk(demos, monkeypatch):
     pol, _ = bc_train(demos, small_train(steps=3, head_kind="vqbet", vq_pretrain_steps=2), policy=pol)
     assert calls == []
     episode = demos.episodes[0]
-    pol.action(episode.scenes[0], episode.task.instruction, seen_cameras(demos.sim))
+    pol.action(episode.scenes[0], pol.language(episode.task.instruction), seen_cameras(demos.sim))
     assert len(calls) == 1
 
 
