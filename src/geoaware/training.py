@@ -252,7 +252,10 @@ def bc_train(dataset, cfg: TrainConfig, policy: Policy):
     ``adamw_step``, so intermediate NaN/Inf surface there.  A non-finite
     loss or gradient raises ``NumericAbort`` with the failing step and the
     parameter norms, before that step changes any parameter.  Fixed seed and
-    config give bit-identical results.
+    config give bit-identical results.  Each phase starts its own AdamW
+    state, so the BC phase's parameters, trainable only from its first step,
+    start with zero moments and their bias correction at step 1, as under
+    per-parameter Adam.
 
     On glibc it first sets the process's malloc thresholds (see
     ``_keep_freed_heap``), and the setting outlives the call.  A pixel step
@@ -278,16 +281,19 @@ def bc_train(dataset, cfg: TrainConfig, policy: Policy):
         policy, dataset, cameras, rng=np.random.default_rng([cfg.seed, CALIBRATION_SEED_SALT]), cache=cache,
         actions=actions,
     )
-    opt = init_adamw(store, lr=cfg.lr, weight_decay=cfg.weight_decay)
     losses = []
 
     def draw():
         picks = rng.integers(0, len(pairs), size=cfg.batch_size)
         return [pairs[i] for i in picks]
 
+    def fresh_optimizer():
+        return init_adamw(store, lr=cfg.lr, weight_decay=cfg.weight_decay)
+
     if policy.cfg.head_kind == "vqbet":
         codebook = set(codebook_param_names(store))
         store.set_frozen(set(store.names()) - codebook)
+        opt = fresh_optimizer()
         for step_no in range(cfg.vq_pretrain_steps):
             def vq_step():
                 # observations are irrelevant to the action autoencoder
@@ -300,6 +306,7 @@ def bc_train(dataset, cfg: TrainConfig, policy: Policy):
                 log.info("vq pretrain step %d loss %.6f", step_no + 1, losses[-1])
         store.set_frozen(codebook | {"lang.table"})
 
+    opt = fresh_optimizer()
     for step_no in range(cfg.steps):
         def bc_step():
             batch = make_batch(dataset, draw(), policy, cameras, cache, actions)

@@ -177,22 +177,23 @@ def test_training_is_deterministic(demos):
 # short run per backbone/head at batch 64: three VQ steps where the head has
 # them, then three BC steps.  At batch 64 the pixel stage's first layer
 # multiplies 32,768-column im2col matrices, as the benchmark's training does.
+# The vqbet entries were re-pinned when the BC phase got its own AdamW state.
 GOLDEN_LOSS_STREAMS = {
     ("geo", "mlp"): (
         "03fa736d79f80f95838418b50cd25520eb1813d9578540b07cbef05a41c8837e",
         "be05c7fa8359cdfcbc29c7fcf3dc17a1944ab1ba9a23d25cc47efee1badcd59c",
     ),
     ("geo", "vqbet"): (
-        "9fad8f5688a44bec07877b6caa9ade4f36baf11eb7ae1127184a7f467e9fc9eb",
-        "8509453f7560fc7dc7bfb9e16fc7ebbafcb917fcc69911dac3b5a4bf724a793b",
+        "6cb3e2f904e9394b68d5bc5e11b7ce694bb8e0667585f7cd08cf3b2dd421077f",
+        "7427a06ce910c0d4c1cee067e263322f4c11dcf08d27a6104d440e549fbf0456",
     ),
     ("pixel", "mlp"): (
         "b878079446ebb1cf4d3d887ffcd4d56c9b25ec7a83fa4c2079a54e2db8268e5e",
         "a71260bc0b72321b113784c066b5ebca32cf74a71484531a32f5330ba74bccf9",
     ),
     ("pixel", "vqbet"): (
-        "6e51bdd876894ac986958f5bdd17f2e8615fc9603d7e15c2019d117b9e5e6326",
-        "a1f147a24f3996e606aa8ef3d1c3f820b13c35efb2590da0cf1c9764f0144453",
+        "8f2db6fffc200c2edfd3fdb254d6b80c921b6c8644d8200fb8d5963578e40d3f",
+        "24e370dbdaa9957bc657370d4d0eccf1aa066a2dc542c95f51b305eb52574d47",
     ),
 }
 
@@ -205,6 +206,20 @@ def test_golden_loss_streams(demos, backbone, head):
     assert len(losses) == (6 if head == "vqbet" else 3)
     digest = hashlib.sha256(np.array(losses, dtype=np.float64).tobytes()).hexdigest()
     assert (digest, pol.params.hash_of()) == GOLDEN_LOSS_STREAMS[backbone, head]
+
+
+def test_bc_phase_starts_its_own_adam_clock(demos):
+    # after 3 VQ steps, the first BC step is a first Adam step for the BC
+    # parameters: each moves by lr * |g| / (|g| + eps), about lr; a clock
+    # carried over from the VQ phase would move them by about 0.58 lr
+    pol = small_policy(demos, head_kind="vqbet")
+    cfg = small_train(steps=1, vq_pretrain_steps=3, head_kind="vqbet", lr=1e-3, weight_decay=0.0)
+    names = ["vq.cls.b", "vq.offset.2.b", "trunk1.ff.2.b", "lang.mlp.2.b", "proprio.2.b", "token.pos"]
+    before = {name: pol.params[name].values.copy() for name in names}
+    bc_train(demos, cfg, policy=pol)
+    moved = np.concatenate([np.abs(pol.params[name].values - before[name]).ravel() for name in names])
+    assert moved.max() <= 1.001 * cfg.lr
+    assert np.median(moved) >= 0.99 * cfg.lr
 
 
 # Ten 6 MiB arrays freed together: 15,360 pages that a heap which keeps its
