@@ -379,6 +379,7 @@ def _conv2d(x, kernels, bias, stride, padding):
     h_out = (h + 2 * padding - kh) // stride + 1
     w_out = (w + 2 * padding - kw) // stride + 1
     if b < GATHER_BELOW_FRAMES:
+        # the input's values in C order, then the zero slot padded positions read
         flat = np.empty(x.size + 1, dtype=x.dtype)
         flat[:-1].reshape(x.shape)[...] = x
         flat[-1] = 0.0

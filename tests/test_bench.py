@@ -181,11 +181,8 @@ class RecordingPolicy:
 
 
 # sha256 of the 25 float64 actions a briefly trained policy takes in one
-# seeded novel_medium rollout, recorded with the per-slot window renderer and
-# the np.pad conv2d that the current ones replaced.  No trained policy solves
-# a task, so success rates cannot show drift in the closed-loop step; this
-# stream can.  The pixel/vqbet stream was re-recorded when the VQ-BeT BC
-# phase got its own AdamW state, which changes the trained policy.
+# seeded novel_medium rollout.  No trained policy solves a task, so success
+# rates cannot show drift in the closed-loop step; this stream can.
 GOLDEN_ACTION_STREAMS = {
     ("pixel", "vqbet"): "4fe586350adb4b2ebfaf64a79b3b3cdc85520391f5558443199db6fdbddd3ed7",
     ("geo", "mlp"): "cd60a9d1e2b6d1676e00bcd90de550eb2af9361af8a5b9a204f124a97629927c",

@@ -177,7 +177,6 @@ def test_training_is_deterministic(demos):
 # short run per backbone/head at batch 64: three VQ steps where the head has
 # them, then three BC steps.  At batch 64 the pixel stage's first layer
 # multiplies 32,768-column im2col matrices, as the benchmark's training does.
-# The vqbet entries were re-pinned when the BC phase got its own AdamW state.
 GOLDEN_LOSS_STREAMS = {
     ("geo", "mlp"): (
         "03fa736d79f80f95838418b50cd25520eb1813d9578540b07cbef05a41c8837e",
