@@ -36,7 +36,7 @@ import numpy as np
 
 from geoaware.errors import ConfigError, ShapeError
 from geoaware.deskworld.camera import project_points
-from geoaware.numerics import Tensor, conv1d_relu_pool, conv2d_relu_pool, matmul
+from geoaware.numerics import conv1d_relu_pool, conv2d_relu_pool, matmul
 from geoaware.numerics.tensor import broadcast_to, reshape
 
 # Keypoint attribute classes (one-hot in world-frame vectors).
@@ -253,11 +253,14 @@ def pooled_features(vision, film, store, backbone_kind):
     features [batch * views, P], row b * views + v for scene b under view v.
     ``geo`` (``pooled_vision``) takes no language and ignores ``film``;
     ``pixel`` (``pixel_pooled``) is modulated by ``film``, the per-view FiLM
-    terms of ``pixel_film``."""
+    terms of ``pixel_film``.  ``vision`` reaches the conv op as a plain
+    array: it is wrapped as a ``Tensor``, and scanned for finiteness, only
+    on a taped pass; a tape-free one (plain ``store`` arrays under
+    ``no_grad``) reads it as it is."""
     vision = np.asarray(vision)
     b, views = vision.shape[:2]
     if backbone_kind == "geo":
         # [B, V, L, N, D] -> [L, B * V, N, D]; no copy for ``pyramid_batch``'s layer-major memory
         layers = vision.transpose(2, 0, 1, 3, 4)
-        return pooled_vision(Tensor(layers.reshape((layers.shape[0], b * views) + layers.shape[3:])), store)
-    return pixel_pooled(Tensor(vision.reshape((b * views,) + vision.shape[2:])), film, store)
+        return pooled_vision(layers.reshape((layers.shape[0], b * views) + layers.shape[3:]), store)
+    return pixel_pooled(vision.reshape((b * views,) + vision.shape[2:]), film, store)

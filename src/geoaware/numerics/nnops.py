@@ -1,13 +1,16 @@
 """Neural-network operations on top of the tensor tape.
 
-Each op follows the ``tensor`` module's one-closure contract: it computes its
-forward values, defines one fused ``backward(g)`` closure and hands both to
-``make_result``, which keeps the closure only when the result needs a
-gradient; work that only the gradient needs runs inside ``backward``.  Every
-backward is checked against central finite differences by the gradient-check
-suite.  Ops are as coarse as their callers allow, since every op pays Python
-overhead: the geometric vision projection's per-layer conv, relu and token
-pooling are one op, ``conv1d_relu_pool``, over all selected layers at once;
+Each op follows the ``tensor`` module's one-closure contract: it takes its
+inputs through ``operands``, checks their shapes and computes its forward
+values.  Tape-free (under ``no_grad``, with no ``Tensor`` input) it returns
+those values as a plain array right there; otherwise it defines one fused
+``backward(g)`` closure and hands both to ``make_result``, which keeps the
+closure only when the result needs a gradient.  Work that only the gradient
+needs runs inside ``backward``.  Every backward is checked against central
+finite differences by the gradient-check suite.  Ops are as coarse as their
+callers allow, since every op pays Python overhead: the geometric vision
+projection's per-layer conv, relu and token pooling are one op,
+``conv1d_relu_pool``, over all selected layers at once;
 the pixel encoder's stacked conv -> relu layers and global mean pool are one
 op, ``conv2d_relu_pool``; every two-layer relu MLP is one op, ``mlp2``; and
 a whole pre-norm trunk block (layer norm, one fused q/k/v projection,
@@ -45,11 +48,13 @@ gradient as ``(cols @ g^T)^T`` and an input gradient, one GEMM each, only
 for the layers above the first or when the input needs one.  When the
 result will take no gradient (``needs_grad``: grad mode off, or no parent
 requiring one), neither conv op builds relu masks or keeps im2col
-matrices.  The layer norms, the attention softmax and both conv pools
-reduce through ``np.add.reduce`` and ``np.maximum.reduce`` directly,
-skipping the Python-level wrappers of ``ndarray.sum``, ``.max`` and
-``.mean``, with the same results.  Ops do not check their results for NaN or
-Inf; see the ``tensor`` module for where finiteness is checked.
+matrices.  ``transformer_block`` compares its 12 parameter shapes with one
+tuple per (H, F), built once (``_block_shapes``).  The layer norms, the
+attention softmax and both conv pools reduce through ``np.add.reduce`` and
+``np.maximum.reduce`` directly, skipping the Python-level wrappers of
+``ndarray.sum``, ``.max`` and ``.mean``, with the same results.  Ops do not
+check their results for NaN or Inf; see the ``tensor`` module for where
+finiteness is checked.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ import math
 import numpy as np
 
 from geoaware.errors import InputError, ShapeError
-from geoaware.numerics.tensor import as_tensor, make_result, needs_grad
+from geoaware.numerics.tensor import make_result, needs_grad, operands
 
 # -- the two-layer MLP -------------------------------------------------------
 
@@ -73,8 +78,7 @@ def mlp2(x, w1, b1, w2, b2):
     for each gradient, and the relu runs in place on the hidden layer, of
     which the tape keeps the post-relu values.
     """
-    x, w1, b1, w2, b2 = leaves = tuple(map(as_tensor, (x, w1, b1, w2, b2)))
-    x_v, w1_v, b1_v, w2_v, b2_v = (t.values for t in leaves)
+    (x_v, w1_v, b1_v, w2_v, b2_v), leaves = operands((x, w1, b1, w2, b2))
     if x_v.ndim != 2 or w1_v.ndim != 2 or w2_v.ndim != 2:
         raise ShapeError(f"mlp2 needs a rank-2 input and rank-2 weights, got {x_v.shape}, {w1_v.shape}, {w2_v.shape}")
     k, f = w1_v.shape
@@ -90,6 +94,9 @@ def mlp2(x, w1, b1, w2, b2):
     np.maximum(hid, 0.0, out=hid)
     out = hid @ w2_v
     out += b2_v
+    if leaves is None:
+        return out
+    x, w1, b1, w2, b2 = leaves
 
     def backward(g):
         if w2.requires_grad:
@@ -195,6 +202,13 @@ def _attention_grad(g, saved):
     return (gqkv @ w_qkv.T).reshape(b, s, h), x2.T @ gqkv, gqkv.sum(axis=0), ctx.T @ g2, g2.sum(axis=0)
 
 
+@functools.lru_cache(maxsize=16)
+def _block_shapes(h, f):
+    """The shapes ``transformer_block`` takes its 12 parameters in, for width
+    ``h`` and FFN width ``f``; built once per (h, f)."""
+    return ((h,),) * 2 + ((h, 3 * h), (3 * h,), (h, h), (h,)) + ((h,),) * 2 + ((h, f), (f,), (f, h), (h,))
+
+
 def transformer_block(x, ln1_g, ln1_b, w_qkv, b_qkv, wo, bo, ln2_g, ln2_b, w1, b1, w2, b2, heads, mask):
     """One pre-norm transformer block: [B, S, H] -> [B, S_q, H].
 
@@ -209,18 +223,16 @@ def transformer_block(x, ln1_g, ln1_b, w_qkv, b_qkv, wo, bo, ln2_g, ln2_b, w1, b
     ``x``'s dtype: the mask is cast to it and the scale is a Python float,
     so float32 inputs never promote.
     """
-    leaves = tuple(map(as_tensor, (x, ln1_g, ln1_b, w_qkv, b_qkv, wo, bo, ln2_g, ln2_b, w1, b1, w2, b2)))
-    vals = [t.values for t in leaves]
+    vals, leaves = operands((x, ln1_g, ln1_b, w_qkv, b_qkv, wo, bo, ln2_g, ln2_b, w1, b1, w2, b2))
     if vals[0].ndim != 3:
         raise ShapeError(f"transformer block input must be [batch, length, width], got {vals[0].shape}")
     b, s, h = vals[0].shape
     if heads < 1 or h % heads:
         raise ShapeError(f"width {h} does not split into {heads} heads")
-    f = vals[10].size
-    expected = [(h,)] * 2 + [(h, 3 * h), (3 * h,), (h, h), (h,)] + [(h,)] * 2 + [(h, f), (f,), (f, h), (h,)]
-    shapes = [v.shape for v in vals[1:]]
+    expected = _block_shapes(h, vals[10].size)
+    shapes = tuple(v.shape for v in vals[1:])
     if shapes != expected:
-        raise ShapeError(f"transformer block parameters must have shapes {expected}, got {shapes}")
+        raise ShapeError(f"transformer block parameters must have shapes {list(expected)}, got {list(shapes)}")
     mask = np.asarray(mask, dtype=vals[0].dtype)
     if mask.ndim != 2 or mask.shape[1] != s or not 1 <= mask.shape[0] <= s:
         raise ShapeError(f"transformer block mask must be [S_q, {s}] with 1 <= S_q <= {s}, got {mask.shape}")
@@ -237,6 +249,9 @@ def transformer_block(x, ln1_g, ln1_b, w_qkv, b_qkv, wo, bo, ln2_g, ln2_b, w1, b
     out = hid @ vals[11]
     out += vals[12]
     out += r
+    out = out.reshape(b, sq, h)
+    if leaves is None:
+        return out
 
     def backward(g):
         g2 = g.reshape(b * sq, h)
@@ -255,7 +270,7 @@ def transformer_block(x, ln1_g, ln1_b, w_qkv, b_qkv, wo, bo, ln2_g, ln2_b, w1, b
             if t.requires_grad:
                 t._accumulate(g_t)
 
-    return make_result(out.reshape(b, sq, h), leaves, backward)
+    return make_result(out, leaves, backward)
 
 
 # -- convolutions ------------------------------------------------------------
@@ -312,28 +327,31 @@ def conv1d_relu_pool(x, kernels, biases):
     describes, and the output is layer-major: columns [l * C_out, (l + 1) *
     C_out) are layer l.
     """
-    x, kernels, biases = as_tensor(x), as_tensor(kernels), as_tensor(biases)
-    if x.ndim != 4:
-        raise ShapeError(f"conv input must be [layers, rows, tokens, channels], got {x.shape}")
-    n_layers, r, n, c_in = x.shape
-    kshape = kernels.shape
+    (x_v, k_v, b_v), leaves = operands((x, kernels, biases))
+    if x_v.ndim != 4 or 0 in x_v.shape:
+        raise ShapeError(f"conv input must be [layers, rows, tokens, channels], each at least 1, got {x_v.shape}")
+    n_layers, r, n, c_in = x_v.shape
+    kshape = k_v.shape
     if len(kshape) != 4 or kshape[0] != n_layers or kshape[2] != c_in or kshape[3] % 2 == 0:
         raise ShapeError(f"kernels must be [{n_layers}, C_out, {c_in}, odd k], got {kshape}")
     c_out, k = kshape[1], kshape[3]
-    if biases.shape != (n_layers, c_out):
-        raise ShapeError(f"biases must have shape ({n_layers}, {c_out}), got {biases.shape}")
+    if b_v.shape != (n_layers, c_out):
+        raise ShapeError(f"biases must have shape ({n_layers}, {c_out}), got {b_v.shape}")
 
-    cols = _token_taps(x.values, k).reshape(n_layers, r * n, c_in * k)
-    w = kernels.values.reshape(n_layers, c_out, c_in * k)
+    cols = _token_taps(x_v, k).reshape(n_layers, r * n, c_in * k)
+    w = k_v.reshape(n_layers, c_out, c_in * k)
     act = cols @ w.transpose(0, 2, 1)
-    act += biases.values[:, None, :]
+    act += b_v[:, None, :]
     np.maximum(act, 0.0, out=act)                                   # relu in place: [L, R*N, C_out]
     # the mean over tokens as ``ndarray.mean`` computes it, without its Python-level wrapper
     pooled = np.add.reduce(act.reshape(n_layers, r, n, c_out), axis=2)
     np.true_divide(pooled, np.intp(n), out=pooled, casting="unsafe")   # [L, R, C_out]
     out_vals = pooled.transpose(1, 0, 2).reshape(r, n_layers * c_out)
-    if not needs_grad((x, kernels, biases)):
-        return make_result(out_vals, (x, kernels, biases), None)
+    if leaves is None:
+        return out_vals
+    if not needs_grad(leaves):
+        return make_result(out_vals, leaves, None)
+    x, kernels, biases = leaves
 
     # Where the preactivation was positive; kept as a bool mask so the tape
     # does not hold the float activations.
@@ -349,7 +367,7 @@ def conv1d_relu_pool(x, kernels, biases):
         if x.requires_grad:
             x._accumulate(_token_taps_grad((gpre @ w).reshape(n_layers, r, n, c_in, k)))
 
-    return make_result(out_vals, (x, kernels, biases), backward)
+    return make_result(out_vals, leaves, backward)
 
 
 @functools.lru_cache(maxsize=32)
@@ -432,16 +450,17 @@ def conv2d_relu_pool(x, kernels, biases, stride, padding):
     describes; when the result takes a gradient, the tape keeps each layer's
     im2col matrix and relu mask.
     """
-    x = as_tensor(x)
-    kernels, biases = tuple(map(as_tensor, kernels)), tuple(map(as_tensor, biases))
+    n_layers = len(kernels)
+    vals, leaves = operands((x, *kernels, *biases))
+    x_v, kernels, biases = vals[0], vals[1:n_layers + 1], vals[n_layers + 1:]
     for name, value, least in (("stride", stride, 1), ("padding", padding, 0)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
             raise ShapeError(f"conv2d {name} must be an int >= {least}, got {value!r}")
-    if x.ndim != 4:
-        raise ShapeError(f"conv2d input must be [batch, channels, height, width], got {x.shape}")
+    if x_v.ndim != 4:
+        raise ShapeError(f"conv2d input must be [batch, channels, height, width], got {x_v.shape}")
     if not kernels or len(kernels) != len(biases):
         raise ShapeError(f"conv2d needs one bias per kernel, at least one layer; got {len(kernels)} and {len(biases)}")
-    b, c, h, w = x.shape
+    b, c, h, w = x_v.shape
     for kernel, bias in zip(kernels, biases):
         if kernel.ndim != 4 or kernel.shape[1] != c or bias.shape != kernel.shape[:1]:
             raise ShapeError(f"conv2d kernel {kernel.shape} and bias {bias.shape} do not fit {c} input channels")
@@ -451,17 +470,22 @@ def conv2d_relu_pool(x, kernels, biases, stride, padding):
         if h <= 0 or w <= 0:
             raise ShapeError(f"conv2d output extent would be {h}x{w}")
 
-    taped = needs_grad((x, *kernels, *biases))
-    act = x.values.transpose(1, 2, 3, 0)                                   # [C, H, W, B]
+    taped = leaves is not None and needs_grad(leaves)
+    act = x_v.transpose(1, 2, 3, 0)                                        # [C, H, W, B]
     layers = []                                                             # (saved, relu mask) per layer
     for kernel, bias in zip(kernels, biases):
-        act, saved = _conv2d(act, kernel.values, bias.values, stride, padding)
+        act, saved = _conv2d(act, kernel, bias, stride, padding)
         np.maximum(act, 0.0, out=act)                                       # relu in place
         if taped:
             layers.append((saved, act > 0.0))
     scale = 1.0 / (h * w)
     pooled = np.add.reduce(act.transpose(3, 0, 1, 2).reshape(b, c, h * w), axis=2)    # over a [B, C, H * W] view
     pooled *= scale
+    if leaves is None:
+        return pooled
+    if not taped:
+        return make_result(pooled, leaves, None)
+    x, kernels, biases = leaves[0], leaves[1:n_layers + 1], leaves[n_layers + 1:]
 
     def backward(g):
         # the pool's gradient spreads g / (H * W) over the map; below it, each
@@ -479,7 +503,7 @@ def conv2d_relu_pool(x, kernels, biases, stride, padding):
         if x.requires_grad:
             x._accumulate(g.transpose(3, 0, 1, 2))
 
-    return make_result(pooled, (x, *kernels, *biases), backward)
+    return make_result(pooled, leaves, backward)
 
 
 # -- lookup ------------------------------------------------------------------
@@ -487,33 +511,39 @@ def conv2d_relu_pool(x, kernels, biases, stride, padding):
 
 def embedding_lookup(table, indices):
     """Gather rows of ``table`` [V, D] at integer ``indices``."""
-    table = as_tensor(table)
+    (table_v,), leaves = operands((table,))
     idx = np.asarray(indices)
     if idx.dtype.kind not in "iu":
         raise InputError(f"embedding indices must be integers, got dtype {idx.dtype}")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise InputError(f"embedding index out of range for table with {table.shape[0]} rows")
-    out_vals = table.values[idx]
+    if idx.size and (idx.min() < 0 or idx.max() >= table_v.shape[0]):
+        raise InputError(f"embedding index out of range for table with {table_v.shape[0]} rows")
+    out_vals = table_v[idx]
+    if leaves is None:
+        return out_vals
+    (table,) = leaves
 
     def backward(g):
-        gt = np.zeros_like(table.values)
+        gt = np.zeros_like(table_v)
         np.add.at(gt, idx, g)
         table._accumulate(gt)
 
-    return make_result(out_vals, (table,), backward)
+    return make_result(out_vals, leaves, backward)
 
 
 # -- losses ------------------------------------------------------------------
 
 
 def mse_loss(pred, target):
-    """Mean squared error over all elements; returns a scalar tensor."""
-    pred, target = as_tensor(pred), as_tensor(target)
-    if pred.shape != target.shape:
-        raise ShapeError(f"mse_loss shapes disagree: {pred.shape} vs {target.shape}")
-    diff = pred.values - target.values
+    """Mean squared error over all elements: a one-element result."""
+    (pred_v, target_v), leaves = operands((pred, target))
+    if pred_v.shape != target_v.shape:
+        raise ShapeError(f"mse_loss shapes disagree: {pred_v.shape} vs {target_v.shape}")
+    diff = pred_v - target_v
     n = diff.size
     out_vals = np.array([(diff * diff).sum() / n])
+    if leaves is None:
+        return out_vals
+    pred, target = leaves
 
     def backward(g):
         scale = 2.0 * float(g.reshape(-1)[0]) / n
@@ -522,16 +552,16 @@ def mse_loss(pred, target):
         if target.requires_grad:
             target._accumulate(-scale * diff)
 
-    return make_result(out_vals, (pred, target), backward)
+    return make_result(out_vals, leaves, backward)
 
 
 def cross_entropy(logits, labels):
     """Mean cross entropy for [B, K] logits against integer labels [B]."""
-    logits = as_tensor(logits)
+    (logits_v,), leaves = operands((logits,))
     labels = np.asarray(labels)
-    if logits.ndim != 2:
-        raise ShapeError(f"cross_entropy expects [B, K] logits, got {logits.shape}")
-    b, k = logits.shape
+    if logits_v.ndim != 2:
+        raise ShapeError(f"cross_entropy expects [B, K] logits, got {logits_v.shape}")
+    b, k = logits_v.shape
     if labels.shape != (b,):
         raise ShapeError(f"cross_entropy labels must have shape ({b},), got {labels.shape}")
     if labels.dtype.kind not in "iu":
@@ -539,10 +569,13 @@ def cross_entropy(logits, labels):
     if labels.min() < 0 or labels.max() >= k:
         raise InputError(f"cross_entropy label out of range [0, {k})")
 
-    shifted = logits.values - logits.values.max(axis=1, keepdims=True)
+    shifted = logits_v - logits_v.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
     picked = shifted[np.arange(b), labels]
     out_vals = np.array([(lse - picked).mean()])
+    if leaves is None:
+        return out_vals
+    (logits,) = leaves
 
     def backward(g):
         gl = np.exp(shifted)
@@ -550,4 +583,4 @@ def cross_entropy(logits, labels):
         gl[np.arange(b), labels] -= 1.0
         logits._accumulate(gl * (float(g.reshape(-1)[0]) / b))
 
-    return make_result(out_vals, (logits,), backward)
+    return make_result(out_vals, leaves, backward)

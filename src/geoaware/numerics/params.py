@@ -3,7 +3,9 @@
 The store is an ordered map name -> Tensor.  Frozen entries (pretrained
 backbone surrogates, the language table, a locked codebook) are exempt from
 optimization and never receive gradients; the optimizer never gathers them
-into its update, so their values stay bitwise untouched.
+into its update, so their values stay bitwise untouched.  ``arrays()`` is a
+live view of the same entries as their plain arrays, which tape-free passes
+read.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ class ParamStore:
             return self._entries[name]
         except KeyError:
             raise StateError(f"unknown parameter {name!r}") from None
+
+    def arrays(self):
+        """The entries as plain arrays (``ParamArrays``), for tape-free passes."""
+        return ParamArrays(self)
 
     def replace(self, name, values):
         """Swap an existing entry's tensor (gradient checking substitutes leaves)."""
@@ -88,3 +94,25 @@ class ParamStore:
 
     def norms(self):
         return {n: float(np.linalg.norm(t.values)) for n, t in self._entries.items()}
+
+
+class ParamArrays:
+    """A live, read-only view of a ``ParamStore``: ``view[name]`` is
+    ``store[name].values`` at the time of the lookup, so replaced entries and
+    optimizer updates show through, and ``frozen_names`` is the store's.
+    Under ``no_grad``, ops given these arrays and other plain inputs run
+    tape-free (see the ``tensor`` module)."""
+
+    __slots__ = ("_store",)
+
+    def __init__(self, store: ParamStore):
+        self._store = store
+
+    def __getitem__(self, name) -> np.ndarray:
+        try:
+            return self._store._entries[name].values
+        except KeyError:
+            raise StateError(f"unknown parameter {name!r}") from None
+
+    def frozen_names(self):
+        return self._store.frozen_names()

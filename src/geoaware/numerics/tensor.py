@@ -10,6 +10,18 @@ and accumulates gradients into every tensor with ``requires_grad=True``.
 Gradients add across uses and across backward calls; callers zero them
 explicitly (the optimizer clears them after each step).
 
+Every op also runs tape-free.  Under ``no_grad``, an op none of whose inputs
+is a ``Tensor`` computes on the plain arrays it is given, as they are (no
+dtype cast, no extent or finiteness scan), and returns a plain
+``np.ndarray``: it builds no tensor or closure and calls no ``make_result``.
+``operands`` makes the choice, from grad mode and the inputs' types alone.
+With grad mode on, or with any ``Tensor`` input, an op wraps its other
+inputs with ``as_tensor`` and returns a ``Tensor``, as it always has.  A
+pass given only plain parameters (``ParamStore.arrays``) and plain data
+under ``no_grad``, such as a rollout step, therefore never touches the tape.
+Either way an op computes its values once, by the same arithmetic, and
+checks its operands' shapes the same way.
+
 A tensor's first gradient is written once: ``_accumulate`` stores a copy of
 it, cast to the tensor's dtype and laid out like its values, instead of
 zero-filling an array and adding into it.  The copy never aliases the array
@@ -22,7 +34,9 @@ Ops do not check their results for NaN or Inf, since a check on every op
 costs more than many of the ops themselves.  Finiteness is checked where the
 contract can be observed: a ``Tensor`` built from outside data, each
 training step's loss before ``backward``, every gradient in ``adamw_step``
-before it changes anything, and each rollout action.
+before it changes anything, and each rollout action.  Tape-free ops build no
+``Tensor``, so a rollout's observations and parameters are not scanned; a
+non-finite value among them reaches the action, which ``step`` rejects.
 """
 
 from __future__ import annotations
@@ -33,7 +47,8 @@ import numpy as np
 
 from geoaware.errors import NumericError, ShapeError
 
-# When False, ops skip tape construction entirely (fast path for rollouts).
+# When False, ops record no tape, and ops on plain inputs build no Tensor
+# (``operands``): the rollout path.
 _GRAD_ENABLED = True
 
 
@@ -62,6 +77,10 @@ class Tensor:
     """Dense array with reverse-mode gradient support."""
 
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward")
+
+    # numpy defers ``ndarray + Tensor`` (and -, *) to the Tensor's reflected
+    # operator instead of broadcasting over the Tensor as an object
+    __array_ufunc__ = None
 
     def __init__(self, values, requires_grad=False):
         arr = _as_float_array(values)
@@ -177,6 +196,28 @@ def as_tensor(value):
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+def values_of(value):
+    """The array an op result or input holds: a ``Tensor``'s ``values``, or
+    ``value`` itself when it is already plain."""
+    return value.values if isinstance(value, Tensor) else value
+
+
+def operands(inputs):
+    """``(values, leaves)`` for an op's ``inputs`` (a tuple).
+
+    Tape-free, when grad mode is off and no input is a ``Tensor`` (no
+    subclass of it exists, so the type test is exact): the values are the
+    inputs as given, plain arrays or scalars, and ``leaves`` is None; the op
+    returns its values as they are.  Otherwise ``leaves`` are the inputs as
+    tensors (``as_tensor``) and the values theirs; the op hands its values,
+    ``leaves`` and its backward to ``make_result``.
+    """
+    if not _GRAD_ENABLED and Tensor not in map(type, inputs):
+        return inputs, None
+    leaves = tuple(map(as_tensor, inputs))
+    return tuple([t.values for t in leaves]), leaves
+
+
 def _toposort(root):
     """Reverse topological order over the tape, iteratively (graphs get deep)."""
     order = []
@@ -240,8 +281,11 @@ def _unbroadcast(grad, shape):
 
 
 def add(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out_vals = a.values + b.values
+    (a_v, b_v), leaves = operands((a, b))
+    out_vals = a_v + b_v
+    if leaves is None:
+        return out_vals
+    a, b = leaves
 
     def backward(g):
         if a.requires_grad:
@@ -249,12 +293,15 @@ def add(a, b):
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.shape))
 
-    return make_result(out_vals, (a, b), backward)
+    return make_result(out_vals, leaves, backward)
 
 
 def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out_vals = a.values - b.values
+    (a_v, b_v), leaves = operands((a, b))
+    out_vals = a_v - b_v
+    if leaves is None:
+        return out_vals
+    a, b = leaves
 
     def backward(g):
         if a.requires_grad:
@@ -262,7 +309,7 @@ def sub(a, b):
         if b.requires_grad:
             b._accumulate(_unbroadcast(-g, b.shape))
 
-    return make_result(out_vals, (a, b), backward)
+    return make_result(out_vals, leaves, backward)
 
 
 def mul(a, b):
@@ -270,8 +317,11 @@ def mul(a, b):
         return _scale(a, float(b))
     if isinstance(a, (int, float)) and isinstance(b, Tensor):
         return _scale(b, float(a))
-    a, b = as_tensor(a), as_tensor(b)
-    out_vals = a.values * b.values
+    (a_v, b_v), leaves = operands((a, b))
+    out_vals = a_v * b_v
+    if leaves is None:
+        return out_vals
+    a, b = leaves
 
     def backward(g):
         if a.requires_grad:
@@ -279,7 +329,7 @@ def mul(a, b):
         if b.requires_grad:
             b._accumulate(_unbroadcast(g * a.values, b.shape))
 
-    return make_result(out_vals, (a, b), backward)
+    return make_result(out_vals, leaves, backward)
 
 
 def _scale(a, c):
@@ -299,74 +349,88 @@ def matmul(a, w):
     ``w``'s gradient is a single [K, M] @ [M, N] product that sums over every
     leading axis.
     """
-    a, w = as_tensor(a), as_tensor(w)
-    if a.ndim < 2 or w.ndim != 2:
-        raise ShapeError(f"matmul needs a rank >= 2 input and a rank-2 weight, got {a.shape} @ {w.shape}")
-    k, n = w.shape
-    if a.shape[-1] != k:
-        raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {w.shape}")
-    a2 = a.values.reshape(-1, k)
-    out_vals = (a2 @ w.values).reshape(a.shape[:-1] + (n,))
+    (a_v, w_v), leaves = operands((a, w))
+    if a_v.ndim < 2 or w_v.ndim != 2:
+        raise ShapeError(f"matmul needs a rank >= 2 input and a rank-2 weight, got {a_v.shape} @ {w_v.shape}")
+    k, n = w_v.shape
+    if a_v.shape[-1] != k:
+        raise ShapeError(f"matmul inner dims disagree: {a_v.shape} @ {w_v.shape}")
+    a2 = a_v.reshape(-1, k)
+    out_vals = (a2 @ w_v).reshape(a_v.shape[:-1] + (n,))
+    if leaves is None:
+        return out_vals
+    a, w = leaves
 
     def backward(g):
         g2 = g.reshape(-1, n)
         if a.requires_grad:
-            a._accumulate((g2 @ w.values.T).reshape(a.shape))
+            a._accumulate((g2 @ w_v.T).reshape(a.shape))
         if w.requires_grad:
             w._accumulate(a2.T @ g2)
 
-    return make_result(out_vals, (a, w), backward)
+    return make_result(out_vals, leaves, backward)
 
 
 # -- shape manipulation ------------------------------------------------------
 
 
 def reshape(a, shape):
-    a = as_tensor(a)
-    out_vals = a.values.reshape(shape)
+    (a_v,), leaves = operands((a,))
+    out_vals = a_v.reshape(shape)
+    if leaves is None:
+        return out_vals
+    (a,) = leaves
 
     def backward(g):
         a._accumulate(g.reshape(a.shape))
 
-    return make_result(out_vals, (a,), backward)
+    return make_result(out_vals, leaves, backward)
 
 
 def concat(tensors, axis=0):
-    tensors = [as_tensor(t) for t in tensors]
-    if not tensors:
+    vals, leaves = operands(tuple(tensors))
+    if not vals:
         raise ShapeError("concat needs at least one tensor")
-    out_vals = np.concatenate([t.values for t in tensors], axis=axis)
+    out_vals = np.concatenate(vals, axis=axis)
+    if leaves is None:
+        return out_vals
 
     def backward(g):
         hi = 0
-        for t in tensors:
+        for t in leaves:
             lo, hi = hi, hi + t.shape[axis]
             if t.requires_grad:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
                 t._accumulate(g[tuple(idx)])
 
-    return make_result(out_vals, tuple(tensors), backward)
+    return make_result(out_vals, leaves, backward)
 
 
 def broadcast_to(a, shape):
-    a = as_tensor(a)
-    out_vals = np.broadcast_to(a.values, shape).copy()
+    (a_v,), leaves = operands((a,))
+    out_vals = np.broadcast_to(a_v, shape).copy()
+    if leaves is None:
+        return out_vals
+    (a,) = leaves
 
     def backward(g):
         a._accumulate(_unbroadcast(g, a.shape))
 
-    return make_result(out_vals, (a,), backward)
+    return make_result(out_vals, leaves, backward)
 
 
 # -- reductions --------------------------------------------------------------
 
 
 def tensor_sum(a, axis=None, keepdims=False):
-    a = as_tensor(a)
-    out_vals = a.values.sum(axis=axis, keepdims=keepdims)
+    (a_v,), leaves = operands((a,))
+    out_vals = a_v.sum(axis=axis, keepdims=keepdims)
     if out_vals.ndim == 0:
         out_vals = out_vals.reshape(1)
+    if leaves is None:
+        return out_vals
+    (a,) = leaves
 
     def backward(g):
         if axis is None:
@@ -377,4 +441,4 @@ def tensor_sum(a, axis=None, keepdims=False):
             gg = np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(gg, a.shape))
 
-    return make_result(out_vals, (a,), backward)
+    return make_result(out_vals, leaves, backward)

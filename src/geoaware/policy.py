@@ -24,6 +24,17 @@ It depends only on the instructions and the parameters, so
 ``Policy.forward`` computes it per training batch, and a rollout computes it
 once (``Policy.language``) and passes it to every ``Policy.action`` call.
 
+Training and a rollout run the same composition, ``policy_forward`` and
+``policy_head``, on different inputs.  Training passes the ``ParamStore``,
+whose tensors record the tape.  ``Policy.language`` and ``Policy.action``
+pass the store's plain arrays (``ParamStore.arrays``) under ``no_grad``, with
+plain observations, so every op runs tape-free (see the ``tensor`` module):
+a rollout step builds no ``Tensor`` and scans none of its inputs for
+finiteness.  Its one check is on the action, which ``step`` rejects when
+non-finite.  The functions here take tensors and plain arrays alike: they
+read only shapes and dtypes off their inputs, and an op result's values
+through ``values_of``.
+
 All parameters live in one ParamStore under dotted names; the creation order
 inside ``init_policy_params`` is fixed so a single seeded generator
 reproduces initialization bit-for-bit.
@@ -61,7 +72,7 @@ from geoaware.numerics import (
     no_grad,
     transformer_block,
 )
-from geoaware.numerics.tensor import as_tensor, broadcast_to, concat, reshape
+from geoaware.numerics.tensor import as_tensor, broadcast_to, concat, reshape, values_of
 
 ATTENTION_MASK_FILL = -1e30     # additive mask; exp underflows to exactly 0
 LANG_TABLE_SEED = 977           # the frozen instruction table is policy-seed independent
@@ -247,7 +258,7 @@ class Language(NamedTuple):
     pixel backbone ``film``, its per-view FiLM terms (``pixel_film``), None
     for geo.  Both depend on the instructions and the parameters only."""
 
-    embed: Tensor
+    embed: Tensor | np.ndarray
     film: tuple | None
 
 
@@ -258,11 +269,11 @@ def embed_instructions(instructions, store, cfg: PolicyConfig, vocab):
 
 
 def encode_proprio(state, store):
-    """Embed the end-effector states [batch, PROPRIO_WIDTH] into [batch, repr_dim]."""
-    t = as_tensor(state)
-    if t.shape[-1] != PROPRIO_WIDTH:
-        raise ShapeError(f"proprio state must have width {PROPRIO_WIDTH}, got {t.shape[-1]}")
-    return _mlp2(t, store, "proprio.1", "proprio.2")
+    """Embed the end-effector states [batch, PROPRIO_WIDTH] (an array or a
+    tensor) into [batch, repr_dim]."""
+    if state.shape[-1] != PROPRIO_WIDTH:
+        raise ShapeError(f"proprio state must have width {PROPRIO_WIDTH}, got {state.shape[-1]}")
+    return _mlp2(state, store, "proprio.1", "proprio.2")
 
 
 # -- trunk -------------------------------------------------------------------
@@ -316,7 +327,7 @@ def trunk_forward(x, store, cfg: PolicyConfig):
     since no other position of its output is read."""
     if cfg.repr_dim != cfg.hidden_dim:
         x = matmul(x, store["adapter.w"]) + store["adapter.b"]
-    mask = causal_mask(x.shape[1], dtype=x.values.dtype)
+    mask = causal_mask(x.shape[1], dtype=x.dtype)
     for blk in range(cfg.trunk_layers):
         params = [store[name] for name in _block_names(blk)]
         x = transformer_block(x, *params, cfg.trunk_heads, mask[-1:] if blk == cfg.trunk_layers - 1 else mask)
@@ -349,7 +360,7 @@ def vq_quantize(z_e, codes):
     tape; the returned vectors carry gradients to the codebook only.
     """
     codes = as_tensor(codes)
-    z = z_e.values if isinstance(z_e, Tensor) else np.asarray(z_e)
+    z = np.asarray(values_of(z_e))
     deltas = z[:, None, :] - codes.values[None, :, :]
     indices = np.argmin(np.einsum("bkd,bkd->bk", deltas, deltas), axis=1)
     return indices, embedding_lookup(codes, indices)
@@ -376,7 +387,7 @@ def vqbet_head(h_action, store, cfg: PolicyConfig):
     if "vq.codes" not in store.frozen_names():
         raise StateError("action codebook has not been trained (run the pretraining phase first)")
     logits = matmul(h_action, store["vq.cls.w"]) + store["vq.cls.b"]
-    picked = embedding_lookup(store["vq.codes"], np.argmax(logits.values, axis=1))
+    picked = embedding_lookup(store["vq.codes"], np.argmax(values_of(logits), axis=1))
     offset = _mlp2(concat([h_action, picked], axis=1), store, "vq.offset.1", "vq.offset.2")
     out = vq_decode(picked, store) + offset
     return reshape(out, (h_action.shape[0], cfg.chunk_len, ACTION_WIDTH))
@@ -426,6 +437,14 @@ def policy_forward(vision, language: Language, proprio, store, cfg: PolicyConfig
     return trunk_forward(x, store, cfg)
 
 
+def policy_head(h_action, store, cfg: PolicyConfig):
+    """The action chunk [batch, chunk_len, ACTION_WIDTH] from h_action,
+    through the head ``cfg.head_kind`` names."""
+    if cfg.head_kind == "mlp":
+        return mlp_head(h_action, store, cfg)
+    return vqbet_head(h_action, store, cfg)
+
+
 class Policy:
     """Bundles config, parameters, the frozen featurizer, and rollout entry
     points.  ``dtype`` fixes the parameter and compute precision."""
@@ -464,29 +483,30 @@ class Policy:
         return policy_forward(vision, language, np.asarray(proprio, dtype=self.dtype), self.params, self.cfg)
 
     def head(self, h_action):
-        """The action chunk [batch, chunk_len, ACTION_WIDTH] from h_action, through the
-        configured head."""
-        if self.cfg.head_kind == "mlp":
-            return mlp_head(h_action, self.params, self.cfg)
-        return vqbet_head(h_action, self.params, self.cfg)
+        """The action chunk [batch, chunk_len, ACTION_WIDTH] from h_action
+        (``policy_head``)."""
+        return policy_head(h_action, self.params, self.cfg)
 
     def language(self, instruction):
-        """The ``Language`` of one rollout's instruction, which its every
-        ``action`` call takes; a rollout computes it once, since neither the
-        instruction nor the parameters change during it.  Runs without a
-        tape and with floating-point warnings silenced, like ``action``; an
-        instruction outside the vocabulary raises ``VocabularyError``."""
+        """The ``Language`` of one rollout's instruction, plain arrays which
+        its every ``action`` call takes; a rollout computes it once, since
+        neither the instruction nor the parameters change during it.  Runs
+        tape-free and with floating-point warnings silenced, like ``action``;
+        an instruction outside the vocabulary raises ``VocabularyError``."""
         with no_grad(), np.errstate(all="ignore"):
-            return embed_instructions([instruction], self.params, self.cfg, self.vocab)
+            return embed_instructions([instruction], self.params.arrays(), self.cfg, self.vocab)
 
     def action(self, scene, language: Language, cameras):
         """First action of the predicted chunk for one scene, as the plain
         vector ``step`` takes (used by closed-loop rollouts); ``language`` is
-        the rollout's ``Policy.language``.  Floating-point warnings are
-        silenced: a non-finite forward pass shows up as a non-finite action,
-        which ``step`` rejects."""
+        the rollout's ``Policy.language``.  ``policy_forward`` and
+        ``policy_head`` run tape-free on the store's plain arrays.
+        Floating-point warnings are silenced: a non-finite forward pass shows
+        up as a non-finite action, which ``step`` rejects; an untrained
+        VQ-BeT codebook raises ``StateError``."""
         with no_grad(), np.errstate(all="ignore"):
             vision = self.featurize([scene], list(cameras))
             proprio = np.asarray(stack_proprio([scene]), dtype=self.dtype)
-            chunk = self.head(policy_forward(vision, language, proprio, self.params, self.cfg))
-        return np.asarray(chunk.values[0, 0], dtype=np.float64)
+            store = self.params.arrays()
+            chunk = policy_head(policy_forward(vision, language, proprio, store, self.cfg), store, self.cfg)
+        return np.asarray(chunk[0, 0], dtype=np.float64)

@@ -217,12 +217,14 @@ def calibrate_input_stats(
     pairs = dataset.sample_index()
     picks = rng.integers(0, len(pairs), size=samples)
     store = policy.params
+    pixel = policy.cfg.backbone_kind == "pixel"
     feats = []
     with no_grad():
         for lo in range(0, samples, CALIBRATION_CHUNK):
             idx = [pairs[i] for i in picks[lo:lo + CALIBRATION_CHUNK]]
             batch = make_batch(dataset, idx, policy, cameras, cache, actions)
-            film = embed_instructions(batch.instructions, store, policy.cfg, policy.vocab).film
+            # only the pixel stage reads the language (its FiLM terms)
+            film = embed_instructions(batch.instructions, store, policy.cfg, policy.vocab).film if pixel else None
             feats.append(pooled_features(batch.vision, film, store, policy.cfg.backbone_kind).values)
     features = np.concatenate(feats).astype(np.float64)
     hidden = _fold_layer(store, features, "vision.mlp.1.w", "vision.mlp.1.b")

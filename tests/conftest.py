@@ -1,5 +1,6 @@
 """Shared fixtures."""
 
+import contextlib
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 import geoaware
 from geoaware.errors import NumericError, StateError
+from geoaware.numerics import no_grad
 
 
 @dataclass
@@ -78,3 +80,12 @@ def child_env():
     if os.environ.get("PYTHONPATH"):
         paths.append(os.environ["PYTHONPATH"])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+
+@pytest.fixture
+def grad_modes():
+    """The two modes an op runs in, as context managers: taped (grad mode
+    on, plain inputs wrapped as tensors), then tape-free (``no_grad``, where
+    plain inputs stay plain arrays).  A contract test runs each case under
+    both."""
+    return (contextlib.nullcontext, no_grad)

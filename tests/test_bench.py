@@ -21,7 +21,7 @@ from geoaware.cli import cmd_ablate
 from geoaware.deskworld.camera import sample_viewpoints, seen_cameras
 from geoaware.deskworld.dataset import Outcome, generate_dataset, run_expert_episode
 from geoaware.deskworld.world import ACTION_WIDTH, SimConfig, action_vector, expert_action, make_tasks
-from geoaware.errors import ConfigError, VocabularyError
+from geoaware.errors import ConfigError, StateError, VocabularyError
 from geoaware.policy import Policy, PolicyConfig
 from geoaware.training import TrainConfig, bc_train
 
@@ -249,16 +249,45 @@ def test_evaluate_raises_on_an_instruction_outside_the_vocabulary():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("backbone", ["geo", "pixel"])
-def test_non_finite_language_fails_each_rollout(backbone):
-    # the instruction's embedding, computed once per rollout, overflows: every
-    # rollout ends as BAD_ACTION at its first step, without a warning
+@pytest.mark.parametrize(
+    "backbone, name",
+    [
+        pytest.param("geo", "lang.mlp.2.w", id="geo"),
+        pytest.param("pixel", "lang.mlp.2.w", id="pixel"),
+        pytest.param("geo", "vision.conv.w", id="geo-conv"),
+        pytest.param("pixel", "pixel.conv1.w", id="pixel-conv"),
+    ],
+)
+def test_non_finite_language_fails_each_rollout(backbone, name):
+    # the instruction's embedding, computed once per rollout, or the conv
+    # stage, which no tape-free step scans, overflows: every rollout ends as
+    # BAD_ACTION at its first step, without a warning
     policy = Policy(PolicyConfig(backbone_kind=backbone), tuple(t.instruction for t in TASKS), seed=0)
-    policy.params["lang.mlp.2.w"].values[0, 0] = np.inf
+    policy.params[name].values.flat[0] = np.inf
     report = evaluate(policy, "seen", rollouts_per_task=1, seeds=(0,), sim=SIM)
     assert report.mean_episode_length == 0.0
     result = rollout(policy, TASKS[0], seen_cameras(SIM), seed=0, sim=SIM)
     assert (result.outcome, result.steps) == (Outcome.BAD_ACTION, 0)
+
+
+class CountingPolicy(RecordingPolicy):
+    """``RecordingPolicy`` that counts ``action`` calls, raising ones included."""
+
+    def __init__(self, policy):
+        super().__init__(policy)
+        self.calls = 0
+
+    def action(self, scene, language, cameras):
+        self.calls += 1
+        return super().action(scene, language, cameras)
+
+
+def test_evaluate_raises_on_an_untrained_codebook():
+    # a VQ-BeT policy whose codebook was never trained fails at its first action
+    counting = CountingPolicy(Policy(PolicyConfig(head_kind="vqbet"), tuple(t.instruction for t in TASKS), seed=0))
+    with pytest.raises(StateError, match="codebook"):
+        evaluate(counting, "seen", rollouts_per_task=1, seeds=(0,), sim=SIM)
+    assert (counting.calls, counting.actions) == (1, [])
 
 
 def test_untrained_policy_is_near_zero():

@@ -1,5 +1,6 @@
 """Neural-net ops: frozen hand values, contract edge cases, FD agreement."""
 
+import itertools
 import math
 
 import numpy as np
@@ -91,9 +92,10 @@ def test_mlp2_is_bitwise_the_matmul_add_relu_chain(dtype, x_grad):
         ((1, 2, 3), (3, 5), (5,), (5, 2), (2,)),    # rank-3 input
     ],
 )
-def test_mlp2_rejects_width_mismatch(shapes):
-    with pytest.raises(ShapeError, match="mlp2"):
-        mlp2(*(np.ones(shape) for shape in shapes))
+def test_mlp2_rejects_width_mismatch(shapes, grad_modes):
+    for mode in grad_modes:
+        with mode(), pytest.raises(ShapeError, match="mlp2"):
+            mlp2(*(np.ones(shape) for shape in shapes))
 
 
 def test_layer_norm_standardizes():
@@ -168,7 +170,7 @@ def test_attention_block_matches_reference(shape, dtype, tol, causal):
     assert np.abs(out - ref).max() <= tol
 
 
-def test_attention_block_shape_errors():
+def test_attention_block_shape_errors(grad_modes):
     # the attention arguments of transformer_block: x, then w_qkv, b_qkv, wo, bo at 3-6
     inputs, mask = random_block_inputs(np.random.default_rng(0), 2, 3, 4, 5), np.zeros((3, 3))
     bad = [
@@ -180,8 +182,8 @@ def test_attention_block_shape_errors():
         ({4: np.zeros(5)}, 2, mask),                    # wrong bias width
         ({3: np.ones((4, 4))}, 2, mask),                # q/k/v weight not fused
     ]
-    for changes, heads, m in bad:
-        with pytest.raises(ShapeError):
+    for (changes, heads, m), mode in itertools.product(bad, grad_modes):
+        with mode(), pytest.raises(ShapeError):
             transformer_block(*[changes.get(i, a) for i, a in enumerate(inputs)], heads, m)
 
 
@@ -258,7 +260,7 @@ def test_transformer_block_matches_reference(shape, dtype, tol, causal, queries)
     assert np.abs(out.values - ref).max() <= tol
 
 
-def test_transformer_block_shape_errors():
+def test_transformer_block_shape_errors(grad_modes):
     # the block's own arguments: query count, mask, layer norms and FFN
     inputs, mask = random_block_inputs(np.random.default_rng(0), 2, 3, 4, 5), np.zeros((3, 3))
     assert transformer_block(*inputs, 2, mask).shape == (2, 3, 4)
@@ -268,8 +270,8 @@ def test_transformer_block_shape_errors():
         np.zeros((1, 2)),                   # mask width is not the length
         np.zeros(3),                        # not a matrix
     ]
-    for m in bad_masks:
-        with pytest.raises(ShapeError):
+    for m, mode in itertools.product(bad_masks, grad_modes):
+        with mode(), pytest.raises(ShapeError):
             transformer_block(*inputs, 2, m)
     bad_params = [
         (1, np.ones(5)),                    # layer-norm 1 gain width
@@ -279,8 +281,8 @@ def test_transformer_block_shape_errors():
         (11, np.ones((4, 5))),              # FFN out-projection transposed
         (12, np.zeros(5)),                  # output bias width
     ]
-    for i, value in bad_params:
-        with pytest.raises(ShapeError):
+    for (i, value), mode in itertools.product(bad_params, grad_modes):
+        with mode(), pytest.raises(ShapeError):
             transformer_block(*inputs[:i], value, *inputs[i + 1:], 2, mask)
 
 
@@ -381,7 +383,7 @@ def test_conv1d_output_length():
         assert np.array_equal(out.values[:, 5:10], alone.values)
 
 
-def test_conv1d_relu_pool_shape_errors():
+def test_conv1d_relu_pool_shape_errors(grad_modes):
     x, w, b = np.ones((2, 2, 5, 3)), np.ones((2, 4, 3, 3)), np.zeros((2, 4))
     bad = [
         (x, w[:1], b),                                      # fewer kernels than layers
@@ -394,8 +396,8 @@ def test_conv1d_relu_pool_shape_errors():
         (x, w, np.zeros((2, 3))),                           # bias width != kernel outputs
         (x, w, np.zeros(4)),                                # biases not stacked
     ]
-    for layers, kernels, biases in bad:
-        with pytest.raises(ShapeError):
+    for (layers, kernels, biases), mode in itertools.product(bad, grad_modes):
+        with mode(), pytest.raises(ShapeError):
             conv1d_relu_pool(layers, kernels, biases)
 
 
@@ -629,10 +631,11 @@ def test_conv2d_relu_pool_is_bitwise_at_the_workload_shape(x_grad):
     "stride, padding",
     [(0, 1), (-1, 0), (1.5, 0), (2.0, 1), (True, 1), ("2", 1), (1, -1), (2, -2), (1, 0.5), (1, 1.0), (1, False), (1, None)],
 )
-def test_conv2d_rejects_bad_stride_and_padding(stride, padding):
-    x = Tensor(np.ones((1, 2, 6, 6)))
-    with pytest.raises(ShapeError, match="stride|padding"):
-        conv2d_relu_pool(x, [Tensor(np.ones((3, 2, 3, 3)))], [Tensor(np.zeros(3))], stride=stride, padding=padding)
+def test_conv2d_rejects_bad_stride_and_padding(stride, padding, grad_modes):
+    x = np.ones((1, 2, 6, 6))
+    for mode in grad_modes:
+        with mode(), pytest.raises(ShapeError, match="stride|padding"):
+            conv2d_relu_pool(x, [np.ones((3, 2, 3, 3))], [np.zeros(3)], stride=stride, padding=padding)
 
 
 def test_conv2d_accepts_numpy_int_stride_and_padding():
@@ -654,10 +657,11 @@ def test_conv2d_accepts_numpy_int_stride_and_padding():
         ((1, 2, 2, 2), [(3, 2, 3, 3)], [(3,)]),                         # empty output map
     ],
 )
-def test_conv2d_relu_pool_shape_errors(x_shape, kernel_shapes, bias_shapes):
-    with pytest.raises(ShapeError, match="conv2d"):
-        conv2d_relu_pool(np.ones(x_shape), [np.ones(s) for s in kernel_shapes], [np.zeros(s) for s in bias_shapes],
-                         stride=1, padding=0)
+def test_conv2d_relu_pool_shape_errors(x_shape, kernel_shapes, bias_shapes, grad_modes):
+    for mode in grad_modes:
+        with mode(), pytest.raises(ShapeError, match="conv2d"):
+            conv2d_relu_pool(np.ones(x_shape), [np.ones(s) for s in kernel_shapes], [np.zeros(s) for s in bias_shapes],
+                             stride=1, padding=0)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -779,9 +783,10 @@ def test_embedding_lookup_rows():
     assert np.array_equal(out.values, table[[2, 0, 2]])
 
 
-def test_embedding_out_of_range():
-    with pytest.raises(InputError):
-        embedding_lookup(Tensor(np.ones((4, 3))), np.array([4]))
+def test_embedding_out_of_range(grad_modes):
+    for mode in grad_modes:
+        with mode(), pytest.raises(InputError):
+            embedding_lookup(np.ones((4, 3)), np.array([4]))
 
 
 def test_embedding_grad_scatters_with_repeats():
@@ -808,9 +813,10 @@ def test_mse_hand_value():
     assert out.item() == 2.5
 
 
-def test_mse_shape_mismatch():
-    with pytest.raises(ShapeError):
-        mse_loss(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
+def test_mse_shape_mismatch(grad_modes):
+    for mode in grad_modes:
+        with mode(), pytest.raises(ShapeError):
+            mse_loss(np.ones((2, 3)), np.ones((3, 2)))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -835,9 +841,10 @@ def test_cross_entropy_dominant_logit_goes_to_zero():
     assert out.item() == 0.0
 
 
-def test_cross_entropy_label_out_of_range():
-    with pytest.raises(InputError):
-        cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
+def test_cross_entropy_label_out_of_range(grad_modes):
+    for mode in grad_modes:
+        with mode(), pytest.raises(InputError):
+            cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -6,12 +6,14 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+import geoaware.numerics.nnops as nnops
+import geoaware.numerics.tensor as numerics_tensor
 from geoaware.backbones import GeoBackbone, GeoStubConfig, pooled_features, pooled_vision
 from geoaware.deskworld.camera import VIEWS, sample_viewpoints, seen_cameras
 from geoaware.deskworld.dataset import generate_dataset
 from geoaware.deskworld.world import SimConfig, make_tasks, reset, stack_proprio
 from geoaware.errors import CameraError, ConfigError, FormatError, ShapeError, StateError, VocabularyError
-from geoaware.numerics import Tensor, cross_entropy, grad_check, matmul, mse_loss, transformer_block
+from geoaware.numerics import Tensor, cross_entropy, grad_check, matmul, mse_loss, no_grad, transformer_block
 from geoaware.persist import from_dict
 from geoaware.policy import (
     _BLOCK_PARAMS,
@@ -216,6 +218,11 @@ def test_encode_proprio_contracts():
         encode_proprio(np.zeros((1, 6)), pol.params)
     with pytest.raises(ShapeError):
         encode_proprio(state, pol.params)                       # unbatched
+    with no_grad():                                             # tape-free, on the store's arrays
+        plain = encode_proprio(state[None], pol.params.arrays())
+        with pytest.raises(ShapeError):
+            encode_proprio(np.zeros((1, 6)), pol.params.arrays())
+    assert type(plain) is np.ndarray and plain.tobytes() == out.values.tobytes()
 
     def f(leaves):
         return mean_of(encode_proprio(leaves[0], pol.params) * 2.0)
@@ -680,6 +687,54 @@ def test_policy_action_rollout_entry():
     assert np.all(np.isfinite(act))
     again = pol.action(scene, pol.language(tasks[0].instruction), seen_cameras(sim))
     assert np.array_equal(act, again)
+
+
+# every backbone/head pair; its action is compared with the taped pass
+BACKBONE_HEADS = [("geo", "mlp"), ("geo", "vqbet"), ("pixel", "mlp"), ("pixel", "vqbet")]
+
+
+def rollout_policy(backbone, head):
+    """A default-width policy over every task's instruction, its VQ-BeT
+    codebook marked trained."""
+    pol = Policy(PolicyConfig(backbone_kind=backbone, head_kind=head), tuple(t.instruction for t in make_tasks()), seed=4)
+    return freeze_codebook(pol) if head == "vqbet" else pol
+
+
+@pytest.mark.parametrize("category", ["seen", "novel_medium"])
+@pytest.mark.parametrize("backbone, head", BACKBONE_HEADS, ids=[f"{b}/{h}" for b, h in BACKBONE_HEADS])
+def test_action_is_bitwise_the_taped_forward(backbone, head, category):
+    # the rollout step runs tape-free on the store's plain arrays; the same
+    # composition on the store's tensors, recording a tape, gives its bytes
+    pol = rollout_policy(backbone, head)
+    cameras = sample_viewpoints(category, VIEWS, seed=6, sim=SimConfig())
+    for task in make_tasks():
+        scene = reset(task, seed=8)
+        action = pol.action(scene, pol.language(task.instruction), cameras)
+        language = embed_instructions([task.instruction], pol.params, pol.cfg, pol.vocab)
+        proprio = stack_proprio([scene]).astype(pol.dtype)
+        taped = pol.head(policy_forward(pol.featurize([scene], cameras), language, proprio, pol.params, pol.cfg))
+        assert taped.requires_grad
+        assert action.dtype == np.float64
+        assert action.tobytes() == taped.values[0, 0].astype(np.float64).tobytes()
+
+
+@pytest.mark.parametrize("backbone, head", [("geo", "mlp"), ("pixel", "vqbet")], ids=["geo/mlp", "pixel/vqbet"])
+def test_rollout_step_builds_no_tensor(backbone, head, monkeypatch):
+    # Policy.language and Policy.action construct no Tensor and make no op
+    # result; a taped pass, run under the same counters, does both
+    pol = rollout_policy(backbone, head)
+    task, cameras = make_tasks()[1], seen_cameras(SimConfig())
+    scene = reset(task, seed=2)
+    built, results = [], []
+    init = Tensor.__init__
+    monkeypatch.setattr(Tensor, "__init__", lambda self, *args, **kw: built.append(args) or init(self, *args, **kw))
+    for module in (numerics_tensor, nnops):
+        make = module.make_result
+        monkeypatch.setattr(module, "make_result", lambda *args, make=make: results.append(args) or make(*args))
+    action = pol.action(scene, pol.language(task.instruction), cameras)
+    assert (len(built), len(results)) == (0, 0) and action.shape == (7,)
+    pol.head(pol.forward(pol.featurize([scene], cameras), [task.instruction], stack_proprio([scene])))
+    assert built and results
 
 
 def test_policy_camera_count_mismatch():

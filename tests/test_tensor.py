@@ -1,5 +1,7 @@
 """Core tensor engine: forward values, tape mechanics, finite-difference agreement."""
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -100,9 +102,10 @@ def test_matmul_hand_value():
     assert out.values[0, 0] == 11.0
 
 
-def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeError):
-        matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+def test_matmul_shape_mismatch(grad_modes):
+    for mode in grad_modes:
+        with mode(), pytest.raises(ShapeError):
+            matmul(np.ones((2, 3)), np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -114,11 +117,12 @@ def test_matmul_grad_matches_fd(seed):
     assert err <= TOL
 
 
-def test_matmul_rejects_a_weight_that_is_not_rank_2():
-    with pytest.raises(ShapeError):
-        matmul(Tensor(np.ones((2, 5, 4))), Tensor(np.ones((2, 4, 3))))
-    with pytest.raises(ShapeError):
-        matmul(Tensor(np.ones(4)), Tensor(np.ones((4, 3))))
+def test_matmul_rejects_a_weight_that_is_not_rank_2(grad_modes):
+    for mode in grad_modes:
+        with mode(), pytest.raises(ShapeError):
+            matmul(np.ones((2, 5, 4)), np.ones((2, 4, 3)))
+        with mode(), pytest.raises(ShapeError):
+            matmul(np.ones(4), np.ones((4, 3)))
 
 
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
@@ -218,6 +222,20 @@ def test_no_grad_skips_tape():
     assert y._backward is None and not y.requires_grad
 
 
+@pytest.mark.parametrize("left", [np.array([1.5, -2.0, 3.0]), np.float32(2.5)], ids=["array", "numpy-scalar"])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=["add", "sub", "mul"])
+def test_numpy_on_the_left_defers_to_the_tensor(op, left):
+    # numpy hands ``ndarray op Tensor`` to the Tensor's reflected operator, so
+    # the result is one Tensor on the tape, not an object array of Tensors
+    t = Tensor(np.array([0.5, 4.0, -1.5]), requires_grad=True)
+    out = op(left, t)
+    assert type(out) is Tensor and out.requires_grad
+    assert out.values.dtype == np.float64 and out.values.tobytes() == op(left, t.values).tobytes()
+    tensor_sum(out).backward()
+    d_right = {operator.add: np.ones(3), operator.sub: -np.ones(3), operator.mul: np.broadcast_to(left, 3)}[op]
+    assert np.array_equal(t.grad, d_right)
+
+
 def test_detach_cuts_tape():
     x = Tensor(np.ones(3), requires_grad=True)
     y = (x * 2.0).detach() * 5.0
@@ -234,6 +252,7 @@ OP_CASES = {
     "add": ([(2, 3), (3,)], lambda t: add(*t)),
     "sub": ([(2, 3), (2, 3)], lambda t: sub(*t)),
     "mul": ([(2, 3), (2, 3)], lambda t: mul(*t)),
+    "mul_by_a_scalar": ([(2, 3)], lambda t: mul(t[0], 0.3)),
     "matmul": ([(2, 3), (3, 4)], lambda t: matmul(*t)),
     "reshape": ([(2, 3)], lambda t: reshape(t[0], (3, 2))),
     "concat": ([(2, 3), (2, 1)], lambda t: concat(t, axis=1)),
@@ -278,3 +297,22 @@ def test_op_result_requires_grad_exactly_when_it_has_a_backward(name):
     with no_grad():
         out = op([Tensor(v, requires_grad=True) for v in values])
     assert _on_tape(out) == (False, False, False)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("name", sorted(OP_CASES))
+def test_tape_free_op_is_bitwise_the_taped_one(name, dtype):
+    # under no_grad with only plain inputs an op returns a plain array with
+    # the bytes its taped result holds; one Tensor input keeps it on the
+    # tensor path
+    shapes, op, *_ = OP_CASES[name]
+    rng = np.random.default_rng(1)
+    values = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
+    taped = op([Tensor(v, requires_grad=True) for v in values])
+    with no_grad():
+        plain = op(values)
+        mixed = op([Tensor(values[0])] + values[1:])
+    assert type(taped) is type(mixed) is Tensor and taped.requires_grad
+    assert type(plain) is np.ndarray
+    for got in (plain, mixed.values):
+        assert got.dtype == taped.dtype == dtype and got.tobytes() == taped.values.tobytes()

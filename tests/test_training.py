@@ -11,6 +11,7 @@ import textwrap
 import numpy as np
 import pytest
 
+import geoaware.policy
 import geoaware.training as training
 from geoaware.deskworld.camera import seen_cameras
 from geoaware.deskworld.dataset import generate_dataset
@@ -310,6 +311,20 @@ def test_calibration_only_rescales_rows_and_shifts_bias(demos):
     )
 
 
+@pytest.mark.parametrize("backbone", ["geo", "pixel"])
+def test_calibration_embeds_instructions_for_pixel_only(demos, backbone, monkeypatch):
+    # the geo conv stage takes no language, so only the pixel calibration
+    # embeds its probe chunks' instructions (for their FiLM terms); each BC
+    # step embeds its batch's once
+    calls = []
+    encode = geoaware.policy.encode_language
+    monkeypatch.setattr(geoaware.policy, "encode_language", lambda *args: calls.append(args) or encode(*args))
+    pol = small_policy(demos, backbone_kind=backbone)
+    bc_train(demos, small_train(steps=3, backbone_kind=backbone), policy=pol)
+    chunks = training.CALIBRATION_SAMPLES // training.CALIBRATION_CHUNK
+    assert len(calls) == 3 + (chunks if backbone == "pixel" else 0)
+
+
 def test_calibration_covers_pixel_head(demos):
     # the pixel backbone feeds the same shared projection, which calibration folds
     pol = small_policy(demos, backbone_kind="pixel")
@@ -451,8 +466,6 @@ def test_vqbet_codebook_actually_trains(demos):
 
 def test_vqbet_training_never_decodes_a_chunk(demos, monkeypatch):
     # the VQ-BeT objective reads h_action; the inference head only serves rollouts
-    import geoaware.policy
-
     calls = []
     head = geoaware.policy.vqbet_head
     monkeypatch.setattr(geoaware.policy, "vqbet_head", lambda *args: calls.append(args) or head(*args))
