@@ -4,6 +4,12 @@ Observations are derived at batch time: the frozen featurizer (or renderer)
 runs on the demos' scenes, so datasets stay small and the two backbones train
 from identical demonstrations.  The VQ head trains in two phases: the action
 codebook first, alone; then the policy with the codebook frozen.
+
+Pixel training renders each demo step once and caches its frames for later
+batches.  A rendered frame is mostly the renderer's background colour, so a
+cache entry keeps only the elements that differ from a background-coloured
+row: their flat positions and values.  A batch is rebuilt from that row and
+the stored elements, so it is byte-equal to a fresh render.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 
 from geoaware.backbones import GeoStubConfig, pooled_features
 from geoaware.deskworld.camera import seen_cameras
-from geoaware.deskworld.world import ACTION_WIDTH, SimConfig, stack_proprio
+from geoaware.deskworld.world import ACTION_WIDTH, BACKGROUND_COLOR, SimConfig, stack_proprio
 from geoaware.errors import ConfigError, ConfigMismatchError, FormatError, NumericAbort, NumericError
 from geoaware.numerics import Tensor, adamw_step, init_adamw, no_grad
 from geoaware.persist import from_dict, read_int, write_atomic
@@ -107,12 +113,50 @@ def _chunk_targets(table, indices, t_c, dtype):
     return targets, mask.astype(dtype)
 
 
+def _blank_row(cameras, dtype):
+    """A pixel featurize row [VIEWS, 3, H, W] of the renderer's background
+    colour, made as the renderer makes it (float32), then cast to ``dtype``."""
+    size = cameras[0].image_size
+    colour = np.asarray(BACKGROUND_COLOR, dtype=np.float32).astype(dtype)
+    return np.tile(colour[:, None, None], (len(cameras), 1, size, size))
+
+
+def _pack(rows, blank):
+    """Cache entries for featurized rows [M, *blank.shape]: per row, the flat
+    positions (int32) and the values of the elements whose bits differ from
+    ``blank``'s.  Every differing element is kept, so ``_unpack`` restores
+    the rows bitwise whatever ``blank`` holds; ``blank`` only sets how small
+    an entry is."""
+    flat = rows.reshape(len(rows), -1)
+    bits = np.dtype(f"u{flat.itemsize}")
+    at = np.flatnonzero(flat.view(bits) != blank.reshape(-1).view(bits))
+    bounds = np.searchsorted(at, np.arange(len(rows) + 1) * blank.size).tolist()
+    positions, values = (at % blank.size).astype(np.int32), flat.reshape(-1).take(at)
+    return [(positions[lo:hi], values[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _unpack(entries, blank):
+    """The rows [len(entries), *blank.shape] that ``_pack`` made ``entries``
+    from: copies of ``blank`` and one scatter of every entry's values."""
+    rows = np.empty((len(entries),) + blank.shape, dtype=blank.dtype)
+    rows[:] = blank
+    positions, values = zip(*entries)
+    offsets = np.repeat(np.arange(len(entries)) * blank.size, [len(at) for at in positions])
+    rows.reshape(-1)[offsets + np.concatenate(positions)] = np.concatenate(values)
+    return rows
+
+
 def make_batch(dataset, indices, policy: Policy, cameras, cache=None, actions=None):
     """Assemble one training batch for the given (episode, step) pairs.
 
-    Featurization happens here, per batch; ``cache`` (a dict) memoizes
-    per-step observation tensors across batches, keyed by index pair.
-    ``actions`` is the dataset's ``_action_table``, built here when not given.
+    Featurization happens here, per batch.  ``cache`` (a dict, pixel
+    policies only) memoizes observations across batches, keyed by index
+    pair: each distinct key missing from it is featurized once, and its
+    entry holds the flat positions and values of the elements whose bits
+    differ from a background-coloured row (``_pack``).  The batch's frames
+    are that row with every entry's values scattered back (``_unpack``), so
+    they are byte-equal to a batch made without a cache.  ``actions`` is the
+    dataset's ``_action_table``, built here when not given.
     """
     table = _action_table(dataset) if actions is None else actions
     targets, mask = _chunk_targets(table, indices, policy.cfg.chunk_len, policy.dtype)
@@ -122,12 +166,12 @@ def make_batch(dataset, indices, policy: Policy, cameras, cache=None, actions=No
     if cache is None:
         vision = policy.featurize(scenes, cameras)
     else:
-        missing = [(pos, key) for pos, key in enumerate(indices) if key not in cache]
+        blank = _blank_row(cameras, policy.dtype)
+        missing = list(dict.fromkeys(key for key in indices if key not in cache))
         if missing:
-            fresh = policy.featurize([scenes[pos] for pos, _ in missing], cameras)
-            for (_, key), row in zip(missing, fresh):
-                cache[key] = row
-        vision = np.stack([cache[key] for key in indices])
+            fresh = policy.featurize([dataset.episodes[e].scenes[s] for e, s in missing], cameras)
+            cache.update(zip(missing, _pack(fresh, blank)))
+        vision = _unpack([cache[key] for key in indices], blank)
     return Batch(
         vision=vision,
         instructions=instructions,

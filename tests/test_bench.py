@@ -198,7 +198,9 @@ def briefly_trained(backbone, head):
     return policy
 
 
-@pytest.mark.parametrize("backbone, head", sorted(GOLDEN_ACTION_STREAMS), ids="/".join)
+@pytest.mark.parametrize(
+    "backbone, head", sorted(GOLDEN_ACTION_STREAMS), ids=["/".join(key) for key in sorted(GOLDEN_ACTION_STREAMS)]
+)
 def test_closed_loop_action_stream_is_pinned(backbone, head):
     recorder = RecordingPolicy(briefly_trained(backbone, head))
     cameras = sample_viewpoints("novel_medium", 2, seed=3, sim=SIM)
@@ -224,7 +226,9 @@ class PerStepLanguage:
         return self.policy.action(scene, self.policy.language(instruction), cameras)
 
 
-@pytest.mark.parametrize("backbone, head", sorted(GOLDEN_ACTION_STREAMS), ids="/".join)
+@pytest.mark.parametrize(
+    "backbone, head", sorted(GOLDEN_ACTION_STREAMS), ids=["/".join(key) for key in sorted(GOLDEN_ACTION_STREAMS)]
+)
 def test_rollout_embeds_the_instruction_once(backbone, head, monkeypatch):
     policy = briefly_trained(backbone, head)
     sim = SimConfig(max_episode_steps=12)

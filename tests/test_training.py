@@ -37,10 +37,10 @@ def demos():
     return generate_dataset(make_tasks()[:2], episodes_per_task=2, seed=0, sim=SIM)
 
 
-def small_policy(demos, seed=0, **kw):
+def small_policy(demos, seed=0, dtype=np.float32, **kw):
     base = dict(repr_dim=16, conv_dim=8, hidden_dim=16, lang_embed_dim=8, trunk_heads=2)
     base.update(kw)
-    return Policy(PolicyConfig(**base), tuple(demos.instructions()), seed=seed)
+    return Policy(PolicyConfig(**base), tuple(demos.instructions()), seed=seed, dtype=dtype)
 
 
 def small_train(**kw):
@@ -137,15 +137,59 @@ def test_chunk_targets_reject_a_step_outside_its_episode(demos, pair):
 
 
 def test_pixel_batch_cache_consistency(demos):
+    cameras = seen_cameras(demos.sim)
+    pairs = demos.sample_index()
+    for dtype in (np.float32, np.float64):
+        pol = small_policy(demos, dtype=dtype, backbone_kind="pixel")
+        cache, seen = {}, set()
+        # all misses; hits, misses and a repeated miss; all hits, one repeated
+        for indices in (pairs[:4], pairs[2:6] + [pairs[7], pairs[3], pairs[7]], pairs[:8] + pairs[:1]):
+            cached = make_batch(demos, indices, pol, cameras, cache)
+            direct = make_batch(demos, indices, pol, cameras)
+            assert cached.vision.dtype == dtype
+            assert cached.vision.tobytes() == direct.vision.tobytes()
+            seen.update(indices)
+            assert set(cache) == seen
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_packed_rows_restore_bitwise_for_any_blank(dtype):
+    # signed zeros and NaN compare equal or unequal as floats, not as bits
+    palette = np.array([0.0, -0.0, 0.06, np.nan, 1.0], dtype=dtype)
+    rows = np.random.default_rng(0).choice(palette, size=(5, 2, 3, 4, 4))
+    for blank in (np.zeros(rows.shape[1:], dtype), rows[0], np.full(rows.shape[1:], np.nan, dtype)):
+        assert training._unpack(training._pack(rows, blank), blank).tobytes() == rows.tobytes()
+
+
+def test_make_batch_featurizes_each_missing_key_once(demos, monkeypatch):
     pol = small_policy(demos, backbone_kind="pixel")
-    indices = demos.sample_index()[:4]
+    cameras = seen_cameras(demos.sim)
+    pairs = demos.sample_index()
     cache = {}
-    cached = make_batch(demos, indices, pol, seen_cameras(demos.sim), cache)
-    direct = make_batch(demos, indices, pol, seen_cameras(demos.sim))
-    assert cached.vision.tobytes() == direct.vision.tobytes()
-    assert set(cache) == set(indices)
-    again = make_batch(demos, indices, pol, seen_cameras(demos.sim), cache)
-    assert again.vision.tobytes() == direct.vision.tobytes()
+    make_batch(demos, pairs[:1], pol, cameras, cache)
+    calls = []
+    featurize = Policy.featurize
+
+    def counting(self, scenes, cams):
+        calls.append(scenes)
+        return featurize(self, scenes, cams)
+
+    monkeypatch.setattr(Policy, "featurize", counting)
+    indices = [pairs[1], pairs[0], pairs[1]]
+    cached = make_batch(demos, indices, pol, cameras, cache)
+    e, s = pairs[1]
+    assert len(calls) == 1 and len(calls[0]) == 1 and calls[0][0] is demos.episodes[e].scenes[s]
+    assert cached.vision.tobytes() == make_batch(demos, indices, pol, cameras).vision.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pixel_cache_entries_are_compact(demos, dtype):
+    # a frame is mostly background, which an entry leaves out
+    pol = small_policy(demos, dtype=dtype, backbone_kind="pixel")
+    cache = {}
+    batch = make_batch(demos, demos.sample_index()[:32], pol, seen_cameras(demos.sim), cache)
+    assert len(cache) == 32
+    assert sum(part.nbytes for entry in cache.values() for part in entry) < batch.vision.nbytes / 8
 
 
 # -- training loop -----------------------------------------------------------
@@ -198,7 +242,9 @@ GOLDEN_LOSS_STREAMS = {
 }
 
 
-@pytest.mark.parametrize("backbone, head", sorted(GOLDEN_LOSS_STREAMS), ids="/".join)
+@pytest.mark.parametrize(
+    "backbone, head", sorted(GOLDEN_LOSS_STREAMS), ids=["/".join(key) for key in sorted(GOLDEN_LOSS_STREAMS)]
+)
 def test_golden_loss_streams(demos, backbone, head):
     pol = small_policy(demos, backbone_kind=backbone, head_kind=head)
     cfg = small_train(steps=3, batch_size=64, vq_pretrain_steps=3, backbone_kind=backbone, head_kind=head)
